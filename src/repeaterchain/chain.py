@@ -112,6 +112,24 @@ class ChainState:
         object.__setattr__(self, "links", links)
 
 
+_set_n = ChainState.n.__set__
+_set_links = ChainState.links.__set__
+_set_intermediate = ChainState.intermediate.__set__
+
+
+def _sorted_state(n: int, links: tuple[Link, ...]) -> ChainState:
+    """Slot-boundary state from a link tuple that is already sorted, skipping the re-sort.
+
+    Valid states have unique left endpoints, so their sorted order is fixed
+    by the endpoints alone; callers that keep endpoint order use this.
+    """
+    state = object.__new__(ChainState)
+    _set_n(state, n)
+    _set_links(state, links)
+    _set_intermediate(state, False)
+    return state
+
+
 def state_from_links(n: int, links: Iterable[tuple[int, int, int]], intermediate: bool = False) -> ChainState:
     """Build a state from any iterable of ``(left, right, age)`` triples."""
     return ChainState(n=n, links=tuple(Link(*l) for l in links), intermediate=intermediate)
@@ -259,6 +277,34 @@ def apply_cutoff(state: ChainState, t_cut: int) -> ChainState:
     return ChainState(n=state.n, links=links)
 
 
+@lru_cache(maxsize=None)
+def _swap_template(
+    pairs: tuple[tuple[int, int], ...], action: frozenset[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]:
+    """Age-free run structure of one swap action on links with these endpoints.
+
+    Returns the per-run swap counts, the candidate output links as
+    ``(left, right, source positions)`` (untouched links first, then one
+    merged link per run), and for every survival mask the indices of the
+    candidates present, in sorted link order.
+    """
+    # Each probe link carries its position in ``pairs`` as its age, so the
+    # runs report which input links they consume.
+    probe = _sorted_state(0, tuple(Link(l, r, i) for i, (l, r) in enumerate(pairs)))
+    runs = swap_runs(probe, action)
+    sizes = tuple(len(nodes) for _, nodes in runs)
+    consumed = {l.age for links, _ in runs for l in links}
+    candidates = [(l.left, l.right, (l.age,)) for l in probe.links if l.age not in consumed]
+    untouched = len(candidates)
+    candidates += [(links[0].left, links[-1].right, tuple(l.age for l in links)) for links, _ in runs]
+    masks = []
+    for mask in range(1 << len(runs)):
+        present = list(range(untouched))
+        present += [untouched + b for b in range(len(runs)) if mask >> b & 1]
+        masks.append(tuple(sorted(present, key=lambda c: candidates[c][:2])))
+    return sizes, tuple(candidates), tuple(masks)
+
+
 def swap_outcomes(
     state: ChainState, action: Iterable[int], t_cut: int
 ) -> tuple[tuple[int, ...], list[tuple[int, ChainState]]]:
@@ -269,21 +315,27 @@ def swap_outcomes(
     ``p_s ** k``.  Returns the per-run swap counts together with
     ``(mask, boundary_state)`` for every survival mask (bit ``b`` set means
     run ``b`` survived); the states include the cutoff of phase 4.
+
+    The run structure depends on link endpoints and the action only, so it
+    is cached; ages, the oldest-age merge and the cutoff are applied here.
     """
-    runs = swap_runs(state, action)
-    sizes = tuple(len(nodes) for _, nodes in runs)
-    consumed = {l for links, _ in runs for l in links}
-    base = [l for l in state.links if l not in consumed]
-    outcomes = []
-    for mask in range(1 << len(runs)):
-        links = list(base)
-        for b, (run_links, _) in enumerate(runs):
-            if mask >> b & 1:
-                links.append(
-                    Link(run_links[0].left, run_links[-1].right, max(l.age for l in run_links))
-                )
-        after = ChainState(n=state.n, links=tuple(links), intermediate=True)
-        outcomes.append((mask, apply_cutoff(after, t_cut)))
+    links = state.links
+    n = state.n
+    sizes, candidates, masks = _swap_template(tuple([l[:2] for l in links]), frozenset(action))
+    # Each candidate's age does not depend on the mask: settle it, and the
+    # cutoff, once per call.  None marks a candidate the cutoff discards.
+    kept: list[Link | None] = []
+    for left, right, sources in candidates:
+        if len(sources) == 1:
+            link = links[sources[0]]
+        else:
+            link = Link(left, right, max([links[i].age for i in sources]))
+        kept.append(link if link.age < t_cut or (left == 1 and right == n) else None)
+    pick = kept.__getitem__
+    outcomes = [
+        (mask, _sorted_state(n, tuple(filter(None, map(pick, present)))))
+        for mask, present in enumerate(masks)
+    ]
     return sizes, outcomes
 
 

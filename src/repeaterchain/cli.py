@@ -406,16 +406,17 @@ def cmd_sweep(opt: _Options) -> int:
 def cmd_simulate(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
-    space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
     spec = opt.get("policy") or "swap-asap"
     if spec == "optimal":
-        _, model, _, policy = _solve_optimal(
+        space, _, _, policy = _solve_optimal(
             params, int(opt.get("state_cap")), bool(opt.get("bunch")), opt.get("method"), config
         )
-    elif spec in ("swap-asap",) or spec.startswith("modified:"):
-        policy = _baseline_policy(space, spec)
     else:
-        policy = load_policy_json(spec, space)
+        space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
+        if spec in ("swap-asap",) or spec.startswith("modified:"):
+            policy = _baseline_policy(space, spec)
+        else:
+            policy = load_policy_json(spec, space)
     sim_config = SimConfig(
         trials=int(opt.get("trials")),
         master_seed=int(opt.get("seed")),
@@ -494,10 +495,9 @@ def cmd_stats(opt: _Options) -> int:
         for p_s in pss:
             for t_cut in tcuts:
                 params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
-                _, _, _, policy = _solve_optimal(
+                space, _, _, policy = _solve_optimal(
                     params, int(opt.get("state_cap")), bool(opt.get("bunch")), opt.get("method"), config
                 )
-                space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
                 stats = policy_stats(space, policy)
                 rows.append(
                     {

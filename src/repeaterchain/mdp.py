@@ -10,9 +10,9 @@ Each time slot factorizes into two stochastic phases:
   ``p_s ** k``), then cutoffs are applied.  This maps an (intermediate
   state, action) pair to a distribution over slot-boundary states.
 
-Probabilities are stored structurally as success/failure exponents, so a
-model can be materialized exactly for any ``(p, p_s)`` without re-walking
-the dynamics.  Mirror bunching redirects all probability mass on one half
+Enumeration records the arcs in the state space, with probabilities stored
+structurally as success/failure exponents, so a model can be materialized
+exactly for any ``(p, p_s)`` without re-walking the dynamics.  Mirror bunching redirects all probability mass on one half
 of the mirror pairs onto their canonical representatives, halving the
 effective state space without changing any expected delivery time.
 """
@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .chain import age_links, apply_generation, canonical, generation_pairs, swap_outcomes
-from .statespace import StateSpace, SymmetryPartition
+from .chain import canonical
+from .statespace import BTable, StateSpace, SymmetryPartition
 
 __all__ = [
     "ChoiceTable",
@@ -35,22 +35,6 @@ __all__ = [
     "write_phase_a",
     "write_phase_b",
 ]
-
-# Phase-A arc: (intermediate index, successes, failures, multiplicity).
-_AArc = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class _BTable:
-    """Swap outcomes of one (intermediate state, action) pair.
-
-    ``run_sizes[b]`` is the number of swaps in run ``b``; ``outcomes`` maps
-    each survival mask to the resulting boundary-state index.
-    """
-
-    run_sizes: tuple[int, ...]
-    outcomes: tuple[tuple[int, int], ...]
-
 
 @dataclass(frozen=True)
 class ChoiceTable:
@@ -67,56 +51,16 @@ class ChoiceTable:
 class TransitionModel:
     """Sparse exact transition probabilities over an enumerated state space."""
 
-    def __init__(
-        self,
-        space: StateSpace,
-        a_arcs: tuple[tuple[_AArc, ...], ...],
-        b_arcs: tuple[tuple[_BTable, ...], ...],
-        source_space: StateSpace | None = None,
-    ):
+    def __init__(self, space: StateSpace):
         self.space = space
         self.params = space.params
-        self._a_arcs = a_arcs
-        self._b_arcs = b_arcs
-        self.source_space = source_space
         self._mat_a: sp.csr_matrix | None = None
         self._choices: ChoiceTable | None = None
 
     @classmethod
     def build(cls, space: StateSpace) -> "TransitionModel":
-        """Walk the slot dynamics once and record all arcs structurally."""
-        t_cut = space.params.t_cut
-        a_arcs: list[tuple[_AArc, ...]] = []
-        for idx, s in enumerate(space.boundary_states):
-            if idx == space.terminal_index:
-                a_arcs.append(())
-                continue
-            aged = age_links(s)
-            pairs = sorted(generation_pairs(aged))
-            arcs = []
-            for mask in range(1 << len(pairs)):
-                chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-                r = apply_generation(aged, chosen)
-                k = len(chosen)
-                arcs.append((space.intermediate_index[r], k, len(pairs) - k, 1))
-            a_arcs.append(tuple(arcs))
-
-        term = space.terminal_index
-        b_arcs: list[tuple[_BTable, ...]] = []
-        for r_idx, r in enumerate(space.intermediate_states):
-            tables = []
-            for action in space.actions[r_idx]:
-                sizes, outcomes = swap_outcomes(r, action, t_cut)
-                rows = []
-                for mask, target in outcomes:
-                    if target in space.boundary_index:
-                        rows.append((mask, space.boundary_index[target]))
-                    else:
-                        # Absorbing states collapse onto the terminal index.
-                        rows.append((mask, term))
-                tables.append(_BTable(sizes, tuple(rows)))
-            b_arcs.append(tuple(tables))
-        return cls(space, tuple(a_arcs), tuple(b_arcs))
+        """Model over the arcs that enumeration recorded in ``space``."""
+        return cls(space)
 
     def respecialized(self, p: float | None = None, p_s: float | None = None) -> "TransitionModel":
         """Same dynamics with different success probabilities.
@@ -125,7 +69,7 @@ class TransitionModel:
         the numeric matrices are rebuilt.  Used by parameter sweeps.
         """
         space = self.space.respecialized(p=p, p_s=p_s)
-        return TransitionModel(space, self._a_arcs, self._b_arcs, source_space=self.source_space)
+        return TransitionModel(space)
 
     # -- dense-free numeric views -------------------------------------------------
 
@@ -135,19 +79,19 @@ class TransitionModel:
             raise ValueError("the terminal state has no outgoing transitions")
         p = self.params.p
         out: dict[int, float] = {}
-        for r_idx, k, m, mult in self._a_arcs[s_idx]:
+        for r_idx, k, m, mult in self.space.a_arcs[s_idx]:
             prob = mult * p**k * (1.0 - p) ** m
             if prob > 0.0:
                 out[r_idx] = out.get(r_idx, 0.0) + prob
         return out
 
-    def _table(self, r_idx: int, action: Iterable[int]) -> _BTable:
+    def _table(self, r_idx: int, action: Iterable[int]) -> BTable:
         action = frozenset(action)
         try:
             a_idx = self.space.actions[r_idx].index(action)
         except ValueError:
             raise ValueError(f"action {sorted(action)} invalid in intermediate state {r_idx}")
-        return self._b_arcs[r_idx][a_idx]
+        return self.space.b_arcs[r_idx][a_idx]
 
     def phase_b(self, r_idx: int, action: Iterable[int]) -> dict[int, float]:
         """P_B(. | r, a): distribution over slot-boundary state indices."""
@@ -178,7 +122,7 @@ class TransitionModel:
         if self._mat_a is None:
             p = self.params.p
             rows, cols, data = [], [], []
-            for s_idx, arcs in enumerate(self._a_arcs):
+            for s_idx, arcs in enumerate(self.space.a_arcs):
                 for r_idx, k, m, mult in arcs:
                     prob = mult * p**k * (1.0 - p) ** m
                     if prob > 0.0:
@@ -198,7 +142,7 @@ class TransitionModel:
             offsets = np.zeros(self.space.num_intermediate + 1, dtype=np.int64)
             rows, cols, data = [], [], []
             row = 0
-            for r_idx, tables in enumerate(self._b_arcs):
+            for r_idx, tables in enumerate(self.space.b_arcs):
                 offsets[r_idx] = row
                 for table in tables:
                     survive = [ps**k for k in table.run_sizes]
@@ -226,7 +170,7 @@ def bunch(model: TransitionModel, split: SymmetryPartition) -> TransitionModel:
     to its mirror, exactly as substituting T(s) = T(mirror(s)) into the
     delivery-time equations.  The returned model lives on a reduced space
     whose state lists keep their original relative order (the empty state
-    stays at index 0); ``source_space`` links back to the full space.
+    stays at index 0).
     """
     space = model.space
     if space.bunched:
@@ -247,6 +191,22 @@ def bunch(model: TransitionModel, split: SymmetryPartition) -> TransitionModel:
         space.intermediate_states, space.intermediate_index, i_keep
     )
 
+    a_arcs = []
+    for old_idx in b_kept:
+        merged: dict[tuple[int, int, int], int] = {}
+        for r_idx, k, m, mult in space.a_arcs[old_idx]:
+            key = (int(i_rep[r_idx]), k, m)
+            merged[key] = merged.get(key, 0) + mult
+        a_arcs.append(tuple((r, k, m, mult) for (r, k, m), mult in merged.items()))
+
+    b_arcs = []
+    for old_idx in i_kept:
+        tables = []
+        for table in space.b_arcs[old_idx]:
+            outcomes = tuple((mask, int(b_rep[s_idx])) for mask, s_idx in table.outcomes)
+            tables.append(BTable(table.run_sizes, outcomes))
+        b_arcs.append(tuple(tables))
+
     boundary_states = tuple(space.boundary_states[i] for i in b_kept)
     intermediate_states = tuple(space.intermediate_states[i] for i in i_kept)
     reduced = StateSpace(
@@ -258,26 +218,11 @@ def bunch(model: TransitionModel, split: SymmetryPartition) -> TransitionModel:
         terminal_index=b_new[space.terminal_index],
         actions=tuple(space.actions[i] for i in i_kept),
         raw_absorbing=space.raw_absorbing,
+        a_arcs=tuple(a_arcs),
+        b_arcs=tuple(b_arcs),
         bunched=True,
     )
-
-    a_arcs = []
-    for old_idx in b_kept:
-        merged: dict[tuple[int, int, int], int] = {}
-        for r_idx, k, m, mult in model._a_arcs[old_idx]:
-            key = (int(i_rep[r_idx]), k, m)
-            merged[key] = merged.get(key, 0) + mult
-        a_arcs.append(tuple((r, k, m, mult) for (r, k, m), mult in merged.items()))
-
-    b_arcs = []
-    for old_idx in i_kept:
-        tables = []
-        for table in model._b_arcs[old_idx]:
-            outcomes = tuple((mask, int(b_rep[s_idx])) for mask, s_idx in table.outcomes)
-            tables.append(_BTable(table.run_sizes, outcomes))
-        b_arcs.append(tuple(tables))
-
-    return TransitionModel(reduced, tuple(a_arcs), tuple(b_arcs), source_space=space)
+    return TransitionModel(reduced)
 
 
 def write_phase_a(model: TransitionModel, fh) -> None:

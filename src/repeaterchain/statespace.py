@@ -9,12 +9,15 @@ the remaining delivery time is zero regardless of link ages.
 
 Enumeration proceeds breadth-first from the empty state, so only states the
 process can actually visit are indexed.  Index 0 is always the empty state.
+The same walk records every transition structurally (which intermediate
+state each generation outcome reaches, which boundary state each swap
+outcome reaches), so the dynamics are walked exactly once per (n, t_cut).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +39,8 @@ from .chain import (
 )
 
 __all__ = [
+    "AArc",
+    "BTable",
     "DEFAULT_STATE_CAP",
     "MirrorSplit",
     "StateCapExceeded",
@@ -58,6 +63,22 @@ class StateCapExceeded(RuntimeError):
     """Enumeration would exceed the configured state cap."""
 
 
+# Phase-A arc: (intermediate index, successes, failures, multiplicity).
+AArc = tuple[int, int, int, int]
+
+
+@dataclass(frozen=True, slots=True)
+class BTable:
+    """Swap outcomes of one (intermediate state, action) pair.
+
+    ``run_sizes[b]`` is the number of swaps in run ``b``; ``outcomes`` maps
+    each survival mask to the resulting boundary-state index.
+    """
+
+    run_sizes: tuple[int, ...]
+    outcomes: tuple[tuple[int, int], ...]
+
+
 def terminal_state(n: int) -> ChainState:
     """Representative of all absorbing states (collapsed end-to-end class)."""
     return ChainState(n=n, links=(Link(1, n, 0),))
@@ -69,7 +90,13 @@ def action_space(state: ChainState) -> tuple[frozenset[int], ...]:
     Ordered by (size, node tuple), so the empty action comes first and the
     ordering doubles as the deterministic tie-break order for solvers.
     """
-    nodes = sorted(valid_swap_nodes(state))
+    return _subsets(tuple(sorted(valid_swap_nodes(state))))
+
+
+@lru_cache(maxsize=None)
+def _subsets(nodes: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    # Shared by every state with the same eligible nodes, so an enumerated
+    # space holds one copy of each action list.
     actions = []
     for r in range(len(nodes) + 1):
         for combo in combinations(nodes, r):
@@ -85,6 +112,11 @@ class StateSpace:
     ``boundary_states[terminal_index]`` the collapsed absorbing state.
     ``raw_absorbing`` keeps the age-vector encodings of the absorbing states
     as they were actually produced, before collapsing.
+
+    ``a_arcs[s]`` lists the phase-A arcs of boundary state ``s`` (empty for
+    the terminal state) and ``b_arcs[r][a]`` the swap outcomes of
+    intermediate state ``r`` under action ``actions[r][a]``; probabilities
+    are left as exponents so any ``(p, p_s)`` can be materialized.
     """
 
     params: ChainParams
@@ -95,6 +127,8 @@ class StateSpace:
     terminal_index: int
     actions: tuple[tuple[frozenset[int], ...], ...]
     raw_absorbing: frozenset[tuple[int, ...]]
+    a_arcs: tuple[tuple[AArc, ...], ...] = field(repr=False)
+    b_arcs: tuple[tuple[BTable, ...], ...] = field(repr=False)
     bunched: bool = False
 
     @property
@@ -131,6 +165,7 @@ class StateSpace:
 def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) -> StateSpace:
     """Breadth-first closure of the slot dynamics starting from the empty state.
 
+    Records the phase-A arcs and phase-B tables as it discovers states.
     Raises :class:`StateCapExceeded` if boundary plus intermediate counts
     pass ``state_cap``.
     """
@@ -138,59 +173,79 @@ def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) ->
     s0 = empty_state(n)
     term = terminal_state(n)
     boundary: list[ChainState] = [s0]
-    boundary_index: dict[ChainState, int] = {s0: 0}
+    # Keyed on link tuples: every boundary state shares n and its phase flag.
+    boundary_links: dict[tuple[Link, ...], int] = {s0.links: 0}
     intermediates: list[ChainState] = []
     intermediate_index: dict[ChainState, int] = {}
     actions: list[tuple[frozenset[int], ...]] = []
+    a_arcs: list[tuple[AArc, ...]] = []
+    b_arcs: list[tuple[BTable, ...]] = []
     raw_absorbing: set[tuple[int, ...]] = set()
     terminal_index = -1
 
-    queue: deque[ChainState] = deque([s0])
-    while queue:
-        s = queue.popleft()
-        aged = age_links(s)
+    # The boundary list doubles as the BFS queue: states are expanded in
+    # index order, and the terminal state is never expanded.
+    s_idx = 0
+    while s_idx < len(boundary):
+        if s_idx == terminal_index:
+            a_arcs.append(())
+            s_idx += 1
+            continue
+        aged = age_links(boundary[s_idx])
+        s_idx += 1
         pairs = sorted(generation_pairs(aged))
+        arcs = []
         for mask in range(1 << len(pairs)):
             chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
             r = apply_generation(aged, chosen)
-            if r in intermediate_index:
-                continue
-            intermediate_index[r] = len(intermediates)
-            intermediates.append(r)
-            acts = action_space(r)
-            actions.append(acts)
-            for a in acts:
-                _, outcomes = swap_outcomes(r, a, t_cut)
-                for _, target in outcomes:
-                    if is_absorbing(target):
-                        raw_absorbing.add(encode_state(target))
-                        if terminal_index < 0:
-                            terminal_index = len(boundary)
-                            boundary_index[term] = terminal_index
-                            boundary.append(term)
-                        continue
-                    if target not in boundary_index:
-                        boundary_index[target] = len(boundary)
-                        boundary.append(target)
-                        queue.append(target)
-            if len(boundary) + len(intermediates) > state_cap:
-                raise StateCapExceeded(
-                    f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}"
-                )
+            r_idx = intermediate_index.get(r)
+            if r_idx is None:
+                r_idx = intermediate_index[r] = len(intermediates)
+                intermediates.append(r)
+                acts = action_space(r)
+                actions.append(acts)
+                tables = []
+                for a in acts:
+                    sizes, outcomes = swap_outcomes(r, a, t_cut)
+                    rows = []
+                    for out_mask, target in outcomes:
+                        if is_absorbing(target):
+                            # Absorbing states collapse onto the terminal index.
+                            raw_absorbing.add(encode_state(target))
+                            if terminal_index < 0:
+                                terminal_index = len(boundary)
+                                boundary.append(term)
+                            rows.append((out_mask, terminal_index))
+                            continue
+                        t_idx = boundary_links.get(target.links)
+                        if t_idx is None:
+                            t_idx = boundary_links[target.links] = len(boundary)
+                            boundary.append(target)
+                        rows.append((out_mask, t_idx))
+                    tables.append(BTable(sizes, tuple(rows)))
+                b_arcs.append(tuple(tables))
+                if len(boundary) + len(intermediates) > state_cap:
+                    raise StateCapExceeded(
+                        f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}"
+                    )
+            arcs.append((r_idx, len(chosen), len(pairs) - len(chosen), 1))
+        a_arcs.append(tuple(arcs))
     if terminal_index < 0:
         # Unreachable for valid parameters (p, p_s > 0), kept for safety.
         terminal_index = len(boundary)
-        boundary_index[term] = terminal_index
         boundary.append(term)
+        a_arcs.append(())
     return StateSpace(
         params=params,
         boundary_states=tuple(boundary),
         intermediate_states=tuple(intermediates),
-        boundary_index=boundary_index,
+        boundary_index={s: i for i, s in enumerate(boundary)},
         intermediate_index=intermediate_index,
         terminal_index=terminal_index,
         actions=tuple(actions),
         raw_absorbing=frozenset(raw_absorbing),
+        a_arcs=tuple(a_arcs),
+        b_arcs=tuple(b_arcs),
     )
 
 

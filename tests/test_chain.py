@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -259,40 +261,84 @@ class TestMirror:
                 assert canonical(canonical(s)) == canonical(s)
 
 
+def per_node_distribution(r, action, t_cut, ps):
+    """End-of-slot distribution from the 2^|action| per-node success patterns."""
+    brute: dict = {}
+    for bits in range(1 << len(action)):
+        pattern = {k: bool(bits >> i & 1) for i, k in enumerate(action)}
+        prob = 1.0
+        for ok in pattern.values():
+            prob *= ps if ok else 1 - ps
+        out = apply_cutoff(resolve_swaps(r, action, pattern), t_cut)
+        brute[out] = brute.get(out, 0.0) + prob
+    return brute
+
+
+def run_grouped_distribution(r, action, t_cut, ps):
+    """End-of-slot distribution from swap_outcomes' per-run survival masks."""
+    sizes, outcomes = swap_outcomes(r, action, t_cut)
+    grouped: dict = {}
+    for mask, state in outcomes:
+        prob = 1.0
+        for b, k in enumerate(sizes):
+            prob *= ps**k if mask >> b & 1 else 1 - ps**k
+        grouped[state] = grouped.get(state, 0.0) + prob
+    return grouped
+
+
+def assert_same_distribution(r, action, t_cut):
+    for ps in (0.3, 0.75):
+        brute = per_node_distribution(r, action, t_cut, ps)
+        grouped = run_grouped_distribution(r, action, t_cut, ps)
+        assert set(brute) == set(grouped)
+        for state, prob in brute.items():
+            assert grouped[state] == pytest.approx(prob, abs=1e-12)
+            # Outcomes skip the re-sort of the public constructor; their
+            # link order must still be the sorted one.
+            assert state.links == tuple(sorted(state.links))
+
+
 class TestSwapOutcomes:
     def test_matches_per_node_pattern_enumeration(self):
         # The run-grouped outcome enumeration must weight states exactly as
-        # the 2^|action| per-node success patterns do.
-        rng = np.random.default_rng(3)
-        cases = 0
-        for seed in range(12):
-            _, inter = random_walk(seed, n=6, t_cut=2)
-            for r in inter:
-                nodes = sorted(valid_swap_nodes(r))
-                if not nodes:
-                    continue
-                action = [k for k in nodes if rng.random() < 0.8] or nodes
-                cases += 1
-                for ps in (0.3, 0.75):
-                    brute: dict = {}
-                    for bits in range(1 << len(action)):
-                        pattern = {k: bool(bits >> i & 1) for i, k in enumerate(action)}
-                        prob = 1.0
-                        for ok in pattern.values():
-                            prob *= ps if ok else 1 - ps
-                        out = apply_cutoff(resolve_swaps(r, action, pattern), 2)
-                        brute[out] = brute.get(out, 0.0) + prob
-                    sizes, outcomes = swap_outcomes(r, action, 2)
-                    grouped: dict = {}
-                    for mask, state in outcomes:
-                        prob = 1.0
-                        for b, k in enumerate(sizes):
-                            prob *= ps**k if mask >> b & 1 else 1 - ps**k
-                        grouped[state] = grouped.get(state, 0.0) + prob
-                    assert set(brute) == set(grouped)
-                    for state, prob in brute.items():
-                        assert grouped[state] == pytest.approx(prob, abs=1e-12)
-        assert cases >= 10
+        # the 2^|action| per-node success patterns do, for every action.
+        for t_cut in (1, 2, 3):
+            cases = 0
+            for seed in range(12):
+                _, inter = random_walk(seed, n=6, t_cut=t_cut)
+                for r in inter:
+                    nodes = sorted(valid_swap_nodes(r))
+                    for size in range(1, len(nodes) + 1):
+                        for action in combinations(nodes, size):
+                            cases += 1
+                            assert_same_distribution(r, list(action), t_cut)
+            assert cases >= 30
+
+    def test_same_endpoints_different_ages(self):
+        # Run structures are cached by link endpoints and action, without
+        # ages: states sharing endpoints must still get their own ages, merged
+        # maxima and cutoffs.  Here the untouched link (1, 2) and the merged
+        # link (2, 4) fall on opposite sides of t_cut=2 in the two states, and
+        # the end-to-end link of the full run stays whatever its age.
+        t_cut = 2
+        young = mk(5, [(1, 2, 0), (2, 3, 1), (3, 4, 0), (4, 5, 1)], intermediate=True)
+        old = mk(5, [(1, 2, 2), (2, 3, 2), (3, 4, 0), (4, 5, 0)], intermediate=True)
+        for action in ([3], [2, 3, 4], [2, 4]):
+            assert_same_distribution(young, action, t_cut)
+            assert_same_distribution(old, action, t_cut)
+            assert swap_outcomes(young, action, t_cut)[1] != swap_outcomes(old, action, t_cut)[1]
+        _, outcomes = swap_outcomes(old, [3], t_cut)
+        assert [s.links for _, s in outcomes] == [
+            (Link(4, 5, 0),),
+            (Link(4, 5, 0),),
+        ]
+        _, outcomes = swap_outcomes(young, [3], t_cut)
+        assert [s.links for _, s in outcomes] == [
+            (Link(1, 2, 0), Link(4, 5, 1)),
+            (Link(1, 2, 0), Link(2, 4, 1), Link(4, 5, 1)),
+        ]
+        assert swap_outcomes(young, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 1),)
+        assert swap_outcomes(old, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 2),)
 
 
 class TestEncoding:
