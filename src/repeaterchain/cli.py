@@ -170,16 +170,14 @@ def _solve_optimal(params, state_cap, use_bunch, method, config):
     space = enumerate_states(params, state_cap=state_cap)
     model = TransitionModel.build(space)
     solve_space, solve_model = space, model
-    split = None
     if use_bunch:
-        split = partition(space)
-        solve_model = bunch(model, split)
+        solve_model = bunch(model, partition(space))
         solve_space = solve_model.space
     solve = policy_iteration if method == "pi" else value_iteration
     table, policy = solve(solve_space, solve_model, config)
     if use_bunch:
         table = expand_values(space, solve_space, table)
-        policy = expand_policy(space, split, solve_space, policy)
+        policy = expand_policy(space, solve_space, policy)
     return space, model, table, policy
 
 

@@ -20,7 +20,7 @@ effective state space without changing any expected delivery time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,8 +32,6 @@ __all__ = [
     "ChoiceTable",
     "TransitionModel",
     "bunch",
-    "write_phase_a",
-    "write_phase_b",
 ]
 
 @dataclass(frozen=True)
@@ -46,6 +44,11 @@ class ChoiceTable:
 
     matrix: sp.csr_matrix
     offsets: np.ndarray
+
+
+def _csr_row(matrix: sp.csr_matrix, row: int) -> dict[int, float]:
+    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+    return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
 
 
 class TransitionModel:
@@ -71,49 +74,23 @@ class TransitionModel:
         space = self.space.respecialized(p=p, p_s=p_s)
         return TransitionModel(space)
 
-    # -- dense-free numeric views -------------------------------------------------
+    # -- per-state views of the matrices ------------------------------------------
 
     def phase_a(self, s_idx: int) -> dict[int, float]:
         """P_A(. | s): distribution over intermediate-state indices."""
         if s_idx == self.space.terminal_index:
             raise ValueError("the terminal state has no outgoing transitions")
-        p = self.params.p
-        out: dict[int, float] = {}
-        for r_idx, k, m, mult in self.space.a_arcs[s_idx]:
-            prob = mult * p**k * (1.0 - p) ** m
-            if prob > 0.0:
-                out[r_idx] = out.get(r_idx, 0.0) + prob
-        return out
+        return _csr_row(self.phase_a_matrix(), s_idx)
 
-    def _table(self, r_idx: int, action: Iterable[int]) -> BTable:
+    def phase_b(self, r_idx: int, action: Iterable[int]) -> dict[int, float]:
+        """P_B(. | r, a): distribution over slot-boundary state indices."""
         action = frozenset(action)
         try:
             a_idx = self.space.actions[r_idx].index(action)
         except ValueError:
             raise ValueError(f"action {sorted(action)} invalid in intermediate state {r_idx}")
-        return self.space.b_arcs[r_idx][a_idx]
-
-    def phase_b(self, r_idx: int, action: Iterable[int]) -> dict[int, float]:
-        """P_B(. | r, a): distribution over slot-boundary state indices."""
-        table = self._table(r_idx, action)
-        ps = self.params.p_s
-        survive = [ps**k for k in table.run_sizes]
-        out: dict[int, float] = {}
-        for mask, s_idx in table.outcomes:
-            prob = 1.0
-            for b, q in enumerate(survive):
-                prob *= q if mask >> b & 1 else 1.0 - q
-            if prob > 0.0:
-                out[s_idx] = out.get(s_idx, 0.0) + prob
-        return out
-
-    def composed(self, s_idx: int, actions: Sequence[Iterable[int]]) -> dict[int, float]:
-        """One-slot transition P(. | s, pi) for a policy given per-intermediate actions."""
-        out: dict[int, float] = {}
-        for r_idx, pa in self.phase_a(s_idx).items():
-            for t_idx, pb in self.phase_b(r_idx, actions[r_idx]).items():
-                out[t_idx] = out.get(t_idx, 0.0) + pa * pb
-        return out
+        choices = self.choice_table()
+        return _csr_row(choices.matrix, int(choices.offsets[r_idx]) + a_idx)
 
     # -- matrix views --------------------------------------------------------------
 
@@ -224,25 +201,3 @@ def bunch(model: TransitionModel, split: SymmetryPartition) -> TransitionModel:
     )
     return TransitionModel(reduced)
 
-
-def write_phase_a(model: TransitionModel, fh) -> None:
-    """Dump P_A in coordinate-list form: one 'row col prob' line per entry."""
-    for s_idx in range(model.space.num_boundary):
-        if s_idx == model.space.terminal_index:
-            continue
-        for r_idx, prob in sorted(model.phase_a(s_idx).items()):
-            fh.write(f"{s_idx} {r_idx} {prob:.17g}\n")
-
-
-def write_phase_b(model: TransitionModel, fh) -> None:
-    """Dump P_B in coordinate-list form, one row per (intermediate, action) pair.
-
-    Row indices match :meth:`TransitionModel.choice_table` ordering.
-    """
-    table = model.choice_table()
-    row = 0
-    for r_idx in range(model.space.num_intermediate):
-        for action in model.space.actions[r_idx]:
-            for s_idx, prob in sorted(model.phase_b(r_idx, action).items()):
-                fh.write(f"{row} {s_idx} {prob:.17g}\n")
-            row += 1

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .chain import ChainState, mirror, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
-from .statespace import StateSpace, SymmetryPartition
+from .statespace import StateSpace
 
 __all__ = [
     "ConvergenceError",
@@ -56,16 +56,13 @@ class SolverConfig:
     ``epsilon`` bounds the max-norm difference between successive sweeps.
     ``evaluation`` selects how fixed policies are evaluated: ``"direct"``
     solves the sparse linear system, ``"sweep"`` iterates the update until
-    ``epsilon``.  ``in_place`` switches sweeps from snapshot-read to
-    Gauss-Seidel order (slower in this implementation; kept for
-    cross-checking).
+    ``epsilon``.
     """
 
     epsilon: float = 1e-7
     max_iterations: int = 1_000_000
     max_policy_iterations: int = 1_000
     evaluation: str = "direct"
-    in_place: bool = False
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -218,23 +215,6 @@ def _sweep_evaluate(
 ) -> tuple[np.ndarray, int, float]:
     term = space.terminal_index
     values = np.zeros(space.num_boundary)
-    if config.in_place:
-        indptr, indices, data = composed.indptr, composed.indices, composed.data
-        for it in range(1, config.max_iterations + 1):
-            residual = 0.0
-            for s_idx in range(space.num_boundary):
-                if s_idx == term:
-                    continue
-                lo, hi = indptr[s_idx], indptr[s_idx + 1]
-                new = 1.0 + float(data[lo:hi] @ values[indices[lo:hi]])
-                residual = max(residual, abs(new - values[s_idx]))
-                values[s_idx] = new
-            if residual <= config.epsilon:
-                return values, it, residual
-        raise ConvergenceError(
-            f"policy evaluation did not converge in {config.max_iterations} sweeps "
-            f"(residual {residual:.3e})"
-        )
     for it in range(1, config.max_iterations + 1):
         new = 1.0 + composed @ values
         new[term] = 0.0
@@ -269,16 +249,25 @@ def evaluate_policy(
     return ValueTable(values=values, iterations=iterations, residual=residual)
 
 
-def _greedy_choices(
-    q: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-intermediate minimum of the action values and its first arg-min."""
+def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """First minimal row of each intermediate state's segment of ``q``.
+
+    Every segment is non-empty: waiting is always an action.
+    """
     mins = np.minimum.reduceat(q, offsets[:-1])
-    first = np.empty(len(offsets) - 1, dtype=np.int64)
-    for r_idx in range(len(offsets) - 1):
-        lo, hi = offsets[r_idx], offsets[r_idx + 1]
-        first[r_idx] = lo + int(np.argmin(q[lo:hi]))
-    return mins, first
+    rows = np.arange(len(q))
+    minimal = q == np.repeat(mins, np.diff(offsets))
+    return np.minimum.reduceat(np.where(minimal, rows, len(q)), offsets[:-1])
+
+
+def _rows_to_policy(space: StateSpace, rows: np.ndarray, offsets: np.ndarray) -> Policy:
+    """The policy that takes choice-table row ``rows[r]`` in intermediate state ``r``."""
+    return Policy(
+        tuple(
+            actions[int(row - lo)]
+            for actions, row, lo in zip(space.actions, rows, offsets[:-1])
+        )
+    )
 
 
 def value_iteration(
@@ -302,9 +291,9 @@ def value_iteration(
     else:
         values = np.asarray(initial_values, dtype=float).copy()
     values[term] = 0.0
+    starts = choices.offsets[:-1]
     for it in range(1, config.max_iterations + 1):
-        q = choices.matrix @ values
-        mins, _ = _greedy_choices(q, choices.offsets)
+        mins = np.minimum.reduceat(choices.matrix @ values, starts)
         new = 1.0 + mat_a @ mins
         new[term] = 0.0
         residual = float(np.max(np.abs(new - values)))
@@ -316,13 +305,9 @@ def value_iteration(
             f"value iteration did not converge in {config.max_iterations} sweeps "
             f"(residual {residual:.3e})"
         )
-    q = choices.matrix @ values
-    _, first = _greedy_choices(q, choices.offsets)
-    actions = tuple(
-        space.actions[r_idx][int(first[r_idx] - choices.offsets[r_idx])]
-        for r_idx in range(space.num_intermediate)
-    )
-    return ValueTable(values=values, iterations=it, residual=residual), Policy(actions)
+    first = _greedy_choices(choices.matrix @ values, choices.offsets)
+    policy = _rows_to_policy(space, first, choices.offsets)
+    return ValueTable(values=values, iterations=it, residual=residual), policy
 
 
 def policy_iteration(
@@ -345,7 +330,7 @@ def policy_iteration(
     table = evaluate_policy(space, model, policy, config)
     for rounds in range(1, config.max_policy_iterations + 1):
         q = choices.matrix @ table.values
-        _, first = _greedy_choices(q, choices.offsets)
+        first = _greedy_choices(q, choices.offsets)
         improved = q[first] < q[current]
         if not np.any(improved):
             return (
@@ -353,11 +338,7 @@ def policy_iteration(
                 policy,
             )
         current = np.where(improved, first, current)
-        actions = tuple(
-            space.actions[r_idx][int(current[r_idx] - choices.offsets[r_idx])]
-            for r_idx in range(space.num_intermediate)
-        )
-        policy = Policy(actions)
+        policy = _rows_to_policy(space, current, choices.offsets)
         new_table = evaluate_policy(space, model, policy, config)
         # Evaluation roundoff can make value-equivalent actions look strictly
         # better and flip forever; once a round stops lowering any value
@@ -375,12 +356,7 @@ def policy_iteration(
     )
 
 
-def expand_policy(
-    space: StateSpace,
-    split: SymmetryPartition,
-    bunched_space: StateSpace,
-    policy: Policy,
-) -> Policy:
+def expand_policy(space: StateSpace, bunched_space: StateSpace, policy: Policy) -> Policy:
     """Extend a policy solved on mirror representatives to the full space.
 
     Representative states keep their action; folded states take the

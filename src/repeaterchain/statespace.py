@@ -28,7 +28,6 @@ from .chain import (
     Link,
     age_links,
     apply_generation,
-    canonical,
     empty_state,
     encode_state,
     generation_pairs,
@@ -278,7 +277,7 @@ def _split(states, index) -> MirrorSplit:
         m = mirror(s)
         if m == s:
             sym.add(i)
-        elif canonical(s) == s:
+        elif s.links <= m.links:
             one.add(i)
         else:
             two.add(i)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,8 @@ from repeaterchain.chain import (
     state_from_links,
     valid_swap_nodes,
 )
-from repeaterchain.mdp import TransitionModel, bunch, write_phase_a, write_phase_b
+from repeaterchain.mdp import TransitionModel, bunch
+from repeaterchain.solver import Policy, _composed_matrix
 from repeaterchain.statespace import enumerate_states, partition, terminal_state
 
 
@@ -27,6 +26,12 @@ def inter_idx(space, links):
     return space.intermediate_index[
         state_from_links(space.params.n, links, intermediate=True)
     ]
+
+
+def composed_row(space, model, actions, s_idx):
+    """Row ``s_idx`` of the one-slot matrix the solver evaluates for a policy."""
+    row = _composed_matrix(space, model, Policy(tuple(actions))).getrow(s_idx)
+    return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
 class TestPhaseA:
@@ -106,37 +111,38 @@ class TestComposed:
         swap_actions = [frozenset(valid_swap_nodes(r)) for r in space.intermediate_states]
         wait_actions = [frozenset() for _ in space.intermediate_states]
 
-        dist = model.composed(s0, swap_actions)
+        dist = composed_row(space, model, swap_actions, s0)
         assert dist[s0] == pytest.approx((1 - p) ** 2 + p * p * (1 - ps))
         assert dist[s1] == pytest.approx(p * (1 - p))
         assert dist[s2] == pytest.approx(p * (1 - p))
         assert dist[term] == pytest.approx(p * p * ps)
 
-        dist = model.composed(s0, wait_actions)
+        dist = composed_row(space, model, wait_actions, s0)
         assert dist[s0] == pytest.approx((1 - p) ** 2)
         assert dist[s1] == pytest.approx(p * (1 - p))
         assert dist[s2] == pytest.approx(p * (1 - p))
         assert dist[s3] == pytest.approx(p * p)
 
-        dist = model.composed(s1, swap_actions)
+        dist = composed_row(space, model, swap_actions, s1)
         assert dist[s0] == pytest.approx((1 - p) + p * (1 - ps))
         assert dist[term] == pytest.approx(p * ps)
 
-        dist = model.composed(s1, wait_actions)
+        dist = composed_row(space, model, wait_actions, s1)
         assert dist[s0] == pytest.approx(1 - p)
         assert dist[s2] == pytest.approx(p)
 
-        dist = model.composed(s3, swap_actions)
+        dist = composed_row(space, model, swap_actions, s3)
         assert dist[s0] == pytest.approx(1 - ps)
         assert dist[term] == pytest.approx(ps)
 
-        dist = model.composed(s3, wait_actions)
+        dist = composed_row(space, model, wait_actions, s3)
         assert dist == {s0: pytest.approx(1.0)}
 
     def test_deterministic_chain_reaches_terminal_in_one_slot(self):
         space, model = build(3, 1, p=1.0, p_s=1.0)
         swap_actions = [frozenset(valid_swap_nodes(r)) for r in space.intermediate_states]
-        assert model.composed(0, swap_actions) == {space.terminal_index: pytest.approx(1.0)}
+        dist = composed_row(space, model, swap_actions, 0)
+        assert dist == {space.terminal_index: pytest.approx(1.0)}
 
 
 class TestConservation:
@@ -229,22 +235,3 @@ class TestBunch:
         with pytest.raises(ValueError):
             bunch(bmodel, partition(space))
 
-
-class TestDumps:
-    def test_coordinate_list_format(self):
-        space, model = build(3, 1, p=0.5, p_s=0.5)
-        buf = io.StringIO()
-        write_phase_a(model, buf)
-        lines = buf.getvalue().strip().splitlines()
-        parsed = [line.split() for line in lines]
-        assert all(len(entry) == 3 for entry in parsed)
-        total = sum(float(prob) for _, _, prob in parsed)
-        assert total == pytest.approx(space.num_boundary - 1)
-
-        buf = io.StringIO()
-        write_phase_b(model, buf)
-        rows = {}
-        for line in buf.getvalue().strip().splitlines():
-            row, _, prob = line.split()
-            rows[row] = rows.get(row, 0.0) + float(prob)
-        assert all(abs(total - 1.0) <= 1e-12 for total in rows.values())

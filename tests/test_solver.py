@@ -7,6 +7,7 @@ from repeaterchain.solver import (
     ConvergenceError,
     Policy,
     SolverConfig,
+    _greedy_choices,
     evaluate_policy,
     expand_policy,
     expand_values,
@@ -57,15 +58,6 @@ class TestEvaluate:
             1.0, float(np.max(direct.values))
         )
         assert sweep.iterations > 1 and sweep.residual <= 1e-7
-
-    def test_in_place_sweep_agrees(self):
-        space, model = build(3, 2, p=0.6, p_s=0.7)
-        policy = swap_asap_policy(space)
-        direct = evaluate_policy(space, model, policy)
-        gauss = evaluate_policy(
-            space, model, policy, SolverConfig(evaluation="sweep", in_place=True)
-        )
-        assert np.max(np.abs(direct.values - gauss.values)) <= 1e-6
 
     def test_terminal_value_zero_and_others_at_least_one(self):
         space, model = build(4, 2, p=0.7, p_s=0.8)
@@ -180,6 +172,23 @@ class TestOptimalSolvers:
             value_iteration(space, model, SolverConfig(max_iterations=2))
 
 
+class TestGreedyChoices:
+    def test_first_minimal_row_wins_ties(self):
+        # Segments: a tie after a larger row, a single row, a tie at the
+        # start, a single row, a tie between the first and last rows.
+        q = np.array([3.0, 1.0, 1.0, 2.0, 5.0, 0.5, 0.5, 7.0, 2.0, 4.0, 2.0])
+        offsets = np.array([0, 4, 5, 7, 8, 11])
+        assert _greedy_choices(q, offsets).tolist() == [1, 4, 5, 7, 8]
+
+    def test_matches_per_segment_argmin(self):
+        rng = np.random.default_rng(7)
+        sizes = rng.integers(1, 6, size=200)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        q = rng.integers(0, 3, size=offsets[-1]).astype(float)
+        expected = [lo + int(np.argmin(q[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        assert _greedy_choices(q, offsets).tolist() == expected
+
+
 class TestMirrorSymmetryOfValues:
     def test_values_equal_on_mirror_pairs(self):
         space, model = build(5, 2, p=0.6, p_s=0.5)
@@ -189,23 +198,21 @@ class TestMirrorSymmetryOfValues:
 
     def test_bunched_solve_matches_full(self):
         space, model = build(4, 2, p=0.45, p_s=0.5)
-        split = partition(space)
-        bmodel = bunch(model, split)
+        bmodel = bunch(model, partition(space))
         full_table, _ = policy_iteration(space, model)
         btable, bpolicy = policy_iteration(bmodel.space, bmodel)
         assert btable.t0 == pytest.approx(full_table.t0, abs=1e-9 * max(1, full_table.t0))
         expanded = expand_values(space, bmodel.space, btable)
         assert np.max(np.abs(expanded.values - full_table.values)) <= 1e-8
-        policy = expand_policy(space, split, bmodel.space, bpolicy)
+        policy = expand_policy(space, bmodel.space, bpolicy)
         check = evaluate_policy(space, model, policy)
         assert check.t0 == pytest.approx(full_table.t0, rel=1e-10)
 
     def test_expanded_policy_is_mirror_consistent(self):
         space, model = build(4, 2, p=0.5, p_s=0.5)
-        split = partition(space)
-        bmodel = bunch(model, split)
+        bmodel = bunch(model, partition(space))
         _, bpolicy = policy_iteration(bmodel.space, bmodel)
-        policy = expand_policy(space, split, bmodel.space, bpolicy)
+        policy = expand_policy(space, bmodel.space, bpolicy)
         n = space.params.n
         for r_idx, r in enumerate(space.intermediate_states):
             m_idx = space.intermediate_index[mirror(r)]
