@@ -1,14 +1,14 @@
 """The mean is not the whole story: sampling the delivery-time distribution.
 
 The solver gives exact expected delivery times; the Monte Carlo simulator
-runs the same slot dynamics trajectory by trajectory.  Their agreement
+samples trajectories of the same slot dynamics.  Their agreement
 cross-validates the transition probabilities, and the sampled histogram
 shows how heavy the tail can be: a mean of ~9 slots hides runs several
 times longer.
 
 Writes the histogram to delivery_histogram.csv next to this script.
 
-Run with:  python3 demos/04_delivery_time_distribution.py  (about half a minute)
+Run with:  python3 demos/04_delivery_time_distribution.py  (about a second)
 """
 
 import csv

@@ -27,7 +27,7 @@ from .chain import (
     valid_swap_nodes,
 )
 from .mdp import TransitionModel, bunch
-from .sim import SimConfig, SimResult, estimate, run_trial
+from .sim import SimConfig, SimResult, estimate
 from .solver import (
     ConvergenceError,
     Policy,
@@ -107,7 +107,6 @@ __all__ = [
     "policy_stats",
     "relative_advantage",
     "resolve_swaps",
-    "run_trial",
     "swap_asap_policy",
     "swap_fidelity",
     "valid_swap_nodes",

@@ -143,8 +143,13 @@ def empty_state(n: int) -> ChainState:
 
 
 def is_absorbing(state: ChainState) -> bool:
-    """True iff the state contains an end-to-end link."""
-    return any(l.left == 1 and l.right == state.n for l in state.links)
+    """True iff the state contains an end-to-end link.
+
+    Links are sorted and left endpoints are unique, so an end-to-end link
+    can only be the first one.
+    """
+    links = state.links
+    return bool(links) and links[0].left == 1 and links[0].right == state.n
 
 
 def age_links(state: ChainState) -> ChainState:

@@ -26,6 +26,7 @@ from repeaterchain.chain import (
     swap_runs,
     valid_swap_nodes,
 )
+from repeaterchain.statespace import enumerate_states
 
 
 def mk(n, links, intermediate=False):
@@ -66,6 +67,33 @@ class TestBasics:
         assert not is_absorbing(empty_state(3))
         assert is_absorbing(mk(3, [(1, 3, 0)]))
         assert not is_absorbing(mk(5, [(1, 4, 1)]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("t_cut", [1, 2, 3])
+    def test_is_absorbing_matches_link_scan(self, n, t_cut):
+        def scan(state):
+            return any(l.left == 1 and l.right == state.n for l in state.links)
+
+        space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+        states = [*space.boundary_states, *space.intermediate_states]
+        states += [decode_state(vec, n) for vec in space.raw_absorbing]
+        hand_built = [
+            mk(n, [(1, n - 1, 0), (n - 1, n, 0)]),
+            mk(n, [(1, 2, 0), (2, n, 1)], intermediate=True),
+            mk(n, [(2, n, 0)]),
+            mk(n, [(1, n, 5)]),
+        ]
+        if n >= 4:
+            hand_built += [
+                mk(n, [(1, n, 0), (2, n - 1, 1)]),
+                mk(n, [(1, n, 3), (2, 3, 0)], intermediate=True),
+            ]
+        for state in hand_built:
+            check_state(state)
+        states += hand_built
+        assert sum(map(scan, states)) > 1
+        for state in states:
+            assert is_absorbing(state) == scan(state), state
 
     def test_params_validation(self):
         ChainParams(n=3, p=0.5, p_s=1.0, t_cut=1)

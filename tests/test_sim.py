@@ -1,8 +1,9 @@
 import pytest
 
+from repeaterchain import sim
 from repeaterchain.chain import ChainParams, state_from_links
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.sim import SimConfig, TrajectoryError, estimate, run_trial, trial_rng
+from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, estimate
 from repeaterchain.solver import evaluate_policy, policy_iteration, swap_asap_policy
 from repeaterchain.statespace import enumerate_states
 
@@ -14,43 +15,57 @@ def setup(n, t_cut, p, p_s):
 
 
 class TestRunTrial:
+    """Single trajectories, observed through the delivery times of a batch."""
+
     def test_deterministic_chain_delivers_first_slot(self):
         params, space = setup(3, 1, 1.0, 1.0)
         pmap = swap_asap_policy(space).state_map(space)
-        for trial in range(10):
-            assert run_trial(params, pmap, 42, trial).delivery_time == 1
+        result = estimate(params, pmap, SimConfig(trials=10, master_seed=42))
+        assert result.histogram == {1: 10}
 
     def test_six_node_single_run_succeeds_deterministically(self):
         params, space = setup(6, 1, 1.0, 1.0)
         pmap = swap_asap_policy(space).state_map(space)
-        for trial in range(10):
-            assert run_trial(params, pmap, 7, trial).delivery_time == 1
+        result = estimate(params, pmap, SimConfig(trials=10, master_seed=7))
+        assert result.histogram == {1: 10}
 
     def test_same_seed_same_sample(self):
         params, space = setup(3, 1, 0.5, 0.5)
         pmap = swap_asap_policy(space).state_map(space)
-        a = run_trial(params, pmap, 123, 17)
-        b = run_trial(params, pmap, 123, 17)
-        assert a == b
-        c = run_trial(params, pmap, 123, 18)
-        assert c.trial == 18
+        a = _delivery_times(params, pmap, SimConfig(trials=200, master_seed=123))
+        b = _delivery_times(params, pmap, SimConfig(trials=200, master_seed=123))
+        c = _delivery_times(params, pmap, SimConfig(trials=200, master_seed=124))
+        assert (a == b).all()
+        assert not (a == c).all()
 
     def test_rng_streams_differ_across_trials(self):
-        r0 = trial_rng(5, 0).random(8)
-        r1 = trial_rng(5, 1).random(8)
+        r0 = _chunk_rng(5, 0).random(8)
+        r1 = _chunk_rng(5, 1).random(8)
         assert not (r0 == r1).all()
+        params, space = setup(3, 1, 0.5, 0.5)
+        pmap = swap_asap_policy(space).state_map(space)
+        times = _delivery_times(params, pmap, SimConfig(trials=100, master_seed=5))
+        assert len(set(times.tolist())) > 1
 
     def test_unlisted_state_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
         only_empty = {state_from_links(3, [], intermediate=True): frozenset()}
-        with pytest.raises(TrajectoryError):
-            run_trial(params, only_empty, 1, 0, max_slots=100)
+        with pytest.raises(TrajectoryError, match="outside the policy domain"):
+            estimate(params, only_empty, SimConfig(trials=10, master_seed=1, max_slots=100))
 
     def test_slot_cap_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
         never = {r: frozenset() for r in space.intermediate_states}
-        with pytest.raises(TrajectoryError):
-            run_trial(params, never, 1, 0, max_slots=50)
+        with pytest.raises(TrajectoryError, match="no delivery within 50 slots"):
+            estimate(params, never, SimConfig(trials=10, master_seed=1, max_slots=50))
+
+    def test_chunk_times_do_not_depend_on_trial_count(self):
+        params, space = setup(4, 2, 0.6, 0.5)
+        pmap = swap_asap_policy(space).state_map(space)
+        one = _delivery_times(params, pmap, SimConfig(trials=CHUNK, master_seed=17))
+        three = _delivery_times(params, pmap, SimConfig(trials=3 * CHUNK, master_seed=17))
+        assert (three[:CHUNK] == one).all()
+        assert not (three[CHUNK : 2 * CHUNK] == one).all()
 
 
 class TestEstimate:
@@ -85,17 +100,27 @@ class TestEstimate:
         result = estimate(
             params,
             policy.state_map(space),
-            SimConfig(trials=20_000, master_seed=21, validate=False),
+            SimConfig(trials=20_000, master_seed=21),
         )
         assert abs(result.mean - table.t0) <= 4 * result.stderr
 
-    def test_validate_mode(self):
+    def test_validate_mode(self, monkeypatch):
+        """Every state a trajectory reaches is checked once, when it is first interned."""
         params, space = setup(3, 2, 0.8, 0.8)
         policy = swap_asap_policy(space)
-        result = estimate(
-            params, policy.state_map(space), SimConfig(trials=200, master_seed=5, validate=True)
-        )
+        checked = []
+        real_check = sim.check_state
+
+        def spy(state, t_cut=None):
+            checked.append(state)
+            real_check(state, t_cut)
+
+        monkeypatch.setattr(sim, "check_state", spy)
+        result = estimate(params, policy.state_map(space), SimConfig(trials=200, master_seed=5))
         assert result.trials == 200
+        assert len(checked) == len(set(checked))
+        assert {s for s in checked if s.intermediate} <= set(space.intermediate_states)
+        assert sum(not s.intermediate for s in checked) > 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
