@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -35,6 +36,7 @@ from .solver import (
     ConvergenceError,
     Policy,
     SolverConfig,
+    ValueTable,
     evaluate_policy,
     expand_policy,
     expand_values,
@@ -48,6 +50,7 @@ from .solver import (
 from .statespace import (
     DEFAULT_STATE_CAP,
     StateCapExceeded,
+    StateSpace,
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
@@ -165,20 +168,69 @@ def _chain_params(opt: _Options) -> ChainParams:
     )
 
 
-def _solve_optimal(params, state_cap, use_bunch, method, config):
-    """Enumerate, optionally bunch, solve; returns full-space values and policy."""
-    space = enumerate_states(params, state_cap=state_cap)
-    model = TransitionModel.build(space)
-    solve_space, solve_model = space, model
-    if use_bunch:
-        solve_model = bunch(model, partition(space))
-        solve_space = solve_model.space
-    solve = policy_iteration if method == "pi" else value_iteration
-    table, policy = solve(solve_space, solve_model, config)
-    if use_bunch:
-        table = expand_values(space, solve_space, table)
-        policy = expand_policy(space, solve_space, policy)
-    return space, model, table, policy
+class _Structure:
+    """The enumerated states and arcs of one (n, t_cut), solvable at any (p, p_s).
+
+    States, arcs and the mirror fold depend only on (n, t_cut), so each
+    solve respecializes them to its (p, p_s) instead of walking the dynamics
+    again.  A structure lives only as long as the command that built it.
+    """
+
+    def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool):
+        space = enumerate_states(params, state_cap=state_cap)
+        self.model = TransitionModel.build(space)
+        self.folded = bunch(self.model, partition(space)) if use_bunch else None
+
+    def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
+        model = self.model.respecialized(p, p_s)
+        solved = model if self.folded is None else self.folded.respecialized(p, p_s)
+        solve = policy_iteration if method == "pi" else value_iteration
+        table, policy = solve(solved.space, solved, config)
+        return _Solution(model, solved, table, policy)
+
+
+@dataclass(frozen=True)
+class _Solution:
+    """An optimal solve at one (p, p_s).
+
+    ``model`` is the full model at (p, p_s) and ``solved`` the one solved
+    (the folded model when bunching); ``table`` and ``policy`` live on
+    ``solved.space``.  ``table.t0`` and ``table.iterations`` need no
+    expansion, since the empty state keeps index 0 in a folded space.
+    """
+
+    model: TransitionModel
+    solved: TransitionModel
+    table: ValueTable
+    policy: Policy
+
+    @property
+    def space(self) -> StateSpace:
+        return self.model.space
+
+    def full_values(self) -> ValueTable:
+        if self.solved is self.model:
+            return self.table
+        return expand_values(self.space, self.solved.space, self.table)
+
+    def full_policy(self) -> Policy:
+        if self.solved is self.model:
+            return self.policy
+        return expand_policy(self.space, self.solved.space, self.policy)
+
+
+def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
+    """Grid-point indices grouped by (n, t_cut), groups in order of first appearance."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig) -> _Solution:
+    """Build the structure of a single-point command and solve it."""
+    structure = _Structure(params, int(opt.get("state_cap")), bool(opt.get("bunch")))
+    return structure.solve(params.p, params.p_s, opt.get("method"), config)
 
 
 def _baseline_policy(space, spec: str) -> Policy:
@@ -279,9 +331,8 @@ def cmd_solve(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
     t0 = time.perf_counter()
-    space, _, table, policy = _solve_optimal(
-        params, int(opt.get("state_cap")), bool(opt.get("bunch")), opt.get("method"), config
-    )
+    solution = _solve_point(opt, params, config)
+    space, table, policy = solution.space, solution.full_values(), solution.full_policy()
     elapsed = time.perf_counter() - t0
     print(f"states: {space.num_boundary} boundary, {space.num_intermediate} intermediate")
     print(f"method: {opt.get('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
@@ -301,50 +352,64 @@ def cmd_compare(opt: _Options) -> int:
     baselines = opt.get("baseline") or ["swap-asap"]
     if isinstance(baselines, str):
         baselines = [baselines]
-    space, model, table, _ = _solve_optimal(
-        params, int(opt.get("state_cap")), bool(opt.get("bunch")), opt.get("method"), config
-    )
-    print(f"T_opt = {_fmt(table.t0)}")
+    solution = _solve_point(opt, params, config)
+    space, t_opt = solution.space, solution.table.t0
+    print(f"T_opt = {_fmt(t_opt)}")
     for spec in baselines:
-        base = evaluate_policy(space, model, _baseline_policy(space, spec), config)
-        adv = relative_advantage(base.t0, table.t0)
+        base = evaluate_policy(space, solution.model, _baseline_policy(space, spec), config)
+        adv = relative_advantage(base.t0, t_opt)
         print(f"T[{spec}] = {_fmt(base.t0)}   advantage = {_fmt(adv)} ({100 * adv:.3f}%)")
     return 0
 
 
-def _sweep_point(point: dict) -> dict:
-    """One grid point of a sweep; returns a CSV row dict (errors recorded in-row)."""
-    row = {
-        "n": point["n"],
-        "p": point["p"],
-        "p_s": point["ps"],
-        "t_cut": point["tcut"],
-    }
-    try:
-        params = ChainParams(n=point["n"], p=point["p"], p_s=point["ps"], t_cut=point["tcut"])
-        config = SolverConfig(
-            epsilon=point["epsilon"],
-            max_iterations=point["max_iter"],
-            evaluation=point["eval_method"],
-        )
-        t0 = time.perf_counter()
-        space, model, table, _ = _solve_optimal(
-            params, point["state_cap"], point["bunch"], point["method"], config
-        )
-        row["boundary_states"] = space.num_boundary
-        row["intermediate_states"] = space.num_intermediate
-        row["iterations"] = table.iterations
-        row["T_opt"] = _fmt(table.t0)
-        for spec in point["baselines"]:
-            base = evaluate_policy(space, model, _baseline_policy(space, spec), config)
-            key = spec.replace(":", "_").replace(",", "_").replace("-", "_")
-            row[f"T_{key}"] = _fmt(base.t0)
-            row[f"advantage_{key}"] = _fmt(relative_advantage(base.t0, table.t0))
-        row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
-        row["error"] = ""
-    except Exception as exc:  # failures stay in-row; the sweep continues
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+def _sweep_group(points: list[dict]) -> list[dict]:
+    """CSV rows of grid points that share one (n, t_cut), errors recorded in-row.
+
+    The structure is built at the first point with valid parameters, whose
+    ``wall_time_s`` includes the build, and reused by the rest.  A failed
+    build puts its error in its own row and in every later row of the group.
+    """
+    structure = build_error = None
+    rows = []
+    for point in points:
+        row = {
+            "n": point["n"],
+            "p": point["p"],
+            "p_s": point["ps"],
+            "t_cut": point["tcut"],
+        }
+        try:
+            params = ChainParams(n=point["n"], p=point["p"], p_s=point["ps"], t_cut=point["tcut"])
+            config = SolverConfig(
+                epsilon=point["epsilon"],
+                max_iterations=point["max_iter"],
+                evaluation=point["eval_method"],
+            )
+            t0 = time.perf_counter()
+            if structure is None and build_error is None:
+                try:
+                    structure = _Structure(params, point["state_cap"], point["bunch"])
+                except Exception as exc:
+                    build_error = exc
+            if build_error is not None:
+                raise build_error
+            solution = structure.solve(params.p, params.p_s, point["method"], config)
+            space, t_opt = solution.space, solution.table.t0
+            row["boundary_states"] = space.num_boundary
+            row["intermediate_states"] = space.num_intermediate
+            row["iterations"] = solution.table.iterations
+            row["T_opt"] = _fmt(t_opt)
+            for spec in point["baselines"]:
+                base = evaluate_policy(space, solution.model, _baseline_policy(space, spec), config)
+                key = spec.replace(":", "_").replace(",", "_").replace("-", "_")
+                row[f"T_{key}"] = _fmt(base.t0)
+                row[f"advantage_{key}"] = _fmt(relative_advantage(base.t0, t_opt))
+            row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
+            row["error"] = ""
+        except Exception as exc:  # failures stay in-row; the sweep continues
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows
 
 
 def cmd_sweep(opt: _Options) -> int:
@@ -374,12 +439,18 @@ def cmd_sweep(opt: _Options) -> int:
         for p_s in pss
         for t_cut in tcuts
     ]
+    groups = _structure_groups([(point["n"], point["tcut"]) for point in points])
+    tasks = [[points[i] for i in group] for group in groups]
     workers = int(opt.get("workers"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points))
+            results = list(pool.map(_sweep_group, tasks))
     else:
-        rows = [_sweep_point(point) for point in points]
+        results = [_sweep_group(task) for task in tasks]
+    rows: list[dict | None] = [None] * len(points)
+    for group, group_rows in zip(groups, results):
+        for i, row in zip(group, group_rows):
+            rows[i] = row
     keys: list[str] = []
     for row in rows:
         for key in row:
@@ -406,9 +477,8 @@ def cmd_simulate(opt: _Options) -> int:
     config = _solver_config(opt)
     spec = opt.get("policy") or "swap-asap"
     if spec == "optimal":
-        space, _, _, policy = _solve_optimal(
-            params, int(opt.get("state_cap")), bool(opt.get("bunch")), opt.get("method"), config
-        )
+        solution = _solve_point(opt, params, config)
+        space, policy = solution.space, solution.full_policy()
     else:
         space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
         if spec in ("swap-asap",) or spec.startswith("modified:"):
@@ -488,26 +558,30 @@ def cmd_stats(opt: _Options) -> int:
     pss = _floats(opt.require("ps"))
     tcuts = _ints(opt.require("tcut"))
     config = _solver_config(opt)
-    rows = []
-    for p in ps_list:
-        for p_s in pss:
-            for t_cut in tcuts:
-                params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
-                space, _, _, policy = _solve_optimal(
-                    params, int(opt.get("state_cap")), bool(opt.get("bunch")), opt.get("method"), config
-                )
-                stats = policy_stats(space, policy)
-                rows.append(
-                    {
-                        "n": n,
-                        "p": p,
-                        "p_s": p_s,
-                        "t_cut": t_cut,
-                        "decidable_states": stats.decidable_states,
-                        "pct_swap_all": _fmt(100.0 * stats.swap_all_fraction),
-                        "pct_no_swap": _fmt(100.0 * stats.no_swap_fraction),
-                    }
-                )
+    grid = [
+        ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
+        for p in ps_list
+        for p_s in pss
+        for t_cut in tcuts
+    ]
+    rows: list[dict | None] = [None] * len(grid)
+    for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
+        structure = _Structure(
+            grid[group[0]], int(opt.get("state_cap")), bool(opt.get("bunch"))
+        )
+        for i in group:
+            params = grid[i]
+            solution = structure.solve(params.p, params.p_s, opt.get("method"), config)
+            stats = policy_stats(solution.space, solution.full_policy())
+            rows[i] = {
+                "n": n,
+                "p": params.p,
+                "p_s": params.p_s,
+                "t_cut": params.t_cut,
+                "decidable_states": stats.decidable_states,
+                "pct_swap_all": _fmt(100.0 * stats.swap_all_fraction),
+                "pct_no_swap": _fmt(100.0 * stats.no_swap_fraction),
+            }
     out = opt.get("out")
     fh = open(out, "w", newline="") if out else sys.stdout
     try:

@@ -3,13 +3,55 @@ import json
 
 import pytest
 
+from repeaterchain import cli
 from repeaterchain.chain import ChainParams
 from repeaterchain.cli import load_policy_json, main
-from repeaterchain.statespace import enumerate_states
+from repeaterchain.mdp import TransitionModel, bunch
+from repeaterchain.solver import (
+    SolverConfig,
+    evaluate_policy,
+    expand_policy,
+    policy_iteration,
+    policy_stats,
+    swap_asap_policy,
+    value_iteration,
+)
+from repeaterchain.statespace import enumerate_states, partition
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Every (n, t_cut) the CLI enumerates, in call order."""
+    calls = []
+    original = cli.enumerate_states
+
+    def counted(params, *args, **kwargs):
+        calls.append((params.n, params.t_cut))
+        return original(params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_states", counted)
+    return calls
+
+
+def fresh_solve(params, method, use_bunch):
+    """The per-point path: enumerate, build, optionally fold, solve."""
+    space = enumerate_states(params)
+    model = TransitionModel.build(space)
+    solved = bunch(model, partition(space)) if use_bunch else model
+    solve = policy_iteration if method == "pi" else value_iteration
+    table, policy = solve(solved.space, solved, SolverConfig())
+    return space, model, solved, table, policy
+
+
+def sweep_rows(path):
+    return [
+        {k: v for k, v in row.items() if k != "wall_time_s"}
+        for row in csv.DictReader(open(path))
+    ]
 
 
 class TestCutoff:
@@ -140,30 +182,71 @@ class TestSweep:
             ("0.4", "1"), ("0.4", "2"), ("0.8", "1"), ("0.8", "2")
         ]
 
-    def test_failures_recorded_in_row(self, tmp_path, capsys):
+    def test_failures_recorded_in_row(self, tmp_path, capsys, enumerations):
+        # Only the t_cut=2 structure exceeds the cap: every row of its group
+        # carries the error, and the failed build is not retried.
         out = tmp_path / "grid.csv"
         code = run(
-            ["sweep", "--n", 5, "--p", 0.5, "--ps", 0.5, "--tcut", "1,2",
+            ["sweep", "--n", 5, "--p", "0.4,0.8", "--ps", 0.5, "--tcut", "1,2",
              "--state-cap", 300, "--out", out]
         )
         assert code == 1
         rows = list(csv.DictReader(open(out)))
-        assert len(rows) == 2
-        assert rows[0]["error"] == ""
-        assert "StateCapExceeded" in rows[1]["error"]
+        assert [r["t_cut"] for r in rows] == ["1", "2", "1", "2"]
+        for row in rows:
+            if row["t_cut"] == "1":
+                assert row["error"] == ""
+            else:
+                assert row["error"].startswith("StateCapExceeded: state cap 300")
+        assert sorted(enumerations) == [(5, 1), (5, 2)]
+
+    def test_invalid_point_does_not_spoil_its_group(self, tmp_path, capsys):
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        args = ["sweep", "--n", 4, "--ps", 0.5, "--tcut", 2, "--method", "vi", "--bunch"]
+        assert run(args + ["--p", "1.5,0.5", "--out", both]) == 1
+        assert run(args + ["--p", 0.5, "--out", alone]) == 0
+        rows = sweep_rows(both)
+        assert [r["p"] for r in rows] == ["1.5", "0.5"]
+        assert rows[0]["error"].startswith("ValueError: p must lie in (0, 1]")
+        assert rows[1] == sweep_rows(alone)[0]
 
     def test_workers_produce_identical_csv(self, tmp_path):
         outs = []
         for workers, name in [(1, "serial.csv"), (2, "parallel.csv")]:
             out = tmp_path / name
             code = run(
-                ["sweep", "--n", 3, "--p", "0.4,0.6", "--ps", 0.5, "--tcut", 1,
+                ["sweep", "--n", "3,4", "--p", "0.4,0.6", "--ps", 0.5, "--tcut", "1,2",
                  "--workers", workers, "--out", out]
             )
             assert code == 0
-            rows = list(csv.DictReader(open(out)))
-            outs.append([{k: v for k, v in r.items() if k != "wall_time_s"} for r in rows])
+            outs.append(sweep_rows(out))
         assert outs[0] == outs[1]
+        assert [(r["n"], r["p"], r["t_cut"]) for r in outs[1]] == [
+            (n, p, t) for n in "34" for p in ("0.4", "0.6") for t in "12"
+        ]
+
+    @pytest.mark.parametrize("method", ["pi", "vi"])
+    @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
+    def test_rows_match_per_point_solves(self, tmp_path, enumerations, method, flag):
+        args = ["sweep", "--n", "3,4", "--p", "0.4,0.9,1.0", "--ps", "0.5,1.0",
+                "--tcut", "1,2", "--method", method, flag, "--out", tmp_path / "grid.csv"]
+        assert run(args) == 0
+        rows = sweep_rows(tmp_path / "grid.csv")
+        assert len(rows) == 24
+        assert sorted(enumerations) == [(3, 1), (3, 2), (4, 1), (4, 2)]
+        for row in rows:
+            params = ChainParams(
+                n=int(row["n"]), p=float(row["p"]), p_s=float(row["p_s"]), t_cut=int(row["t_cut"])
+            )
+            space, model, _, table, _ = fresh_solve(params, method, flag == "--bunch")
+            base = evaluate_policy(space, model, swap_asap_policy(space), SolverConfig())
+            assert row["T_opt"] == f"{table.t0:.17g}"
+            assert row["T_swap_asap"] == f"{base.t0:.17g}"
+            assert row["iterations"] == str(table.iterations)
+            assert row["error"] == ""
+        # Structures live for one command: a second sweep enumerates again.
+        assert run(args) == 0
+        assert len(enumerations) == 8
 
 
 class TestSimulate:
@@ -243,6 +326,26 @@ class TestStats:
         for row in rows:
             assert float(row["pct_swap_all"]) == 100.0
             assert float(row["pct_no_swap"]) == 0.0
+
+    def test_one_enumeration_per_structure(self, tmp_path, enumerations):
+        out = tmp_path / "stats.csv"
+        code = run(
+            ["stats", "--n", 5, "--p", "0.3,0.6,0.9", "--ps", 0.5, "--tcut", "2,4",
+             "--bunch", "--out", out]
+        )
+        assert code == 0
+        assert enumerations == [(5, 2), (5, 4)]
+        rows = list(csv.DictReader(open(out)))
+        assert [(r["p"], r["t_cut"]) for r in rows] == [
+            (p, t) for p in ("0.3", "0.6", "0.9") for t in "24"
+        ]
+        for row in rows:
+            params = ChainParams(n=5, p=float(row["p"]), p_s=0.5, t_cut=int(row["t_cut"]))
+            space, _, solved, _, policy = fresh_solve(params, "pi", use_bunch=True)
+            stats = policy_stats(space, expand_policy(space, solved.space, policy))
+            assert row["decidable_states"] == str(stats.decidable_states)
+            assert row["pct_swap_all"] == f"{100.0 * stats.swap_all_fraction:.17g}"
+            assert row["pct_no_swap"] == f"{100.0 * stats.no_swap_fraction:.17g}"
 
 
 class TestConfigFile:

@@ -235,3 +235,32 @@ class TestBunch:
         with pytest.raises(ValueError):
             bunch(bmodel, partition(space))
 
+
+
+class TestRespecialized:
+    """A structure built at one (p, p_s) materializes exactly as one built at another."""
+
+    POINTS = [(0.3, 0.8), (1.0, 0.5), (0.6, 1.0), (1.0, 1.0)]
+
+    @staticmethod
+    def assert_same_csr(a, b):
+        assert a.shape == b.shape
+        for field in ("indptr", "indices", "data"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    def assert_same_matrices(self, model, direct):
+        self.assert_same_csr(model.phase_a_matrix(), direct.phase_a_matrix())
+        choices, want = model.choice_table(), direct.choice_table()
+        assert choices.offsets.tobytes() == want.offsets.tobytes()
+        self.assert_same_csr(choices.matrix, want.matrix)
+
+    @pytest.mark.parametrize("n,t_cut", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
+    def test_matches_direct_build(self, n, t_cut):
+        space, model = build(n, t_cut, p=0.5, p_s=0.5)
+        folded = bunch(model, partition(space))
+        for p, p_s in self.POINTS:
+            direct_space, direct = build(n, t_cut, p=p, p_s=p_s)
+            self.assert_same_matrices(model.respecialized(p, p_s), direct)
+            self.assert_same_matrices(
+                folded.respecialized(p, p_s), bunch(direct, partition(direct_space))
+            )
