@@ -4,7 +4,8 @@ The number of reachable states grows like t_cut^(n-1); an analytic lower
 bound makes that concrete.  Relabeling the chain right-to-left maps every
 state to a mirror image with the same delivery time, so mirror pairs can
 be folded onto one representative ("bunching"), nearly halving the state
-space without changing any value.
+space without changing any value.  The fold happens during enumeration, so
+the unfolded space is never built for a bunched solve.
 
 Run with:  python3 demos/05_state_space_and_bunching.py
 """
@@ -14,11 +15,9 @@ import time
 from repeaterchain import (
     ChainParams,
     TransitionModel,
-    bunch,
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
-    partition,
     policy_iteration,
 )
 
@@ -34,22 +33,24 @@ for n, t_cut in [(3, 1), (3, 3), (4, 2), (4, 4), (5, 2), (5, 4), (6, 2)]:
 print()
 print("mirror bunching on a five-node chain with cutoff 4:")
 params = ChainParams(n=5, p=0.7, p_s=0.5, t_cut=4)
-space = enumerate_states(params)
-model = TransitionModel.build(space)
-split = partition(space)
-sym = len(split.boundary.sym)
-print(f"  boundary states: {space.num_boundary} total, {sym} self-mirrored, "
-      f"{len(split.boundary.half_one)} mirror pairs")
 
 start = time.perf_counter()
+space = enumerate_states(params)
+model = TransitionModel.build(space)
 full, _ = policy_iteration(space, model)
 full_time = time.perf_counter() - start
 
-bmodel = bunch(model, split)
+# The folded walk lists one state per mirror pair; a weight of 1 marks a
+# state that is its own mirror image.
 start = time.perf_counter()
-folded, _ = policy_iteration(bmodel.space, bmodel)
+folded_space = enumerate_states(params, fold=True)
+fmodel = TransitionModel.build(folded_space)
+folded, _ = policy_iteration(folded_space, fmodel)
 folded_time = time.perf_counter() - start
 
-print(f"  full solve:    {space.num_boundary:5d} states  T = {full.t0:.12f}  ({full_time:.2f} s)")
-print(f"  bunched solve: {bmodel.space.num_boundary:5d} states  T = {folded.t0:.12f}  ({folded_time:.2f} s)")
+sym = int((folded_space.boundary_weights == 1).sum())
+print(f"  boundary states: {space.num_boundary} total, {sym} self-mirrored, "
+      f"{folded_space.num_boundary - sym} mirror pairs")
+print(f"  full build + solve:   {space.num_boundary:5d} states  T = {full.t0:.12f}  ({full_time:.2f} s)")
+print(f"  folded build + solve: {folded_space.num_boundary:5d} states  T = {folded.t0:.12f}  ({folded_time:.2f} s)")
 print(f"  difference: {abs(full.t0 - folded.t0):.2e}")

@@ -26,7 +26,7 @@ from .chain import (
     resolve_swaps,
     valid_swap_nodes,
 )
-from .mdp import TransitionModel, bunch
+from .mdp import TransitionModel
 from .sim import SimConfig, SimResult, estimate
 from .solver import (
     ConvergenceError,
@@ -45,12 +45,10 @@ from .solver import (
 )
 from .statespace import (
     StateSpace,
-    SymmetryPartition,
     action_space,
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
-    partition,
 )
 from .werner import (
     FidelityParams,
@@ -76,14 +74,12 @@ __all__ = [
     "SimResult",
     "SolverConfig",
     "StateSpace",
-    "SymmetryPartition",
     "TransitionModel",
     "ValueTable",
     "action_space",
     "age_links",
     "apply_cutoff",
     "apply_generation",
-    "bunch",
     "canonical",
     "chain_swap_fidelity",
     "count_lower_bound",
@@ -102,7 +98,6 @@ __all__ = [
     "max_cutoff",
     "mirror",
     "modified_full_state_policy",
-    "partition",
     "policy_iteration",
     "policy_stats",
     "relative_advantage",

@@ -26,11 +26,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .chain import ChainParams, decode_state, encode_state
-from .mdp import TransitionModel, bunch
+from .chain import ChainParams, decode_state, encode_state, mirror_action
+from .mdp import TransitionModel
 from .sim import SimConfig, estimate
 from .solver import (
     ConvergenceError,
@@ -50,11 +51,9 @@ from .solver import (
 from .statespace import (
     DEFAULT_STATE_CAP,
     StateCapExceeded,
-    StateSpace,
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
-    partition,
 )
 from .werner import FidelityParams, InfeasibleCutoffError, max_cutoff, worst_case_fidelity
 
@@ -171,52 +170,79 @@ def _chain_params(opt: _Options) -> ChainParams:
 class _Structure:
     """The enumerated states and arcs of one (n, t_cut), solvable at any (p, p_s).
 
-    States, arcs and the mirror fold depend only on (n, t_cut), so each
-    solve respecializes them to its (p, p_s) instead of walking the dynamics
-    again.  A structure lives only as long as the command that built it.
+    States and arcs depend only on (n, t_cut), so each solve respecializes
+    them to its (p, p_s) instead of walking the dynamics again.  With
+    bunching the walk folds mirror images; the unfolded structure is
+    enumerated only when unfolded states are needed (exports, simulating
+    the optimal policy, mirror-asymmetric baselines), and then once.  A
+    structure lives only as long as the command that built it.
     """
 
     def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool):
-        space = enumerate_states(params, state_cap=state_cap)
+        self._params = params
+        self._state_cap = state_cap
+        space = enumerate_states(params, state_cap=state_cap, fold=use_bunch)
         self.model = TransitionModel.build(space)
-        self.folded = bunch(self.model, partition(space)) if use_bunch else None
+        self._full = None if use_bunch else self.model
+
+    def full_model(self) -> TransitionModel:
+        """The unfolded model, enumerated on first use when bunching."""
+        if self._full is None:
+            space = enumerate_states(self._params, state_cap=self._state_cap)
+            self._full = TransitionModel.build(space)
+        return self._full
 
     def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
         model = self.model.respecialized(p, p_s)
-        solved = model if self.folded is None else self.folded.respecialized(p, p_s)
         solve = policy_iteration if method == "pi" else value_iteration
-        table, policy = solve(solved.space, solved, config)
-        return _Solution(model, solved, table, policy)
+        table, policy = solve(model.space, model, config)
+        return _Solution(self, model, table, policy)
 
 
 @dataclass(frozen=True)
 class _Solution:
     """An optimal solve at one (p, p_s).
 
-    ``model`` is the full model at (p, p_s) and ``solved`` the one solved
-    (the folded model when bunching); ``table`` and ``policy`` live on
-    ``solved.space``.  ``table.t0`` and ``table.iterations`` need no
-    expansion, since the empty state keeps index 0 in a folded space.
+    ``model`` is the solved model at (p, p_s), folded when bunching, and
+    ``table`` and ``policy`` live on ``model.space``.  ``table.t0`` and
+    ``table.iterations`` need no expansion, since the empty state keeps
+    index 0 in a folded space.
     """
 
+    structure: _Structure
     model: TransitionModel
-    solved: TransitionModel
     table: ValueTable
     policy: Policy
 
-    @property
-    def space(self) -> StateSpace:
-        return self.model.space
+    @cached_property
+    def full(self) -> TransitionModel:
+        """The unfolded model at (p, p_s): ``model`` itself unless bunching."""
+        if not self.model.space.folded:
+            return self.model
+        params = self.model.params
+        return self.structure.full_model().respecialized(params.p, params.p_s)
 
     def full_values(self) -> ValueTable:
-        if self.solved is self.model:
+        if self.full is self.model:
             return self.table
-        return expand_values(self.space, self.solved.space, self.table)
+        return expand_values(self.full.space, self.model.space, self.table)
 
     def full_policy(self) -> Policy:
-        if self.solved is self.model:
+        if self.full is self.model:
             return self.policy
-        return expand_policy(self.space, self.solved.space, self.policy)
+        return expand_policy(self.full.space, self.model.space, self.policy)
+
+    def baseline_t0(self, spec: str, config: SolverConfig) -> float:
+        """Delivery time of a baseline policy from the empty state.
+
+        A baseline that withholds a mirror-symmetric node set acts on mirror
+        images by mirrored actions, so it is evaluated on the solved model
+        even when that is folded.
+        """
+        withheld = _withheld_nodes(spec)
+        symmetric = mirror_action(withheld, self.model.params.n) == withheld
+        model = self.model if symmetric else self.full
+        return evaluate_policy(model.space, model, _baseline_policy(model.space, spec), config).t0
 
 
 def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
@@ -233,14 +259,19 @@ def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig) -> _S
     return structure.solve(params.p, params.p_s, opt.get("method"), config)
 
 
-def _baseline_policy(space, spec: str) -> Policy:
+def _withheld_nodes(spec: str) -> frozenset[int]:
+    """Nodes a baseline leaves unswapped in full states: none for swap-asap."""
     spec = spec.strip()
     if spec == "swap-asap":
-        return swap_asap_policy(space)
+        return frozenset()
     if spec.startswith("modified:"):
-        nodes = {int(v) for v in spec.split(":", 1)[1].split(",") if v.strip()}
-        return modified_full_state_policy(space, nodes)
+        return frozenset(int(v) for v in spec.split(":", 1)[1].split(",") if v.strip())
     raise ValueError(f"unknown baseline policy {spec!r} (use swap-asap or modified:<nodes>)")
+
+
+def _baseline_policy(space, spec: str) -> Policy:
+    withheld = _withheld_nodes(spec)
+    return modified_full_state_policy(space, withheld) if withheld else swap_asap_policy(space)
 
 
 # -- exports ------------------------------------------------------------------------
@@ -332,7 +363,7 @@ def cmd_solve(opt: _Options) -> int:
     config = _solver_config(opt)
     t0 = time.perf_counter()
     solution = _solve_point(opt, params, config)
-    space, table, policy = solution.space, solution.full_values(), solution.full_policy()
+    space, table, policy = solution.full.space, solution.full_values(), solution.full_policy()
     elapsed = time.perf_counter() - t0
     print(f"states: {space.num_boundary} boundary, {space.num_intermediate} intermediate")
     print(f"method: {opt.get('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
@@ -353,12 +384,12 @@ def cmd_compare(opt: _Options) -> int:
     if isinstance(baselines, str):
         baselines = [baselines]
     solution = _solve_point(opt, params, config)
-    space, t_opt = solution.space, solution.table.t0
+    t_opt = solution.table.t0
     print(f"T_opt = {_fmt(t_opt)}")
     for spec in baselines:
-        base = evaluate_policy(space, solution.model, _baseline_policy(space, spec), config)
-        adv = relative_advantage(base.t0, t_opt)
-        print(f"T[{spec}] = {_fmt(base.t0)}   advantage = {_fmt(adv)} ({100 * adv:.3f}%)")
+        t_base = solution.baseline_t0(spec, config)
+        adv = relative_advantage(t_base, t_opt)
+        print(f"T[{spec}] = {_fmt(t_base)}   advantage = {_fmt(adv)} ({100 * adv:.3f}%)")
     return 0
 
 
@@ -394,16 +425,17 @@ def _sweep_group(points: list[dict]) -> list[dict]:
             if build_error is not None:
                 raise build_error
             solution = structure.solve(params.p, params.p_s, point["method"], config)
-            space, t_opt = solution.space, solution.table.t0
-            row["boundary_states"] = space.num_boundary
-            row["intermediate_states"] = space.num_intermediate
+            space, t_opt = solution.model.space, solution.table.t0
+            # Unfolded counts: a folded state stands for its whole mirror pair.
+            row["boundary_states"] = int(space.boundary_weights.sum())
+            row["intermediate_states"] = int(space.intermediate_weights.sum())
             row["iterations"] = solution.table.iterations
             row["T_opt"] = _fmt(t_opt)
             for spec in point["baselines"]:
-                base = evaluate_policy(space, solution.model, _baseline_policy(space, spec), config)
+                t_base = solution.baseline_t0(spec, config)
                 key = spec.replace(":", "_").replace(",", "_").replace("-", "_")
-                row[f"T_{key}"] = _fmt(base.t0)
-                row[f"advantage_{key}"] = _fmt(relative_advantage(base.t0, t_opt))
+                row[f"T_{key}"] = _fmt(t_base)
+                row[f"advantage_{key}"] = _fmt(relative_advantage(t_base, t_opt))
             row["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
             row["error"] = ""
         except Exception as exc:  # failures stay in-row; the sweep continues
@@ -478,7 +510,7 @@ def cmd_simulate(opt: _Options) -> int:
     spec = opt.get("policy") or "swap-asap"
     if spec == "optimal":
         solution = _solve_point(opt, params, config)
-        space, policy = solution.space, solution.full_policy()
+        space, policy = solution.full.space, solution.full_policy()
     else:
         space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
         if spec in ("swap-asap",) or spec.startswith("modified:"):
@@ -572,7 +604,7 @@ def cmd_stats(opt: _Options) -> int:
         for i in group:
             params = grid[i]
             solution = structure.solve(params.p, params.p_s, opt.get("method"), config)
-            stats = policy_stats(solution.space, solution.full_policy())
+            stats = policy_stats(solution.model.space, solution.policy)
             rows[i] = {
                 "n": n,
                 "p": params.p,

@@ -12,9 +12,9 @@ Each time slot factorizes into two stochastic phases:
 
 Enumeration records the arcs in the state space, with probabilities stored
 structurally as success/failure exponents, so a model can be materialized
-exactly for any ``(p, p_s)`` without re-walking the dynamics.  Mirror bunching redirects all probability mass on one half
-of the mirror pairs onto their canonical representatives, halving the
-effective state space without changing any expected delivery time.
+exactly for any ``(p, p_s)`` without re-walking the dynamics.  A model over
+a folded space (mirror pairs enumerated as one representative) is built the
+same way; its arcs already carry the folded multiplicities.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from .chain import canonical
-from .statespace import BTable, StateSpace, SymmetryPartition
+from .statespace import StateSpace
 
 __all__ = [
     "ChoiceTable",
     "TransitionModel",
-    "bunch",
 ]
 
 @dataclass(frozen=True)
@@ -65,14 +63,13 @@ class TransitionModel:
         """Model over the arcs that enumeration recorded in ``space``."""
         return cls(space)
 
-    def respecialized(self, p: float | None = None, p_s: float | None = None) -> "TransitionModel":
+    def respecialized(self, p: float, p_s: float) -> "TransitionModel":
         """Same dynamics with different success probabilities.
 
         The structural arcs depend only on (n, t_cut) and are shared; only
         the numeric matrices are rebuilt.  Used by parameter sweeps.
         """
-        space = self.space.respecialized(p=p, p_s=p_s)
-        return TransitionModel(space)
+        return TransitionModel(self.space.respecialized(p, p_s))
 
     # -- per-state views of the matrices ------------------------------------------
 
@@ -138,66 +135,4 @@ class TransitionModel:
             ).tocsr()
             self._choices = ChoiceTable(matrix=matrix, offsets=offsets)
         return self._choices
-
-
-def bunch(model: TransitionModel, split: SymmetryPartition) -> TransitionModel:
-    """Fold mirror pairs onto canonical representatives.
-
-    All probability mass flowing to a non-representative state is redirected
-    to its mirror, exactly as substituting T(s) = T(mirror(s)) into the
-    delivery-time equations.  The returned model lives on a reduced space
-    whose state lists keep their original relative order (the empty state
-    stays at index 0).
-    """
-    space = model.space
-    if space.bunched:
-        raise ValueError("model is already bunched")
-
-    def reduce_states(states, index, keep: frozenset[int]):
-        kept = [i for i in range(len(states)) if i in keep]
-        new_index = {old: new for new, old in enumerate(kept)}
-        rep = np.empty(len(states), dtype=np.int64)
-        for i, s in enumerate(states):
-            rep[i] = new_index[i] if i in keep else new_index[index[canonical(s)]]
-        return kept, new_index, rep
-
-    b_keep = split.boundary.sym | split.boundary.half_one
-    i_keep = split.intermediate.sym | split.intermediate.half_one
-    b_kept, b_new, b_rep = reduce_states(space.boundary_states, space.boundary_index, b_keep)
-    i_kept, i_new, i_rep = reduce_states(
-        space.intermediate_states, space.intermediate_index, i_keep
-    )
-
-    a_arcs = []
-    for old_idx in b_kept:
-        merged: dict[tuple[int, int, int], int] = {}
-        for r_idx, k, m, mult in space.a_arcs[old_idx]:
-            key = (int(i_rep[r_idx]), k, m)
-            merged[key] = merged.get(key, 0) + mult
-        a_arcs.append(tuple((r, k, m, mult) for (r, k, m), mult in merged.items()))
-
-    b_arcs = []
-    for old_idx in i_kept:
-        tables = []
-        for table in space.b_arcs[old_idx]:
-            outcomes = tuple((mask, int(b_rep[s_idx])) for mask, s_idx in table.outcomes)
-            tables.append(BTable(table.run_sizes, outcomes))
-        b_arcs.append(tuple(tables))
-
-    boundary_states = tuple(space.boundary_states[i] for i in b_kept)
-    intermediate_states = tuple(space.intermediate_states[i] for i in i_kept)
-    reduced = StateSpace(
-        params=space.params,
-        boundary_states=boundary_states,
-        intermediate_states=intermediate_states,
-        boundary_index={s: i for i, s in enumerate(boundary_states)},
-        intermediate_index={s: i for i, s in enumerate(intermediate_states)},
-        terminal_index=b_new[space.terminal_index],
-        actions=tuple(space.actions[i] for i in i_kept),
-        raw_absorbing=space.raw_absorbing,
-        a_arcs=tuple(a_arcs),
-        b_arcs=tuple(b_arcs),
-        bunched=True,
-    )
-    return TransitionModel(reduced)
 

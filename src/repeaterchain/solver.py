@@ -151,18 +151,22 @@ def relative_advantage(t_base: float, t_opt: float) -> float:
 
 
 def policy_stats(space: StateSpace, policy: Policy) -> PolicyStats:
-    """How often a policy swaps everything or nothing where a swap is possible."""
+    """How often a policy swaps everything or nothing where a swap is possible.
+
+    Counts unfolded states: on a folded space each representative counts
+    for its mirror pair, whose mirrored actions fall in the same classes.
+    """
     total = swap_all = no_swap = 0
-    for r_idx, r in enumerate(space.intermediate_states):
+    weights = space.intermediate_weights.tolist()
+    for r, action, weight in zip(space.intermediate_states, policy.actions, weights):
         nodes = valid_swap_nodes(r)
         if not nodes:
             continue
-        total += 1
-        action = policy.actions[r_idx]
+        total += weight
         if action == nodes:
-            swap_all += 1
+            swap_all += weight
         elif not action:
-            no_swap += 1
+            no_swap += weight
     if total == 0:
         return PolicyStats(0.0, 0.0, 0)
     return PolicyStats(swap_all / total, no_swap / total, total)

@@ -1,4 +1,4 @@
-"""Reachable state enumeration, indexing, and mirror-symmetry partitioning.
+"""Reachable state enumeration and indexing, optionally folded under mirroring.
 
 The state space is closed under the slot dynamics: every slot-boundary
 state reaches only listed intermediate states through ageing plus
@@ -12,6 +12,12 @@ process can actually visit are indexed.  Index 0 is always the empty state.
 The same walk records every transition structurally (which intermediate
 state each generation outcome reaches, which boundary state each swap
 outcome reaches), so the dynamics are walked exactly once per (n, t_cut).
+
+Relabeling the nodes right to left maps the dynamics onto themselves, so a
+state and its mirror image have the same delivery time.  In fold mode the
+walk lists one representative per mirror pair (``chain.canonical``) and
+sends every transition to the representative of its target, which nearly
+halves the states without changing any delivery time.
 """
 
 from __future__ import annotations
@@ -41,16 +47,12 @@ __all__ = [
     "AArc",
     "BTable",
     "DEFAULT_STATE_CAP",
-    "MirrorSplit",
     "StateCapExceeded",
     "StateSpace",
-    "SymmetryPartition",
     "action_space",
     "count_lower_bound",
     "distinct_labeled_states",
     "enumerate_states",
-    "mirror_maps",
-    "partition",
     "terminal_state",
 ]
 
@@ -116,6 +118,9 @@ class StateSpace:
     the terminal state) and ``b_arcs[r][a]`` the swap outcomes of
     intermediate state ``r`` under action ``actions[r][a]``; probabilities
     are left as exponents so any ``(p, p_s)`` can be materialized.
+
+    A ``folded`` space lists one state per mirror pair.  The ``*_weights``
+    count the unfolded states each listed state stands for (1 or 2).
     """
 
     params: ChainParams
@@ -128,11 +133,9 @@ class StateSpace:
     raw_absorbing: frozenset[tuple[int, ...]]
     a_arcs: tuple[tuple[AArc, ...], ...] = field(repr=False)
     b_arcs: tuple[tuple[BTable, ...], ...] = field(repr=False)
-    bunched: bool = False
-
-    @property
-    def initial_index(self) -> int:
-        return 0
+    boundary_weights: np.ndarray = field(repr=False)
+    intermediate_weights: np.ndarray = field(repr=False)
+    folded: bool = False
 
     @property
     def num_boundary(self) -> int:
@@ -147,35 +150,46 @@ class StateSpace:
         """Intermediate states in which at least one swap can be performed."""
         return sum(1 for acts in self.actions if len(acts) > 1)
 
-    def respecialized(self, p: float | None = None, p_s: float | None = None) -> "StateSpace":
+    def respecialized(self, p: float, p_s: float) -> "StateSpace":
         """Same state space with different success probabilities.
 
         Enumeration depends only on (n, t_cut), so sweeps over p and p_s can
         share one space.
         """
-        params = replace(
-            self.params,
-            p=self.params.p if p is None else p,
-            p_s=self.params.p_s if p_s is None else p_s,
-        )
-        return replace(self, params=params)
+        return replace(self, params=replace(self.params, p=p, p_s=p_s))
 
 
-def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) -> StateSpace:
+def _mirror_pair(state: ChainState) -> tuple[ChainState, ChainState]:
+    """``state`` and its mirror image, the canonical one (``chain.canonical``) first."""
+    m = mirror(state)
+    return (state, m) if state.links <= m.links else (m, state)
+
+
+def enumerate_states(
+    params: ChainParams, state_cap: int = DEFAULT_STATE_CAP, fold: bool = False
+) -> StateSpace:
     """Breadth-first closure of the slot dynamics starting from the empty state.
 
     Records the phase-A arcs and phase-B tables as it discovers states.
-    Raises :class:`StateCapExceeded` if boundary plus intermediate counts
-    pass ``state_cap``.
+    With ``fold``, every generation child and swap target is replaced by
+    its canonical form, so only representatives are listed and expanded;
+    arcs of one parent to the same representative (possible only from a
+    self-mirrored parent) merge, their ``mult`` summed.  Raises
+    :class:`StateCapExceeded` if boundary plus intermediate counts (folded
+    counts with ``fold``) pass ``state_cap``.
     """
     n, t_cut = params.n, params.t_cut
     s0 = empty_state(n)
     term = terminal_state(n)
     boundary: list[ChainState] = [s0]
     # Keyed on link tuples: every boundary state shares n and its phase flag.
+    # A folded walk keys both orientations of each state, so it mirrors a
+    # swap target only the first time it sees the pair.
     boundary_links: dict[tuple[Link, ...], int] = {s0.links: 0}
+    boundary_weights = [1]
     intermediates: list[ChainState] = []
     intermediate_index: dict[ChainState, int] = {}
+    intermediate_weights: list[int] = []
     actions: list[tuple[frozenset[int], ...]] = []
     a_arcs: list[tuple[AArc, ...]] = []
     b_arcs: list[tuple[BTable, ...]] = []
@@ -193,14 +207,19 @@ def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) ->
         aged = age_links(boundary[s_idx])
         s_idx += 1
         pairs = sorted(generation_pairs(aged))
-        arcs = []
+        arcs: dict[tuple[int, int, int], int] = {}
         for mask in range(1 << len(pairs)):
             chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
             r = apply_generation(aged, chosen)
+            weight = 1
+            if fold:
+                r, other = _mirror_pair(r)
+                weight = 1 if r == other else 2
             r_idx = intermediate_index.get(r)
             if r_idx is None:
                 r_idx = intermediate_index[r] = len(intermediates)
                 intermediates.append(r)
+                intermediate_weights.append(weight)
                 acts = action_space(r)
                 actions.append(acts)
                 tables = []
@@ -214,12 +233,20 @@ def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) ->
                             if terminal_index < 0:
                                 terminal_index = len(boundary)
                                 boundary.append(term)
+                                boundary_weights.append(1)
                             rows.append((out_mask, terminal_index))
                             continue
                         t_idx = boundary_links.get(target.links)
                         if t_idx is None:
-                            t_idx = boundary_links[target.links] = len(boundary)
+                            t_idx = len(boundary)
+                            weight = 1
+                            if fold:
+                                target, other = _mirror_pair(target)
+                                boundary_links[other.links] = t_idx
+                                weight = 1 if target == other else 2
+                            boundary_links[target.links] = t_idx
                             boundary.append(target)
+                            boundary_weights.append(weight)
                         rows.append((out_mask, t_idx))
                     tables.append(BTable(sizes, tuple(rows)))
                 b_arcs.append(tuple(tables))
@@ -227,13 +254,11 @@ def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) ->
                     raise StateCapExceeded(
                         f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}"
                     )
-            arcs.append((r_idx, len(chosen), len(pairs) - len(chosen), 1))
-        a_arcs.append(tuple(arcs))
-    if terminal_index < 0:
-        # Unreachable for valid parameters (p, p_s > 0), kept for safety.
-        terminal_index = len(boundary)
-        boundary.append(term)
-        a_arcs.append(())
+            key = (r_idx, len(chosen), len(pairs) - len(chosen))
+            arcs[key] = arcs.get(key, 0) + 1
+        a_arcs.append(tuple((r, k, m, mult) for (r, k, m), mult in arcs.items()))
+    # The terminal state is always reached: from the empty state every link
+    # can be generated fresh and every swap can succeed.
     return StateSpace(
         params=params,
         boundary_states=tuple(boundary),
@@ -245,65 +270,10 @@ def enumerate_states(params: ChainParams, state_cap: int = DEFAULT_STATE_CAP) ->
         raw_absorbing=frozenset(raw_absorbing),
         a_arcs=tuple(a_arcs),
         b_arcs=tuple(b_arcs),
+        boundary_weights=np.array(boundary_weights, dtype=np.int8),
+        intermediate_weights=np.array(intermediate_weights, dtype=np.int8),
+        folded=fold,
     )
-
-
-@dataclass(frozen=True)
-class MirrorSplit:
-    """Index partition of one state list under mirroring.
-
-    ``sym`` holds the self-mirrored states; ``half_one`` and ``half_two``
-    split the remainder so that neither half contains a state together with
-    its mirror.  Representatives (``sym | half_one``) are the canonical
-    members of each mirror pair.
-    """
-
-    sym: frozenset[int]
-    half_one: frozenset[int]
-    half_two: frozenset[int]
-
-
-@dataclass(frozen=True)
-class SymmetryPartition:
-    """Mirror partitions of the boundary and intermediate state lists."""
-
-    boundary: MirrorSplit
-    intermediate: MirrorSplit
-
-
-def _split(states, index) -> MirrorSplit:
-    sym, one, two = set(), set(), set()
-    for i, s in enumerate(states):
-        m = mirror(s)
-        if m == s:
-            sym.add(i)
-        elif s.links <= m.links:
-            one.add(i)
-        else:
-            two.add(i)
-        if m not in index:
-            raise ValueError(f"mirror of state {i} is not in the space")
-    return MirrorSplit(frozenset(sym), frozenset(one), frozenset(two))
-
-
-def partition(space: StateSpace) -> SymmetryPartition:
-    """Partition both state lists into symmetric states and mirror-pair halves."""
-    return SymmetryPartition(
-        boundary=_split(space.boundary_states, space.boundary_index),
-        intermediate=_split(space.intermediate_states, space.intermediate_index),
-    )
-
-
-def mirror_maps(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Index maps sending each state to its mirror (boundary, intermediate)."""
-    b = np.array(
-        [space.boundary_index[mirror(s)] for s in space.boundary_states], dtype=np.int64
-    )
-    i = np.array(
-        [space.intermediate_index[mirror(s)] for s in space.intermediate_states],
-        dtype=np.int64,
-    )
-    return b, i
 
 
 def count_lower_bound(n: int, t_cut: int) -> int:
@@ -326,8 +296,11 @@ def distinct_labeled_states(space: StateSpace) -> int:
     terminal), intermediate states, and absorbing states as actually
     produced with their ages.  This is the count comparable to
     :func:`count_lower_bound`, which counts labelings rather than
-    phase-tagged states.
+    phase-tagged states.  A folded walk produces only one state of each
+    mirror pair, so it needs an unfolded space.
     """
+    if space.folded:
+        raise ValueError("distinct labelings are counted on an unfolded state space")
     encodings = {
         encode_state(s)
         for i, s in enumerate(space.boundary_states)

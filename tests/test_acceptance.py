@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repeaterchain.chain import ChainParams
-from repeaterchain.mdp import TransitionModel, bunch
+from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import SimConfig, estimate
 from repeaterchain.solver import (
     evaluate_policy,
@@ -26,7 +26,6 @@ from repeaterchain.statespace import (
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
-    partition,
 )
 from repeaterchain.werner import (
     FidelityParams,
@@ -49,8 +48,8 @@ def criterion(name):
     print(f"[PASS] {name}")
 
 
-def build(n, t_cut, p=0.5, p_s=0.5):
-    space = enumerate_states(ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut))
+def build(n, t_cut, p=0.5, p_s=0.5, fold=False):
+    space = enumerate_states(ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut), fold=fold)
     return space, TransitionModel.build(space)
 
 
@@ -101,8 +100,7 @@ def test_criterion_3_advantage_scaling_with_chain_length():
 
 def test_criterion_4_maximum_advantage_point():
     with criterion("4: five-node advantage 13.2% at the large-cutoff point (bunched)"):
-        space, model = build(5, 6, p=0.9, p_s=0.5)
-        bmodel = bunch(model, partition(space))
+        _, bmodel = build(5, 6, p=0.9, p_s=0.5, fold=True)
         t_swap = evaluate_policy(bmodel.space, bmodel, swap_asap_policy(bmodel.space)).t0
         table, _ = policy_iteration(bmodel.space, bmodel)
         adv = relative_advantage(t_swap, table.t0)
@@ -139,7 +137,7 @@ def test_criterion_6_solver_cross_validation():
         for n, t_cut, p, ps in [(4, 2, 0.5, 0.5), (5, 2, 0.9, 0.5), (5, 3, 0.6, 1.0)]:
             space, model = build(n, t_cut, p=p, p_s=ps)
             full, _ = policy_iteration(space, model)
-            bmodel = bunch(model, partition(space))
+            _, bmodel = build(n, t_cut, p=p, p_s=ps, fold=True)
             folded, _ = policy_iteration(bmodel.space, bmodel)
             assert abs(full.t0 - folded.t0) <= 1e-9 * max(1.0, full.t0), (n, t_cut, p, ps)
 
@@ -233,8 +231,7 @@ def test_criterion_11_monotonicity_over_figure_grid():
         t_grid = [2, 3, 4, 5, 6]
         values = {}
         for t_cut in t_grid:
-            space, model = build(5, t_cut)
-            bmodel = bunch(model, partition(space))
+            _, bmodel = build(5, t_cut, fold=True)
             for ps in ps_grid:
                 for p in p_grid:
                     m = bmodel.respecialized(p=p, p_s=ps)

@@ -6,7 +6,7 @@ import pytest
 from repeaterchain import cli
 from repeaterchain.chain import ChainParams
 from repeaterchain.cli import load_policy_json, main
-from repeaterchain.mdp import TransitionModel, bunch
+from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     SolverConfig,
     evaluate_policy,
@@ -16,7 +16,7 @@ from repeaterchain.solver import (
     swap_asap_policy,
     value_iteration,
 )
-from repeaterchain.statespace import enumerate_states, partition
+from repeaterchain.statespace import enumerate_states
 
 
 def run(args):
@@ -38,10 +38,10 @@ def enumerations(monkeypatch):
 
 
 def fresh_solve(params, method, use_bunch):
-    """The per-point path: enumerate, build, optionally fold, solve."""
+    """The per-point path: enumerate (folded too when bunching), build, solve."""
     space = enumerate_states(params)
     model = TransitionModel.build(space)
-    solved = bunch(model, partition(space)) if use_bunch else model
+    solved = TransitionModel.build(enumerate_states(params, fold=True)) if use_bunch else model
     solve = policy_iteration if method == "pi" else value_iteration
     table, policy = solve(solved.space, solved, SolverConfig())
     return space, model, solved, table, policy
@@ -156,6 +156,33 @@ class TestCompare:
         assert float(swap_line.split("=")[1].split()[0]) == pytest.approx(9.35, abs=0.01)
         assert float(mod_line.split("=")[1].split()[0]) == pytest.approx(8.34, abs=0.01)
 
+    BUNCH_ARGS = ["compare", "--n", 4, "--p", 0.7, "--ps", 0.5, "--tcut", 2]
+
+    @staticmethod
+    def baseline_t(out, spec):
+        line = [l for l in out.splitlines() if l.startswith(f"T[{spec}]")][0]
+        return float(line.split("=")[1].split()[0])
+
+    def test_symmetric_baseline_needs_only_the_folded_walk(self, enumerations, capsys):
+        args = self.BUNCH_ARGS + ["--baseline", "modified:2,3"]
+        assert run(args + ["--bunch"]) == 0
+        assert enumerations == [(4, 2)]
+        folded = self.baseline_t(capsys.readouterr().out, "modified:2,3")
+        assert run(args + ["--no-bunch"]) == 0
+        full = self.baseline_t(capsys.readouterr().out, "modified:2,3")
+        assert folded == pytest.approx(full, rel=1e-12, abs=0)
+
+    def test_asymmetric_baseline_enumerates_the_full_space_once(self, enumerations, capsys):
+        args = self.BUNCH_ARGS + ["--baseline", "modified:2", "--baseline", "modified:3"]
+        assert run(args + ["--bunch"]) == 0
+        assert enumerations == [(4, 2), (4, 2)]
+        folded = capsys.readouterr().out
+        assert run(args + ["--no-bunch"]) == 0
+        full = capsys.readouterr().out
+        for spec in ("modified:2", "modified:3"):
+            want = self.baseline_t(full, spec)
+            assert self.baseline_t(folded, spec) == pytest.approx(want, rel=1e-12, abs=0)
+
 
 class TestSweep:
     def test_single_point_matches_compare(self, tmp_path):
@@ -238,8 +265,13 @@ class TestSweep:
             params = ChainParams(
                 n=int(row["n"]), p=float(row["p"]), p_s=float(row["p_s"]), t_cut=int(row["t_cut"])
             )
-            space, model, _, table, _ = fresh_solve(params, method, flag == "--bunch")
-            base = evaluate_policy(space, model, swap_asap_policy(space), SolverConfig())
+            space, model, solved, table, _ = fresh_solve(params, method, flag == "--bunch")
+            # swap-asap is mirror-symmetric: the CLI evaluates it on the solved model.
+            base = evaluate_policy(
+                solved.space, solved, swap_asap_policy(solved.space), SolverConfig()
+            )
+            full = evaluate_policy(space, model, swap_asap_policy(space), SolverConfig())
+            assert base.t0 == pytest.approx(full.t0, rel=1e-12, abs=0)
             assert row["T_opt"] == f"{table.t0:.17g}"
             assert row["T_swap_asap"] == f"{base.t0:.17g}"
             assert row["iterations"] == str(table.iterations)

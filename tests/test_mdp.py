@@ -8,9 +8,10 @@ from repeaterchain.chain import (
     state_from_links,
     valid_swap_nodes,
 )
-from repeaterchain.mdp import TransitionModel, bunch
+from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy, _composed_matrix
-from repeaterchain.statespace import enumerate_states, partition, terminal_state
+from repeaterchain.statespace import enumerate_states, terminal_state
+from test_walk_reference import reference_partition
 
 
 def build(n, t_cut, p=0.5, p_s=0.5):
@@ -194,7 +195,7 @@ class TestBunch:
         # The two one-link states collapse onto one representative: three
         # non-terminal boundary states remain, against four unbunched.
         space, model = build(3, 1)
-        bmodel = bunch(model, partition(space))
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         assert space.num_boundary - 1 == 4
         assert bmodel.space.num_boundary - 1 == 3
         assert bmodel.space.boundary_states[0].links == ()
@@ -202,7 +203,7 @@ class TestBunch:
 
     def test_rows_still_sum_to_one(self):
         space, model = build(4, 2, p=0.6, p_s=0.7)
-        bmodel = bunch(model, partition(space))
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         a_sums = np.asarray(bmodel.phase_a_matrix().sum(axis=1)).ravel()
         for s_idx in range(bmodel.space.num_boundary):
             if s_idx != bmodel.space.terminal_index:
@@ -214,8 +215,8 @@ class TestBunch:
         # From a mirror-symmetric state, folding a mirror pair doubles the
         # phase-A probability of its representative.
         space, model = build(4, 2, p=0.45, p_s=1.0)
-        split = partition(space)
-        bmodel = bunch(model, split)
+        split = reference_partition(space)
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         bspace = bmodel.space
         for s_idx in split.boundary.sym:
             if s_idx == space.terminal_index:
@@ -228,12 +229,6 @@ class TestBunch:
                     assert folded[bspace.intermediate_index[r]] == pytest.approx(prob)
                 elif r_idx in split.intermediate.half_one:
                     assert folded[bspace.intermediate_index[r]] == pytest.approx(2 * prob)
-
-    def test_bunching_twice_rejected(self):
-        space, model = build(3, 1)
-        bmodel = bunch(model, partition(space))
-        with pytest.raises(ValueError):
-            bunch(bmodel, partition(space))
 
 
 
@@ -257,10 +252,11 @@ class TestRespecialized:
     @pytest.mark.parametrize("n,t_cut", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
     def test_matches_direct_build(self, n, t_cut):
         space, model = build(n, t_cut, p=0.5, p_s=0.5)
-        folded = bunch(model, partition(space))
+        folded = TransitionModel.build(enumerate_states(space.params, fold=True))
         for p, p_s in self.POINTS:
             direct_space, direct = build(n, t_cut, p=p, p_s=p_s)
             self.assert_same_matrices(model.respecialized(p, p_s), direct)
             self.assert_same_matrices(
-                folded.respecialized(p, p_s), bunch(direct, partition(direct_space))
+                folded.respecialized(p, p_s),
+                TransitionModel.build(enumerate_states(direct_space.params, fold=True)),
             )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repeaterchain.chain import ChainParams, mirror, state_from_links, valid_swap_nodes
-from repeaterchain.mdp import TransitionModel, bunch
+from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     ConvergenceError,
     Policy,
@@ -18,7 +18,7 @@ from repeaterchain.solver import (
     swap_asap_policy,
     value_iteration,
 )
-from repeaterchain.statespace import enumerate_states, mirror_maps, partition
+from repeaterchain.statespace import enumerate_states
 
 
 def build(n, t_cut, p, p_s):
@@ -193,12 +193,12 @@ class TestMirrorSymmetryOfValues:
     def test_values_equal_on_mirror_pairs(self):
         space, model = build(5, 2, p=0.6, p_s=0.5)
         table, _ = policy_iteration(space, model)
-        b_map, _ = mirror_maps(space)
+        b_map = np.array([space.boundary_index[mirror(s)] for s in space.boundary_states])
         assert np.max(np.abs(table.values - table.values[b_map])) <= 1e-9
 
     def test_bunched_solve_matches_full(self):
         space, model = build(4, 2, p=0.45, p_s=0.5)
-        bmodel = bunch(model, partition(space))
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         full_table, _ = policy_iteration(space, model)
         btable, bpolicy = policy_iteration(bmodel.space, bmodel)
         assert btable.t0 == pytest.approx(full_table.t0, abs=1e-9 * max(1, full_table.t0))
@@ -210,7 +210,7 @@ class TestMirrorSymmetryOfValues:
 
     def test_expanded_policy_is_mirror_consistent(self):
         space, model = build(4, 2, p=0.5, p_s=0.5)
-        bmodel = bunch(model, partition(space))
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         _, bpolicy = policy_iteration(bmodel.space, bmodel)
         policy = expand_policy(space, bmodel.space, bpolicy)
         n = space.params.n

@@ -1,6 +1,12 @@
 import pytest
 
-from repeaterchain.chain import ChainParams, mirror, state_from_links, valid_swap_nodes
+from repeaterchain.chain import (
+    ChainParams,
+    canonical,
+    mirror,
+    state_from_links,
+    valid_swap_nodes,
+)
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.statespace import (
     StateCapExceeded,
@@ -8,8 +14,6 @@ from repeaterchain.statespace import (
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
-    mirror_maps,
-    partition,
     terminal_state,
 )
 
@@ -103,38 +107,45 @@ class TestActionSpace:
 
 
 class TestPartition:
+    """Mirror folding during the walk, checked against the unfolded space."""
+
     def test_empty_state_is_symmetric(self):
-        space = space_for(3, 1)
-        split = partition(space)
-        assert 0 in split.boundary.sym
-        assert space.terminal_index in split.boundary.sym
+        space = space_for(3, 1, fold=True)
+        assert space.boundary_states[0].links == ()
+        assert space.boundary_weights[0] == 1
+        assert space.boundary_weights[space.terminal_index] == 1
 
     def test_one_link_states_split_into_halves(self):
-        space = space_for(3, 1)
-        split = partition(space)
-        i1 = space.boundary_index[state_from_links(3, [(1, 2, 0)])]
-        i2 = space.boundary_index[state_from_links(3, [(2, 3, 0)])]
-        assert i1 in split.boundary.half_one
-        assert i2 in split.boundary.half_two
+        space = space_for(3, 1, fold=True)
+        left = state_from_links(3, [(1, 2, 0)])
+        assert left in space.boundary_index
+        assert state_from_links(3, [(2, 3, 0)]) not in space.boundary_index
+        assert space.boundary_weights[space.boundary_index[left]] == 2
 
     def test_partition_covers_disjointly_with_equal_halves(self):
+        # Every unfolded state's canonical form is listed exactly once, with
+        # the size of its mirror pair as its weight.
         for n, t_cut in [(3, 2), (4, 2), (5, 2)]:
             space = space_for(n, t_cut)
-            split = partition(space)
-            for part, count in [
-                (split.boundary, space.num_boundary),
-                (split.intermediate, space.num_intermediate),
+            folded = space_for(n, t_cut, fold=True)
+            for states, index, weights, count in [
+                (space.boundary_states, folded.boundary_index, folded.boundary_weights,
+                 folded.num_boundary),
+                (space.intermediate_states, folded.intermediate_index,
+                 folded.intermediate_weights, folded.num_intermediate),
             ]:
-                assert len(part.sym | part.half_one | part.half_two) == count
-                assert not part.sym & part.half_one
-                assert not part.sym & part.half_two
-                assert not part.half_one & part.half_two
-                assert len(part.half_one) == len(part.half_two)
+                assert len(index) == count
+                assert {canonical(s) for s in states} == set(index)
+                for s in states:
+                    weight = 1 if mirror(s) == s else 2
+                    assert weights[index[canonical(s)]] == weight
+                assert int(weights.sum()) == len(states)
 
     def test_mirror_of_listed_state_is_listed(self):
         for n, t_cut in [(4, 2), (5, 2)]:
             space = space_for(n, t_cut)
-            b_map, i_map = mirror_maps(space)
+            b_map = [space.boundary_index[mirror(s)] for s in space.boundary_states]
+            i_map = [space.intermediate_index[mirror(r)] for r in space.intermediate_states]
             assert sorted(b_map) == list(range(space.num_boundary))
             assert sorted(i_map) == list(range(space.num_intermediate))
             for i, s in enumerate(space.boundary_states):
@@ -144,15 +155,13 @@ class TestPartition:
         # An unmatched link keeps its age mismatch through ageing, so
         # generation alone can never restore mirror symmetry.
         for n, t_cut in [(3, 2), (4, 2), (5, 2)]:
-            space = space_for(n, t_cut)
-            split = partition(space)
+            space = space_for(n, t_cut, fold=True)
             model = TransitionModel.build(space)
-            nonsym = (split.boundary.half_one | split.boundary.half_two) - {
-                space.terminal_index
-            }
+            nonsym = [s for s in range(space.num_boundary) if space.boundary_weights[s] == 2]
+            assert nonsym
             for s_idx in nonsym:
                 for r_idx in model.phase_a(s_idx):
-                    assert r_idx not in split.intermediate.sym
+                    assert space.intermediate_weights[r_idx] == 2
 
 
 class TestCounts:
@@ -168,6 +177,10 @@ class TestCounts:
     def test_distinct_labelings_three_node(self):
         # All eleven age vectors of the three-node unit-cutoff chain.
         assert distinct_labeled_states(space_for(3, 1)) == 11
+
+    def test_labelings_need_an_unfolded_space(self):
+        with pytest.raises(ValueError):
+            distinct_labeled_states(space_for(3, 1, fold=True))
 
     def test_enumerated_labelings_dominate_bound(self):
         for n, t_cut in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 2), (6, 1)]:
