@@ -34,8 +34,6 @@ from .solver import (
     SolverConfig,
     ValueTable,
     evaluate_policy,
-    expand_policy,
-    expand_values,
     modified_full_state_policy,
     policy_iteration,
     policy_stats,
@@ -91,8 +89,6 @@ __all__ = [
     "enumerate_states",
     "estimate",
     "evaluate_policy",
-    "expand_policy",
-    "expand_values",
     "generation_pairs",
     "is_absorbing",
     "max_cutoff",

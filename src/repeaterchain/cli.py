@@ -30,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import __version__
-from .chain import ChainParams, decode_state, encode_state, mirror_action
+from .chain import ChainParams, decode_state, encode_state, mirror, mirror_action
 from .mdp import TransitionModel
 from .sim import SimConfig, estimate
 from .solver import (
@@ -38,14 +38,12 @@ from .solver import (
     Policy,
     SolverConfig,
     ValueTable,
+    baseline_rule,
     evaluate_policy,
-    expand_policy,
-    expand_values,
     modified_full_state_policy,
     policy_iteration,
     policy_stats,
     relative_advantage,
-    swap_asap_policy,
     value_iteration,
 )
 from .statespace import (
@@ -64,20 +62,27 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _items(value) -> list:
+    """A config-file list, or the non-blank fields of comma-separated text; never empty."""
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+    else:
+        items = [v for v in str(value).split(",") if v.strip()]
+    if not items:
+        raise ValueError(f"empty list of values: {value!r}")
+    return items
+
+
 def _floats(value) -> list[float]:
     if isinstance(value, (int, float)):
         return [float(value)]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(v) for v in str(value).split(",") if v.strip()]
+    return [float(v) for v in _items(value)]
 
 
 def _ints(value) -> list[int]:
     if isinstance(value, int):
         return [value]
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    return [int(v) for v in str(value).split(",") if v.strip()]
+    return [int(v) for v in _items(value)]
 
 
 class _Options:
@@ -173,9 +178,8 @@ class _Structure:
     States and arcs depend only on (n, t_cut), so each solve respecializes
     them to its (p, p_s) instead of walking the dynamics again.  With
     bunching the walk folds mirror images; the unfolded structure is
-    enumerated only when unfolded states are needed (exports, simulating
-    the optimal policy, mirror-asymmetric baselines), and then once.  A
-    structure lives only as long as the command that built it.
+    enumerated only for baselines that are not mirror-symmetric, and then
+    once.  A structure lives only as long as the command that built it.
     """
 
     def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool):
@@ -204,9 +208,8 @@ class _Solution:
     """An optimal solve at one (p, p_s).
 
     ``model`` is the solved model at (p, p_s), folded when bunching, and
-    ``table`` and ``policy`` live on ``model.space``.  ``table.t0`` and
-    ``table.iterations`` need no expansion, since the empty state keeps
-    index 0 in a folded space.
+    ``table`` and ``policy`` live on ``model.space``.  The empty state keeps
+    index 0 in a folded space, so ``table.t0`` needs no unfolding.
     """
 
     structure: _Structure
@@ -222,16 +225,6 @@ class _Solution:
         params = self.model.params
         return self.structure.full_model().respecialized(params.p, params.p_s)
 
-    def full_values(self) -> ValueTable:
-        if self.full is self.model:
-            return self.table
-        return expand_values(self.full.space, self.model.space, self.table)
-
-    def full_policy(self) -> Policy:
-        if self.full is self.model:
-            return self.policy
-        return expand_policy(self.full.space, self.model.space, self.policy)
-
     def baseline_t0(self, spec: str, config: SolverConfig) -> float:
         """Delivery time of a baseline policy from the empty state.
 
@@ -242,7 +235,8 @@ class _Solution:
         withheld = _withheld_nodes(spec)
         symmetric = mirror_action(withheld, self.model.params.n) == withheld
         model = self.model if symmetric else self.full
-        return evaluate_policy(model.space, model, _baseline_policy(model.space, spec), config).t0
+        policy = modified_full_state_policy(model.space, withheld)
+        return evaluate_policy(model.space, model, policy, config).t0
 
 
 def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
@@ -269,20 +263,34 @@ def _withheld_nodes(spec: str) -> frozenset[int]:
     raise ValueError(f"unknown baseline policy {spec!r} (use swap-asap or modified:<nodes>)")
 
 
-def _baseline_policy(space, spec: str) -> Policy:
-    withheld = _withheld_nodes(spec)
-    return modified_full_state_policy(space, withheld) if withheld else swap_asap_policy(space)
+class _BaselineMap(dict):
+    """A baseline's state-to-action lookup that works each action out on first use."""
+
+    def __init__(self, rule):
+        self._rule = rule
+
+    def __missing__(self, state):
+        action = self[state] = self._rule(state)
+        return action
 
 
 # -- exports ------------------------------------------------------------------------
 
 
 def write_values_csv(path, space, table) -> None:
+    """One row per unfolded boundary state.
+
+    On a folded space each mirror image follows its representative.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state", "expected_delivery_time"])
-        for state, value in zip(space.boundary_states, table.values):
-            writer.writerow([json.dumps(encode_state(state)), _fmt(value)])
+        weights = space.boundary_weights.tolist()
+        for state, value, weight in zip(space.boundary_states, table.values, weights):
+            row_value = _fmt(value)
+            writer.writerow([json.dumps(encode_state(state)), row_value])
+            if weight == 2:
+                writer.writerow([json.dumps(encode_state(mirror(state))), row_value])
 
 
 def write_policy_json(path, space, policy) -> None:
@@ -295,7 +303,7 @@ def write_policy_json(path, space, policy) -> None:
         "t_cut": params.t_cut,
         "policy": [
             {"state": list(encode_state(s)), "action": sorted(a)}
-            for s, a in zip(space.intermediate_states, policy.actions)
+            for s, a in policy.state_map(space).items()
         ],
     }
     with open(path, "w") as fh:
@@ -363,16 +371,19 @@ def cmd_solve(opt: _Options) -> int:
     config = _solver_config(opt)
     t0 = time.perf_counter()
     solution = _solve_point(opt, params, config)
-    space, table, policy = solution.full.space, solution.full_values(), solution.full_policy()
+    space, table = solution.model.space, solution.table
     elapsed = time.perf_counter() - t0
-    print(f"states: {space.num_boundary} boundary, {space.num_intermediate} intermediate")
+    # Unfolded counts: the files list every state of each mirror pair.
+    boundary = int(space.boundary_weights.sum())
+    intermediate = int(space.intermediate_weights.sum())
+    print(f"states: {boundary} boundary, {intermediate} intermediate")
     print(f"method: {opt.get('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
     print(f"T_opt(empty state) = {_fmt(table.t0)}")
     print(f"wall time: {elapsed:.2f} s")
     out = Path(opt.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_values_csv(out / "values.csv", space, table)
-    write_policy_json(out / "policy.json", space, policy)
+    write_policy_json(out / "policy.json", space, solution.policy)
     print(f"wrote {out / 'values.csv'} and {out / 'policy.json'}")
     return 0
 
@@ -510,19 +521,18 @@ def cmd_simulate(opt: _Options) -> int:
     spec = opt.get("policy") or "swap-asap"
     if spec == "optimal":
         solution = _solve_point(opt, params, config)
-        space, policy = solution.full.space, solution.full_policy()
+        policy_map = solution.policy.state_map(solution.model.space)
+    elif spec == "swap-asap" or spec.startswith("modified:"):
+        policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
         space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
-        if spec in ("swap-asap",) or spec.startswith("modified:"):
-            policy = _baseline_policy(space, spec)
-        else:
-            policy = load_policy_json(spec, space)
+        policy_map = load_policy_json(spec, space).state_map(space)
     sim_config = SimConfig(
         trials=int(opt.get("trials")),
         master_seed=int(opt.get("seed")),
         max_slots=int(opt.get("max_slots")),
     )
-    result = estimate(params, policy.state_map(space), sim_config)
+    result = estimate(params, policy_map, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")
     out = Path(opt.get("out") or ".")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,9 +34,8 @@ __all__ = [
     "PolicyStats",
     "SolverConfig",
     "ValueTable",
+    "baseline_rule",
     "evaluate_policy",
-    "expand_policy",
-    "expand_values",
     "modified_full_state_policy",
     "policy_iteration",
     "policy_stats",
@@ -43,6 +43,10 @@ __all__ = [
     "swap_asap_policy",
     "value_iteration",
 ]
+
+
+#: Policy iteration gives up after this many improvement rounds.
+MAX_POLICY_ITERATIONS = 1_000
 
 
 class ConvergenceError(RuntimeError):
@@ -61,7 +65,6 @@ class SolverConfig:
 
     epsilon: float = 1e-7
     max_iterations: int = 1_000_000
-    max_policy_iterations: int = 1_000
     evaluation: str = "direct"
 
     def __post_init__(self) -> None:
@@ -77,12 +80,20 @@ class Policy:
 
     actions: tuple[frozenset[int], ...]
 
-    def action_for(self, space: StateSpace, state: ChainState) -> frozenset[int]:
-        return self.actions[space.intermediate_index[state]]
-
     def state_map(self, space: StateSpace) -> dict[ChainState, frozenset[int]]:
-        """Explicit state-to-action mapping, e.g. for trajectory simulation."""
-        return {s: a for s, a in zip(space.intermediate_states, self.actions)}
+        """Action of every unfolded intermediate state, e.g. for trajectory simulation.
+
+        On a folded space each representative of a mirror pair is followed
+        by its mirror image, which takes the mirrored action.
+        """
+        n = space.params.n
+        mapping = {}
+        weights = space.intermediate_weights.tolist()
+        for r, action, weight in zip(space.intermediate_states, self.actions, weights):
+            mapping[r] = action
+            if weight == 2:
+                mapping[mirror(r)] = mirror_action(action, n)
+        return mapping
 
 
 @dataclass(frozen=True)
@@ -113,34 +124,42 @@ class PolicyStats:
     decidable_states: int
 
 
-def swap_asap_policy(space: StateSpace) -> Policy:
-    """Swap at every node that holds two links, in every state."""
-    return Policy(
-        tuple(frozenset(valid_swap_nodes(r)) for r in space.intermediate_states)
-    )
-
-
 def _is_full(state: ChainState) -> bool:
     pairs = {(l.left, l.right) for l in state.links}
     return pairs == {(i, i + 1) for i in range(1, state.n)}
 
 
-def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
-    """Swap-asap, except that in full states the given nodes do not swap.
+def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState], frozenset[int]]:
+    """A baseline's action in any intermediate state of an ``n``-node chain.
 
-    A full state is one where every pair of neighbours holds a link.  With
-    probabilistic swaps, withholding interior swaps there splits one long
-    all-or-nothing run into independent shorter ones.
+    Swap-asap swaps at every node that holds two links.  With ``withheld``
+    interior nodes, those nodes do not swap in full states, where every pair
+    of neighbours holds a link: with probabilistic swaps, withholding
+    interior swaps there splits one long all-or-nothing run into independent
+    shorter ones.
     """
-    n = space.params.n
     withheld = frozenset(withheld)
     if not withheld <= set(range(2, n)):
         raise ValueError(f"withheld nodes must be interior nodes of a {n}-node chain")
-    actions = []
-    for r in space.intermediate_states:
-        nodes = frozenset(valid_swap_nodes(r))
-        actions.append(nodes - withheld if _is_full(r) else nodes)
-    return Policy(tuple(actions))
+    if not withheld:
+        return lambda state: frozenset(valid_swap_nodes(state))
+
+    def action(state: ChainState) -> frozenset[int]:
+        nodes = frozenset(valid_swap_nodes(state))
+        return nodes - withheld if _is_full(state) else nodes
+
+    return action
+
+
+def swap_asap_policy(space: StateSpace) -> Policy:
+    """Swap at every node that holds two links, in every state."""
+    return modified_full_state_policy(space, ())
+
+
+def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
+    """Swap-asap, except that in full states the given nodes do not swap."""
+    rule = baseline_rule(space.params.n, withheld)
+    return Policy(tuple(map(rule, space.intermediate_states)))
 
 
 def relative_advantage(t_base: float, t_opt: float) -> float:
@@ -278,23 +297,18 @@ def value_iteration(
     space: StateSpace,
     model: TransitionModel,
     config: SolverConfig | None = None,
-    initial_values: np.ndarray | None = None,
 ) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by successive sweeps of the minimizing update.
 
-    Starts from all-zero values unless ``initial_values`` is given; stops
-    when successive sweeps differ by at most ``config.epsilon`` in max norm.
-    Returns the converged values and the greedy policy they induce.
+    Starts from all-zero values and stops when successive sweeps differ by
+    at most ``config.epsilon`` in max norm.  Returns the converged values
+    and the greedy policy they induce.
     """
     config = config or SolverConfig()
     mat_a = model.phase_a_matrix()
     choices = model.choice_table()
     term = space.terminal_index
-    if initial_values is None:
-        values = np.zeros(space.num_boundary)
-    else:
-        values = np.asarray(initial_values, dtype=float).copy()
-    values[term] = 0.0
+    values = np.zeros(space.num_boundary)
     starts = choices.offsets[:-1]
     for it in range(1, config.max_iterations + 1):
         mins = np.minimum.reduceat(choices.matrix @ values, starts)
@@ -332,7 +346,7 @@ def policy_iteration(
     policy = initial_policy or swap_asap_policy(space)
     current = _choice_indices(space, policy, choices.offsets)
     table = evaluate_policy(space, model, policy, config)
-    for rounds in range(1, config.max_policy_iterations + 1):
+    for rounds in range(1, MAX_POLICY_ITERATIONS + 1):
         q = choices.matrix @ table.values
         first = _greedy_choices(q, choices.offsets)
         improved = q[first] < q[current]
@@ -356,30 +370,5 @@ def policy_iteration(
                 policy,
             )
     raise ConvergenceError(
-        f"policy iteration did not stabilize in {config.max_policy_iterations} rounds"
+        f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} rounds"
     )
-
-
-def expand_policy(space: StateSpace, bunched_space: StateSpace, policy: Policy) -> Policy:
-    """Extend a policy solved on mirror representatives to the full space.
-
-    Representative states keep their action; folded states take the
-    mirrored action of their representative.
-    """
-    actions = []
-    for r in space.intermediate_states:
-        rep = r if r in bunched_space.intermediate_index else mirror(r)
-        act = policy.actions[bunched_space.intermediate_index[rep]]
-        actions.append(act if rep == r else mirror_action(act, space.params.n))
-    return Policy(tuple(actions))
-
-
-def expand_values(
-    space: StateSpace, bunched_space: StateSpace, table: ValueTable
-) -> ValueTable:
-    """Extend values solved on mirror representatives to the full space."""
-    values = np.empty(space.num_boundary)
-    for s_idx, s in enumerate(space.boundary_states):
-        rep = s if s in bunched_space.boundary_index else mirror(s)
-        values[s_idx] = table.values[bunched_space.boundary_index[rep]]
-    return ValueTable(values=values, iterations=table.iterations, residual=table.residual)

@@ -4,19 +4,21 @@ import json
 import pytest
 
 from repeaterchain import cli
-from repeaterchain.chain import ChainParams
+from repeaterchain.chain import ChainParams, encode_state
 from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
+from repeaterchain.sim import SimConfig, estimate
 from repeaterchain.solver import (
     SolverConfig,
     evaluate_policy,
-    expand_policy,
+    modified_full_state_policy,
     policy_iteration,
     policy_stats,
     swap_asap_policy,
     value_iteration,
 )
 from repeaterchain.statespace import enumerate_states
+from test_walk_reference import expand_policy, expand_values
 
 
 def run(args):
@@ -125,6 +127,33 @@ class TestSolve:
             ][0]
             results[flag] = float(line.split("=")[1])
         assert results["--bunch"] == pytest.approx(results["--no-bunch"], abs=1e-9)
+
+    @pytest.mark.parametrize("method", ["pi", "vi"])
+    def test_bunched_files_hold_the_expanded_solution(self, tmp_path, enumerations, method):
+        args = ["solve", "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--method", method]
+        assert run(args + ["--bunch", "--out", tmp_path / "bunch"]) == 0
+        assert enumerations == [(5, 2)]
+        assert run(args + ["--no-bunch", "--out", tmp_path / "full"]) == 0
+
+        params = ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
+        space, _, solved, table, policy = fresh_solve(params, method, use_bunch=True)
+        values = expand_values(space, solved.space, table).values
+        actions = expand_policy(space, solved.space, policy).actions
+
+        rows = list(csv.reader(open(tmp_path / "bunch" / "values.csv")))[1:]
+        want = [[json.dumps(encode_state(s)), f"{v:.17g}"] for s, v in zip(space.boundary_states, values)]
+        assert len(rows) == space.num_boundary
+        assert sorted(rows) == sorted(want)
+        entries = json.load(open(tmp_path / "bunch" / "policy.json"))["policy"]
+        got = [(tuple(e["state"]), tuple(e["action"])) for e in entries]
+        want = [(encode_state(r), tuple(sorted(a))) for r, a in zip(space.intermediate_states, actions)]
+        assert len(got) == space.num_intermediate
+        assert sorted(got) == sorted(want)
+
+        full = dict(list(csv.reader(open(tmp_path / "full" / "values.csv")))[1:])
+        assert full.keys() == dict(rows).keys()
+        for state, value in rows:
+            assert float(value) == pytest.approx(float(full[state]), rel=1e-12, abs=1e-12)
 
     def test_state_cap_failure_is_reported(self, tmp_path, capsys):
         code = run(
@@ -237,6 +266,14 @@ class TestSweep:
         assert rows[0]["error"].startswith("ValueError: p must lie in (0, 1]")
         assert rows[1] == sweep_rows(alone)[0]
 
+    @pytest.mark.parametrize("command", ["sweep", "stats"])
+    def test_empty_grid_list_is_an_error(self, tmp_path, capsys, command):
+        out = tmp_path / "grid.csv"
+        code = run([command, "--n", 4, "--p", ",", "--ps", 0.5, "--tcut", 2, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: empty list of values: ','\n"
+        assert not out.exists()
+
     def test_workers_produce_identical_csv(self, tmp_path):
         outs = []
         for workers, name in [(1, "serial.csv"), (2, "parallel.csv")]:
@@ -310,6 +347,40 @@ class TestSimulate:
         assert code == 0
         summary = json.load(open(sim_dir / "summary.json"))
         assert summary["trials"] == 500
+
+    @pytest.mark.parametrize(
+        "spec, baseline",
+        [
+            ("swap-asap", swap_asap_policy),
+            ("modified:3", lambda space: modified_full_state_policy(space, {3})),
+        ],
+        ids=["swap-asap", "modified:3"],
+    )
+    def test_baselines_enumerate_nothing(self, tmp_path, enumerations, spec, baseline):
+        # No enumeration, so no state cap either.
+        out = tmp_path / "sim"
+        code = run(
+            ["simulate", "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--policy", spec,
+             "--trials", 3000, "--seed", 4, "--state-cap", 10, "--out", out]
+        )
+        assert code == 0
+        assert enumerations == []
+        params = ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
+        space = enumerate_states(params)
+        want = estimate(params, baseline(space).state_map(space), SimConfig(trials=3000, master_seed=4))
+        rows = csv.DictReader(open(out / "histogram.csv"))
+        assert {int(r["delivery_time"]): int(r["count"]) for r in rows} == want.histogram
+
+    def test_bunched_optimal_walks_once_and_matches_its_policy_file(self, tmp_path, enumerations):
+        point = ["--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2]
+        sim = ["simulate", *point, "--trials", 3000, "--seed", 8]
+        assert run(["solve", *point, "--bunch", "--out", tmp_path / "solved"]) == 0
+        assert run(sim + ["--policy", "optimal", "--bunch", "--out", tmp_path / "optimal"]) == 0
+        assert enumerations == [(5, 2), (5, 2)]
+        policy_file = tmp_path / "solved" / "policy.json"
+        assert run(sim + ["--policy", policy_file, "--out", tmp_path / "file"]) == 0
+        histogram = (tmp_path / "optimal" / "histogram.csv").read_text()
+        assert (tmp_path / "file" / "histogram.csv").read_text() == histogram
 
     def test_policy_space_mismatch_errors(self, tmp_path, capsys):
         solve_dir = tmp_path / "solved"

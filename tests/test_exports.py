@@ -40,3 +40,12 @@ def test_demo_imports_resolve(demo):
                 f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)
             ]
     assert not missing, f"{demo.name} imports missing names: {missing}"
+
+
+def test_readme_library_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quickstart (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    t_opt, t_swap = map(float, capsys.readouterr().out.split())
+    assert f"{t_opt:.4f} {t_swap:.4f}" == "8.3166 9.3469"

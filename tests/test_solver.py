@@ -9,8 +9,6 @@ from repeaterchain.solver import (
     SolverConfig,
     _greedy_choices,
     evaluate_policy,
-    expand_policy,
-    expand_values,
     modified_full_state_policy,
     policy_iteration,
     policy_stats,
@@ -19,6 +17,7 @@ from repeaterchain.solver import (
     value_iteration,
 )
 from repeaterchain.statespace import enumerate_states
+from test_walk_reference import expand_policy, expand_values
 
 
 def build(n, t_cut, p, p_s):
@@ -87,7 +86,7 @@ class TestPolicies:
         full = state_from_links(
             5, [(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0)], intermediate=True
         )
-        assert policy.action_for(space, full) == {2, 3, 4}
+        assert policy.state_map(space)[full] == {2, 3, 4}
 
     def test_modified_policy_withholds_in_full_states_only(self):
         space, _ = build(5, 2, p=0.5, p_s=0.5)
@@ -218,6 +217,22 @@ class TestMirrorSymmetryOfValues:
             m_idx = space.intermediate_index[mirror(r)]
             mirrored = frozenset(n - k + 1 for k in policy.actions[r_idx])
             assert policy.actions[m_idx] == mirrored
+
+    @pytest.mark.parametrize("n,t_cut", [(4, 2), (5, 2), (5, 3)])
+    def test_folded_state_map_covers_the_unfolded_space(self, n, t_cut):
+        space, _ = build(n, t_cut, p=0.7, p_s=0.5)
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
+        _, bpolicy = policy_iteration(bmodel.space, bmodel)
+        mapping = bpolicy.state_map(bmodel.space)
+        expanded = expand_policy(space, bmodel.space, bpolicy)
+        assert mapping == expanded.state_map(space)
+        assert len(mapping) == space.num_intermediate
+        # Each representative comes first, its mirror image right after it.
+        states = list(mapping)
+        position = {r: i for i, r in enumerate(states)}
+        for r, weight in zip(bmodel.space.intermediate_states, bmodel.space.intermediate_weights):
+            if weight == 2:
+                assert states[position[r] + 1] == mirror(r)
 
 
 class TestAnalytics:

@@ -10,7 +10,9 @@ public ``ChainState`` constructor.
 ``enumerate_states(..., fold=True)`` folds mirror images during the walk.
 Its reference is the post-hoc fold it replaced: partition the unfolded
 space's state lists under mirroring, keep one representative per mirror
-pair, and redirect every arc onto representatives.
+pair, and redirect every arc onto representatives.  Results solved on a
+folded space are checked against ``expand_policy`` and ``expand_values``,
+which re-index them onto a separately enumerated unfolded space.
 """
 
 from collections import Counter, deque
@@ -32,8 +34,10 @@ from repeaterchain.chain import (
     generation_pairs,
     is_absorbing,
     mirror,
+    mirror_action,
     swap_runs,
 )
+from repeaterchain.solver import Policy, ValueTable
 from repeaterchain.statespace import (
     BTable,
     StateCapExceeded,
@@ -284,6 +288,29 @@ def reference_fold(space) -> StateSpace:
         intermediate_weights=i_weights,
         folded=True,
     )
+
+
+def expand_policy(space, bunched_space, policy) -> Policy:
+    """Extend a policy solved on mirror representatives to the unfolded ``space``.
+
+    Representative states keep their action; folded states take the
+    mirrored action of their representative.
+    """
+    actions = []
+    for r in space.intermediate_states:
+        rep = r if r in bunched_space.intermediate_index else mirror(r)
+        act = policy.actions[bunched_space.intermediate_index[rep]]
+        actions.append(act if rep == r else mirror_action(act, space.params.n))
+    return Policy(tuple(actions))
+
+
+def expand_values(space, bunched_space, table) -> ValueTable:
+    """Extend values solved on mirror representatives to the unfolded ``space``."""
+    values = np.empty(space.num_boundary)
+    for s_idx, s in enumerate(space.boundary_states):
+        rep = s if s in bunched_space.boundary_index else mirror(s)
+        values[s_idx] = table.values[bunched_space.boundary_index[rep]]
+    return ValueTable(values=values, iterations=table.iterations, residual=table.residual)
 
 
 def arcs_by_state(space):
