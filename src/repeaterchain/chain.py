@@ -17,6 +17,9 @@ One time slot consists of four phases:
    links (:func:`apply_cutoff`).
 
 States are immutable values; every operation returns a new state.
+:class:`StateCodes` gives the states of one ``(n, t_cut)`` integer codes,
+under which phases 3 and 4 become code arithmetic; the enumeration walk
+uses them to resolve swaps without building states.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "ChainState",
     "InvalidStateError",
     "Link",
+    "StateCodes",
+    "action_space",
     "age_links",
     "apply_cutoff",
     "apply_generation",
@@ -39,13 +44,13 @@ __all__ = [
     "decode_state",
     "empty_state",
     "encode_state",
+    "generation_outcomes",
     "generation_pairs",
     "is_absorbing",
     "mirror",
     "mirror_action",
     "resolve_swaps",
     "state_from_links",
-    "swap_outcomes",
     "swap_runs",
     "valid_swap_nodes",
 ]
@@ -117,8 +122,8 @@ _set_links = ChainState.links.__set__
 _set_intermediate = ChainState.intermediate.__set__
 
 
-def _sorted_state(n: int, links: tuple[Link, ...]) -> ChainState:
-    """Slot-boundary state from a link tuple that is already sorted, skipping the re-sort.
+def _sorted_state(n: int, links: tuple[Link, ...], intermediate: bool = False) -> ChainState:
+    """State from a link tuple that is already sorted, skipping the re-sort.
 
     Valid states have unique left endpoints, so their sorted order is fixed
     by the endpoints alone; callers that keep endpoint order use this.
@@ -126,7 +131,7 @@ def _sorted_state(n: int, links: tuple[Link, ...]) -> ChainState:
     state = object.__new__(ChainState)
     _set_n(state, n)
     _set_links(state, links)
-    _set_intermediate(state, False)
+    _set_intermediate(state, intermediate)
     return state
 
 
@@ -199,11 +204,47 @@ def apply_generation(state: ChainState, successes: Iterable[tuple[int, int]]) ->
     return ChainState(n=state.n, links=state.links + tuple(new), intermediate=True)
 
 
+def generation_outcomes(state: ChainState) -> list[ChainState]:
+    """Every result of phase 2 on an aged state, one per success mask.
+
+    Entry ``mask`` is :func:`apply_generation` with the pairs ``b`` of
+    ``sorted(generation_pairs(state))`` whose bit ``b`` is set.
+    """
+    fresh = [Link(i, j, 0) for i, j in sorted(generation_pairs(state))]
+    outcomes = []
+    for mask in range(1 << len(fresh)):
+        links = list(state.links)
+        links += [link for b, link in enumerate(fresh) if mask >> b & 1]
+        links.sort()
+        outcomes.append(_sorted_state(state.n, tuple(links), True))
+    return outcomes
+
+
 def valid_swap_nodes(state: ChainState) -> set[int]:
     """Interior nodes currently holding one link per side, i.e. able to swap."""
     lefts = {l.left for l in state.links}
     rights = {l.right for l in state.links}
     return {k for k in range(2, state.n) if k in lefts and k in rights}
+
+
+def action_space(state: ChainState) -> tuple[frozenset[int], ...]:
+    """All swap actions available in a state: every subset of the eligible nodes.
+
+    Ordered by (size, node tuple), so the empty action comes first and the
+    ordering doubles as the deterministic tie-break order for solvers.
+    """
+    return _subsets(tuple(sorted(valid_swap_nodes(state))))
+
+
+@lru_cache(maxsize=None)
+def _subsets(nodes: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+    # Shared by every state with the same eligible nodes, so an enumerated
+    # space holds one copy of each action list.
+    actions = []
+    for r in range(len(nodes) + 1):
+        for combo in combinations(nodes, r):
+            actions.append(frozenset(combo))
+    return tuple(actions)
 
 
 def _links_by_endpoint(state: ChainState) -> tuple[dict[int, Link], dict[int, Link]]:
@@ -282,66 +323,145 @@ def apply_cutoff(state: ChainState, t_cut: int) -> ChainState:
     return ChainState(n=state.n, links=links)
 
 
+# A swap run as (left, right, source positions): it merges the links at the
+# source positions into one link from ``left`` to ``right``.
+_Run = tuple[int, int, tuple[int, ...]]
+
+
 @lru_cache(maxsize=None)
 def _swap_template(
-    pairs: tuple[tuple[int, int], ...], action: frozenset[int]
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, tuple[int, ...]], ...], tuple[tuple[int, ...], ...]]:
-    """Age-free run structure of one swap action on links with these endpoints.
+    n: int, pairs: tuple[tuple[int, int], ...]
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[_Run, ...], ...]]:
+    """Age-free run structure of every swap action on links with these endpoints.
 
-    Returns the per-run swap counts, the candidate output links as
-    ``(left, right, source positions)`` (untouched links first, then one
-    merged link per run), and for every survival mask the indices of the
-    candidates present, in sorted link order.
+    Returns the actions of :func:`action_space`, in its order, and the runs
+    of each action, left to right, with sources given as positions in
+    ``pairs``.  A run with ``k`` swaps merges ``k + 1`` links.
     """
     # Each probe link carries its position in ``pairs`` as its age, so the
     # runs report which input links they consume.
-    probe = _sorted_state(0, tuple(Link(l, r, i) for i, (l, r) in enumerate(pairs)))
-    runs = swap_runs(probe, action)
-    sizes = tuple(len(nodes) for _, nodes in runs)
-    consumed = {l.age for links, _ in runs for l in links}
-    candidates = [(l.left, l.right, (l.age,)) for l in probe.links if l.age not in consumed]
-    untouched = len(candidates)
-    candidates += [(links[0].left, links[-1].right, tuple(l.age for l in links)) for links, _ in runs]
-    masks = []
-    for mask in range(1 << len(runs)):
-        present = list(range(untouched))
-        present += [untouched + b for b in range(len(runs)) if mask >> b & 1]
-        masks.append(tuple(sorted(present, key=lambda c: candidates[c][:2])))
-    return sizes, tuple(candidates), tuple(masks)
+    probe = _sorted_state(n, tuple(Link(l, r, i) for i, (l, r) in enumerate(pairs)))
+    actions = action_space(probe)
+    runs = []
+    for action in actions:
+        runs.append(tuple(
+            (links[0].left, links[-1].right, tuple(l.age for l in links))
+            for links, _ in swap_runs(probe, action)
+        ))
+    return actions, tuple(runs)
 
 
-def swap_outcomes(
-    state: ChainState, action: Iterable[int], t_cut: int
-) -> tuple[tuple[int, ...], list[tuple[int, ChainState]]]:
-    """Enumerate end-of-slot states over all swap-success combinations.
+class StateCodes:
+    """Integer codes for the states of an ``n``-node chain with cutoff ``t_cut``.
 
-    The state after phase 3 depends only on which runs survive, and runs
-    succeed independently: a run with ``k`` swaps survives with probability
-    ``p_s ** k``.  Returns the per-run swap counts together with
-    ``(mask, boundary_state)`` for every survival mask (bit ``b`` set means
-    run ``b`` survived); the states include the cutoff of phase 4.
+    A state's code is ``sum((age + 1) * base**k)`` over its links, where ``k``
+    is the position of the link's node pair in :func:`encode_state` order and
+    ``base = t_cut + 2``: one digit per node pair, 0 for an absent pair.  No
+    age exceeds ``t_cut`` before the cutoff, so every state of the chain has
+    its own code.
 
-    The run structure depends on link endpoints and the action only, so it
-    is cached; ages, the oldest-age merge and the cutoff are applied here.
+    :meth:`swap_codes` resolves a swap action by code arithmetic: the
+    end-of-slot code of each survival mask is the code of the links the
+    action leaves alone and the cutoff keeps, plus one term per surviving
+    run.  It keeps the run structure of each link-endpoint pattern (from
+    :func:`_swap_template`) for all of that pattern's actions, and interns
+    each action's per-run swap counts in :attr:`shapes`.
     """
-    links = state.links
-    n = state.n
-    sizes, candidates, masks = _swap_template(tuple([l[:2] for l in links]), frozenset(action))
-    # Each candidate's age does not depend on the mask: settle it, and the
-    # cutoff, once per call.  None marks a candidate the cutoff discards.
-    kept: list[Link | None] = []
-    for left, right, sources in candidates:
-        if len(sources) == 1:
-            link = links[sources[0]]
-        else:
-            link = Link(left, right, max([links[i].age for i in sources]))
-        kept.append(link if link.age < t_cut or (left == 1 and right == n) else None)
-    pick = kept.__getitem__
-    outcomes = [
-        (mask, _sorted_state(n, tuple(filter(None, map(pick, present)))))
-        for mask, present in enumerate(masks)
-    ]
-    return sizes, outcomes
+
+    def __init__(self, n: int, t_cut: int):
+        self.n = n
+        self.t_cut = t_cut
+        self.base = t_cut + 2
+        self._pairs = tuple(combinations(range(1, n + 1), 2))
+        self._weight = {pair: self.base**k for k, pair in enumerate(self._pairs)}
+        self._end_weight = self._weight[1, n]
+        #: Distinct per-run swap-count tuples, in order of first use.
+        self.shapes: list[tuple[int, ...]] = []
+        self._shape_index: dict[tuple[int, ...], int] = {}
+        self._plans: dict[tuple[tuple[int, int], ...], tuple] = {}
+
+    def code(self, state: ChainState) -> int:
+        weight = self._weight
+        return sum((l.age + 1) * weight[l.left, l.right] for l in state.links)
+
+    def is_absorbing(self, code: int) -> bool:
+        """True iff the coded state holds an end-to-end link."""
+        return code // self._end_weight % self.base != 0
+
+    def decode(self, code: int) -> ChainState:
+        """The slot-boundary state with this code (absorbing ones included)."""
+        links = []
+        for left, right in self._pairs:
+            if not code:
+                break
+            code, digit = divmod(code, self.base)
+            if digit:
+                links.append(Link(left, right, digit - 1))
+        # Pairs run in sorted order, so the links come out sorted.
+        return _sorted_state(self.n, tuple(links))
+
+    def _plan(self, pairs: tuple[tuple[int, int], ...]) -> tuple:
+        actions, action_runs = _swap_template(self.n, pairs)
+        weight, n = self._weight, self.n
+        # Actions share runs: each distinct run is resolved once per state.
+        run_ids: dict[_Run, int] = {}
+        shapes, rows = [], []
+        for runs in action_runs:
+            sizes = tuple(len(sources) - 1 for _, _, sources in runs)
+            shape = self._shape_index.get(sizes)
+            if shape is None:
+                shape = self._shape_index[sizes] = len(self.shapes)
+                self.shapes.append(sizes)
+            shapes.append(shape)
+            rows.append(tuple(run_ids.setdefault(run, len(run_ids)) for run in runs))
+        runs = tuple((weight[l, r], l == 1 and r == n, sources) for l, r, sources in run_ids)
+        return actions, tuple(shapes), tuple(weight[pair] for pair in pairs), runs, tuple(rows)
+
+    def swap_codes(
+        self, state: ChainState
+    ) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], list[int]]:
+        """Every swap action of an intermediate state and its end-of-slot codes.
+
+        Returns :func:`action_space` of ``state``; per action, the index of
+        its per-run swap counts in :attr:`shapes`; and, action after action,
+        one code per survival mask (bit ``b`` set: run ``b`` survived), so an
+        action with ``k`` runs has ``2**k`` codes.  A surviving run becomes
+        one link between its outer endpoints with the oldest input age; then
+        the cutoff discards every link of age ``t_cut`` except an end-to-end
+        link.  So an outcome's code is the code of the links the cutoff
+        keeps, less the runs' input links, plus each surviving run's link.
+        """
+        links = state.links
+        pairs = tuple([l[:2] for l in links])
+        plan = self._plans.get(pairs)
+        if plan is None:
+            plan = self._plans[pairs] = self._plan(pairs)
+        actions, shapes, weights, runs, rows = plan
+        t_cut = self.t_cut
+        ages = [l[2] for l in links]
+        # Each link's term, or 0 if the cutoff discards it when left alone.
+        live = [(age + 1) * w if age < t_cut else 0 for age, w in zip(ages, weights)]
+        kept = sum(live)
+        consumed, merged, alone = [], [], []
+        for w, end_to_end, sources in runs:
+            lost = sum([live[i] for i in sources])
+            age = max([ages[i] for i in sources])
+            term = (age + 1) * w if age < t_cut or end_to_end else 0
+            consumed.append(lost)
+            merged.append(term)
+            alone.append((kept - lost, kept - lost + term))
+        codes = []
+        for row in rows:
+            if len(row) == 1:
+                # The commonest action: one run, failed or survived.
+                codes += alone[row[0]]
+                continue
+            out = [kept - sum([consumed[j] for j in row])]
+            for j in row:
+                term = merged[j]
+                out += [c + term for c in out]
+            codes += out
+        return actions, shapes, codes
 
 
 def mirror(state: ChainState) -> ChainState:

@@ -66,6 +66,8 @@ def _items(value) -> list:
     """A config-file list, or the non-blank fields of comma-separated text; never empty."""
     if isinstance(value, (list, tuple)):
         items = list(value)
+        if not all(isinstance(v, (str, int, float)) for v in items):
+            raise ValueError(f"expected a list of numbers, got {value!r}")
     else:
         items = [v for v in str(value).split(",") if v.strip()]
     if not items:
@@ -109,6 +111,17 @@ class _Options:
         if value is None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
         return value
+
+    def single(self, name: str, kind=None, required: bool = False):
+        """A one-valued option, converted by ``kind`` unless absent.
+
+        A config file can hold a list or an object where the flag takes one
+        value; that is a usage error, not a value to convert.
+        """
+        value = self.require(name) if required else self.get(name)
+        if isinstance(value, (list, dict)):
+            raise ValueError(f"option --{name.replace('_', '-')} takes one value, got {value!r}")
+        return value if kind is None or value is None else kind(value)
 
 
 _SOLVER_DEFAULTS = {
@@ -157,18 +170,18 @@ def _add_solver(sp: argparse.ArgumentParser) -> None:
 
 def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(
-        epsilon=float(opt.get("epsilon")),
-        max_iterations=int(opt.get("max_iter")),
-        evaluation=opt.get("eval_method"),
+        epsilon=opt.single("epsilon", float),
+        max_iterations=opt.single("max_iter", int),
+        evaluation=opt.single("eval_method"),
     )
 
 
 def _chain_params(opt: _Options) -> ChainParams:
     return ChainParams(
-        n=int(opt.require("n")),
-        p=float(opt.require("p")),
-        p_s=float(opt.require("ps")),
-        t_cut=int(opt.require("tcut")),
+        n=opt.single("n", int, required=True),
+        p=opt.single("p", float, required=True),
+        p_s=opt.single("ps", float, required=True),
+        t_cut=opt.single("tcut", int, required=True),
     )
 
 
@@ -249,8 +262,8 @@ def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
 
 def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig) -> _Solution:
     """Build the structure of a single-point command and solve it."""
-    structure = _Structure(params, int(opt.get("state_cap")), bool(opt.get("bunch")))
-    return structure.solve(params.p, params.p_s, opt.get("method"), config)
+    structure = _Structure(params, opt.single("state_cap", int), opt.single("bunch", bool))
+    return structure.solve(params.p, params.p_s, opt.single("method"), config)
 
 
 def _withheld_nodes(spec: str) -> frozenset[int]:
@@ -259,8 +272,23 @@ def _withheld_nodes(spec: str) -> frozenset[int]:
     if spec == "swap-asap":
         return frozenset()
     if spec.startswith("modified:"):
-        return frozenset(int(v) for v in spec.split(":", 1)[1].split(",") if v.strip())
+        nodes = frozenset(int(v) for v in spec.split(":", 1)[1].split(",") if v.strip())
+        if not nodes:
+            raise ValueError(f"baseline policy {spec!r} names no nodes (swap-asap withholds none)")
+        return nodes
     raise ValueError(f"unknown baseline policy {spec!r} (use swap-asap or modified:<nodes>)")
+
+
+def _baselines(opt: _Options) -> list[str]:
+    """The ``--baseline`` specs, swap-asap if none, each checked before any solve."""
+    baselines = opt.get("baseline") or ["swap-asap"]
+    if isinstance(baselines, str):
+        baselines = [baselines]
+    for spec in baselines:
+        if not isinstance(spec, str):
+            raise ValueError(f"baseline policy must be text, got {spec!r}")
+        _withheld_nodes(spec)
+    return baselines
 
 
 class _BaselineMap(dict):
@@ -344,11 +372,11 @@ def load_policy_json(path, space) -> Policy:
 
 def cmd_cutoff(opt: _Options) -> int:
     fparams = FidelityParams(
-        f_new=float(opt.require("fnew")),
-        f_min=float(opt.require("fmin")),
-        tau=float(opt.require("tau")),
+        f_new=opt.single("fnew", float, required=True),
+        f_min=opt.single("fmin", float, required=True),
+        tau=opt.single("tau", float, required=True),
     )
-    n = int(opt.require("n"))
+    n = opt.single("n", int, required=True)
     try:
         bound = max_cutoff(fparams, n)
     except InfeasibleCutoffError as exc:
@@ -377,10 +405,10 @@ def cmd_solve(opt: _Options) -> int:
     boundary = int(space.boundary_weights.sum())
     intermediate = int(space.intermediate_weights.sum())
     print(f"states: {boundary} boundary, {intermediate} intermediate")
-    print(f"method: {opt.get('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
+    print(f"method: {opt.single('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
     print(f"T_opt(empty state) = {_fmt(table.t0)}")
     print(f"wall time: {elapsed:.2f} s")
-    out = Path(opt.get("out") or ".")
+    out = Path(opt.single("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_values_csv(out / "values.csv", space, table)
     write_policy_json(out / "policy.json", space, solution.policy)
@@ -391,9 +419,7 @@ def cmd_solve(opt: _Options) -> int:
 def cmd_compare(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
-    baselines = opt.get("baseline") or ["swap-asap"]
-    if isinstance(baselines, str):
-        baselines = [baselines]
+    baselines = _baselines(opt)
     solution = _solve_point(opt, params, config)
     t_opt = solution.table.t0
     print(f"T_opt = {_fmt(t_opt)}")
@@ -460,9 +486,7 @@ def cmd_sweep(opt: _Options) -> int:
     ps = _floats(opt.require("p"))
     pss = _floats(opt.require("ps"))
     tcuts = _ints(opt.require("tcut"))
-    baselines = opt.get("baseline") or ["swap-asap"]
-    if isinstance(baselines, str):
-        baselines = [baselines]
+    baselines = _baselines(opt)
     points = [
         {
             "n": n,
@@ -470,12 +494,12 @@ def cmd_sweep(opt: _Options) -> int:
             "ps": p_s,
             "tcut": t_cut,
             "baselines": baselines,
-            "epsilon": float(opt.get("epsilon")),
-            "max_iter": int(opt.get("max_iter")),
-            "eval_method": opt.get("eval_method"),
-            "method": opt.get("method"),
-            "bunch": bool(opt.get("bunch")),
-            "state_cap": int(opt.get("state_cap")),
+            "epsilon": opt.single("epsilon", float),
+            "max_iter": opt.single("max_iter", int),
+            "eval_method": opt.single("eval_method"),
+            "method": opt.single("method"),
+            "bunch": opt.single("bunch", bool),
+            "state_cap": opt.single("state_cap", int),
         }
         for n in ns
         for p in ps
@@ -484,7 +508,7 @@ def cmd_sweep(opt: _Options) -> int:
     ]
     groups = _structure_groups([(point["n"], point["tcut"]) for point in points])
     tasks = [[points[i] for i in group] for group in groups]
-    workers = int(opt.get("workers"))
+    workers = opt.single("workers", int)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_group, tasks))
@@ -499,7 +523,7 @@ def cmd_sweep(opt: _Options) -> int:
         for key in row:
             if key not in keys:
                 keys.append(key)
-    out = opt.get("out")
+    out = opt.single("out")
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
         writer = csv.DictWriter(fh, fieldnames=keys, restval="")
@@ -518,24 +542,24 @@ def cmd_sweep(opt: _Options) -> int:
 def cmd_simulate(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
-    spec = opt.get("policy") or "swap-asap"
+    spec = opt.single("policy") or "swap-asap"
     if spec == "optimal":
         solution = _solve_point(opt, params, config)
         policy_map = solution.policy.state_map(solution.model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
         policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
-        space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
+        space = enumerate_states(params, state_cap=opt.single("state_cap", int))
         policy_map = load_policy_json(spec, space).state_map(space)
     sim_config = SimConfig(
-        trials=int(opt.get("trials")),
-        master_seed=int(opt.get("seed")),
-        max_slots=int(opt.get("max_slots")),
+        trials=opt.single("trials", int),
+        master_seed=opt.single("seed", int),
+        max_slots=opt.single("max_slots", int),
     )
     result = estimate(params, policy_map, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")
-    out = Path(opt.get("out") or ".")
+    out = Path(opt.single("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -562,10 +586,10 @@ def cmd_simulate(opt: _Options) -> int:
 
 
 def cmd_states(opt: _Options) -> int:
-    n = int(opt.require("n"))
-    t_cut = int(opt.require("tcut"))
+    n = opt.single("n", int, required=True)
+    t_cut = opt.single("tcut", int, required=True)
     params = ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut)
-    space = enumerate_states(params, state_cap=int(opt.get("state_cap")))
+    space = enumerate_states(params, state_cap=opt.single("state_cap", int))
     bound = count_lower_bound(n, t_cut)
     labelings = distinct_labeled_states(space)
     print(f"boundary states:      {space.num_boundary}")
@@ -574,7 +598,7 @@ def cmd_states(opt: _Options) -> int:
     print(f"distinct labelings:   {labelings}")
     print(f"analytic lower bound: {bound}")
     print(f"bound satisfied:      {labelings >= bound}")
-    if opt.get("out"):
+    if opt.single("out"):
         doc = {
             "schema_version": SCHEMA_VERSION,
             "n": n,
@@ -587,15 +611,15 @@ def cmd_states(opt: _Options) -> int:
             "bound_satisfied": labelings >= bound,
             "action_counts": [len(a) for a in space.actions],
         }
-        with open(opt.get("out"), "w") as fh:
+        with open(opt.single("out"), "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-        print(f"wrote {opt.get('out')}")
+        print(f"wrote {opt.single('out')}")
     return 0 if labelings >= bound else 1
 
 
 def cmd_stats(opt: _Options) -> int:
-    n = int(opt.require("n"))
+    n = opt.single("n", int, required=True)
     ps_list = _floats(opt.require("p"))
     pss = _floats(opt.require("ps"))
     tcuts = _ints(opt.require("tcut"))
@@ -609,11 +633,11 @@ def cmd_stats(opt: _Options) -> int:
     rows: list[dict | None] = [None] * len(grid)
     for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
         structure = _Structure(
-            grid[group[0]], int(opt.get("state_cap")), bool(opt.get("bunch"))
+            grid[group[0]], opt.single("state_cap", int), opt.single("bunch", bool)
         )
         for i in group:
             params = grid[i]
-            solution = structure.solve(params.p, params.p_s, opt.get("method"), config)
+            solution = structure.solve(params.p, params.p_s, opt.single("method"), config)
             stats = policy_stats(solution.model.space, solution.policy)
             rows[i] = {
                 "n": n,
@@ -624,7 +648,7 @@ def cmd_stats(opt: _Options) -> int:
                 "pct_swap_all": _fmt(100.0 * stats.swap_all_fraction),
                 "pct_no_swap": _fmt(100.0 * stats.no_swap_fraction),
             }
-    out = opt.get("out")
+    out = opt.single("out")
     fh = open(out, "w", newline="") if out else sys.stdout
     try:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

@@ -49,6 +49,12 @@ def _csr_row(matrix: sp.csr_matrix, row: int) -> dict[int, float]:
     return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
 
 
+def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
+    """``base ** e`` for every exponent, looked up in a table of Python powers."""
+    table = np.array([base**e for e in range(int(exponents.max(initial=0)) + 1)])
+    return table[exponents]
+
+
 class TransitionModel:
     """Sparse exact transition probabilities over an enumerated state space."""
 
@@ -94,45 +100,52 @@ class TransitionModel:
     def phase_a_matrix(self) -> sp.csr_matrix:
         """P_A as a (boundary x intermediate) CSR matrix; terminal row is zero."""
         if self._mat_a is None:
-            p = self.params.p
-            rows, cols, data = [], [], []
-            for s_idx, arcs in enumerate(self.space.a_arcs):
-                for r_idx, k, m, mult in arcs:
-                    prob = mult * p**k * (1.0 - p) ** m
-                    if prob > 0.0:
-                        rows.append(s_idx)
-                        cols.append(r_idx)
-                        data.append(prob)
+            space, p = self.space, self.params.p
+            # Multiplied in the order mult * p**k * (1-p)**m.
+            data = _powers(p, space.gen_successes)
+            if space.gen_mult is not None:
+                data = space.gen_mult * data
+            data = data * _powers(1.0 - p, space.gen_failures)
+            rows = np.repeat(np.arange(space.num_boundary), np.diff(space.child_offsets))
+            cols = np.arange(space.num_intermediate)
+            keep = data > 0.0
             self._mat_a = sp.coo_matrix(
-                (data, (rows, cols)),
-                shape=(self.space.num_boundary, self.space.num_intermediate),
+                (data[keep], (rows[keep], cols[keep])),
+                shape=(space.num_boundary, space.num_intermediate),
             ).tocsr()
         return self._mat_a
 
     def choice_table(self) -> ChoiceTable:
         """P_B for every (intermediate, action) pair as one stacked CSR matrix."""
         if self._choices is None:
-            ps = self.params.p_s
-            offsets = np.zeros(self.space.num_intermediate + 1, dtype=np.int64)
-            rows, cols, data = [], [], []
-            row = 0
-            for r_idx, tables in enumerate(self.space.b_arcs):
-                offsets[r_idx] = row
-                for table in tables:
-                    survive = [ps**k for k in table.run_sizes]
-                    for mask, s_idx in table.outcomes:
-                        prob = 1.0
-                        for b, q in enumerate(survive):
-                            prob *= q if mask >> b & 1 else 1.0 - q
-                        if prob > 0.0:
-                            rows.append(row)
-                            cols.append(s_idx)
-                            data.append(prob)
-                    row += 1
-            offsets[-1] = row
-            matrix = sp.coo_matrix(
-                (data, (rows, cols)), shape=(row, self.space.num_boundary)
-            ).tocsr()
-            self._choices = ChoiceTable(matrix=matrix, offsets=offsets)
+            space, ps = self.space, self.params.p_s
+            # The probability of each survival mask of each run shape, as a
+            # left-to-right product over the runs.
+            probs: list[float] = []
+            starts = []
+            for sizes in space.run_shapes:
+                starts.append(len(probs))
+                survive = [ps**k for k in sizes]
+                for mask in range(1 << len(sizes)):
+                    prob = 1.0
+                    for b, q in enumerate(survive):
+                        prob *= q if mask >> b & 1 else 1.0 - q
+                    probs.append(prob)
+            num_rows = len(space.row_shape)
+            offsets = space.outcome_offsets
+            counts = np.diff(offsets)
+            # Outcome j of row i has survival mask j - offsets[i].  The
+            # outcome arrays are the largest in the build, so temporaries are
+            # dropped or skipped where they can be.
+            index = np.repeat(np.array(starts, dtype=np.int64)[space.row_shape] - offsets[:-1], counts)
+            index += np.arange(offsets[-1])
+            data = np.array(probs)[index]
+            del index
+            rows = np.repeat(np.arange(num_rows, dtype=np.int32), counts)
+            cols = space.outcome_targets
+            keep = data > 0.0
+            if not keep.all():
+                data, rows, cols = data[keep], rows[keep], cols[keep]
+            matrix = sp.coo_matrix((data, (rows, cols)), shape=(num_rows, space.num_boundary)).tocsr()
+            self._choices = ChoiceTable(matrix=matrix, offsets=space.row_offsets)
         return self._choices
-

@@ -22,9 +22,8 @@ halves the states without changing any delivery time.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -32,20 +31,16 @@ from .chain import (
     ChainParams,
     ChainState,
     Link,
+    StateCodes,
+    action_space,
     age_links,
-    apply_generation,
     empty_state,
     encode_state,
-    generation_pairs,
-    is_absorbing,
+    generation_outcomes,
     mirror,
-    swap_outcomes,
-    valid_swap_nodes,
 )
 
 __all__ = [
-    "AArc",
-    "BTable",
     "DEFAULT_STATE_CAP",
     "StateCapExceeded",
     "StateSpace",
@@ -64,45 +59,9 @@ class StateCapExceeded(RuntimeError):
     """Enumeration would exceed the configured state cap."""
 
 
-# Phase-A arc: (intermediate index, successes, failures, multiplicity).
-AArc = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True, slots=True)
-class BTable:
-    """Swap outcomes of one (intermediate state, action) pair.
-
-    ``run_sizes[b]`` is the number of swaps in run ``b``; ``outcomes`` maps
-    each survival mask to the resulting boundary-state index.
-    """
-
-    run_sizes: tuple[int, ...]
-    outcomes: tuple[tuple[int, int], ...]
-
-
 def terminal_state(n: int) -> ChainState:
     """Representative of all absorbing states (collapsed end-to-end class)."""
     return ChainState(n=n, links=(Link(1, n, 0),))
-
-
-def action_space(state: ChainState) -> tuple[frozenset[int], ...]:
-    """All swap actions available in a state: every subset of the eligible nodes.
-
-    Ordered by (size, node tuple), so the empty action comes first and the
-    ordering doubles as the deterministic tie-break order for solvers.
-    """
-    return _subsets(tuple(sorted(valid_swap_nodes(state))))
-
-
-@lru_cache(maxsize=None)
-def _subsets(nodes: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    # Shared by every state with the same eligible nodes, so an enumerated
-    # space holds one copy of each action list.
-    actions = []
-    for r in range(len(nodes) + 1):
-        for combo in combinations(nodes, r):
-            actions.append(frozenset(combo))
-    return tuple(actions)
 
 
 @dataclass(frozen=True)
@@ -114,28 +73,47 @@ class StateSpace:
     ``raw_absorbing`` keeps the age-vector encodings of the absorbing states
     as they were actually produced, before collapsing.
 
-    ``a_arcs[s]`` lists the phase-A arcs of boundary state ``s`` (empty for
-    the terminal state) and ``b_arcs[r][a]`` the swap outcomes of
-    intermediate state ``r`` under action ``actions[r][a]``; probabilities
-    are left as exponents so any ``(p, p_s)`` can be materialized.
+    The transitions are stored as flat integer arrays, with probabilities
+    left as exponents so any ``(p, p_s)`` can be materialized:
+
+    * phase A: the children of boundary state ``s`` are the intermediate
+      states ``child_offsets[s]`` to ``child_offsets[s + 1] - 1`` (none for
+      the terminal state; every intermediate state has one parent).  Child
+      ``r`` is reached with ``gen_successes[r]`` successful and
+      ``gen_failures[r]`` failed generation attempts, by ``gen_mult[r]``
+      outcomes in a folded space (``None`` when unfolded: always one);
+    * phase B: intermediate state ``r`` owns choice rows ``row_offsets[r]``
+      to ``row_offsets[r + 1] - 1``, one per action of ``actions[r]`` in
+      order.  Row ``j`` has per-run swap counts ``run_shapes[row_shape[j]]``
+      and one outcome per survival mask (bit ``b`` set: run ``b``
+      survived): ``outcome_targets[outcome_offsets[j] + mask]`` is the
+      boundary state it lands on.
 
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2).
+    ``boundary_index`` and ``intermediate_index`` map states to indices;
+    they are built on first use and shared by respecialized copies.
     """
 
     params: ChainParams
     boundary_states: tuple[ChainState, ...]
     intermediate_states: tuple[ChainState, ...]
-    boundary_index: dict[ChainState, int]
-    intermediate_index: dict[ChainState, int]
     terminal_index: int
     actions: tuple[tuple[frozenset[int], ...], ...]
     raw_absorbing: frozenset[tuple[int, ...]]
-    a_arcs: tuple[tuple[AArc, ...], ...] = field(repr=False)
-    b_arcs: tuple[tuple[BTable, ...], ...] = field(repr=False)
+    child_offsets: np.ndarray = field(repr=False)
+    gen_successes: np.ndarray = field(repr=False)
+    gen_failures: np.ndarray = field(repr=False)
+    gen_mult: np.ndarray | None = field(repr=False)
+    row_offsets: np.ndarray = field(repr=False)
+    run_shapes: tuple[tuple[int, ...], ...] = field(repr=False)
+    row_shape: np.ndarray = field(repr=False)
+    outcome_offsets: np.ndarray = field(repr=False)
+    outcome_targets: np.ndarray = field(repr=False)
     boundary_weights: np.ndarray = field(repr=False)
     intermediate_weights: np.ndarray = field(repr=False)
     folded: bool = False
+    _indices: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_boundary(self) -> int:
@@ -149,6 +127,20 @@ class StateSpace:
     def num_decidable(self) -> int:
         """Intermediate states in which at least one swap can be performed."""
         return sum(1 for acts in self.actions if len(acts) > 1)
+
+    @property
+    def boundary_index(self) -> dict[ChainState, int]:
+        return self._index("boundary", self.boundary_states)
+
+    @property
+    def intermediate_index(self) -> dict[ChainState, int]:
+        return self._index("intermediate", self.intermediate_states)
+
+    def _index(self, key: str, states: tuple[ChainState, ...]) -> dict[ChainState, int]:
+        index = self._indices.get(key)
+        if index is None:
+            index = self._indices[key] = {s: i for i, s in enumerate(states)}
+        return index
 
     def respecialized(self, p: float, p_s: float) -> "StateSpace":
         """Same state space with different success probabilities.
@@ -170,106 +162,131 @@ def enumerate_states(
 ) -> StateSpace:
     """Breadth-first closure of the slot dynamics starting from the empty state.
 
-    Records the phase-A arcs and phase-B tables as it discovers states.
-    With ``fold``, every generation child and swap target is replaced by
-    its canonical form, so only representatives are listed and expanded;
-    arcs of one parent to the same representative (possible only from a
-    self-mirrored parent) merge, their ``mult`` summed.  Raises
+    Records the transitions as it discovers states.  Boundary states are
+    looked up by their :class:`~repeaterchain.chain.StateCodes` code, and a
+    swap outcome is built as a state only when its code is new.  With
+    ``fold``, every generation child and swap target is replaced by its
+    canonical form, so only representatives are listed and expanded;
+    children of one parent that share a representative (possible only from
+    a self-mirrored parent) merge, their ``gen_mult`` summed.  Raises
     :class:`StateCapExceeded` if boundary plus intermediate counts (folded
     counts with ``fold``) pass ``state_cap``.
     """
     n, t_cut = params.n, params.t_cut
-    s0 = empty_state(n)
-    term = terminal_state(n)
-    boundary: list[ChainState] = [s0]
-    # Keyed on link tuples: every boundary state shares n and its phase flag.
-    # A folded walk keys both orientations of each state, so it mirrors a
-    # swap target only the first time it sees the pair.
-    boundary_links: dict[tuple[Link, ...], int] = {s0.links: 0}
+    coder = StateCodes(n, t_cut)
+    boundary: list[ChainState] = [empty_state(n)]
+    # Boundary-state codes to indices; absorbing codes map to the terminal
+    # index.  A folded walk keys both orientations of each listed state, so
+    # it mirrors a swap target only the first time it sees the pair.
+    index_of: dict[int, int] = {0: 0}
     boundary_weights = [1]
+    absorbing_codes: list[int] = []
     intermediates: list[ChainState] = []
-    intermediate_index: dict[ChainState, int] = {}
     intermediate_weights: list[int] = []
     actions: list[tuple[frozenset[int], ...]] = []
-    a_arcs: list[tuple[AArc, ...]] = []
-    b_arcs: list[tuple[BTable, ...]] = []
-    raw_absorbing: set[tuple[int, ...]] = set()
+    child_offsets = [0]
+    gen_successes: list[int] = []
+    gen_failures: list[int] = []
+    gen_mult: list[int] = []
+    row_offsets = [0]
+    shape_per_row = array("h")
+    outcome_targets = array("i")
     terminal_index = -1
+
+    def add_target(code: int) -> int:
+        """Index of a swap outcome that was missing from ``index_of`` when its state was looked up."""
+        nonlocal terminal_index
+        t_idx = index_of.get(code)  # an earlier outcome of the same state added it
+        if t_idx is not None:
+            return t_idx
+        t_idx = len(boundary)
+        if coder.is_absorbing(code):
+            # Absorbing states collapse onto the terminal index.
+            absorbing_codes.append(code)
+            if terminal_index < 0:
+                terminal_index = t_idx
+                boundary.append(terminal_state(n))
+                boundary_weights.append(1)
+            index_of[code] = terminal_index
+            return terminal_index
+        target = coder.decode(code)
+        weight = 1
+        if fold:
+            other = mirror(target)
+            index_of[coder.code(other)] = t_idx
+            weight = 1 if other == target else 2
+            if other.links < target.links:
+                target = other
+        index_of[code] = t_idx
+        boundary.append(target)
+        boundary_weights.append(weight)
+        return t_idx
 
     # The boundary list doubles as the BFS queue: states are expanded in
     # index order, and the terminal state is never expanded.
     s_idx = 0
     while s_idx < len(boundary):
-        if s_idx == terminal_index:
-            a_arcs.append(())
-            s_idx += 1
-            continue
-        aged = age_links(boundary[s_idx])
-        s_idx += 1
-        pairs = sorted(generation_pairs(aged))
-        arcs: dict[tuple[int, int, int], int] = {}
-        for mask in range(1 << len(pairs)):
-            chosen = [pairs[b] for b in range(len(pairs)) if mask >> b & 1]
-            r = apply_generation(aged, chosen)
-            weight = 1
-            if fold:
-                r, other = _mirror_pair(r)
-                weight = 1 if r == other else 2
-            r_idx = intermediate_index.get(r)
-            if r_idx is None:
-                r_idx = intermediate_index[r] = len(intermediates)
+        if s_idx != terminal_index:
+            children = generation_outcomes(age_links(boundary[s_idx]))
+            attempts = len(children).bit_length() - 1
+            # Every intermediate state has one parent (fresh links have age
+            # 0 and ageing adds 1 to every other age), so children are new
+            # states; only a self-mirrored parent folds two onto one.
+            folded_children: dict[ChainState, int] = {}
+            for mask, r in enumerate(children):
+                weight = 1
+                if fold:
+                    r, other = _mirror_pair(r)
+                    r_idx = folded_children.get(r)
+                    if r_idx is not None:
+                        gen_mult[r_idx] += 1
+                        continue
+                    folded_children[r] = len(intermediates)
+                    gen_mult.append(1)
+                    weight = 1 if r == other else 2
                 intermediates.append(r)
                 intermediate_weights.append(weight)
-                acts = action_space(r)
+                successes = mask.bit_count()
+                gen_successes.append(successes)
+                gen_failures.append(attempts - successes)
+                acts, shapes, codes = coder.swap_codes(r)
                 actions.append(acts)
-                tables = []
-                for a in acts:
-                    sizes, outcomes = swap_outcomes(r, a, t_cut)
-                    rows = []
-                    for out_mask, target in outcomes:
-                        if is_absorbing(target):
-                            # Absorbing states collapse onto the terminal index.
-                            raw_absorbing.add(encode_state(target))
-                            if terminal_index < 0:
-                                terminal_index = len(boundary)
-                                boundary.append(term)
-                                boundary_weights.append(1)
-                            rows.append((out_mask, terminal_index))
-                            continue
-                        t_idx = boundary_links.get(target.links)
+                targets = list(map(index_of.get, codes))
+                if None in targets:
+                    for j, t_idx in enumerate(targets):
                         if t_idx is None:
-                            t_idx = len(boundary)
-                            weight = 1
-                            if fold:
-                                target, other = _mirror_pair(target)
-                                boundary_links[other.links] = t_idx
-                                weight = 1 if target == other else 2
-                            boundary_links[target.links] = t_idx
-                            boundary.append(target)
-                            boundary_weights.append(weight)
-                        rows.append((out_mask, t_idx))
-                    tables.append(BTable(sizes, tuple(rows)))
-                b_arcs.append(tuple(tables))
+                            targets[j] = add_target(codes[j])
+                outcome_targets.extend(targets)
+                shape_per_row.extend(shapes)
+                row_offsets.append(len(shape_per_row))
                 if len(boundary) + len(intermediates) > state_cap:
                     raise StateCapExceeded(
                         f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}"
                     )
-            key = (r_idx, len(chosen), len(pairs) - len(chosen))
-            arcs[key] = arcs.get(key, 0) + 1
-        a_arcs.append(tuple((r, k, m, mult) for (r, k, m), mult in arcs.items()))
+        child_offsets.append(len(intermediates))
+        s_idx += 1
+    row_shape = np.frombuffer(shape_per_row, dtype=np.int16)
+    outcomes_per_shape = np.array([1 << len(sizes) for sizes in coder.shapes], dtype=np.int64)
+    outcome_offsets = np.zeros(len(row_shape) + 1, dtype=np.int64)
+    np.cumsum(outcomes_per_shape[row_shape], out=outcome_offsets[1:])
     # The terminal state is always reached: from the empty state every link
     # can be generated fresh and every swap can succeed.
     return StateSpace(
         params=params,
         boundary_states=tuple(boundary),
         intermediate_states=tuple(intermediates),
-        boundary_index={s: i for i, s in enumerate(boundary)},
-        intermediate_index=intermediate_index,
         terminal_index=terminal_index,
         actions=tuple(actions),
-        raw_absorbing=frozenset(raw_absorbing),
-        a_arcs=tuple(a_arcs),
-        b_arcs=tuple(b_arcs),
+        raw_absorbing=frozenset(encode_state(coder.decode(code)) for code in absorbing_codes),
+        child_offsets=np.array(child_offsets, dtype=np.int64),
+        gen_successes=np.array(gen_successes, dtype=np.int8),
+        gen_failures=np.array(gen_failures, dtype=np.int8),
+        gen_mult=np.array(gen_mult, dtype=np.int8) if fold else None,
+        row_offsets=np.array(row_offsets, dtype=np.int64),
+        run_shapes=tuple(coder.shapes),
+        row_shape=row_shape,
+        outcome_offsets=outcome_offsets,
+        outcome_targets=np.frombuffer(outcome_targets, dtype=np.int32),
         boundary_weights=np.array(boundary_weights, dtype=np.int8),
         intermediate_weights=np.array(intermediate_weights, dtype=np.int8),
         folded=fold,

@@ -8,6 +8,7 @@ from repeaterchain.chain import (
     ChainState,
     InvalidStateError,
     Link,
+    StateCodes,
     age_links,
     apply_cutoff,
     apply_generation,
@@ -22,11 +23,11 @@ from repeaterchain.chain import (
     mirror_action,
     resolve_swaps,
     state_from_links,
-    swap_outcomes,
     swap_runs,
     valid_swap_nodes,
 )
 from repeaterchain.statespace import enumerate_states
+from test_walk_reference import reference_swap_outcomes
 
 
 def mk(n, links, intermediate=False):
@@ -302,9 +303,20 @@ def per_node_distribution(r, action, t_cut, ps):
     return brute
 
 
+def coded_outcomes(r, action, t_cut):
+    """Run sizes and ``(mask, end-of-slot state)`` per survival mask, from the walk's coded kernel."""
+    coder = StateCodes(r.n, t_cut)
+    actions, shapes, codes = coder.swap_codes(r)
+    a = actions.index(frozenset(action))
+    start = sum(1 << len(coder.shapes[shape]) for shape in shapes[:a])
+    sizes = coder.shapes[shapes[a]]
+    own = codes[start : start + (1 << len(sizes))]
+    return sizes, [(mask, coder.decode(code)) for mask, code in enumerate(own)]
+
+
 def run_grouped_distribution(r, action, t_cut, ps):
-    """End-of-slot distribution from swap_outcomes' per-run survival masks."""
-    sizes, outcomes = swap_outcomes(r, action, t_cut)
+    """End-of-slot distribution from the coded kernel's per-run survival masks."""
+    sizes, outcomes = coded_outcomes(r, action, t_cut)
     grouped: dict = {}
     for mask, state in outcomes:
         prob = 1.0
@@ -315,14 +327,16 @@ def run_grouped_distribution(r, action, t_cut, ps):
 
 
 def assert_same_distribution(r, action, t_cut):
+    # The coded kernel reproduces the uncached outcome enumeration exactly.
+    assert coded_outcomes(r, action, t_cut) == reference_swap_outcomes(r, action, t_cut)
     for ps in (0.3, 0.75):
         brute = per_node_distribution(r, action, t_cut, ps)
         grouped = run_grouped_distribution(r, action, t_cut, ps)
         assert set(brute) == set(grouped)
         for state, prob in brute.items():
             assert grouped[state] == pytest.approx(prob, abs=1e-12)
-            # Outcomes skip the re-sort of the public constructor; their
-            # link order must still be the sorted one.
+            # Decoded outcomes skip the re-sort of the public constructor;
+            # their link order must still be the sorted one.
             assert state.links == tuple(sorted(state.links))
 
 
@@ -343,8 +357,8 @@ class TestSwapOutcomes:
             assert cases >= 30
 
     def test_same_endpoints_different_ages(self):
-        # Run structures are cached by link endpoints and action, without
-        # ages: states sharing endpoints must still get their own ages, merged
+        # Run structures are cached by link endpoints, without ages: states
+        # sharing endpoints must still get their own ages, merged
         # maxima and cutoffs.  Here the untouched link (1, 2) and the merged
         # link (2, 4) fall on opposite sides of t_cut=2 in the two states, and
         # the end-to-end link of the full run stays whatever its age.
@@ -354,19 +368,19 @@ class TestSwapOutcomes:
         for action in ([3], [2, 3, 4], [2, 4]):
             assert_same_distribution(young, action, t_cut)
             assert_same_distribution(old, action, t_cut)
-            assert swap_outcomes(young, action, t_cut)[1] != swap_outcomes(old, action, t_cut)[1]
-        _, outcomes = swap_outcomes(old, [3], t_cut)
+            assert coded_outcomes(young, action, t_cut)[1] != coded_outcomes(old, action, t_cut)[1]
+        _, outcomes = coded_outcomes(old, [3], t_cut)
         assert [s.links for _, s in outcomes] == [
             (Link(4, 5, 0),),
             (Link(4, 5, 0),),
         ]
-        _, outcomes = swap_outcomes(young, [3], t_cut)
+        _, outcomes = coded_outcomes(young, [3], t_cut)
         assert [s.links for _, s in outcomes] == [
             (Link(1, 2, 0), Link(4, 5, 1)),
             (Link(1, 2, 0), Link(2, 4, 1), Link(4, 5, 1)),
         ]
-        assert swap_outcomes(young, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 1),)
-        assert swap_outcomes(old, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 2),)
+        assert coded_outcomes(young, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 1),)
+        assert coded_outcomes(old, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 2),)
 
 
 class TestEncoding:

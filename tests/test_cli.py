@@ -213,6 +213,24 @@ class TestCompare:
             assert self.baseline_t(folded, spec) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize("spec", ["modified:", "modified:,"])
+    def test_modified_baseline_without_nodes_is_an_error(self, tmp_path, capsys, enumerations, command, spec):
+        # An empty node list is not swap-asap under another label.
+        out = tmp_path / "grid.csv"
+        code = run(
+            [command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2,
+             "--baseline", "swap-asap", "--baseline", spec]
+            + (["--out", out] if command == "sweep" else [])
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: baseline policy {spec!r} names no nodes (swap-asap withholds none)\n"
+        assert captured.out == ""
+        assert enumerations == []
+        assert not out.exists()
+
+
 class TestSweep:
     def test_single_point_matches_compare(self, tmp_path):
         out = tmp_path / "grid.csv"
@@ -468,3 +486,22 @@ class TestConfigFile:
             l for l in capsys.readouterr().out.splitlines() if "T_opt" in l
         ][0]
         assert float(out_b.split("=")[1]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("stats", {"n": [4, 5], "p": 0.5, "ps": 0.5, "tcut": 2}),
+            ("solve", {"n": 4, "p": 0.5, "ps": 0.5, "tcut": [2]}),
+            ("simulate", {"n": 4, "p": 0.5, "ps": 0.5, "tcut": 2, "trials": {"count": 10}}),
+            ("sweep", {"n": [[4]], "p": 0.5, "ps": 0.5, "tcut": 2}),
+        ],
+        ids=["stats-n-list", "solve-tcut-list", "simulate-trials-object", "sweep-nested-list"],
+    )
+    def test_list_for_a_single_value_is_an_error(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        code = run([command, "--config", cfg, "--out", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

@@ -11,7 +11,7 @@ from repeaterchain.chain import (
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy, _composed_matrix
 from repeaterchain.statespace import enumerate_states, terminal_state
-from test_walk_reference import reference_partition
+from test_walk_reference import PROBABILITY_POINTS, reference_partition
 
 
 def build(n, t_cut, p=0.5, p_s=0.5):
@@ -235,7 +235,7 @@ class TestBunch:
 class TestRespecialized:
     """A structure built at one (p, p_s) materializes exactly as one built at another."""
 
-    POINTS = [(0.3, 0.8), (1.0, 0.5), (0.6, 1.0), (1.0, 1.0)]
+    POINTS = PROBABILITY_POINTS
 
     @staticmethod
     def assert_same_csr(a, b):

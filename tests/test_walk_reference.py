@@ -1,11 +1,18 @@
 """The one-walk constructions against the constructions they replaced.
 
-``enumerate_states`` records the transition arcs while it discovers states,
-and ``swap_outcomes`` reuses cached run structures.  The reference below is
-the earlier construction, kept here only as a test oracle: one breadth-first
-walk to list the states, a second walk over every state to record the
-arcs, and an uncached ``swap_outcomes`` that builds each outcome from the
-public ``ChainState`` constructor.
+``enumerate_states`` records the transitions while it discovers states, as
+flat integer arrays, and resolves swap outcomes by code arithmetic
+(``StateCodes.swap_codes``).  The reference below is the earlier
+construction, kept here only as a test oracle: one breadth-first walk to
+list the states, a second walk over every state to record the arcs, and an
+uncached ``swap_outcomes`` that builds each outcome from the public
+``ChainState`` constructor.  The walk's arrays are compared through
+:func:`arc_view`, which rebuilds the per-state arc tuples from them.
+
+``TransitionModel`` builds P_A and the choice table from those arrays with
+numpy; :func:`reference_phase_a_matrix` and :func:`reference_choice_table`
+are the Python loops over arc tuples that it replaced, and the two must
+agree byte for byte.
 
 ``enumerate_states(..., fold=True)`` folds mirror images during the walk.
 Its reference is the post-hoc fold it replaced: partition the unfolded
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repeaterchain.chain import (
     ChainParams,
@@ -37,11 +45,10 @@ from repeaterchain.chain import (
     mirror_action,
     swap_runs,
 )
+from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy, ValueTable
 from repeaterchain.statespace import (
-    BTable,
     StateCapExceeded,
-    StateSpace,
     action_space,
     enumerate_states,
     terminal_state,
@@ -141,6 +148,88 @@ def reference_arcs(params):
     return tuple(a_arcs), tuple(b_arcs)
 
 
+@dataclass(frozen=True)
+class ArcView:
+    """States, actions and per-state arc tuples of a space.
+
+    ``a_arcs[s]`` holds the phase-A arcs of boundary state ``s`` as
+    ``(intermediate index, successes, failures, multiplicity)`` and
+    ``b_arcs[r][a]`` the swap outcomes of intermediate state ``r`` under
+    action ``actions[r][a]`` as ``(run sizes, ((mask, target index), ...))``.
+    """
+
+    boundary_states: tuple
+    intermediate_states: tuple
+    actions: tuple
+    a_arcs: tuple
+    b_arcs: tuple
+
+
+def arc_view(space) -> ArcView:
+    """The arc tuples that a space's flat transition arrays describe."""
+    succ = space.gen_successes.tolist()
+    fail = space.gen_failures.tolist()
+    mult = [1] * space.num_intermediate if space.gen_mult is None else space.gen_mult.tolist()
+    children = space.child_offsets.tolist()
+    assert len(children) == space.num_boundary + 1
+    a_arcs = tuple(
+        tuple((r, succ[r], fail[r], mult[r]) for r in range(children[s], children[s + 1]))
+        for s in range(space.num_boundary)
+    )
+    rows = space.row_offsets.tolist()
+    shapes = space.row_shape.tolist()
+    outs = space.outcome_offsets.tolist()
+    targets = space.outcome_targets.tolist()
+    assert len(rows) == space.num_intermediate + 1 and rows[-1] == len(shapes)
+    assert len(outs) == len(shapes) + 1 and outs[-1] == len(targets)
+    b_arcs = []
+    for r in range(space.num_intermediate):
+        assert rows[r + 1] - rows[r] == len(space.actions[r])
+        tables = []
+        for j in range(rows[r], rows[r + 1]):
+            sizes = space.run_shapes[shapes[j]]
+            assert outs[j + 1] - outs[j] == 1 << len(sizes)
+            tables.append((sizes, tuple(enumerate(targets[outs[j] : outs[j + 1]]))))
+        b_arcs.append(tuple(tables))
+    return ArcView(
+        space.boundary_states, space.intermediate_states, space.actions, a_arcs, tuple(b_arcs)
+    )
+
+
+def reference_phase_a_matrix(view, num_boundary, num_intermediate, p):
+    rows, cols, data = [], [], []
+    for s_idx, arcs in enumerate(view.a_arcs):
+        for r_idx, k, m, mult in arcs:
+            prob = mult * p**k * (1.0 - p) ** m
+            if prob > 0.0:
+                rows.append(s_idx)
+                cols.append(r_idx)
+                data.append(prob)
+    return sp.coo_matrix((data, (rows, cols)), shape=(num_boundary, num_intermediate)).tocsr()
+
+
+def reference_choice_table(view, num_boundary, ps):
+    offsets = np.zeros(len(view.b_arcs) + 1, dtype=np.int64)
+    rows, cols, data = [], [], []
+    row = 0
+    for r_idx, tables in enumerate(view.b_arcs):
+        offsets[r_idx] = row
+        for run_sizes, outcomes in tables:
+            survive = [ps**k for k in run_sizes]
+            for mask, s_idx in outcomes:
+                prob = 1.0
+                for b, q in enumerate(survive):
+                    prob *= q if mask >> b & 1 else 1.0 - q
+                if prob > 0.0:
+                    rows.append(row)
+                    cols.append(s_idx)
+                    data.append(prob)
+            row += 1
+    offsets[-1] = row
+    matrix = sp.coo_matrix((data, (rows, cols)), shape=(row, num_boundary)).tocsr()
+    return matrix, offsets
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("t_cut", [1, 2, 3])
 def test_one_walk_matches_two_pass_reference(n, t_cut):
@@ -154,15 +243,56 @@ def test_one_walk_matches_two_pass_reference(n, t_cut):
     assert space.actions == tuple(actions)
     assert space.terminal_index == term
     assert space.raw_absorbing == frozenset(raw)
-    assert space.a_arcs == ref_a
-    got_b = tuple(
-        tuple((table.run_sizes, table.outcomes) for table in tables) for tables in space.b_arcs
-    )
-    assert got_b == ref_b
+    view = arc_view(space)
+    assert view.a_arcs == ref_a
+    assert view.b_arcs == ref_b
     for i, s in enumerate(space.boundary_states):
         assert space.boundary_index[s] == i
     for i, r in enumerate(space.intermediate_states):
         assert space.intermediate_index[r] == i
+
+
+# (p, p_s) points at which structures are materialized; p = 1 and p_s = 1
+# make some arc probabilities zero, which both builds drop.
+PROBABILITY_POINTS = [(0.3, 0.8), (1.0, 0.5), (0.6, 1.0), (1.0, 1.0)]
+
+
+def has_merged_outcomes(view) -> bool:
+    """True if some choice row sends two survival masks to the same target.
+
+    A run whose merged link reaches the cutoff lands where its failure
+    does, so the choice table sums two entries in one cell.
+    """
+    return any(
+        len({t for _, t in outcomes}) < len(outcomes)
+        for tables in view.b_arcs
+        for _, outcomes in tables
+    )
+
+
+# (7, 1) adds actions with three runs, whose survival product rounds
+# differently when its factors are taken in another order.
+@pytest.mark.parametrize("fold", [False, True])
+@pytest.mark.parametrize("n, t_cut", [(n, t) for n in (3, 4, 5) for t in (1, 2, 3)] + [(7, 1)])
+def test_matrices_match_python_loop_reference(n, t_cut, fold):
+    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut), fold=fold)
+    view = arc_view(space)
+    if n > 3:
+        assert has_merged_outcomes(view)
+    if n == 7:
+        assert (1, 1, 1) in space.run_shapes
+    model = TransitionModel.build(space)
+    for p, p_s in PROBABILITY_POINTS:
+        got = model.respecialized(p, p_s)
+        want_a = reference_phase_a_matrix(view, space.num_boundary, space.num_intermediate, p)
+        want_b, want_offsets = reference_choice_table(view, space.num_boundary, p_s)
+        choices = got.choice_table()
+        assert choices.offsets.tobytes() == want_offsets.tobytes()
+        for matrix, want in ((got.phase_a_matrix(), want_a), (choices.matrix, want_b)):
+            assert matrix.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                assert getattr(matrix, name).dtype == getattr(want, name).dtype
+                assert getattr(matrix, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("n, t_cut", [(4, 2), (5, 2)])
@@ -229,7 +359,31 @@ def reference_partition(space) -> SymmetryPartition:
     )
 
 
-def reference_fold(space) -> StateSpace:
+@dataclass(frozen=True)
+class FoldReference(ArcView):
+    """A post-hoc fold: representatives, their weights and their arc tuples."""
+
+    boundary_weights: np.ndarray
+    intermediate_weights: np.ndarray
+
+    @property
+    def num_boundary(self) -> int:
+        return len(self.boundary_states)
+
+    @property
+    def num_intermediate(self) -> int:
+        return len(self.intermediate_states)
+
+    @property
+    def boundary_index(self) -> dict:
+        return {s: i for i, s in enumerate(self.boundary_states)}
+
+    @property
+    def intermediate_index(self) -> dict:
+        return {r: i for i, r in enumerate(self.intermediate_states)}
+
+
+def reference_fold(space) -> FoldReference:
     """Fold an unfolded space onto its canonical representatives after the walk.
 
     All probability mass flowing to a non-representative state is redirected
@@ -237,6 +391,7 @@ def reference_fold(space) -> StateSpace:
     their multiplicities summed.  Kept states keep their relative order.
     """
     split = reference_partition(space)
+    view = arc_view(space)
 
     def reduce_states(states, index, part):
         keep = part.sym | part.half_one
@@ -246,19 +401,19 @@ def reference_fold(space) -> StateSpace:
         for i, s in enumerate(states):
             rep[i] = new_index[i] if i in keep else new_index[index[canonical(s)]]
         weights = np.array([1 if i in part.sym else 2 for i in kept], dtype=np.int8)
-        return kept, new_index, rep, weights
+        return kept, rep, weights
 
-    b_kept, b_new, b_rep, b_weights = reduce_states(
+    b_kept, b_rep, b_weights = reduce_states(
         space.boundary_states, space.boundary_index, split.boundary
     )
-    i_kept, _, i_rep, i_weights = reduce_states(
+    i_kept, i_rep, i_weights = reduce_states(
         space.intermediate_states, space.intermediate_index, split.intermediate
     )
 
     a_arcs = []
     for old_idx in b_kept:
         merged: dict[tuple[int, int, int], int] = {}
-        for r_idx, k, m, mult in space.a_arcs[old_idx]:
+        for r_idx, k, m, mult in view.a_arcs[old_idx]:
             key = (int(i_rep[r_idx]), k, m)
             merged[key] = merged.get(key, 0) + mult
         a_arcs.append(tuple((r, k, m, mult) for (r, k, m), mult in merged.items()))
@@ -266,27 +421,18 @@ def reference_fold(space) -> StateSpace:
     b_arcs = []
     for old_idx in i_kept:
         tables = []
-        for table in space.b_arcs[old_idx]:
-            outcomes = tuple((mask, int(b_rep[s_idx])) for mask, s_idx in table.outcomes)
-            tables.append(BTable(table.run_sizes, outcomes))
+        for run_sizes, outcomes in view.b_arcs[old_idx]:
+            tables.append((run_sizes, tuple((mask, int(b_rep[s_idx])) for mask, s_idx in outcomes)))
         b_arcs.append(tuple(tables))
 
-    boundary_states = tuple(space.boundary_states[i] for i in b_kept)
-    intermediate_states = tuple(space.intermediate_states[i] for i in i_kept)
-    return StateSpace(
-        params=space.params,
-        boundary_states=boundary_states,
-        intermediate_states=intermediate_states,
-        boundary_index={s: i for i, s in enumerate(boundary_states)},
-        intermediate_index={s: i for i, s in enumerate(intermediate_states)},
-        terminal_index=b_new[space.terminal_index],
+    return FoldReference(
+        boundary_states=tuple(space.boundary_states[i] for i in b_kept),
+        intermediate_states=tuple(space.intermediate_states[i] for i in i_kept),
         actions=tuple(space.actions[i] for i in i_kept),
-        raw_absorbing=space.raw_absorbing,
         a_arcs=tuple(a_arcs),
         b_arcs=tuple(b_arcs),
         boundary_weights=b_weights,
         intermediate_weights=i_weights,
-        folded=True,
     )
 
 
@@ -313,24 +459,24 @@ def expand_values(space, bunched_space, table) -> ValueTable:
     return ValueTable(values=values, iterations=table.iterations, residual=table.residual)
 
 
-def arcs_by_state(space):
-    """Both arc kinds with indices replaced by the states they name.
+def arcs_by_state(view):
+    """Both arc kinds of an :class:`ArcView` with indices replaced by the states they name.
 
     Phase A: multiset of (state, child, k, m, mult).  Phase B: a map from
     (intermediate state, action, survival mask) to (run sizes, target state).
     """
     a = Counter(
-        (space.boundary_states[s], space.intermediate_states[r], k, m, mult)
-        for s, arcs in enumerate(space.a_arcs)
+        (view.boundary_states[s], view.intermediate_states[r], k, m, mult)
+        for s, arcs in enumerate(view.a_arcs)
         for r, k, m, mult in arcs
     )
     b = {}
-    for r, tables in enumerate(space.b_arcs):
-        for action, table in zip(space.actions[r], tables):
-            for mask, t in table.outcomes:
-                key = (space.intermediate_states[r], action, mask)
+    for r, tables in enumerate(view.b_arcs):
+        for action, (run_sizes, outcomes) in zip(view.actions[r], tables):
+            for mask, t in outcomes:
+                key = (view.intermediate_states[r], action, mask)
                 assert key not in b
-                b[key] = (table.run_sizes, space.boundary_states[t])
+                b[key] = (run_sizes, view.boundary_states[t])
     return a, b
 
 
@@ -356,7 +502,7 @@ def test_folded_walk_matches_post_hoc_fold(n, t_cut):
         j = ref.intermediate_index[r]
         assert space.actions[i] == ref.actions[j]
         assert space.intermediate_weights[i] == ref.intermediate_weights[j]
-    assert arcs_by_state(space) == arcs_by_state(ref)
+    assert arcs_by_state(arc_view(space)) == arcs_by_state(ref)
 
 
 @pytest.mark.parametrize("n, t_cut", [(4, 2), (5, 2)])
