@@ -101,10 +101,12 @@ class _Options:
                 raise ValueError("config file must hold a JSON object")
 
     def get(self, name: str):
-        value = getattr(self._args, name, None)
-        if value is None:
-            value = self._cfg.get(name, self._defaults.get(name))
-        return value
+        """The flag, else the config file's value, else the default; ``null`` counts as absent."""
+        for source in (vars(self._args), self._cfg, self._defaults):
+            value = source.get(name)
+            if value is not None:
+                return value
+        return None
 
     def require(self, name: str):
         value = self.get(name)
@@ -131,7 +133,6 @@ _SOLVER_DEFAULTS = {
     "bunch": False,
     "state_cap": DEFAULT_STATE_CAP,
     "workers": 1,
-    "eval_method": "direct",
 }
 
 _SIM_DEFAULTS = {"trials": 100_000, "seed": 0, "max_slots": 1_000_000}
@@ -152,14 +153,8 @@ def _add_chain(sp: argparse.ArgumentParser, lists: bool = False) -> None:
 
 def _add_solver(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--method", choices=["vi", "pi"], help="value or policy iteration")
-    sp.add_argument("--epsilon", type=float, help="sweep convergence tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration cap")
-    sp.add_argument(
-        "--eval-method",
-        dest="eval_method",
-        choices=["direct", "sweep"],
-        help="fixed-policy evaluation: sparse solve or iterative sweeps",
-    )
+    sp.add_argument("--epsilon", type=float, help="value-iteration convergence tolerance")
+    sp.add_argument("--max-iter", dest="max_iter", type=int, help="value-iteration sweep cap")
     sp.add_argument(
         "--bunch",
         action=argparse.BooleanOptionalAction,
@@ -172,7 +167,6 @@ def _solver_config(opt: _Options) -> SolverConfig:
     return SolverConfig(
         epsilon=opt.single("epsilon", float),
         max_iterations=opt.single("max_iter", int),
-        evaluation=opt.single("eval_method"),
     )
 
 
@@ -211,8 +205,10 @@ class _Structure:
 
     def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
         model = self.model.respecialized(p, p_s)
-        solve = policy_iteration if method == "pi" else value_iteration
-        table, policy = solve(model.space, model, config)
+        if method == "pi":
+            table, policy = policy_iteration(model.space, model)
+        else:
+            table, policy = value_iteration(model.space, model, config)
         return _Solution(self, model, table, policy)
 
 
@@ -238,7 +234,7 @@ class _Solution:
         params = self.model.params
         return self.structure.full_model().respecialized(params.p, params.p_s)
 
-    def baseline_t0(self, spec: str, config: SolverConfig) -> float:
+    def baseline_t0(self, spec: str) -> float:
         """Delivery time of a baseline policy from the empty state.
 
         A baseline that withholds a mirror-symmetric node set acts on mirror
@@ -249,7 +245,7 @@ class _Solution:
         symmetric = mirror_action(withheld, self.model.params.n) == withheld
         model = self.model if symmetric else self.full
         policy = modified_full_state_policy(model.space, withheld)
-        return evaluate_policy(model.space, model, policy, config).t0
+        return evaluate_policy(model.space, model, policy).t0
 
 
 def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
@@ -339,28 +335,48 @@ def write_policy_json(path, space, policy) -> None:
         fh.write("\n")
 
 
+def _is_policy_entry(entry) -> bool:
+    """Whether ``entry`` is a ``{"state": [int, ...], "action": [int, ...]}`` object."""
+    return isinstance(entry, dict) and all(
+        isinstance(entry.get(key), list) and all(isinstance(v, int) for v in entry[key])
+        for key in ("state", "action")
+    )
+
+
 def load_policy_json(path, space) -> Policy:
     """Read a policy export and bind it to an enumerated space.
 
     The file must describe exactly the space's intermediate states (same n,
-    same t_cut, same state set); anything else is a mismatch error.
+    same t_cut, same state set), each once with one of its available
+    actions; anything else is a ``ValueError`` naming the problem.
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("policy file must hold a JSON object")
     params = space.params
     if doc.get("n") != params.n or doc.get("t_cut") != params.t_cut:
         raise ValueError(
             f"policy file is for n={doc.get('n')}, t_cut={doc.get('t_cut')}; "
             f"expected n={params.n}, t_cut={params.t_cut}"
         )
-    entries = doc["policy"]
+    entries = doc.get("policy")
+    if not isinstance(entries, list):
+        raise ValueError("policy file needs a 'policy' list of state/action entries")
     actions: list[frozenset[int] | None] = [None] * space.num_intermediate
     for entry in entries:
+        if not _is_policy_entry(entry):
+            raise ValueError(f"policy entry needs a 'state' and an 'action' list of integers: {entry!r}")
         state = decode_state(entry["state"], params.n, intermediate=True)
         idx = space.intermediate_index.get(state)
         if idx is None:
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}")
-        actions[idx] = frozenset(entry["action"])
+        if actions[idx] is not None:
+            raise ValueError(f"policy file lists state {entry['state']} twice")
+        action = frozenset(entry["action"])
+        if action not in space.actions[idx]:
+            raise ValueError(f"action {entry['action']} is not available in state {entry['state']}")
+        actions[idx] = action
     missing = sum(1 for a in actions if a is None)
     if missing:
         raise ValueError(f"policy file misses {missing} enumerated intermediate states")
@@ -424,7 +440,7 @@ def cmd_compare(opt: _Options) -> int:
     t_opt = solution.table.t0
     print(f"T_opt = {_fmt(t_opt)}")
     for spec in baselines:
-        t_base = solution.baseline_t0(spec, config)
+        t_base = solution.baseline_t0(spec)
         adv = relative_advantage(t_base, t_opt)
         print(f"T[{spec}] = {_fmt(t_base)}   advantage = {_fmt(adv)} ({100 * adv:.3f}%)")
     return 0
@@ -448,11 +464,7 @@ def _sweep_group(points: list[dict]) -> list[dict]:
         }
         try:
             params = ChainParams(n=point["n"], p=point["p"], p_s=point["ps"], t_cut=point["tcut"])
-            config = SolverConfig(
-                epsilon=point["epsilon"],
-                max_iterations=point["max_iter"],
-                evaluation=point["eval_method"],
-            )
+            config = SolverConfig(epsilon=point["epsilon"], max_iterations=point["max_iter"])
             t0 = time.perf_counter()
             if structure is None and build_error is None:
                 try:
@@ -469,7 +481,7 @@ def _sweep_group(points: list[dict]) -> list[dict]:
             row["iterations"] = solution.table.iterations
             row["T_opt"] = _fmt(t_opt)
             for spec in point["baselines"]:
-                t_base = solution.baseline_t0(spec, config)
+                t_base = solution.baseline_t0(spec)
                 key = spec.replace(":", "_").replace(",", "_").replace("-", "_")
                 row[f"T_{key}"] = _fmt(t_base)
                 row[f"advantage_{key}"] = _fmt(relative_advantage(t_base, t_opt))
@@ -496,7 +508,6 @@ def cmd_sweep(opt: _Options) -> int:
             "baselines": baselines,
             "epsilon": opt.single("epsilon", float),
             "max_iter": opt.single("max_iter", int),
-            "eval_method": opt.single("eval_method"),
             "method": opt.single("method"),
             "bunch": opt.single("bunch", bool),
             "state_cap": opt.single("state_cap", int),

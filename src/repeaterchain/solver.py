@@ -55,23 +55,19 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Convergence tolerance and iteration limits.
+    """Value-iteration tolerance and sweep limit.
 
-    ``epsilon`` bounds the max-norm difference between successive sweeps.
-    ``evaluation`` selects how fixed policies are evaluated: ``"direct"``
-    solves the sparse linear system, ``"sweep"`` iterates the update until
-    ``epsilon``.
+    ``epsilon`` bounds the max-norm difference between successive sweeps;
+    ``max_iterations`` caps their number.  Fixed policies, and so policy
+    iteration, are evaluated by a direct sparse solve with nothing to set.
     """
 
     epsilon: float = 1e-7
     max_iterations: int = 1_000_000
-    evaluation: str = "direct"
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.evaluation not in ("direct", "sweep"):
-            raise ValueError(f"unknown evaluation method {self.evaluation!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,9 @@ class Policy:
 class ValueTable:
     """Expected delivery times on slot-boundary states.
 
-    ``iterations`` counts sweeps (evaluation, value iteration) or
-    improvement rounds (policy iteration); ``residual`` is the final
-    max-norm sweep difference (0 for direct solves).
+    ``iterations`` counts value-iteration sweeps or policy-iteration
+    rounds (1 for a fixed-policy evaluation); ``residual`` is value
+    iteration's final max-norm sweep difference (0 for direct solves).
     """
 
     values: np.ndarray
@@ -206,12 +202,6 @@ def _choice_indices(space: StateSpace, policy: Policy, offsets: np.ndarray) -> n
     return idx
 
 
-def _composed_matrix(space: StateSpace, model: TransitionModel, policy: Policy) -> sp.csr_matrix:
-    choices = model.choice_table()
-    rows = _choice_indices(space, policy, choices.offsets)
-    return model.phase_a_matrix() @ choices.matrix[rows]
-
-
 def _nonterminal_solve(space: StateSpace, composed: sp.csr_matrix) -> np.ndarray:
     term = space.terminal_index
     keep = np.arange(space.num_boundary) != term
@@ -233,43 +223,21 @@ def _nonterminal_solve(space: StateSpace, composed: sp.csr_matrix) -> np.ndarray
     return values
 
 
-def _sweep_evaluate(
-    space: StateSpace, composed: sp.csr_matrix, config: SolverConfig
-) -> tuple[np.ndarray, int, float]:
-    term = space.terminal_index
-    values = np.zeros(space.num_boundary)
-    for it in range(1, config.max_iterations + 1):
-        new = 1.0 + composed @ values
-        new[term] = 0.0
-        residual = float(np.max(np.abs(new - values)))
-        values = new
-        if residual <= config.epsilon:
-            return values, it, residual
-    raise ConvergenceError(
-        f"policy evaluation did not converge in {config.max_iterations} sweeps "
-        f"(residual {residual:.3e})"
-    )
+def _composed_matrix(model: TransitionModel, rows: np.ndarray) -> sp.csr_matrix:
+    """One-slot matrix of the policy that takes choice-table row ``rows[r]`` in state ``r``."""
+    return model.phase_a_matrix() @ model.choice_table().matrix[rows]
 
 
-def evaluate_policy(
-    space: StateSpace,
-    model: TransitionModel,
-    policy: Policy,
-    config: SolverConfig | None = None,
-) -> ValueTable:
+def evaluate_policy(space: StateSpace, model: TransitionModel, policy: Policy) -> ValueTable:
     """Expected delivery time of a fixed policy from every slot-boundary state.
 
-    Solves the linear fixed-point equations either directly (sparse LU) or
-    by iterative sweeps, per ``config.evaluation``.  Raises
-    :class:`ConvergenceError` for policies that never deliver.
+    Solves the linear fixed-point equations directly by sparse LU, so the
+    values are exact up to roundoff.  Raises :class:`ConvergenceError` for
+    policies that never deliver.
     """
-    config = config or SolverConfig()
-    composed = _composed_matrix(space, model, policy)
-    if config.evaluation == "direct":
-        values = _nonterminal_solve(space, composed)
-        return ValueTable(values=values, iterations=1, residual=0.0)
-    values, iterations, residual = _sweep_evaluate(space, composed, config)
-    return ValueTable(values=values, iterations=iterations, residual=residual)
+    rows = _choice_indices(space, policy, model.choice_table().offsets)
+    values = _nonterminal_solve(space, _composed_matrix(model, rows))
+    return ValueTable(values=values, iterations=1)
 
 
 def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -328,47 +296,36 @@ def value_iteration(
     return ValueTable(values=values, iterations=it, residual=residual), policy
 
 
-def policy_iteration(
-    space: StateSpace,
-    model: TransitionModel,
-    config: SolverConfig | None = None,
-    initial_policy: Policy | None = None,
-) -> tuple[ValueTable, Policy]:
+def policy_iteration(space: StateSpace, model: TransitionModel) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by alternating evaluation and greedy improvement.
 
-    Starts from swap-asap unless ``initial_policy`` is given.  The
-    improvement step keeps the incumbent action unless a strictly better one
-    exists, which guarantees termination; switched actions follow the
-    deterministic tie-break order.
+    Starts from swap-asap.  The improvement step keeps the incumbent action
+    unless a strictly better one exists, which guarantees termination;
+    switched actions follow the deterministic tie-break order.
     """
-    config = config or SolverConfig()
     choices = model.choice_table()
-    policy = initial_policy or swap_asap_policy(space)
-    current = _choice_indices(space, policy, choices.offsets)
-    table = evaluate_policy(space, model, policy, config)
+    current = _choice_indices(space, swap_asap_policy(space), choices.offsets)
+    values = _nonterminal_solve(space, _composed_matrix(model, current))
     for rounds in range(1, MAX_POLICY_ITERATIONS + 1):
-        q = choices.matrix @ table.values
+        q = choices.matrix @ values
         first = _greedy_choices(q, choices.offsets)
         improved = q[first] < q[current]
         if not np.any(improved):
-            return (
-                ValueTable(values=table.values, iterations=rounds, residual=table.residual),
-                policy,
-            )
+            break
         current = np.where(improved, first, current)
-        policy = _rows_to_policy(space, current, choices.offsets)
-        new_table = evaluate_policy(space, model, policy, config)
+        new_values = _nonterminal_solve(space, _composed_matrix(model, current))
         # Evaluation roundoff can make value-equivalent actions look strictly
         # better and flip forever; once a round stops lowering any value
         # beyond noise level, the incumbent policy set is value-optimal.
-        gain = float(np.max(table.values - new_table.values))
-        scale = max(1.0, float(np.max(np.abs(table.values))))
-        table = new_table
+        gain = float(np.max(values - new_values))
+        scale = max(1.0, float(np.max(np.abs(values))))
+        values = new_values
         if gain <= 1e-10 * scale:
-            return (
-                ValueTable(values=table.values, iterations=rounds + 1, residual=table.residual),
-                policy,
-            )
-    raise ConvergenceError(
-        f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} rounds"
-    )
+            rounds += 1
+            break
+    else:
+        raise ConvergenceError(
+            f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} rounds"
+        )
+    policy = _rows_to_policy(space, current, choices.offsets)
+    return ValueTable(values=values, iterations=rounds), policy

@@ -9,7 +9,6 @@ from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import SimConfig, estimate
 from repeaterchain.solver import (
-    SolverConfig,
     evaluate_policy,
     modified_full_state_policy,
     policy_iteration,
@@ -45,7 +44,7 @@ def fresh_solve(params, method, use_bunch):
     model = TransitionModel.build(space)
     solved = TransitionModel.build(enumerate_states(params, fold=True)) if use_bunch else model
     solve = policy_iteration if method == "pi" else value_iteration
-    table, policy = solve(solved.space, solved, SolverConfig())
+    table, policy = solve(solved.space, solved)
     return space, model, solved, table, policy
 
 
@@ -322,10 +321,8 @@ class TestSweep:
             )
             space, model, solved, table, _ = fresh_solve(params, method, flag == "--bunch")
             # swap-asap is mirror-symmetric: the CLI evaluates it on the solved model.
-            base = evaluate_policy(
-                solved.space, solved, swap_asap_policy(solved.space), SolverConfig()
-            )
-            full = evaluate_policy(space, model, swap_asap_policy(space), SolverConfig())
+            base = evaluate_policy(solved.space, solved, swap_asap_policy(solved.space))
+            full = evaluate_policy(space, model, swap_asap_policy(space))
             assert base.t0 == pytest.approx(full.t0, rel=1e-12, abs=0)
             assert row["T_opt"] == f"{table.t0:.17g}"
             assert row["T_swap_asap"] == f"{base.t0:.17g}"
@@ -413,6 +410,84 @@ class TestSimulate:
         assert "policy file" in capsys.readouterr().err
 
 
+class TestPolicyFile:
+    """``load_policy_json`` names what is wrong with a malformed policy file."""
+
+    @pytest.fixture
+    def space(self):
+        return enumerate_states(ChainParams(n=3, p=0.5, p_s=0.5, t_cut=1))
+
+    @pytest.fixture
+    def doc(self, space):
+        return {
+            "n": 3,
+            "t_cut": 1,
+            "policy": [
+                {"state": list(encode_state(r)), "action": sorted(a)}
+                for r, a in swap_asap_policy(space).state_map(space).items()
+            ],
+        }
+
+    def load(self, tmp_path, space, doc):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        return load_policy_json(path, space)
+
+    def test_non_object_document(self, tmp_path, space, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            self.load(tmp_path, space, doc["policy"])
+
+    def test_missing_policy(self, tmp_path, space, doc):
+        del doc["policy"]
+        with pytest.raises(ValueError, match="'policy' list"):
+            self.load(tmp_path, space, doc)
+
+    def test_non_list_policy(self, tmp_path, space, doc):
+        doc["policy"] = {"state": doc["policy"][0]["state"], "action": []}
+        with pytest.raises(ValueError, match="'policy' list"):
+            self.load(tmp_path, space, doc)
+
+    @pytest.mark.parametrize("key", ["state", "action"])
+    def test_entry_without_key(self, tmp_path, space, doc, key):
+        del doc["policy"][0][key]
+        with pytest.raises(ValueError, match="needs a 'state' and an 'action'"):
+            self.load(tmp_path, space, doc)
+
+    @pytest.mark.parametrize(
+        "key, value", [("state", ["a", "b", "c"]), ("action", [[2]]), ("action", 2)]
+    )
+    def test_entry_that_is_not_a_list_of_integers(self, tmp_path, space, doc, key, value):
+        doc["policy"][0][key] = value
+        with pytest.raises(ValueError, match="list of integers"):
+            self.load(tmp_path, space, doc)
+
+    def test_state_listed_twice(self, tmp_path, space, doc):
+        doc["policy"].append(dict(doc["policy"][0]))
+        with pytest.raises(ValueError, match="twice"):
+            self.load(tmp_path, space, doc)
+
+    def test_action_unavailable_in_its_state(self, tmp_path, space, doc):
+        empty = [entry for entry in doc["policy"] if max(entry["state"]) < 0][0]
+        empty["action"] = [2]
+        with pytest.raises(ValueError, match="not available"):
+            self.load(tmp_path, space, doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n": 3, "t_cut": 1}, [{"n": 3, "t_cut": 1}]],
+        ids=["missing-policy", "top-level-list"],
+    )
+    def test_simulate_reports_an_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code = run(["simulate", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
+                    "--policy", path, "--trials", 10, "--out", tmp_path / "sim"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy file")
+        assert err.count("\n") == 1
+
+
 class TestStates:
     def test_three_node_report(self, tmp_path, capsys):
         out = tmp_path / "states.json"
@@ -486,6 +561,21 @@ class TestConfigFile:
             l for l in capsys.readouterr().out.splitlines() if "T_opt" in l
         ][0]
         assert float(out_b.split("=")[1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_null_takes_the_default(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 3, "p": 0.5, "ps": 0.5, "tcut": 1, "trials": None}))
+        code = run(["simulate", "--config", cfg, "--out", tmp_path / "sim"])
+        assert code == 0
+        summary = json.load(open(tmp_path / "sim" / "summary.json"))
+        assert summary["trials"] == cli._SIM_DEFAULTS["trials"]
+
+    def test_null_for_a_required_option_is_missing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": None, "p": 0.5, "ps": 0.5, "tcut": 1}))
+        code = run(["simulate", "--config", cfg, "--trials", 10, "--out", tmp_path / "sim"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: missing required option --n\n"
 
     @pytest.mark.parametrize(
         "command, config",

@@ -9,7 +9,7 @@ from repeaterchain.chain import (
     valid_swap_nodes,
 )
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.solver import Policy, _composed_matrix
+from repeaterchain.solver import Policy, _choice_indices, _composed_matrix
 from repeaterchain.statespace import enumerate_states, terminal_state
 from test_walk_reference import PROBABILITY_POINTS, reference_partition
 
@@ -31,7 +31,8 @@ def inter_idx(space, links):
 
 def composed_row(space, model, actions, s_idx):
     """Row ``s_idx`` of the one-slot matrix the solver evaluates for a policy."""
-    row = _composed_matrix(space, model, Policy(tuple(actions))).getrow(s_idx)
+    rows = _choice_indices(space, Policy(tuple(actions)), model.choice_table().offsets)
+    row = _composed_matrix(model, rows).getrow(s_idx)
     return dict(zip(row.indices.tolist(), row.data.tolist()))
 
 

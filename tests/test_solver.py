@@ -8,6 +8,7 @@ from repeaterchain.solver import (
     Policy,
     SolverConfig,
     _greedy_choices,
+    baseline_rule,
     evaluate_policy,
     modified_full_state_policy,
     policy_iteration,
@@ -47,16 +48,6 @@ class TestEvaluate:
         space, model = build(3, 1, p=0.5, p_s=0.5)
         table = evaluate_policy(space, model, swap_asap_policy(space))
         assert table.t0 == pytest.approx(6.0, abs=1e-10)
-
-    def test_sweep_and_direct_agree(self):
-        space, model = build(4, 2, p=0.5, p_s=0.5)
-        policy = swap_asap_policy(space)
-        direct = evaluate_policy(space, model, policy, SolverConfig(evaluation="direct"))
-        sweep = evaluate_policy(space, model, policy, SolverConfig(evaluation="sweep"))
-        assert np.max(np.abs(direct.values - sweep.values)) <= 1e-6 * max(
-            1.0, float(np.max(direct.values))
-        )
-        assert sweep.iterations > 1 and sweep.residual <= 1e-7
 
     def test_terminal_value_zero_and_others_at_least_one(self):
         space, model = build(4, 2, p=0.7, p_s=0.8)
@@ -109,6 +100,31 @@ class TestPolicies:
             modified_full_state_policy(space, {1})
 
 
+class TestBaselineRule:
+    def test_swap_asap_takes_the_last_action_of_every_state(self):
+        space, _ = build(5, 3, p=0.5, p_s=0.5)
+        rule = baseline_rule(5)
+        for r, actions in zip(space.intermediate_states, space.actions):
+            assert rule(r) == actions[-1]
+
+    def test_withholding_acts_only_where_every_interior_node_can_swap(self):
+        space, _ = build(5, 3, p=0.5, p_s=0.5)
+        asap, modified = baseline_rule(5), baseline_rule(5, {3})
+        full_states = 0
+        for r, actions in zip(space.intermediate_states, space.actions):
+            if actions[-1] == {2, 3, 4}:
+                full_states += 1
+                assert modified(r) == {2, 4}
+            else:
+                assert modified(r) == asap(r)
+        assert full_states > 0
+
+    @pytest.mark.parametrize("withheld", [{1}, {5}])
+    def test_end_nodes_cannot_be_withheld(self, withheld):
+        with pytest.raises(ValueError):
+            baseline_rule(5, withheld)
+
+
 class TestOptimalSolvers:
     @pytest.mark.parametrize("p,ps", [(0.2, 0.4), (0.5, 0.5), (0.8, 1.0), (1.0, 0.3)])
     def test_three_node_closed_form(self, p, ps):
@@ -129,7 +145,7 @@ class TestOptimalSolvers:
     def test_three_node_swap_asap_stays_optimal(self):
         space, model = build(3, 2, p=0.6, p_s=0.5)
         asap = swap_asap_policy(space)
-        table, policy = policy_iteration(space, model, initial_policy=asap)
+        table, policy = policy_iteration(space, model)
         assert policy == asap
         assert table.iterations >= 1
         base = evaluate_policy(space, model, asap)
