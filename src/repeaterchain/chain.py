@@ -18,8 +18,8 @@ One time slot consists of four phases:
 
 States are immutable values; every operation returns a new state.
 :class:`StateCodes` gives the states of one ``(n, t_cut)`` integer codes,
-under which phases 3 and 4 become code arithmetic; the enumeration walk
-uses them to resolve swaps without building states.
+under which every phase is digit arithmetic on whole batches of states;
+the enumeration walk runs on codes and builds no states.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "ChainParams",
@@ -44,7 +46,6 @@ __all__ = [
     "decode_state",
     "empty_state",
     "encode_state",
-    "generation_outcomes",
     "generation_pairs",
     "is_absorbing",
     "mirror",
@@ -204,22 +205,6 @@ def apply_generation(state: ChainState, successes: Iterable[tuple[int, int]]) ->
     return ChainState(n=state.n, links=state.links + tuple(new), intermediate=True)
 
 
-def generation_outcomes(state: ChainState) -> list[ChainState]:
-    """Every result of phase 2 on an aged state, one per success mask.
-
-    Entry ``mask`` is :func:`apply_generation` with the pairs ``b`` of
-    ``sorted(generation_pairs(state))`` whose bit ``b`` is set.
-    """
-    fresh = [Link(i, j, 0) for i, j in sorted(generation_pairs(state))]
-    outcomes = []
-    for mask in range(1 << len(fresh)):
-        links = list(state.links)
-        links += [link for b, link in enumerate(fresh) if mask >> b & 1]
-        links.sort()
-        outcomes.append(_sorted_state(state.n, tuple(links), True))
-    return outcomes
-
-
 def valid_swap_nodes(state: ChainState) -> set[int]:
     """Interior nodes currently holding one link per side, i.e. able to swap."""
     lefts = {l.left for l in state.links}
@@ -331,137 +316,290 @@ _Run = tuple[int, int, tuple[int, ...]]
 @lru_cache(maxsize=None)
 def _swap_template(
     n: int, pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[frozenset[int], ...], tuple[tuple[_Run, ...], ...]]:
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], tuple[_Run, ...], np.ndarray]:
     """Age-free run structure of every swap action on links with these endpoints.
 
-    Returns the actions of :func:`action_space`, in its order, and the runs
-    of each action, left to right, with sources given as positions in
-    ``pairs``.  A run with ``k`` swaps merges ``k + 1`` links.
+    Returns the actions of :func:`action_space`, in its order; each
+    action's per-run swap counts, runs left to right; the distinct runs of
+    all actions, with sources given as positions in ``pairs``; and one row
+    per outcome, action after action and survival mask after mask (bit
+    ``b`` set: run ``b`` survived), holding ``2 * j`` for each failed run
+    ``j`` of the action and ``2 * j + 1`` for each surviving one, padded
+    with -1 to the ``(n - 1) // 2`` runs an action can have at most.  A run
+    with ``k`` swaps merges ``k + 1`` links.
     """
     # Each probe link carries its position in ``pairs`` as its age, so the
     # runs report which input links they consume.
     probe = _sorted_state(n, tuple(Link(l, r, i) for i, (l, r) in enumerate(pairs)))
     actions = action_space(probe)
-    runs = []
+    width = (n - 1) // 2
+    # Actions share runs: each distinct run is resolved once per state.
+    run_ids: dict[_Run, int] = {}
+    sizes, outcomes = [], []
     for action in actions:
-        runs.append(tuple(
+        runs = [
             (links[0].left, links[-1].right, tuple(l.age for l in links))
             for links, _ in swap_runs(probe, action)
-        ))
-    return actions, tuple(runs)
+        ]
+        sizes.append(tuple(len(sources) - 1 for _, _, sources in runs))
+        ids = [run_ids.setdefault(run, len(run_ids)) for run in runs]
+        pad = [-1] * (width - len(ids))
+        for mask in range(1 << len(ids)):
+            outcomes.append([2 * j + (mask >> b & 1) for b, j in enumerate(ids)] + pad)
+    outcomes = np.array(outcomes, dtype=np.int64)
+    outcomes.flags.writeable = False  # shared by every caller of the cache
+    return actions, tuple(sizes), tuple(run_ids), outcomes
+
+
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and rank of every part when item ``i`` has ``counts[i]`` parts, laid out item by item."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
 
 
 class StateCodes:
     """Integer codes for the states of an ``n``-node chain with cutoff ``t_cut``.
 
-    A state's code is ``sum((age + 1) * base**k)`` over its links, where ``k``
-    is the position of the link's node pair in :func:`encode_state` order and
-    ``base = t_cut + 2``: one digit per node pair, 0 for an absent pair.  No
-    age exceeds ``t_cut`` before the cutoff, so every state of the chain has
-    its own code.
+    Digit ``l - 1`` of a code (``l = 1 .. n - 1``, digit 0 least significant)
+    describes the link that leaves node ``l``: 0 if there is none, else
+    ``1 + (right - l - 1) * (t_cut + 1) + age``, so its radix is
+    ``1 + (n - l) * (t_cut + 1)``.  No age exceeds ``t_cut`` before the
+    cutoff, so every state of the chain has its own code, and ageing,
+    generation, swaps and the cutoff change digits without carries.  A
+    link keeps its digit under mirroring; only its position moves.  Codes
+    are int64, which holds every chain up to ``n = 12`` at ``t_cut = 7``;
+    larger ones raise :class:`ValueError`.
 
-    :meth:`swap_codes` resolves a swap action by code arithmetic: the
-    end-of-slot code of each survival mask is the code of the links the
-    action leaves alone and the cutoff keeps, plus one term per surviving
-    run.  It keeps the run structure of each link-endpoint pattern (from
-    :func:`_swap_template`) for all of that pattern's actions, and interns
-    each action's per-run swap counts in :attr:`shapes`.
+    The methods work on batches, as int64 code arrays or as ``(states,
+    n - 1)`` digit arrays: :meth:`generation`, :meth:`canonical` and
+    :meth:`swap_outcomes` are the phases of the enumeration walk, and
+    :meth:`states` decodes codes into :class:`ChainState` values.
     """
 
     def __init__(self, n: int, t_cut: int):
         self.n = n
         self.t_cut = t_cut
-        self.base = t_cut + 2
-        self._pairs = tuple(combinations(range(1, n + 1), 2))
-        self._weight = {pair: self.base**k for k, pair in enumerate(self._pairs)}
-        self._end_weight = self._weight[1, n]
+        span = t_cut + 1
+        radix = [1 + (n - l) * span for l in range(1, n)]
+        weight = [1]
+        for r in radix[:-1]:
+            weight.append(weight[-1] * r)
+        if weight[-1] * radix[-1] > np.iinfo(np.int64).max:
+            raise ValueError(f"state codes of an n={n}, t_cut={t_cut} chain do not fit in 64 bits")
+        self._radix = np.array(radix, dtype=np.int64)
+        self._weight = np.array(weight, dtype=np.int64)
+        # Digits run up to radix[0] - 1; radix[0] itself stands for "no link"
+        # when rows of digits are compared.
+        self._dtype = np.min_scalar_type(radix[0])
+        #: Code of the collapsed absorbing state: one end-to-end link of age 0.
+        self.terminal_code = 1 + (n - 2) * span
         #: Distinct per-run swap-count tuples, in order of first use.
         self.shapes: list[tuple[int, ...]] = []
         self._shape_index: dict[tuple[int, ...], int] = {}
-        self._plans: dict[tuple[tuple[int, int], ...], tuple] = {}
+        self._plan_of: dict[int, int] = {}
+        self._plans: list[tuple] = []
+        self._tables: dict[str, np.ndarray] | None = None
 
-    def code(self, state: ChainState) -> int:
-        weight = self._weight
-        return sum((l.age + 1) * weight[l.left, l.right] for l in state.links)
+    # -- conversions -------------------------------------------------------------
 
-    def is_absorbing(self, code: int) -> bool:
-        """True iff the coded state holds an end-to-end link."""
-        return code // self._end_weight % self.base != 0
+    def digits(self, codes) -> np.ndarray:
+        """The ``(len(codes), n - 1)`` digit array of int64 codes."""
+        rest = np.asarray(codes, dtype=np.int64)
+        out = np.empty((len(rest), self.n - 1), dtype=self._dtype)
+        for i, radix in enumerate(self._radix.tolist()):
+            rest, out[:, i] = np.divmod(rest, radix)
+        return out
 
-    def decode(self, code: int) -> ChainState:
-        """The slot-boundary state with this code (absorbing ones included)."""
-        links = []
-        for left, right in self._pairs:
-            if not code:
-                break
-            code, digit = divmod(code, self.base)
-            if digit:
-                links.append(Link(left, right, digit - 1))
-        # Pairs run in sorted order, so the links come out sorted.
-        return _sorted_state(self.n, tuple(links))
+    def codes(self, digits: np.ndarray) -> np.ndarray:
+        """The int64 codes of a digit array."""
+        return digits.astype(np.int64) @ self._weight
 
-    def _plan(self, pairs: tuple[tuple[int, int], ...]) -> tuple:
-        actions, action_runs = _swap_template(self.n, pairs)
-        weight, n = self._weight, self.n
-        # Actions share runs: each distinct run is resolved once per state.
-        run_ids: dict[_Run, int] = {}
-        shapes, rows = [], []
-        for runs in action_runs:
-            sizes = tuple(len(sources) - 1 for _, _, sources in runs)
-            shape = self._shape_index.get(sizes)
-            if shape is None:
-                shape = self._shape_index[sizes] = len(self.shapes)
-                self.shapes.append(sizes)
-            shapes.append(shape)
-            rows.append(tuple(run_ids.setdefault(run, len(run_ids)) for run in runs))
-        runs = tuple((weight[l, r], l == 1 and r == n, sources) for l, r, sources in run_ids)
-        return actions, tuple(shapes), tuple(weight[pair] for pair in pairs), runs, tuple(rows)
+    def is_absorbing(self, codes) -> np.ndarray:
+        """True where the coded state holds an end-to-end link."""
+        return np.asarray(codes) % self._radix[0] >= self.terminal_code
 
-    def swap_codes(
-        self, state: ChainState
-    ) -> tuple[tuple[frozenset[int], ...], tuple[int, ...], list[int]]:
-        """Every swap action of an intermediate state and its end-of-slot codes.
+    def states(self, codes, intermediate: bool = False) -> tuple[ChainState, ...]:
+        """The states with these codes, all slot-boundary or all intermediate."""
+        span, n = self.t_cut + 1, self.n
+        links = [
+            [None] + [Link(l, l + 1 + (d - 1) // span, (d - 1) % span) for d in range(1, radix)]
+            for l, radix in enumerate(self._radix.tolist(), start=1)
+        ]
+        # Digits run in left-endpoint order, so the links come out sorted.
+        return tuple(
+            _sorted_state(n, tuple([links[i][d] for i, d in enumerate(row) if d]), intermediate)
+            for row in self.digits(codes).tolist()
+        )
 
-        Returns :func:`action_space` of ``state``; per action, the index of
-        its per-run swap counts in :attr:`shapes`; and, action after action,
-        one code per survival mask (bit ``b`` set: run ``b`` survived), so an
-        action with ``k`` runs has ``2**k`` codes.  A surviving run becomes
-        one link between its outer endpoints with the oldest input age; then
-        the cutoff discards every link of age ``t_cut`` except an end-to-end
-        link.  So an outcome's code is the code of the links the cutoff
-        keeps, less the runs' input links, plus each surviving run's link.
+    # -- mirroring -----------------------------------------------------------------
+
+    def mirror(self, digits: np.ndarray) -> np.ndarray:
+        """Digits of the mirror images: link ``(l, r)`` moves to position ``n - r``."""
+        rows, lefts = np.nonzero(digits)
+        held = digits[rows, lefts]
+        out = np.zeros_like(digits)
+        out[rows, self.n - 2 - lefts - (held.astype(np.int64) - 1) // (self.t_cut + 1)] = held
+        return out
+
+    def canonical(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Digits of each state's representative (``chain.canonical``), and which states are self-mirrored.
+
+        ``links <= mirror(links)`` compares sorted link tuples; digits are
+        in left-endpoint order, so that is a row-wise comparison of the two
+        digit rows with an absent link sorting last.  A state and its mirror
+        hold equally many links, so neither can be a proper prefix of the other.
         """
-        links = state.links
-        pairs = tuple([l[:2] for l in links])
-        plan = self._plans.get(pairs)
-        if plan is None:
-            plan = self._plans[pairs] = self._plan(pairs)
-        actions, shapes, weights, runs, rows = plan
+        mirrored = self.mirror(digits)
+        absent = self._radix[0]
+        key = np.where(digits == 0, absent, digits)
+        mirror_key = np.where(mirrored == 0, absent, mirrored)
+        differ = key != mirror_key
+        first = differ.argmax(axis=1)
+        rows = np.arange(len(digits))
+        keep = key[rows, first] <= mirror_key[rows, first]
+        return np.where(keep[:, None], digits, mirrored), ~differ.any(axis=1)
+
+    # -- the slot phases -------------------------------------------------------------
+
+    def generation(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Phases 1 and 2 of a batch of slot-boundary states: every aged child.
+
+        A state with ``k`` free neighbour pairs (:func:`generation_pairs`)
+        has ``2**k`` children; child ``mask`` holds a fresh link on the
+        ``b``-th free pair from the left where bit ``b`` is set.  Absorbing
+        states have none.  Returns each child's parent (its row in
+        ``digits``), its digits, its successful attempts and its parent's
+        attempts, children in parent order, then mask order.
+        """
+        held = digits > 0
+        # A link blocks the pair to the right of its left end and the pair
+        # to the left of its right end: a link of length k that leaves node
+        # l blocks the pairs at positions l - 1 and l + k - 2.
+        rows, lefts = np.nonzero(held)
+        ends = lefts + (digits[rows, lefts].astype(np.int64) - 1) // (self.t_cut + 1)
+        free = ~held
+        free[rows, ends] = False
+        attempts = free.sum(axis=1)
+        counts = np.where(digits[:, 0] < self.terminal_code, 1 << attempts, 0)
+        owner, mask = _segments(counts)
+        rank = np.cumsum(free, axis=1) - free
+        fresh = (mask[:, None] >> rank[owner]) & free[owner]
+        children = (digits + held)[owner] + fresh.astype(digits.dtype)
+        return owner, children, fresh.sum(axis=1), attempts[owner]
+
+    def swap_outcomes(self, digits: np.ndarray) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+        """Phases 3 and 4 of a batch of intermediate states, for every swap action.
+
+        Returns, per state, its :func:`action_space` and its number of
+        actions; the index in :attr:`shapes` of each action's per-run swap
+        counts, state after state; and the end-of-slot codes, state after
+        state, action after action, one per survival mask (bit ``b`` set:
+        run ``b`` survived), so an action with ``k`` runs has ``2**k``.  A
+        surviving run becomes one link between its outer endpoints with the
+        oldest input age; then the cutoff discards every link of age
+        ``t_cut`` except an end-to-end link.  So an outcome's code is the
+        code of the links the cutoff keeps, less the runs' input links, plus
+        each surviving run's link.  The run structure of each link layout
+        comes from :func:`_swap_template`, once per layout.
+        """
         t_cut = self.t_cut
-        ages = [l[2] for l in links]
+        d = digits.astype(np.int64)
+        age = (d - 1) % (t_cut + 1)  # t_cut where there is no link
+        # Each state's link layout: its digits with every age set to 0.
+        layout = np.where(d > 0, d - age, 0)
+        keys, first, inverse = np.unique(layout @ self._weight, return_index=True, return_inverse=True)
+        for u in np.argsort(first).tolist():
+            if int(keys[u]) not in self._plan_of:
+                self._add_plan(int(keys[u]), layout[first[u]])
+        plans = np.array([self._plan_of[k] for k in keys.tolist()], dtype=np.int64)[inverse]
+        tab = self._swap_tables()
+
         # Each link's term, or 0 if the cutoff discards it when left alone.
-        live = [(age + 1) * w if age < t_cut else 0 for age, w in zip(ages, weights)]
-        kept = sum(live)
-        consumed, merged, alone = [], [], []
-        for w, end_to_end, sources in runs:
-            lost = sum([live[i] for i in sources])
-            age = max([ages[i] for i in sources])
-            term = (age + 1) * w if age < t_cut or end_to_end else 0
-            consumed.append(lost)
-            merged.append(term)
-            alone.append((kept - lost, kept - lost + term))
-        codes = []
-        for row in rows:
-            if len(row) == 1:
-                # The commonest action: one run, failed or survived.
-                codes += alone[row[0]]
-                continue
-            out = [kept - sum([consumed[j] for j in row])]
-            for j in row:
-                term = merged[j]
-                out += [c + term for c in out]
-            codes += out
-        return actions, shapes, codes
+        live = np.where(age < t_cut, d * self._weight, 0)
+        kept = live.sum(axis=1)
+        # Every run of every state: the terms it consumes and the link it makes.
+        width = self.n  # a padding column past the last digit
+        live = np.pad(live, ((0, 0), (0, 1))).ravel()
+        age = np.pad(age, ((0, 0), (0, 1)), constant_values=-1).ravel()
+        num_runs = tab["num_runs"][plans]
+        run_state, rank = _segments(num_runs)
+        run = tab["run_start"][plans][run_state] + rank
+        sources = run_state[:, None] * width + tab["run_sources"][run]
+        lost = live[sources].sum(axis=1)
+        run_age = age[sources].max(axis=1)
+        del sources
+        term = np.where(
+            (run_age < t_cut) | tab["run_end_to_end"][run],
+            (tab["run_digit"][run] + run_age) * tab["run_weight"][run],
+            0,
+        )
+        # Run j of the batch contributes values[2j] when it fails and
+        # values[2j + 1] when it survives; values[-1] pads.
+        values = np.zeros(2 * len(run) + 1, dtype=np.int64)
+        values[0:-1:2] = -lost
+        values[1:-1:2] = term - lost
+        del lost, term, run_age
+
+        out_state, rank = _segments(tab["num_outcomes"][plans])
+        outcome = tab["out_start"][plans][out_state] + rank
+        run_base = 2 * (np.cumsum(num_runs) - num_runs)[out_state]
+        codes = kept[out_state]
+        for entries in tab["out_entries"].T:
+            entry = entries[outcome]
+            codes += values[np.where(entry < 0, len(values) - 1, run_base + entry)]
+
+        row_state, rank = _segments(tab["num_actions"][plans])
+        row_shape = tab["row_shape"][tab["row_start"][plans][row_state] + rank]
+        actions = [self._plans[p][0] for p in plans.tolist()]
+        return actions, tab["num_actions"][plans], row_shape, codes
+
+    def _add_plan(self, key: int, layout: np.ndarray) -> None:
+        """Register the swap actions of one link layout (digits at age 0)."""
+        n, span = self.n, self.t_cut + 1
+        lefts = np.flatnonzero(layout).tolist()
+        pairs = tuple((l + 1, l + 2 + (int(layout[l]) - 1) // span) for l in lefts)
+        actions, sizes, runs, outcomes = _swap_template(n, pairs)
+        shapes = []
+        for shape_sizes in sizes:
+            shape = self._shape_index.get(shape_sizes)
+            if shape is None:
+                shape = self._shape_index[shape_sizes] = len(self.shapes)
+                self.shapes.append(shape_sizes)
+            shapes.append(shape)
+        # Per run: its input links' digit positions (padded with the
+        # position past the last digit), and its merged link's digit at age
+        # 0, place value and whether the cutoff spares it.
+        sources = np.full((len(runs), n - 1), n - 1, dtype=np.int64)
+        for j, (_, _, positions) in enumerate(runs):
+            sources[j, : len(positions)] = [lefts[i] for i in positions]
+        plan = {
+            "row_shape": np.array(shapes, dtype=np.int16),
+            "run_sources": sources,
+            "run_digit": np.array([1 + (r - l - 1) * span for l, r, _ in runs], dtype=np.int64),
+            "run_weight": self._weight[[l - 1 for l, _, _ in runs]],
+            "run_end_to_end": np.array([l == 1 and r == n for l, r, _ in runs], dtype=bool),
+            "out_entries": outcomes,
+        }
+        self._plan_of[key] = len(self._plans)
+        self._plans.append((actions, plan))
+        self._tables = None
+
+    def _swap_tables(self) -> dict[str, np.ndarray]:
+        """The registered layouts' tables, concatenated, with per-layout counts and starts."""
+        if self._tables is None:
+            plans = [plan for _, plan in self._plans]
+            tables = {name: np.concatenate([plan[name] for plan in plans]) for name in plans[0]}
+            for table, count, start in [
+                ("row_shape", "num_actions", "row_start"),
+                ("run_digit", "num_runs", "run_start"),
+                ("out_entries", "num_outcomes", "out_start"),
+            ]:
+                counts = np.array([len(plan[table]) for plan in plans], dtype=np.int64)
+                tables[count] = counts
+                tables[start] = np.cumsum(counts) - counts
+            self._tables = tables
+        return self._tables
 
 
 def mirror(state: ChainState) -> ChainState:

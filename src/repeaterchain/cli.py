@@ -63,28 +63,42 @@ def _fmt(x: float) -> str:
 
 
 def _items(value) -> list:
-    """A config-file list, or the non-blank fields of comma-separated text; never empty."""
+    """A config-file list, the non-blank fields of comma-separated text, or one value; never empty."""
     if isinstance(value, (list, tuple)):
         items = list(value)
-        if not all(isinstance(v, (str, int, float)) for v in items):
-            raise ValueError(f"expected a list of numbers, got {value!r}")
+    elif isinstance(value, str):
+        items = [v for v in value.split(",") if v.strip()]
     else:
-        items = [v for v in str(value).split(",") if v.strip()]
+        items = [value]
     if not items:
         raise ValueError(f"empty list of values: {value!r}")
     return items
 
 
-def _floats(value) -> list[float]:
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    return [float(v) for v in _items(value)]
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
 
 
-def _ints(value) -> list[int]:
-    if isinstance(value, int):
-        return [value]
-    return [int(v) for v in _items(value)]
+def _typed(name: str, value, kind, flag_text: bool):
+    """``value`` as ``kind`` (int, float or bool), if it has that JSON type.
+
+    Numbers also come as text from flags, which must then spell one;
+    nothing else is converted, so ``true`` is no integer, ``2.5`` no
+    integer and ``"false"`` no boolean.
+    """
+    if kind is bool or isinstance(value, bool):
+        valid = isinstance(value, bool) and kind is bool
+    elif isinstance(value, str):
+        valid = flag_text
+        try:
+            kind(value)
+        except ValueError:
+            valid = False
+    else:
+        valid = isinstance(value, int) or (kind is float and isinstance(value, float))
+    if not valid:
+        shown = value if flag_text and isinstance(value, str) else json.dumps(value)
+        raise ValueError(f"option --{name.replace('_', '-')} takes {_KINDS[kind]}, got {shown}")
+    return kind(value)
 
 
 class _Options:
@@ -100,30 +114,46 @@ class _Options:
             if not isinstance(self._cfg, dict):
                 raise ValueError("config file must hold a JSON object")
 
-    def get(self, name: str):
-        """The flag, else the config file's value, else the default; ``null`` counts as absent."""
-        for source in (vars(self._args), self._cfg, self._defaults):
+    def _lookup(self, name: str, required: bool = False) -> tuple:
+        """The flag, else the config file's value, else the default, and whether it is flag text.
+
+        ``null`` counts as absent.
+        """
+        flags = vars(self._args)
+        for source in (flags, self._cfg, self._defaults):
             value = source.get(name)
             if value is not None:
-                return value
-        return None
-
-    def require(self, name: str):
-        value = self.get(name)
-        if value is None:
+                return value, source is flags and isinstance(value, str)
+        if required:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return value
+        return None, False
+
+    def get(self, name: str):
+        return self._lookup(name)[0]
 
     def single(self, name: str, kind=None, required: bool = False):
-        """A one-valued option, converted by ``kind`` unless absent.
+        """A one-valued option, as ``kind`` (int, float or bool) unless absent.
 
         A config file can hold a list or an object where the flag takes one
         value; that is a usage error, not a value to convert.
         """
-        value = self.require(name) if required else self.get(name)
+        value, flag_text = self._lookup(name, required)
         if isinstance(value, (list, dict)):
             raise ValueError(f"option --{name.replace('_', '-')} takes one value, got {value!r}")
-        return value if kind is None or value is None else kind(value)
+        return value if kind is None or value is None else _typed(name, value, kind, flag_text)
+
+    def ints(self, name: str) -> list[int]:
+        """A required list option of integers.
+
+        A flag gives comma-separated text, a config file a list or one number.
+        """
+        value, flag_text = self._lookup(name, required=True)
+        return [_typed(name, v, int, flag_text) for v in _items(value)]
+
+    def floats(self, name: str) -> list[float]:
+        """A required list option of numbers, given like :meth:`ints`."""
+        value, flag_text = self._lookup(name, required=True)
+        return [_typed(name, v, float, flag_text) for v in _items(value)]
 
 
 _SOLVER_DEFAULTS = {
@@ -494,10 +524,10 @@ def _sweep_group(points: list[dict]) -> list[dict]:
 
 
 def cmd_sweep(opt: _Options) -> int:
-    ns = _ints(opt.require("n"))
-    ps = _floats(opt.require("p"))
-    pss = _floats(opt.require("ps"))
-    tcuts = _ints(opt.require("tcut"))
+    ns = opt.ints("n")
+    ps = opt.floats("p")
+    pss = opt.floats("ps")
+    tcuts = opt.ints("tcut")
     baselines = _baselines(opt)
     points = [
         {
@@ -631,9 +661,9 @@ def cmd_states(opt: _Options) -> int:
 
 def cmd_stats(opt: _Options) -> int:
     n = opt.single("n", int, required=True)
-    ps_list = _floats(opt.require("p"))
-    pss = _floats(opt.require("ps"))
-    tcuts = _ints(opt.require("tcut"))
+    ps_list = opt.floats("p")
+    pss = opt.floats("ps")
+    tcuts = opt.ints("tcut")
     config = _solver_config(opt)
     grid = [
         ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)

@@ -148,13 +148,19 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState]
 
 
 def swap_asap_policy(space: StateSpace) -> Policy:
-    """Swap at every node that holds two links, in every state."""
-    return modified_full_state_policy(space, ())
+    """Swap at every node that holds two links, in every state.
+
+    That is each state's last action: :func:`~repeaterchain.chain.action_space`
+    ends with the full eligible set, so no state is decoded.
+    """
+    return Policy(tuple(actions[-1] for actions in space.actions))
 
 
 def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
     """Swap-asap, except that in full states the given nodes do not swap."""
     rule = baseline_rule(space.params.n, withheld)
+    if not withheld:
+        return swap_asap_policy(space)
     return Policy(tuple(map(rule, space.intermediate_states)))
 
 
@@ -299,12 +305,13 @@ def value_iteration(
 def policy_iteration(space: StateSpace, model: TransitionModel) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by alternating evaluation and greedy improvement.
 
-    Starts from swap-asap.  The improvement step keeps the incumbent action
-    unless a strictly better one exists, which guarantees termination;
-    switched actions follow the deterministic tie-break order.
+    Starts from swap-asap, the last choice row of every state.  The
+    improvement step keeps the incumbent action unless a strictly better
+    one exists, which guarantees termination; switched actions follow the
+    deterministic tie-break order.
     """
     choices = model.choice_table()
-    current = _choice_indices(space, swap_asap_policy(space), choices.offsets)
+    current = choices.offsets[1:] - 1
     values = _nonterminal_solve(space, _composed_matrix(model, current))
     for rounds in range(1, MAX_POLICY_ITERATIONS + 1):
         q = choices.matrix @ values

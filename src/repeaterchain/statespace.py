@@ -22,8 +22,8 @@ halves the states without changing any delivery time.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -33,11 +33,7 @@ from .chain import (
     Link,
     StateCodes,
     action_space,
-    age_links,
-    empty_state,
     encode_state,
-    generation_outcomes,
-    mirror,
 )
 
 __all__ = [
@@ -68,7 +64,10 @@ def terminal_state(n: int) -> ChainState:
 class StateSpace:
     """Indexed reachable states of a chain, plus per-state action lists.
 
-    ``boundary_states[0]`` is the empty state and
+    States are stored as their :class:`~repeaterchain.chain.StateCodes`
+    codes, ``boundary_codes`` and ``intermediate_codes``;
+    ``boundary_states`` and ``intermediate_states`` decode them on first
+    use.  ``boundary_states[0]`` is the empty state and
     ``boundary_states[terminal_index]`` the collapsed absorbing state.
     ``raw_absorbing`` keeps the age-vector encodings of the absorbing states
     as they were actually produced, before collapsing.
@@ -91,13 +90,14 @@ class StateSpace:
 
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2).
-    ``boundary_index`` and ``intermediate_index`` map states to indices;
-    they are built on first use and shared by respecialized copies.
+    ``boundary_index`` and ``intermediate_index`` map states to indices.
+    Decoded states and indices are built on first use and shared by
+    respecialized copies.
     """
 
     params: ChainParams
-    boundary_states: tuple[ChainState, ...]
-    intermediate_states: tuple[ChainState, ...]
+    boundary_codes: np.ndarray = field(repr=False)
+    intermediate_codes: np.ndarray = field(repr=False)
     terminal_index: int
     actions: tuple[tuple[frozenset[int], ...], ...]
     raw_absorbing: frozenset[tuple[int, ...]]
@@ -113,20 +113,28 @@ class StateSpace:
     boundary_weights: np.ndarray = field(repr=False)
     intermediate_weights: np.ndarray = field(repr=False)
     folded: bool = False
-    _indices: dict = field(default_factory=dict, repr=False, compare=False)
+    _decoded: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_boundary(self) -> int:
-        return len(self.boundary_states)
+        return len(self.boundary_codes)
 
     @property
     def num_intermediate(self) -> int:
-        return len(self.intermediate_states)
+        return len(self.intermediate_codes)
 
     @property
     def num_decidable(self) -> int:
         """Intermediate states in which at least one swap can be performed."""
         return sum(1 for acts in self.actions if len(acts) > 1)
+
+    @property
+    def boundary_states(self) -> tuple[ChainState, ...]:
+        return self._states("boundary", self.boundary_codes, False)
+
+    @property
+    def intermediate_states(self) -> tuple[ChainState, ...]:
+        return self._states("intermediate", self.intermediate_codes, True)
 
     @property
     def boundary_index(self) -> dict[ChainState, int]:
@@ -136,10 +144,17 @@ class StateSpace:
     def intermediate_index(self) -> dict[ChainState, int]:
         return self._index("intermediate", self.intermediate_states)
 
+    def _states(self, key: str, codes: np.ndarray, intermediate: bool) -> tuple[ChainState, ...]:
+        states = self._decoded.get(key)
+        if states is None:
+            coder = StateCodes(self.params.n, self.params.t_cut)
+            states = self._decoded[key] = coder.states(codes, intermediate)
+        return states
+
     def _index(self, key: str, states: tuple[ChainState, ...]) -> dict[ChainState, int]:
-        index = self._indices.get(key)
+        index = self._decoded.get(key + "_index")
         if index is None:
-            index = self._indices[key] = {s: i for i, s in enumerate(states)}
+            index = self._decoded[key + "_index"] = {s: i for i, s in enumerate(states)}
         return index
 
     def respecialized(self, p: float, p_s: float) -> "StateSpace":
@@ -151,10 +166,63 @@ class StateSpace:
         return replace(self, params=replace(self.params, p=p, p_s=p_s))
 
 
-def _mirror_pair(state: ChainState) -> tuple[ChainState, ChainState]:
-    """``state`` and its mirror image, the canonical one (``chain.canonical``) first."""
-    m = mirror(state)
-    return (state, m) if state.links <= m.links else (m, state)
+#: Boundary states a walk expands together: bounds the walk's working arrays.
+_CHUNK = 512
+
+#: Key of the collapsed absorbing state among the walk's boundary keys.
+_ABSORBING = -1
+
+
+class _Boundary:
+    """The boundary states a walk has listed, looked up by key.
+
+    A state's key is its code, canonical in a folded walk; every absorbing
+    state has the key ``_ABSORBING`` and collapses onto the terminal index.
+    """
+
+    def __init__(self, coder: StateCodes, fold: bool):
+        self.coder = coder
+        self.fold = fold
+        self.index_of: dict[int, int] = {0: 0}
+        self.codes = [np.zeros(1, dtype=np.int64)]
+        self.weights = [np.ones(1, dtype=np.int8)]
+        self.count = 1
+        self.terminal_index = -1
+        self.absorbing: set[int] = set()
+
+    def targets(self, outcomes: np.ndarray) -> np.ndarray:
+        """Boundary index of every outcome code, listing new states in order of first occurrence.
+
+        Overwrites the absorbing codes in ``outcomes`` with ``_ABSORBING``.
+        """
+        coder, index_of = self.coder, self.index_of
+        ends = coder.is_absorbing(outcomes)
+        if ends.any():
+            self.absorbing.update(np.unique(outcomes[ends]).tolist())
+            outcomes[ends] = _ABSORBING
+        keys, first, inverse = np.unique(outcomes, return_index=True, return_inverse=True)
+        symmetric = np.ones(len(keys), dtype=bool)
+        if self.fold:
+            live = keys != _ABSORBING
+            canon, symmetric[live] = coder.canonical(coder.digits(keys[live]))
+            keys[live] = coder.codes(canon)
+        index = np.fromiter(map(index_of.get, keys.tolist(), repeat(-1)), dtype=np.int64, count=len(keys))
+        new = np.flatnonzero(index < 0)
+        if len(new):
+            # In a folded walk two codes can share a key: keep the first.
+            new = new[np.argsort(first[new])]
+            _, once = np.unique(keys[new], return_index=True)
+            new = new[np.sort(once)]
+            codes = keys[new]
+            index_of.update(zip(codes.tolist(), range(self.count, self.count + len(new))))
+            if self.terminal_index < 0 and _ABSORBING in index_of:
+                self.terminal_index = index_of[_ABSORBING]
+                codes[codes == _ABSORBING] = coder.terminal_code
+            self.codes.append(codes)
+            self.weights.append(np.where(symmetric[new], 1, 2).astype(np.int8))
+            self.count += len(new)
+            index = np.fromiter(map(index_of.__getitem__, keys.tolist()), dtype=np.int64, count=len(keys))
+        return index[inverse].astype(np.int32)
 
 
 def enumerate_states(
@@ -162,110 +230,79 @@ def enumerate_states(
 ) -> StateSpace:
     """Breadth-first closure of the slot dynamics starting from the empty state.
 
-    Records the transitions as it discovers states.  Boundary states are
-    looked up by their :class:`~repeaterchain.chain.StateCodes` code, and a
-    swap outcome is built as a state only when its code is new.  With
-    ``fold``, every generation child and swap target is replaced by its
+    Records the transitions as it discovers states, one BFS level at a
+    time.  The boundary states of a level are expanded a chunk of parents
+    at a time, with every generation child, choice row and swap outcome
+    computed by numpy on :class:`~repeaterchain.chain.StateCodes` codes.
+    A chunk's outcome codes are looked up once per distinct code, and new
+    states get indices in order of first occurrence, so states are listed
+    exactly as a state-by-state breadth-first walk lists them.  No
+    :class:`~repeaterchain.chain.ChainState` is built: the space decodes
+    its states on first use.
+
+    With ``fold``, every generation child and swap target is replaced by its
     canonical form, so only representatives are listed and expanded;
     children of one parent that share a representative (possible only from
-    a self-mirrored parent) merge, their ``gen_mult`` summed.  Raises
-    :class:`StateCapExceeded` if boundary plus intermediate counts (folded
-    counts with ``fold``) pass ``state_cap``.
+    a self-mirrored parent) merge at the first of them, their ``gen_mult``
+    summed.  Raises :class:`StateCapExceeded` if boundary plus intermediate
+    counts (folded counts with ``fold``) pass ``state_cap``, and
+    :class:`ValueError` if the chain's codes do not fit in 64 bits.
     """
     n, t_cut = params.n, params.t_cut
     coder = StateCodes(n, t_cut)
-    boundary: list[ChainState] = [empty_state(n)]
-    # Boundary-state codes to indices; absorbing codes map to the terminal
-    # index.  A folded walk keys both orientations of each listed state, so
-    # it mirrors a swap target only the first time it sees the pair.
-    index_of: dict[int, int] = {0: 0}
-    boundary_weights = [1]
-    absorbing_codes: list[int] = []
-    intermediates: list[ChainState] = []
-    intermediate_weights: list[int] = []
-    actions: list[tuple[frozenset[int], ...]] = []
-    child_offsets = [0]
-    gen_successes: list[int] = []
-    gen_failures: list[int] = []
-    gen_mult: list[int] = []
-    row_offsets = [0]
-    shape_per_row = array("h")
-    outcome_targets = array("i")
-    terminal_index = -1
+    boundary = _Boundary(coder, fold)
+    parts: dict[str, list] = {
+        key: []
+        for key in ("children", "codes", "weights", "mult", "successes", "failures",
+                    "actions", "rows", "row_shape", "targets")
+    }
+    num_intermediate = 0
+    level = boundary.codes[0]
+    while len(level):
+        level_start = len(boundary.codes)
+        for lo in range(0, len(level), _CHUNK):
+            parents = level[lo : lo + _CHUNK]
+            owner, children, successes, attempts = coder.generation(coder.digits(parents))
+            weights = np.ones(len(children), dtype=np.int8)
+            if fold:
+                children, symmetric = coder.canonical(children)
+                weights[~symmetric] = 2
+            codes = coder.codes(children)
+            if fold:
+                # Every intermediate state has one parent, so only siblings
+                # can share a representative.
+                _, first, mult = np.unique(codes, return_index=True, return_counts=True)
+                order = np.argsort(first)
+                first = first[order]
+                owner, children, successes, attempts = (
+                    owner[first], children[first], successes[first], attempts[first]
+                )
+                codes, weights = codes[first], weights[first]
+                parts["mult"].append(mult[order].astype(np.int8))
+            actions, rows, row_shape, outcomes = coder.swap_outcomes(children)
+            parts["children"].append(np.bincount(owner, minlength=len(parents)))
+            parts["codes"].append(codes)
+            parts["weights"].append(weights)
+            parts["successes"].append(successes.astype(np.int8))
+            parts["failures"].append((attempts - successes).astype(np.int8))
+            parts["actions"] += actions
+            parts["rows"].append(rows)
+            parts["row_shape"].append(row_shape)
+            parts["targets"].append(boundary.targets(outcomes))
+            num_intermediate += len(codes)
+            if boundary.count + num_intermediate > state_cap:
+                raise StateCapExceeded(f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}")
+        level = np.concatenate(boundary.codes[level_start:] or [np.zeros(0, dtype=np.int64)])
 
-    def add_target(code: int) -> int:
-        """Index of a swap outcome that was missing from ``index_of`` when its state was looked up."""
-        nonlocal terminal_index
-        t_idx = index_of.get(code)  # an earlier outcome of the same state added it
-        if t_idx is not None:
-            return t_idx
-        t_idx = len(boundary)
-        if coder.is_absorbing(code):
-            # Absorbing states collapse onto the terminal index.
-            absorbing_codes.append(code)
-            if terminal_index < 0:
-                terminal_index = t_idx
-                boundary.append(terminal_state(n))
-                boundary_weights.append(1)
-            index_of[code] = terminal_index
-            return terminal_index
-        target = coder.decode(code)
-        weight = 1
-        if fold:
-            other = mirror(target)
-            index_of[coder.code(other)] = t_idx
-            weight = 1 if other == target else 2
-            if other.links < target.links:
-                target = other
-        index_of[code] = t_idx
-        boundary.append(target)
-        boundary_weights.append(weight)
-        return t_idx
+    def joined(key: str, dtype) -> np.ndarray:
+        return np.concatenate(parts[key]).astype(dtype, copy=False)
 
-    # The boundary list doubles as the BFS queue: states are expanded in
-    # index order, and the terminal state is never expanded.
-    s_idx = 0
-    while s_idx < len(boundary):
-        if s_idx != terminal_index:
-            children = generation_outcomes(age_links(boundary[s_idx]))
-            attempts = len(children).bit_length() - 1
-            # Every intermediate state has one parent (fresh links have age
-            # 0 and ageing adds 1 to every other age), so children are new
-            # states; only a self-mirrored parent folds two onto one.
-            folded_children: dict[ChainState, int] = {}
-            for mask, r in enumerate(children):
-                weight = 1
-                if fold:
-                    r, other = _mirror_pair(r)
-                    r_idx = folded_children.get(r)
-                    if r_idx is not None:
-                        gen_mult[r_idx] += 1
-                        continue
-                    folded_children[r] = len(intermediates)
-                    gen_mult.append(1)
-                    weight = 1 if r == other else 2
-                intermediates.append(r)
-                intermediate_weights.append(weight)
-                successes = mask.bit_count()
-                gen_successes.append(successes)
-                gen_failures.append(attempts - successes)
-                acts, shapes, codes = coder.swap_codes(r)
-                actions.append(acts)
-                targets = list(map(index_of.get, codes))
-                if None in targets:
-                    for j, t_idx in enumerate(targets):
-                        if t_idx is None:
-                            targets[j] = add_target(codes[j])
-                outcome_targets.extend(targets)
-                shape_per_row.extend(shapes)
-                row_offsets.append(len(shape_per_row))
-                if len(boundary) + len(intermediates) > state_cap:
-                    raise StateCapExceeded(
-                        f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}"
-                    )
-        child_offsets.append(len(intermediates))
-        s_idx += 1
-    row_shape = np.frombuffer(shape_per_row, dtype=np.int16)
+    def offsets(key: str) -> np.ndarray:
+        out = np.zeros(sum(map(len, parts[key])) + 1, dtype=np.int64)
+        np.cumsum(joined(key, np.int64), out=out[1:])
+        return out
+
+    row_shape = joined("row_shape", np.int16)
     outcomes_per_shape = np.array([1 << len(sizes) for sizes in coder.shapes], dtype=np.int64)
     outcome_offsets = np.zeros(len(row_shape) + 1, dtype=np.int64)
     np.cumsum(outcomes_per_shape[row_shape], out=outcome_offsets[1:])
@@ -273,22 +310,22 @@ def enumerate_states(
     # can be generated fresh and every swap can succeed.
     return StateSpace(
         params=params,
-        boundary_states=tuple(boundary),
-        intermediate_states=tuple(intermediates),
-        terminal_index=terminal_index,
-        actions=tuple(actions),
-        raw_absorbing=frozenset(encode_state(coder.decode(code)) for code in absorbing_codes),
-        child_offsets=np.array(child_offsets, dtype=np.int64),
-        gen_successes=np.array(gen_successes, dtype=np.int8),
-        gen_failures=np.array(gen_failures, dtype=np.int8),
-        gen_mult=np.array(gen_mult, dtype=np.int8) if fold else None,
-        row_offsets=np.array(row_offsets, dtype=np.int64),
+        boundary_codes=np.concatenate(boundary.codes),
+        intermediate_codes=joined("codes", np.int64),
+        terminal_index=boundary.terminal_index,
+        actions=tuple(parts["actions"]),
+        raw_absorbing=frozenset(map(encode_state, coder.states(sorted(boundary.absorbing)))),
+        child_offsets=offsets("children"),
+        gen_successes=joined("successes", np.int8),
+        gen_failures=joined("failures", np.int8),
+        gen_mult=joined("mult", np.int8) if fold else None,
+        row_offsets=offsets("rows"),
         run_shapes=tuple(coder.shapes),
         row_shape=row_shape,
         outcome_offsets=outcome_offsets,
-        outcome_targets=np.frombuffer(outcome_targets, dtype=np.int32),
-        boundary_weights=np.array(boundary_weights, dtype=np.int8),
-        intermediate_weights=np.array(intermediate_weights, dtype=np.int8),
+        outcome_targets=joined("targets", np.int32),
+        boundary_weights=np.concatenate(boundary.weights),
+        intermediate_weights=joined("weights", np.int8),
         folded=fold,
     )
 

@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -303,20 +304,48 @@ def per_node_distribution(r, action, t_cut, ps):
     return brute
 
 
-def coded_outcomes(r, action, t_cut):
-    """Run sizes and ``(mask, end-of-slot state)`` per survival mask, from the walk's coded kernel."""
-    coder = StateCodes(r.n, t_cut)
-    actions, shapes, codes = coder.swap_codes(r)
-    a = actions.index(frozenset(action))
-    start = sum(1 << len(coder.shapes[shape]) for shape in shapes[:a])
-    sizes = coder.shapes[shapes[a]]
-    own = codes[start : start + (1 << len(sizes))]
-    return sizes, [(mask, coder.decode(code)) for mask, code in enumerate(own)]
+def code_digits(states, t_cut):
+    """Digit rows of states under the left-endpoint code, straight from its definition."""
+    digits = np.zeros((len(states), states[0].n - 1), dtype=np.int64)
+    for i, state in enumerate(states):
+        for l in state.links:
+            digits[i, l.left - 1] = 1 + (l.right - l.left - 1) * (t_cut + 1) + l.age
+    return digits
 
 
-def run_grouped_distribution(r, action, t_cut, ps):
+@lru_cache(maxsize=None)
+def mixed_layouts(n, t_cut):
+    """Intermediate states of assorted link layouts, to batch a state with."""
+    return tuple(r for seed in range(3) for r in random_walk(100 + seed, n, t_cut)[1])
+
+
+@lru_cache(maxsize=None)
+def shared_coder(n, t_cut):
+    """One coder per chain, so each link layout's tables are built once."""
+    return StateCodes(n, t_cut)
+
+
+def coded_outcomes(r, action, t_cut, batch=False):
+    """Run sizes and ``(mask, end-of-slot state)`` per survival mask, from the walk's batch kernel.
+
+    ``r`` is resolved alone, or, with ``batch``, in the middle of the states
+    of :func:`mixed_layouts`.
+    """
+    coder = shared_coder(r.n, t_cut)
+    others = mixed_layouts(r.n, t_cut) if batch else ()
+    half = len(others) // 2
+    states = [*others[:half], r, *others[half:]]
+    actions, num_rows, row_shape, codes = coder.swap_outcomes(code_digits(states, t_cut))
+    outcomes = [1 << len(coder.shapes[shape]) for shape in row_shape.tolist()]
+    row = int(num_rows[:half].sum()) + actions[half].index(frozenset(action))
+    start = sum(outcomes[:row])
+    sizes = coder.shapes[row_shape[row]]
+    own = codes[start : start + outcomes[row]]
+    return sizes, list(enumerate(coder.states(own)))
+
+
+def run_grouped_distribution(sizes, outcomes, ps):
     """End-of-slot distribution from the coded kernel's per-run survival masks."""
-    sizes, outcomes = coded_outcomes(r, action, t_cut)
     grouped: dict = {}
     for mask, state in outcomes:
         prob = 1.0
@@ -327,11 +356,14 @@ def run_grouped_distribution(r, action, t_cut, ps):
 
 
 def assert_same_distribution(r, action, t_cut):
-    # The coded kernel reproduces the uncached outcome enumeration exactly.
-    assert coded_outcomes(r, action, t_cut) == reference_swap_outcomes(r, action, t_cut)
+    # The coded kernel reproduces the uncached outcome enumeration exactly,
+    # alone and among states of other link layouts.
+    coded = coded_outcomes(r, action, t_cut)
+    assert coded == reference_swap_outcomes(r, action, t_cut)
+    assert coded_outcomes(r, action, t_cut, batch=True) == coded
     for ps in (0.3, 0.75):
         brute = per_node_distribution(r, action, t_cut, ps)
-        grouped = run_grouped_distribution(r, action, t_cut, ps)
+        grouped = run_grouped_distribution(*coded, ps)
         assert set(brute) == set(grouped)
         for state, prob in brute.items():
             assert grouped[state] == pytest.approx(prob, abs=1e-12)

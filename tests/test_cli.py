@@ -595,3 +595,33 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, config, flags, message",
+        [
+            ("simulate", {"trials": True, "seed": 2.5}, [],
+             "option --trials takes an integer, got true"),
+            ("simulate", {"trials": 10, "seed": 2.5}, [],
+             "option --seed takes an integer, got 2.5"),
+            ("compare", {"n": 4.7, "tcut": 2.9}, [],
+             "option --n takes an integer, got 4.7"),
+            ("compare", {"bunch": "false", "state_cap": 400}, ["--n", 5, "--tcut", 2],
+             'option --bunch takes true or false, got "false"'),
+            ("compare", {"tcut": "2"}, ["--n", 4],
+             'option --tcut takes an integer, got "2"'),
+            ("sweep", {"p": [0.5, True]}, ["--n", 3, "--tcut", 1],
+             "option --p takes a number, got true"),
+            ("compare", {}, ["--n", 4.7, "--tcut", 2],
+             "option --n takes an integer, got 4.7"),
+        ],
+        ids=["trials-true", "seed-fraction", "n-fraction", "bunch-text", "tcut-text",
+             "sweep-p-true", "flag-n-fraction"],
+    )
+    def test_value_of_the_wrong_type_is_an_error(self, tmp_path, capsys, command, config, flags, message):
+        # Nothing is coerced: a config value must have the option's JSON
+        # type, and a flag's text must spell one.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 3, "p": 0.5, "ps": 0.5, "tcut": 1, **config}))
+        code = run([command, "--config", cfg, *flags, "--out", tmp_path / "out"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

@@ -17,7 +17,7 @@ from repeaterchain.solver import (
     swap_asap_policy,
     value_iteration,
 )
-from repeaterchain.statespace import enumerate_states
+from repeaterchain.statespace import StateSpace, enumerate_states
 from test_walk_reference import expand_policy, expand_values
 
 
@@ -118,6 +118,19 @@ class TestBaselineRule:
             else:
                 assert modified(r) == asap(r)
         assert full_states > 0
+
+    def test_swap_asap_and_policy_iteration_decode_no_state(self, monkeypatch):
+        space, model = build(5, 3, p=0.9, p_s=0.5)
+        expected = Policy(tuple(map(baseline_rule(5), space.intermediate_states)))
+        space, model = build(5, 3, p=0.9, p_s=0.5)
+
+        def decode(*args):
+            raise AssertionError("a state was decoded")
+
+        monkeypatch.setattr(StateSpace, "_states", decode)
+        assert modified_full_state_policy(space, ()) == swap_asap_policy(space) == expected
+        evaluate_policy(space, model, swap_asap_policy(space))
+        policy_iteration(space, model)
 
     @pytest.mark.parametrize("withheld", [{1}, {5}])
     def test_end_nodes_cannot_be_withheld(self, withheld):

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from repeaterchain import statespace
 from repeaterchain.chain import (
     ChainParams,
+    StateCodes,
     canonical,
     mirror,
     state_from_links,
@@ -16,6 +19,7 @@ from repeaterchain.statespace import (
     enumerate_states,
     terminal_state,
 )
+from test_chain import code_digits
 
 
 def space_for(n, t_cut, p=0.5, p_s=0.5, **kw):
@@ -202,3 +206,66 @@ class TestCounts:
             r for r in space.intermediate_states if valid_swap_nodes(r)
         ]
         assert space.num_decidable == len(decidable) == 4
+
+
+ARRAY_FIELDS = (
+    "boundary_codes", "intermediate_codes", "child_offsets", "gen_successes", "gen_failures",
+    "gen_mult", "row_offsets", "row_shape", "outcome_offsets", "outcome_targets",
+    "boundary_weights", "intermediate_weights",
+)
+
+
+class TestLevelWalk:
+    """The chunked, coded walk: chunk-size independence and the state codes."""
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("n, t_cut", [(4, 2), (4, 3), (5, 2), (5, 3)])
+    def test_chunk_size_changes_nothing(self, monkeypatch, n, t_cut, fold):
+        default = space_for(n, t_cut, fold=fold)
+        for chunk in (1, 7):
+            monkeypatch.setattr(statespace, "_CHUNK", chunk)
+            space = space_for(n, t_cut, fold=fold)
+            for name in ARRAY_FIELDS:
+                got, want = getattr(space, name), getattr(default, name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert space.boundary_states == default.boundary_states
+            assert space.intermediate_states == default.intermediate_states
+            assert space.actions == default.actions
+            assert space.run_shapes == default.run_shapes
+            assert space.terminal_index == default.terminal_index
+            assert space.raw_absorbing == default.raw_absorbing
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("t_cut", [1, 2, 3])
+    def test_codes_decode_mirror_and_pick_representatives(self, n, t_cut):
+        space = space_for(n, t_cut)
+        coder = StateCodes(n, t_cut)
+        for states, codes in [
+            (space.boundary_states, space.boundary_codes),
+            (space.intermediate_states, space.intermediate_codes),
+        ]:
+            intermediate = states[0].intermediate
+            digits = code_digits(states, t_cut)
+            assert np.array_equal(coder.codes(digits), codes)
+            assert coder.states(codes, intermediate) == states
+            mirrored = [mirror(s) for s in states]
+            assert np.array_equal(coder.mirror(coder.digits(codes)), code_digits(mirrored, t_cut))
+            rep, symmetric = coder.canonical(coder.digits(codes))
+            chosen = [s.links <= m.links for s, m in zip(states, mirrored)]
+            assert np.array_equal(rep, code_digits([s if c else m for s, c, m in zip(states, chosen, mirrored)], t_cut))
+            assert symmetric.tolist() == [s == m for s, m in zip(states, mirrored)]
+
+    def test_codes_that_overflow_int64_are_refused_before_walking(self, monkeypatch):
+        StateCodes(12, 7)
+        with pytest.raises(ValueError):
+            StateCodes(13, 7)
+
+        def no_walk(*args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(StateCodes, "generation", no_walk)
+        with pytest.raises(ValueError):
+            space_for(13, 7)
