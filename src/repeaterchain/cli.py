@@ -410,7 +410,7 @@ def load_policy_json(path, space) -> Policy:
     missing = sum(1 for a in actions if a is None)
     if missing:
         raise ValueError(f"policy file misses {missing} enumerated intermediate states")
-    return Policy(tuple(actions))
+    return Policy.from_actions(space, actions)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -660,13 +660,14 @@ def cmd_states(opt: _Options) -> int:
 
 
 def cmd_stats(opt: _Options) -> int:
-    n = opt.single("n", int, required=True)
+    ns = opt.ints("n")
     ps_list = opt.floats("p")
     pss = opt.floats("ps")
     tcuts = opt.ints("tcut")
     config = _solver_config(opt)
     grid = [
         ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
+        for n in ns
         for p in ps_list
         for p_s in pss
         for t_cut in tcuts
@@ -681,7 +682,7 @@ def cmd_stats(opt: _Options) -> int:
             solution = structure.solve(params.p, params.p_s, opt.single("method"), config)
             stats = policy_stats(solution.model.space, solution.policy)
             rows[i] = {
-                "n": n,
+                "n": params.n,
                 "p": params.p,
                 "p_s": params.p_s,
                 "t_cut": params.t_cut,

@@ -20,7 +20,6 @@ same way; its arcs already carry the folded multiplicities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,11 +41,6 @@ class ChoiceTable:
 
     matrix: sp.csr_matrix
     offsets: np.ndarray
-
-
-def _csr_row(matrix: sp.csr_matrix, row: int) -> dict[int, float]:
-    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-    return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
 
 
 def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
@@ -76,26 +70,6 @@ class TransitionModel:
         the numeric matrices are rebuilt.  Used by parameter sweeps.
         """
         return TransitionModel(self.space.respecialized(p, p_s))
-
-    # -- per-state views of the matrices ------------------------------------------
-
-    def phase_a(self, s_idx: int) -> dict[int, float]:
-        """P_A(. | s): distribution over intermediate-state indices."""
-        if s_idx == self.space.terminal_index:
-            raise ValueError("the terminal state has no outgoing transitions")
-        return _csr_row(self.phase_a_matrix(), s_idx)
-
-    def phase_b(self, r_idx: int, action: Iterable[int]) -> dict[int, float]:
-        """P_B(. | r, a): distribution over slot-boundary state indices."""
-        action = frozenset(action)
-        try:
-            a_idx = self.space.actions[r_idx].index(action)
-        except ValueError:
-            raise ValueError(f"action {sorted(action)} invalid in intermediate state {r_idx}")
-        choices = self.choice_table()
-        return _csr_row(choices.matrix, int(choices.offsets[r_idx]) + a_idx)
-
-    # -- matrix views --------------------------------------------------------------
 
     def phase_a_matrix(self) -> sp.csr_matrix:
         """P_A as a (boundary x intermediate) CSR matrix; terminal row is zero."""

@@ -68,13 +68,54 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
-    """Deterministic policy: one swap action per intermediate state index."""
+    """Deterministic policy: the choice-table row each intermediate state takes.
 
-    actions: tuple[frozenset[int], ...]
+    ``rows[r]`` lies in ``space.row_offsets[r] : space.row_offsets[r + 1]``,
+    the rows of state ``r`` in the order of ``space.actions[r]``.  ``rows``
+    is a read-only int64 copy of what the policy is built from.
+    """
+
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.rows, dtype=np.int64)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Policy):
+            return NotImplemented
+        return bool(np.array_equal(self.rows, other.rows))
+
+    @classmethod
+    def from_actions(cls, space: StateSpace, actions: Iterable[frozenset[int]]) -> "Policy":
+        """The policy that takes ``actions[r]`` in intermediate state ``r``.
+
+        Raises :class:`ValueError` unless there is one available action per state.
+        """
+        actions = tuple(actions)
+        if len(actions) != space.num_intermediate:
+            raise ValueError("policy does not cover every intermediate state")
+        local = np.empty(len(actions), dtype=np.int64)
+        for r, (action, available) in enumerate(zip(actions, space.actions)):
+            try:
+                local[r] = available.index(action)
+            except ValueError:
+                raise ValueError(
+                    f"policy action {sorted(action)} invalid in intermediate state {r}"
+                ) from None
+        return cls(space.row_offsets[:-1] + local)
+
+    def actions(self, space: StateSpace) -> tuple[frozenset[int], ...]:
+        """The swap action of every intermediate state of ``space``."""
+        local = (self.rows - space.row_offsets[:-1]).tolist()
+        return tuple(available[j] for available, j in zip(space.actions, local))
 
     def state_map(self, space: StateSpace) -> dict[ChainState, frozenset[int]]:
         """Action of every unfolded intermediate state, e.g. for trajectory simulation.
@@ -85,7 +126,7 @@ class Policy:
         n = space.params.n
         mapping = {}
         weights = space.intermediate_weights.tolist()
-        for r, action, weight in zip(space.intermediate_states, self.actions, weights):
+        for r, action, weight in zip(space.intermediate_states, self.actions(space), weights):
             mapping[r] = action
             if weight == 2:
                 mapping[mirror(r)] = mirror_action(action, n)
@@ -150,10 +191,10 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState]
 def swap_asap_policy(space: StateSpace) -> Policy:
     """Swap at every node that holds two links, in every state.
 
-    That is each state's last action: :func:`~repeaterchain.chain.action_space`
+    That is each state's last choice row: :func:`~repeaterchain.chain.action_space`
     ends with the full eligible set, so no state is decoded.
     """
-    return Policy(tuple(actions[-1] for actions in space.actions))
+    return Policy(space.row_offsets[1:] - 1)
 
 
 def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
@@ -161,7 +202,7 @@ def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
     rule = baseline_rule(space.params.n, withheld)
     if not withheld:
         return swap_asap_policy(space)
-    return Policy(tuple(map(rule, space.intermediate_states)))
+    return Policy.from_actions(space, map(rule, space.intermediate_states))
 
 
 def relative_advantage(t_base: float, t_opt: float) -> float:
@@ -174,38 +215,19 @@ def relative_advantage(t_base: float, t_opt: float) -> float:
 def policy_stats(space: StateSpace, policy: Policy) -> PolicyStats:
     """How often a policy swaps everything or nothing where a swap is possible.
 
-    Counts unfolded states: on a folded space each representative counts
-    for its mirror pair, whose mirrored actions fall in the same classes.
+    A state is decidable when it has more than one choice row; its first row
+    swaps nothing and its last swaps every eligible node.  Counts unfolded
+    states: on a folded space each representative counts for its mirror
+    pair, whose mirrored actions fall in the same classes.
     """
-    total = swap_all = no_swap = 0
-    weights = space.intermediate_weights.tolist()
-    for r, action, weight in zip(space.intermediate_states, policy.actions, weights):
-        nodes = valid_swap_nodes(r)
-        if not nodes:
-            continue
-        total += weight
-        if action == nodes:
-            swap_all += weight
-        elif not action:
-            no_swap += weight
+    offsets, weights = space.row_offsets, space.intermediate_weights
+    decidable = np.diff(offsets) > 1
+    total = int(weights[decidable].sum())
     if total == 0:
         return PolicyStats(0.0, 0.0, 0)
+    swap_all = int(weights[decidable & (policy.rows == offsets[1:] - 1)].sum())
+    no_swap = int(weights[decidable & (policy.rows == offsets[:-1])].sum())
     return PolicyStats(swap_all / total, no_swap / total, total)
-
-
-def _choice_indices(space: StateSpace, policy: Policy, offsets: np.ndarray) -> np.ndarray:
-    if len(policy.actions) != space.num_intermediate:
-        raise ValueError("policy does not cover every intermediate state")
-    idx = np.empty(space.num_intermediate, dtype=np.int64)
-    for r_idx, action in enumerate(policy.actions):
-        try:
-            local = space.actions[r_idx].index(action)
-        except ValueError:
-            raise ValueError(
-                f"policy action {sorted(action)} invalid in intermediate state {r_idx}"
-            )
-        idx[r_idx] = offsets[r_idx] + local
-    return idx
 
 
 def _nonterminal_solve(space: StateSpace, composed: sp.csr_matrix) -> np.ndarray:
@@ -241,8 +263,9 @@ def evaluate_policy(space: StateSpace, model: TransitionModel, policy: Policy) -
     values are exact up to roundoff.  Raises :class:`ConvergenceError` for
     policies that never deliver.
     """
-    rows = _choice_indices(space, policy, model.choice_table().offsets)
-    values = _nonterminal_solve(space, _composed_matrix(model, rows))
+    if len(policy.rows) != space.num_intermediate:
+        raise ValueError("policy does not cover every intermediate state")
+    values = _nonterminal_solve(space, _composed_matrix(model, policy.rows))
     return ValueTable(values=values, iterations=1)
 
 
@@ -255,16 +278,6 @@ def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     rows = np.arange(len(q))
     minimal = q == np.repeat(mins, np.diff(offsets))
     return np.minimum.reduceat(np.where(minimal, rows, len(q)), offsets[:-1])
-
-
-def _rows_to_policy(space: StateSpace, rows: np.ndarray, offsets: np.ndarray) -> Policy:
-    """The policy that takes choice-table row ``rows[r]`` in intermediate state ``r``."""
-    return Policy(
-        tuple(
-            actions[int(row - lo)]
-            for actions, row, lo in zip(space.actions, rows, offsets[:-1])
-        )
-    )
 
 
 def value_iteration(
@@ -297,8 +310,7 @@ def value_iteration(
             f"value iteration did not converge in {config.max_iterations} sweeps "
             f"(residual {residual:.3e})"
         )
-    first = _greedy_choices(choices.matrix @ values, choices.offsets)
-    policy = _rows_to_policy(space, first, choices.offsets)
+    policy = Policy(_greedy_choices(choices.matrix @ values, choices.offsets))
     return ValueTable(values=values, iterations=it, residual=residual), policy
 
 
@@ -311,7 +323,7 @@ def policy_iteration(space: StateSpace, model: TransitionModel) -> tuple[ValueTa
     deterministic tie-break order.
     """
     choices = model.choice_table()
-    current = choices.offsets[1:] - 1
+    current = swap_asap_policy(space).rows
     values = _nonterminal_solve(space, _composed_matrix(model, current))
     for rounds in range(1, MAX_POLICY_ITERATIONS + 1):
         q = choices.matrix @ values
@@ -334,5 +346,4 @@ def policy_iteration(space: StateSpace, model: TransitionModel) -> tuple[ValueTa
         raise ConvergenceError(
             f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} rounds"
         )
-    policy = _rows_to_policy(space, current, choices.offsets)
-    return ValueTable(values=values, iterations=rounds), policy
+    return ValueTable(values=values, iterations=rounds), Policy(current)

@@ -126,7 +126,7 @@ class StateSpace:
     @property
     def num_decidable(self) -> int:
         """Intermediate states in which at least one swap can be performed."""
-        return sum(1 for acts in self.actions if len(acts) > 1)
+        return int(np.count_nonzero(np.diff(self.row_offsets) > 1))
 
     @property
     def boundary_states(self) -> tuple[ChainState, ...]:

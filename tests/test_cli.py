@@ -16,7 +16,7 @@ from repeaterchain.solver import (
     swap_asap_policy,
     value_iteration,
 )
-from repeaterchain.statespace import enumerate_states
+from repeaterchain.statespace import StateSpace, enumerate_states
 from test_walk_reference import expand_policy, expand_values
 
 
@@ -97,7 +97,7 @@ class TestSolve:
 
         space = enumerate_states(ChainParams(n=3, p=0.5, p_s=0.5, t_cut=1))
         policy = load_policy_json(out / "policy.json", space)
-        assert len(policy.actions) == space.num_intermediate
+        assert len(policy.rows) == space.num_intermediate
 
     def test_vi_and_pi_agree(self, tmp_path, capsys):
         values = {}
@@ -137,7 +137,7 @@ class TestSolve:
         params = ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
         space, _, solved, table, policy = fresh_solve(params, method, use_bunch=True)
         values = expand_values(space, solved.space, table).values
-        actions = expand_policy(space, solved.space, policy).actions
+        actions = expand_policy(space, solved.space, policy).actions(space)
 
         rows = list(csv.reader(open(tmp_path / "bunch" / "values.csv")))[1:]
         want = [[json.dumps(encode_state(s)), f"{v:.17g}"] for s, v in zip(space.boundary_states, values)]
@@ -161,6 +161,14 @@ class TestSolve:
         )
         assert code == 1
         assert "state cap" in capsys.readouterr().err
+
+    def test_sweep_cap_below_one_is_an_error(self, tmp_path, capsys):
+        code = run(
+            ["solve", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
+             "--method", "vi", "--max-iter", 0, "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: max_iterations must be at least 1\n"
 
 
 class TestCompare:
@@ -544,6 +552,31 @@ class TestStats:
             assert row["pct_no_swap"] == f"{100.0 * stats.no_swap_fraction:.17g}"
 
 
+    def test_n_list_rows_equal_the_single_n_runs(self, tmp_path):
+        args = ["--p", "0.5,0.9", "--ps", 0.5, "--tcut", "1,2", "--bunch"]
+        assert run(["stats", "--n", "4,5", *args, "--out", tmp_path / "both.csv"]) == 0
+        rows = []
+        for n in (4, 5):
+            assert run(["stats", "--n", n, *args, "--out", tmp_path / f"{n}.csv"]) == 0
+            rows += list(csv.DictReader(open(tmp_path / f"{n}.csv")))
+        assert list(csv.DictReader(open(tmp_path / "both.csv"))) == rows
+
+    @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
+    @pytest.mark.parametrize("command", ["compare", "stats"])
+    def test_decodes_no_state(self, tmp_path, monkeypatch, command, flag):
+        # Solving, the swap-asap baseline and the action statistics all
+        # work on choice-table rows.
+        def decode(*args):
+            raise AssertionError("a state was decoded")
+
+        monkeypatch.setattr(StateSpace, "_states", decode)
+        code = run(
+            [command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]
+            + (["--out", tmp_path / "stats.csv"] if command == "stats" else [])
+        )
+        assert code == 0
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -580,12 +613,12 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "command, config",
         [
-            ("stats", {"n": [4, 5], "p": 0.5, "ps": 0.5, "tcut": 2}),
+            ("stats", {"n": 4, "p": 0.5, "ps": 0.5, "tcut": 2, "epsilon": [1e-7]}),
             ("solve", {"n": 4, "p": 0.5, "ps": 0.5, "tcut": [2]}),
             ("simulate", {"n": 4, "p": 0.5, "ps": 0.5, "tcut": 2, "trials": {"count": 10}}),
             ("sweep", {"n": [[4]], "p": 0.5, "ps": 0.5, "tcut": 2}),
         ],
-        ids=["stats-n-list", "solve-tcut-list", "simulate-trials-object", "sweep-nested-list"],
+        ids=["stats-epsilon-list", "solve-tcut-list", "simulate-trials-object", "sweep-nested-list"],
     )
     def test_list_for_a_single_value_is_an_error(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "run.json"

@@ -9,7 +9,7 @@ from repeaterchain.chain import (
     valid_swap_nodes,
 )
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.solver import Policy, _choice_indices, _composed_matrix
+from repeaterchain.solver import Policy, _composed_matrix
 from repeaterchain.statespace import enumerate_states, terminal_state
 from test_walk_reference import PROBABILITY_POINTS, reference_partition
 
@@ -29,18 +29,35 @@ def inter_idx(space, links):
     ]
 
 
+def csr_row(matrix, row):
+    """Row ``row`` of a CSR matrix as {column: value}."""
+    lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+    return dict(zip(matrix.indices[lo:hi].tolist(), matrix.data[lo:hi].tolist()))
+
+
+def phase_a(model, s_idx):
+    """P_A(. | s): distribution over intermediate-state indices."""
+    return csr_row(model.phase_a_matrix(), s_idx)
+
+
+def phase_b(model, r_idx, action):
+    """P_B(. | r, a): distribution over slot-boundary state indices."""
+    choices = model.choice_table()
+    local = model.space.actions[r_idx].index(frozenset(action))
+    return csr_row(choices.matrix, int(choices.offsets[r_idx]) + local)
+
+
 def composed_row(space, model, actions, s_idx):
     """Row ``s_idx`` of the one-slot matrix the solver evaluates for a policy."""
-    rows = _choice_indices(space, Policy(tuple(actions)), model.choice_table().offsets)
-    row = _composed_matrix(model, rows).getrow(s_idx)
-    return dict(zip(row.indices.tolist(), row.data.tolist()))
+    rows = Policy.from_actions(space, actions).rows
+    return csr_row(_composed_matrix(model, rows), s_idx)
 
 
 class TestPhaseA:
     def test_from_empty_three_node(self):
         p = 0.3
         space, model = build(3, 1, p=p)
-        dist = model.phase_a(0)
+        dist = phase_a(model, 0)
         by_state = {space.intermediate_states[r]: q for r, q in dist.items()}
         mk = lambda links: state_from_links(3, links, intermediate=True)
         assert by_state[mk([])] == pytest.approx((1 - p) ** 2)
@@ -51,7 +68,7 @@ class TestPhaseA:
     def test_from_one_link_state(self):
         p = 0.4
         space, model = build(3, 1, p=p)
-        dist = model.phase_a(boundary_idx(space, [(1, 2, 0)]))
+        dist = phase_a(model, boundary_idx(space, [(1, 2, 0)]))
         by_state = {space.intermediate_states[r]: q for r, q in dist.items()}
         aged_only = state_from_links(3, [(1, 2, 1)], intermediate=True)
         aged_plus = state_from_links(3, [(1, 2, 1), (2, 3, 0)], intermediate=True)
@@ -60,7 +77,7 @@ class TestPhaseA:
 
     def test_deterministic_generation_fills_every_pair(self):
         space, model = build(4, 2, p=1.0)
-        dist = model.phase_a(0)
+        dist = phase_a(model, 0)
         assert len(dist) == 1
         ((r_idx, prob),) = dist.items()
         assert prob == pytest.approx(1.0)
@@ -73,28 +90,30 @@ class TestPhaseB:
         ps = 0.7
         space, model = build(3, 1, p_s=ps)
         r_idx = inter_idx(space, [(1, 2, 0), (2, 3, 0)])
-        dist = model.phase_b(r_idx, {2})
+        dist = phase_b(model, r_idx, {2})
         assert dist[space.terminal_index] == pytest.approx(ps)
         assert dist[0] == pytest.approx(1 - ps)
 
     def test_wait_is_deterministic_cutoff(self):
         space, model = build(3, 1)
         r_idx = inter_idx(space, [(1, 2, 1), (2, 3, 0)])
-        dist = model.phase_b(r_idx, frozenset())
+        dist = phase_b(model, r_idx, frozenset())
         assert dist == {boundary_idx(space, [(2, 3, 0)]): pytest.approx(1.0)}
 
     def test_full_chain_is_one_run(self):
         ps = 0.6
         space, model = build(5, 1, p_s=ps)
         r_idx = inter_idx(space, [(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0)])
-        dist = model.phase_b(r_idx, {2, 3, 4})
+        dist = phase_b(model, r_idx, {2, 3, 4})
         assert dist[space.terminal_index] == pytest.approx(ps**3)
         assert dist[0] == pytest.approx(1 - ps**3)
 
     def test_invalid_action_rejected(self):
-        space, model = build(3, 1)
-        with pytest.raises(ValueError):
-            model.phase_b(inter_idx(space, [(1, 2, 0)]), {2})
+        space, _ = build(3, 1)
+        actions = [frozenset() for _ in range(space.num_intermediate)]
+        actions[inter_idx(space, [(1, 2, 0)])] = frozenset({2})
+        with pytest.raises(ValueError, match="invalid in intermediate state"):
+            Policy.from_actions(space, actions)
 
 
 class TestComposed:
@@ -171,9 +190,9 @@ class TestMirrorEquivariance:
         for s_idx, s in enumerate(space.boundary_states):
             if s_idx == space.terminal_index:
                 continue
-            dist = model.phase_a(s_idx)
+            dist = phase_a(model, s_idx)
             mirrored_s = space.boundary_index[mirror(s)]
-            mirrored = model.phase_a(mirrored_s)
+            mirrored = phase_a(model, mirrored_s)
             for r_idx, prob in dist.items():
                 m_idx = space.intermediate_index[mirror(space.intermediate_states[r_idx])]
                 assert mirrored[m_idx] == pytest.approx(prob, abs=1e-14)
@@ -184,8 +203,8 @@ class TestMirrorEquivariance:
         for r_idx, r in enumerate(space.intermediate_states):
             m_r = space.intermediate_index[mirror(r)]
             for action in space.actions[r_idx]:
-                dist = model.phase_b(r_idx, action)
-                mirrored = model.phase_b(m_r, mirror_action(action, n))
+                dist = phase_b(model, r_idx, action)
+                mirrored = phase_b(model, m_r, mirror_action(action, n))
                 for s_idx, prob in dist.items():
                     m_s = space.boundary_index[mirror(space.boundary_states[s_idx])]
                     assert mirrored[m_s] == pytest.approx(prob, abs=1e-14)
@@ -222,8 +241,8 @@ class TestBunch:
         for s_idx in split.boundary.sym:
             if s_idx == space.terminal_index:
                 continue
-            full = model.phase_a(s_idx)
-            folded = bmodel.phase_a(bspace.boundary_index[space.boundary_states[s_idx]])
+            full = phase_a(model, s_idx)
+            folded = phase_a(bmodel, bspace.boundary_index[space.boundary_states[s_idx]])
             for r_idx, prob in full.items():
                 r = space.intermediate_states[r_idx]
                 if r_idx in split.intermediate.sym:

@@ -6,6 +6,7 @@ from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     ConvergenceError,
     Policy,
+    PolicyStats,
     SolverConfig,
     _greedy_choices,
     baseline_rule,
@@ -58,21 +59,21 @@ class TestEvaluate:
 
     def test_never_swapping_policy_is_improper(self):
         space, model = build(3, 1, p=0.5, p_s=0.5)
-        never = Policy(tuple(frozenset() for _ in space.intermediate_states))
+        never = Policy.from_actions(space, [frozenset()] * space.num_intermediate)
         with pytest.raises(ConvergenceError):
             evaluate_policy(space, model, never)
 
     def test_policy_must_be_total(self):
         space, model = build(3, 1, p=0.5, p_s=0.5)
         with pytest.raises(ValueError):
-            evaluate_policy(space, model, Policy((frozenset(),)))
+            evaluate_policy(space, model, Policy([0]))
 
 
 class TestPolicies:
     def test_swap_asap_contents(self):
         space, _ = build(5, 1, p=0.5, p_s=0.5)
         policy = swap_asap_policy(space)
-        for r, action in zip(space.intermediate_states, policy.actions):
+        for r, action in zip(space.intermediate_states, policy.actions(space)):
             assert action == frozenset(valid_swap_nodes(r))
         full = state_from_links(
             5, [(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0)], intermediate=True
@@ -83,7 +84,7 @@ class TestPolicies:
         space, _ = build(5, 2, p=0.5, p_s=0.5)
         policy = modified_full_state_policy(space, {3})
         asap = swap_asap_policy(space)
-        for r, act, base in zip(space.intermediate_states, policy.actions, asap.actions):
+        for r, act, base in zip(space.intermediate_states, policy.actions(space), asap.actions(space)):
             pairs = {(l.left, l.right) for l in r.links}
             if pairs == {(1, 2), (2, 3), (3, 4), (4, 5)}:
                 assert act == {2, 4}
@@ -93,6 +94,24 @@ class TestPolicies:
     def test_modified_policy_with_empty_withheld_is_swap_asap(self):
         space, _ = build(4, 1, p=0.5, p_s=0.5)
         assert modified_full_state_policy(space, set()) == swap_asap_policy(space)
+
+    def test_rows_are_a_read_only_copy(self):
+        rows = np.array([0, 2, 3])
+        policy = Policy(rows)
+        rows[0] = 1
+        assert policy.rows.dtype == np.int64
+        assert policy.rows.tolist() == [0, 2, 3]
+        assert not policy.rows.flags.writeable
+        assert policy == Policy([0, 2, 3]) != Policy([0, 2, 4])
+        assert policy != Policy([0, 2])
+
+    def test_from_actions_rejects_a_partial_policy(self):
+        space, _ = build(3, 1, p=0.5, p_s=0.5)
+        actions = swap_asap_policy(space).actions(space)
+        with pytest.raises(ValueError, match="every intermediate state"):
+            Policy.from_actions(space, actions[:-1])
+        with pytest.raises(ValueError, match="every intermediate state"):
+            Policy.from_actions(space, actions + actions[:1])
 
     def test_modified_policy_rejects_end_nodes(self):
         space, _ = build(4, 1, p=0.5, p_s=0.5)
@@ -121,7 +140,7 @@ class TestBaselineRule:
 
     def test_swap_asap_and_policy_iteration_decode_no_state(self, monkeypatch):
         space, model = build(5, 3, p=0.9, p_s=0.5)
-        expected = Policy(tuple(map(baseline_rule(5), space.intermediate_states)))
+        expected = Policy.from_actions(space, map(baseline_rule(5), space.intermediate_states))
         space, model = build(5, 3, p=0.9, p_s=0.5)
 
         def decode(*args):
@@ -130,7 +149,10 @@ class TestBaselineRule:
         monkeypatch.setattr(StateSpace, "_states", decode)
         assert modified_full_state_policy(space, ()) == swap_asap_policy(space) == expected
         evaluate_policy(space, model, swap_asap_policy(space))
-        policy_iteration(space, model)
+        for solve in (policy_iteration, value_iteration):
+            _, policy = solve(space, model)
+            policy_stats(space, policy)
+            policy.actions(space)
 
     @pytest.mark.parametrize("withheld", [{1}, {5}])
     def test_end_nodes_cannot_be_withheld(self, withheld):
@@ -199,6 +221,18 @@ class TestOptimalSolvers:
         with pytest.raises(ConvergenceError):
             value_iteration(space, model, SolverConfig(max_iterations=2))
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_sweep_cap_must_allow_one_sweep(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("solve", [policy_iteration, value_iteration])
+    def test_policy_round_trips_through_its_actions(self, solve, fold):
+        space = enumerate_states(ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2), fold=fold)
+        _, policy = solve(space, TransitionModel.build(space))
+        assert Policy.from_actions(space, policy.actions(space)) == policy
+
 
 class TestGreedyChoices:
     def test_first_minimal_row_wins_ties(self):
@@ -242,10 +276,11 @@ class TestMirrorSymmetryOfValues:
         _, bpolicy = policy_iteration(bmodel.space, bmodel)
         policy = expand_policy(space, bmodel.space, bpolicy)
         n = space.params.n
+        actions = policy.actions(space)
         for r_idx, r in enumerate(space.intermediate_states):
             m_idx = space.intermediate_index[mirror(r)]
-            mirrored = frozenset(n - k + 1 for k in policy.actions[r_idx])
-            assert policy.actions[m_idx] == mirrored
+            mirrored = frozenset(n - k + 1 for k in actions[r_idx])
+            assert actions[m_idx] == mirrored
 
     @pytest.mark.parametrize("n,t_cut", [(4, 2), (5, 2), (5, 3)])
     def test_folded_state_map_covers_the_unfolded_space(self, n, t_cut):
@@ -262,6 +297,24 @@ class TestMirrorSymmetryOfValues:
         for r, weight in zip(bmodel.space.intermediate_states, bmodel.space.intermediate_weights):
             if weight == 2:
                 assert states[position[r] + 1] == mirror(r)
+
+
+def reference_policy_stats(space, policy):
+    """The per-state loop ``policy_stats`` replaced: each state's action against its eligible nodes."""
+    total = swap_all = no_swap = 0
+    weights = space.intermediate_weights.tolist()
+    for r, action, weight in zip(space.intermediate_states, policy.actions(space), weights):
+        nodes = valid_swap_nodes(r)
+        if not nodes:
+            continue
+        total += weight
+        if action == nodes:
+            swap_all += weight
+        elif not action:
+            no_swap += weight
+    if total == 0:
+        return PolicyStats(0.0, 0.0, 0)
+    return PolicyStats(swap_all / total, no_swap / total, total)
 
 
 class TestAnalytics:
@@ -293,3 +346,17 @@ class TestAnalytics:
         assert 0.0 <= stats.swap_all_fraction <= 1.0
         assert 0.0 <= stats.no_swap_fraction <= 1.0
         assert stats.swap_all_fraction + stats.no_swap_fraction <= 1.0
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_stats_match_the_per_state_loop(self, fold):
+        space = enumerate_states(ChainParams(n=5, p=0.9, p_s=0.5, t_cut=3), fold=fold)
+        model = TransitionModel.build(space)
+        policies = [
+            swap_asap_policy(space),
+            modified_full_state_policy(space, {3}),
+            policy_iteration(space, model)[1],
+        ]
+        for policy in policies:
+            assert policy_stats(space, policy) == reference_policy_stats(space, policy)
+        # The three policies fall in different classes, so the check has teeth.
+        assert len({policy_stats(space, policy) for policy in policies}) == 3

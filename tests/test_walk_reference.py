@@ -2,10 +2,10 @@
 
 ``enumerate_states`` records the transitions while it discovers states, as
 flat integer arrays, and resolves swap outcomes by code arithmetic
-(``StateCodes.swap_codes``).  The reference below is the earlier
+(``StateCodes.swap_outcomes``).  The reference below is the earlier
 construction, kept here only as a test oracle: one breadth-first walk to
 list the states, a second walk over every state to record the arcs, and an
-uncached ``swap_outcomes`` that builds each outcome from the public
+uncached ``reference_swap_outcomes`` that builds each outcome from the public
 ``ChainState`` constructor.  The walk's arrays are compared through
 :func:`arc_view`, which rebuilds the per-state arc tuples from them.
 
@@ -442,12 +442,13 @@ def expand_policy(space, bunched_space, policy) -> Policy:
     Representative states keep their action; folded states take the
     mirrored action of their representative.
     """
+    bunched_actions = policy.actions(bunched_space)
     actions = []
     for r in space.intermediate_states:
         rep = r if r in bunched_space.intermediate_index else mirror(r)
-        act = policy.actions[bunched_space.intermediate_index[rep]]
+        act = bunched_actions[bunched_space.intermediate_index[rep]]
         actions.append(act if rep == r else mirror_action(act, space.params.n))
-    return Policy(tuple(actions))
+    return Policy.from_actions(space, actions)
 
 
 def expand_values(space, bunched_space, table) -> ValueTable:
