@@ -37,16 +37,17 @@ print("     p    ps     solver T      closed form   |diff|")
 worst = 0.0
 for p in (0.2, 0.5, 0.8, 1.0):
     for ps in (0.3, 0.5, 1.0):
+        # One walk serves every (p, p_s); the solver reads them off the model.
         m = model.respecialized(p=p, p_s=ps)
-        table, policy = policy_iteration(m.space, m)
+        table, policy = policy_iteration(m)
         exact = closed_form(p, ps)
         diff = abs(table.t0 - exact)
         worst = max(worst, diff / exact)
         print(f"  {p:4.1f}  {ps:4.1f}  {table.t0:12.6f}  {exact:12.6f}   {diff:.2e}")
 print(f"\nworst relative deviation: {worst:.2e}")
 
-table, policy = policy_iteration(space, model)
-asap = evaluate_policy(space, model, swap_asap_policy(space))
+table, policy = policy_iteration(model)
+asap = evaluate_policy(model, swap_asap_policy(space))
 print(f"\noptimal T(empty) = {table.t0:.6f}, swap-asap T(empty) = {asap.t0:.6f}")
 print("swap-asap is optimal here: the solver's policy swaps wherever it can ->",
       policy == swap_asap_policy(space))

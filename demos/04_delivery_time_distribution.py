@@ -26,7 +26,7 @@ from repeaterchain import (
 params = ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
 space = enumerate_states(params)
 model = TransitionModel.build(space)
-table, policy = policy_iteration(space, model)
+table, policy = policy_iteration(model)
 print(f"exact optimal expected delivery time: {table.t0:.4f} slots")
 
 result = estimate(params, policy.state_map(space), SimConfig(trials=100_000, master_seed=7))

@@ -37,7 +37,7 @@ params = ChainParams(n=5, p=0.7, p_s=0.5, t_cut=4)
 start = time.perf_counter()
 space = enumerate_states(params)
 model = TransitionModel.build(space)
-full, _ = policy_iteration(space, model)
+full, _ = policy_iteration(model)
 full_time = time.perf_counter() - start
 
 # The folded walk lists one state per mirror pair; a weight of 1 marks a
@@ -45,7 +45,7 @@ full_time = time.perf_counter() - start
 start = time.perf_counter()
 folded_space = enumerate_states(params, fold=True)
 fmodel = TransitionModel.build(folded_space)
-folded, _ = policy_iteration(folded_space, fmodel)
+folded, _ = policy_iteration(fmodel)
 folded_time = time.perf_counter() - start
 
 sym = int((folded_space.boundary_weights == 1).sum())

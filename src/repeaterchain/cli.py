@@ -27,6 +27,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 
 from . import __version__
@@ -157,15 +158,15 @@ class _Options:
 
 
 _SOLVER_DEFAULTS = {
-    "epsilon": 1e-7,
-    "max_iter": 1_000_000,
+    "epsilon": SolverConfig.epsilon,
+    "max_iter": SolverConfig.max_iterations,
     "method": "pi",
     "bunch": False,
     "state_cap": DEFAULT_STATE_CAP,
     "workers": 1,
 }
 
-_SIM_DEFAULTS = {"trials": 100_000, "seed": 0, "max_slots": 1_000_000}
+_SIM_DEFAULTS = {"trials": 100_000, "seed": SimConfig.master_seed, "max_slots": SimConfig.max_slots}
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -236,9 +237,9 @@ class _Structure:
     def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
         model = self.model.respecialized(p, p_s)
         if method == "pi":
-            table, policy = policy_iteration(model.space, model)
+            table, policy = policy_iteration(model)
         else:
-            table, policy = value_iteration(model.space, model, config)
+            table, policy = value_iteration(model, config)
         return _Solution(self, model, table, policy)
 
 
@@ -261,7 +262,7 @@ class _Solution:
         """The unfolded model at (p, p_s): ``model`` itself unless bunching."""
         if not self.model.space.folded:
             return self.model
-        params = self.model.params
+        params = self.model.space.params
         return self.structure.full_model().respecialized(params.p, params.p_s)
 
     def baseline_t0(self, spec: str) -> float:
@@ -272,10 +273,27 @@ class _Solution:
         even when that is folded.
         """
         withheld = _withheld_nodes(spec)
-        symmetric = mirror_action(withheld, self.model.params.n) == withheld
+        symmetric = mirror_action(withheld, self.model.space.params.n) == withheld
         model = self.model if symmetric else self.full
-        policy = modified_full_state_policy(model.space, withheld)
-        return evaluate_policy(model.space, model, policy).t0
+        return evaluate_policy(model, modified_full_state_policy(model.space, withheld)).t0
+
+
+def _grid(opt: _Options) -> list[tuple[int, float, float, int]]:
+    """Every (n, p, p_s, t_cut) of the list options, in that nesting order (n slowest)."""
+    return list(product(opt.ints("n"), opt.floats("p"), opt.floats("ps"), opt.ints("tcut")))
+
+
+def _write_rows(out: str | None, rows: list[dict]) -> None:
+    """``rows`` as CSV to the file ``out``, else to stdout, headed by the union of their keys."""
+    keys = list(dict.fromkeys(key for row in rows for key in row))
+    fh = open(out, "w", newline="") if out else sys.stdout
+    try:
+        writer = csv.DictWriter(fh, fieldnames=keys, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    finally:
+        if out:
+            fh.close()
 
 
 def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
@@ -524,29 +542,16 @@ def _sweep_group(points: list[dict]) -> list[dict]:
 
 
 def cmd_sweep(opt: _Options) -> int:
-    ns = opt.ints("n")
-    ps = opt.floats("p")
-    pss = opt.floats("ps")
-    tcuts = opt.ints("tcut")
-    baselines = _baselines(opt)
-    points = [
-        {
-            "n": n,
-            "p": p,
-            "ps": p_s,
-            "tcut": t_cut,
-            "baselines": baselines,
-            "epsilon": opt.single("epsilon", float),
-            "max_iter": opt.single("max_iter", int),
-            "method": opt.single("method"),
-            "bunch": opt.single("bunch", bool),
-            "state_cap": opt.single("state_cap", int),
-        }
-        for n in ns
-        for p in ps
-        for p_s in pss
-        for t_cut in tcuts
-    ]
+    grid = _grid(opt)
+    settings = {
+        "baselines": _baselines(opt),
+        "epsilon": opt.single("epsilon", float),
+        "max_iter": opt.single("max_iter", int),
+        "method": opt.single("method"),
+        "bunch": opt.single("bunch", bool),
+        "state_cap": opt.single("state_cap", int),
+    }
+    points = [{"n": n, "p": p, "ps": p_s, "tcut": t_cut, **settings} for n, p, p_s, t_cut in grid]
     groups = _structure_groups([(point["n"], point["tcut"]) for point in points])
     tasks = [[points[i] for i in group] for group in groups]
     workers = opt.single("workers", int)
@@ -559,20 +564,7 @@ def cmd_sweep(opt: _Options) -> int:
     for group, group_rows in zip(groups, results):
         for i, row in zip(group, group_rows):
             rows[i] = row
-    keys: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
-    out = opt.single("out")
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=keys, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
+    _write_rows(opt.single("out"), rows)
     failures = sum(1 for row in rows if row["error"])
     if failures:
         print(f"{failures} of {len(rows)} grid points failed", file=sys.stderr)
@@ -660,18 +652,9 @@ def cmd_states(opt: _Options) -> int:
 
 
 def cmd_stats(opt: _Options) -> int:
-    ns = opt.ints("n")
-    ps_list = opt.floats("p")
-    pss = opt.floats("ps")
-    tcuts = opt.ints("tcut")
+    points = _grid(opt)
     config = _solver_config(opt)
-    grid = [
-        ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
-        for n in ns
-        for p in ps_list
-        for p_s in pss
-        for t_cut in tcuts
-    ]
+    grid = [ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut) for n, p, p_s, t_cut in points]
     rows: list[dict | None] = [None] * len(grid)
     for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
         structure = _Structure(
@@ -690,15 +673,7 @@ def cmd_stats(opt: _Options) -> int:
                 "pct_swap_all": _fmt(100.0 * stats.swap_all_fraction),
                 "pct_no_swap": _fmt(100.0 * stats.no_swap_fraction),
             }
-    out = opt.single("out")
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
+    _write_rows(opt.single("out"), rows)
     return 0
 
 

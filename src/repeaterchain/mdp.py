@@ -15,11 +15,14 @@ structurally as success/failure exponents, so a model can be materialized
 exactly for any ``(p, p_s)`` without re-walking the dynamics.  A model over
 a folded space (mirror pairs enumerated as one representative) is built the
 same way; its arcs already carry the folded multiplicities.
+
+A model holds its space, and the space's ``params`` give the ``(p, p_s)``
+the matrices are built at, so the solvers take the model alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,20 +30,8 @@ import scipy.sparse as sp
 from .statespace import StateSpace
 
 __all__ = [
-    "ChoiceTable",
     "TransitionModel",
 ]
-
-@dataclass(frozen=True)
-class ChoiceTable:
-    """Flattened phase-B matrix with one row per (intermediate, action) pair.
-
-    ``offsets[r] : offsets[r + 1]`` are the rows of intermediate state ``r``,
-    in the action order of ``StateSpace.actions[r]``.
-    """
-
-    matrix: sp.csr_matrix
-    offsets: np.ndarray
 
 
 def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
@@ -54,9 +45,8 @@ class TransitionModel:
 
     def __init__(self, space: StateSpace):
         self.space = space
-        self.params = space.params
         self._mat_a: sp.csr_matrix | None = None
-        self._choices: ChoiceTable | None = None
+        self._choices: sp.csr_matrix | None = None
 
     @classmethod
     def build(cls, space: StateSpace) -> "TransitionModel":
@@ -66,15 +56,17 @@ class TransitionModel:
     def respecialized(self, p: float, p_s: float) -> "TransitionModel":
         """Same dynamics with different success probabilities.
 
-        The structural arcs depend only on (n, t_cut) and are shared; only
-        the numeric matrices are rebuilt.  Used by parameter sweeps.
+        The states and arcs depend only on (n, t_cut), so the copy's space
+        shares them, and the states decoded so far, with this one; only the
+        numeric matrices are rebuilt.  Used by parameter sweeps.
         """
-        return TransitionModel(self.space.respecialized(p, p_s))
+        space = self.space
+        return TransitionModel(replace(space, params=replace(space.params, p=p, p_s=p_s)))
 
     def phase_a_matrix(self) -> sp.csr_matrix:
         """P_A as a (boundary x intermediate) CSR matrix; terminal row is zero."""
         if self._mat_a is None:
-            space, p = self.space, self.params.p
+            space, p = self.space, self.space.params.p
             # Multiplied in the order mult * p**k * (1-p)**m.
             data = _powers(p, space.gen_successes)
             if space.gen_mult is not None:
@@ -89,10 +81,14 @@ class TransitionModel:
             ).tocsr()
         return self._mat_a
 
-    def choice_table(self) -> ChoiceTable:
-        """P_B for every (intermediate, action) pair as one stacked CSR matrix."""
+    def choice_table(self) -> sp.csr_matrix:
+        """P_B for every (intermediate, action) pair as one stacked CSR matrix.
+
+        Rows ``space.row_offsets[r] : space.row_offsets[r + 1]`` belong to
+        intermediate state ``r``, in the action order of ``space.actions[r]``.
+        """
         if self._choices is None:
-            space, ps = self.space, self.params.p_s
+            space, ps = self.space, self.space.params.p_s
             # The probability of each survival mask of each run shape, as a
             # left-to-right product over the runs.
             probs: list[float] = []
@@ -120,6 +116,7 @@ class TransitionModel:
             keep = data > 0.0
             if not keep.all():
                 data, rows, cols = data[keep], rows[keep], cols[keep]
-            matrix = sp.coo_matrix((data, (rows, cols)), shape=(num_rows, space.num_boundary)).tocsr()
-            self._choices = ChoiceTable(matrix=matrix, offsets=space.row_offsets)
+            self._choices = sp.coo_matrix(
+                (data, (rows, cols)), shape=(num_rows, space.num_boundary)
+            ).tocsr()
         return self._choices

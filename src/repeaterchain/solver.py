@@ -9,6 +9,10 @@ states: the action may depend on the generation results of the same slot.
 Optimal policies replace the inner sum by a minimum over the actions
 available in ``r``.
 
+Every solver takes a :class:`~repeaterchain.mdp.TransitionModel` alone:
+its space lists the states and choice rows, and its space's parameters
+give the ``(p, p_s)`` the model is built at.
+
 Ties between equally good actions are broken towards fewer swaps, then the
 lexicographically smallest node set (the order of ``StateSpace.actions``),
 so solver output is reproducible.
@@ -198,10 +202,21 @@ def swap_asap_policy(space: StateSpace) -> Policy:
 
 
 def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
-    """Swap-asap, except that in full states the given nodes do not swap."""
-    rule = baseline_rule(space.params.n, withheld)
+    """Swap-asap, except that in full states the given nodes do not swap.
+
+    On a folded space each representative stands for its mirror image, which
+    then withholds the mirrored nodes.  So the node set must be its own
+    mirror image there; otherwise this raises :class:`ValueError`.
+    """
+    n, withheld = space.params.n, frozenset(withheld)
+    rule = baseline_rule(n, withheld)
     if not withheld:
         return swap_asap_policy(space)
+    if space.folded and mirror_action(withheld, n) != withheld:
+        raise ValueError(
+            f"withheld nodes {sorted(withheld)} are not mirror-symmetric, "
+            "so their policy needs an unfolded space"
+        )
     return Policy.from_actions(space, map(rule, space.intermediate_states))
 
 
@@ -230,9 +245,11 @@ def policy_stats(space: StateSpace, policy: Policy) -> PolicyStats:
     return PolicyStats(swap_all / total, no_swap / total, total)
 
 
-def _nonterminal_solve(space: StateSpace, composed: sp.csr_matrix) -> np.ndarray:
-    term = space.terminal_index
-    keep = np.arange(space.num_boundary) != term
+def _nonterminal_solve(model: TransitionModel, rows: np.ndarray) -> np.ndarray:
+    """Delivery times of the policy that takes choice-table row ``rows[r]`` in state ``r``."""
+    space = model.space
+    composed = model.phase_a_matrix() @ model.choice_table()[rows]
+    keep = np.arange(space.num_boundary) != space.terminal_index
     sub = composed[keep][:, keep]
     system = sp.identity(sub.shape[0], format="csr") - sub
     with warnings.catch_warnings():
@@ -251,21 +268,16 @@ def _nonterminal_solve(space: StateSpace, composed: sp.csr_matrix) -> np.ndarray
     return values
 
 
-def _composed_matrix(model: TransitionModel, rows: np.ndarray) -> sp.csr_matrix:
-    """One-slot matrix of the policy that takes choice-table row ``rows[r]`` in state ``r``."""
-    return model.phase_a_matrix() @ model.choice_table().matrix[rows]
-
-
-def evaluate_policy(space: StateSpace, model: TransitionModel, policy: Policy) -> ValueTable:
+def evaluate_policy(model: TransitionModel, policy: Policy) -> ValueTable:
     """Expected delivery time of a fixed policy from every slot-boundary state.
 
     Solves the linear fixed-point equations directly by sparse LU, so the
     values are exact up to roundoff.  Raises :class:`ConvergenceError` for
     policies that never deliver.
     """
-    if len(policy.rows) != space.num_intermediate:
+    if len(policy.rows) != model.space.num_intermediate:
         raise ValueError("policy does not cover every intermediate state")
-    values = _nonterminal_solve(space, _composed_matrix(model, policy.rows))
+    values = _nonterminal_solve(model, policy.rows)
     return ValueTable(values=values, iterations=1)
 
 
@@ -281,9 +293,7 @@ def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def value_iteration(
-    space: StateSpace,
-    model: TransitionModel,
-    config: SolverConfig | None = None,
+    model: TransitionModel, config: SolverConfig | None = None
 ) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by successive sweeps of the minimizing update.
 
@@ -292,15 +302,14 @@ def value_iteration(
     and the greedy policy they induce.
     """
     config = config or SolverConfig()
-    mat_a = model.phase_a_matrix()
-    choices = model.choice_table()
-    term = space.terminal_index
+    space = model.space
+    mat_a, choices = model.phase_a_matrix(), model.choice_table()
     values = np.zeros(space.num_boundary)
-    starts = choices.offsets[:-1]
+    starts = space.row_offsets[:-1]
     for it in range(1, config.max_iterations + 1):
-        mins = np.minimum.reduceat(choices.matrix @ values, starts)
+        mins = np.minimum.reduceat(choices @ values, starts)
         new = 1.0 + mat_a @ mins
-        new[term] = 0.0
+        new[space.terminal_index] = 0.0
         residual = float(np.max(np.abs(new - values)))
         values = new
         if residual <= config.epsilon:
@@ -310,11 +319,11 @@ def value_iteration(
             f"value iteration did not converge in {config.max_iterations} sweeps "
             f"(residual {residual:.3e})"
         )
-    policy = Policy(_greedy_choices(choices.matrix @ values, choices.offsets))
+    policy = Policy(_greedy_choices(choices @ values, space.row_offsets))
     return ValueTable(values=values, iterations=it, residual=residual), policy
 
 
-def policy_iteration(space: StateSpace, model: TransitionModel) -> tuple[ValueTable, Policy]:
+def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by alternating evaluation and greedy improvement.
 
     Starts from swap-asap, the last choice row of every state.  The
@@ -322,17 +331,17 @@ def policy_iteration(space: StateSpace, model: TransitionModel) -> tuple[ValueTa
     one exists, which guarantees termination; switched actions follow the
     deterministic tie-break order.
     """
-    choices = model.choice_table()
+    space, choices = model.space, model.choice_table()
     current = swap_asap_policy(space).rows
-    values = _nonterminal_solve(space, _composed_matrix(model, current))
+    values = _nonterminal_solve(model, current)
     for rounds in range(1, MAX_POLICY_ITERATIONS + 1):
-        q = choices.matrix @ values
-        first = _greedy_choices(q, choices.offsets)
+        q = choices @ values
+        first = _greedy_choices(q, space.row_offsets)
         improved = q[first] < q[current]
         if not np.any(improved):
             break
         current = np.where(improved, first, current)
-        new_values = _nonterminal_solve(space, _composed_matrix(model, current))
+        new_values = _nonterminal_solve(model, current)
         # Evaluation roundoff can make value-equivalent actions look strictly
         # better and flip forever; once a round stops lowering any value
         # beyond noise level, the incumbent policy set is value-optimal.

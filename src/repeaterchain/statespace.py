@@ -22,7 +22,7 @@ halves the states without changing any delivery time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -91,8 +91,8 @@ class StateSpace:
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2).
     ``boundary_index`` and ``intermediate_index`` map states to indices.
-    Decoded states and indices are built on first use and shared by
-    respecialized copies.
+    Decoded states and indices are built on first use and shared by the
+    copies that ``TransitionModel.respecialized`` makes.
     """
 
     params: ChainParams
@@ -156,14 +156,6 @@ class StateSpace:
         if index is None:
             index = self._decoded[key + "_index"] = {s: i for i, s in enumerate(states)}
         return index
-
-    def respecialized(self, p: float, p_s: float) -> "StateSpace":
-        """Same state space with different success probabilities.
-
-        Enumeration depends only on (n, t_cut), so sweeps over p and p_s can
-        share one space.
-        """
-        return replace(self, params=replace(self.params, p=p, p_s=p_s))
 
 
 #: Boundary states a walk expands together: bounds the walk's working arrays.

@@ -67,7 +67,7 @@ def test_criterion_1_closed_form_oracle():
         for p in grid:
             for ps in grid:
                 m = model.respecialized(p=p, p_s=ps)
-                table, _ = policy_iteration(m.space, m)
+                table, _ = policy_iteration(m)
                 expected = closed_form_t0(p, ps)
                 assert abs(table.t0 - expected) <= 1e-5 * expected
         elapsed = time.perf_counter() - start
@@ -78,8 +78,8 @@ def test_criterion_2_swap_semantics_calibration():
     with criterion("2: five-node benchmark (9.35 / 8.34 / 12.1%) under run semantics"):
         start = time.perf_counter()
         space, model = build(5, 2, p=0.9, p_s=0.5)
-        t_swap = evaluate_policy(space, model, swap_asap_policy(space)).t0
-        t_mod = evaluate_policy(space, model, modified_full_state_policy(space, {3})).t0
+        t_swap = evaluate_policy(model, swap_asap_policy(space)).t0
+        t_mod = evaluate_policy(model, modified_full_state_policy(space, {3})).t0
         assert t_swap == pytest.approx(9.35, abs=0.01)
         assert t_mod == pytest.approx(8.34, abs=0.01)
         gap = relative_advantage(t_swap, t_mod)
@@ -92,8 +92,8 @@ def test_criterion_3_advantage_scaling_with_chain_length():
         targets = {4: 0.017, 5: 0.059, 6: 0.123}
         for n, target in targets.items():
             space, model = build(n, 2, p=0.3, p_s=0.5)
-            t_swap = evaluate_policy(space, model, swap_asap_policy(space)).t0
-            table, _ = policy_iteration(space, model)
+            t_swap = evaluate_policy(model, swap_asap_policy(space)).t0
+            table, _ = policy_iteration(model)
             adv = relative_advantage(t_swap, table.t0)
             assert adv == pytest.approx(target, abs=0.003), f"n={n}: {adv:.4f}"
 
@@ -101,8 +101,8 @@ def test_criterion_3_advantage_scaling_with_chain_length():
 def test_criterion_4_maximum_advantage_point():
     with criterion("4: five-node advantage 13.2% at the large-cutoff point (bunched)"):
         _, bmodel = build(5, 6, p=0.9, p_s=0.5, fold=True)
-        t_swap = evaluate_policy(bmodel.space, bmodel, swap_asap_policy(bmodel.space)).t0
-        table, _ = policy_iteration(bmodel.space, bmodel)
+        t_swap = evaluate_policy(bmodel, swap_asap_policy(bmodel.space)).t0
+        table, _ = policy_iteration(bmodel)
         adv = relative_advantage(t_swap, table.t0)
         assert adv == pytest.approx(0.132, abs=0.005), f"advantage {adv:.4f}"
 
@@ -114,8 +114,8 @@ def test_criterion_5_three_node_optimality_of_swap_asap():
             for p in (0.25, 0.5, 0.75, 1.0):
                 for ps in (0.25, 0.5, 0.75, 1.0):
                     m = model.respecialized(p=p, p_s=ps)
-                    t_opt, _ = policy_iteration(m.space, m)
-                    t_swap = evaluate_policy(m.space, m, swap_asap_policy(m.space))
+                    t_opt, _ = policy_iteration(m)
+                    t_swap = evaluate_policy(m, swap_asap_policy(m.space))
                     assert abs(t_opt.t0 - t_swap.t0) <= 1e-6 * t_swap.t0
 
 
@@ -131,14 +131,14 @@ def test_criterion_6_solver_cross_validation():
         ]
         for n, t_cut, p, ps in configs:
             space, model = build(n, t_cut, p=p, p_s=ps)
-            vi, _ = value_iteration(space, model)
-            pi, _ = policy_iteration(space, model)
+            vi, _ = value_iteration(model)
+            pi, _ = policy_iteration(model)
             assert abs(vi.t0 - pi.t0) <= 1e-6 * pi.t0, (n, t_cut, p, ps)
         for n, t_cut, p, ps in [(4, 2, 0.5, 0.5), (5, 2, 0.9, 0.5), (5, 3, 0.6, 1.0)]:
             space, model = build(n, t_cut, p=p, p_s=ps)
-            full, _ = policy_iteration(space, model)
+            full, _ = policy_iteration(model)
             _, bmodel = build(n, t_cut, p=p, p_s=ps, fold=True)
-            folded, _ = policy_iteration(bmodel.space, bmodel)
+            folded, _ = policy_iteration(bmodel)
             assert abs(full.t0 - folded.t0) <= 1e-9 * max(1.0, full.t0), (n, t_cut, p, ps)
 
 
@@ -161,8 +161,8 @@ def test_criterion_7_simulator_cross_validation():
             elif kind == "modified":
                 policy = modified_full_state_policy(space, {3})
             else:
-                _, policy = policy_iteration(space, model)
-            exact = evaluate_policy(space, model, policy).t0
+                _, policy = policy_iteration(model)
+            exact = evaluate_policy(model, policy).t0
             result = estimate(
                 params, policy.state_map(space), SimConfig(trials=100_000, master_seed=1000 + i)
             )
@@ -184,7 +184,7 @@ def test_criterion_8_probability_conservation():
             a_sums = np.asarray(model.phase_a_matrix().sum(axis=1)).ravel()
             a_sums = np.delete(a_sums, space.terminal_index)
             assert np.max(np.abs(a_sums - 1.0)) <= 1e-12, (n, t_cut)
-            b_sums = np.asarray(model.choice_table().matrix.sum(axis=1)).ravel()
+            b_sums = np.asarray(model.choice_table().sum(axis=1)).ravel()
             assert np.max(np.abs(b_sums - 1.0)) <= 1e-12, (n, t_cut)
 
 
@@ -235,7 +235,7 @@ def test_criterion_11_monotonicity_over_figure_grid():
             for ps in ps_grid:
                 for p in p_grid:
                     m = bmodel.respecialized(p=p, p_s=ps)
-                    table, _ = policy_iteration(m.space, m)
+                    table, _ = policy_iteration(m)
                     values[(p, ps, t_cut)] = table.t0
         slack = 1e-9
         for ps in ps_grid:

@@ -44,7 +44,7 @@ def fresh_solve(params, method, use_bunch):
     model = TransitionModel.build(space)
     solved = TransitionModel.build(enumerate_states(params, fold=True)) if use_bunch else model
     solve = policy_iteration if method == "pi" else value_iteration
-    table, policy = solve(solved.space, solved)
+    table, policy = solve(solved)
     return space, model, solved, table, policy
 
 
@@ -329,8 +329,8 @@ class TestSweep:
             )
             space, model, solved, table, _ = fresh_solve(params, method, flag == "--bunch")
             # swap-asap is mirror-symmetric: the CLI evaluates it on the solved model.
-            base = evaluate_policy(solved.space, solved, swap_asap_policy(solved.space))
-            full = evaluate_policy(space, model, swap_asap_policy(space))
+            base = evaluate_policy(solved, swap_asap_policy(solved.space))
+            full = evaluate_policy(model, swap_asap_policy(space))
             assert base.t0 == pytest.approx(full.t0, rel=1e-12, abs=0)
             assert row["T_opt"] == f"{table.t0:.17g}"
             assert row["T_swap_asap"] == f"{base.t0:.17g}"

@@ -9,7 +9,7 @@ from repeaterchain.chain import (
     valid_swap_nodes,
 )
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.solver import Policy, _composed_matrix
+from repeaterchain.solver import Policy
 from repeaterchain.statespace import enumerate_states, terminal_state
 from test_walk_reference import PROBABILITY_POINTS, reference_partition
 
@@ -42,15 +42,14 @@ def phase_a(model, s_idx):
 
 def phase_b(model, r_idx, action):
     """P_B(. | r, a): distribution over slot-boundary state indices."""
-    choices = model.choice_table()
     local = model.space.actions[r_idx].index(frozenset(action))
-    return csr_row(choices.matrix, int(choices.offsets[r_idx]) + local)
+    return csr_row(model.choice_table(), int(model.space.row_offsets[r_idx]) + local)
 
 
 def composed_row(space, model, actions, s_idx):
     """Row ``s_idx`` of the one-slot matrix the solver evaluates for a policy."""
     rows = Policy.from_actions(space, actions).rows
-    return csr_row(_composed_matrix(model, rows), s_idx)
+    return csr_row(model.phase_a_matrix() @ model.choice_table()[rows], s_idx)
 
 
 class TestPhaseA:
@@ -179,7 +178,7 @@ class TestConservation:
                 assert a_sums[s_idx] == 0.0
             else:
                 assert abs(a_sums[s_idx] - 1.0) <= 1e-12
-        choice_sums = np.asarray(model.choice_table().matrix.sum(axis=1)).ravel()
+        choice_sums = np.asarray(model.choice_table().sum(axis=1)).ravel()
         assert np.max(np.abs(choice_sums - 1.0)) <= 1e-12
 
 
@@ -228,7 +227,7 @@ class TestBunch:
         for s_idx in range(bmodel.space.num_boundary):
             if s_idx != bmodel.space.terminal_index:
                 assert abs(a_sums[s_idx] - 1.0) <= 1e-12
-        choice_sums = np.asarray(bmodel.choice_table().matrix.sum(axis=1)).ravel()
+        choice_sums = np.asarray(bmodel.choice_table().sum(axis=1)).ravel()
         assert np.max(np.abs(choice_sums - 1.0)) <= 1e-12
 
     def test_factor_two_from_symmetric_states(self):
@@ -265,9 +264,8 @@ class TestRespecialized:
 
     def assert_same_matrices(self, model, direct):
         self.assert_same_csr(model.phase_a_matrix(), direct.phase_a_matrix())
-        choices, want = model.choice_table(), direct.choice_table()
-        assert choices.offsets.tobytes() == want.offsets.tobytes()
-        self.assert_same_csr(choices.matrix, want.matrix)
+        assert model.space.row_offsets.tobytes() == direct.space.row_offsets.tobytes()
+        self.assert_same_csr(model.choice_table(), direct.choice_table())
 
     @pytest.mark.parametrize("n,t_cut", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 1), (5, 2)])
     def test_matches_direct_build(self, n, t_cut):

@@ -73,7 +73,7 @@ class TestEstimate:
         params, space = setup(3, 1, 0.5, 0.5)
         model = TransitionModel.build(space)
         policy = swap_asap_policy(space)
-        exact = evaluate_policy(space, model, policy).t0
+        exact = evaluate_policy(model, policy).t0
         result = estimate(params, policy.state_map(space), SimConfig(trials=20_000, master_seed=9))
         assert abs(result.mean - exact) <= 4 * result.stderr
 
@@ -96,7 +96,7 @@ class TestEstimate:
     def test_optimal_policy_also_simulates(self):
         params, space = setup(4, 2, 0.9, 0.5)
         model = TransitionModel.build(space)
-        table, policy = policy_iteration(space, model)
+        table, policy = policy_iteration(model)
         result = estimate(
             params,
             policy.state_map(space),

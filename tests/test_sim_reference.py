@@ -109,7 +109,7 @@ def point_policy(space, model, kind):
     if kind == "swap-asap":
         return swap_asap_policy(space)
     if kind == "optimal":
-        return policy_iteration(space, model)[1]
+        return policy_iteration(model)[1]
     return modified_full_state_policy(space, {3})
 
 

@@ -37,22 +37,22 @@ def three_node_unit_cutoff_t0(p, ps):
 class TestEvaluate:
     def test_deterministic_chain_delivers_in_one_slot(self):
         space, model = build(3, 1, p=1.0, p_s=1.0)
-        table = evaluate_policy(space, model, swap_asap_policy(space))
+        table = evaluate_policy(model, swap_asap_policy(space))
         assert table.t0 == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_generation_halved_swap(self):
         space, model = build(3, 1, p=1.0, p_s=0.5)
-        table = evaluate_policy(space, model, swap_asap_policy(space))
+        table = evaluate_policy(model, swap_asap_policy(space))
         assert table.t0 == pytest.approx(2.0, abs=1e-10)
 
     def test_closed_form_midpoint(self):
         space, model = build(3, 1, p=0.5, p_s=0.5)
-        table = evaluate_policy(space, model, swap_asap_policy(space))
+        table = evaluate_policy(model, swap_asap_policy(space))
         assert table.t0 == pytest.approx(6.0, abs=1e-10)
 
     def test_terminal_value_zero_and_others_at_least_one(self):
         space, model = build(4, 2, p=0.7, p_s=0.8)
-        table = evaluate_policy(space, model, swap_asap_policy(space))
+        table = evaluate_policy(model, swap_asap_policy(space))
         assert table.values[space.terminal_index] == 0.0
         others = np.delete(table.values, space.terminal_index)
         assert np.all(others >= 1.0 - 1e-12)
@@ -61,12 +61,12 @@ class TestEvaluate:
         space, model = build(3, 1, p=0.5, p_s=0.5)
         never = Policy.from_actions(space, [frozenset()] * space.num_intermediate)
         with pytest.raises(ConvergenceError):
-            evaluate_policy(space, model, never)
+            evaluate_policy(model, never)
 
     def test_policy_must_be_total(self):
         space, model = build(3, 1, p=0.5, p_s=0.5)
         with pytest.raises(ValueError):
-            evaluate_policy(space, model, Policy([0]))
+            evaluate_policy(model, Policy([0]))
 
 
 class TestPolicies:
@@ -118,6 +118,23 @@ class TestPolicies:
         with pytest.raises(ValueError):
             modified_full_state_policy(space, {1})
 
+    def test_folded_modified_policy_rejects_asymmetric_nodes(self):
+        # A folded representative would stand for a mirror image that
+        # withholds node 2, not node 3: a different policy.
+        space, model = build(4, 2, p=0.7, p_s=0.5)
+        folded = enumerate_states(space.params, fold=True)
+        with pytest.raises(ValueError, match=r"\[3\] are not mirror-symmetric"):
+            modified_full_state_policy(folded, {3})
+        t_full = evaluate_policy(model, modified_full_state_policy(space, {3})).t0
+        assert t_full == pytest.approx(9.253330819434831, rel=1e-12)
+
+    def test_folded_modified_policy_with_symmetric_nodes_matches_unfolded(self):
+        space, model = build(4, 2, p=0.7, p_s=0.5)
+        bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
+        t_full = evaluate_policy(model, modified_full_state_policy(space, {2, 3})).t0
+        t_folded = evaluate_policy(bmodel, modified_full_state_policy(bmodel.space, {2, 3})).t0
+        assert t_folded == pytest.approx(t_full, rel=1e-12, abs=0)
+
 
 class TestBaselineRule:
     def test_swap_asap_takes_the_last_action_of_every_state(self):
@@ -148,9 +165,9 @@ class TestBaselineRule:
 
         monkeypatch.setattr(StateSpace, "_states", decode)
         assert modified_full_state_policy(space, ()) == swap_asap_policy(space) == expected
-        evaluate_policy(space, model, swap_asap_policy(space))
+        evaluate_policy(model, swap_asap_policy(space))
         for solve in (policy_iteration, value_iteration):
-            _, policy = solve(space, model)
+            _, policy = solve(model)
             policy_stats(space, policy)
             policy.actions(space)
 
@@ -164,7 +181,7 @@ class TestOptimalSolvers:
     @pytest.mark.parametrize("p,ps", [(0.2, 0.4), (0.5, 0.5), (0.8, 1.0), (1.0, 0.3)])
     def test_three_node_closed_form(self, p, ps):
         space, model = build(3, 1, p=p, p_s=ps)
-        table, _ = policy_iteration(space, model)
+        table, _ = policy_iteration(model)
         assert table.t0 == pytest.approx(three_node_unit_cutoff_t0(p, ps), rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -173,37 +190,37 @@ class TestOptimalSolvers:
     )
     def test_value_and_policy_iteration_agree(self, n, t_cut, p, ps):
         space, model = build(n, t_cut, p=p, p_s=ps)
-        vi_table, _ = value_iteration(space, model)
-        pi_table, _ = policy_iteration(space, model)
+        vi_table, _ = value_iteration(model)
+        pi_table, _ = policy_iteration(model)
         assert vi_table.t0 == pytest.approx(pi_table.t0, rel=1e-6)
 
     def test_three_node_swap_asap_stays_optimal(self):
         space, model = build(3, 2, p=0.6, p_s=0.5)
         asap = swap_asap_policy(space)
-        table, policy = policy_iteration(space, model)
+        table, policy = policy_iteration(model)
         assert policy == asap
         assert table.iterations >= 1
-        base = evaluate_policy(space, model, asap)
+        base = evaluate_policy(model, asap)
         assert table.t0 == pytest.approx(base.t0, rel=1e-12)
 
     def test_optimal_dominates_baselines(self):
         space, model = build(5, 2, p=0.9, p_s=0.5)
-        opt, _ = policy_iteration(space, model)
+        opt, _ = policy_iteration(model)
         for policy in [swap_asap_policy(space), modified_full_state_policy(space, {3})]:
-            base = evaluate_policy(space, model, policy)
+            base = evaluate_policy(model, policy)
             assert np.all(opt.values <= base.values + 1e-9)
 
     def test_value_iteration_monotone_from_policy_values(self):
         # Initialized at a policy's exact values, minimizing sweeps can only
         # lower them.
         space, model = build(4, 2, p=0.5, p_s=0.5)
-        start = evaluate_policy(space, model, swap_asap_policy(space)).values
+        start = evaluate_policy(model, swap_asap_policy(space)).values
         mat_a = model.phase_a_matrix()
         choices = model.choice_table()
         values = start.copy()
         for _ in range(30):
-            q = choices.matrix @ values
-            mins = np.minimum.reduceat(q, choices.offsets[:-1])
+            q = choices @ values
+            mins = np.minimum.reduceat(q, space.row_offsets[:-1])
             new = 1.0 + mat_a @ mins
             new[space.terminal_index] = 0.0
             assert np.all(new <= values + 1e-9)
@@ -211,15 +228,15 @@ class TestOptimalSolvers:
 
     def test_deterministic_repeat(self):
         space, model = build(4, 2, p=0.4, p_s=0.6)
-        t1, p1 = value_iteration(space, model)
-        t2, p2 = value_iteration(space, model)
+        t1, p1 = value_iteration(model)
+        t2, p2 = value_iteration(model)
         assert p1 == p2
         assert np.array_equal(t1.values, t2.values)
 
     def test_convergence_cap_raises(self):
         space, model = build(3, 1, p=0.3, p_s=0.3)
         with pytest.raises(ConvergenceError):
-            value_iteration(space, model, SolverConfig(max_iterations=2))
+            value_iteration(model, SolverConfig(max_iterations=2))
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_sweep_cap_must_allow_one_sweep(self, max_iterations):
@@ -230,7 +247,7 @@ class TestOptimalSolvers:
     @pytest.mark.parametrize("solve", [policy_iteration, value_iteration])
     def test_policy_round_trips_through_its_actions(self, solve, fold):
         space = enumerate_states(ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2), fold=fold)
-        _, policy = solve(space, TransitionModel.build(space))
+        _, policy = solve(TransitionModel.build(space))
         assert Policy.from_actions(space, policy.actions(space)) == policy
 
 
@@ -254,26 +271,26 @@ class TestGreedyChoices:
 class TestMirrorSymmetryOfValues:
     def test_values_equal_on_mirror_pairs(self):
         space, model = build(5, 2, p=0.6, p_s=0.5)
-        table, _ = policy_iteration(space, model)
+        table, _ = policy_iteration(model)
         b_map = np.array([space.boundary_index[mirror(s)] for s in space.boundary_states])
         assert np.max(np.abs(table.values - table.values[b_map])) <= 1e-9
 
     def test_bunched_solve_matches_full(self):
         space, model = build(4, 2, p=0.45, p_s=0.5)
         bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
-        full_table, _ = policy_iteration(space, model)
-        btable, bpolicy = policy_iteration(bmodel.space, bmodel)
+        full_table, _ = policy_iteration(model)
+        btable, bpolicy = policy_iteration(bmodel)
         assert btable.t0 == pytest.approx(full_table.t0, abs=1e-9 * max(1, full_table.t0))
         expanded = expand_values(space, bmodel.space, btable)
         assert np.max(np.abs(expanded.values - full_table.values)) <= 1e-8
         policy = expand_policy(space, bmodel.space, bpolicy)
-        check = evaluate_policy(space, model, policy)
+        check = evaluate_policy(model, policy)
         assert check.t0 == pytest.approx(full_table.t0, rel=1e-10)
 
     def test_expanded_policy_is_mirror_consistent(self):
         space, model = build(4, 2, p=0.5, p_s=0.5)
         bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
-        _, bpolicy = policy_iteration(bmodel.space, bmodel)
+        _, bpolicy = policy_iteration(bmodel)
         policy = expand_policy(space, bmodel.space, bpolicy)
         n = space.params.n
         actions = policy.actions(space)
@@ -286,7 +303,7 @@ class TestMirrorSymmetryOfValues:
     def test_folded_state_map_covers_the_unfolded_space(self, n, t_cut):
         space, _ = build(n, t_cut, p=0.7, p_s=0.5)
         bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
-        _, bpolicy = policy_iteration(bmodel.space, bmodel)
+        _, bpolicy = policy_iteration(bmodel)
         mapping = bpolicy.state_map(bmodel.space)
         expanded = expand_policy(space, bmodel.space, bpolicy)
         assert mapping == expanded.state_map(space)
@@ -334,14 +351,14 @@ class TestAnalytics:
 
     def test_three_node_optimal_swaps_everywhere(self):
         space, model = build(3, 2, p=0.5, p_s=0.5)
-        _, policy = policy_iteration(space, model)
+        _, policy = policy_iteration(model)
         stats = policy_stats(space, policy)
         assert stats.swap_all_fraction == 1.0
         assert stats.no_swap_fraction == 0.0
 
     def test_fractions_bounded(self):
         space, model = build(5, 2, p=0.9, p_s=0.5)
-        _, policy = policy_iteration(space, model)
+        _, policy = policy_iteration(model)
         stats = policy_stats(space, policy)
         assert 0.0 <= stats.swap_all_fraction <= 1.0
         assert 0.0 <= stats.no_swap_fraction <= 1.0
@@ -354,7 +371,7 @@ class TestAnalytics:
         policies = [
             swap_asap_policy(space),
             modified_full_state_policy(space, {3}),
-            policy_iteration(space, model)[1],
+            policy_iteration(model)[1],
         ]
         for policy in policies:
             assert policy_stats(space, policy) == reference_policy_stats(space, policy)
