@@ -542,6 +542,9 @@ def _sweep_group(points: list[dict]) -> list[dict]:
 
 
 def cmd_sweep(opt: _Options) -> int:
+    workers = opt.single("workers", int)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     grid = _grid(opt)
     settings = {
         "baselines": _baselines(opt),
@@ -554,7 +557,6 @@ def cmd_sweep(opt: _Options) -> int:
     points = [{"n": n, "p": p, "ps": p_s, "tcut": t_cut, **settings} for n, p, p_s, t_cut in grid]
     groups = _structure_groups([(point["n"], point["tcut"]) for point in points])
     tasks = [[points[i] for i in group] for group in groups]
-    workers = opt.single("workers", int)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_group, tasks))
@@ -575,6 +577,11 @@ def cmd_sweep(opt: _Options) -> int:
 def cmd_simulate(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
+    sim_config = SimConfig(
+        trials=opt.single("trials", int),
+        master_seed=opt.single("seed", int),
+        max_slots=opt.single("max_slots", int),
+    )
     spec = opt.single("policy") or "swap-asap"
     if spec == "optimal":
         solution = _solve_point(opt, params, config)
@@ -584,11 +591,6 @@ def cmd_simulate(opt: _Options) -> int:
     else:
         space = enumerate_states(params, state_cap=opt.single("state_cap", int))
         policy_map = load_policy_json(spec, space).state_map(space)
-    sim_config = SimConfig(
-        trials=opt.single("trials", int),
-        master_seed=opt.single("seed", int),
-        max_slots=opt.single("max_slots", int),
-    )
     result = estimate(params, policy_map, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")

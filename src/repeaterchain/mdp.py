@@ -14,7 +14,8 @@ Enumeration records the arcs in the state space, with probabilities stored
 structurally as success/failure exponents, so a model can be materialized
 exactly for any ``(p, p_s)`` without re-walking the dynamics.  A model over
 a folded space (mirror pairs enumerated as one representative) is built the
-same way; its arcs already carry the folded multiplicities.
+same way; its arcs already carry the folded multiplicities.  The arcs are
+listed row by row, so both matrices are built in CSR form directly.
 
 A model holds its space, and the space's ``params`` give the ``(p, p_s)``
 the matrices are built at, so the solvers take the model alone.
@@ -29,15 +30,29 @@ import scipy.sparse as sp
 
 from .statespace import StateSpace
 
-__all__ = [
-    "TransitionModel",
-]
+__all__ = ["TransitionModel"]
 
 
 def _powers(base: float, exponents: np.ndarray) -> np.ndarray:
     """``base ** e`` for every exponent, looked up in a table of Python powers."""
     table = np.array([base**e for e in range(int(exponents.max(initial=0)) + 1)])
     return table[exponents]
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, offsets: np.ndarray, width: int) -> sp.csr_matrix:
+    """CSR matrix of the entries ``offsets[i] : offsets[i + 1]`` in row ``i``.
+
+    Drops zeros and sums repeated columns of a row; copies ``indices`` first.
+    """
+    keep = data > 0.0
+    if keep.all():
+        indices = indices.copy()
+    else:
+        data, indices = data[keep], indices[keep]
+        offsets = np.concatenate(([0], np.cumsum(keep)))[offsets]
+    matrix = sp.csr_matrix((data, indices, offsets), shape=(len(offsets) - 1, width))
+    matrix.sum_duplicates()
+    return matrix
 
 
 class TransitionModel:
@@ -72,13 +87,9 @@ class TransitionModel:
             if space.gen_mult is not None:
                 data = space.gen_mult * data
             data = data * _powers(1.0 - p, space.gen_failures)
-            rows = np.repeat(np.arange(space.num_boundary), np.diff(space.child_offsets))
-            cols = np.arange(space.num_intermediate)
-            keep = data > 0.0
-            self._mat_a = sp.coo_matrix(
-                (data[keep], (rows[keep], cols[keep])),
-                shape=(space.num_boundary, space.num_intermediate),
-            ).tocsr()
+            self._mat_a = _csr(
+                data, np.arange(space.num_intermediate), space.child_offsets, space.num_intermediate
+            )
         return self._mat_a
 
     def choice_table(self) -> sp.csr_matrix:
@@ -101,22 +112,13 @@ class TransitionModel:
                     for b, q in enumerate(survive):
                         prob *= q if mask >> b & 1 else 1.0 - q
                     probs.append(prob)
-            num_rows = len(space.row_shape)
-            offsets = space.outcome_offsets
-            counts = np.diff(offsets)
-            # Outcome j of row i has survival mask j - offsets[i].  The
-            # outcome arrays are the largest in the build, so temporaries are
-            # dropped or skipped where they can be.
+            # Row j's outcomes follow row j - 1's, one per survival mask:
+            # outcome i has mask i - offsets[j].  Large temporaries are dropped.
+            counts = np.array([1 << len(sizes) for sizes in space.run_shapes])[space.row_shape]
+            offsets = np.concatenate(([0], np.cumsum(counts)))
             index = np.repeat(np.array(starts, dtype=np.int64)[space.row_shape] - offsets[:-1], counts)
             index += np.arange(offsets[-1])
             data = np.array(probs)[index]
             del index
-            rows = np.repeat(np.arange(num_rows, dtype=np.int32), counts)
-            cols = space.outcome_targets
-            keep = data > 0.0
-            if not keep.all():
-                data, rows, cols = data[keep], rows[keep], cols[keep]
-            self._choices = sp.coo_matrix(
-                (data, (rows, cols)), shape=(num_rows, space.num_boundary)
-            ).tocsr()
+            self._choices = _csr(data, space.outcome_targets, offsets, space.num_boundary)
         return self._choices

@@ -72,6 +72,8 @@ class SimConfig:
             raise ValueError("need at least one trial")
         if self.max_slots < 1:
             raise ValueError("max_slots must be positive")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)

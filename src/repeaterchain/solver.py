@@ -287,9 +287,8 @@ def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     Every segment is non-empty: waiting is always an action.
     """
     mins = np.minimum.reduceat(q, offsets[:-1])
-    rows = np.arange(len(q))
-    minimal = q == np.repeat(mins, np.diff(offsets))
-    return np.minimum.reduceat(np.where(minimal, rows, len(q)), offsets[:-1])
+    minimal = np.flatnonzero(q == np.repeat(mins, np.diff(offsets)))
+    return minimal[np.searchsorted(minimal, offsets[:-1])]
 
 
 def value_iteration(

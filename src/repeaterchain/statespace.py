@@ -84,15 +84,16 @@ class StateSpace:
     * phase B: intermediate state ``r`` owns choice rows ``row_offsets[r]``
       to ``row_offsets[r + 1] - 1``, one per action of ``actions[r]`` in
       order.  Row ``j`` has per-run swap counts ``run_shapes[row_shape[j]]``
-      and one outcome per survival mask (bit ``b`` set: run ``b``
-      survived): ``outcome_targets[outcome_offsets[j] + mask]`` is the
-      boundary state it lands on.
+      and ``2 ** len(run_shapes[row_shape[j]])`` outcomes in
+      ``outcome_targets``, right after row ``j - 1``'s: the boundary states
+      of survival masks 0, 1, ... (bit ``b`` set: run ``b`` survived).
 
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2).
     ``boundary_index`` and ``intermediate_index`` map states to indices.
     Decoded states and indices are built on first use and shared by the
-    copies that ``TransitionModel.respecialized`` makes.
+    copies that ``TransitionModel.respecialized`` makes, as are the
+    read-only arrays.
     """
 
     params: ChainParams
@@ -108,12 +109,16 @@ class StateSpace:
     row_offsets: np.ndarray = field(repr=False)
     run_shapes: tuple[tuple[int, ...], ...] = field(repr=False)
     row_shape: np.ndarray = field(repr=False)
-    outcome_offsets: np.ndarray = field(repr=False)
     outcome_targets: np.ndarray = field(repr=False)
     boundary_weights: np.ndarray = field(repr=False)
     intermediate_weights: np.ndarray = field(repr=False)
     folded: bool = False
     _decoded: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def num_boundary(self) -> int:
@@ -290,14 +295,8 @@ def enumerate_states(
         return np.concatenate(parts[key]).astype(dtype, copy=False)
 
     def offsets(key: str) -> np.ndarray:
-        out = np.zeros(sum(map(len, parts[key])) + 1, dtype=np.int64)
-        np.cumsum(joined(key, np.int64), out=out[1:])
-        return out
+        return np.concatenate(([0], np.cumsum(joined(key, np.int64))))
 
-    row_shape = joined("row_shape", np.int16)
-    outcomes_per_shape = np.array([1 << len(sizes) for sizes in coder.shapes], dtype=np.int64)
-    outcome_offsets = np.zeros(len(row_shape) + 1, dtype=np.int64)
-    np.cumsum(outcomes_per_shape[row_shape], out=outcome_offsets[1:])
     # The terminal state is always reached: from the empty state every link
     # can be generated fresh and every swap can succeed.
     return StateSpace(
@@ -313,8 +312,7 @@ def enumerate_states(
         gen_mult=joined("mult", np.int8) if fold else None,
         row_offsets=offsets("rows"),
         run_shapes=tuple(coder.shapes),
-        row_shape=row_shape,
-        outcome_offsets=outcome_offsets,
+        row_shape=joined("row_shape", np.int16),
         outcome_targets=joined("targets", np.int32),
         boundary_weights=np.concatenate(boundary.weights),
         intermediate_weights=joined("weights", np.int8),

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a verdict line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the heavier criteria (advantage scaling, simulator cross-validation,
-monotonicity grid) take a few minutes together.
+lines; the whole module, the heavier criteria (advantage scaling, simulator
+cross-validation, monotonicity grid) included, takes a few seconds.
 """
 
 import time

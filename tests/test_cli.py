@@ -299,6 +299,17 @@ class TestSweep:
         assert capsys.readouterr().err == "error: empty list of values: ','\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_is_an_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "grid.csv"
+        code = run(
+            ["sweep", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
+             "--workers", workers, "--out", out]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: workers must be at least 1\n"
+        assert not out.exists()
+
     def test_workers_produce_identical_csv(self, tmp_path):
         outs = []
         for workers, name in [(1, "serial.csv"), (2, "parallel.csv")]:
@@ -404,6 +415,17 @@ class TestSimulate:
         assert run(sim + ["--policy", policy_file, "--out", tmp_path / "file"]) == 0
         histogram = (tmp_path / "optimal" / "histogram.csv").read_text()
         assert (tmp_path / "file" / "histogram.csv").read_text() == histogram
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_an_error(self, tmp_path, capsys, enumerations, seed):
+        code = run(
+            ["simulate", "--n", 3, "--p", 0.8, "--ps", 0.5, "--tcut", 1, "--policy", "optimal",
+             "--trials", 10, "--seed", seed, "--out", tmp_path / "sim"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: master_seed must be in [0, 2**64)\n"
+        assert enumerations == []
+        assert not (tmp_path / "sim").exists()
 
     def test_policy_space_mismatch_errors(self, tmp_path, capsys):
         solve_dir = tmp_path / "solved"

@@ -127,3 +127,14 @@ class TestEstimate:
             SimConfig(trials=0)
         with pytest.raises(ValueError):
             SimConfig(trials=10, max_slots=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_uint64_is_refused(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            SimConfig(trials=10, master_seed=seed)
+
+    def test_largest_seed_runs(self):
+        params, space = setup(3, 1, 0.5, 0.5)
+        pmap = swap_asap_policy(space).state_map(space)
+        result = estimate(params, pmap, SimConfig(trials=10, master_seed=2**64 - 1))
+        assert result.master_seed == 2**64 - 1

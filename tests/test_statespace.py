@@ -98,6 +98,29 @@ class TestEnumerate:
         assert other.boundary_index is space.boundary_index
         assert space.boundary_index == {s: i for i, s in enumerate(space.boundary_states)}
 
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_arrays_are_read_only(self, fold):
+        space = space_for(4, 2, fold=fold)
+        for name in ARRAY_FIELDS:
+            array = getattr(space, name)
+            if array is not None:
+                assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            space.outcome_targets.sort()
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_building_matrices_leaves_outcome_targets_alone(self, fold):
+        # p_s = 1 drops zero entries; p_s = 0.5 keeps them all.  Both sum
+        # the outcomes of a row that land on one state.
+        space = space_for(5, 2, fold=fold)
+        before = space.outcome_targets.copy()
+        model = TransitionModel.build(space)
+        for p, p_s in [(0.9, 0.5), (0.5, 1.0)]:
+            other = model.respecialized(p, p_s)
+            other.phase_a_matrix()
+            assert other.choice_table().nnz < len(before)
+        assert np.array_equal(space.outcome_targets, before)
+
 
 class TestActionSpace:
     def test_empty_state_has_only_wait(self):
@@ -213,7 +236,7 @@ class TestCounts:
 
 ARRAY_FIELDS = (
     "boundary_codes", "intermediate_codes", "child_offsets", "gen_successes", "gen_failures",
-    "gen_mult", "row_offsets", "row_shape", "outcome_offsets", "outcome_targets",
+    "gen_mult", "row_offsets", "row_shape", "outcome_targets",
     "boundary_weights", "intermediate_weights",
 )
 

@@ -178,7 +178,7 @@ def arc_view(space) -> ArcView:
     )
     rows = space.row_offsets.tolist()
     shapes = space.row_shape.tolist()
-    outs = space.outcome_offsets.tolist()
+    outs = np.cumsum([0] + [1 << len(space.run_shapes[k]) for k in shapes]).tolist()
     targets = space.outcome_targets.tolist()
     assert len(rows) == space.num_intermediate + 1 and rows[-1] == len(shapes)
     assert len(outs) == len(shapes) + 1 and outs[-1] == len(targets)
