@@ -11,9 +11,13 @@ states     state-space size report and analytic lower-bound check
 stats      swap-all / no-swap action fractions of the optimal policy
 
 All output is data (text, CSV, JSON); plotting is left to external tools.
-Every subcommand accepts ``--config FILE`` with a JSON object whose keys
-mirror the flag names; explicit flags override the file.  CSV and JSON
-floats carry 17 significant digits so downstream processing is bit-stable.
+Every option is described once, in ``_OPTIONS``.  Every subcommand accepts
+``--config FILE`` with a JSON object keyed by option names (``max_iter``,
+not ``max-iter``); explicit flags override the file, keys of other
+subcommands' options are ignored, and any other key is an error.  A bad
+value, from a flag or from the file, exits 1 with one ``error:`` line.
+CSV and JSON floats carry 17 significant digits so downstream processing
+is bit-stable.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .chain import ChainParams, decode_state, encode_state, mirror, mirror_action
@@ -63,11 +69,87 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _items(value) -> list:
-    """A config-file list, the non-blank fields of comma-separated text, or one value; never empty."""
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-    elif isinstance(value, str):
+@dataclass(frozen=True)
+class _Option:
+    """What an option takes: ``kind`` is int, float, bool, str or a tuple of allowed texts.
+
+    A ``repeat`` option takes one value per flag and is always a list.
+    """
+
+    kind: type | tuple[str, ...]
+    help: str
+    default: object = None
+    repeat: bool = False
+
+
+#: Every option of every subcommand; its flag is ``--`` and the name with
+#: dashes for underscores, and its config-file key is the name itself.
+_OPTIONS = {
+    "n": _Option(int, "number of nodes"),
+    "p": _Option(float, "entanglement generation success probability"),
+    "ps": _Option(float, "swap success probability"),
+    "tcut": _Option(int, "cutoff time in slots"),
+    "method": _Option(("vi", "pi"), "value or policy iteration", "pi"),
+    "epsilon": _Option(float, "value-iteration convergence tolerance", SolverConfig.epsilon),
+    "max_iter": _Option(int, "value-iteration sweep cap", SolverConfig.max_iterations),
+    "bunch": _Option(bool, "fold mirror-image states together before solving", False),
+    "state_cap": _Option(int, "state count ceiling", DEFAULT_STATE_CAP),
+    "baseline": _Option(
+        str, "baseline policy: swap-asap or modified:<nodes> (repeatable)", ("swap-asap",), repeat=True
+    ),
+    "workers": _Option(int, "parallel grid workers", 1),
+    "policy": _Option(str, "policy file path, or swap-asap | optimal | modified:<nodes>", "swap-asap"),
+    "trials": _Option(int, "number of trajectories", 100_000),
+    "seed": _Option(int, "master seed for the trial streams", SimConfig.master_seed),
+    "max_slots": _Option(int, "per-trial slot cap", SimConfig.max_slots),
+    "fnew": _Option(float, "fidelity of newly generated links"),
+    "fmin": _Option(float, "minimum acceptable end-to-end fidelity"),
+    "tau": _Option(float, "memory decay constant"),
+    "config": _Option(str, "JSON file of option values keyed by option name, like max_iter; flags win"),
+    "out": _Option(str, "output directory or file, depending on the subcommand"),
+}
+
+_CHAIN = ("n", "p", "ps", "tcut")
+_SOLVER = ("method", "epsilon", "max_iter", "bunch", "state_cap")
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "text"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _typed(name: str, value, flag_text: bool):
+    """``value`` as option ``name`` takes it, if it has the option's JSON type.
+
+    Numbers also come as text from flags, which must then spell one;
+    nothing else is converted, so ``true`` is no integer, ``2.5`` no
+    integer, ``"2"`` in a config file no integer and ``"false"`` no boolean.
+    """
+    kind = _OPTIONS[name].kind
+    if isinstance(kind, tuple):
+        valid = isinstance(value, str) and value in kind
+    elif kind in (str, bool):
+        valid = isinstance(value, kind)
+    elif flag_text and isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError:
+            valid = False
+    else:
+        valid = type(value) is int or (kind is float and type(value) is float)
+    if not valid:
+        takes = " or ".join(kind) if isinstance(kind, tuple) else _KINDS[kind]
+        shown = value if flag_text and isinstance(value, str) else json.dumps(value)
+        raise ValueError(f"option {_flag(name)} takes {takes}, got {shown}")
+    return value if isinstance(kind, tuple) else kind(value)
+
+
+def _items(value, flag_text: bool) -> list:
+    """A list's items, the non-blank fields of comma-separated flag text, or one value; never empty."""
+    if isinstance(value, list):
+        items = value
+    elif flag_text and isinstance(value, str):
         items = [v for v in value.split(",") if v.strip()]
     else:
         items = [value]
@@ -76,138 +158,49 @@ def _items(value) -> list:
     return items
 
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
-
-
-def _typed(name: str, value, kind, flag_text: bool):
-    """``value`` as ``kind`` (int, float or bool), if it has that JSON type.
-
-    Numbers also come as text from flags, which must then spell one;
-    nothing else is converted, so ``true`` is no integer, ``2.5`` no
-    integer and ``"false"`` no boolean.
-    """
-    if kind is bool or isinstance(value, bool):
-        valid = isinstance(value, bool) and kind is bool
-    elif isinstance(value, str):
-        valid = flag_text
-        try:
-            kind(value)
-        except ValueError:
-            valid = False
-    else:
-        valid = isinstance(value, int) or (kind is float and isinstance(value, float))
-    if not valid:
-        shown = value if flag_text and isinstance(value, str) else json.dumps(value)
-        raise ValueError(f"option --{name.replace('_', '-')} takes {_KINDS[kind]}, got {shown}")
-    return kind(value)
-
-
 class _Options:
-    """Post-parse view merging CLI flags, the JSON config file, and defaults."""
+    """A command's option values, typed when built: flags over the config file over defaults.
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self._args = args
-        self._defaults = defaults
-        self._cfg = {}
-        if getattr(args, "config", None):
+    ``null`` in the config file counts as absent.  Config keys that are
+    options of other subcommands are ignored; any other unknown key is an
+    error.
+    """
+
+    def __init__(self, args: argparse.Namespace, command: "_Command"):
+        cfg = {}
+        if args.config is not None:
             with open(args.config) as fh:
-                self._cfg = json.load(fh)
-            if not isinstance(self._cfg, dict):
+                cfg = json.load(fh)
+            if not isinstance(cfg, dict):
                 raise ValueError("config file must hold a JSON object")
+            unknown = [key for key in cfg if key not in _OPTIONS]
+            if unknown:
+                raise ValueError(f"config file names unknown options: {', '.join(unknown)}")
+        self._values = {}
+        for name in command.options:
+            listed = name in command.lists or _OPTIONS[name].repeat
+            given = [
+                [_typed(name, v, flag_text) for v in _items(value, flag_text)]
+                if listed
+                else _typed(name, value, flag_text)
+                for value, flag_text in ((getattr(args, name), True), (cfg.get(name), False))
+                if value is not None
+            ]
+            self._values[name] = given[0] if given else _OPTIONS[name].default
 
-    def _lookup(self, name: str, required: bool = False) -> tuple:
-        """The flag, else the config file's value, else the default, and whether it is flag text.
-
-        ``null`` counts as absent.
-        """
-        flags = vars(self._args)
-        for source in (flags, self._cfg, self._defaults):
-            value = source.get(name)
-            if value is not None:
-                return value, source is flags and isinstance(value, str)
-        if required:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
-        return None, False
-
-    def get(self, name: str):
-        return self._lookup(name)[0]
-
-    def single(self, name: str, kind=None, required: bool = False):
-        """A one-valued option, as ``kind`` (int, float or bool) unless absent.
-
-        A config file can hold a list or an object where the flag takes one
-        value; that is a usage error, not a value to convert.
-        """
-        value, flag_text = self._lookup(name, required)
-        if isinstance(value, (list, dict)):
-            raise ValueError(f"option --{name.replace('_', '-')} takes one value, got {value!r}")
-        return value if kind is None or value is None else _typed(name, value, kind, flag_text)
-
-    def ints(self, name: str) -> list[int]:
-        """A required list option of integers.
-
-        A flag gives comma-separated text, a config file a list or one number.
-        """
-        value, flag_text = self._lookup(name, required=True)
-        return [_typed(name, v, int, flag_text) for v in _items(value)]
-
-    def floats(self, name: str) -> list[float]:
-        """A required list option of numbers, given like :meth:`ints`."""
-        value, flag_text = self._lookup(name, required=True)
-        return [_typed(name, v, float, flag_text) for v in _items(value)]
-
-
-_SOLVER_DEFAULTS = {
-    "epsilon": SolverConfig.epsilon,
-    "max_iter": SolverConfig.max_iterations,
-    "method": "pi",
-    "bunch": False,
-    "state_cap": DEFAULT_STATE_CAP,
-    "workers": 1,
-}
-
-_SIM_DEFAULTS = {"trials": 100_000, "seed": SimConfig.master_seed, "max_slots": SimConfig.max_slots}
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON file whose keys mirror the flags; flags win")
-    sp.add_argument("--out", help="output directory or file, depending on the subcommand")
-
-
-def _add_chain(sp: argparse.ArgumentParser, lists: bool = False) -> None:
-    hint = " (comma-separated list)" if lists else ""
-    sp.add_argument("--n", help=f"number of nodes{hint}")
-    sp.add_argument("--p", help=f"entanglement generation success probability{hint}")
-    sp.add_argument("--ps", help=f"swap success probability{hint}")
-    sp.add_argument("--tcut", help=f"cutoff time in slots{hint}")
-
-
-def _add_solver(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--method", choices=["vi", "pi"], help="value or policy iteration")
-    sp.add_argument("--epsilon", type=float, help="value-iteration convergence tolerance")
-    sp.add_argument("--max-iter", dest="max_iter", type=int, help="value-iteration sweep cap")
-    sp.add_argument(
-        "--bunch",
-        action=argparse.BooleanOptionalAction,
-        help="fold mirror-image states together before solving",
-    )
-    sp.add_argument("--state-cap", dest="state_cap", type=int, help="state count ceiling")
+    def get(self, name: str, required: bool = False):
+        value = self._values[name]
+        if value is None and required:
+            raise ValueError(f"missing required option {_flag(name)}")
+        return value
 
 
 def _solver_config(opt: _Options) -> SolverConfig:
-    return SolverConfig(
-        epsilon=opt.single("epsilon", float),
-        max_iterations=opt.single("max_iter", int),
-    )
+    return SolverConfig(epsilon=opt.get("epsilon"), max_iterations=opt.get("max_iter"))
 
 
 def _chain_params(opt: _Options) -> ChainParams:
-    return ChainParams(
-        n=opt.single("n", int, required=True),
-        p=opt.single("p", float, required=True),
-        p_s=opt.single("ps", float, required=True),
-        t_cut=opt.single("tcut", int, required=True),
-    )
+    return ChainParams(*(opt.get(name, required=True) for name in _CHAIN))
 
 
 class _Structure:
@@ -280,7 +273,7 @@ class _Solution:
 
 def _grid(opt: _Options) -> list[tuple[int, float, float, int]]:
     """Every (n, p, p_s, t_cut) of the list options, in that nesting order (n slowest)."""
-    return list(product(opt.ints("n"), opt.floats("p"), opt.floats("ps"), opt.ints("tcut")))
+    return list(product(*(opt.get(name, required=True) for name in _CHAIN)))
 
 
 def _write_rows(out: str | None, rows: list[dict]) -> None:
@@ -306,32 +299,37 @@ def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
 
 def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig) -> _Solution:
     """Build the structure of a single-point command and solve it."""
-    structure = _Structure(params, opt.single("state_cap", int), opt.single("bunch", bool))
-    return structure.solve(params.p, params.p_s, opt.single("method"), config)
+    structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"))
+    return structure.solve(params.p, params.p_s, opt.get("method"), config)
 
 
-def _withheld_nodes(spec: str) -> frozenset[int]:
-    """Nodes a baseline leaves unswapped in full states: none for swap-asap."""
+def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
+    """Nodes a baseline leaves unswapped in full states: none for swap-asap.
+
+    With ``n``, they must be interior nodes of an ``n``-node chain.
+    """
     spec = spec.strip()
     if spec == "swap-asap":
-        return frozenset()
-    if spec.startswith("modified:"):
-        nodes = frozenset(int(v) for v in spec.split(":", 1)[1].split(",") if v.strip())
+        nodes = frozenset()
+    elif spec.startswith("modified:"):
+        try:
+            nodes = frozenset(int(v) for v in spec.split(":", 1)[1].split(",") if v.strip())
+        except ValueError:
+            raise ValueError(f"baseline policy {spec!r} names a node that is no integer") from None
         if not nodes:
             raise ValueError(f"baseline policy {spec!r} names no nodes (swap-asap withholds none)")
-        return nodes
-    raise ValueError(f"unknown baseline policy {spec!r} (use swap-asap or modified:<nodes>)")
+    else:
+        raise ValueError(f"unknown baseline policy {spec!r} (use swap-asap or modified:<nodes>)")
+    if n is not None:
+        baseline_rule(n, nodes)  # raises unless every node is interior
+    return nodes
 
 
-def _baselines(opt: _Options) -> list[str]:
-    """The ``--baseline`` specs, swap-asap if none, each checked before any solve."""
-    baselines = opt.get("baseline") or ["swap-asap"]
-    if isinstance(baselines, str):
-        baselines = [baselines]
+def _baselines(opt: _Options, n: int | None = None) -> list[str]:
+    """The ``--baseline`` specs, each checked (against ``n`` if given) before any solve."""
+    baselines = list(opt.get("baseline"))
     for spec in baselines:
-        if not isinstance(spec, str):
-            raise ValueError(f"baseline policy must be text, got {spec!r}")
-        _withheld_nodes(spec)
+        _withheld_nodes(spec, n)
     return baselines
 
 
@@ -436,11 +434,11 @@ def load_policy_json(path, space) -> Policy:
 
 def cmd_cutoff(opt: _Options) -> int:
     fparams = FidelityParams(
-        f_new=opt.single("fnew", float, required=True),
-        f_min=opt.single("fmin", float, required=True),
-        tau=opt.single("tau", float, required=True),
+        f_new=opt.get("fnew", required=True),
+        f_min=opt.get("fmin", required=True),
+        tau=opt.get("tau", required=True),
     )
-    n = opt.single("n", int, required=True)
+    n = opt.get("n", required=True)
     try:
         bound = max_cutoff(fparams, n)
     except InfeasibleCutoffError as exc:
@@ -469,10 +467,10 @@ def cmd_solve(opt: _Options) -> int:
     boundary = int(space.boundary_weights.sum())
     intermediate = int(space.intermediate_weights.sum())
     print(f"states: {boundary} boundary, {intermediate} intermediate")
-    print(f"method: {opt.single('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
+    print(f"method: {opt.get('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
     print(f"T_opt(empty state) = {_fmt(table.t0)}")
     print(f"wall time: {elapsed:.2f} s")
-    out = Path(opt.single("out") or ".")
+    out = Path(opt.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_values_csv(out / "values.csv", space, table)
     write_policy_json(out / "policy.json", space, solution.policy)
@@ -483,7 +481,7 @@ def cmd_solve(opt: _Options) -> int:
 def cmd_compare(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
-    baselines = _baselines(opt)
+    baselines = _baselines(opt, params.n)
     solution = _solve_point(opt, params, config)
     t_opt = solution.table.t0
     print(f"T_opt = {_fmt(t_opt)}")
@@ -513,6 +511,8 @@ def _sweep_group(points: list[dict]) -> list[dict]:
         try:
             params = ChainParams(n=point["n"], p=point["p"], p_s=point["ps"], t_cut=point["tcut"])
             config = SolverConfig(epsilon=point["epsilon"], max_iterations=point["max_iter"])
+            for spec in point["baselines"]:
+                _withheld_nodes(spec, params.n)
             t0 = time.perf_counter()
             if structure is None and build_error is None:
                 try:
@@ -542,18 +542,11 @@ def _sweep_group(points: list[dict]) -> list[dict]:
 
 
 def cmd_sweep(opt: _Options) -> int:
-    workers = opt.single("workers", int)
+    workers = opt.get("workers")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     grid = _grid(opt)
-    settings = {
-        "baselines": _baselines(opt),
-        "epsilon": opt.single("epsilon", float),
-        "max_iter": opt.single("max_iter", int),
-        "method": opt.single("method"),
-        "bunch": opt.single("bunch", bool),
-        "state_cap": opt.single("state_cap", int),
-    }
+    settings = {"baselines": _baselines(opt), **{name: opt.get(name) for name in _SOLVER}}
     points = [{"n": n, "p": p, "ps": p_s, "tcut": t_cut, **settings} for n, p, p_s, t_cut in grid]
     groups = _structure_groups([(point["n"], point["tcut"]) for point in points])
     tasks = [[points[i] for i in group] for group in groups]
@@ -566,7 +559,7 @@ def cmd_sweep(opt: _Options) -> int:
     for group, group_rows in zip(groups, results):
         for i, row in zip(group, group_rows):
             rows[i] = row
-    _write_rows(opt.single("out"), rows)
+    _write_rows(opt.get("out"), rows)
     failures = sum(1 for row in rows if row["error"])
     if failures:
         print(f"{failures} of {len(rows)} grid points failed", file=sys.stderr)
@@ -578,23 +571,23 @@ def cmd_simulate(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
     sim_config = SimConfig(
-        trials=opt.single("trials", int),
-        master_seed=opt.single("seed", int),
-        max_slots=opt.single("max_slots", int),
+        trials=opt.get("trials"),
+        master_seed=opt.get("seed"),
+        max_slots=opt.get("max_slots"),
     )
-    spec = opt.single("policy") or "swap-asap"
+    spec = opt.get("policy")
     if spec == "optimal":
         solution = _solve_point(opt, params, config)
         policy_map = solution.policy.state_map(solution.model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
         policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
-        space = enumerate_states(params, state_cap=opt.single("state_cap", int))
+        space = enumerate_states(params, state_cap=opt.get("state_cap"))
         policy_map = load_policy_json(spec, space).state_map(space)
     result = estimate(params, policy_map, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")
-    out = Path(opt.single("out") or ".")
+    out = Path(opt.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "histogram.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -621,10 +614,10 @@ def cmd_simulate(opt: _Options) -> int:
 
 
 def cmd_states(opt: _Options) -> int:
-    n = opt.single("n", int, required=True)
-    t_cut = opt.single("tcut", int, required=True)
+    n = opt.get("n", required=True)
+    t_cut = opt.get("tcut", required=True)
     params = ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut)
-    space = enumerate_states(params, state_cap=opt.single("state_cap", int))
+    space = enumerate_states(params, state_cap=opt.get("state_cap"))
     bound = count_lower_bound(n, t_cut)
     labelings = distinct_labeled_states(space)
     print(f"boundary states:      {space.num_boundary}")
@@ -633,7 +626,8 @@ def cmd_states(opt: _Options) -> int:
     print(f"distinct labelings:   {labelings}")
     print(f"analytic lower bound: {bound}")
     print(f"bound satisfied:      {labelings >= bound}")
-    if opt.single("out"):
+    out = opt.get("out")
+    if out:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "n": n,
@@ -644,12 +638,12 @@ def cmd_states(opt: _Options) -> int:
             "distinct_labelings": labelings,
             "lower_bound": bound,
             "bound_satisfied": labelings >= bound,
-            "action_counts": [len(a) for a in space.actions],
+            "action_counts": np.diff(space.row_offsets).tolist(),
         }
-        with open(opt.single("out"), "w") as fh:
+        with open(out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-        print(f"wrote {opt.single('out')}")
+        print(f"wrote {out}")
     return 0 if labelings >= bound else 1
 
 
@@ -659,12 +653,10 @@ def cmd_stats(opt: _Options) -> int:
     grid = [ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut) for n, p, p_s, t_cut in points]
     rows: list[dict | None] = [None] * len(grid)
     for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
-        structure = _Structure(
-            grid[group[0]], opt.single("state_cap", int), opt.single("bunch", bool)
-        )
+        structure = _Structure(grid[group[0]], opt.get("state_cap"), opt.get("bunch"))
         for i in group:
             params = grid[i]
-            solution = structure.solve(params.p, params.p_s, opt.single("method"), config)
+            solution = structure.solve(params.p, params.p_s, opt.get("method"), config)
             stats = policy_stats(solution.model.space, solution.policy)
             rows[i] = {
                 "n": params.n,
@@ -675,80 +667,65 @@ def cmd_stats(opt: _Options) -> int:
                 "pct_swap_all": _fmt(100.0 * stats.swap_all_fraction),
                 "pct_no_swap": _fmt(100.0 * stats.no_swap_fraction),
             }
-    _write_rows(opt.single("out"), rows)
+    _write_rows(opt.get("out"), rows)
     return 0
 
 
 # -- parser -------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its function, help, options in order, and those taking comma-separated lists.
+
+    Every subcommand also takes ``--config`` and ``--out``, listed last.
+    """
+
+    func: object
+    help: str
+    own_options: tuple[str, ...]
+    lists: tuple[str, ...] = ()
+
+    @property
+    def options(self) -> tuple[str, ...]:
+        return (*self.own_options, "config", "out")
+
+
+_COMMANDS = {
+    "cutoff": _Command(cmd_cutoff, "maximum cutoff time for a fidelity budget", ("fnew", "fmin", "tau", "n")),
+    "solve": _Command(cmd_solve, "solve for an optimal policy", (*_CHAIN, *_SOLVER)),
+    "compare": _Command(cmd_compare, "optimal policy versus baselines", (*_CHAIN, *_SOLVER, "baseline")),
+    "sweep": _Command(cmd_sweep, "parameter grid to CSV", (*_CHAIN, *_SOLVER, "baseline", "workers"), _CHAIN),
+    "simulate": _Command(
+        cmd_simulate,
+        "Monte Carlo delivery-time distribution",
+        (*_CHAIN, *_SOLVER, "policy", "trials", "seed", "max_slots"),
+    ),
+    "states": _Command(cmd_states, "state-space size report", ("n", "tcut", "state_cap")),
+    "stats": _Command(cmd_stats, "optimal-policy action statistics over a grid", (*_CHAIN, *_SOLVER), _CHAIN),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Flags of every subcommand as text, typed later by :class:`_Options`."""
     parser = argparse.ArgumentParser(
         prog="repeaterchain",
         description="Optimal entanglement-swapping policies for repeater chains with cutoffs",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("cutoff", help="maximum cutoff time for a fidelity budget")
-    sp.add_argument("--fnew", help="fidelity of newly generated links")
-    sp.add_argument("--fmin", help="minimum acceptable end-to-end fidelity")
-    sp.add_argument("--tau", help="memory decay constant")
-    sp.add_argument("--n", help="number of nodes")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_cutoff, defaults={})
-
-    sp = sub.add_parser("solve", help="solve for an optimal policy")
-    _add_chain(sp)
-    _add_solver(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_solve, defaults=_SOLVER_DEFAULTS)
-
-    sp = sub.add_parser("compare", help="optimal policy versus baselines")
-    _add_chain(sp)
-    _add_solver(sp)
-    sp.add_argument(
-        "--baseline",
-        action="append",
-        help="baseline policy: swap-asap or modified:<nodes> (repeatable)",
-    )
-    _add_common(sp)
-    sp.set_defaults(func=cmd_compare, defaults=_SOLVER_DEFAULTS)
-
-    sp = sub.add_parser("sweep", help="parameter grid to CSV")
-    _add_chain(sp, lists=True)
-    _add_solver(sp)
-    sp.add_argument("--baseline", action="append", help="baseline policy (repeatable)")
-    sp.add_argument("--workers", type=int, help="parallel grid workers")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep, defaults=_SOLVER_DEFAULTS)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo delivery-time distribution")
-    _add_chain(sp)
-    _add_solver(sp)
-    sp.add_argument(
-        "--policy",
-        help="policy file path, or swap-asap | optimal | modified:<nodes>",
-    )
-    sp.add_argument("--trials", type=int, help="number of trajectories")
-    sp.add_argument("--seed", type=int, help="master seed for the trial streams")
-    sp.add_argument("--max-slots", dest="max_slots", type=int, help="per-trial slot cap")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate, defaults={**_SOLVER_DEFAULTS, **_SIM_DEFAULTS})
-
-    sp = sub.add_parser("states", help="state-space size report")
-    sp.add_argument("--n", help="number of nodes")
-    sp.add_argument("--tcut", help="cutoff time in slots")
-    sp.add_argument("--state-cap", dest="state_cap", type=int, help="state count ceiling")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_states, defaults=_SOLVER_DEFAULTS)
-
-    sp = sub.add_parser("stats", help="optimal-policy action statistics over a grid")
-    _add_chain(sp, lists=True)
-    _add_solver(sp)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_stats, defaults=_SOLVER_DEFAULTS)
-
+    for command_name, command in _COMMANDS.items():
+        sp = sub.add_parser(command_name, help=command.help)
+        for name in command.options:
+            option, kwargs = _OPTIONS[name], {}
+            kwargs["help"] = option.help + (" (comma-separated list)" if name in command.lists else "")
+            if option.kind is bool:
+                kwargs["action"] = argparse.BooleanOptionalAction
+            elif option.repeat:
+                kwargs["action"] = "append"
+            if isinstance(option.kind, tuple):
+                kwargs["metavar"] = "{" + ",".join(option.kind) + "}"
+            sp.add_argument(_flag(name), **kwargs)
     return parser
 
 
@@ -756,8 +733,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opt = _Options(args, args.defaults)
-        return args.func(opt)
+        command = _COMMANDS[args.command]
+        return command.func(_Options(args, command))
     except (ValueError, ConvergenceError, StateCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

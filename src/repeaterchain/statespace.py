@@ -33,7 +33,6 @@ from .chain import (
     Link,
     StateCodes,
     action_space,
-    encode_state,
 )
 
 __all__ = [
@@ -69,8 +68,8 @@ class StateSpace:
     ``boundary_states`` and ``intermediate_states`` decode them on first
     use.  ``boundary_states[0]`` is the empty state and
     ``boundary_states[terminal_index]`` the collapsed absorbing state.
-    ``raw_absorbing`` keeps the age-vector encodings of the absorbing states
-    as they were actually produced, before collapsing.
+    ``absorbing_codes`` keeps the sorted codes of the absorbing states as
+    they were actually produced, before collapsing.
 
     The transitions are stored as flat integer arrays, with probabilities
     left as exponents so any ``(p, p_s)`` can be materialized:
@@ -101,7 +100,7 @@ class StateSpace:
     intermediate_codes: np.ndarray = field(repr=False)
     terminal_index: int
     actions: tuple[tuple[frozenset[int], ...], ...]
-    raw_absorbing: frozenset[tuple[int, ...]]
+    absorbing_codes: np.ndarray = field(repr=False)
     child_offsets: np.ndarray = field(repr=False)
     gen_successes: np.ndarray = field(repr=False)
     gen_failures: np.ndarray = field(repr=False)
@@ -305,7 +304,7 @@ def enumerate_states(
         intermediate_codes=joined("codes", np.int64),
         terminal_index=boundary.terminal_index,
         actions=tuple(parts["actions"]),
-        raw_absorbing=frozenset(map(encode_state, coder.states(sorted(boundary.absorbing)))),
+        absorbing_codes=np.array(sorted(boundary.absorbing), dtype=np.int64),
         child_offsets=offsets("children"),
         gen_successes=joined("successes", np.int8),
         gen_failures=joined("failures", np.int8),
@@ -341,15 +340,10 @@ def distinct_labeled_states(space: StateSpace) -> int:
     produced with their ages.  This is the count comparable to
     :func:`count_lower_bound`, which counts labelings rather than
     phase-tagged states.  A folded walk produces only one state of each
-    mirror pair, so it needs an unfolded space.
+    mirror pair, so it needs an unfolded space.  A state's code stands for
+    its age vector, so no state is decoded.
     """
     if space.folded:
         raise ValueError("distinct labelings are counted on an unfolded state space")
-    encodings = {
-        encode_state(s)
-        for i, s in enumerate(space.boundary_states)
-        if i != space.terminal_index
-    }
-    encodings.update(encode_state(s) for s in space.intermediate_states)
-    encodings.update(space.raw_absorbing)
-    return len(encodings)
+    boundary = np.delete(space.boundary_codes, space.terminal_index)
+    return len(np.unique(np.concatenate((boundary, space.intermediate_codes, space.absorbing_codes))))

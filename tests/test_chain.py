@@ -78,7 +78,7 @@ class TestBasics:
 
         space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
         states = [*space.boundary_states, *space.intermediate_states]
-        states += [decode_state(vec, n) for vec in space.raw_absorbing]
+        states += StateCodes(n, t_cut).states(space.absorbing_codes)
         hand_built = [
             mk(n, [(1, n - 1, 0), (n - 1, n, 0)]),
             mk(n, [(1, 2, 0), (2, n, 1)], intermediate=True),

@@ -238,7 +238,37 @@ class TestCompare:
         assert not out.exists()
 
 
+    def test_node_outside_the_chain_is_refused_before_solving(self, capsys, enumerations):
+        code = run(["compare", "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--bunch",
+                    "--baseline", "modified:5"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: withheld nodes must be interior nodes of a 5-node chain\n"
+        assert captured.out == ""
+        assert enumerations == []
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_node_that_is_no_integer_names_the_spec(self, capsys, enumerations, command):
+        code = run([command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2,
+                    "--baseline", "modified:3,x"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: baseline policy 'modified:3,x' names a node that is no integer\n"
+        assert captured.out == ""
+        assert enumerations == []
+
+
 class TestSweep:
+    def test_node_outside_the_chain_fails_only_its_rows(self, tmp_path, enumerations):
+        args = ["sweep", "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--baseline", "modified:4"]
+        assert run(args + ["--n", "4,5", "--out", tmp_path / "both.csv"]) == 1
+        assert enumerations == [(5, 2)]
+        assert run(args + ["--n", 5, "--out", tmp_path / "five.csv"]) == 0
+        rows = sweep_rows(tmp_path / "both.csv")
+        assert rows[0]["error"] == "ValueError: withheld nodes must be interior nodes of a 4-node chain"
+        assert rows[0]["T_opt"] == ""
+        assert rows[1] == sweep_rows(tmp_path / "five.csv")[0]
+
     def test_single_point_matches_compare(self, tmp_path):
         out = tmp_path / "grid.csv"
         code = run(
@@ -539,6 +569,20 @@ class TestStates:
         assert code == 0
         assert "analytic lower bound: 25" in capsys.readouterr().out
 
+    def test_decodes_no_state(self, tmp_path, monkeypatch):
+        # Labelings are counted on codes and action counts read off row offsets.
+        assert run(["states", "--n", 5, "--tcut", 2, "--out", tmp_path / "want.json"]) == 0
+        want = json.load(open(tmp_path / "want.json"))
+        space = enumerate_states(ChainParams(n=5, p=0.5, p_s=0.5, t_cut=2))
+        assert want["action_counts"] == [len(a) for a in space.actions]
+
+        def decode(*args):
+            raise AssertionError("a state was decoded")
+
+        monkeypatch.setattr(StateSpace, "_states", decode)
+        assert run(["states", "--n", 5, "--tcut", 2, "--out", tmp_path / "got.json"]) == 0
+        assert json.load(open(tmp_path / "got.json")) == want
+
 
 class TestStats:
     def test_three_node_swaps_everywhere(self, tmp_path):
@@ -623,7 +667,7 @@ class TestConfigFile:
         code = run(["simulate", "--config", cfg, "--out", tmp_path / "sim"])
         assert code == 0
         summary = json.load(open(tmp_path / "sim" / "summary.json"))
-        assert summary["trials"] == cli._SIM_DEFAULTS["trials"]
+        assert summary["trials"] == cli._OPTIONS["trials"].default
 
     def test_null_for_a_required_option_is_missing(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -668,15 +712,57 @@ class TestConfigFile:
              "option --p takes a number, got true"),
             ("compare", {}, ["--n", 4.7, "--tcut", 2],
              "option --n takes an integer, got 4.7"),
+            ("solve", {"method": "foo"}, [],
+             'option --method takes vi or pi, got "foo"'),
+            ("simulate", {"policy": 3}, [],
+             "option --policy takes text, got 3"),
+            ("solve", {"out": 5}, [],
+             "option --out takes text, got 5"),
+            ("simulate", {}, ["--trials", "1e3"],
+             "option --trials takes an integer, got 1e3"),
+            ("compare", {}, ["--method", "foo"],
+             "option --method takes vi or pi, got foo"),
+            ("simulate", {"method": "foo"}, ["--policy", "swap-asap"],
+             'option --method takes vi or pi, got "foo"'),
         ],
         ids=["trials-true", "seed-fraction", "n-fraction", "bunch-text", "tcut-text",
-             "sweep-p-true", "flag-n-fraction"],
+             "sweep-p-true", "flag-n-fraction", "method-text", "policy-number", "out-number",
+             "flag-trials-exponent", "flag-method-text", "unread-method-text"],
     )
     def test_value_of_the_wrong_type_is_an_error(self, tmp_path, capsys, command, config, flags, message):
         # Nothing is coerced: a config value must have the option's JSON
-        # type, and a flag's text must spell one.
+        # type, and a flag's text must spell one.  Every value given is
+        # checked, whether the command reads it or a flag overrides it.
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 3, "p": 0.5, "ps": 0.5, "tcut": 1, **config}))
         code = run([command, "--config", cfg, *flags, "--out", tmp_path / "out"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_keys_are_option_names(self, tmp_path, capsys):
+        # Keys are spelled as options are named, not as flags; a key of
+        # another subcommand is ignored, so one file serves several.
+        cfg = tmp_path / "run.json"
+        point = {"n": 3, "p": 0.5, "ps": 0.5, "tcut": 1}
+        cfg.write_text(json.dumps({**point, "max-iter": 1, "methd": "vi"}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config file names unknown options: max-iter, methd\n"
+        assert captured.out == ""
+        assert not (tmp_path / "a").exists()
+
+        cfg.write_text(json.dumps({**point, "max_iter": 1}))
+        assert run(["solve", "--config", cfg, "--method", "vi", "--out", tmp_path / "b"]) == 1
+        assert capsys.readouterr().err.startswith("error: value iteration did not converge in 1 sweeps")
+
+        cfg.write_text(json.dumps({**point, "max_iter": 10_000, "trials": 10}))
+        assert run(["solve", "--config", cfg, "--method", "vi", "--out", tmp_path / "c"]) == 0
+
+    def test_config_text_is_one_value_even_for_list_options(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 4, "p": 0.7, "ps": 0.5, "tcut": 2, "baseline": "modified:2,3"}))
+        assert run(["compare", "--config", cfg]) == 0
+        assert "\nT[modified:2,3] = " in capsys.readouterr().out
+        cfg.write_text(json.dumps({"n": "4,5", "p": 0.7, "ps": 0.5, "tcut": 2}))
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "grid.csv"]) == 1
+        assert capsys.readouterr().err == 'error: option --n takes an integer, got "4,5"\n'

@@ -2,14 +2,21 @@
 
 At (n=8, t_cut=2, p=0.9, p_s=0.5) the folded and the unfolded solve must
 agree, and both must give the recorded optimal and swap-asap delivery
-times (about 2 s of tier-1 in all).
+times.  The advantage of the optimal policy over swap-asap at p = 0.9,
+t_cut = 2 must grow with the chain and as swaps get less reliable, the
+paper's headline trend (about 3 s of tier-1 in all).
 """
 
 import pytest
 
 from repeaterchain.chain import ChainParams
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.solver import evaluate_policy, policy_iteration, swap_asap_policy
+from repeaterchain.solver import (
+    evaluate_policy,
+    policy_iteration,
+    relative_advantage,
+    swap_asap_policy,
+)
 from repeaterchain.statespace import enumerate_states
 
 PARAMS = ChainParams(n=8, p=0.9, p_s=0.5, t_cut=2)
@@ -39,3 +46,27 @@ def test_swap_asap_delivery_time(solves):
     for model, _ in solves:
         t_asap = evaluate_policy(model, swap_asap_policy(model.space)).t0
         assert t_asap == pytest.approx(T_SWAP_ASAP, rel=RTOL, abs=0)
+
+
+def advantage(model):
+    """Relative advantage of the optimal policy over swap-asap on ``model``."""
+    t_opt = policy_iteration(model)[0].t0
+    return relative_advantage(evaluate_policy(model, swap_asap_policy(model.space)).t0, t_opt)
+
+
+def test_advantage_grows_with_the_chain(solves):
+    folded = solves[1][0]
+    smaller = [
+        TransitionModel.build(enumerate_states(ChainParams(n=n, p=0.9, p_s=0.5, t_cut=2), fold=True))
+        for n in range(3, 8)
+    ]
+    got = [advantage(model) for model in [*smaller, folded]]
+    assert got == pytest.approx([0, 0, 0.124, 0.325, 0.592, 0.836], abs=5e-4)
+    assert got[0] <= got[1] and all(a < b for a, b in zip(got[1:], got[2:]))
+
+
+def test_advantage_grows_as_swaps_fail(solves):
+    folded = solves[1][0]
+    got = [advantage(folded.respecialized(0.9, p_s)) for p_s in (1.0, 0.75, 0.5, 0.25)]
+    assert got == pytest.approx([0.0005, 0.094, 0.836, 2.708], abs=5e-4)
+    assert all(a < b for a, b in zip(got, got[1:]))

@@ -6,6 +6,7 @@ from repeaterchain.chain import (
     ChainParams,
     StateCodes,
     canonical,
+    encode_state,
     mirror,
     state_from_links,
     valid_swap_nodes,
@@ -220,6 +221,21 @@ class TestCounts:
         with pytest.raises(ValueError):
             distinct_labeled_states(space_for(3, 1, fold=True))
 
+    @pytest.mark.parametrize(
+        "n, t_cut", [(3, 1), (3, 3), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3), (7, 2)]
+    )
+    def test_labelings_count_the_age_vectors(self, n, t_cut):
+        # Oracle: the union of decoded age vectors, the terminal left out.
+        space = space_for(n, t_cut)
+        absorbing = StateCodes(n, t_cut).states(space.absorbing_codes)
+        vectors = {
+            encode_state(s)
+            for i, s in enumerate(space.boundary_states)
+            if i != space.terminal_index
+        }
+        vectors.update(map(encode_state, [*space.intermediate_states, *absorbing]))
+        assert distinct_labeled_states(space) == len(vectors)
+
     def test_enumerated_labelings_dominate_bound(self):
         for n, t_cut in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 2), (6, 1)]:
             space = space_for(n, t_cut)
@@ -235,7 +251,7 @@ class TestCounts:
 
 
 ARRAY_FIELDS = (
-    "boundary_codes", "intermediate_codes", "child_offsets", "gen_successes", "gen_failures",
+    "boundary_codes", "intermediate_codes", "absorbing_codes", "child_offsets", "gen_successes", "gen_failures",
     "gen_mult", "row_offsets", "row_shape", "outcome_targets",
     "boundary_weights", "intermediate_weights",
 )
@@ -262,7 +278,6 @@ class TestLevelWalk:
             assert space.actions == default.actions
             assert space.run_shapes == default.run_shapes
             assert space.terminal_index == default.terminal_index
-            assert space.raw_absorbing == default.raw_absorbing
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("t_cut", [1, 2, 3])
