@@ -8,7 +8,7 @@ chain into two independent halves and is markedly faster on average; the
 exact solver finds policies better still, and the gap grows with chain
 length.
 
-Run with:  python3 demos/03_when_swap_asap_falls_behind.py  (about a second)
+Run with:  python3 demos/03_when_swap_asap_falls_behind.py  (about 1.1 s)
 """
 
 import time
@@ -40,10 +40,11 @@ print(f"  exact optimal policy:           T = {t_opt.t0:.3f} "
 print()
 print("The gap grows with chain length (p = 0.3, p_s = 0.5, cutoff 2):")
 print("  n    T_swap-asap      T_opt    advantage")
-for n in (3, 4, 5, 6):
+for n in range(3, 9):
     start = time.perf_counter()
     params = ChainParams(n=n, p=0.3, p_s=0.5, t_cut=2)
-    space = enumerate_states(params)
+    # One state per mirror pair: both policies treat mirror images alike.
+    space = enumerate_states(params, fold=True)
     model = TransitionModel.build(space)
     t_swap = evaluate_policy(model, swap_asap_policy(space)).t0
     table, _ = policy_iteration(model)

@@ -24,6 +24,7 @@ the enumeration walk runs on codes and builds no states.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -91,14 +92,23 @@ class ChainParams:
     t_cut: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 3):
+        if not (_is_integer(self.n) and self.n >= 3):
             raise ValueError(f"n must be an integer >= 3, got {self.n!r}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
         if not 0.0 < self.p_s <= 1.0:
             raise ValueError(f"p_s must lie in (0, 1], got {self.p_s!r}")
-        if not (isinstance(self.t_cut, int) and self.t_cut >= 1):
+        if not (_is_integer(self.t_cut) and self.t_cut >= 1):
             raise ValueError(f"t_cut must be an integer >= 1, got {self.t_cut!r}")
+        # Stored as Python ints: StateCodes' int64 overflow check needs
+        # arithmetic that cannot wrap.
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "t_cut", int(self.t_cut))
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer of any type (numpy's too), but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,7 +30,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -39,7 +39,7 @@ import numpy as np
 from . import __version__
 from .chain import ChainParams, decode_state, encode_state, mirror, mirror_action
 from .mdp import TransitionModel
-from .sim import SimConfig, estimate
+from .sim import SimConfig, TrajectoryError, estimate
 from .solver import (
     ConvergenceError,
     Policy,
@@ -208,32 +208,27 @@ class _Structure:
 
     States and arcs depend only on (n, t_cut), so each solve respecializes
     them to its (p, p_s) instead of walking the dynamics again.  With
-    bunching the walk folds mirror images; the unfolded structure is
-    enumerated only for baselines that are not mirror-symmetric, and then
-    once.  A structure lives only as long as the command that built it.
+    bunching the walk folds mirror images, and the unfolded space is walked
+    as well only when some ``withheld`` node set is not its own mirror image.
+    Every walk happens here, once, so a failed one fails the build before any
+    solve.  A structure lives only as long as the command that built it.
     """
 
-    def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool):
-        self._params = params
-        self._state_cap = state_cap
-        space = enumerate_states(params, state_cap=state_cap, fold=use_bunch)
-        self.model = TransitionModel.build(space)
-        self._full = None if use_bunch else self.model
-
-    def full_model(self) -> TransitionModel:
-        """The unfolded model, enumerated on first use when bunching."""
-        if self._full is None:
-            space = enumerate_states(self._params, state_cap=self._state_cap)
-            self._full = TransitionModel.build(space)
-        return self._full
+    def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool, withheld=()):
+        self.model = TransitionModel.build(enumerate_states(params, state_cap=state_cap, fold=use_bunch))
+        #: The unfolded model: ``model`` unless bunching, None if no baseline needs it.
+        self.full = None if use_bunch else self.model
+        if use_bunch and any(mirror_action(nodes, params.n) != nodes for nodes in withheld):
+            self.full = TransitionModel.build(enumerate_states(params, state_cap=state_cap))
 
     def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
         model = self.model.respecialized(p, p_s)
+        full = model if self.full is self.model else self.full and self.full.respecialized(p, p_s)
         if method == "pi":
             table, policy = policy_iteration(model)
         else:
             table, policy = value_iteration(model, config)
-        return _Solution(self, model, table, policy)
+        return _Solution(model, full, table, policy)
 
 
 @dataclass(frozen=True)
@@ -241,31 +236,23 @@ class _Solution:
     """An optimal solve at one (p, p_s).
 
     ``model`` is the solved model at (p, p_s), folded when bunching, and
-    ``table`` and ``policy`` live on ``model.space``.  The empty state keeps
-    index 0 in a folded space, so ``table.t0`` needs no unfolding.
+    ``table`` and ``policy`` live on ``model.space``.  ``full`` is the
+    structure's unfolded model at the same (p, p_s), or None.  The empty
+    state keeps index 0 in a folded space, so ``table.t0`` needs no unfolding.
     """
 
-    structure: _Structure
     model: TransitionModel
+    full: TransitionModel | None
     table: ValueTable
     policy: Policy
 
-    @cached_property
-    def full(self) -> TransitionModel:
-        """The unfolded model at (p, p_s): ``model`` itself unless bunching."""
-        if not self.model.space.folded:
-            return self.model
-        params = self.model.space.params
-        return self.structure.full_model().respecialized(params.p, params.p_s)
-
-    def baseline_t0(self, spec: str) -> float:
-        """Delivery time of a baseline policy from the empty state.
+    def baseline_t0(self, withheld: frozenset[int]) -> float:
+        """Delivery time from the empty state of the baseline that withholds ``withheld``.
 
         A baseline that withholds a mirror-symmetric node set acts on mirror
         images by mirrored actions, so it is evaluated on the solved model
         even when that is folded.
         """
-        withheld = _withheld_nodes(spec)
         symmetric = mirror_action(withheld, self.model.space.params.n) == withheld
         model = self.model if symmetric else self.full
         return evaluate_policy(model, modified_full_state_policy(model.space, withheld)).t0
@@ -297,9 +284,9 @@ def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig) -> _Solution:
+def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig, withheld=()) -> _Solution:
     """Build the structure of a single-point command and solve it."""
-    structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"))
+    structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"), withheld)
     return structure.solve(params.p, params.p_s, opt.get("method"), config)
 
 
@@ -323,14 +310,6 @@ def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
     if n is not None:
         baseline_rule(n, nodes)  # raises unless every node is interior
     return nodes
-
-
-def _baselines(opt: _Options, n: int | None = None) -> list[str]:
-    """The ``--baseline`` specs, each checked (against ``n`` if given) before any solve."""
-    baselines = list(opt.get("baseline"))
-    for spec in baselines:
-        _withheld_nodes(spec, n)
-    return baselines
 
 
 class _BaselineMap(dict):
@@ -481,55 +460,51 @@ def cmd_solve(opt: _Options) -> int:
 def cmd_compare(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
-    baselines = _baselines(opt, params.n)
-    solution = _solve_point(opt, params, config)
+    specs = opt.get("baseline")
+    withheld = [_withheld_nodes(spec, params.n) for spec in specs]
+    solution = _solve_point(opt, params, config, withheld)
     t_opt = solution.table.t0
     print(f"T_opt = {_fmt(t_opt)}")
-    for spec in baselines:
-        t_base = solution.baseline_t0(spec)
+    for spec, nodes in zip(specs, withheld):
+        t_base = solution.baseline_t0(nodes)
         adv = relative_advantage(t_base, t_opt)
         print(f"T[{spec}] = {_fmt(t_base)}   advantage = {_fmt(adv)} ({100 * adv:.3f}%)")
     return 0
 
 
-def _sweep_group(points: list[dict]) -> list[dict]:
-    """CSV rows of grid points that share one (n, t_cut), errors recorded in-row.
+def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> list[dict]:
+    """CSV rows of the (n, p, p_s, t_cut) grid points of one (n, t_cut), errors recorded in-row.
 
     The structure is built at the first point with valid parameters, whose
     ``wall_time_s`` includes the build, and reused by the rest.  A failed
     build puts its error in its own row and in every later row of the group.
     """
+    specs = opt.get("baseline")
     structure = build_error = None
     rows = []
-    for point in points:
-        row = {
-            "n": point["n"],
-            "p": point["p"],
-            "p_s": point["ps"],
-            "t_cut": point["tcut"],
-        }
+    for n, p, p_s, t_cut in points:
+        row = {"n": n, "p": p, "p_s": p_s, "t_cut": t_cut}
         try:
-            params = ChainParams(n=point["n"], p=point["p"], p_s=point["ps"], t_cut=point["tcut"])
-            config = SolverConfig(epsilon=point["epsilon"], max_iterations=point["max_iter"])
-            for spec in point["baselines"]:
-                _withheld_nodes(spec, params.n)
+            params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
+            config = _solver_config(opt)
+            withheld = [_withheld_nodes(spec, n) for spec in specs]
             t0 = time.perf_counter()
             if structure is None and build_error is None:
                 try:
-                    structure = _Structure(params, point["state_cap"], point["bunch"])
+                    structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"), withheld)
                 except Exception as exc:
                     build_error = exc
             if build_error is not None:
                 raise build_error
-            solution = structure.solve(params.p, params.p_s, point["method"], config)
+            solution = structure.solve(p, p_s, opt.get("method"), config)
             space, t_opt = solution.model.space, solution.table.t0
             # Unfolded counts: a folded state stands for its whole mirror pair.
             row["boundary_states"] = int(space.boundary_weights.sum())
             row["intermediate_states"] = int(space.intermediate_weights.sum())
             row["iterations"] = solution.table.iterations
             row["T_opt"] = _fmt(t_opt)
-            for spec in point["baselines"]:
-                t_base = solution.baseline_t0(spec)
+            for spec, nodes in zip(specs, withheld):
+                t_base = solution.baseline_t0(nodes)
                 key = spec.replace(":", "_").replace(",", "_").replace("-", "_")
                 row[f"T_{key}"] = _fmt(t_base)
                 row[f"advantage_{key}"] = _fmt(relative_advantage(t_base, t_opt))
@@ -545,16 +520,17 @@ def cmd_sweep(opt: _Options) -> int:
     workers = opt.get("workers")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    grid = _grid(opt)
-    settings = {"baselines": _baselines(opt), **{name: opt.get(name) for name in _SOLVER}}
-    points = [{"n": n, "p": p, "ps": p_s, "tcut": t_cut, **settings} for n, p, p_s, t_cut in grid]
-    groups = _structure_groups([(point["n"], point["tcut"]) for point in points])
+    points = _grid(opt)
+    for spec in opt.get("baseline"):
+        _withheld_nodes(spec)
+    groups = _structure_groups([(n, t_cut) for n, _, _, t_cut in points])
     tasks = [[points[i] for i in group] for group in groups]
+    sweep_group = partial(_sweep_group, opt)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_group, tasks))
+            results = list(pool.map(sweep_group, tasks))
     else:
-        results = [_sweep_group(task) for task in tasks]
+        results = [sweep_group(task) for task in tasks]
     rows: list[dict | None] = [None] * len(points)
     for group, group_rows in zip(groups, results):
         for i, row in zip(group, group_rows):
@@ -735,7 +711,7 @@ def main(argv=None) -> int:
     try:
         command = _COMMANDS[args.command]
         return command.func(_Options(args, command))
-    except (ValueError, ConvergenceError, StateCapExceeded, OSError) as exc:
+    except (ValueError, ConvergenceError, StateCapExceeded, TrajectoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -137,13 +137,14 @@ class Policy:
         return mapping
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueTable:
     """Expected delivery times on slot-boundary states.
 
     ``iterations`` counts value-iteration sweeps or policy-iteration
     rounds (1 for a fixed-policy evaluation); ``residual`` is value
     iteration's final max-norm sweep difference (0 for direct solves).
+    Tables compare and hash by identity.
     """
 
     values: np.ndarray

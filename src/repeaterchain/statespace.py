@@ -59,7 +59,7 @@ def terminal_state(n: int) -> ChainState:
     return ChainState(n=n, links=(Link(1, n, 0),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Indexed reachable states of a chain, plus per-state action lists.
 
@@ -92,7 +92,7 @@ class StateSpace:
     ``boundary_index`` and ``intermediate_index`` map states to indices.
     Decoded states and indices are built on first use and shared by the
     copies that ``TransitionModel.respecialized`` makes, as are the
-    read-only arrays.
+    read-only arrays.  Spaces compare and hash by identity.
     """
 
     params: ChainParams
@@ -112,7 +112,7 @@ class StateSpace:
     boundary_weights: np.ndarray = field(repr=False)
     intermediate_weights: np.ndarray = field(repr=False)
     folded: bool = False
-    _decoded: dict = field(default_factory=dict, repr=False, compare=False)
+    _decoded: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         for value in vars(self).values():

@@ -108,6 +108,19 @@ class TestBasics:
         with pytest.raises(ValueError):
             ChainParams(n=3, p=0.5, p_s=0.5, t_cut=0)
 
+    def test_params_take_any_integer_type_but_bool(self):
+        params = ChainParams(n=np.int64(5), p=0.9, p_s=0.5, t_cut=np.int32(2))
+        assert params == ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
+        assert type(params.n) is int and type(params.t_cut) is int
+        assert [ChainParams(n, 0.9, 0.5, 2).n for n in np.arange(3, 9)] == list(range(3, 9))
+        with pytest.raises(ValueError):
+            ChainParams(n=3, p=0.5, p_s=0.5, t_cut=True)
+        with pytest.raises(ValueError):
+            ChainParams(n=np.float64(5), p=0.5, p_s=0.5, t_cut=1)
+        # Python ints keep the int64 overflow check exact.
+        with pytest.raises(ValueError, match="do not fit in 64 bits"):
+            enumerate_states(ChainParams(n=np.int64(13), p=0.5, p_s=0.5, t_cut=np.int64(7)))
+
     def test_links_are_normalized_sorted(self):
         s = mk(4, [(3, 4, 0), (1, 2, 2)])
         assert s.links == (Link(1, 2, 2), Link(3, 4, 0))

@@ -219,6 +219,15 @@ class TestCompare:
             want = self.baseline_t(full, spec)
             assert self.baseline_t(folded, spec) == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_failed_unfolded_walk_fails_before_any_solve(self, enumerations, capsys):
+        # The folded (5,3) space fits the cap; the unfolded one does not.
+        code = run(["compare", "--n", 5, "--p", 0.3, "--ps", 0.5, "--tcut", 3, "--bunch",
+                    "--baseline", "modified:2", "--state-cap", 1000])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state cap 1000 exceeded at n=5, t_cut=3\n"
+        assert enumerations == [(5, 3), (5, 3)]
 
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     @pytest.mark.parametrize("spec", ["modified:", "modified:,"])
@@ -310,6 +319,23 @@ class TestSweep:
             else:
                 assert row["error"].startswith("StateCapExceeded: state cap 300")
         assert sorted(enumerations) == [(5, 1), (5, 2)]
+
+    def test_failed_unfolded_walk_fails_every_row_once(self, tmp_path, capsys, enumerations):
+        # The folded walk fits the cap and the unfolded one does not: the
+        # structure's build fails, once, and no row reports a solve.
+        out = tmp_path / "grid.csv"
+        code = run(
+            ["sweep", "--n", 5, "--p", "0.3,0.6,0.9", "--ps", "0.5,1.0", "--tcut", 3, "--bunch",
+             "--baseline", "modified:2", "--state-cap", 1000, "--out", out]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "6 of 6 grid points failed\n"
+        assert enumerations == [(5, 3), (5, 3)]
+        rows = list(csv.DictReader(open(out)))
+        assert len(rows) == 6
+        for row in rows:
+            assert row["error"] == "StateCapExceeded: state cap 1000 exceeded at n=5, t_cut=3"
+            assert "T_opt" not in row
 
     def test_invalid_point_does_not_spoil_its_group(self, tmp_path, capsys):
         both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
@@ -456,6 +482,38 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: master_seed must be in [0, 2**64)\n"
         assert enumerations == []
         assert not (tmp_path / "sim").exists()
+
+    def test_run_without_delivery_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code = run(
+            ["simulate", "--n", 3, "--p", 0.1, "--ps", 0.5, "--tcut", 1,
+             "--max-slots", 1, "--trials", 10, "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: no delivery within 1 slots (10 of 10 trials still running)")
+        assert not (out / "histogram.csv").exists()
+
+    def test_policy_file_that_never_swaps_is_an_error(self, tmp_path, capsys):
+        point = ["--n", 4, "--p", 0.9, "--ps", 0.5, "--tcut", 2]
+        assert run(["solve", *point, "--out", tmp_path / "solved"]) == 0
+        doc = json.load(open(tmp_path / "solved" / "policy.json"))
+        for entry in doc["policy"]:
+            entry["action"] = []
+        never = tmp_path / "never.json"
+        never.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "sim"
+        code = run(
+            ["simulate", *point, "--policy", never, "--max-slots", 50, "--trials", 100,
+             "--out", out]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: no delivery within 50 slots")
+        assert not (out / "histogram.csv").exists()
 
     def test_policy_space_mismatch_errors(self, tmp_path, capsys):
         solve_dir = tmp_path / "solved"

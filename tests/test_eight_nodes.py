@@ -1,16 +1,18 @@
 """Delivery times of an eight-node chain, beyond the acceptance grid's n <= 6.
 
 At (n=8, t_cut=2, p=0.9, p_s=0.5) the folded and the unfolded solve must
-agree, and both must give the recorded optimal and swap-asap delivery
-times.  The advantage of the optimal policy over swap-asap at p = 0.9,
+agree, both must give the recorded optimal and swap-asap delivery times,
+and a simulation of the folded optimal policy must reproduce its delivery
+time.  The advantage of the optimal policy over swap-asap at p = 0.9,
 t_cut = 2 must grow with the chain and as swaps get less reliable, the
-paper's headline trend (about 3 s of tier-1 in all).
+paper's headline trend (about 4 s of tier-1 in all).
 """
 
 import pytest
 
 from repeaterchain.chain import ChainParams
 from repeaterchain.mdp import TransitionModel
+from repeaterchain.sim import SimConfig, estimate
 from repeaterchain.solver import (
     evaluate_policy,
     policy_iteration,
@@ -27,25 +29,32 @@ RTOL = 1e-12
 
 @pytest.fixture(scope="module")
 def solves():
-    """(model, policy-iteration values) of the unfolded and the folded space, in that order."""
+    """(model, policy-iteration values, policy) of the unfolded and the folded space, in that order."""
     models = [TransitionModel.build(enumerate_states(PARAMS, fold=fold)) for fold in (False, True)]
-    return [(model, policy_iteration(model)[0]) for model in models]
+    return [(model, *policy_iteration(model)) for model in models]
 
 
 def test_folded_and_unfolded_solves_agree(solves):
-    (_, full), (_, folded) = solves
+    (_, full, _), (_, folded, _) = solves
     assert folded.t0 == pytest.approx(full.t0, rel=RTOL, abs=0)
 
 
 def test_optimal_delivery_time(solves):
-    for _, table in solves:
+    for _, table, _ in solves:
         assert table.t0 == pytest.approx(T_OPT, rel=RTOL, abs=0)
 
 
 def test_swap_asap_delivery_time(solves):
-    for model, _ in solves:
+    for model, _, _ in solves:
         t_asap = evaluate_policy(model, swap_asap_policy(model.space)).t0
         assert t_asap == pytest.approx(T_SWAP_ASAP, rel=RTOL, abs=0)
+
+
+def test_simulated_folded_optimal_policy(solves):
+    # Trials and seed were fixed before the first run.
+    model, _, policy = solves[1]
+    result = estimate(PARAMS, policy.state_map(model.space), SimConfig(trials=25_000, master_seed=3))
+    assert abs(result.mean - T_OPT) <= 4 * result.stderr
 
 
 def advantage(model):

@@ -233,6 +233,13 @@ class TestOptimalSolvers:
         assert p1 == p2
         assert np.array_equal(t1.values, t2.values)
 
+    def test_tables_compare_and_hash_by_identity(self):
+        _, model = build(4, 2, p=0.9, p_s=0.5)
+        table, again = policy_iteration(model)[0], policy_iteration(model)[0]
+        assert (table == again) is False
+        assert table == table
+        assert len({table, again}) == 2
+
     def test_convergence_cap_raises(self):
         space, model = build(3, 1, p=0.3, p_s=0.3)
         with pytest.raises(ConvergenceError):

@@ -91,6 +91,12 @@ class TestEnumerate:
         assert other.boundary_states is space.boundary_states
         assert other.outcome_targets is space.outcome_targets
 
+    def test_spaces_compare_and_hash_by_identity(self):
+        space, again = space_for(4, 2), space_for(4, 2)
+        assert (space == again) is False
+        assert space == space
+        assert len({space, again, space}) == 2
+
     def test_state_indices_are_shared_by_respecialized_copies(self):
         space = space_for(4, 2)
         other = TransitionModel.build(space).respecialized(p=0.3, p_s=0.9).space
