@@ -13,9 +13,10 @@ Every solver takes a :class:`~repeaterchain.mdp.TransitionModel` alone:
 its space lists the states and choice rows, and its space's parameters
 give the ``(p, p_s)`` the model is built at.
 
-Ties between equally good actions are broken towards fewer swaps, then the
-lexicographically smallest node set (the order of ``StateSpace.actions``),
-so solver output is reproducible.
+Both solvers break ties the same way, so solver output is reproducible.
+Two actions tie when their values differ by at most :data:`TIE_GAP`
+relative; among tied actions the one with fewer swaps wins, then the
+lexicographically smallest node set (the order of ``StateSpace.actions``).
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ __all__ = [
 ]
 
 
-#: Policy iteration gives up after this many improvement rounds.
+#: Policy iteration gives up after this many evaluations.
 MAX_POLICY_ITERATIONS = 1_000
+
+#: Relative gap within which two actions' values count as tied.
+TIE_GAP = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -142,7 +146,7 @@ class ValueTable:
     """Expected delivery times on slot-boundary states.
 
     ``iterations`` counts value-iteration sweeps or policy-iteration
-    rounds (1 for a fixed-policy evaluation); ``residual`` is value
+    evaluations (1 for a fixed-policy evaluation); ``residual`` is value
     iteration's final max-norm sweep difference (0 for direct solves).
     Tables compare and hash by identity.
     """
@@ -283,13 +287,14 @@ def evaluate_policy(model: TransitionModel, policy: Policy) -> ValueTable:
 
 
 def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """First minimal row of each intermediate state's segment of ``q``.
+    """First row of each intermediate state's segment of ``q`` that ties its minimum.
 
-    Every segment is non-empty: waiting is always an action.
+    A row ties when it exceeds the minimum by at most :data:`TIE_GAP`
+    relative.  Every segment is non-empty: waiting is always an action.
     """
     mins = np.minimum.reduceat(q, offsets[:-1])
-    minimal = np.flatnonzero(q == np.repeat(mins, np.diff(offsets)))
-    return minimal[np.searchsorted(minimal, offsets[:-1])]
+    tied = np.flatnonzero(q <= np.repeat(mins * (1 + TIE_GAP), np.diff(offsets)))
+    return tied[np.searchsorted(tied, offsets[:-1])]
 
 
 def value_iteration(
@@ -326,33 +331,23 @@ def value_iteration(
 def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by alternating evaluation and greedy improvement.
 
-    Starts from swap-asap, the last choice row of every state.  The
-    improvement step keeps the incumbent action unless a strictly better
-    one exists, which guarantees termination; switched actions follow the
-    deterministic tie-break order.
+    Starts from swap-asap, the last choice row of every state.  A state
+    switches only where its greedy action beats the incumbent by more than
+    :data:`TIE_GAP` relative, which guarantees termination.  Once nothing
+    switches, returns the last evaluation's values and the greedy policy
+    they induce, tie-broken like :func:`value_iteration`'s; ``iterations``
+    counts the evaluations.
     """
     space, choices = model.space, model.choice_table()
-    current = swap_asap_policy(space).rows
-    values = _nonterminal_solve(model, current)
-    for rounds in range(1, MAX_POLICY_ITERATIONS + 1):
+    rows = swap_asap_policy(space).rows
+    for evaluations in range(1, MAX_POLICY_ITERATIONS + 1):
+        values = _nonterminal_solve(model, rows)
         q = choices @ values
-        first = _greedy_choices(q, space.row_offsets)
-        improved = q[first] < q[current]
-        if not np.any(improved):
-            break
-        current = np.where(improved, first, current)
-        new_values = _nonterminal_solve(model, current)
-        # Evaluation roundoff can make value-equivalent actions look strictly
-        # better and flip forever; once a round stops lowering any value
-        # beyond noise level, the incumbent policy set is value-optimal.
-        gain = float(np.max(values - new_values))
-        scale = max(1.0, float(np.max(np.abs(values))))
-        values = new_values
-        if gain <= 1e-10 * scale:
-            rounds += 1
-            break
-    else:
-        raise ConvergenceError(
-            f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} rounds"
-        )
-    return ValueTable(values=values, iterations=rounds), Policy(current)
+        best = _greedy_choices(q, space.row_offsets)
+        switch = q[best] * (1 + TIE_GAP) < q[rows]
+        if not np.any(switch):
+            return ValueTable(values=values, iterations=evaluations), Policy(best)
+        rows = np.where(switch, best, rows)
+    raise ConvergenceError(
+        f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} evaluations"
+    )

@@ -58,7 +58,8 @@ class FidelityParams:
         Minimum acceptable end-to-end fidelity, in (1/4, 1].
     tau:
         Memory decay constant, in the same time units as the storage
-        intervals passed to :func:`decay_fidelity`.  Must be positive.
+        intervals passed to :func:`decay_fidelity`.  Must be positive and
+        finite.
     """
 
     f_new: float
@@ -70,8 +71,8 @@ class FidelityParams:
             raise ValueError(f"f_new must lie in (1/4, 1], got {self.f_new!r}")
         if not MIN_FIDELITY < self.f_min <= 1.0:
             raise ValueError(f"f_min must lie in (1/4, 1], got {self.f_min!r}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau!r}")
 
 
 def fidelity_to_werner(f: float) -> float:
@@ -146,7 +147,7 @@ def worst_case_fidelity(params: FidelityParams, n: int, t_cut: float) -> float:
     simultaneously and fuses them only once every link has been stored for
     the full window ``t_cut``.  Each link has then decayed to
     ``F_old = 1/4 + (f_new - 1/4) * exp(-t_cut / tau)`` and the fused pair has
-    fidelity ``(1/4) * (1 + (4 F_old - 1)^(n-1) / 3^(n-2))``.
+    fidelity ``1/4 + (3/4) * x_old^(n-1)``, with ``x_old = (4 F_old - 1)/3``.
 
     ``t_cut`` is a real storage time here; discretization into slots is a
     modelling layer above this function.
@@ -156,7 +157,7 @@ def worst_case_fidelity(params: FidelityParams, n: int, t_cut: float) -> float:
     if t_cut < 0:
         raise ValueError(f"cutoff must be nonnegative, got {t_cut!r}")
     f_old = decay_fidelity(params.f_new, t_cut, params.tau)
-    return 0.25 * (1.0 + (4.0 * f_old - 1.0) ** (n - 1) / 3.0 ** (n - 2))
+    return MIN_FIDELITY + 0.75 * fidelity_to_werner(f_old) ** (n - 1)
 
 
 def max_cutoff(params: FidelityParams, n: int) -> float:

@@ -78,6 +78,21 @@ class TestCutoff:
         assert code == 1
         assert "infeasible" in capsys.readouterr().err
 
+    def test_infinite_tau_is_one_error_line(self, capsys):
+        code = run(["cutoff", "--fnew", 0.95, "--fmin", 0.8, "--tau", "inf", "--n", 4])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: tau must be positive and finite")
+        assert err.count("\n") == 1
+
+    def test_long_chain_reports_and_is_infeasible(self, capsys):
+        code = run(["cutoff", "--fnew", 1.0, "--fmin", 0.26, "--tau", 50, "--n", 1000])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "cutoff slots: 0" in out.out
+        assert "worst-case end-to-end fidelity at the bound: 0.2599999" in out.out
+        assert out.err.startswith("infeasible: no integer cutoff")
+
 
 class TestSolve:
     def test_writes_values_and_policy(self, tmp_path, capsys):
@@ -590,6 +605,21 @@ class TestPolicyFile:
         with pytest.raises(ValueError, match="not available"):
             self.load(tmp_path, space, doc)
 
+    def test_missing_state(self, tmp_path, space, doc):
+        del doc["policy"][-1]
+        with pytest.raises(ValueError, match="misses 1 enumerated intermediate states"):
+            self.load(tmp_path, space, doc)
+
+    def test_state_outside_the_space(self, tmp_path, space, doc):
+        doc["policy"][0]["state"] = [5, -1, -1]
+        with pytest.raises(ValueError, match="not in the enumerated space: \\[5, -1, -1\\]"):
+            self.load(tmp_path, space, doc)
+
+    def test_state_of_the_wrong_length(self, tmp_path, space, doc):
+        doc["policy"][0]["state"] = doc["policy"][0]["state"][:2]
+        with pytest.raises(ValueError, match="expected 3 entries for n=3, got 2"):
+            self.load(tmp_path, space, doc)
+
     @pytest.mark.parametrize(
         "doc",
         [{"n": 3, "t_cut": 1}, [{"n": 3, "t_cut": 1}]],
@@ -675,6 +705,13 @@ class TestStats:
             assert row["pct_swap_all"] == f"{100.0 * stats.swap_all_fraction:.17g}"
             assert row["pct_no_swap"] == f"{100.0 * stats.no_swap_fraction:.17g}"
 
+
+    def test_policy_and_value_iteration_print_the_same_stats(self, capsys):
+        args = ["stats", "--n", "5,6", "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--method"]
+        assert run([*args, "pi"]) == 0
+        pi = capsys.readouterr().out
+        assert run([*args, "vi"]) == 0
+        assert capsys.readouterr().out == pi
 
     def test_n_list_rows_equal_the_single_n_runs(self, tmp_path):
         args = ["--p", "0.5,0.9", "--ps", 0.5, "--tcut", "1,2", "--bunch"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repeaterchain import solver
 from repeaterchain.chain import ChainParams, mirror, state_from_links, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
@@ -22,8 +23,8 @@ from repeaterchain.statespace import StateSpace, enumerate_states
 from test_walk_reference import expand_policy, expand_values
 
 
-def build(n, t_cut, p, p_s):
-    space = enumerate_states(ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut))
+def build(n, t_cut, p, p_s, fold=False):
+    space = enumerate_states(ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut), fold=fold)
     return space, TransitionModel.build(space)
 
 
@@ -273,6 +274,65 @@ class TestGreedyChoices:
         q = rng.integers(0, 3, size=offsets[-1]).astype(float)
         expected = [lo + int(np.argmin(q[lo:hi])) for lo, hi in zip(offsets[:-1], offsets[1:])]
         assert _greedy_choices(q, offsets).tolist() == expected
+
+    def test_rows_within_the_tie_gap_tie(self):
+        # 1 + 1e-13 ties with 1; 1 + 1e-11 does not.
+        q = np.array([1.0 + 1e-13, 1.0, 1.0 + 1e-11, 1.0])
+        offsets = np.array([0, 2, 4])
+        assert _greedy_choices(q, offsets).tolist() == [0, 3]
+
+
+def acceptance_grid():
+    """The policy-iteration points of acceptance criteria 4, 6 and 11, as (n, t_cut, p, p_s, fold)."""
+    points = [(5, 6, 0.9, 0.5, True)]
+    for n, t_cut, p, ps in [(3, 1, 0.5, 0.5), (3, 3, 0.7, 0.5), (4, 2, 0.3, 0.5),
+                            (4, 2, 0.9, 1.0), (5, 2, 0.9, 0.5), (5, 3, 0.5, 1.0)]:
+        points.append((n, t_cut, p, ps, False))
+    for n, t_cut, p, ps in [(4, 2, 0.5, 0.5), (5, 2, 0.9, 0.5), (5, 3, 0.6, 1.0)]:
+        points += [(n, t_cut, p, ps, False), (n, t_cut, p, ps, True)]
+    for t_cut in range(2, 7):
+        for ps in (0.5, 1.0):
+            points += [(5, t_cut, round(0.1 * k, 1), ps, True) for k in range(3, 10)]
+    return points
+
+
+class TestTieRule:
+    """Both solvers return the greedy policy of their values under one tie rule."""
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_policy_and_value_iteration_return_the_same_policy(self, fold):
+        _, model = build(6, 2, p=0.9, p_s=0.5, fold=fold)
+        assert policy_iteration(model)[1] == value_iteration(model)[1]
+
+    @pytest.mark.parametrize(
+        "n,t_cut,p", [(4, 2, 0.6), (4, 3, 0.9), (5, 2, 0.3), (5, 3, 0.9), (6, 2, 0.6)]
+    )
+    def test_lu_ordering_moves_no_policy_and_no_round_count(self, monkeypatch, n, t_cut, p):
+        table, policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
+        original = solver.spsolve
+        monkeypatch.setattr(
+            solver, "spsolve", lambda a, b: original(a, b, permc_spec="MMD_AT_PLUS_A")
+        )
+        mmd_table, mmd_policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
+        assert mmd_policy == policy
+        assert mmd_table.iterations == table.iterations
+        assert mmd_table.t0 == pytest.approx(table.t0, rel=1e-12)
+
+    def test_folding_moves_no_round_count(self):
+        full, _ = policy_iteration(build(5, 6, 0.3, 1.0)[1])
+        folded, _ = policy_iteration(build(5, 6, 0.3, 1.0, fold=True)[1])
+        assert folded.iterations == full.iterations
+
+    def test_policy_evaluates_to_its_values_on_the_acceptance_grid(self):
+        models = {}
+        for n, t_cut, p, ps, fold in acceptance_grid():
+            key = (n, t_cut, fold)
+            if key not in models:
+                models[key] = build(n, t_cut, p, ps, fold)[1]
+            model = models[key].respecialized(p, ps)
+            table, policy = policy_iteration(model)
+            check = evaluate_policy(model, policy).values
+            assert np.max(np.abs(check - table.values) / np.maximum(1.0, table.values)) <= 1e-12
 
 
 class TestMirrorSymmetryOfValues:

@@ -148,6 +148,17 @@ class TestWorstCase:
         with pytest.raises(ValueError):
             worst_case_fidelity(params, 1, 1.0)
 
+    def test_matches_the_fidelity_form(self):
+        # The same algebra in fidelities, with two powers; its 3^(n-2)
+        # overflows a float from n = 649 on.
+        rng = np.random.default_rng(5)
+        for f_new, tau, t_cut in rng.uniform([0.26, 0.1, 0.0], [1.0, 100.0, 20.0], (40, 3)):
+            params = FidelityParams(f_new=f_new, f_min=0.5, tau=tau)
+            f_old = decay_fidelity(f_new, t_cut, tau)
+            for n in range(2, 51):
+                expected = 0.25 * (1.0 + (4.0 * f_old - 1.0) ** (n - 1) / 3.0 ** (n - 2))
+                assert worst_case_fidelity(params, n, t_cut) == pytest.approx(expected, rel=1e-15)
+
 
 class TestMaxCutoff:
     def test_barely_qualifying_links_leave_no_slack(self):
