@@ -90,7 +90,7 @@ _OPTIONS = {
     "ps": _Option(float, "swap success probability"),
     "tcut": _Option(int, "cutoff time in slots"),
     "method": _Option(("vi", "pi"), "value or policy iteration", "pi"),
-    "epsilon": _Option(float, "value-iteration convergence tolerance", SolverConfig.epsilon),
+    "epsilon": _Option(float, "value-iteration certified relative gap", SolverConfig.epsilon),
     "max_iter": _Option(int, "value-iteration sweep cap", SolverConfig.max_iterations),
     "bunch": _Option(bool, "fold mirror-image states together before solving", False),
     "state_cap": _Option(int, "state count ceiling", DEFAULT_STATE_CAP),
@@ -446,7 +446,7 @@ def cmd_solve(opt: _Options) -> int:
     boundary = int(space.boundary_weights.sum())
     intermediate = int(space.intermediate_weights.sum())
     print(f"states: {boundary} boundary, {intermediate} intermediate")
-    print(f"method: {opt.get('method')}  iterations: {table.iterations}  residual: {table.residual:.3e}")
+    print(f"method: {opt.get('method')}  iterations: {table.iterations}  gap: {table.residual:.3e}")
     print(f"T_opt(empty state) = {_fmt(table.t0)}")
     print(f"wall time: {elapsed:.2f} s")
     out = Path(opt.get("out") or ".")
@@ -682,26 +682,43 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which adds its flags only when it parses.
+
+    argparse hands the arguments after the subcommand name to that one
+    subcommand's parser, so the other subcommands' flags are never built.
+    """
+
+    def __init__(self, *args, command: _Command, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._command = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._command is not None:
+            command, self._command = self._command, None
+            for name in command.options:
+                option, kwargs = _OPTIONS[name], {}
+                kwargs["help"] = option.help + (" (comma-separated list)" if name in command.lists else "")
+                if option.kind is bool:
+                    kwargs["action"] = argparse.BooleanOptionalAction
+                elif option.repeat:
+                    kwargs["action"] = "append"
+                if isinstance(option.kind, tuple):
+                    kwargs["metavar"] = "{" + ",".join(option.kind) + "}"
+                self.add_argument(_flag(name), **kwargs)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Flags of every subcommand as text, typed later by :class:`_Options`."""
+    """The subcommands, whose flags are parsed as text and typed later by :class:`_Options`."""
     parser = argparse.ArgumentParser(
         prog="repeaterchain",
         description="Optimal entanglement-swapping policies for repeater chains with cutoffs",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command_name, command in _COMMANDS.items():
-        sp = sub.add_parser(command_name, help=command.help)
-        for name in command.options:
-            option, kwargs = _OPTIONS[name], {}
-            kwargs["help"] = option.help + (" (comma-separated list)" if name in command.lists else "")
-            if option.kind is bool:
-                kwargs["action"] = argparse.BooleanOptionalAction
-            elif option.repeat:
-                kwargs["action"] = "append"
-            if isinstance(option.kind, tuple):
-                kwargs["metavar"] = "{" + ",".join(option.kind) + "}"
-            sp.add_argument(_flag(name), **kwargs)
+        sub.add_parser(command_name, help=command.help, command=command)
     return parser
 
 

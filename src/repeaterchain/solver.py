@@ -21,6 +21,7 @@ lexicographically smallest node set (the order of ``StateSpace.actions``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -56,6 +57,9 @@ MAX_POLICY_ITERATIONS = 1_000
 #: Relative gap within which two actions' values count as tied.
 TIE_GAP = 1e-12
 
+#: Value iteration checks its greedy policy every this many sweeps.
+CHECK_EVERY = 32
+
 
 class ConvergenceError(RuntimeError):
     """A solve failed to converge (or the evaluated policy never delivers)."""
@@ -65,8 +69,9 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     """Value-iteration tolerance and sweep limit.
 
-    ``epsilon`` bounds the max-norm difference between successive sweeps;
-    ``max_iterations`` caps their number.  Fixed policies, and so policy
+    ``epsilon`` bounds the certified relative gap ``g`` of the values value
+    iteration returns, ``T / (1 + g) <= T* <= T`` in every state;
+    ``max_iterations`` caps the sweeps.  Fixed policies, and so policy
     iteration, are evaluated by a direct sparse solve with nothing to set.
     """
 
@@ -146,8 +151,9 @@ class ValueTable:
     """Expected delivery times on slot-boundary states.
 
     ``iterations`` counts value-iteration sweeps or policy-iteration
-    evaluations (1 for a fixed-policy evaluation); ``residual`` is value
-    iteration's final max-norm sweep difference (0 for direct solves).
+    evaluations (1 for a fixed-policy evaluation).  ``residual`` is value
+    iteration's certified relative gap ``g``: the optimal delivery times lie
+    in ``[values / (1 + g), values]`` state by state (0 for direct solves).
     Tables compare and hash by identity.
     """
 
@@ -297,35 +303,75 @@ def _greedy_choices(q: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return tied[np.searchsorted(tied, offsets[:-1])]
 
 
+def _beats(q: np.ndarray, best: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Where row ``best`` beats row ``rows`` by more than :data:`TIE_GAP` relative."""
+    return q[best] * (1 + TIE_GAP) < q[rows]
+
+
+def _bellman_gap(model: TransitionModel, values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Choice-row values of ``values`` and the largest drop ``max(values - T values)``."""
+    q = model.choice_table() @ values
+    new = 1.0 + model.phase_a_matrix() @ np.minimum.reduceat(q, model.space.row_offsets[:-1])
+    new[model.space.terminal_index] = 0.0
+    return q, float(np.max(values - new))
+
+
 def value_iteration(
     model: TransitionModel, config: SolverConfig | None = None
 ) -> tuple[ValueTable, Policy]:
-    """Optimal delivery times by successive sweeps of the minimizing update.
+    """Optimal delivery times by sweeps of the minimizing update, stopped by a certificate.
 
-    Starts from all-zero values and stops when successive sweeps differ by
-    at most ``config.epsilon`` in max norm.  Returns the converged values
-    and the greedy policy they induce.
+    Sweeps from all-zero values.  Every :data:`CHECK_EVERY` sweeps, when the
+    greedy policy of the sweep values has changed since the last check, it
+    is evaluated exactly, to ``U``, and ``g = max(U - T U)`` is its Bellman
+    gap.  With one slot of cost per step, ``U - P_pi U <= 1 + g`` for every
+    proper policy ``pi``, so ``U / (1 + g) <= T* <= U`` in every state.
+    Stops once ``g <= config.epsilon`` and returns ``U`` with ``residual = g``
+    and ``iterations`` the sweep count, and the greedy policy of ``U``, tie
+    broken like :func:`policy_iteration`'s.  Greedy policies that never
+    deliver are skipped.  Raises :class:`ConvergenceError` when the sweep cap
+    comes first, or when a checked policy passes policy iteration's stopping
+    test with a gap above ``epsilon``: that policy is optimal under the tie
+    rule, so its gap is within :data:`TIE_GAP` of ``T`` and later sweeps
+    would only repeat it.
     """
     config = config or SolverConfig()
     space = model.space
     mat_a, choices = model.phase_a_matrix(), model.choice_table()
-    values = np.zeros(space.num_boundary)
-    starts = space.row_offsets[:-1]
-    for it in range(1, config.max_iterations + 1):
-        mins = np.minimum.reduceat(choices @ values, starts)
-        new = 1.0 + mat_a @ mins
-        new[space.terminal_index] = 0.0
-        residual = float(np.max(np.abs(new - values)))
-        values = new
-        if residual <= config.epsilon:
-            break
-    else:
-        raise ConvergenceError(
-            f"value iteration did not converge in {config.max_iterations} sweeps "
-            f"(residual {residual:.3e})"
-        )
-    policy = Policy(_greedy_choices(choices @ values, space.row_offsets))
-    return ValueTable(values=values, iterations=it, residual=residual), policy
+    starts, terminal = space.row_offsets[:-1], space.terminal_index
+    q = np.zeros(choices.shape[0])
+    checked, gaps = None, []
+    for sweep in range(1, config.max_iterations + 1):
+        values = 1.0 + mat_a @ np.minimum.reduceat(q, starts)
+        values[terminal] = 0.0
+        q = choices @ values
+        if sweep % CHECK_EVERY:
+            continue
+        rows = _greedy_choices(q, space.row_offsets)
+        if checked is not None and np.array_equal(rows, checked):
+            continue
+        checked = rows
+        try:
+            exact = _nonterminal_solve(model, rows)
+        except ConvergenceError:  # this greedy policy never delivers
+            gaps.append(math.inf)
+            continue
+        q_exact, gap = _bellman_gap(model, exact)
+        gaps.append(gap)
+        best = _greedy_choices(q_exact, space.row_offsets)
+        if gap <= config.epsilon:
+            return ValueTable(values=exact, iterations=sweep, residual=gap), Policy(best)
+        if not np.any(_beats(q_exact, best, rows)):
+            # Policy iteration would stop here, so ``rows`` is optimal under
+            # the tie rule and no later check can be expected to do better.
+            raise ConvergenceError(
+                f"value iteration cannot certify a gap of {config.epsilon:.3e}: "
+                f"the optimal policy's own gap is {gap:.3e}"
+            )
+    reached = f"smallest gap {min(gaps):.3e}" if gaps else "no check ran"
+    raise ConvergenceError(
+        f"value iteration did not converge in {config.max_iterations} sweeps ({reached})"
+    )
 
 
 def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
@@ -344,7 +390,7 @@ def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
         values = _nonterminal_solve(model, rows)
         q = choices @ values
         best = _greedy_choices(q, space.row_offsets)
-        switch = q[best] * (1 + TIE_GAP) < q[rows]
+        switch = _beats(q, best, rows)
         if not np.any(switch):
             return ValueTable(values=values, iterations=evaluations), Policy(best)
         rows = np.where(switch, best, rows)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -115,18 +116,20 @@ class TestSolve:
         assert len(policy.rows) == space.num_intermediate
 
     def test_vi_and_pi_agree(self, tmp_path, capsys):
-        values = {}
+        values, gaps = {}, {}
         for method in ("vi", "pi"):
             code = run(
                 ["solve", "--n", 4, "--p", 0.6, "--ps", 0.5, "--tcut", 2,
                  "--method", method, "--out", tmp_path / method]
             )
             assert code == 0
-            line = [
-                l for l in capsys.readouterr().out.splitlines() if "T_opt" in l
-            ][0]
-            values[method] = float(line.split("=")[1])
-        assert values["vi"] == pytest.approx(values["pi"], rel=1e-6)
+            lines = capsys.readouterr().out.splitlines()
+            values[method] = float([l for l in lines if "T_opt" in l][0].split("=")[1])
+            gaps[method] = float([l for l in lines if l.startswith("method:")][0].split("gap: ")[1])
+        # Value iteration stops on a certified gap, so it prints the exact optimum.
+        assert gaps["vi"] <= cli._OPTIONS["epsilon"].default
+        assert gaps["pi"] == 0.0
+        assert values["vi"] == pytest.approx(values["pi"], rel=1e-12)
 
     def test_bunch_flag_matches_full_solve(self, tmp_path, capsys):
         results = {}
@@ -861,3 +864,25 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"n": "4,5", "p": 0.7, "ps": 0.5, "tcut": 2}))
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "grid.csv"]) == 1
         assert capsys.readouterr().err == 'error: option --n takes an integer, got "4,5"\n'
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(cli._COMMANDS))
+    def test_help_lists_the_subcommand_options(self, capsys, name):
+        with pytest.raises(SystemExit) as info:
+            run([name, "--help"])
+        assert info.value.code == 0
+        listed = {word for word in capsys.readouterr().out.split() if word.startswith("--")}
+        want = {"--help"}
+        for option in cli._COMMANDS[name].options:
+            flag = cli._flag(option)
+            want |= {flag, "--no-" + flag[2:]} if cli._OPTIONS[option].kind is bool else {flag}
+        assert {word.strip("[],") for word in listed} == want
+
+    def test_only_the_chosen_subcommand_gets_flags(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["states", "--n", "3", "--tcut", "1"])
+        assert (args.command, args.n, args.tcut) == ("states", "3", "1")
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flagged = [name for name, sub in commands.choices.items() if len(sub._actions) > 1]
+        assert flagged == ["states"]

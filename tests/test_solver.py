@@ -242,9 +242,30 @@ class TestOptimalSolvers:
         assert len({table, again}) == 2
 
     def test_convergence_cap_raises(self):
-        space, model = build(3, 1, p=0.3, p_s=0.3)
-        with pytest.raises(ConvergenceError):
-            value_iteration(model, SolverConfig(max_iterations=2))
+        _, model = build(3, 1, p=0.3, p_s=0.3)
+        cap = solver.CHECK_EVERY - 1
+        message = f"value iteration did not converge in {cap} sweeps (no check ran)"
+        with pytest.raises(ConvergenceError) as info:
+            value_iteration(model, SolverConfig(max_iterations=cap))
+        assert str(info.value) == message
+
+    def test_sweep_cap_before_a_certificate_reports_the_smallest_gap(self):
+        # The first check's greedy policy is still suboptimal here.
+        _, model = build(5, 2, p=0.3, p_s=0.5)
+        cap = 2 * solver.CHECK_EVERY
+        with pytest.raises(ConvergenceError) as info:
+            value_iteration(model, SolverConfig(max_iterations=cap))
+        prefix = f"value iteration did not converge in {cap} sweeps (smallest gap "
+        message = str(info.value)
+        assert message.startswith(prefix) and message.endswith(")")
+        assert float(message[len(prefix):-1]) > SolverConfig().epsilon
+
+    def test_gap_below_the_optimal_policy_roundoff_raises_at_once(self):
+        _, model = build(5, 2, p=0.9, p_s=0.5, fold=True)
+        with pytest.raises(ConvergenceError, match="cannot certify a gap of 1.000e-300") as info:
+            value_iteration(model, SolverConfig(epsilon=1e-300))
+        gap = float(str(info.value).rsplit(" ", 1)[1])
+        assert 0 < gap <= 1e-12 * policy_iteration(model)[0].t0
 
     @pytest.mark.parametrize("max_iterations", [0, -1])
     def test_sweep_cap_must_allow_one_sweep(self, max_iterations):
@@ -333,6 +354,38 @@ class TestTieRule:
             table, policy = policy_iteration(model)
             check = evaluate_policy(model, policy).values
             assert np.max(np.abs(check - table.values) / np.maximum(1.0, table.values)) <= 1e-12
+
+
+class TestCertifiedValueIteration:
+    """Value iteration stops on the Bellman gap of an exactly evaluated greedy policy."""
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_gap_of_a_suboptimal_policy_brackets_the_optimum(self, fold):
+        # U = T[swap-asap] and g = max(U - T U): U / (1 + g) <= T* <= U in every state.
+        space, model = build(5, 2, p=0.9, p_s=0.5, fold=fold)
+        upper = evaluate_policy(model, swap_asap_policy(space)).values
+        _, gap = solver._bellman_gap(model, upper)
+        optimal, _ = policy_iteration(model)
+        assert gap > 0.01  # swap-asap is far from optimal here, so the bound has teeth
+        assert np.all(upper / (1 + gap) <= optimal.values * (1 + 1e-12))
+        assert np.all(optimal.values <= upper * (1 + 1e-12))
+        assert np.any(upper > optimal.values * (1 + 1e-3))
+
+    def test_certificate_on_the_acceptance_grid(self):
+        epsilon = SolverConfig().epsilon
+        models = {}
+        for n, t_cut, p, ps, fold in acceptance_grid():
+            key = (n, t_cut, fold)
+            if key not in models:
+                models[key] = build(n, t_cut, p, ps, fold)[1]
+            model = models[key].respecialized(p, ps)
+            table, policy = value_iteration(model)
+            pi_table, pi_policy = policy_iteration(model)
+            assert table.residual <= epsilon
+            check = evaluate_policy(model, policy).values
+            assert np.max(np.abs(check - table.values) / np.maximum(1.0, table.values)) <= 1e-12
+            assert table.t0 == pytest.approx(pi_table.t0, rel=1e-12)
+            assert policy == pi_policy
 
 
 class TestMirrorSymmetryOfValues:
