@@ -62,6 +62,9 @@ class TransitionModel:
         self.space = space
         self._mat_a: sp.csr_matrix | None = None
         self._choices: sp.csr_matrix | None = None
+        #: Delivery times of the policies evaluated on this model, keyed by
+        #: the bytes of their int64 choice rows; the solvers fill it.
+        self.evaluated: dict[bytes, np.ndarray] = {}
 
     @classmethod
     def build(cls, space: StateSpace) -> "TransitionModel":

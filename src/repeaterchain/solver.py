@@ -22,13 +22,13 @@ lexicographically smallest node set (the order of ``StateSpace.actions``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .chain import ChainState, mirror, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
@@ -72,7 +72,8 @@ class SolverConfig:
     ``epsilon`` bounds the certified relative gap ``g`` of the values value
     iteration returns, ``T / (1 + g) <= T* <= T`` in every state;
     ``max_iterations`` caps the sweeps.  Fixed policies, and so policy
-    iteration, are evaluated by a direct sparse solve with nothing to set.
+    iteration, are evaluated exactly, by a block-triangular sparse solve
+    with nothing to set.
     """
 
     epsilon: float = 1e-7
@@ -256,35 +257,106 @@ def policy_stats(space: StateSpace, policy: Policy) -> PolicyStats:
     return PolicyStats(swap_all / total, no_swap / total, total)
 
 
+def _block_triangular_solve(matrix: sp.csr_matrix, terminal: int) -> np.ndarray:
+    """The solution ``x`` of ``x = b + matrix @ x``, ``b`` one but zero at ``terminal``.
+
+    ``matrix`` is a policy's boundary-to-boundary transition matrix, whose
+    ``terminal`` row is zero; it is overwritten.  Its strongly connected
+    components order the system block-triangularly (Tarjan; Duff & Reid):
+    the multi-state components are factored once, together, in one
+    block-diagonal LU, and every other state solves as
+    ``x_i = (b_i + sum_{j != i} P_ij x_j) / (1 - P_ii)``.  Each sweep of these
+    solves, over all states at once with the entries between components
+    taken from the previous sweep, fixes one more level of the components'
+    dependency order, so the sweeps repeat bit for bit after the order's
+    depth plus one.  A component that no entry leaves never delivers.
+    """
+    size = matrix.shape[0]
+    count, labels = connected_components(matrix, directed=True, connection="strong")
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    row = np.repeat(np.arange(size), np.diff(indptr))
+    inner = labels[row] == labels[indices]
+    exits = np.bincount(labels[row[~inner]], minlength=count)
+    exits[labels[terminal]] = 1
+    if not exits.all():
+        raise ConvergenceError("the policy never reaches delivery from some state")
+    in_block = np.bincount(labels, minlength=count)[labels] > 1
+    # Block states are eliminated in reverse walk order, deepest first.  That
+    # fills in about as little as SuperLU's minimum-degree ordering, which
+    # costs more to compute than the factorization: for the optimal policy
+    # at (9,2) folded, 105k L+U entries in 12 ms against 97k in 66 ms
+    # (2-CPU Intel Xeon).
+    single, block = np.flatnonzero(~in_block), np.flatnonzero(in_block)[::-1]
+    loops = inner & ~in_block[row]
+    scale = 1.0 - np.bincount(row[loops], weights=data[loops], minlength=size)[single]
+    inside = inner & in_block[row]
+    local = np.empty(size, dtype=np.int64)
+    local[block] = np.arange(len(block))
+    lu = _factor_identity_minus(
+        local[row[inside]], local[indices[inside]], data[inside], len(block)
+    )
+    data[inner] = 0.0  # ``matrix`` keeps the entries between components
+    b = np.ones(size)
+    b[terminal] = 0.0
+    x = np.zeros(size)
+    for _ in range(count + 1):
+        y = b + matrix @ x
+        new = np.empty(size)
+        new[single] = y[single] / scale
+        new[block] = lu.solve(y[block])
+        if not np.all(np.isfinite(new)):
+            raise ConvergenceError("non-finite delivery times: policy appears improper")
+        if np.array_equal(new, x):
+            return new
+        x = new
+    raise ConvergenceError("block-triangular solve did not settle")
+
+
+def _factor_identity_minus(rows: np.ndarray, cols: np.ndarray, probs: np.ndarray, size: int):
+    """SuperLU factors of ``I - P``, eliminating states in index order.
+
+    ``P`` is given by its entries; the system is assembled in CSC form.
+    """
+    diagonal = np.arange(size)
+    rows, cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
+    order = np.argsort(cols, kind="stable")
+    pointers = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=size))))
+    values = np.concatenate((-probs, np.ones(size)))[order]
+    system = sp.csc_matrix((values, rows[order], pointers), shape=(size, size))
+    try:
+        return splu(system, permc_spec="NATURAL")  # sums the diagonal's duplicates
+    except RuntimeError:  # SuperLU: the factor is exactly singular
+        raise ConvergenceError(
+            "linear system is singular: the policy never reaches delivery from some state"
+        ) from None
+
+
 def _nonterminal_solve(model: TransitionModel, rows: np.ndarray) -> np.ndarray:
-    """Delivery times of the policy that takes choice-table row ``rows[r]`` in state ``r``."""
-    space = model.space
-    composed = model.phase_a_matrix() @ model.choice_table()[rows]
-    keep = np.arange(space.num_boundary) != space.terminal_index
-    sub = composed[keep][:, keep]
-    system = sp.identity(sub.shape[0], format="csr") - sub
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            t_sub = spsolve(system.tocsc(), np.ones(sub.shape[0]))
-        except MatrixRankWarning:
-            raise ConvergenceError(
-                "linear system is singular: the policy never reaches delivery "
-                "from some state"
-            )
-    if not np.all(np.isfinite(t_sub)):
-        raise ConvergenceError("non-finite delivery times: policy appears improper")
-    values = np.zeros(space.num_boundary)
-    values[keep] = t_sub
+    """Delivery times of the policy that takes choice-table row ``rows[r]`` in state ``r``.
+
+    Composes the policy's transition matrix ``P_A @ C[rows]`` and solves it
+    block-triangularly.  Solved once per model and policy: the read-only
+    result is kept in ``model.evaluated``, so policy iteration's first round
+    and a later swap-asap baseline share one solve.
+    """
+    key = np.asarray(rows, dtype=np.int64).tobytes()
+    values = model.evaluated.get(key)
+    if values is None:
+        matrix = model.phase_a_matrix() @ model.choice_table()[rows]
+        values = _block_triangular_solve(matrix.tocsr(), model.space.terminal_index)
+        values.flags.writeable = False
+        model.evaluated[key] = values
     return values
 
 
 def evaluate_policy(model: TransitionModel, policy: Policy) -> ValueTable:
     """Expected delivery time of a fixed policy from every slot-boundary state.
 
-    Solves the linear fixed-point equations directly by sparse LU, so the
-    values are exact up to roundoff.  Raises :class:`ConvergenceError` for
-    policies that never deliver.
+    Solves the linear fixed-point equations exactly up to roundoff: one
+    sparse LU for the states the policy keeps returning to, and
+    back-substitution for every other state.  The values are read-only, and
+    evaluating the same policy on the same model again reuses them.  Raises
+    :class:`ConvergenceError` for policies that never deliver from some state.
     """
     if len(policy.rows) != model.space.num_intermediate:
         raise ValueError("policy does not cover every intermediate state")

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repeaterchain import cli
+from repeaterchain import cli, solver
 from repeaterchain.chain import ChainParams, encode_state
 from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
@@ -209,6 +209,28 @@ class TestCompare:
         mod_line = [l for l in out.splitlines() if "[modified:3]" in l][0]
         assert float(swap_line.split("=")[1].split()[0]) == pytest.approx(9.35, abs=0.01)
         assert float(mod_line.split("=")[1].split()[0]) == pytest.approx(8.34, abs=0.01)
+
+    @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
+    def test_swap_asap_is_solved_once(self, monkeypatch, capsys, flag):
+        # Policy iteration starts from swap-asap, and its model keeps those
+        # values, so T[swap-asap] costs no solve of its own.
+        solves = []
+        original = solver._block_triangular_solve
+
+        def counted(*args):
+            solves.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_block_triangular_solve", counted)
+        assert run(["compare", "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]) == 0
+        out, count = capsys.readouterr().out, len(solves)
+        params = ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
+        space = enumerate_states(params, fold=flag == "--bunch")
+        table, _ = policy_iteration(TransitionModel.build(space))
+        assert count == table.iterations
+        fresh = TransitionModel.build(space)
+        t_asap = evaluate_policy(fresh, swap_asap_policy(fresh.space)).t0
+        assert f"T[swap-asap] = {t_asap:.17g} " in out
 
     BUNCH_ARGS = ["compare", "--n", 4, "--p", 0.7, "--ps", 0.5, "--tcut", 2]
 

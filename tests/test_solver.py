@@ -329,15 +329,20 @@ class TestTieRule:
         "n,t_cut,p", [(4, 2, 0.6), (4, 3, 0.9), (5, 2, 0.3), (5, 3, 0.9), (6, 2, 0.6)]
     )
     def test_lu_ordering_moves_no_policy_and_no_round_count(self, monkeypatch, n, t_cut, p):
+        # The multi-state blocks are factored with another column ordering.
         table, policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
-        original = solver.spsolve
-        monkeypatch.setattr(
-            solver, "spsolve", lambda a, b: original(a, b, permc_spec="MMD_AT_PLUS_A")
-        )
-        mmd_table, mmd_policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
-        assert mmd_policy == policy
-        assert mmd_table.iterations == table.iterations
-        assert mmd_table.t0 == pytest.approx(table.t0, rel=1e-12)
+        original, orderings = solver.splu, []
+
+        def colamd(system, permc_spec):
+            orderings.append(permc_spec)
+            return original(system, permc_spec="COLAMD")
+
+        monkeypatch.setattr(solver, "splu", colamd)
+        colamd_table, colamd_policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
+        assert orderings and "COLAMD" not in orderings
+        assert colamd_policy == policy
+        assert colamd_table.iterations == table.iterations
+        assert colamd_table.t0 == pytest.approx(table.t0, rel=1e-12)
 
     def test_folding_moves_no_round_count(self):
         full, _ = policy_iteration(build(5, 6, 0.3, 1.0)[1])
