@@ -30,14 +30,14 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, decode_state, encode_state, mirror, mirror_action
+from .chain import ChainParams, ChainState, decode_state, encode_state, mirror, mirror_action
 from .mdp import TransitionModel
 from .sim import SimConfig, TrajectoryError, estimate
 from .solver import (
@@ -92,7 +92,12 @@ _OPTIONS = {
     "method": _Option(("vi", "pi"), "value or policy iteration", "pi"),
     "epsilon": _Option(float, "value-iteration certified relative gap", SolverConfig.epsilon),
     "max_iter": _Option(int, "value-iteration sweep cap", SolverConfig.max_iterations),
-    "bunch": _Option(bool, "fold mirror-image states together before solving", False),
+    "bunch": _Option(
+        bool,
+        "fold mirror-image states together before solving; skipped when a baseline withholds "
+        "a node set that is not its own mirror image",
+        False,
+    ),
     "state_cap": _Option(int, "state count ceiling", DEFAULT_STATE_CAP),
     "baseline": _Option(
         str, "baseline policy: swap-asap or modified:<nodes> (repeatable)", ("swap-asap",), repeat=True
@@ -207,55 +212,43 @@ class _Structure:
     """The enumerated states and arcs of one (n, t_cut), solvable at any (p, p_s).
 
     States and arcs depend only on (n, t_cut), so each solve respecializes
-    them to its (p, p_s) instead of walking the dynamics again.  With
-    bunching the walk folds mirror images, and the unfolded space is walked
-    as well only when some ``withheld`` node set is not its own mirror image.
-    Every walk happens here, once, so a failed one fails the build before any
-    solve.  A structure lives only as long as the command that built it.
+    them to its (p, p_s) instead of walking the dynamics again.  The walk
+    folds mirror images under bunching, unless some ``withheld`` node set is
+    not its own mirror image: such a baseline needs the unfolded space, so
+    the structure then skips folding.  The one walk happens here, so a failed
+    one fails the build before any solve.  A structure lives only as long as
+    the command that built it.
     """
 
     def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool, withheld=()):
-        self.model = TransitionModel.build(enumerate_states(params, state_cap=state_cap, fold=use_bunch))
-        #: The unfolded model: ``model`` unless bunching, None if no baseline needs it.
-        self.full = None if use_bunch else self.model
-        if use_bunch and any(mirror_action(nodes, params.n) != nodes for nodes in withheld):
-            self.full = TransitionModel.build(enumerate_states(params, state_cap=state_cap))
+        fold = use_bunch and all(mirror_action(nodes, params.n) == nodes for nodes in withheld)
+        self.model = TransitionModel.build(enumerate_states(params, state_cap=state_cap, fold=fold))
 
     def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
         model = self.model.respecialized(p, p_s)
-        full = model if self.full is self.model else self.full and self.full.respecialized(p, p_s)
         if method == "pi":
             table, policy = policy_iteration(model)
         else:
             table, policy = value_iteration(model, config)
-        return _Solution(model, full, table, policy)
+        return _Solution(model, table, policy)
 
 
 @dataclass(frozen=True)
 class _Solution:
     """An optimal solve at one (p, p_s).
 
-    ``model`` is the solved model at (p, p_s), folded when bunching, and
-    ``table`` and ``policy`` live on ``model.space``.  ``full`` is the
-    structure's unfolded model at the same (p, p_s), or None.  The empty
+    ``model`` is the solved model at (p, p_s), folded when its structure
+    folds, and ``table`` and ``policy`` live on ``model.space``.  The empty
     state keeps index 0 in a folded space, so ``table.t0`` needs no unfolding.
     """
 
     model: TransitionModel
-    full: TransitionModel | None
     table: ValueTable
     policy: Policy
 
     def baseline_t0(self, withheld: frozenset[int]) -> float:
-        """Delivery time from the empty state of the baseline that withholds ``withheld``.
-
-        A baseline that withholds a mirror-symmetric node set acts on mirror
-        images by mirrored actions, so it is evaluated on the solved model
-        even when that is folded.
-        """
-        symmetric = mirror_action(withheld, self.model.space.params.n) == withheld
-        model = self.model if symmetric else self.full
-        return evaluate_policy(model, modified_full_state_policy(model.space, withheld)).t0
+        """Delivery time from the empty state of the baseline that withholds ``withheld``."""
+        return evaluate_policy(self.model, modified_full_state_policy(self.model.space, withheld)).t0
 
 
 def _grid(opt: _Options) -> list[tuple[int, float, float, int]]:
@@ -368,8 +361,8 @@ def _is_policy_entry(entry) -> bool:
     )
 
 
-def load_policy_json(path, space) -> Policy:
-    """Read a policy export and bind it to an enumerated space.
+def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
+    """Read a policy export as the action of each intermediate state of ``space``.
 
     The file must describe exactly the space's intermediate states (same n,
     same t_cut, same state set), each once with one of its available
@@ -388,7 +381,7 @@ def load_policy_json(path, space) -> Policy:
     entries = doc.get("policy")
     if not isinstance(entries, list):
         raise ValueError("policy file needs a 'policy' list of state/action entries")
-    actions: list[frozenset[int] | None] = [None] * space.num_intermediate
+    mapping: dict[ChainState, frozenset[int]] = {}
     for entry in entries:
         if not _is_policy_entry(entry):
             raise ValueError(f"policy entry needs a 'state' and an 'action' list of integers: {entry!r}")
@@ -396,16 +389,16 @@ def load_policy_json(path, space) -> Policy:
         idx = space.intermediate_index.get(state)
         if idx is None:
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}")
-        if actions[idx] is not None:
+        if state in mapping:
             raise ValueError(f"policy file lists state {entry['state']} twice")
         action = frozenset(entry["action"])
         if action not in space.actions[idx]:
             raise ValueError(f"action {entry['action']} is not available in state {entry['state']}")
-        actions[idx] = action
-    missing = sum(1 for a in actions if a is None)
+        mapping[state] = action
+    missing = space.num_intermediate - len(mapping)
     if missing:
         raise ValueError(f"policy file misses {missing} enumerated intermediate states")
-    return Policy.from_actions(space, actions)
+    return mapping
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -559,7 +552,7 @@ def cmd_simulate(opt: _Options) -> int:
         policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
         space = enumerate_states(params, state_cap=opt.get("state_cap"))
-        policy_map = load_policy_json(spec, space).state_map(space)
+        policy_map = load_policy_json(spec, space)
     result = estimate(params, policy_map, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")
@@ -682,49 +675,35 @@ _COMMANDS = {
 }
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A subcommand's parser, which adds its flags only when it parses.
-
-    argparse hands the arguments after the subcommand name to that one
-    subcommand's parser, so the other subcommands' flags are never built.
-    """
-
-    def __init__(self, *args, command: _Command, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._command = command
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._command is not None:
-            command, self._command = self._command, None
-            for name in command.options:
-                option, kwargs = _OPTIONS[name], {}
-                kwargs["help"] = option.help + (" (comma-separated list)" if name in command.lists else "")
-                if option.kind is bool:
-                    kwargs["action"] = argparse.BooleanOptionalAction
-                elif option.repeat:
-                    kwargs["action"] = "append"
-                if isinstance(option.kind, tuple):
-                    kwargs["metavar"] = "{" + ",".join(option.kind) + "}"
-                self.add_argument(_flag(name), **kwargs)
-        return super().parse_known_args(args, namespace)
-
-
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The subcommands, whose flags are parsed as text and typed later by :class:`_Options`."""
+    """The subcommands, whose flags are parsed as text and typed later by :class:`_Options`.
+
+    Built once per process; parsing leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="repeaterchain",
         description="Optimal entanglement-swapping policies for repeater chains with cutoffs",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
     for command_name, command in _COMMANDS.items():
-        sub.add_parser(command_name, help=command.help, command=command)
+        command_parser = sub.add_parser(command_name, help=command.help)
+        for name in command.options:
+            option, kwargs = _OPTIONS[name], {}
+            kwargs["help"] = option.help + (" (comma-separated list)" if name in command.lists else "")
+            if option.kind is bool:
+                kwargs["action"] = argparse.BooleanOptionalAction
+            elif option.repeat:
+                kwargs["action"] = "append"
+            if isinstance(option.kind, tuple):
+                kwargs["metavar"] = "{" + ",".join(option.kind) + "}"
+            command_parser.add_argument(_flag(name), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         command = _COMMANDS[args.command]
         return command.func(_Options(args, command))

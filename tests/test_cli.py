@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 
@@ -25,14 +24,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
+class Walks(list):
+    """(n, t_cut) of every walk, in call order; ``folds[i]`` is walk i's ``fold``."""
+
+    def __init__(self):
+        super().__init__()
+        self.folds = []
+
+
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Every (n, t_cut) the CLI enumerates, in call order."""
-    calls = []
+    """Every (n, t_cut) the CLI enumerates, in call order, and whether each walk folds."""
+    calls = Walks()
     original = cli.enumerate_states
 
     def counted(params, *args, **kwargs):
         calls.append((params.n, params.t_cut))
+        calls.folds.append(kwargs.get("fold", False))
         return original(params, *args, **kwargs)
 
     monkeypatch.setattr(cli, "enumerate_states", counted)
@@ -112,8 +120,8 @@ class TestSolve:
         assert by_state["[-1, -1, -1]"] == pytest.approx(6.0, abs=1e-6)
 
         space = enumerate_states(ChainParams(n=3, p=0.5, p_s=0.5, t_cut=1))
-        policy = load_policy_json(out / "policy.json", space)
-        assert len(policy.rows) == space.num_intermediate
+        mapping = load_policy_json(out / "policy.json", space)
+        assert len(mapping) == space.num_intermediate
 
     def test_vi_and_pi_agree(self, tmp_path, capsys):
         values, gaps = {}, {}
@@ -243,31 +251,49 @@ class TestCompare:
         args = self.BUNCH_ARGS + ["--baseline", "modified:2,3"]
         assert run(args + ["--bunch"]) == 0
         assert enumerations == [(4, 2)]
+        assert enumerations.folds == [True]
         folded = self.baseline_t(capsys.readouterr().out, "modified:2,3")
         assert run(args + ["--no-bunch"]) == 0
         full = self.baseline_t(capsys.readouterr().out, "modified:2,3")
         assert folded == pytest.approx(full, rel=1e-12, abs=0)
 
     def test_asymmetric_baseline_enumerates_the_full_space_once(self, enumerations, capsys):
+        # modified:2 is not its own mirror image, so --bunch walks unfolded.
         args = self.BUNCH_ARGS + ["--baseline", "modified:2", "--baseline", "modified:3"]
         assert run(args + ["--bunch"]) == 0
-        assert enumerations == [(4, 2), (4, 2)]
-        folded = capsys.readouterr().out
+        assert enumerations == [(4, 2)]
+        assert enumerations.folds == [False]
+        bunched = capsys.readouterr().out
         assert run(args + ["--no-bunch"]) == 0
-        full = capsys.readouterr().out
-        for spec in ("modified:2", "modified:3"):
-            want = self.baseline_t(full, spec)
-            assert self.baseline_t(folded, spec) == pytest.approx(want, rel=1e-12, abs=0)
+        assert capsys.readouterr().out == bunched
+
+    @pytest.mark.parametrize("command, p", [("compare", 0.3), ("sweep", "0.3,0.9")])
+    def test_asymmetric_baseline_prints_what_no_bunch_prints(self, enumerations, capsys, command, p):
+        args = [command, "--n", 5, "--p", p, "--ps", 0.5, "--tcut", 3,
+                "--baseline", "modified:2", "--baseline", "swap-asap"]
+        outs = []
+        for flag in ("--bunch", "--no-bunch"):
+            assert run(args + [flag]) == 0
+            outs.append(capsys.readouterr().out)
+        assert enumerations.folds == [False, False]
+        if command == "sweep":
+            # Every byte but the wall times, which differ from run to run.
+            tables = [list(csv.reader(out.splitlines())) for out in outs]
+            column = tables[0][0].index("wall_time_s")
+            outs = [[row[:column] + row[column + 1:] for row in table] for table in tables]
+        assert outs[0] == outs[1]
 
     def test_failed_unfolded_walk_fails_before_any_solve(self, enumerations, capsys):
-        # The folded (5,3) space fits the cap; the unfolded one does not.
+        # The folded (5,3) space would fit the cap; the unfolded one, which
+        # modified:2 needs, does not.
         code = run(["compare", "--n", 5, "--p", 0.3, "--ps", 0.5, "--tcut", 3, "--bunch",
                     "--baseline", "modified:2", "--state-cap", 1000])
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: state cap 1000 exceeded at n=5, t_cut=3\n"
-        assert enumerations == [(5, 3), (5, 3)]
+        assert enumerations == [(5, 3)]
+        assert enumerations.folds == [False]
 
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     @pytest.mark.parametrize("spec", ["modified:", "modified:,"])
@@ -361,8 +387,9 @@ class TestSweep:
         assert sorted(enumerations) == [(5, 1), (5, 2)]
 
     def test_failed_unfolded_walk_fails_every_row_once(self, tmp_path, capsys, enumerations):
-        # The folded walk fits the cap and the unfolded one does not: the
-        # structure's build fails, once, and no row reports a solve.
+        # The folded walk would fit the cap; the unfolded one, which
+        # modified:2 needs, does not: the structure's build fails, once, and
+        # no row reports a solve.
         out = tmp_path / "grid.csv"
         code = run(
             ["sweep", "--n", 5, "--p", "0.3,0.6,0.9", "--ps", "0.5,1.0", "--tcut", 3, "--bunch",
@@ -370,7 +397,8 @@ class TestSweep:
         )
         assert code == 1
         assert capsys.readouterr().err == "6 of 6 grid points failed\n"
-        assert enumerations == [(5, 3), (5, 3)]
+        assert enumerations == [(5, 3)]
+        assert enumerations.folds == [False]
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 6
         for row in rows:
@@ -900,11 +928,3 @@ class TestParser:
             flag = cli._flag(option)
             want |= {flag, "--no-" + flag[2:]} if cli._OPTIONS[option].kind is bool else {flag}
         assert {word.strip("[],") for word in listed} == want
-
-    def test_only_the_chosen_subcommand_gets_flags(self):
-        parser = cli.build_parser()
-        args = parser.parse_args(["states", "--n", "3", "--tcut", "1"])
-        assert (args.command, args.n, args.tcut) == ("states", "3", "1")
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        flagged = [name for name, sub in commands.choices.items() if len(sub._actions) > 1]
-        assert flagged == ["states"]
