@@ -178,8 +178,8 @@ def age_links(state: ChainState) -> ChainState:
         raise ValueError("ageing applies to slot-boundary states only")
     if is_absorbing(state):
         raise ValueError("absorbing states do not evolve further")
-    links = tuple(Link(l.left, l.right, l.age + 1) for l in state.links)
-    return ChainState(n=state.n, links=links)
+    # Ageing keeps the endpoints, hence the sorted order.
+    return _sorted_state(state.n, tuple([Link(l.left, l.right, l.age + 1) for l in state.links]))
 
 
 def generation_pairs(state: ChainState) -> set[tuple[int, int]]:
@@ -212,7 +212,7 @@ def apply_generation(state: ChainState, successes: Iterable[tuple[int, int]]) ->
         new.append(Link(pair[0], pair[1], 0))
     if len(set(new)) != len(new):
         raise ValueError("duplicate generation pair")
-    return ChainState(n=state.n, links=state.links + tuple(new), intermediate=True)
+    return _sorted_state(state.n, tuple(sorted(state.links + tuple(new))), True)
 
 
 def valid_swap_nodes(state: ChainState) -> set[int]:
@@ -302,7 +302,7 @@ def resolve_swaps(state: ChainState, action: Iterable[int], pattern: Mapping[int
     for links, nodes in runs:
         if all(pattern[k] for k in nodes):
             survivors.append(Link(links[0].left, links[-1].right, max(l.age for l in links)))
-    return ChainState(n=state.n, links=tuple(survivors), intermediate=True)
+    return _sorted_state(state.n, tuple(sorted(survivors)), True)
 
 
 def apply_cutoff(state: ChainState, t_cut: int) -> ChainState:
@@ -310,12 +310,10 @@ def apply_cutoff(state: ChainState, t_cut: int) -> ChainState:
 
     The result is a slot-boundary state.
     """
-    links = tuple(
-        l
-        for l in state.links
-        if l.age < t_cut or (l.left == 1 and l.right == state.n)
-    )
-    return ChainState(n=state.n, links=links)
+    n = state.n
+    # Dropping links keeps the sorted order of the rest.
+    links = tuple([l for l in state.links if l.age < t_cut or (l.left == 1 and l.right == n)])
+    return _sorted_state(n, links)
 
 
 # A swap run as (left, right, source positions): it merges the links at the

@@ -21,6 +21,12 @@ Randomness comes from a counter-based generator keyed by
 ``(master_seed, chunk index)``: a full chunk's delivery times are the same
 whatever the total trial count or the order chunks run in.  Only a shorter
 last chunk, which draws for fewer trials, depends on the trial count.
+Each slot makes one call to the generator for ``m * (pairs + nodes)``
+uniforms, ``m`` being the live trials: the first ``m * pairs``, row by row,
+decide generation and the rest the swaps.  The generator fills consecutive
+requests from one stream, so this is the same sequence of numbers as a
+generation draw followed by a swap draw, and a seed's delivery times do not
+depend on how a slot's draws are split into calls.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import numpy as np
 from .chain import (
     ChainParams,
     ChainState,
+    _is_integer,
     age_links,
     apply_cutoff,
     apply_generation,
@@ -68,6 +75,13 @@ class SimConfig:
     max_slots: int = 1_000_000
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed", "max_slots"):
+            value = getattr(self, name)
+            # The generator key would truncate a float seed into another
+            # seed's stream.
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.max_slots < 1:
@@ -96,12 +110,18 @@ def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
     return out
 
 
+# Place value of mask bit k; masks are int64, so a row has at most 63 bits.
+_BIT_VALUES = 1 << np.arange(63, dtype=np.int64)
+
+
 def _pack(bits: np.ndarray) -> np.ndarray:
-    """Per-row integer masks of a boolean (trials, k) array: column k is bit k."""
-    masks = bits[:, 0].astype(np.int64)
-    for k in range(1, bits.shape[1]):
-        masks |= bits[:, k].astype(np.int64) << k
-    return masks
+    """Per-row integer masks of a boolean (trials, k) array: column k is bit k.
+
+    The bits are one slot's comparisons of its single draw (see the module
+    docstring); one matrix product with their place values packs them,
+    whatever ``k``.
+    """
+    return bits @ _BIT_VALUES[: bits.shape[1]]
 
 
 class _Table:
@@ -131,20 +151,26 @@ class _Table:
     def lookup(self, rows: np.ndarray, bits: np.ndarray, fill: Callable[[int, int], int]) -> np.ndarray:
         """Targets of ``rows`` under the masks of ``bits``; columns past a row's width are ignored.
 
-        ``fill(row, mask)`` computes a missing target.  It may add rows to
-        other tables but not to this one, so ``pos`` stays valid.
+        ``bits`` is boolean, one row per entry of ``rows``, and is packed
+        into masks in one call (:func:`_pack`).  Once the table is warm no
+        slot is missing, so the misses are only located when the smallest
+        target is negative.  ``fill(row, mask)`` computes a missing target.
+        It may add rows to other tables but not to this one, so ``pos``
+        stays valid.
         """
         masks = _pack(bits) & self.mask[rows]
         pos = self.offset[rows] + masks
         found = self.slots[pos]
-        missing = np.flatnonzero(found < 0)
-        if missing.size:
+        if found.min() < 0:
+            missing = np.flatnonzero(found < 0)
             # Claim each missing slot for one of the trials that need it
             # (whichever duplicate write lands), so each is filled once.
             at, claim = pos[missing], -2 - missing
             self.slots[at] = claim
-            for i in missing[self.slots[at] == claim].tolist():
-                self.slots[pos[i]] = fill(int(rows[i]), int(masks[i]))
+            won = missing[self.slots[at] == claim]
+            self.slots[pos[won]] = [
+                fill(row, mask) for row, mask in zip(rows[won].tolist(), masks[won].tolist())
+            ]
             found[missing] = self.slots[at]
         return found
 
@@ -279,9 +305,12 @@ def _delivery_times(
         rng = _chunk_rng(config.master_seed, chunk)
 
         def draw(slot: int, live: np.ndarray, rng=rng) -> tuple[np.ndarray, np.ndarray]:
+            # One call, the same stream as a (m, pairs) draw then a (m, nodes) one.
+            m = live.size
+            uniforms = rng.random(m * (pairs + nodes))
             return (
-                rng.random((live.size, pairs)) < params.p,
-                rng.random((live.size, nodes)) < params.p_s,
+                uniforms[: m * pairs].reshape(m, pairs) < params.p,
+                uniforms[m * pairs :].reshape(m, nodes) < params.p_s,
             )
 
         size = min(CHUNK, config.trials - start)

@@ -10,6 +10,7 @@ from repeaterchain.chain import (
     InvalidStateError,
     Link,
     StateCodes,
+    action_space,
     age_links,
     apply_cutoff,
     apply_generation,
@@ -232,6 +233,44 @@ class TestCutoff:
     def test_six_node_example(self):
         out = apply_cutoff(mk(6, [(2, 3, 3), (4, 6, 2)], intermediate=True), 3)
         assert out == mk(6, [(4, 6, 2)])
+
+
+def subsets(items):
+    items = sorted(items)
+    return [combo for size in range(len(items) + 1) for combo in combinations(items, size)]
+
+
+@pytest.mark.parametrize("n,t_cut", [(5, 3), (6, 2)])
+def test_phase_primitives_build_states_the_public_constructor_would(n, t_cut):
+    """The slot phases skip the constructor's re-sort; their results must not tell."""
+    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+    checked = 0
+
+    def check(state, intermediate):
+        nonlocal checked
+        links = state.links
+        assert all(type(l) is Link for l in links)
+        assert links == tuple(sorted(links))
+        slow = state_from_links(n, links, intermediate)
+        assert state == slow and hash(state) == hash(slow)
+        checked += 1
+
+    for s in space.boundary_states:
+        if is_absorbing(s):
+            continue
+        aged = age_links(s)
+        check(aged, False)
+        for chosen in subsets(generation_pairs(aged)):
+            check(apply_generation(aged, chosen), True)
+    for r in space.intermediate_states:
+        check(apply_cutoff(r, t_cut), False)
+        for action in action_space(r):
+            for succeeded in subsets(action):
+                pattern = {k: k in succeeded for k in action}
+                swapped = resolve_swaps(r, action, pattern)
+                check(swapped, True)
+                check(apply_cutoff(swapped, t_cut), False)
+    assert checked > 10_000
 
 
 class TestFourSlotTrace:

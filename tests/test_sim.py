@@ -1,9 +1,12 @@
+import hashlib
+
+import numpy as np
 import pytest
 
 from repeaterchain import sim
 from repeaterchain.chain import ChainParams, state_from_links
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, estimate
+from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, _pack, estimate
 from repeaterchain.solver import evaluate_policy, policy_iteration, swap_asap_policy
 from repeaterchain.statespace import enumerate_states
 
@@ -128,6 +131,28 @@ class TestEstimate:
         with pytest.raises(ValueError):
             SimConfig(trials=10, max_slots=0)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("trials", "10"),
+            ("master_seed", 1.9),  # would be truncated into seed 1's stream
+            ("master_seed", np.float64(1.0)),
+            ("master_seed", False),
+            ("max_slots", True),
+            ("max_slots", 100.0),
+        ],
+    )
+    def test_config_refuses_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SimConfig(**{"trials": 10, name: value})
+
+    def test_config_keeps_numpy_integers_as_python_ints(self):
+        config = SimConfig(trials=np.int64(10), master_seed=np.uint64(2**64 - 1), max_slots=np.int32(50))
+        assert config == SimConfig(trials=10, master_seed=2**64 - 1, max_slots=50)
+        assert all(type(v) is int for v in (config.trials, config.master_seed, config.max_slots))
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_is_refused(self, seed):
         with pytest.raises(ValueError, match="master_seed"):
@@ -138,3 +163,55 @@ class TestEstimate:
         pmap = swap_asap_policy(space).state_map(space)
         result = estimate(params, pmap, SimConfig(trials=10, master_seed=2**64 - 1))
         assert result.master_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 11])
+def test_pack_matches_a_column_loop(k):
+    rng = np.random.default_rng(k)
+    for m in (1, 7, 300):
+        bits = rng.random((m, k)) < 0.5
+        expected = [sum(int(b) << j for j, b in enumerate(row)) for row in bits.tolist()]
+        masks = _pack(bits)
+        assert masks.dtype == np.int64
+        assert masks.tolist() == expected
+
+def _digest(times: np.ndarray) -> str:
+    return hashlib.sha256(times.tobytes()).hexdigest()
+
+
+def _swap_asap(n, t_cut, p, p_s):
+    params, space = setup(n, t_cut, p, p_s)
+    return params, swap_asap_policy(space).state_map(space)
+
+
+def _folded_optimal(n, t_cut, p, p_s):
+    params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
+    space = enumerate_states(params, fold=True)
+    _, policy = policy_iteration(TransitionModel.build(space))
+    return params, policy.state_map(space)
+
+
+# sha256 of the int64 delivery times, recorded before the simulator drew
+# each slot's generation and swap bits in one call: a change of the random
+# stream, of the slot dynamics or of the chunking shows here.
+STREAM_PINS = [
+    (_swap_asap, (5, 4, 0.3, 0.5), 2500, 11,
+     "4ce5b5e5f47fbc0579e9c374e4ac4f6843c0c9f168cdfe6a6c0cf332666d0485"),
+    (_swap_asap, (3, 1, 0.5, 0.5), 1000, 5,  # a single swapping node
+     "c60287623510c00400b7dae93e5b579f98e1dbff170e5bf46da1183e956d3935"),
+    (_folded_optimal, (5, 2, 0.9, 0.5), 3000, 2,
+     "54e32bc67356a100065bb50332d7404c432940bda6d138fdc869de04838884e1"),
+    (_swap_asap, (4, 2, 0.6, 0.5), CHUNK + 37, 17,  # a short last chunk
+     "506945e0ed5e382f78bc930d8fd1b77c17a07124165c82af7fb6841c9ef5ca92"),
+]
+
+
+@pytest.mark.parametrize(
+    "policy,point,trials,seed,expected",
+    STREAM_PINS,
+    ids=["swap-asap-5-4", "swap-asap-3-1", "optimal-folded-5-2", "chunk-plus-37"],
+)
+def test_delivery_times_are_pinned(policy, point, trials, seed, expected):
+    params, policy_map = policy(*point)
+    times = _delivery_times(params, policy_map, SimConfig(trials=trials, master_seed=seed))
+    assert _digest(times) == expected
