@@ -27,7 +27,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -316,47 +316,82 @@ def apply_cutoff(state: ChainState, t_cut: int) -> ChainState:
     return _sorted_state(n, links)
 
 
-# A swap run as (left, right, source positions): it merges the links at the
-# source positions into one link from ``left`` to ``right``.
-_Run = tuple[int, int, tuple[int, ...]]
+#: Run structures already worked out, by chain size and successor key.
+_RUN_STRUCTURES: dict[tuple[int, tuple[int, ...]], tuple] = {}
+
+
+def _run_structure(
+    n: int, successors: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
+    """Run structure of every swap action of a link layout, in eligible-node indices.
+
+    The nodes able to swap (:func:`valid_swap_nodes`) are indexed left to
+    right; ``successors`` gives, per such node, the index of the node at
+    the right end of the link it starts, or -1 if that node cannot swap.  A
+    run chains swapping nodes along these links, so the runs of every
+    action depend on ``successors`` alone.  The first time a key is seen,
+    :func:`swap_runs` works them out on ``pairs``, the link endpoints of a
+    layout with this key.
+
+    Returns each action's per-run swap counts, actions in
+    :func:`action_space` order and runs left to right; the distinct runs of
+    all actions as paths of node indices, padded with ``n - 2`` (no node
+    has that index); and per action its runs' numbers among them, padded
+    with -1 to the ``(n - 1) // 2`` runs an action can have at most.  The
+    arrays are read-only: every layout with this key shares them.
+    """
+    key = (n, successors)
+    if key not in _RUN_STRUCTURES:
+        probe = _sorted_state(n, tuple(Link(l, r, 0) for l, r in pairs))
+        index = {k: i for i, k in enumerate(sorted(valid_swap_nodes(probe)))}
+        actions = action_space(probe)
+        sizes, paths = [], {}
+        action_runs = np.full((len(actions), (n - 1) // 2), -1, dtype=np.int64)
+        for a, action in enumerate(actions):
+            runs = [tuple(index[k] for k in nodes) for _, nodes in swap_runs(probe, action)]
+            sizes.append(tuple(len(run) for run in runs))
+            action_runs[a, : len(runs)] = [paths.setdefault(run, len(paths)) for run in runs]
+        path_table = np.full((len(paths), n - 2), n - 2, dtype=np.int64)
+        for r, run in enumerate(paths):
+            path_table[r, : len(run)] = run
+        for table in (path_table, action_runs):
+            table.flags.writeable = False
+        _RUN_STRUCTURES[key] = tuple(sizes), path_table, action_runs
+    return _RUN_STRUCTURES[key]
 
 
 @lru_cache(maxsize=None)
 def _swap_template(
-    n: int, pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], tuple[_Run, ...], np.ndarray]:
-    """Age-free run structure of every swap action on links with these endpoints.
+    n: int, t_cut: int, layout: int
+) -> tuple[
+    tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]
+]:
+    """Age-free run structure of every swap action of one link layout.
 
-    Returns the actions of :func:`action_space`, in its order; each
-    action's per-run swap counts, runs left to right; the distinct runs of
-    all actions, with sources given as positions in ``pairs``; and one row
-    per outcome, action after action and survival mask after mask (bit
-    ``b`` set: run ``b`` survived), holding ``2 * j`` for each failed run
-    ``j`` of the action and ``2 * j + 1`` for each surviving one, padded
-    with -1 to the ``(n - 1) // 2`` runs an action can have at most.  A run
-    with ``k`` swaps merges ``k + 1`` links.
+    ``layout`` is the :class:`StateCodes` code of the links at age 0.
+    Returns the actions of :func:`action_space`, in its order, and what
+    :func:`_run_structure` gives for the layout: each action's per-run swap
+    counts, the distinct runs as paths of node indices, and each action's
+    runs.  Last come the nodes the indices stand for, each padded with
+    ``n`` to ``n - 1`` entries: the swapping nodes, the left end of the
+    link into each and the right end of the link out of each.
     """
-    # Each probe link carries its position in ``pairs`` as its age, so the
-    # runs report which input links they consume.
-    probe = _sorted_state(n, tuple(Link(l, r, i) for i, (l, r) in enumerate(pairs)))
-    actions = action_space(probe)
-    width = (n - 1) // 2
-    # Actions share runs: each distinct run is resolved once per state.
-    run_ids: dict[_Run, int] = {}
-    sizes, outcomes = [], []
-    for action in actions:
-        runs = [
-            (links[0].left, links[-1].right, tuple(l.age for l in links))
-            for links, _ in swap_runs(probe, action)
-        ]
-        sizes.append(tuple(len(sources) - 1 for _, _, sources in runs))
-        ids = [run_ids.setdefault(run, len(run_ids)) for run in runs]
-        pad = [-1] * (width - len(ids))
-        for mask in range(1 << len(ids)):
-            outcomes.append([2 * j + (mask >> b & 1) for b, j in enumerate(ids)] + pad)
-    outcomes = np.array(outcomes, dtype=np.int64)
-    outcomes.flags.writeable = False  # shared by every caller of the cache
-    return actions, tuple(sizes), tuple(run_ids), outcomes
+    span = t_cut + 1
+    right = {}
+    for l in range(1, n):
+        layout, digit = divmod(layout, 1 + (n - l) * span)
+        if digit:
+            right[l] = l + 1 + (digit - 1) // span
+    pairs = tuple(right.items())
+    left = {r: l for l, r in pairs}
+    eligible = [k for k in right if k in left]
+    index = {k: i for i, k in enumerate(eligible)}
+    successors = tuple(index.get(right[k], -1) for k in eligible)
+    sizes, paths, action_runs = _run_structure(n, successors, pairs)
+    pad = (n,) * (n - 1 - len(eligible))
+    into, out = [left[k] for k in eligible], [right[k] for k in eligible]
+    nodes = tuple(tuple(column) + pad for column in (eligible, into, out))
+    return _subsets(tuple(eligible)), sizes, paths, action_runs, nodes
 
 
 def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,6 +399,41 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     owner = np.repeat(np.arange(len(counts)), counts)
     starts = np.cumsum(counts) - counts
     return owner, np.arange(len(owner)) - starts[owner]
+
+
+def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique`` of a 1-d int64 array with ``return_index``, ``return_inverse`` and ``return_counts``.
+
+    The same four arrays, without the stable sort ``np.unique`` needs for
+    first indices.  When every value is nonnegative and leaves the low bits
+    free for a position, as the codes of every chain small enough to walk
+    do, one plain sort of (value, position) words lists equal values in
+    position order.  Otherwise any sort puts equal values next to each
+    other, and a value's first index is the least position in its group.
+    """
+    size = len(values)
+    bits = size.bit_length()
+    packed = size > 0 and values.min() >= 0 and values.max() >> (63 - bits) == 0
+    if packed:
+        words = np.sort((values << bits) | np.arange(size))
+        order, ordered = words & ((1 << bits) - 1), words >> bits
+    else:
+        order = np.argsort(values)
+        ordered = values[order]
+    head = np.empty(size, dtype=bool)
+    head[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    if packed:
+        first = order[starts]
+    else:
+        # reduceat refuses an empty index list, and then there is nothing to reduce.
+        first = np.minimum.reduceat(order, starts) if size else starts
+    bounds = np.append(starts, size)
+    counts = bounds[1:] - bounds[:-1]
+    inverse = np.empty(size, dtype=np.intp)
+    inverse[order] = np.repeat(np.arange(len(starts)), counts)
+    return ordered[starts], first, inverse, counts
 
 
 class StateCodes:
@@ -402,12 +472,28 @@ class StateCodes:
         self._dtype = np.min_scalar_type(radix[0])
         #: Code of the collapsed absorbing state: one end-to-end link of age 0.
         self.terminal_code = 1 + (n - 2) * span
-        #: Distinct per-run swap-count tuples, in order of first use.
-        self.shapes: list[tuple[int, ...]] = []
+        # The swap tables of the link layouts seen so far, appended layout
+        # after layout: per layout its plan index, its actions, and its
+        # counts and starts in the per-row and per-run tables.
         self._shape_index: dict[tuple[int, ...], int] = {}
         self._plan_of: dict[int, int] = {}
-        self._plans: list[tuple] = []
-        self._tables: dict[str, np.ndarray] | None = None
+        self._actions: list[tuple[frozenset[int], ...]] = []
+        empty = np.zeros(0, dtype=np.int64)
+        self._tables = {
+            "row_shape": np.zeros(0, dtype=np.int16),
+            "row_runs": np.zeros((0, (n - 1) // 2), dtype=np.int64),
+            "row_run_count": empty,
+            "run_sources": np.zeros((0, n - 1), dtype=np.int64),
+            "run_digit": empty,
+            "run_weight": empty,
+            "run_end_to_end": np.zeros(0, dtype=bool),
+            **dict.fromkeys(("num_actions", "row_start", "num_runs", "run_start"), empty),
+        }
+
+    @property
+    def shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct per-run swap-count tuples, in order of first use."""
+        return tuple(self._shape_index)
 
     # -- conversions -------------------------------------------------------------
 
@@ -509,27 +595,36 @@ class StateCodes:
         ``t_cut`` except an end-to-end link.  So an outcome's code is the
         code of the links the cutoff keeps, less the runs' input links, plus
         each surviving run's link.  The run structure of each link layout
-        comes from :func:`_swap_template`, once per layout.
+        comes from :func:`_swap_template`; the layouts new to a batch are
+        appended to this coder's tables together.
         """
         t_cut = self.t_cut
         d = digits.astype(np.int64)
-        age = (d - 1) % (t_cut + 1)  # t_cut where there is no link
+        width = self.n  # a padding column past the last digit
+        padded_age = np.full((len(d), width), -1, dtype=np.int64)
+        age = padded_age[:, :-1]
+        np.remainder(d - 1, t_cut + 1, out=age)  # t_cut where there is no link
         # Each state's link layout: its digits with every age set to 0.
         layout = np.where(d > 0, d - age, 0)
-        keys, first, inverse = np.unique(layout @ self._weight, return_index=True, return_inverse=True)
-        for u in np.argsort(first).tolist():
-            if int(keys[u]) not in self._plan_of:
-                self._add_plan(int(keys[u]), layout[first[u]])
-        plans = np.array([self._plan_of[k] for k in keys.tolist()], dtype=np.int64)[inverse]
-        tab = self._swap_tables()
+        keys, first, inverse, _ = _unique(layout @ self._weight)
+        plan_of = self._plan_of
+        plan = np.fromiter(map(plan_of.get, keys.tolist(), repeat(-1)), dtype=np.int64, count=len(keys))
+        new = np.flatnonzero(plan < 0)
+        if len(new):
+            new = new[np.argsort(first[new])]
+            plan[new] = np.arange(len(plan_of), len(plan_of) + len(new))
+            layouts = keys[new].tolist()
+            plan_of.update(zip(layouts, plan[new].tolist()))
+            self._add_plans(layouts)
+        plans = plan[inverse]
+        tab = self._tables
 
         # Each link's term, or 0 if the cutoff discards it when left alone.
-        live = np.where(age < t_cut, d * self._weight, 0)
-        kept = live.sum(axis=1)
+        padded_live = np.zeros((len(d), width), dtype=np.int64)
+        np.multiply(d * (age < t_cut), self._weight, out=padded_live[:, :-1])
+        kept = padded_live.sum(axis=1)
         # Every run of every state: the terms it consumes and the link it makes.
-        width = self.n  # a padding column past the last digit
-        live = np.pad(live, ((0, 0), (0, 1))).ravel()
-        age = np.pad(age, ((0, 0), (0, 1)), constant_values=-1).ravel()
+        live, age = padded_live.ravel(), padded_age.ravel()
         num_runs = tab["num_runs"][plans]
         run_state, rank = _segments(num_runs)
         run = tab["run_start"][plans][run_state] + rank
@@ -542,72 +637,77 @@ class StateCodes:
             (tab["run_digit"][run] + run_age) * tab["run_weight"][run],
             0,
         )
-        # Run j of the batch contributes values[2j] when it fails and
-        # values[2j + 1] when it survives; values[-1] pads.
-        values = np.zeros(2 * len(run) + 1, dtype=np.int64)
-        values[0:-1:2] = -lost
-        values[1:-1:2] = term - lost
-        del lost, term, run_age
+        del run_age
 
-        out_state, rank = _segments(tab["num_outcomes"][plans])
-        outcome = tab["out_start"][plans][out_state] + rank
-        run_base = 2 * (np.cumsum(num_runs) - num_runs)[out_state]
-        codes = kept[out_state]
-        for entries in tab["out_entries"].T:
-            entry = entries[outcome]
-            codes += values[np.where(entry < 0, len(values) - 1, run_base + entry)]
-
+        # Survival mask m of a row: the code of the links the cutoff keeps,
+        # less the input links of the row's runs, plus the term of every run
+        # whose bit m sets.  Rows with equally many runs expand together,
+        # mask by mask: the masks with bit b set add run b's term to those
+        # without it.
         row_state, rank = _segments(tab["num_actions"][plans])
-        row_shape = tab["row_shape"][tab["row_start"][plans][row_state] + rank]
-        actions = [self._plans[p][0] for p in plans.tolist()]
+        row = tab["row_start"][plans][row_state] + rank
+        run_count = tab["row_run_count"][row]
+        num_outcomes = np.left_shift(1, run_count)
+        start = np.cumsum(num_outcomes) - num_outcomes
+        codes = np.empty(int(num_outcomes.sum()), dtype=np.int64)
+        run_offset = np.cumsum(num_runs) - num_runs
+        for k in range(tab["row_runs"].shape[1] + 1):
+            rows = np.flatnonzero(run_count == k)
+            if not len(rows):
+                continue
+            block = np.empty((len(rows), 1 << k), dtype=np.int64)
+            block[:, 0] = kept[row_state[rows]]
+            if k:
+                runs = run_offset[row_state[rows], None] + tab["row_runs"][row[rows], :k]
+                for b in range(k):
+                    block[:, 0] -= lost[runs[:, b]]
+                for b in range(k):
+                    np.add(block[:, : 1 << b], term[runs[:, b], None], out=block[:, 1 << b : 2 << b])
+            codes[start[rows, None] + np.arange(1 << k)] = block
+
+        row_shape = tab["row_shape"][row]
+        actions = list(map(self._actions.__getitem__, plans.tolist()))
         return actions, tab["num_actions"][plans], row_shape, codes
 
-    def _add_plan(self, key: int, layout: np.ndarray) -> None:
-        """Register the swap actions of one link layout (digits at age 0)."""
+    def _add_plans(self, layouts: list[int]) -> None:
+        """Append the swap tables of link layouts new to this coder (codes at age 0), in order."""
         n, span = self.n, self.t_cut + 1
-        lefts = np.flatnonzero(layout).tolist()
-        pairs = tuple((l + 1, l + 2 + (int(layout[l]) - 1) // span) for l in lefts)
-        actions, sizes, runs, outcomes = _swap_template(n, pairs)
-        shapes = []
-        for shape_sizes in sizes:
-            shape = self._shape_index.get(shape_sizes)
-            if shape is None:
-                shape = self._shape_index[shape_sizes] = len(self.shapes)
-                self.shapes.append(shape_sizes)
-            shapes.append(shape)
-        # Per run: its input links' digit positions (padded with the
-        # position past the last digit), and its merged link's digit at age
-        # 0, place value and whether the cutoff spares it.
-        sources = np.full((len(runs), n - 1), n - 1, dtype=np.int64)
-        for j, (_, _, positions) in enumerate(runs):
-            sources[j, : len(positions)] = [lefts[i] for i in positions]
-        plan = {
-            "row_shape": np.array(shapes, dtype=np.int16),
+        templates = [_swap_template(n, self.t_cut, layout) for layout in layouts]
+        actions, sizes, paths, action_runs, nodes = zip(*templates)
+        self._actions += actions
+        shape_of = self._shape_index
+        shapes = [shape for action_sizes in sizes for shape in action_sizes]
+        num_actions = np.array([len(a) for a in actions], dtype=np.int64)
+        num_runs = np.array([len(p) for p in paths], dtype=np.int64)
+        # Every run's nodes: the padding index n - 2 gives node n, whose
+        # digit position n - 1 is the padding one.
+        paths = np.concatenate(paths)
+        owner = np.repeat(np.arange(len(layouts)), num_runs)
+        nodes = np.array(nodes, dtype=np.int64)
+        last = paths[np.arange(len(paths)), (paths < n - 2).sum(axis=1) - 1]
+        run_left, run_right = nodes[owner, 1, paths[:, 0]], nodes[owner, 2, last]
+        # Per run: its input links' digit positions (the link into its first
+        # node, then the link out of each node), and its merged link's digit
+        # at age 0, place value and whether the cutoff spares it.
+        sources = np.empty((len(paths), n - 1), dtype=np.int64)
+        sources[:, 0] = run_left - 1
+        sources[:, 1:] = nodes[owner[:, None], 0, paths] - 1
+        tables = self._tables
+        new = {
+            "row_shape": np.array([shape_of.setdefault(s, len(shape_of)) for s in shapes], dtype=np.int16),
+            "row_runs": np.concatenate(action_runs),
+            "row_run_count": np.array([len(shape) for shape in shapes], dtype=np.int64),
             "run_sources": sources,
-            "run_digit": np.array([1 + (r - l - 1) * span for l, r, _ in runs], dtype=np.int64),
-            "run_weight": self._weight[[l - 1 for l, _, _ in runs]],
-            "run_end_to_end": np.array([l == 1 and r == n for l, r, _ in runs], dtype=bool),
-            "out_entries": outcomes,
+            "run_digit": 1 + (run_right - run_left - 1) * span,
+            "run_weight": self._weight[run_left - 1],
+            "run_end_to_end": (run_left == 1) & (run_right == n),
+            "num_actions": num_actions,
+            "row_start": len(tables["row_shape"]) + np.cumsum(num_actions) - num_actions,
+            "num_runs": num_runs,
+            "run_start": len(tables["run_digit"]) + np.cumsum(num_runs) - num_runs,
         }
-        self._plan_of[key] = len(self._plans)
-        self._plans.append((actions, plan))
-        self._tables = None
-
-    def _swap_tables(self) -> dict[str, np.ndarray]:
-        """The registered layouts' tables, concatenated, with per-layout counts and starts."""
-        if self._tables is None:
-            plans = [plan for _, plan in self._plans]
-            tables = {name: np.concatenate([plan[name] for plan in plans]) for name in plans[0]}
-            for table, count, start in [
-                ("row_shape", "num_actions", "row_start"),
-                ("run_digit", "num_runs", "run_start"),
-                ("out_entries", "num_outcomes", "out_start"),
-            ]:
-                counts = np.array([len(plan[table]) for plan in plans], dtype=np.int64)
-                tables[count] = counts
-                tables[start] = np.cumsum(counts) - counts
-            self._tables = tables
-        return self._tables
+        for name, values in new.items():
+            tables[name] = np.concatenate((tables[name], values))
 
 
 def mirror(state: ChainState) -> ChainState:

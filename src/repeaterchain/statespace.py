@@ -32,6 +32,7 @@ from .chain import (
     ChainState,
     Link,
     StateCodes,
+    _unique,
     action_space,
 )
 
@@ -170,10 +171,12 @@ _ABSORBING = -1
 
 
 class _Boundary:
-    """The boundary states a walk has listed, looked up by key.
+    """The boundary states a walk has listed, looked up by code.
 
     A state's key is its code, canonical in a folded walk; every absorbing
     state has the key ``_ABSORBING`` and collapses onto the terminal index.
+    ``index_of`` maps every listed key, and every code looked up before, to
+    its index, so each distinct code has its key worked out once.
     """
 
     def __init__(self, coder: StateCodes, fold: bool):
@@ -187,38 +190,48 @@ class _Boundary:
         self.absorbing: set[int] = set()
 
     def targets(self, outcomes: np.ndarray) -> np.ndarray:
-        """Boundary index of every outcome code, listing new states in order of first occurrence.
+        """Boundary index of every outcome code, listing new states in order of first occurrence."""
+        index_of = self.index_of
+        codes, first, inverse, _ = _unique(outcomes)
+        index = np.fromiter(map(index_of.get, codes.tolist(), repeat(-1)), dtype=np.int32, count=len(codes))
+        unseen = np.flatnonzero(index < 0)
+        if len(unseen):
+            index[unseen] = self._look_up(codes[unseen], first[unseen])
+            index_of.update(zip(codes[unseen].tolist(), index[unseen].tolist()))
+        return index[inverse]
 
-        Overwrites the absorbing codes in ``outcomes`` with ``_ABSORBING``.
-        """
+    def _look_up(self, codes: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """Boundary index of distinct codes first occurring at ``first``, listing new states."""
         coder, index_of = self.coder, self.index_of
-        ends = coder.is_absorbing(outcomes)
+        keys = codes.copy()
+        ends = coder.is_absorbing(keys)
         if ends.any():
-            self.absorbing.update(np.unique(outcomes[ends]).tolist())
-            outcomes[ends] = _ABSORBING
-        keys, first, inverse = np.unique(outcomes, return_index=True, return_inverse=True)
+            self.absorbing.update(keys[ends].tolist())
+            keys[ends] = _ABSORBING
         symmetric = np.ones(len(keys), dtype=bool)
         if self.fold:
-            live = keys != _ABSORBING
+            live = ~ends
             canon, symmetric[live] = coder.canonical(coder.digits(keys[live]))
             keys[live] = coder.codes(canon)
-        index = np.fromiter(map(index_of.get, keys.tolist(), repeat(-1)), dtype=np.int64, count=len(keys))
+        index = np.fromiter(map(index_of.get, keys.tolist(), repeat(-1)), dtype=np.int32, count=len(keys))
         new = np.flatnonzero(index < 0)
         if len(new):
-            # In a folded walk two codes can share a key: keep the first.
+            # Codes can share a key: every absorbing code, and in a folded
+            # walk a state and its mirror image.  A key is listed where it
+            # first occurs.
             new = new[np.argsort(first[new])]
-            _, once = np.unique(keys[new], return_index=True)
-            new = new[np.sort(once)]
-            codes = keys[new]
-            index_of.update(zip(codes.tolist(), range(self.count, self.count + len(new))))
+            _, once, _, _ = _unique(keys[new])
+            listed = new[np.sort(once)]
+            listed_keys = keys[listed]
+            index_of.update(zip(listed_keys.tolist(), range(self.count, self.count + len(listed))))
+            index[new] = [index_of[key] for key in keys[new].tolist()]
             if self.terminal_index < 0 and _ABSORBING in index_of:
                 self.terminal_index = index_of[_ABSORBING]
-                codes[codes == _ABSORBING] = coder.terminal_code
-            self.codes.append(codes)
-            self.weights.append(np.where(symmetric[new], 1, 2).astype(np.int8))
-            self.count += len(new)
-            index = np.fromiter(map(index_of.__getitem__, keys.tolist()), dtype=np.int64, count=len(keys))
-        return index[inverse].astype(np.int32)
+                listed_keys[listed_keys == _ABSORBING] = coder.terminal_code
+            self.codes.append(listed_keys)
+            self.weights.append(np.where(symmetric[listed], 1, 2).astype(np.int8))
+            self.count += len(listed)
+        return index
 
 
 def enumerate_states(
@@ -267,7 +280,7 @@ def enumerate_states(
             if fold:
                 # Every intermediate state has one parent, so only siblings
                 # can share a representative.
-                _, first, mult = np.unique(codes, return_index=True, return_counts=True)
+                _, first, _, mult = _unique(codes)
                 order = np.argsort(first)
                 first = first[order]
                 owner, children, successes, attempts = (
@@ -310,7 +323,7 @@ def enumerate_states(
         gen_failures=joined("failures", np.int8),
         gen_mult=joined("mult", np.int8) if fold else None,
         row_offsets=offsets("rows"),
-        run_shapes=tuple(coder.shapes),
+        run_shapes=coder.shapes,
         row_shape=joined("row_shape", np.int16),
         outcome_targets=joined("targets", np.int32),
         boundary_weights=np.concatenate(boundary.weights),

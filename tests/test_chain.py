@@ -10,6 +10,7 @@ from repeaterchain.chain import (
     InvalidStateError,
     Link,
     StateCodes,
+    _unique,
     action_space,
     age_links,
     apply_cutoff,
@@ -465,6 +466,86 @@ class TestSwapOutcomes:
         ]
         assert coded_outcomes(young, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 1),)
         assert coded_outcomes(old, [2, 3, 4], t_cut)[1][1][1].links == (Link(1, 5, 2),)
+
+
+class TestUnique:
+    """``chain._unique`` against ``np.unique``: keys, first indices, inverse and counts."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros(0, dtype=np.int64),
+            np.array([7], dtype=np.int64),
+            np.full(33, 5, dtype=np.int64),
+            np.array([3, -1, 3, 0, -1, 8, 3, -1], dtype=np.int64),
+            np.array([-1, -1, -1], dtype=np.int64),
+            np.array([2**62, 1, 2**62, 0], dtype=np.int64),
+            np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max, 0], dtype=np.int64),
+        ],
+        ids=["empty", "single", "all-equal", "absorbing-keys", "only-absorbing", "wide", "extremes"],
+    )
+    def test_matches_numpy(self, values):
+        self.assert_matches(values)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "low, high", [(0, 10), (0, 2**40), (-(2**62), 2**62)], ids=["small", "codes", "signed"]
+    )
+    def test_matches_numpy_on_random_repeats(self, seed, low, high):
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(low, high, size=50, dtype=np.int64)
+        self.assert_matches(distinct[rng.integers(0, len(distinct), size=2000)])
+
+    @staticmethod
+    def assert_matches(values):
+        got = _unique(values.copy())
+        want = np.unique(values, return_index=True, return_inverse=True, return_counts=True)
+        for g, w, name in zip(got, want, ("keys", "first", "inverse", "counts")):
+            assert g.dtype == w.dtype and np.array_equal(g, w.reshape(-1)), name
+
+
+def probed_template(n, pairs):
+    """Swap tables of one layout, from ``swap_runs`` on a probe of that layout alone."""
+    probe = state_from_links(n, [(l, r, l - 1) for l, r in pairs])
+    runs, sizes, action_runs = {}, [], []
+    for action in action_space(probe):
+        found = [
+            (links[0].left, links[-1].right, tuple(l.age for l in links)) for links, _ in swap_runs(probe, action)
+        ]
+        sizes.append(tuple(len(sources) - 1 for _, _, sources in found))
+        ids = [runs.setdefault(run, len(runs)) for run in found]
+        action_runs.append(ids + [-1] * ((n - 1) // 2 - len(ids)))
+    sources = [list(positions) + [n - 1] * (n - len(positions) - 1) for _, _, positions in runs]
+    return action_space(probe), sizes, sources, [(l, r) for l, r, _ in runs], action_runs
+
+
+@pytest.mark.parametrize("n, t_cut", [(6, 3), (7, 2), (8, 1)])
+def test_swap_tables_match_swap_runs_on_every_layout(n, t_cut):
+    # Layouts share run structures by the successor links of their swapping
+    # nodes; every layout the walk meets must still get its own runs.
+    span = t_cut + 1
+    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+    coder = StateCodes(n, t_cut)
+    digits = coder.digits(space.intermediate_codes).astype(np.int64)
+    layouts = np.where(digits > 0, digits - (digits - 1) % span, 0)
+    _, first = np.unique(coder.codes(layouts), return_index=True)
+    layouts = layouts[np.sort(first)]
+    assert len(layouts) > 50
+    actions, _, _, _ = coder.swap_outcomes(layouts)
+    tab = coder._tables
+    for p, row in enumerate(layouts.tolist()):
+        pairs = [(l, l + 1 + (d - 1) // span) for l, d in enumerate(row, start=1) if d]
+        want_actions, sizes, sources, ends, action_runs = probed_template(n, pairs)
+        assert actions[p] == want_actions
+        rows = slice(tab["row_start"][p], tab["row_start"][p] + tab["num_actions"][p])
+        assert [coder.shapes[k] for k in tab["row_shape"][rows]] == sizes
+        assert tab["row_run_count"][rows].tolist() == [len(k) for k in sizes]
+        assert tab["row_runs"][rows].tolist() == action_runs
+        runs = slice(tab["run_start"][p], tab["run_start"][p] + tab["num_runs"][p])
+        assert tab["run_sources"][runs].tolist() == sources
+        assert tab["run_digit"][runs].tolist() == [1 + (r - l - 1) * span for l, r in ends]
+        assert tab["run_weight"][runs].tolist() == [int(coder._weight[l - 1]) for l, _ in ends]
+        assert tab["run_end_to_end"][runs].tolist() == [(l, r) == (1, n) for l, r in ends]
 
 
 class TestEncoding:
