@@ -753,7 +753,7 @@ def encode_state(state: ChainState) -> tuple[int, ...]:
 def decode_state(vector: Iterable[int], n: int, intermediate: bool = False) -> ChainState:
     """Inverse of :func:`encode_state`."""
     vec = list(vector)
-    pairs = list(combinations(range(1, n + 1), 2))
+    pairs = _pair_positions(n)
     if len(vec) != len(pairs):
         raise ValueError(f"expected {len(pairs)} entries for n={n}, got {len(vec)}")
     links = tuple(Link(i, j, age) for (i, j), age in zip(pairs, vec) if age >= 0)

@@ -224,31 +224,26 @@ class _Structure:
         fold = use_bunch and all(mirror_action(nodes, params.n) == nodes for nodes in withheld)
         self.model = TransitionModel.build(enumerate_states(params, state_cap=state_cap, fold=fold))
 
-    def solve(self, p: float, p_s: float, method: str, config: SolverConfig) -> "_Solution":
+    def solve(
+        self, p: float, p_s: float, method: str, config: SolverConfig
+    ) -> tuple[TransitionModel, ValueTable, Policy]:
+        """The model respecialized to (p, p_s), with its optimal values and policy.
+
+        The model is folded when the structure folds, and the values and
+        policy live on its space.  The empty state keeps index 0 in a folded
+        space, so ``table.t0`` needs no unfolding.
+        """
         model = self.model.respecialized(p, p_s)
         if method == "pi":
             table, policy = policy_iteration(model)
         else:
             table, policy = value_iteration(model, config)
-        return _Solution(model, table, policy)
+        return model, table, policy
 
 
-@dataclass(frozen=True)
-class _Solution:
-    """An optimal solve at one (p, p_s).
-
-    ``model`` is the solved model at (p, p_s), folded when its structure
-    folds, and ``table`` and ``policy`` live on ``model.space``.  The empty
-    state keeps index 0 in a folded space, so ``table.t0`` needs no unfolding.
-    """
-
-    model: TransitionModel
-    table: ValueTable
-    policy: Policy
-
-    def baseline_t0(self, withheld: frozenset[int]) -> float:
-        """Delivery time from the empty state of the baseline that withholds ``withheld``."""
-        return evaluate_policy(self.model, modified_full_state_policy(self.model.space, withheld)).t0
+def _baseline_t0(model: TransitionModel, withheld: frozenset[int]) -> float:
+    """Delivery time from the empty state of the baseline that withholds ``withheld``."""
+    return evaluate_policy(model, modified_full_state_policy(model.space, withheld)).t0
 
 
 def _grid(opt: _Options) -> list[tuple[int, float, float, int]]:
@@ -277,7 +272,9 @@ def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _solve_point(opt: _Options, params: ChainParams, config: SolverConfig, withheld=()) -> _Solution:
+def _solve_point(
+    opt: _Options, params: ChainParams, config: SolverConfig, withheld=()
+) -> tuple[TransitionModel, ValueTable, Policy]:
     """Build the structure of a single-point command and solve it."""
     structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"), withheld)
     return structure.solve(params.p, params.p_s, opt.get("method"), config)
@@ -354,10 +351,18 @@ def write_policy_json(path, space, policy) -> None:
 
 
 def _is_policy_entry(entry) -> bool:
-    """Whether ``entry`` is a ``{"state": [int, ...], "action": [int, ...]}`` object."""
-    return isinstance(entry, dict) and all(
-        isinstance(entry.get(key), list) and all(isinstance(v, int) for v in entry[key])
-        for key in ("state", "action")
+    """Whether ``entry`` is a ``{"state": [age, ...], "action": [node, ...]}`` object.
+
+    Every list item is a JSON integer (``true`` is none, nor is ``1.0``),
+    and an age is -1 for an absent link or from 0 up.
+    """
+    return (
+        isinstance(entry, dict)
+        and all(
+            isinstance(entry.get(key), list) and all(type(v) is int for v in entry[key])
+            for key in ("state", "action")
+        )
+        and all(age >= -1 for age in entry["state"])
     )
 
 
@@ -365,17 +370,18 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
     """Read a policy export as the action of each intermediate state of ``space``.
 
     The file must describe exactly the space's intermediate states (same n,
-    same t_cut, same state set), each once with one of its available
-    actions; anything else is a ``ValueError`` naming the problem.
+    same t_cut, as JSON integers, same state set), each once with one of its
+    available actions; anything else is a ``ValueError`` naming the problem.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("policy file must hold a JSON object")
     params = space.params
-    if doc.get("n") != params.n or doc.get("t_cut") != params.t_cut:
+    n, t_cut = doc.get("n"), doc.get("t_cut")
+    if type(n) is not int or type(t_cut) is not int or (n, t_cut) != (params.n, params.t_cut):
         raise ValueError(
-            f"policy file is for n={doc.get('n')}, t_cut={doc.get('t_cut')}; "
+            f"policy file is for n={json.dumps(n)}, t_cut={json.dumps(t_cut)}; "
             f"expected n={params.n}, t_cut={params.t_cut}"
         )
     entries = doc.get("policy")
@@ -384,7 +390,10 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
     mapping: dict[ChainState, frozenset[int]] = {}
     for entry in entries:
         if not _is_policy_entry(entry):
-            raise ValueError(f"policy entry needs a 'state' and an 'action' list of integers: {entry!r}")
+            raise ValueError(
+                "policy entry needs a 'state' and an 'action' list of integers, "
+                f"link ages -1 (no link) or from 0 up: {entry!r}"
+            )
         state = decode_state(entry["state"], params.n, intermediate=True)
         idx = space.intermediate_index.get(state)
         if idx is None:
@@ -432,8 +441,8 @@ def cmd_solve(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
     t0 = time.perf_counter()
-    solution = _solve_point(opt, params, config)
-    space, table = solution.model.space, solution.table
+    model, table, policy = _solve_point(opt, params, config)
+    space = model.space
     elapsed = time.perf_counter() - t0
     # Unfolded counts: the files list every state of each mirror pair.
     boundary = int(space.boundary_weights.sum())
@@ -445,7 +454,7 @@ def cmd_solve(opt: _Options) -> int:
     out = Path(opt.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
     write_values_csv(out / "values.csv", space, table)
-    write_policy_json(out / "policy.json", space, solution.policy)
+    write_policy_json(out / "policy.json", space, policy)
     print(f"wrote {out / 'values.csv'} and {out / 'policy.json'}")
     return 0
 
@@ -455,11 +464,11 @@ def cmd_compare(opt: _Options) -> int:
     config = _solver_config(opt)
     specs = opt.get("baseline")
     withheld = [_withheld_nodes(spec, params.n) for spec in specs]
-    solution = _solve_point(opt, params, config, withheld)
-    t_opt = solution.table.t0
+    model, table, _ = _solve_point(opt, params, config, withheld)
+    t_opt = table.t0
     print(f"T_opt = {_fmt(t_opt)}")
     for spec, nodes in zip(specs, withheld):
-        t_base = solution.baseline_t0(nodes)
+        t_base = _baseline_t0(model, nodes)
         adv = relative_advantage(t_base, t_opt)
         print(f"T[{spec}] = {_fmt(t_base)}   advantage = {_fmt(adv)} ({100 * adv:.3f}%)")
     return 0
@@ -489,15 +498,15 @@ def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> 
                     build_error = exc
             if build_error is not None:
                 raise build_error
-            solution = structure.solve(p, p_s, opt.get("method"), config)
-            space, t_opt = solution.model.space, solution.table.t0
+            model, table, _ = structure.solve(p, p_s, opt.get("method"), config)
+            space, t_opt = model.space, table.t0
             # Unfolded counts: a folded state stands for its whole mirror pair.
             row["boundary_states"] = int(space.boundary_weights.sum())
             row["intermediate_states"] = int(space.intermediate_weights.sum())
-            row["iterations"] = solution.table.iterations
+            row["iterations"] = table.iterations
             row["T_opt"] = _fmt(t_opt)
             for spec, nodes in zip(specs, withheld):
-                t_base = solution.baseline_t0(nodes)
+                t_base = _baseline_t0(model, nodes)
                 key = spec.replace(":", "_").replace(",", "_").replace("-", "_")
                 row[f"T_{key}"] = _fmt(t_base)
                 row[f"advantage_{key}"] = _fmt(relative_advantage(t_base, t_opt))
@@ -546,8 +555,8 @@ def cmd_simulate(opt: _Options) -> int:
     )
     spec = opt.get("policy")
     if spec == "optimal":
-        solution = _solve_point(opt, params, config)
-        policy_map = solution.policy.state_map(solution.model.space)
+        model, _, policy = _solve_point(opt, params, config)
+        policy_map = policy.state_map(model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
         policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
@@ -625,8 +634,8 @@ def cmd_stats(opt: _Options) -> int:
         structure = _Structure(grid[group[0]], opt.get("state_cap"), opt.get("bunch"))
         for i in group:
             params = grid[i]
-            solution = structure.solve(params.p, params.p_s, opt.get("method"), config)
-            stats = policy_stats(solution.model.space, solution.policy)
+            model, _, policy = structure.solve(params.p, params.p_s, opt.get("method"), config)
+            stats = policy_stats(model.space, policy)
             rows[i] = {
                 "n": params.n,
                 "p": params.p,

@@ -63,7 +63,7 @@ class TransitionModel:
         self._mat_a: sp.csr_matrix | None = None
         self._choices: sp.csr_matrix | None = None
         #: Delivery times of the policies evaluated on this model, keyed by
-        #: the bytes of their int64 choice rows; the solvers fill it.
+        #: the bytes of their int64 choice rows; ``solver.evaluate_policy`` fills it.
         self.evaluated: dict[bytes, np.ndarray] = {}
 
     @classmethod

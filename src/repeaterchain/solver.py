@@ -331,36 +331,27 @@ def _factor_identity_minus(rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
         ) from None
 
 
-def _nonterminal_solve(model: TransitionModel, rows: np.ndarray) -> np.ndarray:
-    """Delivery times of the policy that takes choice-table row ``rows[r]`` in state ``r``.
-
-    Composes the policy's transition matrix ``P_A @ C[rows]`` and solves it
-    block-triangularly.  Solved once per model and policy: the read-only
-    result is kept in ``model.evaluated``, so policy iteration's first round
-    and a later swap-asap baseline share one solve.
-    """
-    key = np.asarray(rows, dtype=np.int64).tobytes()
-    values = model.evaluated.get(key)
-    if values is None:
-        matrix = model.phase_a_matrix() @ model.choice_table()[rows]
-        values = _block_triangular_solve(matrix.tocsr(), model.space.terminal_index)
-        values.flags.writeable = False
-        model.evaluated[key] = values
-    return values
-
-
 def evaluate_policy(model: TransitionModel, policy: Policy) -> ValueTable:
     """Expected delivery time of a fixed policy from every slot-boundary state.
 
-    Solves the linear fixed-point equations exactly up to roundoff: one
+    Composes the policy's transition matrix ``P_A @ C[policy.rows]`` and
+    solves the linear fixed-point equations exactly up to roundoff: one
     sparse LU for the states the policy keeps returning to, and
-    back-substitution for every other state.  The values are read-only, and
-    evaluating the same policy on the same model again reuses them.  Raises
-    :class:`ConvergenceError` for policies that never deliver from some state.
+    back-substitution for every other state.  Solved once per model and
+    policy: the read-only values are kept in ``model.evaluated``, so policy
+    iteration's first round, value iteration's repeated checks and a later
+    swap-asap baseline share one solve.  Raises :class:`ConvergenceError`
+    for policies that never deliver from some state.
     """
     if len(policy.rows) != model.space.num_intermediate:
         raise ValueError("policy does not cover every intermediate state")
-    values = _nonterminal_solve(model, policy.rows)
+    key = policy.rows.tobytes()
+    values = model.evaluated.get(key)
+    if values is None:
+        matrix = model.phase_a_matrix() @ model.choice_table()[policy.rows]
+        values = _block_triangular_solve(matrix.tocsr(), model.space.terminal_index)
+        values.flags.writeable = False
+        model.evaluated[key] = values
     return ValueTable(values=values, iterations=1)
 
 
@@ -393,26 +384,26 @@ def value_iteration(
 ) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by sweeps of the minimizing update, stopped by a certificate.
 
-    Sweeps from all-zero values.  Every :data:`CHECK_EVERY` sweeps, when the
-    greedy policy of the sweep values has changed since the last check, it
-    is evaluated exactly, to ``U``, and ``g = max(U - T U)`` is its Bellman
-    gap.  With one slot of cost per step, ``U - P_pi U <= 1 + g`` for every
-    proper policy ``pi``, so ``U / (1 + g) <= T* <= U`` in every state.
-    Stops once ``g <= config.epsilon`` and returns ``U`` with ``residual = g``
-    and ``iterations`` the sweep count, and the greedy policy of ``U``, tie
-    broken like :func:`policy_iteration`'s.  Greedy policies that never
-    deliver are skipped.  Raises :class:`ConvergenceError` when the sweep cap
-    comes first, or when a checked policy passes policy iteration's stopping
-    test with a gap above ``epsilon``: that policy is optimal under the tie
-    rule, so its gap is within :data:`TIE_GAP` of ``T`` and later sweeps
-    would only repeat it.
+    Sweeps from all-zero values.  Every :data:`CHECK_EVERY` sweeps the
+    greedy policy of the sweep values is evaluated exactly, to ``U`` (a
+    policy checked before is not solved again), and ``g = max(U - T U)`` is
+    its Bellman gap.  With one slot of cost per step, ``U - P_pi U <= 1 + g``
+    for every proper policy ``pi``, so ``U / (1 + g) <= T* <= U`` in every
+    state.  Stops once ``g <= config.epsilon`` and returns ``U`` with
+    ``residual = g`` and ``iterations`` the sweep count, and the greedy
+    policy of ``U``, tie broken like :func:`policy_iteration`'s.  Greedy
+    policies that never deliver are skipped.  Raises
+    :class:`ConvergenceError` when the sweep cap comes first, or when a
+    checked policy passes policy iteration's stopping test with a gap above
+    ``epsilon``: that policy is optimal under the tie rule, so its gap is
+    within :data:`TIE_GAP` of ``T`` and later sweeps would only repeat it.
     """
     config = config or SolverConfig()
     space = model.space
     mat_a, choices = model.phase_a_matrix(), model.choice_table()
     starts, terminal = space.row_offsets[:-1], space.terminal_index
     q = np.zeros(choices.shape[0])
-    checked, gaps = None, []
+    gaps = []
     for sweep in range(1, config.max_iterations + 1):
         values = 1.0 + mat_a @ np.minimum.reduceat(q, starts)
         values[terminal] = 0.0
@@ -420,11 +411,8 @@ def value_iteration(
         if sweep % CHECK_EVERY:
             continue
         rows = _greedy_choices(q, space.row_offsets)
-        if checked is not None and np.array_equal(rows, checked):
-            continue
-        checked = rows
         try:
-            exact = _nonterminal_solve(model, rows)
+            exact = evaluate_policy(model, Policy(rows)).values
         except ConvergenceError:  # this greedy policy never delivers
             gaps.append(math.inf)
             continue
@@ -459,7 +447,7 @@ def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
     space, choices = model.space, model.choice_table()
     rows = swap_asap_policy(space).rows
     for evaluations in range(1, MAX_POLICY_ITERATIONS + 1):
-        values = _nonterminal_solve(model, rows)
+        values = evaluate_policy(model, Policy(rows)).values
         q = choices @ values
         best = _greedy_choices(q, space.row_offsets)
         switch = _beats(q, best, rows)

@@ -30,7 +30,6 @@ import numpy as np
 from .chain import (
     ChainParams,
     ChainState,
-    Link,
     StateCodes,
     _unique,
     action_space,
@@ -44,7 +43,6 @@ __all__ = [
     "count_lower_bound",
     "distinct_labeled_states",
     "enumerate_states",
-    "terminal_state",
 ]
 
 #: Default ceiling on boundary + intermediate state counts.
@@ -55,11 +53,6 @@ class StateCapExceeded(RuntimeError):
     """Enumeration would exceed the configured state cap."""
 
 
-def terminal_state(n: int) -> ChainState:
-    """Representative of all absorbing states (collapsed end-to-end class)."""
-    return ChainState(n=n, links=(Link(1, n, 0),))
-
-
 @dataclass(frozen=True, eq=False)
 class StateSpace:
     """Indexed reachable states of a chain, plus per-state action lists.
@@ -68,9 +61,11 @@ class StateSpace:
     codes, ``boundary_codes`` and ``intermediate_codes``;
     ``boundary_states`` and ``intermediate_states`` decode them on first
     use.  ``boundary_states[0]`` is the empty state and
-    ``boundary_states[terminal_index]`` the collapsed absorbing state.
-    ``absorbing_codes`` keeps the sorted codes of the absorbing states as
-    they were actually produced, before collapsing.
+    ``boundary_states[terminal_index]`` the collapsed absorbing state, the
+    single end-to-end link at age 0, whose code is
+    ``StateCodes.terminal_code``.  ``absorbing_codes`` keeps the sorted
+    codes of the absorbing states as they were actually produced, before
+    collapsing; the terminal code is always one of them.
 
     The transitions are stored as flat integer arrays, with probabilities
     left as exponents so any ``(p, p_s)`` can be materialized:
@@ -166,17 +161,15 @@ class StateSpace:
 #: Boundary states a walk expands together: bounds the walk's working arrays.
 _CHUNK = 512
 
-#: Key of the collapsed absorbing state among the walk's boundary keys.
-_ABSORBING = -1
-
 
 class _Boundary:
     """The boundary states a walk has listed, looked up by code.
 
     A state's key is its code, canonical in a folded walk; every absorbing
-    state has the key ``_ABSORBING`` and collapses onto the terminal index.
-    ``index_of`` maps every listed key, and every code looked up before, to
-    its index, so each distinct code has its key worked out once.
+    state has the key ``coder.terminal_code``, the collapsed absorbing
+    state, which is its own mirror image.  ``index_of`` maps every listed
+    key, and every code looked up before, to its index, so each distinct
+    code has its key worked out once.
     """
 
     def __init__(self, coder: StateCodes, fold: bool):
@@ -186,8 +179,6 @@ class _Boundary:
         self.codes = [np.zeros(1, dtype=np.int64)]
         self.weights = [np.ones(1, dtype=np.int8)]
         self.count = 1
-        self.terminal_index = -1
-        self.absorbing: set[int] = set()
 
     def targets(self, outcomes: np.ndarray) -> np.ndarray:
         """Boundary index of every outcome code, listing new states in order of first occurrence."""
@@ -203,16 +194,11 @@ class _Boundary:
     def _look_up(self, codes: np.ndarray, first: np.ndarray) -> np.ndarray:
         """Boundary index of distinct codes first occurring at ``first``, listing new states."""
         coder, index_of = self.coder, self.index_of
-        keys = codes.copy()
-        ends = coder.is_absorbing(keys)
-        if ends.any():
-            self.absorbing.update(keys[ends].tolist())
-            keys[ends] = _ABSORBING
+        keys = np.where(coder.is_absorbing(codes), coder.terminal_code, codes)
         symmetric = np.ones(len(keys), dtype=bool)
         if self.fold:
-            live = ~ends
-            canon, symmetric[live] = coder.canonical(coder.digits(keys[live]))
-            keys[live] = coder.codes(canon)
+            canon, symmetric = coder.canonical(coder.digits(keys))
+            keys = coder.codes(canon)
         index = np.fromiter(map(index_of.get, keys.tolist(), repeat(-1)), dtype=np.int32, count=len(keys))
         new = np.flatnonzero(index < 0)
         if len(new):
@@ -225,9 +211,6 @@ class _Boundary:
             listed_keys = keys[listed]
             index_of.update(zip(listed_keys.tolist(), range(self.count, self.count + len(listed))))
             index[new] = [index_of[key] for key in keys[new].tolist()]
-            if self.terminal_index < 0 and _ABSORBING in index_of:
-                self.terminal_index = index_of[_ABSORBING]
-                listed_keys[listed_keys == _ABSORBING] = coder.terminal_code
             self.codes.append(listed_keys)
             self.weights.append(np.where(symmetric[listed], 1, 2).astype(np.int8))
             self.count += len(listed)
@@ -309,15 +292,17 @@ def enumerate_states(
     def offsets(key: str) -> np.ndarray:
         return np.concatenate(([0], np.cumsum(joined(key, np.int64))))
 
-    # The terminal state is always reached: from the empty state every link
-    # can be generated fresh and every swap can succeed.
+    # The terminal state is always reached, and as itself: from the empty
+    # state every link can be generated fresh and every swap can succeed.
+    # So its code is among the looked-up codes, with every absorbing code.
+    looked_up = np.fromiter(boundary.index_of, dtype=np.int64, count=len(boundary.index_of))
     return StateSpace(
         params=params,
         boundary_codes=np.concatenate(boundary.codes),
         intermediate_codes=joined("codes", np.int64),
-        terminal_index=boundary.terminal_index,
+        terminal_index=boundary.index_of[coder.terminal_code],
         actions=tuple(parts["actions"]),
-        absorbing_codes=np.array(sorted(boundary.absorbing), dtype=np.int64),
+        absorbing_codes=np.sort(looked_up[coder.is_absorbing(looked_up)]),
         child_offsets=offsets("children"),
         gen_successes=joined("successes", np.int8),
         gen_failures=joined("failures", np.int8),

@@ -1,6 +1,6 @@
 """Block-triangular policy evaluation against the whole-system LU it replaced.
 
-``solver._nonterminal_solve`` splits a policy's transition matrix into its
+``solver.evaluate_policy`` splits a policy's transition matrix into its
 strongly connected components, factors the multi-state ones and solves every
 other state by back-substitution.  :func:`whole_system_solve` is the earlier
 evaluator, kept here only as a test oracle: one sparse LU of ``I - P`` over
@@ -21,16 +21,18 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from repeaterchain import solver
-from repeaterchain.solver import ConvergenceError, policy_iteration, swap_asap_policy
+from repeaterchain.solver import ConvergenceError, Policy, evaluate_policy, policy_iteration, swap_asap_policy
 from test_solver import acceptance_grid, build
 
 
-def whole_system_solve(model, rows):
-    """Delivery times by one sparse LU of the whole non-terminal system."""
-    space = model.space
-    composed = model.phase_a_matrix() @ model.choice_table()[rows]
-    keep = np.arange(space.num_boundary) != space.terminal_index
-    sub = composed[keep][:, keep]
+def whole_system_solve(matrix, terminal):
+    """Delivery times by one sparse LU of the whole non-terminal system.
+
+    ``matrix`` is a policy's boundary-to-boundary transition matrix, as
+    ``solver._block_triangular_solve`` takes it.
+    """
+    keep = np.arange(matrix.shape[0]) != terminal
+    sub = matrix[keep][:, keep]
     system = sp.identity(sub.shape[0], format="csr") - sub
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
@@ -40,7 +42,7 @@ def whole_system_solve(model, rows):
             raise ConvergenceError("linear system is singular") from None
     if not np.all(np.isfinite(t_sub)):
         raise ConvergenceError("non-finite delivery times")
-    values = np.zeros(space.num_boundary)
+    values = np.zeros(matrix.shape[0])
     values[keep] = t_sub
     return values
 
@@ -57,12 +59,12 @@ def relative_residual(matrix, values, terminal):
 
 
 def assert_matches_oracle(model, rows):
-    values = solver._nonterminal_solve(model, rows)
-    reference = whole_system_solve(model, rows)
+    values = evaluate_policy(model, Policy(rows)).values
+    matrix, terminal = transitions(model, rows), model.space.terminal_index
+    reference = whole_system_solve(matrix, terminal)
     if np.max(reference) < 1e4:
         assert np.max(np.abs(values - reference) / np.maximum(1.0, reference)) <= 1e-12
     else:
-        matrix, terminal = transitions(model, rows), model.space.terminal_index
         assert relative_residual(matrix, values, terminal) <= 1e-14
         assert relative_residual(matrix, reference, terminal) <= 1e-14
 
@@ -99,7 +101,7 @@ def test_policy_iteration_with_the_oracle_moves_no_policy_and_no_round_count(mon
             models[key] = build(n, t_cut, p, ps, fold)[1]
         table, policy = policy_iteration(models[key].respecialized(p, ps))
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_nonterminal_solve", whole_system_solve)
+            patch.setattr(solver, "_block_triangular_solve", whole_system_solve)
             lu_table, lu_policy = policy_iteration(models[key].respecialized(p, ps))
         assert policy == lu_policy
         assert table.iterations == lu_table.iterations
@@ -143,9 +145,9 @@ def test_random_policies(n, t_cut, p, ps, fold):
             continue
         improper += 1
         with pytest.raises(ConvergenceError):
-            solver._nonterminal_solve(model, rows)
+            evaluate_policy(model, Policy(rows))
         try:
-            assert np.max(np.abs(whole_system_solve(model, rows))) > 1e12
+            assert np.max(np.abs(whole_system_solve(matrix, space.terminal_index))) > 1e12
         except ConvergenceError:
             pass
     assert improper
@@ -158,7 +160,7 @@ def stub_model(matrix, terminal):
     size = matrix.shape[0]
     to_self = sp.diags(np.where(np.arange(size) == terminal, 0.0, 1.0), format="csr")
     return SimpleNamespace(
-        space=SimpleNamespace(terminal_index=terminal),
+        space=SimpleNamespace(terminal_index=terminal, num_intermediate=size),
         phase_a_matrix=lambda: to_self,
         choice_table=lambda: sp.csr_matrix(matrix),
         evaluated={},
@@ -168,7 +170,7 @@ def stub_model(matrix, terminal):
 def solve_stub(entries, size, terminal):
     rows, cols, probs = zip(*entries)
     matrix = sp.csr_matrix((probs, (rows, cols)), shape=(size, size))
-    return solver._nonterminal_solve(stub_model(matrix, terminal), np.arange(size))
+    return evaluate_policy(stub_model(matrix, terminal), Policy(np.arange(size))).values
 
 
 def test_stub_solves_like_the_closed_form():

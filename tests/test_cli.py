@@ -596,6 +596,12 @@ class TestSimulate:
         assert "policy file" in capsys.readouterr().err
 
 
+def replace_first_age(doc, old, new):
+    """Put ``new`` in place of the first state entry ``old`` of a policy document."""
+    entry = next(e for e in doc["policy"] if old in e["state"])
+    entry["state"][entry["state"].index(old)] = new
+
+
 class TestPolicyFile:
     """``load_policy_json`` names what is wrong with a malformed policy file."""
 
@@ -672,6 +678,31 @@ class TestPolicyFile:
         doc["policy"][0]["state"] = doc["policy"][0]["state"][:2]
         with pytest.raises(ValueError, match="expected 3 entries for n=3, got 2"):
             self.load(tmp_path, space, doc)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda doc: replace_first_age(doc, 0, False),
+            lambda doc: doc.update(n=3.0),
+            lambda doc: doc.update(t_cut=True),
+            lambda doc: replace_first_age(doc, -1, -7),
+        ],
+        ids=["boolean-age", "float-n", "boolean-t_cut", "age-below-minus-one"],
+    )
+    def test_simulate_refuses_what_is_no_json_integer_or_age(self, tmp_path, capsys, doc, spoil):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        assert run(["simulate", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
+                    "--policy", path, "--trials", 10, "--out", tmp_path / "sim"]) == 0
+        capsys.readouterr()
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+        code = run(["simulate", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
+                    "--policy", path, "--trials", 10, "--out", tmp_path / "sim"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: policy ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc",

@@ -10,7 +10,7 @@ from repeaterchain.chain import (
 )
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy
-from repeaterchain.statespace import enumerate_states, terminal_state
+from repeaterchain.statespace import enumerate_states
 from test_walk_reference import PROBABILITY_POINTS, reference_partition
 
 
@@ -218,7 +218,7 @@ class TestBunch:
         assert space.num_boundary - 1 == 4
         assert bmodel.space.num_boundary - 1 == 3
         assert bmodel.space.boundary_states[0].links == ()
-        assert bmodel.space.boundary_states[bmodel.space.terminal_index] == terminal_state(3)
+        assert bmodel.space.boundary_states[bmodel.space.terminal_index] == state_from_links(3, [(1, 3, 0)])
 
     def test_rows_still_sum_to_one(self):
         space, model = build(4, 2, p=0.6, p_s=0.7)

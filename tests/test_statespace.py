@@ -18,7 +18,6 @@ from repeaterchain.statespace import (
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
-    terminal_state,
 )
 from test_chain import code_digits
 from test_mdp import phase_a, phase_b
@@ -36,7 +35,7 @@ class TestEnumerate:
         assert space.num_boundary == 5
         assert space.num_intermediate == 9
         assert space.boundary_states[0].links == ()
-        assert space.terminal_index == space.boundary_index[terminal_state(3)]
+        assert space.terminal_index == space.boundary_index[state_from_links(3, [(1, 3, 0)])]
 
     def test_three_node_boundary_states_are_fresh(self):
         space = space_for(3, 1)
@@ -45,7 +44,7 @@ class TestEnumerate:
             state_from_links(3, [(1, 2, 0)]),
             state_from_links(3, [(2, 3, 0)]),
             state_from_links(3, [(1, 2, 0), (2, 3, 0)]),
-            terminal_state(3),
+            state_from_links(3, [(1, 3, 0)]),
         }
         assert set(space.boundary_states) == expected
 
@@ -316,3 +315,16 @@ class TestLevelWalk:
         monkeypatch.setattr(StateCodes, "generation", no_walk)
         with pytest.raises(ValueError):
             space_for(13, 7)
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("n, t_cut", [(n, t) for n in range(3, 8) for t in (1, 2)])
+    def test_terminal_code_keys_the_collapsed_absorbing_state(self, n, t_cut, fold):
+        # The walk keys every absorbing outcome by the terminal code, and reads
+        # the terminal index and the absorbing codes off its lookup memo.
+        space = space_for(n, t_cut, fold=fold)
+        coder = StateCodes(n, t_cut)
+        assert coder.terminal_code in space.absorbing_codes.tolist()
+        assert np.all(coder.is_absorbing(space.absorbing_codes))
+        assert space.boundary_codes[space.terminal_index] == coder.terminal_code
+        assert space.boundary_states[space.terminal_index] == state_from_links(n, [(1, n, 0)])
+        assert np.count_nonzero(coder.is_absorbing(space.boundary_codes)) == 1

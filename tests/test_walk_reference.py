@@ -44,6 +44,7 @@ from repeaterchain.chain import (
     is_absorbing,
     mirror,
     mirror_action,
+    state_from_links,
     swap_runs,
 )
 from repeaterchain.mdp import TransitionModel
@@ -52,7 +53,6 @@ from repeaterchain.statespace import (
     StateCapExceeded,
     action_space,
     enumerate_states,
-    terminal_state,
 )
 
 
@@ -78,7 +78,7 @@ def reference_enumerate(params, state_cap):
     """First walk: (boundary, intermediates, actions, terminal index, raw absorbing)."""
     n, t_cut = params.n, params.t_cut
     s0 = empty_state(n)
-    term = terminal_state(n)
+    term = state_from_links(n, [(1, n, 0)])
     boundary = [s0]
     boundary_index = {s0: 0}
     intermediates = []
@@ -490,7 +490,7 @@ def test_folded_walk_matches_post_hoc_fold(n, t_cut):
 
     assert space.folded
     assert space.boundary_states[0] == ref.boundary_states[0] == empty_state(n)
-    assert space.boundary_states[space.terminal_index] == terminal_state(n)
+    assert space.boundary_states[space.terminal_index] == state_from_links(n, [(1, n, 0)])
     assert space.num_boundary == ref.num_boundary
     assert space.num_intermediate == ref.num_intermediate
     assert set(space.boundary_states) == set(ref.boundary_states)
