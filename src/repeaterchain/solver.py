@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .chain import ChainState, mirror, mirror_action, valid_swap_nodes
+from .chain import ChainState, _is_integer, mirror, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
@@ -58,7 +58,7 @@ MAX_POLICY_ITERATIONS = 1_000
 TIE_GAP = 1e-12
 
 #: Value iteration checks its greedy policy every this many sweeps.
-CHECK_EVERY = 32
+CHECK_EVERY = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -82,6 +82,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
+        if not _is_integer(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -384,15 +387,19 @@ def value_iteration(
 ) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by sweeps of the minimizing update, stopped by a certificate.
 
-    Sweeps from all-zero values.  Every :data:`CHECK_EVERY` sweeps the
-    greedy policy of the sweep values is evaluated exactly, to ``U`` (a
+    Sweeps start from all-zero values.  Every :data:`CHECK_EVERY` sweeps
+    the greedy policy of the sweep values is evaluated exactly, to ``U`` (a
     policy checked before is not solved again), and ``g = max(U - T U)`` is
     its Bellman gap.  With one slot of cost per step, ``U - P_pi U <= 1 + g``
     for every proper policy ``pi``, so ``U / (1 + g) <= T* <= U`` in every
     state.  Stops once ``g <= config.epsilon`` and returns ``U`` with
     ``residual = g`` and ``iterations`` the sweep count, and the greedy
-    policy of ``U``, tie broken like :func:`policy_iteration`'s.  Greedy
-    policies that never deliver are skipped.  Raises
+    policy of ``U``, tie broken like :func:`policy_iteration`'s.  Otherwise
+    the sweeps go on from ``U``: ``T U <= U``, so from then on they fall
+    monotonically towards ``T*`` and each checked policy's ``U`` is at most
+    the one before (modified policy iteration; Puterman, *Markov Decision
+    Processes*, 1994, section 6.5).  Greedy policies that never deliver are
+    skipped, and the sweeps go on from their own values.  Raises
     :class:`ConvergenceError` when the sweep cap comes first, or when a
     checked policy passes policy iteration's stopping test with a gap above
     ``epsilon``: that policy is optimal under the tie rule, so its gap is
@@ -428,6 +435,7 @@ def value_iteration(
                 f"value iteration cannot certify a gap of {config.epsilon:.3e}: "
                 f"the optimal policy's own gap is {gap:.3e}"
             )
+        q = q_exact  # sweep on from the upper bound ``exact``
     reached = f"smallest gap {min(gaps):.3e}" if gaps else "no check ran"
     raise ConvergenceError(
         f"value iteration did not converge in {config.max_iterations} sweeps ({reached})"

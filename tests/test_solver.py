@@ -252,7 +252,7 @@ class TestOptimalSolvers:
     def test_sweep_cap_before_a_certificate_reports_the_smallest_gap(self):
         # The first check's greedy policy is still suboptimal here.
         _, model = build(5, 2, p=0.3, p_s=0.5)
-        cap = 2 * solver.CHECK_EVERY
+        cap = solver.CHECK_EVERY
         with pytest.raises(ConvergenceError) as info:
             value_iteration(model, SolverConfig(max_iterations=cap))
         prefix = f"value iteration did not converge in {cap} sweeps (smallest gap "
@@ -271,6 +271,15 @@ class TestOptimalSolvers:
     def test_sweep_cap_must_allow_one_sweep(self, max_iterations):
         with pytest.raises(ValueError, match="max_iterations"):
             SolverConfig(max_iterations=max_iterations)
+
+    @pytest.mark.parametrize("max_iterations", [2.5, 40.0, True])
+    def test_sweep_cap_must_be_an_integer(self, max_iterations):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=max_iterations)
+
+    def test_numpy_integer_sweep_cap_is_stored_as_an_int(self):
+        config = SolverConfig(max_iterations=np.int64(40))
+        assert type(config.max_iterations) is int and config.max_iterations == 40
 
     @pytest.mark.parametrize("fold", [False, True])
     @pytest.mark.parametrize("solve", [policy_iteration, value_iteration])
@@ -391,6 +400,27 @@ class TestCertifiedValueIteration:
             assert np.max(np.abs(check - table.values) / np.maximum(1.0, table.values)) <= 1e-12
             assert table.t0 == pytest.approx(pi_table.t0, rel=1e-12)
             assert policy == pi_policy
+
+    def test_checked_values_never_rise(self):
+        # After each check the sweeps go on from its exact values, an upper
+        # bound, so every later checked policy evaluates to values no higher.
+        _, model = build(5, 2, p=0.3, p_s=0.5)
+        value_iteration(model)
+        checked = list(model.evaluated.values())  # in check order
+        assert len(checked) >= 2
+        for before, after in zip(checked, checked[1:]):
+            assert np.all(after <= before * (1 + 1e-12))
+
+    def test_low_success_probability_converges_within_a_few_checks(self):
+        # Delivery takes about 4e5 slots here: sweeps from zero alone would
+        # need on the order of that many.
+        _, model = build(6, 2, p=0.05, p_s=0.5)
+        table, policy = value_iteration(
+            model, SolverConfig(max_iterations=8 * solver.CHECK_EVERY)
+        )
+        pi_table, pi_policy = policy_iteration(model)
+        assert policy == pi_policy
+        assert table.t0 == pytest.approx(pi_table.t0, rel=1e-12)
 
 
 class TestMirrorSymmetryOfValues:
