@@ -756,8 +756,9 @@ def decode_state(vector: Iterable[int], n: int, intermediate: bool = False) -> C
     pairs = _pair_positions(n)
     if len(vec) != len(pairs):
         raise ValueError(f"expected {len(pairs)} entries for n={n}, got {len(vec)}")
+    # The pairs come in sorted order, so the links do too.
     links = tuple(Link(i, j, age) for (i, j), age in zip(pairs, vec) if age >= 0)
-    return ChainState(n=n, links=links, intermediate=intermediate)
+    return _sorted_state(n, links, intermediate)
 
 
 def check_state(state: ChainState, t_cut: int | None = None) -> None:

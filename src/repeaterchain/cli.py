@@ -208,37 +208,34 @@ def _chain_params(opt: _Options) -> ChainParams:
     return ChainParams(*(opt.get(name, required=True) for name in _CHAIN))
 
 
-class _Structure:
-    """The enumerated states and arcs of one (n, t_cut), solvable at any (p, p_s).
+def _model(params: ChainParams, opt: _Options, withheld=()) -> TransitionModel:
+    """The enumerated states and arcs of ``params``' (n, t_cut), solvable at any (p, p_s).
 
     States and arcs depend only on (n, t_cut), so each solve respecializes
-    them to its (p, p_s) instead of walking the dynamics again.  The walk
-    folds mirror images under bunching, unless some ``withheld`` node set is
-    not its own mirror image: such a baseline needs the unfolded space, so
-    the structure then skips folding.  The one walk happens here, so a failed
-    one fails the build before any solve.  A structure lives only as long as
-    the command that built it.
+    the model to its (p, p_s) instead of walking the dynamics again.  The
+    walk folds mirror images under bunching, unless some ``withheld`` node
+    set is not its own mirror image: such a baseline needs the unfolded
+    space, so the walk then skips folding.
     """
+    fold = opt.get("bunch") and all(mirror_action(nodes, params.n) == nodes for nodes in withheld)
+    return TransitionModel.build(enumerate_states(params, state_cap=opt.get("state_cap"), fold=fold))
 
-    def __init__(self, params: ChainParams, state_cap: int, use_bunch: bool, withheld=()):
-        fold = use_bunch and all(mirror_action(nodes, params.n) == nodes for nodes in withheld)
-        self.model = TransitionModel.build(enumerate_states(params, state_cap=state_cap, fold=fold))
 
-    def solve(
-        self, p: float, p_s: float, method: str, config: SolverConfig
-    ) -> tuple[TransitionModel, ValueTable, Policy]:
-        """The model respecialized to (p, p_s), with its optimal values and policy.
+def _solve(
+    model: TransitionModel, p: float, p_s: float, method: str, config: SolverConfig
+) -> tuple[TransitionModel, ValueTable, Policy]:
+    """The model respecialized to (p, p_s), with its optimal values and policy.
 
-        The model is folded when the structure folds, and the values and
-        policy live on its space.  The empty state keeps index 0 in a folded
-        space, so ``table.t0`` needs no unfolding.
-        """
-        model = self.model.respecialized(p, p_s)
-        if method == "pi":
-            table, policy = policy_iteration(model)
-        else:
-            table, policy = value_iteration(model, config)
-        return model, table, policy
+    The values and policy live on the model's space, folded or not.  The
+    empty state keeps index 0 in a folded space, so ``table.t0`` needs no
+    unfolding.
+    """
+    model = model.respecialized(p, p_s)
+    if method == "pi":
+        table, policy = policy_iteration(model)
+    else:
+        table, policy = value_iteration(model, config)
+    return model, table, policy
 
 
 def _baseline_t0(model: TransitionModel, withheld: frozenset[int]) -> float:
@@ -270,14 +267,6 @@ def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
     return list(groups.values())
-
-
-def _solve_point(
-    opt: _Options, params: ChainParams, config: SolverConfig, withheld=()
-) -> tuple[TransitionModel, ValueTable, Policy]:
-    """Build the structure of a single-point command and solve it."""
-    structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"), withheld)
-    return structure.solve(params.p, params.p_s, opt.get("method"), config)
 
 
 def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
@@ -332,6 +321,12 @@ def write_values_csv(path, space, table) -> None:
                 writer.writerow([json.dumps(encode_state(mirror(state))), row_value])
 
 
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def write_policy_json(path, space, policy) -> None:
     params = space.params
     doc = {
@@ -345,9 +340,7 @@ def write_policy_json(path, space, policy) -> None:
             for s, a in policy.state_map(space).items()
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def _is_policy_entry(entry) -> bool:
@@ -387,7 +380,7 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
     entries = doc.get("policy")
     if not isinstance(entries, list):
         raise ValueError("policy file needs a 'policy' list of state/action entries")
-    mapping: dict[ChainState, frozenset[int]] = {}
+    index, mapping = space.intermediate_index, {}
     for entry in entries:
         if not _is_policy_entry(entry):
             raise ValueError(
@@ -395,7 +388,7 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
                 f"link ages -1 (no link) or from 0 up: {entry!r}"
             )
         state = decode_state(entry["state"], params.n, intermediate=True)
-        idx = space.intermediate_index.get(state)
+        idx = index.get(state)
         if idx is None:
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}")
         if state in mapping:
@@ -441,7 +434,7 @@ def cmd_solve(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
     t0 = time.perf_counter()
-    model, table, policy = _solve_point(opt, params, config)
+    model, table, policy = _solve(_model(params, opt), params.p, params.p_s, opt.get("method"), config)
     space = model.space
     elapsed = time.perf_counter() - t0
     # Unfolded counts: the files list every state of each mirror pair.
@@ -464,7 +457,8 @@ def cmd_compare(opt: _Options) -> int:
     config = _solver_config(opt)
     specs = opt.get("baseline")
     withheld = [_withheld_nodes(spec, params.n) for spec in specs]
-    model, table, _ = _solve_point(opt, params, config, withheld)
+    model = _model(params, opt, withheld)
+    model, table, _ = _solve(model, params.p, params.p_s, opt.get("method"), config)
     t_opt = table.t0
     print(f"T_opt = {_fmt(t_opt)}")
     for spec, nodes in zip(specs, withheld):
@@ -477,7 +471,7 @@ def cmd_compare(opt: _Options) -> int:
 def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> list[dict]:
     """CSV rows of the (n, p, p_s, t_cut) grid points of one (n, t_cut), errors recorded in-row.
 
-    The structure is built at the first point with valid parameters, whose
+    The model is built at the first point with valid parameters, whose
     ``wall_time_s`` includes the build, and reused by the rest.  A failed
     build puts its error in its own row and in every later row of the group.
     """
@@ -493,12 +487,12 @@ def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> 
             t0 = time.perf_counter()
             if structure is None and build_error is None:
                 try:
-                    structure = _Structure(params, opt.get("state_cap"), opt.get("bunch"), withheld)
+                    structure = _model(params, opt, withheld)
                 except Exception as exc:
                     build_error = exc
             if build_error is not None:
                 raise build_error
-            model, table, _ = structure.solve(p, p_s, opt.get("method"), config)
+            model, table, _ = _solve(structure, p, p_s, opt.get("method"), config)
             space, t_opt = model.space, table.t0
             # Unfolded counts: a folded state stands for its whole mirror pair.
             row["boundary_states"] = int(space.boundary_weights.sum())
@@ -555,7 +549,7 @@ def cmd_simulate(opt: _Options) -> int:
     )
     spec = opt.get("policy")
     if spec == "optimal":
-        model, _, policy = _solve_point(opt, params, config)
+        model, _, policy = _solve(_model(params, opt), params.p, params.p_s, opt.get("method"), config)
         policy_map = policy.state_map(model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
         policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
@@ -584,9 +578,7 @@ def cmd_simulate(opt: _Options) -> int:
         "mean": result.mean,
         "stderr": result.stderr,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'histogram.csv'} and {out / 'summary.json'}")
     return 0
 
@@ -618,9 +610,7 @@ def cmd_states(opt: _Options) -> int:
             "bound_satisfied": labelings >= bound,
             "action_counts": np.diff(space.row_offsets).tolist(),
         }
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        _write_json(out, doc)
         print(f"wrote {out}")
     return 0 if labelings >= bound else 1
 
@@ -631,10 +621,10 @@ def cmd_stats(opt: _Options) -> int:
     grid = [ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut) for n, p, p_s, t_cut in points]
     rows: list[dict | None] = [None] * len(grid)
     for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
-        structure = _Structure(grid[group[0]], opt.get("state_cap"), opt.get("bunch"))
+        structure = _model(grid[group[0]], opt)
         for i in group:
             params = grid[i]
-            model, _, policy = structure.solve(params.p, params.p_s, opt.get("method"), config)
+            model, _, policy = _solve(structure, params.p, params.p_s, opt.get("method"), config)
             stats = policy_stats(model.space, policy)
             rows[i] = {
                 "n": params.n,

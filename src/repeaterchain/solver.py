@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .chain import ChainState, _is_integer, mirror, mirror_action, valid_swap_nodes
+from .chain import ChainState, _is_integer, _subsets, mirror, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
@@ -180,11 +180,6 @@ class PolicyStats:
     decidable_states: int
 
 
-def _is_full(state: ChainState) -> bool:
-    pairs = {(l.left, l.right) for l in state.links}
-    return pairs == {(i, i + 1) for i in range(1, state.n)}
-
-
 def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState], frozenset[int]]:
     """A baseline's action in any intermediate state of an ``n``-node chain.
 
@@ -192,7 +187,9 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState]
     interior nodes, those nodes do not swap in full states, where every pair
     of neighbours holds a link: with probabilistic swaps, withholding
     interior swaps there splits one long all-or-nothing run into independent
-    shorter ones.
+    shorter ones.  A state is full exactly when all ``n - 2`` interior nodes
+    can swap: node ``k``'s incoming link must start at node ``k - 1``, since
+    every node left of that already has its outgoing link in use.
     """
     withheld = frozenset(withheld)
     if not withheld <= set(range(2, n)):
@@ -202,7 +199,7 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState]
 
     def action(state: ChainState) -> frozenset[int]:
         nodes = frozenset(valid_swap_nodes(state))
-        return nodes - withheld if _is_full(state) else nodes
+        return nodes - withheld if len(nodes) == n - 2 else nodes
 
     return action
 
@@ -219,20 +216,24 @@ def swap_asap_policy(space: StateSpace) -> Policy:
 def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
     """Swap-asap, except that in full states the given nodes do not swap.
 
-    On a folded space each representative stands for its mirror image, which
-    then withholds the mirrored nodes.  So the node set must be its own
-    mirror image there; otherwise this raises :class:`ValueError`.
+    Full states are those with ``2 ** (n - 2)`` actions (see :func:`baseline_rule`),
+    so no state is decoded.  On a folded space each representative stands
+    for its mirror image, which then withholds the mirrored nodes.  So the
+    node set must be its own mirror image there; otherwise this raises
+    :class:`ValueError`.
     """
     n, withheld = space.params.n, frozenset(withheld)
-    rule = baseline_rule(n, withheld)
-    if not withheld:
-        return swap_asap_policy(space)
+    baseline_rule(n, withheld)  # raises unless every node is interior
     if space.folded and mirror_action(withheld, n) != withheld:
         raise ValueError(
             f"withheld nodes {sorted(withheld)} are not mirror-symmetric, "
             "so their policy needs an unfolded space"
         )
-    return Policy.from_actions(space, map(rule, space.intermediate_states))
+    actions, offsets = _subsets(tuple(range(2, n))), space.row_offsets
+    full = np.diff(offsets) == len(actions)
+    rows = offsets[1:] - 1
+    rows[full] = offsets[:-1][full] + actions.index(actions[-1] - withheld)
+    return Policy(rows)
 
 
 def relative_advantage(t_base: float, t_opt: float) -> float:
@@ -392,9 +393,11 @@ def value_iteration(
     policy checked before is not solved again), and ``g = max(U - T U)`` is
     its Bellman gap.  With one slot of cost per step, ``U - P_pi U <= 1 + g``
     for every proper policy ``pi``, so ``U / (1 + g) <= T* <= U`` in every
-    state.  Stops once ``g <= config.epsilon`` and returns ``U`` with
-    ``residual = g`` and ``iterations`` the sweep count, and the greedy
-    policy of ``U``, tie broken like :func:`policy_iteration`'s.  Otherwise
+    state.  Stops once ``g <= config.epsilon`` and returns the greedy policy
+    of ``U``, tie broken like :func:`policy_iteration`'s, with its own exact
+    values ``V``, ``residual = g`` and ``iterations`` the sweep count: that
+    policy is at least as good as the checked one, so ``V <= U`` and
+    ``V / (1 + g) <= T* <= V``.  Otherwise
     the sweeps go on from ``U``: ``T U <= U``, so from then on they fall
     monotonically towards ``T*`` and each checked policy's ``U`` is at most
     the one before (modified policy iteration; Puterman, *Markov Decision
@@ -427,7 +430,9 @@ def value_iteration(
         gaps.append(gap)
         best = _greedy_choices(q_exact, space.row_offsets)
         if gap <= config.epsilon:
-            return ValueTable(values=exact, iterations=sweep, residual=gap), Policy(best)
+            policy = Policy(best)  # a stored evaluation when ``best`` is ``rows``
+            values = evaluate_policy(model, policy).values
+            return ValueTable(values=values, iterations=sweep, residual=gap), policy
         if not np.any(_beats(q_exact, best, rows)):
             # Policy iteration would stop here, so ``rows`` is optimal under
             # the tie rule and no later check can be expected to do better.

@@ -807,19 +807,19 @@ class TestStats:
         assert list(csv.DictReader(open(tmp_path / "both.csv"))) == rows
 
     @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
-    @pytest.mark.parametrize("command", ["compare", "stats"])
+    @pytest.mark.parametrize("command", ["compare", "stats", "sweep"])
     def test_decodes_no_state(self, tmp_path, monkeypatch, command, flag):
-        # Solving, the swap-asap baseline and the action statistics all
+        # Solving, both kinds of baseline and the action statistics all
         # work on choice-table rows.
         def decode(*args):
             raise AssertionError("a state was decoded")
 
         monkeypatch.setattr(StateSpace, "_states", decode)
-        code = run(
-            [command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]
-            + (["--out", tmp_path / "stats.csv"] if command == "stats" else [])
-        )
-        assert code == 0
+        args = [command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]
+        args += [] if command == "compare" else ["--out", tmp_path / f"{command}.csv"]
+        assert run(args) == 0
+        if command != "stats":
+            assert run(args + ["--baseline", "swap-asap", "--baseline", "modified:3"]) == 0
 
 
 class TestConfigFile:

@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from repeaterchain import solver
-from repeaterchain.chain import ChainParams, mirror, state_from_links, valid_swap_nodes
+from repeaterchain.chain import ChainParams, mirror, mirror_action, state_from_links, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     ConvergenceError,
@@ -176,6 +178,44 @@ class TestBaselineRule:
     def test_end_nodes_cannot_be_withheld(self, withheld):
         with pytest.raises(ValueError):
             baseline_rule(5, withheld)
+
+
+def neighbour_pair_facts(states, n):
+    """Each state's swap-capable nodes, and whether every neighbour pair holds a link.
+
+    That second fact is the definition of a full state that baselines used
+    before they counted actions.
+    """
+    neighbours = {(i, i + 1) for i in range(1, n)}
+    return [
+        (frozenset(valid_swap_nodes(s)), {(l.left, l.right) for l in s.links} == neighbours)
+        for s in states
+    ]
+
+
+class TestRowCountBaseline:
+    """Full states found by their action count are the states whose neighbours all hold links."""
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("t_cut", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_modified_policy_and_rule_match_the_neighbour_pair_definition(self, n, t_cut, fold):
+        space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut), fold=fold)
+        states = space.intermediate_states
+        facts = neighbour_pair_facts(states, n)
+        interior = range(2, n)
+        subsets = [frozenset(c) for r in range(n - 1) for c in combinations(interior, r)]
+        for withheld in subsets:
+            if fold and mirror_action(withheld, n) != withheld:
+                continue
+            old = [nodes - withheld if full else nodes for nodes, full in facts]
+            assert modified_full_state_policy(space, withheld) == Policy.from_actions(space, old)
+        # Withholding every interior node empties the action of exactly the
+        # full states, so the rules agree everywhere if they agree here.
+        withheld = frozenset(interior)
+        rule = baseline_rule(n, withheld)
+        assert [rule(s) for s in states] == [nodes - withheld if full else nodes for nodes, full in facts]
+        assert sum(full for _, full in facts) > 0
 
 
 class TestOptimalSolvers:
@@ -421,6 +461,19 @@ class TestCertifiedValueIteration:
         pi_table, pi_policy = policy_iteration(model)
         assert policy == pi_policy
         assert table.t0 == pytest.approx(pi_table.t0, rel=1e-12)
+
+    @pytest.mark.parametrize("n,t_cut,p,ps", [(6, 3, 0.9, 0.5), (5, 3, 0.6, 0.5)])
+    def test_loose_certificate_returns_the_values_of_the_returned_policy(self, n, t_cut, p, ps):
+        # At a loose epsilon the greedy policy of the checked values improves
+        # on the checked policy, so its own values are returned.
+        space, model = build(n, t_cut, p, ps)
+        table, policy = value_iteration(model, SolverConfig(epsilon=1e-2))
+        fresh = TransitionModel.build(space)
+        assert table.values.tobytes() == evaluate_policy(fresh, policy).values.tobytes()
+        optimal, _ = policy_iteration(fresh)
+        assert 0 < table.residual <= 1e-2
+        assert np.all(table.values / (1 + table.residual) <= optimal.values * (1 + 1e-12))
+        assert np.all(optimal.values <= table.values * (1 + 1e-12))
 
 
 class TestMirrorSymmetryOfValues:
