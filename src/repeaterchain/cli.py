@@ -29,6 +29,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import product
@@ -248,17 +249,13 @@ def _grid(opt: _Options) -> list[tuple[int, float, float, int]]:
     return list(product(*(opt.get(name, required=True) for name in _CHAIN)))
 
 
-def _write_rows(out: str | None, rows: list[dict]) -> None:
+def _write_rows(out: str | Path | None, rows: list[dict]) -> None:
     """``rows`` as CSV to the file ``out``, else to stdout, headed by the union of their keys."""
     keys = list(dict.fromkeys(key for row in rows for key in row))
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
         writer = csv.DictWriter(fh, fieldnames=keys, restval="")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if out:
-            fh.close()
 
 
 def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
@@ -310,37 +307,38 @@ def write_values_csv(path, space, table) -> None:
 
     On a folded space each mirror image follows its representative.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "expected_delivery_time"])
-        weights = space.boundary_weights.tolist()
-        for state, value, weight in zip(space.boundary_states, table.values, weights):
-            row_value = _fmt(value)
-            writer.writerow([json.dumps(encode_state(state)), row_value])
-            if weight == 2:
-                writer.writerow([json.dumps(encode_state(mirror(state))), row_value])
+    rows = []
+    weights = space.boundary_weights.tolist()
+    for state, value, weight in zip(space.boundary_states, table.values, weights):
+        images = (state, mirror(state)) if weight == 2 else (state,)
+        rows += [{"state": json.dumps(encode_state(s)), "expected_delivery_time": _fmt(value)} for s in images]
+    _write_rows(path, rows)
 
 
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def write_policy_json(path, space, policy) -> None:
-    params = space.params
-    doc = {
+def _header(params: ChainParams) -> dict:
+    """The keys that open every JSON export of one parameter point."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "n": params.n,
         "p": params.p,
         "p_s": params.p_s,
         "t_cut": params.t_cut,
-        "policy": [
-            {"state": list(encode_state(s)), "action": sorted(a)}
-            for s, a in policy.state_map(space).items()
-        ],
     }
-    _write_json(path, doc)
+
+
+def _write_json(path, doc: dict) -> None:
+    """``doc`` on one line.
+
+    json's C encoder serves only ``dumps`` without ``indent``, and ``print``
+    adds the newline without copying the text.
+    """
+    with open(path, "w") as fh:
+        print(json.dumps(doc), file=fh)
+
+
+def write_policy_json(path, space, policy) -> None:
+    entries = [{"state": encode_state(s), "action": sorted(a)} for s, a in policy.state_map(space).items()]
+    _write_json(path, {**_header(space.params), "policy": entries})
 
 
 def _is_policy_entry(entry) -> bool:
@@ -366,11 +364,15 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
     same t_cut, as JSON integers, same state set), each once with one of its
     available actions; anything else is a ``ValueError`` naming the problem.
     """
+    return _policy_map(_policy_entries(path, space.params), space)
+
+
+def _policy_entries(path, params: ChainParams) -> list:
+    """A policy export's entries, if it is for ``params``' n and t_cut; needs no walked space."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("policy file must hold a JSON object")
-    params = space.params
     n, t_cut = doc.get("n"), doc.get("t_cut")
     if type(n) is not int or type(t_cut) is not int or (n, t_cut) != (params.n, params.t_cut):
         raise ValueError(
@@ -380,6 +382,11 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
     entries = doc.get("policy")
     if not isinstance(entries, list):
         raise ValueError("policy file needs a 'policy' list of state/action entries")
+    return entries
+
+
+def _policy_map(entries: list, space) -> dict[ChainState, frozenset[int]]:
+    """The action of each intermediate state of ``space``, from :func:`_policy_entries`' entries."""
     index, mapping = space.intermediate_index, {}
     for entry in entries:
         if not _is_policy_entry(entry):
@@ -387,7 +394,7 @@ def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
                 "policy entry needs a 'state' and an 'action' list of integers, "
                 f"link ages -1 (no link) or from 0 up: {entry!r}"
             )
-        state = decode_state(entry["state"], params.n, intermediate=True)
+        state = decode_state(entry["state"], space.params.n, intermediate=True)
         idx = index.get(state)
         if idx is None:
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}")
@@ -554,24 +561,16 @@ def cmd_simulate(opt: _Options) -> int:
     elif spec == "swap-asap" or spec.startswith("modified:"):
         policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
-        space = enumerate_states(params, state_cap=opt.get("state_cap"))
-        policy_map = load_policy_json(spec, space)
+        entries = _policy_entries(spec, params)
+        policy_map = _policy_map(entries, enumerate_states(params, state_cap=opt.get("state_cap")))
     result = estimate(params, policy_map, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")
     out = Path(opt.get("out") or ".")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "histogram.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delivery_time", "count"])
-        for t, count in result.histogram.items():
-            writer.writerow([t, count])
+    _write_rows(out / "histogram.csv", [{"delivery_time": t, "count": c} for t, c in result.histogram.items()])
     summary = {
-        "schema_version": SCHEMA_VERSION,
-        "n": params.n,
-        "p": params.p,
-        "p_s": params.p_s,
-        "t_cut": params.t_cut,
+        **_header(params),
         "policy": spec,
         "trials": result.trials,
         "master_seed": result.master_seed,
@@ -646,7 +645,7 @@ def cmd_stats(opt: _Options) -> int:
 class _Command:
     """A subcommand: its function, help, options in order, and those taking comma-separated lists.
 
-    Every subcommand also takes ``--config`` and ``--out``, listed last.
+    Every subcommand also takes ``--config``, listed last.
     """
 
     func: object
@@ -656,21 +655,21 @@ class _Command:
 
     @property
     def options(self) -> tuple[str, ...]:
-        return (*self.own_options, "config", "out")
+        return (*self.own_options, "config")
 
 
 _COMMANDS = {
     "cutoff": _Command(cmd_cutoff, "maximum cutoff time for a fidelity budget", ("fnew", "fmin", "tau", "n")),
-    "solve": _Command(cmd_solve, "solve for an optimal policy", (*_CHAIN, *_SOLVER)),
+    "solve": _Command(cmd_solve, "solve for an optimal policy", (*_CHAIN, *_SOLVER, "out")),
     "compare": _Command(cmd_compare, "optimal policy versus baselines", (*_CHAIN, *_SOLVER, "baseline")),
-    "sweep": _Command(cmd_sweep, "parameter grid to CSV", (*_CHAIN, *_SOLVER, "baseline", "workers"), _CHAIN),
+    "sweep": _Command(cmd_sweep, "parameter grid to CSV", (*_CHAIN, *_SOLVER, "baseline", "workers", "out"), _CHAIN),
     "simulate": _Command(
         cmd_simulate,
         "Monte Carlo delivery-time distribution",
-        (*_CHAIN, *_SOLVER, "policy", "trials", "seed", "max_slots"),
+        (*_CHAIN, *_SOLVER, "policy", "trials", "seed", "max_slots", "out"),
     ),
-    "states": _Command(cmd_states, "state-space size report", ("n", "tcut", "state_cap")),
-    "stats": _Command(cmd_stats, "optimal-policy action statistics over a grid", (*_CHAIN, *_SOLVER), _CHAIN),
+    "states": _Command(cmd_states, "state-space size report", ("n", "tcut", "state_cap", "out")),
+    "stats": _Command(cmd_stats, "optimal-policy action statistics over a grid", (*_CHAIN, *_SOLVER, "out"), _CHAIN),
 }
 
 

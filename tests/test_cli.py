@@ -1,10 +1,11 @@
 import csv
+import io
 import json
 
 import pytest
 
 from repeaterchain import cli, solver
-from repeaterchain.chain import ChainParams, encode_state
+from repeaterchain.chain import ChainParams, encode_state, mirror
 from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import SimConfig, estimate
@@ -583,6 +584,27 @@ class TestSimulate:
         assert err.startswith("error: no delivery within 50 slots")
         assert not (out / "histogram.csv").exists()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (None, "No such file or directory"),
+            ({"n": 5, "t_cut": 2, "policy": []}, "policy file is for n=5, t_cut=2; expected n=4, t_cut=2"),
+        ],
+        ids=["missing-file", "wrong-n"],
+    )
+    def test_policy_file_is_read_before_the_walk(self, tmp_path, capsys, enumerations, doc, message):
+        path = tmp_path / "policy.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        code = run(["simulate", "--n", 4, "--p", 0.9, "--ps", 0.5, "--tcut", 2,
+                    "--policy", path, "--trials", 10, "--out", tmp_path / "sim"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert enumerations == []
+        assert not (tmp_path / "sim").exists()
+
     def test_policy_space_mismatch_errors(self, tmp_path, capsys):
         solve_dir = tmp_path / "solved"
         assert run(
@@ -718,6 +740,34 @@ class TestPolicyFile:
         err = capsys.readouterr().err
         assert err.startswith("error: policy file")
         assert err.count("\n") == 1
+
+
+class TestExports:
+    @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
+    def test_values_csv_lists_each_state_then_its_mirror_image(self, tmp_path, fold):
+        flag = "--bunch" if fold else "--no-bunch"
+        assert run(["solve", "--n", 4, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag, "--out", tmp_path]) == 0
+        space = enumerate_states(ChainParams(n=4, p=0.9, p_s=0.5, t_cut=2), fold=fold)
+        table, _ = policy_iteration(TransitionModel.build(space))
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["state", "expected_delivery_time"])
+        for state, value in zip(space.boundary_states, table.values):
+            images = [state] + ([mirror(state)] if fold and mirror(state) != state else [])
+            writer.writerows([json.dumps(encode_state(image)), f"{value:.17g}"] for image in images)
+        assert (tmp_path / "values.csv").read_bytes() == want.getvalue().encode()
+
+    def test_json_documents_open_with_the_parameter_point(self, tmp_path):
+        point = ["--n", 3, "--p", 0.5, "--ps", 0.25, "--tcut", 1]
+        assert run(["solve", *point, "--out", tmp_path]) == 0
+        assert run(["simulate", *point, "--policy", tmp_path / "policy.json", "--trials", 10, "--out", tmp_path]) == 0
+        header = ["schema_version", "n", "p", "p_s", "t_cut"]
+        for name in ("policy.json", "summary.json"):
+            text = (tmp_path / name).read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            doc = json.loads(text)
+            assert list(doc)[:5] == header
+            assert [doc[key] for key in header] == [1, 3, 0.5, 0.25, 1]
 
 
 class TestStates:
@@ -914,7 +964,8 @@ class TestConfigFile:
         # checked, whether the command reads it or a flag overrides it.
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"n": 3, "p": 0.5, "ps": 0.5, "tcut": 1, **config}))
-        code = run([command, "--config", cfg, *flags, "--out", tmp_path / "out"])
+        out = ["--out", tmp_path / "out"] if "out" in cli._COMMANDS[command].options else []
+        code = run([command, "--config", cfg, *flags, *out])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -936,6 +987,14 @@ class TestConfigFile:
 
         cfg.write_text(json.dumps({**point, "max_iter": 10_000, "trials": 10}))
         assert run(["solve", "--config", cfg, "--method", "vi", "--out", tmp_path / "c"]) == 0
+
+    def test_out_key_is_ignored_by_subcommands_that_write_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n": 4, "p": 0.9, "ps": 0.5, "tcut": 2, "fnew": 0.95, "fmin": 0.8, "tau": 50,
+                                   "out": str(tmp_path / "f")}))
+        assert run(["compare", "--config", cfg]) == 0
+        assert run(["cutoff", "--config", cfg]) == 0
+        assert not (tmp_path / "f").exists()
 
     def test_config_text_is_one_value_even_for_list_options(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -959,3 +1018,18 @@ class TestParser:
             flag = cli._flag(option)
             want |= {flag, "--no-" + flag[2:]} if cli._OPTIONS[option].kind is bool else {flag}
         assert {word.strip("[],") for word in listed} == want
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compare", "--n", 4, "--p", 0.9, "--ps", 0.5, "--tcut", 2],
+            ["cutoff", "--fnew", 0.95, "--fmin", 0.8, "--tau", 50, "--n", 4],
+        ],
+        ids=["compare", "cutoff"],
+    )
+    def test_out_is_refused_where_nothing_is_written(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            run(args + ["--out", tmp_path / "f"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
