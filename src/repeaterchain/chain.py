@@ -451,8 +451,10 @@ class StateCodes:
 
     The methods work on batches, as int64 code arrays or as ``(states,
     n - 1)`` digit arrays: :meth:`generation`, :meth:`canonical` and
-    :meth:`swap_outcomes` are the phases of the enumeration walk, and
+    :meth:`swap_outcomes` are the phases of the enumeration walk,
+    :meth:`ages` turns digits into :func:`encode_state` rows, and
     :meth:`states` decodes codes into :class:`ChainState` values.
+    :meth:`code` is the code of one state.
     """
 
     def __init__(self, n: int, t_cut: int):
@@ -467,6 +469,7 @@ class StateCodes:
             raise ValueError(f"state codes of an n={n}, t_cut={t_cut} chain do not fit in 64 bits")
         self._radix = np.array(radix, dtype=np.int64)
         self._weight = np.array(weight, dtype=np.int64)
+        self._weights = weight
         # Digits run up to radix[0] - 1; radix[0] itself stands for "no link"
         # when rows of digits are compared.
         self._dtype = np.min_scalar_type(radix[0])
@@ -512,6 +515,30 @@ class StateCodes:
     def is_absorbing(self, codes) -> np.ndarray:
         """True where the coded state holds an end-to-end link."""
         return np.asarray(codes) % self._radix[0] >= self.terminal_code
+
+    def code(self, state: ChainState) -> int:
+        """The code of one state.
+
+        Raises :class:`InvalidStateError` for a link set that no state of
+        the chain holds and whose digits could add up to another state's
+        code: two links out of one node, or a link out of range or with an
+        age outside ``0 .. t_cut``.
+        """
+        n, t_cut, links = self.n, self.t_cut, state.links
+        lefts = {l for l, _, _ in links}
+        if len(lefts) < len(links) or not all(1 <= l < r <= n and 0 <= a <= t_cut for l, r, a in links):
+            raise InvalidStateError(f"no n={n}, t_cut={t_cut} state holds the links {links}")
+        return sum((1 + (r - l - 1) * (t_cut + 1) + a) * self._weights[l - 1] for l, r, a in links)
+
+    def ages(self, digits: np.ndarray) -> np.ndarray:
+        """:func:`encode_state` of every row of a digit array, as a ``(rows, n (n - 1) / 2)`` array."""
+        span, n = self.t_cut + 1, self.n
+        rows, lefts = np.nonzero(digits)
+        held = digits[rows, lefts].astype(np.int64) - 1
+        out = np.full((len(digits), n * (n - 1) // 2), -1, dtype=np.min_scalar_type(-span))
+        # Pairs (l, l + 1) .. (l, n) follow each other, after the n - 1, n - 2, ... pairs of the ends left of l.
+        out[rows, lefts * n - lefts * (lefts + 1) // 2 + held // span] = held % span
+        return out
 
     def states(self, codes, intermediate: bool = False) -> tuple[ChainState, ...]:
         """The states with these codes, all slot-boundary or all intermediate."""

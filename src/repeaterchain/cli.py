@@ -38,10 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, ChainState, decode_state, encode_state, mirror, mirror_action
+from .chain import ChainParams, ChainState, InvalidStateError, StateCodes, decode_state, mirror_action
 from .mdp import TransitionModel
 from .sim import SimConfig, TrajectoryError, estimate
 from .solver import (
+    ActionLookup,
     ConvergenceError,
     Policy,
     SolverConfig,
@@ -288,18 +289,21 @@ def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
     return nodes
 
 
-class _BaselineMap(dict):
-    """A baseline's state-to-action lookup that works each action out on first use."""
-
-    def __init__(self, rule):
-        self._rule = rule
-
-    def __missing__(self, state):
-        action = self[state] = self._rule(state)
-        return action
-
-
 # -- exports ------------------------------------------------------------------------
+
+
+def _unfolded(space, codes: np.ndarray, weights: np.ndarray) -> tuple[list, list, list]:
+    """The ``encode_state`` list of every unfolded state of ``codes``, each mirror image after its representative.
+
+    Also gives each state's representative, as an index into ``codes``, and
+    whether the state is its representative's mirror image.
+    """
+    coder = StateCodes(space.params.n, space.params.t_cut)
+    owner = np.repeat(np.arange(len(codes)), weights)
+    image = np.diff(owner, prepend=-1) == 0
+    digits = coder.digits(codes[owner])
+    digits[image] = coder.mirror(digits[image])
+    return coder.ages(digits).tolist(), owner.tolist(), image.tolist()
 
 
 def write_values_csv(path, space, table) -> None:
@@ -307,12 +311,9 @@ def write_values_csv(path, space, table) -> None:
 
     On a folded space each mirror image follows its representative.
     """
-    rows = []
-    weights = space.boundary_weights.tolist()
-    for state, value, weight in zip(space.boundary_states, table.values, weights):
-        images = (state, mirror(state)) if weight == 2 else (state,)
-        rows += [{"state": json.dumps(encode_state(s)), "expected_delivery_time": _fmt(value)} for s in images]
-    _write_rows(path, rows)
+    ages, owner, _ = _unfolded(space, space.boundary_codes, space.boundary_weights)
+    values = [_fmt(value) for value in table.values.tolist()]
+    _write_rows(path, [{"state": json.dumps(a), "expected_delivery_time": values[o]} for a, o in zip(ages, owner)])
 
 
 def _header(params: ChainParams) -> dict:
@@ -337,7 +338,15 @@ def _write_json(path, doc: dict) -> None:
 
 
 def write_policy_json(path, space, policy) -> None:
-    entries = [{"state": encode_state(s), "action": sorted(a)} for s, a in policy.state_map(space).items()]
+    """One entry per unfolded intermediate state, in :func:`write_values_csv`'s order.
+
+    A mirror image takes its representative's action, mirrored.
+    """
+    ages, owner, image = _unfolded(space, space.intermediate_codes, space.intermediate_weights)
+    n, actions = space.params.n, policy.actions(space)
+    # Each distinct action's node list, and its mirror image's, made once and shared by the entries.
+    nodes = {a: (sorted(a), sorted(mirror_action(a, n))) for a in set(actions)}
+    entries = [{"state": a, "action": nodes[actions[o]][m]} for a, o, m in zip(ages, owner, image)]
     _write_json(path, {**_header(space.params), "policy": entries})
 
 
@@ -387,7 +396,8 @@ def _policy_entries(path, params: ChainParams) -> list:
 
 def _policy_map(entries: list, space) -> dict[ChainState, frozenset[int]]:
     """The action of each intermediate state of ``space``, from :func:`_policy_entries`' entries."""
-    index, mapping = space.intermediate_index, {}
+    coder, mapping = StateCodes(space.params.n, space.params.t_cut), {}
+    index = {code: r for r, code in enumerate(space.intermediate_codes.tolist())}
     for entry in entries:
         if not _is_policy_entry(entry):
             raise ValueError(
@@ -395,9 +405,10 @@ def _policy_map(entries: list, space) -> dict[ChainState, frozenset[int]]:
                 f"link ages -1 (no link) or from 0 up: {entry!r}"
             )
         state = decode_state(entry["state"], space.params.n, intermediate=True)
-        idx = index.get(state)
-        if idx is None:
-            raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}")
+        try:
+            idx = index[coder.code(state)]
+        except (KeyError, InvalidStateError):
+            raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}") from None
         if state in mapping:
             raise ValueError(f"policy file lists state {entry['state']} twice")
         action = frozenset(entry["action"])
@@ -559,7 +570,7 @@ def cmd_simulate(opt: _Options) -> int:
         model, _, policy = _solve(_model(params, opt), params.p, params.p_s, opt.get("method"), config)
         policy_map = policy.state_map(model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
-        policy_map = _BaselineMap(baseline_rule(params.n, _withheld_nodes(spec)))
+        policy_map = ActionLookup(baseline_rule(params.n, _withheld_nodes(spec)))
     else:
         entries = _policy_entries(spec, params)
         policy_map = _policy_map(entries, enumerate_states(params, state_cap=opt.get("state_cap")))

@@ -23,18 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .chain import ChainState, _is_integer, _subsets, mirror, mirror_action, valid_swap_nodes
+from .chain import ChainState, StateCodes, _is_integer, _subsets, canonical, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
 __all__ = [
+    "ActionLookup",
     "ConvergenceError",
     "Policy",
     "PolicyStats",
@@ -134,20 +135,39 @@ class Policy:
         local = (self.rows - space.row_offsets[:-1]).tolist()
         return tuple(available[j] for available, j in zip(space.actions, local))
 
-    def state_map(self, space: StateSpace) -> dict[ChainState, frozenset[int]]:
+    def state_map(self, space: StateSpace) -> Mapping[ChainState, frozenset[int]]:
         """Action of every unfolded intermediate state, e.g. for trajectory simulation.
 
-        On a folded space each representative of a mirror pair is followed
-        by its mirror image, which takes the mirrored action.
+        A lookup that cannot be iterated: it works out the code of each
+        state it is asked for, of the state's representative on a folded
+        space, and reads that state's row.  A mirror image takes the
+        mirrored action.  A state the space does not list raises
+        :class:`KeyError`.
         """
-        n = space.params.n
-        mapping = {}
-        weights = space.intermediate_weights.tolist()
-        for r, action, weight in zip(space.intermediate_states, self.actions(space), weights):
-            mapping[r] = action
-            if weight == 2:
-                mapping[mirror(r)] = mirror_action(action, n)
-        return mapping
+        n, coder = space.params.n, StateCodes(space.params.n, space.params.t_cut)
+        actions = dict(zip(space.intermediate_codes.tolist(), self.actions(space)))
+
+        def action(state: ChainState) -> frozenset[int]:
+            listed = canonical(state) if space.folded else state
+            taken = actions[coder.code(listed)]
+            return taken if listed is state else mirror_action(taken, n)
+
+        return ActionLookup(action)
+
+
+class ActionLookup:
+    """A state-to-action lookup that works each action out when asked; it cannot be iterated.
+
+    ``rule(state)`` gives the action of ``state``, or raises :class:`KeyError`.
+    """
+
+    __iter__ = None
+
+    def __init__(self, rule: Callable[[ChainState], frozenset[int]]):
+        self._rule = rule
+
+    def __getitem__(self, state: ChainState) -> frozenset[int]:
+        return self._rule(state)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,6 +23,7 @@ halves the states without changing any delivery time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -85,10 +86,10 @@ class StateSpace:
 
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2).
-    ``boundary_index`` and ``intermediate_index`` map states to indices.
-    Decoded states and indices are built on first use and shared by the
-    copies that ``TransitionModel.respecialized`` makes, as are the
-    read-only arrays.  Spaces compare and hash by identity.
+    ``boundary_index`` and ``intermediate_index`` map states to indices;
+    they and the decoded states are built on first use, and no command
+    path asks for them.  The copies that ``TransitionModel.respecialized``
+    makes share the read-only arrays.  Spaces compare and hash by identity.
     """
 
     params: ChainParams
@@ -108,7 +109,6 @@ class StateSpace:
     boundary_weights: np.ndarray = field(repr=False)
     intermediate_weights: np.ndarray = field(repr=False)
     folded: bool = False
-    _decoded: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -128,34 +128,21 @@ class StateSpace:
         """Intermediate states in which at least one swap can be performed."""
         return int(np.count_nonzero(np.diff(self.row_offsets) > 1))
 
-    @property
+    @cached_property
     def boundary_states(self) -> tuple[ChainState, ...]:
-        return self._states("boundary", self.boundary_codes, False)
+        return StateCodes(self.params.n, self.params.t_cut).states(self.boundary_codes)
 
-    @property
+    @cached_property
     def intermediate_states(self) -> tuple[ChainState, ...]:
-        return self._states("intermediate", self.intermediate_codes, True)
+        return StateCodes(self.params.n, self.params.t_cut).states(self.intermediate_codes, True)
 
-    @property
+    @cached_property
     def boundary_index(self) -> dict[ChainState, int]:
-        return self._index("boundary", self.boundary_states)
+        return {s: i for i, s in enumerate(self.boundary_states)}
 
-    @property
+    @cached_property
     def intermediate_index(self) -> dict[ChainState, int]:
-        return self._index("intermediate", self.intermediate_states)
-
-    def _states(self, key: str, codes: np.ndarray, intermediate: bool) -> tuple[ChainState, ...]:
-        states = self._decoded.get(key)
-        if states is None:
-            coder = StateCodes(self.params.n, self.params.t_cut)
-            states = self._decoded[key] = coder.states(codes, intermediate)
-        return states
-
-    def _index(self, key: str, states: tuple[ChainState, ...]) -> dict[ChainState, int]:
-        index = self._decoded.get(key + "_index")
-        if index is None:
-            index = self._decoded[key + "_index"] = {s: i for i, s in enumerate(states)}
-        return index
+        return {s: i for i, s in enumerate(self.intermediate_states)}
 
 
 #: Boundary states a walk expands together: bounds the walk's working arrays.
@@ -229,8 +216,7 @@ def enumerate_states(
     A chunk's outcome codes are looked up once per distinct code, and new
     states get indices in order of first occurrence, so states are listed
     exactly as a state-by-state breadth-first walk lists them.  No
-    :class:`~repeaterchain.chain.ChainState` is built: the space decodes
-    its states on first use.
+    :class:`~repeaterchain.chain.ChainState` is built.
 
     With ``fold``, every generation child and swap target is replaced by its
     canonical form, so only representatives are listed and expanded;
@@ -238,9 +224,12 @@ def enumerate_states(
     a self-mirrored parent) merge at the first of them, their ``gen_mult``
     summed.  Raises :class:`StateCapExceeded` if boundary plus intermediate
     counts (folded counts with ``fold``) pass ``state_cap``, and
-    :class:`ValueError` if the chain's codes do not fit in 64 bits.
+    :class:`ValueError` if ``state_cap`` is below 1 or the chain's codes do
+    not fit in 64 bits.
     """
     n, t_cut = params.n, params.t_cut
+    if state_cap < 1:
+        raise ValueError(f"state cap must be at least 1, got {state_cap}")
     coder = StateCodes(n, t_cut)
     boundary = _Boundary(coder, fold)
     parts: dict[str, list] = {

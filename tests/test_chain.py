@@ -566,6 +566,35 @@ class TestEncoding:
         with pytest.raises(ValueError):
             decode_state([0, -1], 3)
 
+    @pytest.mark.parametrize("n, t_cut", [(3, 1), (4, 3), (5, 2), (6, 1)])
+    def test_codes_encode_like_the_object_path(self, n, t_cut):
+        # ``ages`` is encode_state of digit rows and ``code`` the walk's code
+        # of one state, on every listed state and its mirror image.
+        space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+        coder = StateCodes(n, t_cut)
+        for codes, states in (
+            (space.boundary_codes, space.boundary_states),
+            (space.intermediate_codes, space.intermediate_states),
+        ):
+            digits = coder.digits(codes)
+            assert coder.ages(digits).tolist() == [list(encode_state(s)) for s in states]
+            assert coder.ages(coder.mirror(digits)).tolist() == [list(encode_state(mirror(s))) for s in states]
+            assert [coder.code(s) for s in states] == codes.tolist()
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            [(2, 3, 0), (2, 4, 0)],  # two links out of node 2: digits 1 + 3 = (2, 4) at age 1
+            [(2, 4, 2)],  # past t_cut: carries into (3, 4) at age 0
+            [(1, 4, 2)],  # an end-to-end link past t_cut
+            [(1, 2, -1)],
+            [(3, 5, 0)],  # past node n
+        ],
+    )
+    def test_code_refuses_a_link_set_no_state_holds(self, links):
+        with pytest.raises(InvalidStateError, match="no n=4, t_cut=1 state holds"):
+            StateCodes(4, 1).code(mk(4, links, intermediate=True))
+
 
 class TestValidation:
     def test_random_walk_states_are_valid(self):

@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
 from repeaterchain import cli, solver
-from repeaterchain.chain import ChainParams, encode_state, mirror
+from repeaterchain.chain import ChainParams, StateCodes, encode_state, mirror
 from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import SimConfig, estimate
@@ -17,7 +18,7 @@ from repeaterchain.solver import (
     swap_asap_policy,
     value_iteration,
 )
-from repeaterchain.statespace import StateSpace, enumerate_states
+from repeaterchain.statespace import enumerate_states
 from test_walk_reference import expand_policy, expand_values
 
 
@@ -188,6 +189,14 @@ class TestSolve:
         )
         assert code == 1
         assert "state cap" in capsys.readouterr().err
+
+    def test_state_cap_below_one_is_an_error(self, tmp_path, capsys):
+        assert run(["states", "--n", 4, "--tcut", 2, "--state-cap", -1]) == 1
+        assert capsys.readouterr().err == "error: state cap must be at least 1, got -1\n"
+        out = tmp_path / "grid.csv"
+        assert run(["sweep", "--n", 4, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--state-cap", 0, "--out", out]) == 1
+        [row] = csv.DictReader(open(out))
+        assert row["error"] == "ValueError: state cap must be at least 1, got 0"
 
     def test_sweep_cap_below_one_is_an_error(self, tmp_path, capsys):
         code = run(
@@ -618,6 +627,18 @@ class TestSimulate:
         assert "policy file" in capsys.readouterr().err
 
 
+def swap_asap_doc(space):
+    """The policy document of swap-asap on an unfolded ``space``, states in the space's order."""
+    actions = swap_asap_policy(space).actions(space)
+    return {
+        "n": space.params.n,
+        "t_cut": space.params.t_cut,
+        "policy": [
+            {"state": list(encode_state(r)), "action": sorted(a)} for r, a in zip(space.intermediate_states, actions)
+        ],
+    }
+
+
 def replace_first_age(doc, old, new):
     """Put ``new`` in place of the first state entry ``old`` of a policy document."""
     entry = next(e for e in doc["policy"] if old in e["state"])
@@ -633,14 +654,7 @@ class TestPolicyFile:
 
     @pytest.fixture
     def doc(self, space):
-        return {
-            "n": 3,
-            "t_cut": 1,
-            "policy": [
-                {"state": list(encode_state(r)), "action": sorted(a)}
-                for r, a in swap_asap_policy(space).state_map(space).items()
-            ],
-        }
+        return swap_asap_doc(space)
 
     def load(self, tmp_path, space, doc):
         path = tmp_path / "policy.json"
@@ -694,6 +708,23 @@ class TestPolicyFile:
     def test_state_outside_the_space(self, tmp_path, space, doc):
         doc["policy"][0]["state"] = [5, -1, -1]
         with pytest.raises(ValueError, match="not in the enumerated space: \\[5, -1, -1\\]"):
+            self.load(tmp_path, space, doc)
+
+    @pytest.mark.parametrize(
+        "state, alias",
+        [([-1, -1, -1, 0, 0, -1], [-1, -1, -1, -1, 1, -1]), ([-1, -1, -1, -1, 2, -1], [-1, -1, -1, -1, -1, 0])],
+        ids=["two-links-out-of-one-node", "age-past-t_cut"],
+    )
+    def test_state_whose_digits_add_up_to_a_listed_state(self, tmp_path, state, alias):
+        # At n = 4, t_cut = 1: links (2,3) and (2,4) at age 0 sum to the
+        # digit of (2,4) at age 1; (2,4) at age 2 carries into the digit of
+        # (3,4) at age 0.  Both aliases are listed states.
+        space = enumerate_states(ChainParams(n=4, p=0.5, p_s=0.5, t_cut=1))
+        doc = swap_asap_doc(space)
+        assert alias in [entry["state"] for entry in doc["policy"]]
+        doc["policy"][0]["state"] = state
+        message = f"policy file lists a state not in the enumerated space: {state}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             self.load(tmp_path, space, doc)
 
     def test_state_of_the_wrong_length(self, tmp_path, space, doc):
@@ -770,6 +801,26 @@ class TestExports:
             assert [doc[key] for key in header] == [1, 3, 0.5, 0.25, 1]
 
 
+class TestNoDecoding:
+    """No command path decodes a state space: exports, policy files and the simulator work on codes."""
+
+    @pytest.fixture
+    def no_decoding(self, monkeypatch):
+        def refuse(self, codes, intermediate=False):
+            raise AssertionError("a command path decoded a state space")
+
+        monkeypatch.setattr(StateCodes, "states", refuse)
+        with pytest.raises(AssertionError):
+            enumerate_states(ChainParams(n=3, p=0.5, p_s=0.5, t_cut=1)).boundary_states
+
+    @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
+    def test_solve_and_simulate(self, tmp_path, no_decoding, flag):
+        point = ["--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]
+        assert run(["solve", *point, "--out", tmp_path]) == 0
+        assert run(["simulate", *point, "--policy", "optimal", "--trials", 500, "--out", tmp_path]) == 0
+        assert run(["simulate", *point, "--policy", tmp_path / "policy.json", "--trials", 500, "--out", tmp_path]) == 0
+
+
 class TestStates:
     def test_three_node_report(self, tmp_path, capsys):
         out = tmp_path / "states.json"
@@ -801,7 +852,7 @@ class TestStates:
         def decode(*args):
             raise AssertionError("a state was decoded")
 
-        monkeypatch.setattr(StateSpace, "_states", decode)
+        monkeypatch.setattr(StateCodes, "states", decode)
         assert run(["states", "--n", 5, "--tcut", 2, "--out", tmp_path / "got.json"]) == 0
         assert json.load(open(tmp_path / "got.json")) == want
 
@@ -864,7 +915,7 @@ class TestStats:
         def decode(*args):
             raise AssertionError("a state was decoded")
 
-        monkeypatch.setattr(StateSpace, "_states", decode)
+        monkeypatch.setattr(StateCodes, "states", decode)
         args = [command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]
         args += [] if command == "compare" else ["--out", tmp_path / f"{command}.csv"]
         assert run(args) == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repeaterchain import solver
-from repeaterchain.chain import ChainParams, mirror, mirror_action, state_from_links, valid_swap_nodes
+from repeaterchain.chain import ChainParams, StateCodes, mirror, mirror_action, state_from_links, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     ConvergenceError,
@@ -21,7 +21,7 @@ from repeaterchain.solver import (
     swap_asap_policy,
     value_iteration,
 )
-from repeaterchain.statespace import StateSpace, enumerate_states
+from repeaterchain.statespace import enumerate_states
 from test_walk_reference import expand_policy, expand_values
 
 
@@ -166,7 +166,7 @@ class TestBaselineRule:
         def decode(*args):
             raise AssertionError("a state was decoded")
 
-        monkeypatch.setattr(StateSpace, "_states", decode)
+        monkeypatch.setattr(StateCodes, "states", decode)
         assert modified_full_state_policy(space, ()) == swap_asap_policy(space) == expected
         evaluate_policy(model, swap_asap_policy(space))
         for solve in (policy_iteration, value_iteration):
@@ -514,14 +514,20 @@ class TestMirrorSymmetryOfValues:
         _, bpolicy = policy_iteration(bmodel)
         mapping = bpolicy.state_map(bmodel.space)
         expanded = expand_policy(space, bmodel.space, bpolicy)
-        assert mapping == expanded.state_map(space)
-        assert len(mapping) == space.num_intermediate
-        # Each representative comes first, its mirror image right after it.
-        states = list(mapping)
-        position = {r: i for i, r in enumerate(states)}
-        for r, weight in zip(bmodel.space.intermediate_states, bmodel.space.intermediate_weights):
-            if weight == 2:
-                assert states[position[r] + 1] == mirror(r)
+        unfolded = expanded.state_map(space)
+        for r, action in zip(space.intermediate_states, expanded.actions(space)):
+            assert mapping[r] == unfolded[r] == action
+
+    @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
+    def test_state_map_is_a_lookup(self, fold):
+        space = enumerate_states(ChainParams(n=4, p=0.5, p_s=0.5, t_cut=1), fold=fold)
+        mapping = swap_asap_policy(space).state_map(space)
+        with pytest.raises(TypeError):
+            iter(mapping)
+        # Two links into node 3: no state holds them, though their code is a valid number.
+        with pytest.raises(KeyError):
+            mapping[state_from_links(4, [(1, 3, 0), (2, 3, 0)], intermediate=True)]
+        assert mapping[state_from_links(4, [(2, 3, 0), (3, 4, 1)], intermediate=True)] == {3}
 
 
 def reference_policy_stats(space, policy):
