@@ -17,16 +17,19 @@ One time slot consists of four phases:
    links (:func:`apply_cutoff`).
 
 States are immutable values; every operation returns a new state.
-:class:`StateCodes` gives the states of one ``(n, t_cut)`` integer codes,
-under which every phase is digit arithmetic on whole batches of states;
-the enumeration walk runs on codes and builds no states.
+:class:`CodeLayout` gives the states of one ``(n, t_cut)`` integer codes,
+under which every phase is adding and dropping links' terms.
+:class:`StateCodes` runs the phases as digit arithmetic on whole batches
+of codes, so the enumeration walk builds no states, and the simulator
+adds up one state's terms per outcome (:meth:`CodeLayout.generation_terms`,
+:meth:`CodeLayout.swap_terms`).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from typing import Iterable, Mapping, NamedTuple
 
@@ -35,6 +38,7 @@ import numpy as np
 __all__ = [
     "ChainParams",
     "ChainState",
+    "CodeLayout",
     "InvalidStateError",
     "Link",
     "StateCodes",
@@ -436,45 +440,141 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return ordered[starts], first, inverse, counts
 
 
-class StateCodes:
-    """Integer codes for the states of an ``n``-node chain with cutoff ``t_cut``.
+class CodeLayout:
+    """Integer codes for the states of an ``n``-node chain with cutoff ``t_cut``, one state at a time.
 
     Digit ``l - 1`` of a code (``l = 1 .. n - 1``, digit 0 least significant)
     describes the link that leaves node ``l``: 0 if there is none, else
     ``1 + (right - l - 1) * (t_cut + 1) + age``, so its radix is
     ``1 + (n - l) * (t_cut + 1)``.  No age exceeds ``t_cut`` before the
     cutoff, so every state of the chain has its own code, and ageing,
-    generation, swaps and the cutoff change digits without carries.  A
-    link keeps its digit under mirroring; only its position moves.  Codes
-    are int64, which holds every chain up to ``n = 12`` at ``t_cut = 7``;
-    larger ones raise :class:`ValueError`.
+    generation, swaps and the cutoff change digits without carries: a
+    code is the sum of its links' terms, each link's digit times its
+    place value.  A link keeps its digit under mirroring; only its
+    position moves.
 
-    The methods work on batches, as int64 code arrays or as ``(states,
-    n - 1)`` digit arrays: :meth:`generation`, :meth:`canonical` and
-    :meth:`swap_outcomes` are the phases of the enumeration walk,
-    :meth:`ages` turns digits into :func:`encode_state` rows, and
-    :meth:`states` decodes codes into :class:`ChainState` values.
-    :meth:`code` is the code of one state.
+    Codes here are Python ints, so chains of any size have them.
+    :meth:`code` and :meth:`state` convert one state, and
+    :meth:`generation_terms` and :meth:`swap_terms` give the slot phases
+    of one state as terms that outcome masks add up.
+    :class:`StateCodes` works on batches of int64 codes.
     """
 
     def __init__(self, n: int, t_cut: int):
         self.n = n
         self.t_cut = t_cut
         span = t_cut + 1
-        radix = [1 + (n - l) * span for l in range(1, n)]
-        weight = [1]
-        for r in radix[:-1]:
-            weight.append(weight[-1] * r)
+        self._radices = [1 + (n - l) * span for l in range(1, n)]
+        self._weights = [1]
+        for r in self._radices[:-1]:
+            self._weights.append(self._weights[-1] * r)
+        #: Code of the collapsed absorbing state: one end-to-end link of age 0.
+        self.terminal_code = 1 + (n - 2) * span
+
+    @cached_property
+    def _links(self) -> list[list[Link | None]]:
+        """Per digit position, the link of every digit value (``None`` for 0)."""
+        span = self.t_cut + 1
+        return [
+            [None] + [Link(l, l + 1 + (d - 1) // span, (d - 1) % span) for d in range(1, radix)]
+            for l, radix in enumerate(self._radices, start=1)
+        ]
+
+    def _term(self, link: Link) -> int:
+        """What ``link`` adds to the code of any state that holds it."""
+        l, r, a = link
+        return (1 + (r - l - 1) * (self.t_cut + 1) + a) * self._weights[l - 1]
+
+    def code(self, state: ChainState) -> int:
+        """The code of one state.
+
+        Raises :class:`InvalidStateError` for a link set that no state of
+        the chain holds and whose digits could add up to another state's
+        code: two links out of one node, or a link out of range or with an
+        age outside ``0 .. t_cut``.
+        """
+        n, t_cut, links = self.n, self.t_cut, state.links
+        lefts = {l for l, _, _ in links}
+        if len(lefts) < len(links) or not all(1 <= l < r <= n and 0 <= a <= t_cut for l, r, a in links):
+            raise InvalidStateError(f"no n={n}, t_cut={t_cut} state holds the links {links}")
+        return sum(map(self._term, links))
+
+    def state(self, code: int, intermediate: bool = False) -> ChainState:
+        """The state with this code."""
+        links = []
+        for table, radix in zip(self._links, self._radices):
+            code, digit = divmod(code, radix)
+            if digit:
+                links.append(table[digit])
+        # Digits run in left-endpoint order, so the links come out sorted.
+        return _sorted_state(self.n, tuple(links), intermediate)
+
+    def generation_terms(self, state: ChainState) -> tuple[int, tuple[int, ...]]:
+        """Phases 1 and 2 of one non-absorbing slot-boundary state, as code terms.
+
+        Returns the code of the aged state (:func:`age_links`) and, per
+        free neighbour pair (:func:`generation_pairs`) in sorted order, the
+        term of its fresh link.  The intermediate state after the pairs of
+        a success mask is the aged code plus the terms of the mask's pairs.
+        """
+        aged = age_links(state)
+        fresh = tuple(self._term(Link(l, r, 0)) for l, r in sorted(generation_pairs(aged)))
+        return self.code(aged), fresh
+
+    def swap_terms(
+        self, state: ChainState, nodes: Iterable[int]
+    ) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """Phases 3 and 4 of one intermediate state under the swap action ``nodes``, as code terms.
+
+        Returns the code of the links that the action leaves alone and the
+        cutoff keeps, and per run of the action (:func:`swap_runs`, left to
+        right) its mask over the action's nodes in ascending order and the
+        term of its merged link, 0 if the cutoff discards it.  As in
+        :func:`resolve_swaps` and :func:`apply_cutoff`, a run's merged link
+        spans its outer endpoints with the oldest input age, and the cutoff
+        discards every link of age ``t_cut`` but an end-to-end one.  The
+        slot-boundary state after a swap outcome mask is the first code
+        plus the terms of the runs whose nodes all succeeded.
+        """
+        n, t_cut = self.n, self.t_cut
+
+        def term(link: Link) -> int:
+            spared = link.age < t_cut or (link.left == 1 and link.right == n)
+            return self._term(link) if spared else 0
+
+        bit = {k: 1 << b for b, k in enumerate(sorted(nodes))}
+        runs = swap_runs(state, bit)
+        consumed = {link for links, _ in runs for link in links}
+        kept = sum(term(l) for l in state.links if l not in consumed)
+        return kept, tuple(
+            (sum(bit[k] for k in run_nodes), term(Link(links[0].left, links[-1].right, max(l.age for l in links))))
+            for links, run_nodes in runs
+        )
+
+
+class StateCodes(CodeLayout):
+    """The codes of :class:`CodeLayout` on batches of states, as int64 arrays.
+
+    Codes are int64, which holds every chain up to ``n = 12`` at
+    ``t_cut = 7``; larger ones raise :class:`ValueError`.
+
+    The methods work on batches, as int64 code arrays or as ``(states,
+    n - 1)`` digit arrays: :meth:`generation`, :meth:`canonical` and
+    :meth:`swap_outcomes` are the phases of the enumeration walk,
+    :meth:`ages` turns digits into :func:`encode_state` rows, and
+    :meth:`states` decodes codes into :class:`ChainState` values.
+    """
+
+    def __init__(self, n: int, t_cut: int):
+        super().__init__(n, t_cut)
+        radix, weight = self._radices, self._weights
         if weight[-1] * radix[-1] > np.iinfo(np.int64).max:
             raise ValueError(f"state codes of an n={n}, t_cut={t_cut} chain do not fit in 64 bits")
         self._radix = np.array(radix, dtype=np.int64)
         self._weight = np.array(weight, dtype=np.int64)
-        self._weights = weight
         # Digits run up to radix[0] - 1; radix[0] itself stands for "no link"
         # when rows of digits are compared.
         self._dtype = np.min_scalar_type(radix[0])
-        #: Code of the collapsed absorbing state: one end-to-end link of age 0.
-        self.terminal_code = 1 + (n - 2) * span
         # The swap tables of the link layouts seen so far, appended layout
         # after layout: per layout its plan index, its actions, and its
         # counts and starts in the per-row and per-run tables.
@@ -516,20 +616,6 @@ class StateCodes:
         """True where the coded state holds an end-to-end link."""
         return np.asarray(codes) % self._radix[0] >= self.terminal_code
 
-    def code(self, state: ChainState) -> int:
-        """The code of one state.
-
-        Raises :class:`InvalidStateError` for a link set that no state of
-        the chain holds and whose digits could add up to another state's
-        code: two links out of one node, or a link out of range or with an
-        age outside ``0 .. t_cut``.
-        """
-        n, t_cut, links = self.n, self.t_cut, state.links
-        lefts = {l for l, _, _ in links}
-        if len(lefts) < len(links) or not all(1 <= l < r <= n and 0 <= a <= t_cut for l, r, a in links):
-            raise InvalidStateError(f"no n={n}, t_cut={t_cut} state holds the links {links}")
-        return sum((1 + (r - l - 1) * (t_cut + 1) + a) * self._weights[l - 1] for l, r, a in links)
-
     def ages(self, digits: np.ndarray) -> np.ndarray:
         """:func:`encode_state` of every row of a digit array, as a ``(rows, n (n - 1) / 2)`` array."""
         span, n = self.t_cut + 1, self.n
@@ -542,16 +628,7 @@ class StateCodes:
 
     def states(self, codes, intermediate: bool = False) -> tuple[ChainState, ...]:
         """The states with these codes, all slot-boundary or all intermediate."""
-        span, n = self.t_cut + 1, self.n
-        links = [
-            [None] + [Link(l, l + 1 + (d - 1) // span, (d - 1) % span) for d in range(1, radix)]
-            for l, radix in enumerate(self._radix.tolist(), start=1)
-        ]
-        # Digits run in left-endpoint order, so the links come out sorted.
-        return tuple(
-            _sorted_state(n, tuple([links[i][d] for i, d in enumerate(row) if d]), intermediate)
-            for row in self.digits(codes).tolist()
-        )
+        return tuple(self.state(code, intermediate) for code in np.asarray(codes, dtype=np.int64).tolist())
 
     # -- mirroring -----------------------------------------------------------------
 

@@ -309,11 +309,16 @@ def _unfolded(space, codes: np.ndarray, weights: np.ndarray) -> tuple[list, list
 def write_values_csv(path, space, table) -> None:
     """One row per unfolded boundary state.
 
-    On a folded space each mirror image follows its representative.
+    On a folded space each mirror image follows its representative.  Each
+    row's text is joined directly, as ``csv`` would write it: the state is
+    the JSON list of its ages (a list of ints prints as its JSON text),
+    which holds commas and so is quoted.
     """
     ages, owner, _ = _unfolded(space, space.boundary_codes, space.boundary_weights)
     values = [_fmt(value) for value in table.values.tolist()]
-    _write_rows(path, [{"state": json.dumps(a), "expected_delivery_time": values[o]} for a, o in zip(ages, owner)])
+    with open(path, "w", newline="") as fh:
+        fh.write("state,expected_delivery_time\r\n")
+        fh.writelines([f'"{a}",{values[o]}\r\n' for a, o in zip(ages, owner)])
 
 
 def _header(params: ChainParams) -> dict:

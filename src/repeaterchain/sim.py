@@ -1,7 +1,7 @@
 """Monte Carlo trajectory simulation of a policy on the chain dynamics.
 
-Trajectories execute the exact same slot phases as the Markov model (via
-the ``chain`` primitives), so agreement between sample means and solved
+Trajectories execute the exact same slot phases as the Markov model (the
+``chain`` module's), so agreement between sample means and solved
 expected delivery times validates only the probability calculus, which is
 the part that can silently drift.  The only randomness is one Bernoulli
 draw per generation pair (probability ``p``) and per swapping node
@@ -9,13 +9,17 @@ draw per generation pair (probability ``p``) and per swapping node
 
 Trials run in chunks of :data:`CHUNK`, and all live trials of a chunk
 advance together, one slot at a time.  States are interned to integer
-indices as trials first reach them.  A generation table maps (boundary
-index, generation-success mask) to an intermediate index, and a swap table
-maps (intermediate index, swap-success mask) to the next boundary index.
-Entries are filled lazily through the ``chain`` primitives the first time
-a trial needs them, and every newly interned state is checked with
-:func:`~repeaterchain.chain.check_state`, so enumeration bugs surface as
-errors instead of skewing statistics.
+indices, keyed by their :class:`~repeaterchain.chain.CodeLayout` code, as
+trials first reach them.  A generation table maps (boundary index,
+generation-success mask) to an intermediate index, and a swap table maps
+(intermediate index, swap-success mask) to the next boundary index.
+Entries are filled lazily the first time a trial needs them, by code
+arithmetic: when a state is interned, ``CodeLayout.generation_terms`` or
+``CodeLayout.swap_terms`` gives its slot phases as code terms, and an
+entry is the sum of the terms its mask selects.  Every interned state is
+still decoded once, looked up in the policy if intermediate, and checked
+with :func:`~repeaterchain.chain.check_state`, so enumeration bugs surface
+as errors instead of skewing statistics.
 
 Randomness comes from a counter-based generator keyed by
 ``(master_seed, chunk index)``: a full chunk's delivery times are the same
@@ -36,19 +40,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .chain import (
-    ChainParams,
-    ChainState,
-    _is_integer,
-    age_links,
-    apply_cutoff,
-    apply_generation,
-    check_state,
-    empty_state,
-    generation_pairs,
-    is_absorbing,
-    resolve_swaps,
-)
+from .chain import ChainParams, ChainState, CodeLayout, _is_integer, check_state, is_absorbing
 
 __all__ = [
     "CHUNK",
@@ -178,47 +170,55 @@ class _Table:
 class _Tables:
     """Interned states of one (parameters, policy) pair and their transition tables.
 
-    Boundary index 0 is the empty state.  ``generation`` has one row per
-    boundary state, with one mask bit per generation pair in sorted order;
-    ``swap`` has one row per intermediate state, with one mask bit per
-    swapping node in ascending order.
+    States are interned by their :class:`~repeaterchain.chain.CodeLayout`
+    code; boundary index 0 is the empty state.  ``generation`` has one row
+    per boundary state, with one mask bit per generation pair in sorted
+    order; ``swap`` has one row per intermediate state, with one mask bit
+    per swapping node in ascending order.  Each interned state keeps the
+    code terms of its slot phases, so a table entry is filled by adding up
+    the terms its mask selects.
     """
 
     def __init__(self, params: ChainParams, policy_map: Mapping[ChainState, frozenset[int]]):
         self.params = params
         self.policy_map = policy_map
-        self.boundary_index: dict[ChainState, int] = {}
-        self.intermediate_index: dict[ChainState, int] = {}
-        self.aged: list[tuple[ChainState, tuple[tuple[int, int], ...]] | None] = []
-        self.intermediate: list[tuple[ChainState, tuple[int, ...]]] = []
+        self.coder = CodeLayout(params.n, params.t_cut)
+        self.boundary_index: dict[int, int] = {}
+        self.intermediate_index: dict[int, int] = {}
+        # Per boundary state its aged code and the term of each generation
+        # pair (None if absorbing); per intermediate state the code the
+        # swaps leave and each run's node mask and term.
+        self.aged: list[tuple[int, tuple[int, ...]] | None] = []
+        self.intermediate: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.absorbing = np.zeros(64, dtype=bool)
         self.generation = _Table()
         self.swap = _Table()
-        self._boundary_id(empty_state(params.n))
+        self._boundary_id(0)
 
-    def _boundary_id(self, state: ChainState) -> int:
-        b = self.boundary_index.get(state)
+    def _boundary_id(self, code: int) -> int:
+        b = self.boundary_index.get(code)
         if b is not None:
             return b
+        state = self.coder.state(code)
         check_state(state, self.params.t_cut)
         b = len(self.aged)
-        self.boundary_index[state] = b
+        self.boundary_index[code] = b
         self.absorbing = _grown(self.absorbing, b + 1, False)
         if is_absorbing(state):
             self.absorbing[b] = True
             self.aged.append(None)
             self.generation.add_row(0)
         else:
-            aged = age_links(state)
-            pairs = tuple(sorted(generation_pairs(aged)))
-            self.aged.append((aged, pairs))
-            self.generation.add_row(len(pairs))
+            aged, terms = self.coder.generation_terms(state)
+            self.aged.append((aged, terms))
+            self.generation.add_row(len(terms))
         return b
 
-    def _intermediate_id(self, state: ChainState) -> int:
-        r = self.intermediate_index.get(state)
+    def _intermediate_id(self, code: int) -> int:
+        r = self.intermediate_index.get(code)
         if r is not None:
             return r
+        state = self.coder.state(code, True)
         try:
             action = self.policy_map[state]
         except KeyError:
@@ -227,21 +227,18 @@ class _Tables:
             ) from None
         check_state(state, self.params.t_cut)
         r = len(self.intermediate)
-        self.intermediate_index[state] = r
-        nodes = tuple(sorted(action))
-        self.intermediate.append((state, nodes))
-        self.swap.add_row(len(nodes))
+        self.intermediate_index[code] = r
+        self.intermediate.append(self.coder.swap_terms(state, action))
+        self.swap.add_row(len(action))
         return r
 
     def _generate(self, b: int, mask: int) -> int:
-        aged, pairs = self.aged[b]
-        chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
-        return self._intermediate_id(apply_generation(aged, chosen))
+        aged, terms = self.aged[b]
+        return self._intermediate_id(aged + sum([term for k, term in enumerate(terms) if mask >> k & 1]))
 
     def _resolve(self, r: int, mask: int) -> int:
-        state, nodes = self.intermediate[r]
-        pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
-        return self._boundary_id(apply_cutoff(resolve_swaps(state, nodes, pattern), self.params.t_cut))
+        kept, runs = self.intermediate[r]
+        return self._boundary_id(kept + sum([term for run, term in runs if mask & run == run]))
 
     def step(self, states: np.ndarray, gen_bits: np.ndarray, swap_bits: np.ndarray) -> np.ndarray:
         """Boundary indices one slot on, given each trial's Bernoulli outcomes.

@@ -175,9 +175,10 @@ class ValueTable:
     """Expected delivery times on slot-boundary states.
 
     ``iterations`` counts value-iteration sweeps or policy-iteration
-    evaluations (1 for a fixed-policy evaluation).  ``residual`` is value
-    iteration's certified relative gap ``g``: the optimal delivery times lie
-    in ``[values / (1 + g), values]`` state by state (0 for direct solves).
+    evaluations (1 for a fixed-policy evaluation).  ``residual`` is the
+    certified relative gap ``g`` of value or policy iteration: the optimal
+    delivery times lie in ``[values / (1 + g), values]`` state by state (0
+    for a fixed-policy evaluation).
     Tables compare and hash by identity.
     """
 
@@ -395,9 +396,15 @@ def _beats(q: np.ndarray, best: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return q[best] * (1 + TIE_GAP) < q[rows]
 
 
-def _bellman_gap(model: TransitionModel, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Choice-row values of ``values`` and the largest drop ``max(values - T values)``."""
-    q = model.choice_table() @ values
+def _bellman_gap(
+    model: TransitionModel, values: np.ndarray, q: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Choice-row values ``q`` of ``values`` (worked out unless given) and the largest drop ``max(values - T values)``.
+
+    Policy iteration passes the ``q`` its last round computed.
+    """
+    if q is None:
+        q = model.choice_table() @ values
     new = 1.0 + model.phase_a_matrix() @ np.minimum.reduceat(q, model.space.row_offsets[:-1])
     new[model.space.terminal_index] = 0.0
     return q, float(np.max(values - new))
@@ -473,9 +480,15 @@ def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
     Starts from swap-asap, the last choice row of every state.  A state
     switches only where its greedy action beats the incumbent by more than
     :data:`TIE_GAP` relative, which guarantees termination.  Once nothing
-    switches, returns the last evaluation's values and the greedy policy
-    they induce, tie-broken like :func:`value_iteration`'s; ``iterations``
-    counts the evaluations.
+    switches, returns the last evaluation's values ``V`` and the greedy
+    policy they induce, tie-broken like :func:`value_iteration`'s;
+    ``iterations`` counts the evaluations.  ``residual`` is the Bellman
+    gap ``g = max(V - T V)`` of ``V``, certified as in
+    :func:`value_iteration`: ``V / (1 + g) <= T* <= V`` in every state.
+    It reuses the last round's choice-row values, so it costs one minimum
+    per state and one product with ``P_A``.  Since no state switches on a
+    gain within :data:`TIE_GAP` relative, ``g`` can reach about
+    ``TIE_GAP * max(q)``, ``q`` the choice-row values of ``V``.
     """
     space, choices = model.space, model.choice_table()
     rows = swap_asap_policy(space).rows
@@ -485,7 +498,8 @@ def policy_iteration(model: TransitionModel) -> tuple[ValueTable, Policy]:
         best = _greedy_choices(q, space.row_offsets)
         switch = _beats(q, best, rows)
         if not np.any(switch):
-            return ValueTable(values=values, iterations=evaluations), Policy(best)
+            _, gap = _bellman_gap(model, values, q)
+            return ValueTable(values=values, iterations=evaluations, residual=gap), Policy(best)
         rows = np.where(switch, best, rows)
     raise ConvergenceError(
         f"policy iteration did not stabilize in {MAX_POLICY_ITERATIONS} evaluations"

@@ -274,6 +274,33 @@ def test_phase_primitives_build_states_the_public_constructor_would(n, t_cut):
     assert checked > 10_000
 
 
+@pytest.mark.parametrize("n,t_cut", [(n, t) for n in range(3, 7) for t in (1, 2, 3)])
+def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
+    """Every outcome mask's sum of code terms is the code of the state the primitives build."""
+    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+    coder = StateCodes(n, t_cut)
+    for s in space.boundary_states:
+        if is_absorbing(s):
+            continue
+        aged_code, terms = coder.generation_terms(s)
+        aged = age_links(s)
+        pairs = sorted(generation_pairs(aged))
+        assert len(terms) == len(pairs)
+        for mask in range(1 << len(pairs)):
+            chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+            got = aged_code + sum(term for k, term in enumerate(terms) if mask >> k & 1)
+            assert got == coder.code(apply_generation(aged, chosen))
+    for r in space.intermediate_states:
+        for action in action_space(r):
+            nodes = sorted(action)
+            kept, runs = coder.swap_terms(r, action)
+            assert len(runs) == len(swap_runs(r, action))
+            for mask in range(1 << len(nodes)):
+                pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
+                got = kept + sum(term for run, term in runs if mask & run == run)
+                assert got == coder.code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut))
+
+
 class TestFourSlotTrace:
     def test_reproduces_link_dynamics_figure(self):
         # Four slots of a six-node chain with cutoff 3: only (2,3) succeeds,
@@ -580,6 +607,7 @@ class TestEncoding:
             assert coder.ages(digits).tolist() == [list(encode_state(s)) for s in states]
             assert coder.ages(coder.mirror(digits)).tolist() == [list(encode_state(mirror(s))) for s in states]
             assert [coder.code(s) for s in states] == codes.tolist()
+            assert [coder.state(c, s.intermediate) for c, s in zip(codes.tolist(), states)] == list(states)
 
     @pytest.mark.parametrize(
         "links",

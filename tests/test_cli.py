@@ -138,7 +138,8 @@ class TestSolve:
             gaps[method] = float([l for l in lines if l.startswith("method:")][0].split("gap: ")[1])
         # Value iteration stops on a certified gap, so it prints the exact optimum.
         assert gaps["vi"] <= cli._OPTIONS["epsilon"].default
-        assert gaps["pi"] == 0.0
+        # Policy iteration prints the Bellman gap of its values: roundoff, but certified.
+        assert 0 < gaps["pi"] <= 1e-10
         assert values["vi"] == pytest.approx(values["pi"], rel=1e-12)
 
     def test_bunch_flag_matches_full_solve(self, tmp_path, capsys):

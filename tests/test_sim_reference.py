@@ -1,10 +1,14 @@
 """The batched simulator against the per-trial simulator it replaced.
 
 ``sim.estimate`` steps every live trial of a chunk together through lazily
-filled (state index, outcome mask) tables.  The reference below is the
-earlier per-trial loop, kept here only as a test oracle: one trajectory at
-a time, with per-state results memoized on ``ChainState`` keys and an
-end-to-end scan over every link to detect delivery.  Instead of drawing
+filled (state index, outcome mask) tables.  It interns states by code and
+fills each entry by code arithmetic, adding up the terms that
+``CodeLayout.generation_terms`` and ``CodeLayout.swap_terms`` work out once
+per state; every interned state is still decoded and checked once.  The
+reference below is the earlier per-trial loop, kept here only as a test
+oracle: one trajectory at a time, running the ``chain`` primitives with
+per-state results memoized on ``ChainState`` keys and an end-to-end scan
+over every link to detect delivery.  Instead of drawing
 from a generator it reads supplied Bernoulli bits, so both simulators can
 be fed the same generation and swap outcomes.
 """

@@ -441,6 +441,22 @@ class TestCertifiedValueIteration:
             assert table.t0 == pytest.approx(pi_table.t0, rel=1e-12)
             assert policy == pi_policy
 
+    def test_policy_iteration_brackets_tight_value_iteration_on_the_acceptance_grid(self):
+        # Policy iteration's residual is the Bellman gap g of its values U,
+        # so T* lies in [U / (1 + g), U]: value iteration's at a tight
+        # epsilon must too.
+        models = {}
+        for n, t_cut, p, ps, fold in acceptance_grid():
+            key = (n, t_cut, fold)
+            if key not in models:
+                models[key] = build(n, t_cut, p, ps, fold)[1]
+            model = models[key].respecialized(p, ps)
+            upper = policy_iteration(model)[0]
+            tight = value_iteration(model, SolverConfig(epsilon=1e-10))[0].values
+            assert 0 <= upper.residual <= 1e-10
+            assert np.all(upper.values / (1 + upper.residual) <= tight * (1 + 1e-12))
+            assert np.all(tight <= upper.values * (1 + 1e-12))
+
     def test_checked_values_never_rise(self):
         # After each check the sweeps go on from its exact values, an upper
         # bound, so every later checked policy evaluates to values no higher.
