@@ -38,11 +38,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, ChainState, InvalidStateError, StateCodes, decode_state, mirror_action
+from .chain import ChainParams, InvalidStateError, StateCodes, decode_state, mirror_action
 from .mdp import TransitionModel
 from .sim import SimConfig, TrajectoryError, estimate
 from .solver import (
-    ActionLookup,
     ConvergenceError,
     Policy,
     SolverConfig,
@@ -292,20 +291,6 @@ def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
 # -- exports ------------------------------------------------------------------------
 
 
-def _unfolded(space, codes: np.ndarray, weights: np.ndarray) -> tuple[list, list, list]:
-    """The ``encode_state`` list of every unfolded state of ``codes``, each mirror image after its representative.
-
-    Also gives each state's representative, as an index into ``codes``, and
-    whether the state is its representative's mirror image.
-    """
-    coder = StateCodes(space.params.n, space.params.t_cut)
-    owner = np.repeat(np.arange(len(codes)), weights)
-    image = np.diff(owner, prepend=-1) == 0
-    digits = coder.digits(codes[owner])
-    digits[image] = coder.mirror(digits[image])
-    return coder.ages(digits).tolist(), owner.tolist(), image.tolist()
-
-
 def write_values_csv(path, space, table) -> None:
     """One row per unfolded boundary state.
 
@@ -314,11 +299,12 @@ def write_values_csv(path, space, table) -> None:
     the JSON list of its ages (a list of ints prints as its JSON text),
     which holds commas and so is quoted.
     """
-    ages, owner, _ = _unfolded(space, space.boundary_codes, space.boundary_weights)
+    digits, owner, _ = space.unfolded()
+    ages = StateCodes(space.params.n, space.params.t_cut).ages(digits).tolist()
     values = [_fmt(value) for value in table.values.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("state,expected_delivery_time\r\n")
-        fh.writelines([f'"{a}",{values[o]}\r\n' for a, o in zip(ages, owner)])
+        fh.writelines([f'"{a}",{values[o]}\r\n' for a, o in zip(ages, owner.tolist())])
 
 
 def _header(params: ChainParams) -> dict:
@@ -345,13 +331,13 @@ def _write_json(path, doc: dict) -> None:
 def write_policy_json(path, space, policy) -> None:
     """One entry per unfolded intermediate state, in :func:`write_values_csv`'s order.
 
-    A mirror image takes its representative's action, mirrored.
+    A mirror image takes its representative's action, mirrored (:meth:`Policy.unfolded`).
     """
-    ages, owner, image = _unfolded(space, space.intermediate_codes, space.intermediate_weights)
-    n, actions = space.params.n, policy.actions(space)
-    # Each distinct action's node list, and its mirror image's, made once and shared by the entries.
-    nodes = {a: (sorted(a), sorted(mirror_action(a, n))) for a in set(actions)}
-    entries = [{"state": a, "action": nodes[actions[o]][m]} for a, o, m in zip(ages, owner, image)]
+    digits, actions = policy.unfolded(space)
+    ages = StateCodes(space.params.n, space.params.t_cut).ages(digits).tolist()
+    # Each distinct action's node list, made once and shared by the entries.
+    nodes = {a: sorted(a) for a in set(actions)}
+    entries = [{"state": s, "action": nodes[a]} for s, a in zip(ages, actions)]
     _write_json(path, {**_header(space.params), "policy": entries})
 
 
@@ -371,14 +357,14 @@ def _is_policy_entry(entry) -> bool:
     )
 
 
-def load_policy_json(path, space) -> dict[ChainState, frozenset[int]]:
-    """Read a policy export as the action of each intermediate state of ``space``.
+def load_policy_json(path, space) -> Policy:
+    """Read a policy export as the policy on ``space`` that takes the file's actions.
 
     The file must describe exactly the space's intermediate states (same n,
     same t_cut, as JSON integers, same state set), each once with one of its
     available actions; anything else is a ``ValueError`` naming the problem.
     """
-    return _policy_map(_policy_entries(path, space.params), space)
+    return _file_policy(_policy_entries(path, space.params), space)
 
 
 def _policy_entries(path, params: ChainParams) -> list:
@@ -399,9 +385,9 @@ def _policy_entries(path, params: ChainParams) -> list:
     return entries
 
 
-def _policy_map(entries: list, space) -> dict[ChainState, frozenset[int]]:
-    """The action of each intermediate state of ``space``, from :func:`_policy_entries`' entries."""
-    coder, mapping = StateCodes(space.params.n, space.params.t_cut), {}
+def _file_policy(entries: list, space) -> Policy:
+    """The policy on ``space`` of :func:`_policy_entries`' entries."""
+    coder, actions = StateCodes(space.params.n, space.params.t_cut), [None] * space.num_intermediate
     index = {code: r for r, code in enumerate(space.intermediate_codes.tolist())}
     for entry in entries:
         if not _is_policy_entry(entry):
@@ -414,16 +400,16 @@ def _policy_map(entries: list, space) -> dict[ChainState, frozenset[int]]:
             idx = index[coder.code(state)]
         except (KeyError, InvalidStateError):
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}") from None
-        if state in mapping:
+        if actions[idx] is not None:
             raise ValueError(f"policy file lists state {entry['state']} twice")
         action = frozenset(entry["action"])
         if action not in space.actions[idx]:
             raise ValueError(f"action {entry['action']} is not available in state {entry['state']}")
-        mapping[state] = action
-    missing = space.num_intermediate - len(mapping)
+        actions[idx] = action
+    missing = actions.count(None)
     if missing:
         raise ValueError(f"policy file misses {missing} enumerated intermediate states")
-    return mapping
+    return Policy.from_actions(space, actions)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -573,13 +559,14 @@ def cmd_simulate(opt: _Options) -> int:
     spec = opt.get("policy")
     if spec == "optimal":
         model, _, policy = _solve(_model(params, opt), params.p, params.p_s, opt.get("method"), config)
-        policy_map = policy.state_map(model.space)
+        rule = policy.state_map(model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
-        policy_map = ActionLookup(baseline_rule(params.n, _withheld_nodes(spec)))
+        rule = baseline_rule(params.n, _withheld_nodes(spec))
     else:
         entries = _policy_entries(spec, params)
-        policy_map = _policy_map(entries, enumerate_states(params, state_cap=opt.get("state_cap")))
-    result = estimate(params, policy_map, sim_config)
+        space = enumerate_states(params, state_cap=opt.get("state_cap"))
+        rule = _file_policy(entries, space).state_map(space)
+    result = estimate(params, rule, sim_config)
     print(f"trials: {result.trials}   master seed: {result.master_seed}")
     print(f"mean delivery time: {_fmt(result.mean)} +- {_fmt(result.stderr)} (stderr)")
     out = Path(opt.get("out") or ".")

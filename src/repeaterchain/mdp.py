@@ -75,8 +75,9 @@ class TransitionModel:
         """Same dynamics with different success probabilities.
 
         The states and arcs depend only on (n, t_cut), so the copy's space
-        shares them, and the states decoded so far, with this one; only the
-        numeric matrices are rebuilt.  Used by parameter sweeps.
+        shares their read-only arrays with this one, but no cached property
+        such as decoded states; only the numeric matrices are rebuilt.  Used
+        by parameter sweeps.
         """
         space = self.space
         return TransitionModel(replace(space, params=replace(space.params, p=p, p_s=p_s)))

@@ -17,9 +17,9 @@ Entries are filled lazily the first time a trial needs them, by code
 arithmetic: when a state is interned, ``CodeLayout.generation_terms`` or
 ``CodeLayout.swap_terms`` gives its slot phases as code terms, and an
 entry is the sum of the terms its mask selects.  Every interned state is
-still decoded once, looked up in the policy if intermediate, and checked
-with :func:`~repeaterchain.chain.check_state`, so enumeration bugs surface
-as errors instead of skewing statistics.
+still decoded once, passed to the policy (a function from a state to its
+action) if intermediate, and checked with :func:`~repeaterchain.chain.check_state`,
+so enumeration bugs surface as errors instead of skewing statistics.
 
 Randomness comes from a counter-based generator keyed by
 ``(master_seed, chunk index)``: a full chunk's delivery times are the same
@@ -36,7 +36,7 @@ depend on how a slot's draws are split into calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -176,12 +176,13 @@ class _Tables:
     order; ``swap`` has one row per intermediate state, with one mask bit
     per swapping node in ascending order.  Each interned state keeps the
     code terms of its slot phases, so a table entry is filled by adding up
-    the terms its mask selects.
+    the terms its mask selects.  ``policy(state)`` gives each intermediate
+    state's action once, when the state is interned.
     """
 
-    def __init__(self, params: ChainParams, policy_map: Mapping[ChainState, frozenset[int]]):
+    def __init__(self, params: ChainParams, policy: Callable[[ChainState], frozenset[int]]):
         self.params = params
-        self.policy_map = policy_map
+        self.policy = policy
         self.coder = CodeLayout(params.n, params.t_cut)
         self.boundary_index: dict[int, int] = {}
         self.intermediate_index: dict[int, int] = {}
@@ -220,7 +221,7 @@ class _Tables:
             return r
         state = self.coder.state(code, True)
         try:
-            action = self.policy_map[state]
+            action = self.policy(state)
         except KeyError:
             raise TrajectoryError(
                 f"trajectory reached a state outside the policy domain: {state}"
@@ -291,11 +292,11 @@ def _chunk_rng(master_seed: int, chunk: int) -> np.random.Generator:
 
 def _delivery_times(
     params: ChainParams,
-    policy_map: Mapping[ChainState, frozenset[int]],
+    policy: Callable[[ChainState], frozenset[int]],
     config: SimConfig,
 ) -> np.ndarray:
     """Delivery time of every trial, in trial order."""
-    tables = _Tables(params, policy_map)
+    tables = _Tables(params, policy)
     pairs, nodes = params.n - 1, params.n - 2
     times = np.empty(config.trials, dtype=np.int64)
     for chunk, start in enumerate(range(0, config.trials, CHUNK)):
@@ -317,17 +318,18 @@ def _delivery_times(
 
 def estimate(
     params: ChainParams,
-    policy_map: Mapping[ChainState, frozenset[int]],
+    policy: Callable[[ChainState], frozenset[int]],
     config: SimConfig,
 ) -> SimResult:
     """Sample mean, standard error and histogram of the delivery time.
 
-    ``policy_map`` must assign an action to every intermediate state a
-    trajectory visits; reaching an unmapped state, or running
-    ``config.max_slots`` slots without delivery, raises
-    :class:`TrajectoryError`.
+    ``policy(state)`` gives the action of each intermediate state a
+    trajectory visits, such as :meth:`~repeaterchain.solver.Policy.state_map`
+    or :func:`~repeaterchain.solver.baseline_rule` returns.  A state for
+    which it raises :class:`KeyError`, or running ``config.max_slots`` slots
+    without delivery, raises :class:`TrajectoryError`.
     """
-    times = _delivery_times(params, policy_map, config)
+    times = _delivery_times(params, policy, config)
     counts = np.bincount(times)
     histogram = {int(t): int(c) for t, c in enumerate(counts) if c}
     mean = float(np.mean(times))

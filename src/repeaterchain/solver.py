@@ -23,19 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .chain import ChainState, StateCodes, _is_integer, _subsets, canonical, mirror_action, valid_swap_nodes
+from .chain import ChainState, StateCodes, _is_integer, _subsets, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
 __all__ = [
-    "ActionLookup",
     "ConvergenceError",
     "Policy",
     "PolicyStats",
@@ -135,39 +134,31 @@ class Policy:
         local = (self.rows - space.row_offsets[:-1]).tolist()
         return tuple(available[j] for available, j in zip(space.actions, local))
 
-    def state_map(self, space: StateSpace) -> Mapping[ChainState, frozenset[int]]:
-        """Action of every unfolded intermediate state, e.g. for trajectory simulation.
+    def unfolded(self, space: StateSpace) -> tuple[np.ndarray, list[frozenset[int]]]:
+        """Digits and action of every unfolded intermediate state, in :meth:`StateSpace.unfolded`'s order.
 
-        A lookup that cannot be iterated: it works out the code of each
-        state it is asked for, of the state's representative on a folded
-        space, and reads that state's row.  A mirror image takes the
-        mirrored action.  A state the space does not list raises
+        A mirror image takes its representative's action, mirrored.  Each
+        distinct action is mirrored once, and the states pick theirs by index.
+        """
+        digits, owner, image = space.unfolded(intermediate=True)
+        ids: dict[frozenset[int], int] = {}
+        taken = np.array([ids.setdefault(action, len(ids)) for action in self.actions(space)], dtype=np.int64)
+        actions = list(ids)
+        actions += [mirror_action(action, space.params.n) for action in actions]
+        return digits, list(map(actions.__getitem__, (taken[owner] + len(ids) * image).tolist()))
+
+    def state_map(self, space: StateSpace) -> Callable[[ChainState], frozenset[int]]:
+        """The action of any unfolded intermediate state, as the simulator takes a policy.
+
+        Builds one dict from the code of every unfolded intermediate state
+        to its action (:meth:`unfolded`), so a visited state costs one
+        encoding and one lookup.  A state the space does not list raises
         :class:`KeyError`.
         """
-        n, coder = space.params.n, StateCodes(space.params.n, space.params.t_cut)
-        actions = dict(zip(space.intermediate_codes.tolist(), self.actions(space)))
-
-        def action(state: ChainState) -> frozenset[int]:
-            listed = canonical(state) if space.folded else state
-            taken = actions[coder.code(listed)]
-            return taken if listed is state else mirror_action(taken, n)
-
-        return ActionLookup(action)
-
-
-class ActionLookup:
-    """A state-to-action lookup that works each action out when asked; it cannot be iterated.
-
-    ``rule(state)`` gives the action of ``state``, or raises :class:`KeyError`.
-    """
-
-    __iter__ = None
-
-    def __init__(self, rule: Callable[[ChainState], frozenset[int]]):
-        self._rule = rule
-
-    def __getitem__(self, state: ChainState) -> frozenset[int]:
-        return self._rule(state)
+        coder = StateCodes(space.params.n, space.params.t_cut)
+        digits, actions = self.unfolded(space)
+        table = dict(zip(coder.codes(digits).tolist(), actions))
+        return lambda state: table[coder.code(state)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,11 +85,12 @@ class StateSpace:
       of survival masks 0, 1, ... (bit ``b`` set: run ``b`` survived).
 
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
-    count the unfolded states each listed state stands for (1 or 2).
-    ``boundary_index`` and ``intermediate_index`` map states to indices;
-    they and the decoded states are built on first use, and no command
-    path asks for them.  The copies that ``TransitionModel.respecialized``
-    makes share the read-only arrays.  Spaces compare and hash by identity.
+    count the unfolded states each listed state stands for (1 or 2), and
+    :meth:`unfolded` lists those states.  ``boundary_index`` and
+    ``intermediate_index`` map states to indices; they and the decoded
+    states are built on first use, and no command path asks for them.  The
+    copies that ``TransitionModel.respecialized`` makes share the read-only
+    arrays.  Spaces compare and hash by identity.
     """
 
     params: ChainParams
@@ -135,6 +136,21 @@ class StateSpace:
     @cached_property
     def intermediate_states(self) -> tuple[ChainState, ...]:
         return StateCodes(self.params.n, self.params.t_cut).states(self.intermediate_codes, True)
+
+    def unfolded(self, intermediate: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Digits of every unfolded boundary (or intermediate) state, each mirror image right after its representative.
+
+        Also gives each state's representative, as an index into the listed
+        states, and whether the state is its representative's mirror image.
+        """
+        codes = self.intermediate_codes if intermediate else self.boundary_codes
+        weights = self.intermediate_weights if intermediate else self.boundary_weights
+        coder = StateCodes(self.params.n, self.params.t_cut)
+        owner = np.repeat(np.arange(len(codes)), weights)
+        image = np.diff(owner, prepend=-1) == 0
+        digits = coder.digits(codes[owner])
+        digits[image] = coder.mirror(digits[image])
+        return digits, owner, image
 
     @cached_property
     def boundary_index(self) -> dict[ChainState, int]:

@@ -122,8 +122,8 @@ class TestSolve:
         assert by_state["[-1, -1, -1]"] == pytest.approx(6.0, abs=1e-6)
 
         space = enumerate_states(ChainParams(n=3, p=0.5, p_s=0.5, t_cut=1))
-        mapping = load_policy_json(out / "policy.json", space)
-        assert len(mapping) == space.num_intermediate
+        policy = load_policy_json(out / "policy.json", space)
+        assert len(policy.rows) == space.num_intermediate
 
     def test_vi_and_pi_agree(self, tmp_path, capsys):
         values, gaps = {}, {}
@@ -772,6 +772,14 @@ class TestPolicyFile:
         err = capsys.readouterr().err
         assert err.startswith("error: policy file")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n,t_cut", [(5, 2), (6, 3)])
+    def test_folded_solve_reads_back_as_its_expanded_policy(self, tmp_path, n, t_cut):
+        assert run(["solve", "--n", n, "--p", 0.9, "--ps", 0.5, "--tcut", t_cut, "--bunch", "--out", tmp_path]) == 0
+        params = ChainParams(n=n, p=0.9, p_s=0.5, t_cut=t_cut)
+        space, folded = enumerate_states(params), enumerate_states(params, fold=True)
+        _, policy = policy_iteration(TransitionModel.build(folded))
+        assert load_policy_json(tmp_path / "policy.json", space) == expand_policy(space, folded, policy)
 
 
 class TestExports:

@@ -7,7 +7,7 @@ from repeaterchain import sim
 from repeaterchain.chain import ChainParams, StateCodes, state_from_links
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, _pack, estimate
-from repeaterchain.solver import ActionLookup, baseline_rule, evaluate_policy, policy_iteration, swap_asap_policy
+from repeaterchain.solver import baseline_rule, evaluate_policy, policy_iteration, swap_asap_policy
 from repeaterchain.statespace import enumerate_states
 
 
@@ -54,21 +54,21 @@ class TestRunTrial:
         params, space = setup(3, 1, 0.5, 0.5)
         only_empty = {state_from_links(3, [], intermediate=True): frozenset()}
         with pytest.raises(TrajectoryError, match="outside the policy domain"):
-            estimate(params, only_empty, SimConfig(trials=10, master_seed=1, max_slots=100))
+            estimate(params, only_empty.__getitem__, SimConfig(trials=10, master_seed=1, max_slots=100))
 
     def test_chain_past_int64_codes_simulates(self):
         # The tables' codes are Python ints, so a chain the walk refuses still simulates.
         with pytest.raises(ValueError, match="64 bits"):
             StateCodes(13, 7)
         params = ChainParams(n=13, p=0.9, p_s=0.9, t_cut=7)
-        result = estimate(params, ActionLookup(baseline_rule(13)), SimConfig(trials=50, master_seed=1))
+        result = estimate(params, baseline_rule(13), SimConfig(trials=50, master_seed=1))
         assert sum(result.histogram.values()) == 50
 
     def test_slot_cap_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
         never = {r: frozenset() for r in space.intermediate_states}
         with pytest.raises(TrajectoryError, match="no delivery within 50 slots"):
-            estimate(params, never, SimConfig(trials=10, master_seed=1, max_slots=50))
+            estimate(params, never.__getitem__, SimConfig(trials=10, master_seed=1, max_slots=50))
 
     def test_chunk_times_do_not_depend_on_trial_count(self):
         params, space = setup(4, 2, 0.6, 0.5)

@@ -64,7 +64,7 @@ class ReferenceStepper:
             self._generated[key] = r
 
         try:
-            action = self.policy_map[r]
+            action = self.policy_map(r)
         except KeyError:
             raise TrajectoryError(
                 f"trajectory reached a state outside the policy domain: {r}"
