@@ -634,11 +634,15 @@ class StateCodes(CodeLayout):
 
     def mirror(self, digits: np.ndarray) -> np.ndarray:
         """Digits of the mirror images: link ``(l, r)`` moves to position ``n - r``."""
-        rows, lefts = np.nonzero(digits)
-        held = digits[rows, lefts]
-        out = np.zeros_like(digits)
-        out[rows, self.n - 2 - lefts - (held.astype(np.int64) - 1) // (self.t_cut + 1)] = held
-        return out
+        # Flat positions, row-major: the link at ``at`` (left end ``at % (n - 1)``
+        # of its row, length ``(held - 1) // (t_cut + 1) + 1``) moves within its
+        # row from ``left`` to ``n - 1 - left - length``.
+        flat = digits.reshape(-1)
+        at = np.flatnonzero(flat)
+        held = flat[at]
+        out = np.zeros(flat.shape, dtype=digits.dtype)
+        out[at + self.n - 2 - 2 * (at % (self.n - 1)) - (held.astype(np.int64) - 1) // (self.t_cut + 1)] = held
+        return out.reshape(digits.shape)
 
     def canonical(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Digits of each state's representative (``chain.canonical``), and which states are self-mirrored.

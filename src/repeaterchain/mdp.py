@@ -19,16 +19,22 @@ listed row by row, so both matrices are built in CSR form directly.
 
 A model holds its space, and the space's ``params`` give the ``(p, p_s)``
 the matrices are built at, so the solvers take the model alone.
+
+scipy is imported at the first matrix build, so commands that build none
+never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .statespace import StateSpace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = ["TransitionModel"]
 
@@ -44,6 +50,8 @@ def _csr(data: np.ndarray, indices: np.ndarray, offsets: np.ndarray, width: int)
 
     Drops zeros and sums repeated columns of a row; copies ``indices`` first.
     """
+    import scipy.sparse as sp
+
     keep = data > 0.0
     if keep.all():
         indices = indices.copy()

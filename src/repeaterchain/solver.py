@@ -17,22 +17,25 @@ Both solvers break ties the same way, so solver output is reproducible.
 Two actions tie when their values differ by at most :data:`TIE_GAP`
 relative; among tied actions the one with fewer swaps wins, then the
 lexicographically smallest node set (the order of ``StateSpace.actions``).
+
+scipy's graph and LU routines are imported where an evaluation uses them,
+not with this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .chain import ChainState, StateCodes, _is_integer, _subsets, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
 from .statespace import StateSpace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ConvergenceError",
@@ -287,6 +290,8 @@ def _block_triangular_solve(matrix: sp.csr_matrix, terminal: int) -> np.ndarray:
     dependency order, so the sweeps repeat bit for bit after the order's
     depth plus one.  A component that no entry leaves never delivers.
     """
+    from scipy.sparse.csgraph import connected_components
+
     size = matrix.shape[0]
     count, labels = connected_components(matrix, directed=True, connection="strong")
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
@@ -333,6 +338,9 @@ def _factor_identity_minus(rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
 
     ``P`` is given by its entries; the system is assembled in CSC form.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     diagonal = np.arange(size)
     rows, cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
     order = np.argsort(cols, kind="stable")

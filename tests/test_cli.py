@@ -851,6 +851,19 @@ class TestStates:
         assert code == 0
         assert "analytic lower bound: 25" in capsys.readouterr().out
 
+    def test_choice_rows_and_swap_outcomes(self, tmp_path, capsys):
+        # One choice row per action of an intermediate state, one outcome per
+        # boundary state a choice row can lead to.
+        out = tmp_path / "states.json"
+        assert run(["states", "--n", 4, "--tcut", 2, "--out", out]) == 0
+        stdout = capsys.readouterr().out
+        doc = json.load(open(out))
+        space = enumerate_states(ChainParams(n=4, p=0.5, p_s=0.5, t_cut=2))
+        assert doc["choice_rows"] == sum(doc["action_counts"]) == 191
+        assert doc["swap_outcomes"] == len(space.outcome_targets) == 302
+        assert "choice rows:          191\n" in stdout
+        assert "swap outcomes:        302\n" in stdout
+
     def test_decodes_no_state(self, tmp_path, monkeypatch):
         # Labelings are counted on codes and action counts read off row offsets.
         assert run(["states", "--n", 5, "--tcut", 2, "--out", tmp_path / "want.json"]) == 0

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from repeaterchain import solver
 from repeaterchain.chain import ChainParams, StateCodes, mirror, mirror_action, state_from_links, valid_swap_nodes
@@ -380,13 +381,14 @@ class TestTieRule:
     def test_lu_ordering_moves_no_policy_and_no_round_count(self, monkeypatch, n, t_cut, p):
         # The multi-state blocks are factored with another column ordering.
         table, policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
-        original, orderings = solver.splu, []
+        original, orderings = scipy.sparse.linalg.splu, []
 
         def colamd(system, permc_spec):
             orderings.append(permc_spec)
             return original(system, permc_spec="COLAMD")
 
-        monkeypatch.setattr(solver, "splu", colamd)
+        # The solver imports ``splu`` where it factors, so it finds the patch.
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", colamd)
         colamd_table, colamd_policy = policy_iteration(build(n, t_cut, p, 1.0)[1])
         assert orderings and "COLAMD" not in orderings
         assert colamd_policy == policy
