@@ -440,6 +440,10 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return ordered[starts], first, inverse, counts
 
 
+#: An age limit that no link reaches.
+_NEVER = float("inf")
+
+
 class CodeLayout:
     """Integer codes for the states of an ``n``-node chain with cutoff ``t_cut``, one state at a time.
 
@@ -456,7 +460,16 @@ class CodeLayout:
     Codes here are Python ints, so chains of any size have them.
     :meth:`code` and :meth:`state` convert one state, and
     :meth:`generation_terms` and :meth:`swap_terms` give the slot phases
-    of one state as terms that outcome masks add up.
+    of one state as terms that outcome masks add up.  Those two work from
+    slot plans keyed by the state's link layout, its links' (left, right)
+    endpoints with ages ignored: a generation plan per layout (what ageing
+    adds to the code, and the fresh links' terms) and a swap plan per
+    (layout, action) (per kept link and per run, the positions of its
+    links, its term at age 0, its place value and the age the cutoff
+    discards it at, and per run its node mask).  A plan is built once,
+    from :func:`age_links`, :func:`generation_pairs` and :func:`swap_runs`
+    on the layout's links at age 0, and kept on this instance, so the
+    states of one layout add up ``term + age * place value`` only.
     :class:`StateCodes` works on batches of int64 codes.
     """
 
@@ -470,6 +483,10 @@ class CodeLayout:
             self._weights.append(self._weights[-1] * r)
         #: Code of the collapsed absorbing state: one end-to-end link of age 0.
         self.terminal_code = 1 + (n - 2) * span
+        # Slot plans by link layout (see :meth:`_layout`), and for swaps by
+        # action too; they last as long as this instance.
+        self._generation_plans: dict[tuple, tuple[int, tuple[int, ...]]] = {}
+        self._swap_plans: dict[tuple, tuple[tuple, tuple]] = {}
 
     @cached_property
     def _links(self) -> list[list[Link | None]]:
@@ -479,6 +496,11 @@ class CodeLayout:
             [None] + [Link(l, l + 1 + (d - 1) // span, (d - 1) % span) for d in range(1, radix)]
             for l, radix in enumerate(self._radices, start=1)
         ]
+
+    @cached_property
+    def _link_terms(self) -> dict[Link, int]:
+        """The term of every link a state of the chain can hold."""
+        return {link: self._term(link) for table in self._links for link in table[1:]}
 
     def _term(self, link: Link) -> int:
         """What ``link`` adds to the code of any state that holds it."""
@@ -493,11 +515,14 @@ class CodeLayout:
         code: two links out of one node, or a link out of range or with an
         age outside ``0 .. t_cut``.
         """
-        n, t_cut, links = self.n, self.t_cut, state.links
-        lefts = {l for l, _, _ in links}
-        if len(lefts) < len(links) or not all(1 <= l < r <= n and 0 <= a <= t_cut for l, r, a in links):
-            raise InvalidStateError(f"no n={n}, t_cut={t_cut} state holds the links {links}")
-        return sum(map(self._term, links))
+        links, terms = state.links, self._link_terms
+        try:
+            code = sum([terms[link] for link in links])
+        except KeyError:
+            code = None
+        if code is None or len({l for l, _, _ in links}) < len(links):
+            raise InvalidStateError(f"no n={self.n}, t_cut={self.t_cut} state holds the links {links}")
+        return code
 
     def state(self, code: int, intermediate: bool = False) -> ChainState:
         """The state with this code."""
@@ -516,10 +541,18 @@ class CodeLayout:
         free neighbour pair (:func:`generation_pairs`) in sorted order, the
         term of its fresh link.  The intermediate state after the pairs of
         a success mask is the aged code plus the terms of the mask's pairs.
+        Neither the fresh terms nor what ageing adds to the code depend on
+        the ages: both come from the layout's generation plan.
         """
-        aged = age_links(state)
-        fresh = tuple(self._term(Link(l, r, 0)) for l, r in sorted(generation_pairs(aged)))
-        return self.code(aged), fresh
+        layout = self._layout(state)
+        plan = self._generation_plans.get(layout)
+        if plan is None:
+            probe = self._probe(layout)
+            aged = age_links(probe)
+            fresh = tuple(self._link_terms[l, r, 0] for l, r in sorted(generation_pairs(aged)))
+            plan = self._generation_plans[layout] = self.code(aged) - self.code(probe), fresh
+        ageing, fresh = plan
+        return self.code(state) + ageing, fresh
 
     def swap_terms(
         self, state: ChainState, nodes: Iterable[int]
@@ -534,22 +567,54 @@ class CodeLayout:
         spans its outer endpoints with the oldest input age, and the cutoff
         discards every link of age ``t_cut`` but an end-to-end one.  The
         slot-boundary state after a swap outcome mask is the first code
-        plus the terms of the runs whose nodes all succeeded.
+        plus the terms of the runs whose nodes all succeeded.  The runs
+        depend on the link layout and the action alone: they come from the
+        (layout, action) swap plan, and only the ages are read here.
         """
-        n, t_cut = self.n, self.t_cut
+        links = state.links
+        key = self._layout(state), frozenset(nodes)
+        plan = self._swap_plans.get(key)
+        if plan is None:
+            plan = self._swap_plans[key] = self._swap_plan(*key)
+        kept, runs = plan
+        code, terms = 0, []
+        for i, base, weight, limit in kept:
+            age = links[i][2]
+            if age < limit:
+                code += base + age * weight
+        for mask, positions, base, weight, limit in runs:
+            age = max([links[i][2] for i in positions])
+            terms.append((mask, base + age * weight if age < limit else 0))
+        return code, tuple(terms)
 
-        def term(link: Link) -> int:
-            spared = link.age < t_cut or (link.left == 1 and link.right == n)
-            return self._term(link) if spared else 0
+    def _layout(self, state: ChainState) -> tuple[int, ...]:
+        """A state's link layout, its links' endpoints with ages ignored: ``left * (n + 1) + right`` per link."""
+        span = self.n + 1
+        return tuple([l * span + r for l, r, _ in state.links])
 
+    def _probe(self, layout: tuple[int, ...]) -> ChainState:
+        """The state with the links of ``layout``, all at age 0."""
+        return _sorted_state(self.n, tuple([Link(*divmod(link, self.n + 1), 0) for link in layout]))
+
+    def _swap_plan(self, layout: tuple[int, ...], nodes: frozenset[int]) -> tuple[tuple, tuple]:
+        """What :meth:`swap_terms` adds up for the states of ``layout`` under the action ``nodes``."""
+        probe = self._probe(layout)
+        position = {link.left: i for i, link in enumerate(probe.links)}
         bit = {k: 1 << b for b, k in enumerate(sorted(nodes))}
-        runs = swap_runs(state, bit)
-        consumed = {link for links, _ in runs for link in links}
-        kept = sum(term(l) for l in state.links if l not in consumed)
-        return kept, tuple(
-            (sum(bit[k] for k in run_nodes), term(Link(links[0].left, links[-1].right, max(l.age for l in links))))
-            for links, run_nodes in runs
-        )
+        runs = swap_runs(probe, bit)
+        consumed = {link.left for links, _ in runs for link in links}
+
+        def place(left: int, right: int) -> tuple[int, int, float]:
+            # The cutoff spares an end-to-end link whatever its age.
+            limit = _NEVER if (left, right) == (1, self.n) else self.t_cut
+            return self._link_terms[left, right, 0], self._weights[left - 1], limit
+
+        kept = tuple((position[l], *place(l, r)) for l, r, _ in probe.links if l not in consumed)
+        merged = []
+        for links, run_nodes in runs:
+            positions = tuple([position[link.left] for link in links])
+            merged.append((sum([bit[k] for k in run_nodes]), positions, *place(links[0].left, links[-1].right)))
+        return kept, tuple(merged)
 
 
 class StateCodes(CodeLayout):
@@ -876,8 +941,26 @@ def check_state(state: ChainState, t_cut: int | None = None) -> None:
     one link and ends at most one link), that intervals never partially
     overlap (they may nest or be disjoint), nonnegative ages, and, when
     ``t_cut`` is given, the age bounds of the state's slot phase.
+
+    A valid state passes in one scan of its links in left-endpoint order,
+    which keeps the right ends of the links still open on a stack: a link
+    must end before the innermost of them.  A state that fails the scan
+    goes through the checks one by one, which name the first fault.
     """
     n = state.n
+    limit = _NEVER if t_cut is None else t_cut if state.intermediate else t_cut - 1
+    last, ends = 0, [n + 1]
+    for left, right, age in state.links:
+        if not last < left < right <= n:
+            break
+        while ends[-1] <= left:
+            ends.pop()
+        if right >= ends[-1] or age < 0 or (age > limit and (left, right) != (1, n)):
+            break
+        ends.append(right)
+        last = left
+    else:
+        return
     for l in state.links:
         if not 1 <= l.left < l.right <= n:
             raise InvalidStateError(f"link {l} out of range for n={n}")
@@ -892,7 +975,6 @@ def check_state(state: ChainState, t_cut: int | None = None) -> None:
         if lo.left < hi.left < lo.right < hi.right:
             raise InvalidStateError(f"links {a} and {b} partially overlap")
     if t_cut is not None:
-        limit = t_cut if state.intermediate else t_cut - 1
         for l in state.links:
             if l.left == 1 and l.right == n:
                 continue

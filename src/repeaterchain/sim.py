@@ -16,10 +16,17 @@ generation-success mask) to an intermediate index, and a swap table maps
 Entries are filled lazily the first time a trial needs them, by code
 arithmetic: when a state is interned, ``CodeLayout.generation_terms`` or
 ``CodeLayout.swap_terms`` gives its slot phases as code terms, and an
-entry is the sum of the terms its mask selects.  Every interned state is
-still decoded once, passed to the policy (a function from a state to its
-action) if intermediate, and checked with :func:`~repeaterchain.chain.check_state`,
-so enumeration bugs surface as errors instead of skewing statistics.
+entry is the sum of the terms its mask selects.  Those terms come from
+slot plans that the tables' ``CodeLayout`` builds once per link layout
+(and swap action), so the states of one layout share their run structure;
+the plans last as long as the tables, one :func:`estimate` call.  An
+intermediate state has exactly one (boundary state, generation mask)
+parent: its age-0 links are the fresh ones.  So it is interned when that
+one generation entry is filled, and needs no index of its own.  Every
+interned state is still decoded once, passed to the policy (a function
+from a state to its action) if intermediate, and checked with
+:func:`~repeaterchain.chain.check_state`, so enumeration bugs surface as
+errors instead of skewing statistics.
 
 Randomness comes from a counter-based generator keyed by
 ``(master_seed, chunk index)``: a full chunk's delivery times are the same
@@ -177,7 +184,9 @@ class _Tables:
     per swapping node in ascending order.  Each interned state keeps the
     code terms of its slot phases, so a table entry is filled by adding up
     the terms its mask selects.  ``policy(state)`` gives each intermediate
-    state's action once, when the state is interned.
+    state's action once, when the state is interned; only boundary states
+    are looked up by code, since each intermediate state is reached from
+    one generation entry alone.
     """
 
     def __init__(self, params: ChainParams, policy: Callable[[ChainState], frozenset[int]]):
@@ -185,7 +194,6 @@ class _Tables:
         self.policy = policy
         self.coder = CodeLayout(params.n, params.t_cut)
         self.boundary_index: dict[int, int] = {}
-        self.intermediate_index: dict[int, int] = {}
         # Per boundary state its aged code and the term of each generation
         # pair (None if absorbing); per intermediate state the code the
         # swaps leave and each run's node mask and term.
@@ -215,11 +223,11 @@ class _Tables:
             self.generation.add_row(len(terms))
         return b
 
-    def _intermediate_id(self, code: int) -> int:
-        r = self.intermediate_index.get(code)
-        if r is not None:
-            return r
-        state = self.coder.state(code, True)
+    def _generate(self, b: int, mask: int) -> int:
+        # Only this (boundary state, generation mask) entry leads to the
+        # intermediate state it fills, so each is interned once, here.
+        aged, terms = self.aged[b]
+        state = self.coder.state(aged + sum([term for k, term in enumerate(terms) if mask >> k & 1]), True)
         try:
             action = self.policy(state)
         except KeyError:
@@ -228,14 +236,9 @@ class _Tables:
             ) from None
         check_state(state, self.params.t_cut)
         r = len(self.intermediate)
-        self.intermediate_index[code] = r
         self.intermediate.append(self.coder.swap_terms(state, action))
         self.swap.add_row(len(action))
         return r
-
-    def _generate(self, b: int, mask: int) -> int:
-        aged, terms = self.aged[b]
-        return self._intermediate_id(aged + sum([term for k, term in enumerate(terms) if mask >> k & 1]))
 
     def _resolve(self, r: int, mask: int) -> int:
         kept, runs = self.intermediate[r]

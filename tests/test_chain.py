@@ -649,3 +649,96 @@ class TestValidation:
             check_state(mk(3, [(1, 2, 1)]), t_cut=1)
         check_state(mk(3, [(1, 2, 1)], intermediate=True), t_cut=1)
         check_state(mk(3, [(1, 3, 1)]), t_cut=1)
+
+    @pytest.mark.parametrize(
+        "state,t_cut,message",
+        [
+            (mk(4, [(3, 5, 0)]), None, "link Link(left=3, right=5, age=0) out of range for n=4"),
+            (mk(4, [(1, 2, -1)]), None, "link Link(left=1, right=2, age=-1) has negative age"),
+            (
+                mk(5, [(2, 3, 0), (2, 4, 0)]),
+                None,
+                "per-qubit exclusivity violated in (Link(left=2, right=3, age=0), Link(left=2, right=4, age=0))",
+            ),
+            (
+                mk(4, [(1, 3, 0), (2, 3, 0)]),
+                None,
+                "per-qubit exclusivity violated in (Link(left=1, right=3, age=0), Link(left=2, right=3, age=0))",
+            ),
+            (
+                mk(5, [(1, 3, 0), (2, 4, 0)]),
+                None,
+                "links Link(left=1, right=3, age=0) and Link(left=2, right=4, age=0) partially overlap",
+            ),
+            (mk(4, [(1, 2, 2)]), 2, "link Link(left=1, right=2, age=2) exceeds age bound 1 for this slot phase"),
+            # Of two faults, the first check that finds one names it.
+            (mk(5, [(1, 2, -1), (3, 6, 0)]), None, "link Link(left=1, right=2, age=-1) has negative age"),
+        ],
+        ids=["out-of-range", "negative-age", "two-out", "two-into", "partial-overlap", "age-bound", "first-fault"],
+    )
+    def test_messages(self, state, t_cut, message):
+        with pytest.raises(InvalidStateError) as raised:
+            check_state(state, t_cut)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            [(2, 5, 1), (3, 4, 0)],  # nested
+            [(1, 3, 0), (3, 5, 1)],  # touching
+            [(1, 5, 0), (2, 3, 1), (3, 4, 0)],  # touching links nested in a third
+            [(1, 5, 9)],  # end-to-end, past the bound
+        ],
+    )
+    def test_valid_layouts_pass(self, links):
+        check_state(mk(5, links), t_cut=2)
+
+
+def _check_state_one_by_one(state, t_cut=None):
+    """``check_state`` without its one-scan pass: every check, in order."""
+    n = state.n
+    for l in state.links:
+        if not 1 <= l.left < l.right <= n:
+            raise InvalidStateError(f"link {l} out of range for n={n}")
+        if l.age < 0:
+            raise InvalidStateError(f"link {l} has negative age")
+    lefts = [l.left for l in state.links]
+    rights = [l.right for l in state.links]
+    if len(set(lefts)) != len(lefts) or len(set(rights)) != len(rights):
+        raise InvalidStateError(f"per-qubit exclusivity violated in {state.links}")
+    for a, b in combinations(state.links, 2):
+        lo, hi = (a, b) if a.left <= b.left else (b, a)
+        if lo.left < hi.left < lo.right < hi.right:
+            raise InvalidStateError(f"links {a} and {b} partially overlap")
+    if t_cut is not None:
+        limit = t_cut if state.intermediate else t_cut - 1
+        for l in state.links:
+            if not (l.left == 1 and l.right == n) and l.age > limit:
+                raise InvalidStateError(f"link {l} exceeds age bound {limit} for this slot phase")
+
+
+def _outcome(check, state, t_cut):
+    try:
+        check(state, t_cut)
+    except InvalidStateError as error:
+        return str(error)
+    return None
+
+
+def test_check_state_agrees_with_the_checks_one_by_one():
+    """On random link sets, valid or not, the scan accepts exactly what every check accepts."""
+    rng = np.random.default_rng(30)
+    n, kinds = 6, set()
+    faults = ("out of range", "negative age", "exclusivity", "partially overlap", "exceeds age bound")
+    for _ in range(20_000):
+        links = []
+        for _ in range(rng.integers(0, 5)):
+            left = int(rng.integers(0, n + 1))
+            links.append((left, left + int(rng.integers(1, 4)), int(rng.integers(-1, 4))))
+        state = mk(n, links, intermediate=bool(rng.integers(2)))
+        t_cut = [None, 1, 2][rng.integers(3)]
+        expected = _outcome(_check_state_one_by_one, state, t_cut)
+        assert _outcome(check_state, state, t_cut) == expected, state
+        kinds.add(expected and next(fault for fault in faults if fault in expected))
+    # Valid link sets and every kind of fault were drawn.
+    assert kinds == {None, *faults}

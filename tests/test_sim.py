@@ -6,7 +6,7 @@ import pytest
 from repeaterchain import sim
 from repeaterchain.chain import ChainParams, StateCodes, state_from_links
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, _pack, estimate
+from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, _pack, _Tables, estimate
 from repeaterchain.solver import baseline_rule, evaluate_policy, policy_iteration, swap_asap_policy
 from repeaterchain.statespace import enumerate_states
 
@@ -223,3 +223,41 @@ def test_delivery_times_are_pinned(policy, point, trials, seed, expected):
     params, policy_map = policy(*point)
     times = _delivery_times(params, policy_map, SimConfig(trials=trials, master_seed=seed))
     assert _digest(times) == expected
+
+
+# Baselines past five nodes: actions of several runs, a withheld-middle
+# baseline, and a chain whose codes pass int64, which the walk refuses.
+# sha256 of the delivery times, recorded while each state still worked out
+# its own slot terms, before the tables shared them through slot plans.
+WIDE_PINS = [
+    ((9, 2, 0.9, 0.5), (), 2000, 9, "b34da78a5370d78f0ca9cb11a6af1588158f3be586f8e26d415fb3216552c07b"),
+    ((9, 2, 0.9, 0.5), (5,), 2000, 9, "4209dd044b5d7b3c1ae0f3b8ca3110b96b3b50105dcb21b58229db5b76028b5e"),
+    ((13, 7, 0.9, 0.9), (), 50, 1, "bf0f12435db08fa36c9fb4e9c41f4b00893f803c5bc104c5be38189a0905370d"),
+]
+
+
+@pytest.mark.parametrize(
+    "point,withheld,trials,seed,expected", WIDE_PINS, ids=["swap-asap-9-2", "modified-5-9-2", "swap-asap-13-7"]
+)
+def test_baseline_delivery_times_past_five_nodes_are_pinned(point, withheld, trials, seed, expected):
+    n, t_cut, p, p_s = point
+    params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
+    times = _delivery_times(params, baseline_rule(n, withheld), SimConfig(trials=trials, master_seed=seed))
+    assert _digest(times) == expected
+
+
+def test_states_of_one_layout_share_a_slot_plan():
+    """Plans belong to one set of tables: they are built as its states need them and shared by layout."""
+    params = ChainParams(n=5, p=0.3, p_s=0.5, t_cut=4)
+    tables = _Tables(params, baseline_rule(5))
+    # Fresh tables hold the empty state's plan alone, whatever ran before.
+    assert list(tables.coder._generation_plans) == [()] and not tables.coder._swap_plans
+    states = np.zeros(2500, dtype=np.int64)
+    rng = _chunk_rng(11, 0)
+    while not tables.absorbing[states].all():
+        states = states[~tables.absorbing[states]]
+        uniforms = rng.random((states.size, 7))
+        states = tables.step(states, uniforms[:, :4] < params.p, uniforms[:, 4:] < params.p_s)
+    boundary = len(tables.aged) - int(tables.absorbing.sum())
+    assert 0 < len(tables.coder._generation_plans) < boundary / 4
+    assert 0 < len(tables.coder._swap_plans) < len(tables.intermediate) / 4
