@@ -22,13 +22,14 @@ under which every phase is adding and dropping links' terms.
 :class:`StateCodes` runs the phases as digit arithmetic on whole batches
 of codes, so the enumeration walk builds no states, and the simulator
 adds up one state's terms per outcome (:meth:`CodeLayout.generation_terms`,
-:meth:`CodeLayout.swap_terms`).
+:meth:`CodeLayout.swap_terms`), checking each state by its code
+(:meth:`CodeLayout.read`).
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
 from typing import Iterable, Mapping, NamedTuple
@@ -40,6 +41,7 @@ __all__ = [
     "ChainState",
     "CodeLayout",
     "InvalidStateError",
+    "LayoutPlan",
     "Link",
     "StateCodes",
     "action_space",
@@ -444,6 +446,28 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
 _NEVER = float("inf")
 
 
+@dataclass(slots=True)
+class LayoutPlan:
+    """What the states of one link layout share, worked out once from its links at age 0.
+
+    A layout is a state's links' (left, right) endpoints with ages
+    ignored, named by its code at age 0.  Building the plan checks the
+    layout's structure (:func:`check_state`), so a state of the layout
+    need only have its ages checked.  ``swappable`` is
+    :func:`valid_swap_nodes`.  ``generation`` is the generation plan of a
+    non-absorbing layout, built the first time a slot-boundary state of
+    the layout needs it (:meth:`CodeLayout.generation_terms`), and
+    ``swaps`` holds the swap plan of each action met so far
+    (:meth:`CodeLayout.swap_terms`).
+    """
+
+    layout: int
+    absorbing: bool
+    swappable: frozenset[int]
+    generation: tuple[int, tuple[int, ...]] | None = None
+    swaps: dict[frozenset[int], tuple[tuple, tuple]] = field(default_factory=dict)
+
+
 class CodeLayout:
     """Integer codes for the states of an ``n``-node chain with cutoff ``t_cut``, one state at a time.
 
@@ -458,19 +482,20 @@ class CodeLayout:
     position moves.
 
     Codes here are Python ints, so chains of any size have them.
-    :meth:`code` and :meth:`state` convert one state, and
-    :meth:`generation_terms` and :meth:`swap_terms` give the slot phases
-    of one state as terms that outcome masks add up.  Those two work from
-    slot plans keyed by the state's link layout, its links' (left, right)
-    endpoints with ages ignored: a generation plan per layout (what ageing
-    adds to the code, and the fresh links' terms) and a swap plan per
-    (layout, action) (per kept link and per run, the positions of its
-    links, its term at age 0, its place value and the age the cutoff
-    discards it at, and per run its node mask).  A plan is built once,
-    from :func:`age_links`, :func:`generation_pairs` and :func:`swap_runs`
-    on the layout's links at age 0, and kept on this instance, so the
-    states of one layout add up ``term + age * place value`` only.
-    :class:`StateCodes` works on batches of int64 codes.
+    :meth:`code` and :meth:`state` convert one state.  :meth:`read` checks
+    the state a code stands for and gives its ages and its layout's plan
+    (:class:`LayoutPlan`, :meth:`plan`), built the first time a state of
+    the layout needs it and kept on this instance.  From a plan,
+    :meth:`generation_terms` and :meth:`swap_terms` give the slot phases of
+    the layout's states as terms that outcome masks add up, and
+    :meth:`swappable` gives a state's nodes able to swap.  A swap plan, per
+    (layout, action), holds per kept link and per run the digit positions
+    of its links, its term at age 0, its place value and the age the cutoff
+    discards it at, and per run its node mask; it is built from
+    :func:`swap_runs` on the layout's links at age 0.  So the states of one
+    layout add up ``term + age * place value`` only, and no state is built
+    but a plan's age-0 one and one named in an error.  :class:`StateCodes`
+    works on batches of int64 codes.
     """
 
     def __init__(self, n: int, t_cut: int):
@@ -483,10 +508,11 @@ class CodeLayout:
             self._weights.append(self._weights[-1] * r)
         #: Code of the collapsed absorbing state: one end-to-end link of age 0.
         self.terminal_code = 1 + (n - 2) * span
-        # Slot plans by link layout (see :meth:`_layout`), and for swaps by
-        # action too; they last as long as this instance.
-        self._generation_plans: dict[tuple, tuple[int, tuple[int, ...]]] = {}
-        self._swap_plans: dict[tuple, tuple[tuple, tuple]] = {}
+        # Per digit position, the least digit of a link whose age the bound
+        # spares: only an end-to-end link, which leaves node 1, has one.
+        self._spared = [self.terminal_code] + self._radices[1:]
+        # Plans by layout code; they last as long as this instance.
+        self._plans: dict[int, LayoutPlan] = {}
 
     @cached_property
     def _links(self) -> list[list[Link | None]]:
@@ -534,72 +560,118 @@ class CodeLayout:
         # Digits run in left-endpoint order, so the links come out sorted.
         return _sorted_state(self.n, tuple(links), intermediate)
 
-    def generation_terms(self, state: ChainState) -> tuple[int, tuple[int, ...]]:
-        """Phases 1 and 2 of one non-absorbing slot-boundary state, as code terms.
+    def read(self, code: int, intermediate: bool = False) -> tuple[LayoutPlan, list[int]]:
+        """The plan of a state's layout and the age of its link out of each node (-1 for none).
 
-        Returns the code of the aged state (:func:`age_links`) and, per
-        free neighbour pair (:func:`generation_pairs`) in sorted order, the
-        term of its fresh link.  The intermediate state after the pairs of
-        a success mask is the aged code plus the terms of the mask's pairs.
-        Neither the fresh terms nor what ageing adds to the code depend on
-        the ages: both come from the layout's generation plan.
+        The state is the one with this code, slot-boundary or intermediate.
+        It is checked as :func:`check_state` with ``t_cut`` checks it: its
+        layout's structure once, when the plan is built (:meth:`plan`), and
+        its ages here, against the bound of its slot phase.  A state that
+        fails either is decoded and named in the :class:`InvalidStateError`
+        raised.
         """
-        layout = self._layout(state)
-        plan = self._generation_plans.get(layout)
+        span = self.t_cut + 1
+        limit = self.t_cut if intermediate else self.t_cut - 1
+        ages, layout, rest, fault = [], 0, code, False
+        for radix, weight, spared in zip(self._radices, self._weights, self._spared):
+            rest, digit = divmod(rest, radix)
+            if digit:
+                age = (digit - 1) % span
+                layout += (digit - age) * weight
+                fault |= age > limit and digit < spared
+                ages.append(age)
+            else:
+                ages.append(-1)
+        if fault or rest:
+            raise self._invalid(code, intermediate)
+        return self.plan(layout, code, intermediate), ages
+
+    def plan(self, layout: int, code: int | None = None, intermediate: bool = False) -> LayoutPlan:
+        """The plan of a link layout, given by its code at age 0, built and checked the first time.
+
+        A layout whose structure :func:`check_state` refuses raises
+        :class:`InvalidStateError`, naming the fault as :func:`check_state`
+        names it in the state with code ``code`` (by default the layout's
+        links at age 0), slot-boundary or ``intermediate``.
+        """
+        plan = self._plans.get(layout)
         if plan is None:
-            probe = self._probe(layout)
-            aged = age_links(probe)
+            probe = self.state(layout)
+            try:
+                check_state(probe)
+            except InvalidStateError:
+                raise self._invalid(layout if code is None else code, intermediate) from None
+            plan = self._plans[layout] = LayoutPlan(layout, is_absorbing(probe), frozenset(valid_swap_nodes(probe)))
+        return plan
+
+    def generation_terms(self, plan: LayoutPlan) -> tuple[int, tuple[int, ...]]:
+        """Phases 1 and 2 of the slot-boundary states of a non-absorbing layout, as code terms.
+
+        Returns what ageing (:func:`age_links`) adds to a state's code and,
+        per free neighbour pair (:func:`generation_pairs`) in sorted order,
+        the term of its fresh link.  The intermediate state after the pairs
+        of a success mask is the aged code plus the terms of the mask's
+        pairs; its layout is the layout's code plus the same terms, as fresh
+        links are of age 0.  Neither depends on the ages, so they are worked
+        out once per layout.
+        """
+        if plan.generation is None:
+            aged = age_links(self.state(plan.layout))
             fresh = tuple(self._link_terms[l, r, 0] for l, r in sorted(generation_pairs(aged)))
-            plan = self._generation_plans[layout] = self.code(aged) - self.code(probe), fresh
-        ageing, fresh = plan
-        return self.code(state) + ageing, fresh
+            plan.generation = self.code(aged) - plan.layout, fresh
+        return plan.generation
 
     def swap_terms(
-        self, state: ChainState, nodes: Iterable[int]
+        self, plan: LayoutPlan, ages: list[int], nodes: Iterable[int]
     ) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """Phases 3 and 4 of one intermediate state under the swap action ``nodes``, as code terms.
+        """Phases 3 and 4 of an intermediate state under the swap action ``nodes``, as code terms.
 
-        Returns the code of the links that the action leaves alone and the
-        cutoff keeps, and per run of the action (:func:`swap_runs`, left to
-        right) its mask over the action's nodes in ascending order and the
-        term of its merged link, 0 if the cutoff discards it.  As in
-        :func:`resolve_swaps` and :func:`apply_cutoff`, a run's merged link
-        spans its outer endpoints with the oldest input age, and the cutoff
-        discards every link of age ``t_cut`` but an end-to-end one.  The
-        slot-boundary state after a swap outcome mask is the first code
-        plus the terms of the runs whose nodes all succeeded.  The runs
-        depend on the link layout and the action alone: they come from the
-        (layout, action) swap plan, and only the ages are read here.
+        The state holds the links of ``plan``'s layout, the one out of node
+        ``l`` at age ``ages[l - 1]``.  Returns the code of the links that
+        the action leaves alone and the cutoff keeps, and per run of the
+        action (:func:`swap_runs`, left to right) its mask over the action's
+        nodes in ascending order and the term of its merged link, 0 if the
+        cutoff discards it.  As in :func:`resolve_swaps` and
+        :func:`apply_cutoff`, a run's merged link spans its outer endpoints
+        with the oldest input age, and the cutoff discards every link of age
+        ``t_cut`` but an end-to-end one.  The slot-boundary state after a
+        swap outcome mask is the first code plus the terms of the runs whose
+        nodes all succeeded.  The runs depend on the layout and the action
+        alone: they come from the (layout, action) swap plan, and only the
+        ages are read here.
         """
-        links = state.links
-        key = self._layout(state), frozenset(nodes)
-        plan = self._swap_plans.get(key)
-        if plan is None:
-            plan = self._swap_plans[key] = self._swap_plan(*key)
-        kept, runs = plan
+        nodes = frozenset(nodes)
+        swap = plan.swaps.get(nodes)
+        if swap is None:
+            swap = plan.swaps[nodes] = self._swap_plan(plan.layout, nodes)
+        kept, runs = swap
         code, terms = 0, []
         for i, base, weight, limit in kept:
-            age = links[i][2]
+            age = ages[i]
             if age < limit:
                 code += base + age * weight
         for mask, positions, base, weight, limit in runs:
-            age = max([links[i][2] for i in positions])
+            age = max([ages[i] for i in positions])
             terms.append((mask, base + age * weight if age < limit else 0))
         return code, tuple(terms)
 
-    def _layout(self, state: ChainState) -> tuple[int, ...]:
-        """A state's link layout, its links' endpoints with ages ignored: ``left * (n + 1) + right`` per link."""
-        span = self.n + 1
-        return tuple([l * span + r for l, r, _ in state.links])
+    def swappable(self, code: int) -> frozenset[int]:
+        """The nodes able to swap (:func:`valid_swap_nodes`) in the intermediate state with this code, from its layout's plan."""
+        return self.read(code, True)[0].swappable
 
-    def _probe(self, layout: tuple[int, ...]) -> ChainState:
-        """The state with the links of ``layout``, all at age 0."""
-        return _sorted_state(self.n, tuple([Link(*divmod(link, self.n + 1), 0) for link in layout]))
+    def _invalid(self, code: int, intermediate: bool) -> InvalidStateError:
+        """The error that names what is wrong with the state with this code."""
+        if 0 <= code < self._weights[-1] * self._radices[-1]:
+            state = self.state(code, intermediate)
+            try:
+                check_state(state, self.t_cut)
+            except InvalidStateError as error:
+                return error
+        return InvalidStateError(f"{code} is no code of a valid n={self.n}, t_cut={self.t_cut} state")
 
-    def _swap_plan(self, layout: tuple[int, ...], nodes: frozenset[int]) -> tuple[tuple, tuple]:
+    def _swap_plan(self, layout: int, nodes: frozenset[int]) -> tuple[tuple, tuple]:
         """What :meth:`swap_terms` adds up for the states of ``layout`` under the action ``nodes``."""
-        probe = self._probe(layout)
-        position = {link.left: i for i, link in enumerate(probe.links)}
+        probe = self.state(layout, True)
         bit = {k: 1 << b for b, k in enumerate(sorted(nodes))}
         runs = swap_runs(probe, bit)
         consumed = {link.left for links, _ in runs for link in links}
@@ -609,10 +681,11 @@ class CodeLayout:
             limit = _NEVER if (left, right) == (1, self.n) else self.t_cut
             return self._link_terms[left, right, 0], self._weights[left - 1], limit
 
-        kept = tuple((position[l], *place(l, r)) for l, r, _ in probe.links if l not in consumed)
+        # A link's age is read at its digit position, its left end less one.
+        kept = tuple((l - 1, *place(l, r)) for l, r, _ in probe.links if l not in consumed)
         merged = []
         for links, run_nodes in runs:
-            positions = tuple([position[link.left] for link in links])
+            positions = tuple([link.left - 1 for link in links])
             merged.append((sum([bit[k] for k in run_nodes]), positions, *place(links[0].left, links[-1].right)))
         return kept, tuple(merged)
 

@@ -7,50 +7,66 @@ the part that can silently drift.  The only randomness is one Bernoulli
 draw per generation pair (probability ``p``) and per swapping node
 (probability ``p_s``); the model's transition probabilities are never used.
 
-Trials run in chunks of :data:`CHUNK`, and all live trials of a chunk
-advance together, one slot at a time.  States are interned to integer
-indices, keyed by their :class:`~repeaterchain.chain.CodeLayout` code, as
-trials first reach them.  A generation table maps (boundary index,
+Trials run in chunks of :data:`CHUNK`, and all live trials of up to
+:data:`GROUP` chunks advance together, one slot at a time: each chunk
+draws from its own stream, and the tables look up all their trials at
+once.  States are interned to integer indices, keyed by their
+:class:`~repeaterchain.chain.CodeLayout` code, as trials first reach them.  A generation table maps (boundary index,
 generation-success mask) to an intermediate index, and a swap table maps
 (intermediate index, swap-success mask) to the next boundary index.
 Entries are filled lazily the first time a trial needs them, by code
 arithmetic: when a state is interned, ``CodeLayout.generation_terms`` or
 ``CodeLayout.swap_terms`` gives its slot phases as code terms, and an
 entry is the sum of the terms its mask selects.  Those terms come from
-slot plans that the tables' ``CodeLayout`` builds once per link layout
-(and swap action), so the states of one layout share their run structure;
-the plans last as long as the tables, one :func:`estimate` call.  An
-intermediate state has exactly one (boundary state, generation mask)
-parent: its age-0 links are the fresh ones.  So it is interned when that
-one generation entry is filled, and needs no index of its own.  Every
-interned state is still decoded once, passed to the policy (a function
-from a state to its action) if intermediate, and checked with
-:func:`~repeaterchain.chain.check_state`, so enumeration bugs surface as
-errors instead of skewing statistics.
+the plan of the state's link layout, which the tables' ``CodeLayout``
+builds once per layout (and a swap plan once per layout and action), so
+the states of one layout share their run structure; the plans last as
+long as the tables, one :func:`estimate` call.  An intermediate state has
+exactly one (boundary state, generation mask) parent: its age-0 links are
+the fresh ones.  So it is interned when that one generation entry is
+filled, and needs no index of its own.
+
+States stay codes throughout.  The policy maps an intermediate state's
+code to its action.  Each interned state is checked once, as
+:func:`~repeaterchain.chain.check_state` would check it, so enumeration
+bugs surface as errors instead of skewing statistics: its layout's
+structure when the layout's plan is built, and its ages when it is
+interned.  A slot-boundary state's ages are read from its code's digits
+(``CodeLayout.read``).  An intermediate state's code is not read: its
+layout is its parent's plus its fresh links, and its ages are its
+parent's plus one, 0 for the fresh links, so they keep within the
+intermediate bound ``t_cut`` because its parent's keep within
+``t_cut - 1``.  A state is decoded only to be named in an error.
 
 Randomness comes from a counter-based generator keyed by
 ``(master_seed, chunk index)``: a full chunk's delivery times are the same
 whatever the total trial count or the order chunks run in.  Only a shorter
 last chunk, which draws for fewer trials, depends on the trial count.
-Each slot makes one call to the generator for ``m * (pairs + nodes)``
-uniforms, ``m`` being the live trials: the first ``m * pairs``, row by row,
-decide generation and the rest the swaps.  The generator fills consecutive
-requests from one stream, so this is the same sequence of numbers as a
-generation draw followed by a swap draw, and a seed's delivery times do not
-depend on how a slot's draws are split into calls.
+Each slot, a chunk takes ``m * (pairs + nodes)`` raw 64-bit words from
+its generator in one call, ``m`` being its live trials: the first
+``m * pairs``, row by row, decide generation and the rest the swaps.  A
+word ``w`` succeeds with probability ``q`` when ``w <= L(q)``, where
+``L(q) = (ceil(q * 2**53) << 11) - 1``: numpy's ``Generator.random``
+turns ``w`` into ``(w >> 11) * 2**-53``, so this is ``random() < q`` on
+the same stream, decided without the floats (:func:`_word_limit`,
+:func:`_bernoulli_draws`).  The generator hands out consecutive words of
+one stream, so a seed's delivery times do not depend on how a slot's
+draws are split into calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .chain import ChainParams, ChainState, CodeLayout, _is_integer, check_state, is_absorbing
+from .chain import ChainParams, CodeLayout, _is_integer
 
 __all__ = [
     "CHUNK",
+    "MAX_NODES",
     "SimConfig",
     "SimResult",
     "TrajectoryError",
@@ -59,6 +75,9 @@ __all__ = [
 
 #: Trials per random stream; only the last chunk of a run may be shorter.
 CHUNK = 4096
+
+#: Chunks stepped together, which bounds the trials held at once.
+GROUP = 16
 
 
 class TrajectoryError(RuntimeError):
@@ -109,8 +128,23 @@ def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
     return out
 
 
-# Place value of mask bit k; masks are int64, so a row has at most 63 bits.
-_BIT_VALUES = 1 << np.arange(63, dtype=np.int64)
+# Place value of mask bit k.  A row of k-bit masks holds 2**k slots at
+# int64 offsets, so k stays below 63.
+_BIT_VALUES = 1 << np.arange(62, dtype=np.int64)
+
+#: The most nodes a simulated chain may have: its empty state's free
+#: neighbour pairs, one fewer, each take a mask bit.
+MAX_NODES = _BIT_VALUES.size + 1
+
+
+def _word_limit(q: float) -> np.uint64:
+    """The largest raw generator word that succeeds with probability ``q`` in (0, 1].
+
+    ``Generator.random`` maps a word ``w`` to ``(w >> 11) * 2**-53``, which
+    is below ``q`` exactly when ``w >> 11 < ceil(q * 2**53)``; ``q * 2**53``
+    is exact, a power-of-two scaling.  For ``q = 1`` every word succeeds.
+    """
+    return np.uint64((math.ceil(q * 2**53) << 11) - 1)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -183,21 +217,28 @@ class _Tables:
     order; ``swap`` has one row per intermediate state, with one mask bit
     per swapping node in ascending order.  Each interned state keeps the
     code terms of its slot phases, so a table entry is filled by adding up
-    the terms its mask selects.  ``policy(state)`` gives each intermediate
+    the terms its mask selects.  ``policy(code)`` gives each intermediate
     state's action once, when the state is interned; only boundary states
     are looked up by code, since each intermediate state is reached from
-    one generation entry alone.
+    one generation entry alone.  A chain of more than :data:`MAX_NODES`
+    nodes is refused before any table is allocated.
     """
 
-    def __init__(self, params: ChainParams, policy: Callable[[ChainState], frozenset[int]]):
+    def __init__(self, params: ChainParams, policy: Callable[[int], frozenset[int]]):
+        if params.n > MAX_NODES:
+            raise ValueError(
+                f"the simulator's outcome masks hold {_BIT_VALUES.size} bits, one per free neighbour pair, "
+                f"so a simulated chain has at most n={MAX_NODES} nodes, not n={params.n}"
+            )
         self.params = params
         self.policy = policy
         self.coder = CodeLayout(params.n, params.t_cut)
         self.boundary_index: dict[int, int] = {}
-        # Per boundary state its aged code and the term of each generation
-        # pair (None if absorbing); per intermediate state the code the
-        # swaps leave and each run's node mask and term.
-        self.aged: list[tuple[int, tuple[int, ...]] | None] = []
+        # Per boundary state its aged code, its layout, the term of each
+        # generation pair and its links' ages after ageing (None if
+        # absorbing); per intermediate state the code the swaps leave and
+        # each run's node mask and term.
+        self.aged: list[tuple[int, int, tuple[int, ...], list[int]] | None] = []
         self.intermediate: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.absorbing = np.zeros(64, dtype=bool)
         self.generation = _Table()
@@ -208,35 +249,38 @@ class _Tables:
         b = self.boundary_index.get(code)
         if b is not None:
             return b
-        state = self.coder.state(code)
-        check_state(state, self.params.t_cut)
+        plan, ages = self.coder.read(code)
         b = len(self.aged)
         self.boundary_index[code] = b
         self.absorbing = _grown(self.absorbing, b + 1, False)
-        if is_absorbing(state):
+        if plan.absorbing:
             self.absorbing[b] = True
             self.aged.append(None)
             self.generation.add_row(0)
         else:
-            aged, terms = self.coder.generation_terms(state)
-            self.aged.append((aged, terms))
-            self.generation.add_row(len(terms))
+            ageing, fresh = self.coder.generation_terms(plan)
+            # After ageing every link is a slot older; a fresh link's place
+            # held none (-1), so its age comes out 0.
+            self.aged.append((code + ageing, plan.layout, fresh, [age + 1 for age in ages]))
+            self.generation.add_row(len(fresh))
         return b
 
     def _generate(self, b: int, mask: int) -> int:
         # Only this (boundary state, generation mask) entry leads to the
-        # intermediate state it fills, so each is interned once, here.
-        aged, terms = self.aged[b]
-        state = self.coder.state(aged + sum([term for k, term in enumerate(terms) if mask >> k & 1]), True)
+        # intermediate state it fills, so each is interned once, here.  Its
+        # code, its layout and its ages all follow from its parent's.
+        aged, layout, fresh, ages = self.aged[b]
+        added = sum([term for k, term in enumerate(fresh) if mask >> k & 1])
+        code = aged + added
         try:
-            action = self.policy(state)
+            action = self.policy(code)
         except KeyError:
             raise TrajectoryError(
-                f"trajectory reached a state outside the policy domain: {state}"
+                f"trajectory reached a state outside the policy domain: {self.coder.state(code, True)}"
             ) from None
-        check_state(state, self.params.t_cut)
+        plan = self.coder.plan(layout + added, code, True)
         r = len(self.intermediate)
-        self.intermediate.append(self.coder.swap_terms(state, action))
+        self.intermediate.append(self.coder.swap_terms(plan, ages, action))
         self.swap.add_row(len(action))
         return r
 
@@ -256,6 +300,56 @@ class _Tables:
         return self.swap.lookup(mid, swap_bits, self._resolve)
 
 
+def _run_chunks(
+    tables: _Tables,
+    sizes: list[int],
+    draws: list[Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]],
+    max_slots: int,
+) -> np.ndarray:
+    """Delivery times of the trials of several chunks from the empty state, stepped together.
+
+    Chunk ``c`` has ``sizes[c]`` trials, which come after those of the
+    chunks before it in the result.  ``draws[c](slot, live)`` returns the
+    generation and swap bits of chunk ``c``'s trials at its positions
+    ``live`` for that slot, one row per live trial.  Each chunk draws just
+    as it would stepped alone; its bits are joined with the other chunks'
+    so that every slot looks its trials up in the tables at once.
+    """
+    bounds = np.cumsum(sizes)
+    starts = (bounds - sizes).tolist()
+    times = np.zeros(bounds[-1], dtype=np.int64)
+    live = np.arange(bounds[-1])
+    states = np.zeros(bounds[-1], dtype=np.int64)
+    for slot in range(1, max_slots + 1):
+        if len(draws) == 1:
+            gen_bits, swap_bits = draws[0](slot, live)
+        else:
+            # ``live`` stays sorted, so each chunk's live trials are one run of it.
+            ends = np.searchsorted(live, bounds).tolist()
+            parts = [
+                draw(slot, live[begin:end] - start)
+                for draw, start, begin, end in zip(draws, starts, [0] + ends, ends)
+                if end > begin
+            ]
+            gen_bits, swap_bits = (np.concatenate(bits) for bits in zip(*parts))
+        states = tables.step(states, gen_bits, swap_bits)
+        done = tables.absorbing[states]
+        if np.count_nonzero(done):
+            times[live[done]] = slot
+            running = ~done
+            live = live[running]
+            states = states[running]
+            if not live.size:
+                return times
+    # Chunks stepped one after another would stop at the first with a trial left.
+    c = int(np.searchsorted(bounds, live[0], side="right"))
+    left = int(np.searchsorted(live, bounds[c])) - int(np.searchsorted(live, starts[c]))
+    raise TrajectoryError(
+        f"no delivery within {max_slots} slots ({left} of {sizes[c]} trials still running); "
+        "policy or parameters look pathological"
+    )
+
+
 def _run_chunk(
     tables: _Tables,
     size: int,
@@ -267,24 +361,7 @@ def _run_chunk(
     ``draw(slot, live)`` returns the generation and swap bits of the trials
     at positions ``live`` for that slot, one row per live trial.
     """
-    times = np.zeros(size, dtype=np.int64)
-    live = np.arange(size)
-    states = np.zeros(size, dtype=np.int64)
-    for slot in range(1, max_slots + 1):
-        gen_bits, swap_bits = draw(slot, live)
-        states = tables.step(states, gen_bits, swap_bits)
-        done = tables.absorbing[states]
-        if done.any():
-            times[live[done]] = slot
-            running = ~done
-            live = live[running]
-            states = states[running]
-            if not live.size:
-                return times
-    raise TrajectoryError(
-        f"no delivery within {max_slots} slots ({live.size} of {size} trials still running); "
-        "policy or parameters look pathological"
-    )
+    return _run_chunks(tables, [size], [draw], max_slots)
 
 
 def _chunk_rng(master_seed: int, chunk: int) -> np.random.Generator:
@@ -293,44 +370,59 @@ def _chunk_rng(master_seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _bernoulli_draws(
+    params: ChainParams, words: Callable[[int], np.ndarray]
+) -> Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """A chunk's ``draw`` for :func:`_run_chunk`, deciding each slot's outcomes on raw words.
+
+    ``words(k)`` returns the next ``k`` words of the chunk's stream.  A slot
+    takes them in one call, the same stream as a ``(m, pairs)`` draw then a
+    ``(m, nodes)`` one, and a word succeeds when it is at most its
+    probability's :func:`_word_limit`.
+    """
+    pairs, nodes = params.n - 1, params.n - 2
+    gen_limit, swap_limit = _word_limit(params.p), _word_limit(params.p_s)
+
+    def draw(slot: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = live.size
+        raw = words(m * (pairs + nodes))
+        return raw[: m * pairs].reshape(m, pairs) <= gen_limit, raw[m * pairs :].reshape(m, nodes) <= swap_limit
+
+    return draw
+
+
 def _delivery_times(
     params: ChainParams,
-    policy: Callable[[ChainState], frozenset[int]],
+    policy: Callable[[int], frozenset[int]],
     config: SimConfig,
 ) -> np.ndarray:
     """Delivery time of every trial, in trial order."""
     tables = _Tables(params, policy)
-    pairs, nodes = params.n - 1, params.n - 2
-    times = np.empty(config.trials, dtype=np.int64)
-    for chunk, start in enumerate(range(0, config.trials, CHUNK)):
-        rng = _chunk_rng(config.master_seed, chunk)
-
-        def draw(slot: int, live: np.ndarray, rng=rng) -> tuple[np.ndarray, np.ndarray]:
-            # One call, the same stream as a (m, pairs) draw then a (m, nodes) one.
-            m = live.size
-            uniforms = rng.random(m * (pairs + nodes))
-            return (
-                uniforms[: m * pairs].reshape(m, pairs) < params.p,
-                uniforms[m * pairs :].reshape(m, nodes) < params.p_s,
-            )
-
-        size = min(CHUNK, config.trials - start)
-        times[start : start + size] = _run_chunk(tables, size, draw, config.max_slots)
-    return times
+    sizes = [min(CHUNK, config.trials - start) for start in range(0, config.trials, CHUNK)]
+    times = []
+    for first in range(0, len(sizes), GROUP):
+        group = range(first, min(first + GROUP, len(sizes)))
+        draws = [_bernoulli_draws(params, _chunk_rng(config.master_seed, c).bit_generator.random_raw) for c in group]
+        times.append(_run_chunks(tables, sizes[first : group.stop], draws, config.max_slots))
+    return np.concatenate(times)
 
 
 def estimate(
     params: ChainParams,
-    policy: Callable[[ChainState], frozenset[int]],
+    policy: Callable[[int], frozenset[int]],
     config: SimConfig,
 ) -> SimResult:
     """Sample mean, standard error and histogram of the delivery time.
 
-    ``policy(state)`` gives the action of each intermediate state a
-    trajectory visits, such as :meth:`~repeaterchain.solver.Policy.state_map`
-    or :func:`~repeaterchain.solver.baseline_rule` returns.  A state for
-    which it raises :class:`KeyError`, or running ``config.max_slots`` slots
-    without delivery, raises :class:`TrajectoryError`.
+    ``policy(code)`` gives the action of each intermediate state a
+    trajectory visits, from the state's
+    :class:`~repeaterchain.chain.CodeLayout` code; it is called once per
+    state, when the state is first reached.  Such functions are what
+    :meth:`~repeaterchain.solver.Policy.state_map` and
+    :func:`~repeaterchain.solver.baseline_rule` return.  A state for which
+    it raises :class:`KeyError`, or running ``config.max_slots`` slots
+    without delivery, raises :class:`TrajectoryError`; a chain of more than
+    :data:`MAX_NODES` nodes raises :class:`ValueError`.
     """
     times = _delivery_times(params, policy, config)
     counts = np.bincount(times)

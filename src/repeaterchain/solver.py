@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .chain import ChainState, StateCodes, _is_integer, _subsets, mirror_action, valid_swap_nodes
+from .chain import ChainState, CodeLayout, StateCodes, _is_integer, _subsets, mirror_action
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
@@ -92,6 +92,32 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
+class _CodeActions(dict):
+    """Actions by intermediate-state code: its ``__getitem__`` is a policy as the simulator takes one.
+
+    The simulator looks up the :class:`~repeaterchain.chain.CodeLayout`
+    code of each intermediate state it reaches.  A code the dict does not
+    hold gets ``rule``'s action for the state's swappable nodes (found from
+    its layout by ``coder``), or raises :class:`KeyError` without a rule.
+    Callers that hold a :class:`~repeaterchain.chain.ChainState` may look
+    it up too, by its code.
+    """
+
+    __slots__ = ("coder", "rule")
+
+    def __init__(self, coder: CodeLayout, actions=(), rule: Callable[[frozenset[int]], frozenset[int]] | None = None):
+        super().__init__(actions)
+        self.coder = coder
+        self.rule = rule
+
+    def __missing__(self, key) -> frozenset[int]:
+        if isinstance(key, ChainState):
+            return self[self.coder.code(key)]
+        if self.rule is None:
+            raise KeyError(key)
+        return self.rule(self.coder.swappable(key))
+
+
 @dataclass(frozen=True, eq=False)
 class Policy:
     """Deterministic policy: the choice-table row each intermediate state takes.
@@ -150,18 +176,18 @@ class Policy:
         actions += [mirror_action(action, space.params.n) for action in actions]
         return digits, list(map(actions.__getitem__, (taken[owner] + len(ids) * image).tolist()))
 
-    def state_map(self, space: StateSpace) -> Callable[[ChainState], frozenset[int]]:
-        """The action of any unfolded intermediate state, as the simulator takes a policy.
+    def state_map(self, space: StateSpace) -> Callable[[int], frozenset[int]]:
+        """The action of any unfolded intermediate state by its code, as the simulator takes a policy.
 
-        Builds one dict from the code of every unfolded intermediate state
-        to its action (:meth:`unfolded`), so a visited state costs one
-        encoding and one lookup.  A state the space does not list raises
+        Returns the ``__getitem__`` of one dict from the code of every
+        unfolded intermediate state to its action (:meth:`unfolded`), so a
+        visited state costs one lookup.  A :class:`~repeaterchain.chain.ChainState`
+        is looked up by its code.  A state the space does not list raises
         :class:`KeyError`.
         """
         coder = StateCodes(space.params.n, space.params.t_cut)
         digits, actions = self.unfolded(space)
-        table = dict(zip(coder.codes(digits).tolist(), actions))
-        return lambda state: table[coder.code(state)]
+        return _CodeActions(coder, zip(coder.codes(digits).tolist(), actions)).__getitem__
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +221,16 @@ class PolicyStats:
     decidable_states: int
 
 
-def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState], frozenset[int]]:
-    """A baseline's action in any intermediate state of an ``n``-node chain.
+def _interior(n: int, withheld: Iterable[int]) -> frozenset[int]:
+    """The withheld nodes of a baseline, checked to be interior nodes of an ``n``-node chain."""
+    withheld = frozenset(withheld)
+    if not withheld <= set(range(2, n)):
+        raise ValueError(f"withheld nodes must be interior nodes of a {n}-node chain")
+    return withheld
+
+
+def baseline_rule(n: int, t_cut: int, withheld: Iterable[int] = ()) -> Callable[[int], frozenset[int]]:
+    """A baseline's action in any intermediate state of an ``(n, t_cut)`` chain, by the state's code.
 
     Swap-asap swaps at every node that holds two links.  With ``withheld``
     interior nodes, those nodes do not swap in full states, where every pair
@@ -205,18 +239,18 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[ChainState]
     shorter ones.  A state is full exactly when all ``n - 2`` interior nodes
     can swap: node ``k``'s incoming link must start at node ``k - 1``, since
     every node left of that already has its outgoing link in use.
-    """
-    withheld = frozenset(withheld)
-    if not withheld <= set(range(2, n)):
-        raise ValueError(f"withheld nodes must be interior nodes of a {n}-node chain")
-    if not withheld:
-        return lambda state: frozenset(valid_swap_nodes(state))
 
-    def action(state: ChainState) -> frozenset[int]:
-        nodes = frozenset(valid_swap_nodes(state))
+    The nodes that can swap depend on the state's link layout alone, so
+    they come from the layout's plan (:meth:`~repeaterchain.chain.CodeLayout.swappable`).
+    Like :meth:`Policy.state_map`, the rule takes a
+    :class:`~repeaterchain.chain.ChainState` too.
+    """
+    withheld = _interior(n, withheld)
+
+    def action(nodes: frozenset[int]) -> frozenset[int]:
         return nodes - withheld if len(nodes) == n - 2 else nodes
 
-    return action
+    return _CodeActions(CodeLayout(n, t_cut), rule=action).__getitem__
 
 
 def swap_asap_policy(space: StateSpace) -> Policy:
@@ -237,8 +271,8 @@ def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
     node set must be its own mirror image there; otherwise this raises
     :class:`ValueError`.
     """
-    n, withheld = space.params.n, frozenset(withheld)
-    baseline_rule(n, withheld)  # raises unless every node is interior
+    n = space.params.n
+    withheld = _interior(n, withheld)
     if space.folded and mirror_action(withheld, n) != withheld:
         raise ValueError(
             f"withheld nodes {sorted(withheld)} are not mirror-symmetric, "

@@ -7,6 +7,7 @@ import pytest
 from repeaterchain.chain import (
     ChainParams,
     ChainState,
+    CodeLayout,
     InvalidStateError,
     Link,
     StateCodes,
@@ -282,7 +283,8 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
     for s in space.boundary_states:
         if is_absorbing(s):
             continue
-        aged_code, terms = coder.generation_terms(s)
+        ageing, terms = coder.generation_terms(coder.read(coder.code(s))[0])
+        aged_code = coder.code(s) + ageing
         aged = age_links(s)
         pairs = sorted(generation_pairs(aged))
         assert len(terms) == len(pairs)
@@ -293,7 +295,7 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
     for r in space.intermediate_states:
         for action in action_space(r):
             nodes = sorted(action)
-            kept, runs = coder.swap_terms(r, action)
+            kept, runs = coder.swap_terms(*coder.read(coder.code(r), True), action)
             assert len(runs) == len(swap_runs(r, action))
             for mask in range(1 << len(nodes)):
                 pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
@@ -742,3 +744,46 @@ def test_check_state_agrees_with_the_checks_one_by_one():
         kinds.add(expected and next(fault for fault in faults if fault in expected))
     # Valid link sets and every kind of fault were drawn.
     assert kinds == {None, *faults}
+
+
+def test_code_checks_agree_with_check_state():
+    """On random link sets a code can hold, reading the code accepts and rejects what ``check_state`` does.
+
+    ``CodeLayout.read`` checks a layout's structure once, when its plan is
+    built, and each state's ages from its digits; a refused state is named
+    in ``check_state``'s words.
+    """
+    rng = np.random.default_rng(31)
+    n, kinds = 6, set()
+    faults = ("exclusivity", "partially overlap", "exceeds age bound")
+    coders = {t_cut: CodeLayout(n, t_cut) for t_cut in (1, 2, 3)}
+
+    def read(state, t_cut):
+        coder = coders[t_cut]
+        plan, ages = coder.read(coder.code(state), state.intermediate)
+        assert ages == [next((age for l, _, age in state.links if l == left), -1) for left in range(1, n)]
+        assert plan.swappable == valid_swap_nodes(state)
+        assert plan.absorbing == is_absorbing(state)
+
+    for _ in range(20_000):
+        t_cut = int(rng.integers(1, 4))
+        # One link out of a node at most, in range, aged 0 .. t_cut: a code holds it.
+        links = {}
+        for _ in range(rng.integers(0, 5)):
+            left = int(rng.integers(1, n))
+            links[left] = (left, int(rng.integers(left + 1, n + 1)), int(rng.integers(0, t_cut + 1)))
+        state = mk(n, list(links.values()), intermediate=bool(rng.integers(2)))
+        expected = _outcome(check_state, state, t_cut)
+        assert _outcome(read, state, t_cut) == expected, state
+        kinds.add(expected and next(fault for fault in faults if fault in expected))
+    # Valid link sets and every fault a code can hold were drawn.
+    assert kinds == {None, *faults}
+    # Most states met a layout whose plan (and structure check) was already built.
+    assert sum(len(coder._plans) for coder in coders.values()) < 2_000
+
+
+@pytest.mark.parametrize("code", [-1, 15, 10**30], ids=["negative", "past-the-last", "huge"])
+def test_read_refuses_a_number_that_is_no_code(code):
+    # n = 3, t_cut = 1: digit radices 5 and 3, so codes run 0 .. 14.
+    with pytest.raises(InvalidStateError, match=f"{code} is no code of a valid n=3, t_cut=1 state"):
+        CodeLayout(3, 1).read(code)

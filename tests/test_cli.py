@@ -9,7 +9,7 @@ from repeaterchain import cli, solver
 from repeaterchain.chain import ChainParams, StateCodes, encode_state, mirror
 from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.sim import SimConfig, estimate
+from repeaterchain.sim import MAX_NODES, SimConfig, estimate
 from repeaterchain.solver import (
     evaluate_policy,
     modified_full_state_policy,
@@ -488,6 +488,16 @@ class TestSweep:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("n", [64, 66])
+    def test_chain_too_wide_for_the_tables_is_one_error_line(self, tmp_path, capsys, n):
+        code = run(
+            ["simulate", "--n", n, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--trials", 1, "--out", tmp_path]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"at most n={MAX_NODES} nodes, not n={n}" in err
+
     def test_deterministic_histogram(self, tmp_path, capsys):
         out = tmp_path / "sim"
         code = run(

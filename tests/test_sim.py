@@ -3,10 +3,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from repeaterchain import sim
-from repeaterchain.chain import ChainParams, StateCodes, state_from_links
+from repeaterchain import chain, sim
+from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes
 from repeaterchain.mdp import TransitionModel
-from repeaterchain.sim import CHUNK, SimConfig, TrajectoryError, _chunk_rng, _delivery_times, _pack, _Tables, estimate
+from repeaterchain.sim import (
+    CHUNK,
+    SimConfig,
+    TrajectoryError,
+    _chunk_rng,
+    _delivery_times,
+    _pack,
+    _run_chunk,
+    _Tables,
+    estimate,
+)
 from repeaterchain.solver import baseline_rule, evaluate_policy, policy_iteration, swap_asap_policy
 from repeaterchain.statespace import enumerate_states
 
@@ -52,7 +62,8 @@ class TestRunTrial:
 
     def test_unlisted_state_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
-        only_empty = {state_from_links(3, [], intermediate=True): frozenset()}
+        # Policies take codes: the empty intermediate state's is 0.
+        only_empty = {0: frozenset()}
         with pytest.raises(TrajectoryError, match="outside the policy domain"):
             estimate(params, only_empty.__getitem__, SimConfig(trials=10, master_seed=1, max_slots=100))
 
@@ -61,14 +72,41 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="64 bits"):
             StateCodes(13, 7)
         params = ChainParams(n=13, p=0.9, p_s=0.9, t_cut=7)
-        result = estimate(params, baseline_rule(13), SimConfig(trials=50, master_seed=1))
+        result = estimate(params, baseline_rule(13, 7), SimConfig(trials=50, master_seed=1))
         assert sum(result.histogram.values()) == 50
 
     def test_slot_cap_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
-        never = {r: frozenset() for r in space.intermediate_states}
+        coder = CodeLayout(3, 1)
+        never = {coder.code(r): frozenset() for r in space.intermediate_states}
         with pytest.raises(TrajectoryError, match="no delivery within 50 slots"):
             estimate(params, never.__getitem__, SimConfig(trials=10, master_seed=1, max_slots=50))
+
+    def test_slot_cap_names_the_first_chunk_with_trials_left(self):
+        params, space = setup(3, 1, 0.5, 0.5)
+        coder = CodeLayout(3, 1)
+        never = {coder.code(r): frozenset() for r in space.intermediate_states}
+        message = rf"no delivery within 20 slots \({CHUNK} of {CHUNK} trials still running\)"
+        with pytest.raises(TrajectoryError, match=message):
+            estimate(params, never.__getitem__, SimConfig(trials=CHUNK + 10, master_seed=1, max_slots=20))
+
+    def test_chunks_stepped_together_match_chunks_stepped_alone(self, monkeypatch):
+        params, space = setup(4, 2, 0.6, 0.5)
+        pmap = swap_asap_policy(space).state_map(space)
+        sizes = [CHUNK] * 4 + [37]
+        alone = [
+            _run_chunk(
+                _Tables(params, pmap),
+                size,
+                sim._bernoulli_draws(params, _chunk_rng(17, chunk).bit_generator.random_raw),
+                1000,
+            )
+            for chunk, size in enumerate(sizes)
+        ]
+        # Groups of two chunks, the last group a short chunk alone.
+        monkeypatch.setattr(sim, "GROUP", 2)
+        together = _delivery_times(params, pmap, SimConfig(trials=sum(sizes), master_seed=17, max_slots=1000))
+        assert (together == np.concatenate(alone)).all()
 
     def test_chunk_times_do_not_depend_on_trial_count(self):
         params, space = setup(4, 2, 0.6, 0.5)
@@ -116,22 +154,45 @@ class TestEstimate:
         assert abs(result.mean - table.t0) <= 4 * result.stderr
 
     def test_validate_mode(self, monkeypatch):
-        """Every state a trajectory reaches is checked once, when it is first interned."""
-        params, space = setup(3, 2, 0.8, 0.8)
-        policy = swap_asap_policy(space)
-        checked = []
-        real_check = sim.check_state
+        """Every state a trajectory reaches passes both checks once, when it is first interned.
 
-        def spy(state, t_cut=None):
+        A slot-boundary state's ages are checked when its code is read
+        (an intermediate state's follow from its parent's), and the
+        structure of each layout when its plan is built.
+        """
+        params, space = setup(3, 2, 0.8, 0.8)
+        lookup = swap_asap_policy(space).state_map(space)
+        read, asked, checked = [], [], []
+        real_read, real_check = CodeLayout.read, chain.check_state
+
+        def spy_read(coder, code, intermediate=False):
+            read.append((code, intermediate))
+            return real_read(coder, code, intermediate)
+
+        def spy_check(state, t_cut=None):
             checked.append(state)
             real_check(state, t_cut)
 
-        monkeypatch.setattr(sim, "check_state", spy)
-        result = estimate(params, policy.state_map(space), SimConfig(trials=200, master_seed=5))
+        def policy(code):
+            asked.append(code)
+            return lookup(code)
+
+        monkeypatch.setattr(CodeLayout, "read", spy_read)
+        monkeypatch.setattr(chain, "check_state", spy_check)
+        result = estimate(params, policy, SimConfig(trials=200, master_seed=5))
         assert result.trials == 200
-        assert len(checked) == len(set(checked))
-        assert {s for s in checked if s.intermediate} <= set(space.intermediate_states)
-        assert sum(not s.intermediate for s in checked) > 1
+        coder = CodeLayout(3, 2)
+        assert not any(intermediate for _, intermediate in read)
+        boundary = [coder.state(code) for code, _ in read]
+        intermediate = [coder.state(code, True) for code in asked]
+        for states in (boundary, intermediate, checked):
+            assert len(states) == len(set(states))
+        for state in boundary + intermediate:
+            real_check(state, 2)
+        assert set(intermediate) <= set(space.intermediate_states)
+        assert len(boundary) > 1
+        # The layouts checked are those of the states reached.
+        assert set(checked) == {ChainState(3, tuple(link._replace(age=0) for link in s.links)) for s in boundary + intermediate}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -242,16 +303,17 @@ WIDE_PINS = [
 def test_baseline_delivery_times_past_five_nodes_are_pinned(point, withheld, trials, seed, expected):
     n, t_cut, p, p_s = point
     params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
-    times = _delivery_times(params, baseline_rule(n, withheld), SimConfig(trials=trials, master_seed=seed))
+    times = _delivery_times(params, baseline_rule(n, t_cut, withheld), SimConfig(trials=trials, master_seed=seed))
     assert _digest(times) == expected
 
 
 def test_states_of_one_layout_share_a_slot_plan():
     """Plans belong to one set of tables: they are built as its states need them and shared by layout."""
     params = ChainParams(n=5, p=0.3, p_s=0.5, t_cut=4)
-    tables = _Tables(params, baseline_rule(5))
+    tables = _Tables(params, baseline_rule(5, 4))
+    plans = tables.coder._plans
     # Fresh tables hold the empty state's plan alone, whatever ran before.
-    assert list(tables.coder._generation_plans) == [()] and not tables.coder._swap_plans
+    assert list(plans) == [0] and not plans[0].swaps
     states = np.zeros(2500, dtype=np.int64)
     rng = _chunk_rng(11, 0)
     while not tables.absorbing[states].all():
@@ -259,5 +321,111 @@ def test_states_of_one_layout_share_a_slot_plan():
         uniforms = rng.random((states.size, 7))
         states = tables.step(states, uniforms[:, :4] < params.p, uniforms[:, 4:] < params.p_s)
     boundary = len(tables.aged) - int(tables.absorbing.sum())
-    assert 0 < len(tables.coder._generation_plans) < boundary / 4
-    assert 0 < len(tables.coder._swap_plans) < len(tables.intermediate) / 4
+    generating = {
+        tables.coder.read(code)[0].layout for code, b in tables.boundary_index.items() if not tables.absorbing[b]
+    }
+    assert 0 < len(generating) < boundary / 4
+    assert 0 < sum(len(plan.swaps) for plan in plans.values()) < len(tables.intermediate) / 4
+
+
+@pytest.mark.parametrize("n,t_cut", [(4, 2), (5, 3), (6, 2)])
+def test_intermediate_states_follow_from_their_parent(n, t_cut):
+    """The layout and ages the tables derive for an intermediate state are those its code's digits hold."""
+    params = ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut)
+    tables = _Tables(params, baseline_rule(n, t_cut))
+    coder = CodeLayout(n, t_cut)
+    children = 0
+    for s in enumerate_states(params).boundary_states:
+        derived = tables.aged[tables._boundary_id(coder.code(s))]
+        if derived is None:
+            continue
+        aged, layout, fresh, ages = derived
+        for mask in range(1 << len(fresh)):
+            added = sum(term for k, term in enumerate(fresh) if mask >> k & 1)
+            plan, held = coder.read(aged + added, True)
+            assert plan.layout == layout + added
+            assert [age for age, h in zip(ages, held) if h >= 0] == [h for h in held if h >= 0]
+            children += 1
+    assert children > 50
+
+
+def _float_draws(params, rng, m):
+    """A slot's generation and swap bits as the simulator once drew them: ``random() < q``."""
+    pairs, nodes = params.n - 1, params.n - 2
+    uniforms = rng.random(m * (pairs + nodes))
+    return uniforms[: m * pairs].reshape(m, pairs) < params.p, uniforms[m * pairs :].reshape(m, nodes) < params.p_s
+
+
+def _float_success(word: int, q: float) -> bool:
+    """``Generator.random() < q`` for a Philox generator whose next raw word is ``word``."""
+    return (word >> 11) * 2.0**-53 < q
+
+
+_K = 3_000_001
+DRAW_PROBABILITIES = [
+    1.0,
+    2.0**-53,
+    0.5,
+    _K * 2.0**-53,
+    float(np.nextafter(_K * 2.0**-53, 1.0)),
+    float(np.nextafter(_K * 2.0**-53, 0.0)),
+    0.3,
+    0.9,
+]
+
+
+@pytest.mark.parametrize("q", DRAW_PROBABILITIES)
+def test_raw_word_draws_decide_as_float_draws(q):
+    """On one stream, the simulator's raw-word outcomes are the float draws' ``random() < q``."""
+    params = ChainParams(n=5, p=q, p_s=0.9 if q == 0.3 else q, t_cut=2)
+    draw = sim._bernoulli_draws(params, _chunk_rng(11, 2).bit_generator.random_raw)
+    floats = _chunk_rng(11, 2)
+    for slot, m in enumerate((1, 7, 300, CHUNK, 2), start=1):
+        for got, want in zip(draw(slot, np.arange(m)), _float_draws(params, floats, m)):
+            assert got.dtype == bool and (got == want).all()
+
+
+@pytest.mark.parametrize("q", DRAW_PROBABILITIES)
+def test_raw_word_limit_decides_its_edge_words(q):
+    """A random stream all but never draws the words next to a limit, so they are fed in directly."""
+    limit = int(sim._word_limit(q))
+    assert (limit >> 11) * 2.0**-53 < q
+    if limit + 1 < 2**64:
+        assert ((limit + 1) >> 11) * 2.0**-53 >= q
+    edges = [w for w in (limit - 1, limit, limit + 1, 0, 2**64 - 1) if 0 <= w < 2**64]
+    params = ChainParams(n=3, p=q, p_s=q, t_cut=1)
+    # Two pairs and one node: each live trial takes three words, and the
+    # generation bits take the first two thirds of a slot's words.
+    words = np.array(edges * 3, dtype=np.uint64)
+    draw = sim._bernoulli_draws(params, lambda k: words[:k])
+    gen, swap = draw(1, np.arange(len(edges)))
+    decided = np.concatenate((gen.ravel(), swap.ravel())).tolist()
+    assert decided == [_float_success(w, q) for w in words.tolist()]
+
+
+def test_too_wide_a_chain_is_refused_before_any_table_is_allocated(monkeypatch):
+    def allocate(self):
+        raise AssertionError("a table was allocated")
+
+    monkeypatch.setattr(sim._Table, "__init__", allocate)
+    assert sim.MAX_NODES == sim._BIT_VALUES.size + 1
+    params = ChainParams(n=sim.MAX_NODES + 1, p=0.9, p_s=0.5, t_cut=2)
+    with pytest.raises(ValueError, match=f"at most n={sim.MAX_NODES} nodes, not n={sim.MAX_NODES + 1}"):
+        _Tables(params, baseline_rule(params.n, 2))
+
+
+def test_each_chunk_draws_for_its_own_live_positions():
+    """Stepped together, every chunk's draw is asked for the positions it would be asked for alone."""
+    params, space = setup(4, 2, 0.6, 0.5)
+    pmap = swap_asap_policy(space).state_map(space)
+    rng = np.random.default_rng(3)
+    sizes = [50, 30, 20]
+    bits = [(rng.random((400, size, 3)) < 0.6, rng.random((400, size, 2)) < 0.5) for size in sizes]
+
+    def recorded(gen, swap):
+        return lambda slot, live: (gen[slot - 1, live], swap[slot - 1, live])
+
+    alone = [_run_chunk(_Tables(params, pmap), size, recorded(*b), 400) for size, b in zip(sizes, bits)]
+    together = sim._run_chunks(_Tables(params, pmap), sizes, [recorded(*b) for b in bits], 400)
+    assert together.tolist() == np.concatenate(alone).tolist()
+    assert len(set(together.tolist())) > 5
