@@ -487,8 +487,8 @@ class CodeLayout:
     (:class:`LayoutPlan`, :meth:`plan`), built the first time a state of
     the layout needs it and kept on this instance.  From a plan,
     :meth:`generation_terms` and :meth:`swap_terms` give the slot phases of
-    the layout's states as terms that outcome masks add up, and
-    :meth:`swappable` gives a state's nodes able to swap.  A swap plan, per
+    the layout's states as terms that outcome masks add up, and its
+    ``swappable`` nodes are what a baseline policy needs.  A swap plan, per
     (layout, action), holds per kept link and per run the digit positions
     of its links, its term at age 0, its place value and the age the cutoff
     discards it at, and per run its node mask; it is built from
@@ -654,10 +654,6 @@ class CodeLayout:
             age = max([ages[i] for i in positions])
             terms.append((mask, base + age * weight if age < limit else 0))
         return code, tuple(terms)
-
-    def swappable(self, code: int) -> frozenset[int]:
-        """The nodes able to swap (:func:`valid_swap_nodes`) in the intermediate state with this code, from its layout's plan."""
-        return self.read(code, True)[0].swappable
 
     def _invalid(self, code: int, intermediate: bool) -> InvalidStateError:
         """The error that names what is wrong with the state with this code."""

@@ -45,7 +45,6 @@ from .solver import (
     Policy,
     SolverConfig,
     ValueTable,
-    _interior,
     baseline_rule,
     evaluate_policy,
     modified_full_state_policy,
@@ -284,7 +283,7 @@ def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
     else:
         raise ValueError(f"unknown baseline policy {spec!r} (use swap-asap or modified:<nodes>)")
     if n is not None:
-        _interior(n, nodes)  # raises unless every node is interior
+        baseline_rule(n, nodes)  # raises unless every node is interior
     return nodes
 
 
@@ -569,7 +568,7 @@ def cmd_simulate(opt: _Options) -> int:
         model, _, policy = _solve(_model(params, opt), params.p, params.p_s, opt.get("method"), config)
         rule = policy.state_map(model.space)
     elif spec == "swap-asap" or spec.startswith("modified:"):
-        rule = baseline_rule(params.n, params.t_cut, _withheld_nodes(spec))
+        rule = baseline_rule(params.n, _withheld_nodes(spec))
     else:
         entries = _policy_entries(spec, params)
         space = enumerate_states(params, state_cap=opt.get("state_cap"))

@@ -7,11 +7,10 @@ the part that can silently drift.  The only randomness is one Bernoulli
 draw per generation pair (probability ``p``) and per swapping node
 (probability ``p_s``); the model's transition probabilities are never used.
 
-Trials run in chunks of :data:`CHUNK`, and all live trials of up to
-:data:`GROUP` chunks advance together, one slot at a time: each chunk
-draws from its own stream, and the tables look up all their trials at
-once.  States are interned to integer indices, keyed by their
-:class:`~repeaterchain.chain.CodeLayout` code, as trials first reach them.  A generation table maps (boundary index,
+Trials run in chunks of :data:`CHUNK`, and all live trials of a chunk
+advance together, one slot at a time.  States are interned to integer
+indices, keyed by their :class:`~repeaterchain.chain.CodeLayout` code, as
+trials first reach them.  A generation table maps (boundary index,
 generation-success mask) to an intermediate index, and a swap table maps
 (intermediate index, swap-success mask) to the next boundary index.
 Entries are filled lazily the first time a trial needs them, by code
@@ -27,7 +26,8 @@ the fresh ones.  So it is interned when that one generation entry is
 filled, and needs no index of its own.
 
 States stay codes throughout.  The policy maps an intermediate state's
-code to its action.  Each interned state is checked once, as
+code, and its nodes able to swap (from its layout's plan), to its
+action.  Each interned state is checked once, as
 :func:`~repeaterchain.chain.check_state` would check it, so enumeration
 bugs surface as errors instead of skewing statistics: its layout's
 structure when the layout's plan is built, and its ages when it is
@@ -75,9 +75,6 @@ __all__ = [
 
 #: Trials per random stream; only the last chunk of a run may be shorter.
 CHUNK = 4096
-
-#: Chunks stepped together, which bounds the trials held at once.
-GROUP = 16
 
 
 class TrajectoryError(RuntimeError):
@@ -132,8 +129,9 @@ def _grown(array: np.ndarray, size: int, fill) -> np.ndarray:
 # int64 offsets, so k stays below 63.
 _BIT_VALUES = 1 << np.arange(62, dtype=np.int64)
 
-#: The most nodes a simulated chain may have: its empty state's free
-#: neighbour pairs, one fewer, each take a mask bit.
+#: The most nodes whose outcome masks fit: each of the ``n - 1`` neighbour
+#: pairs of the empty state takes a mask bit.  Table memory runs out far
+#: sooner, as a row holds a slot per mask.
 MAX_NODES = _BIT_VALUES.size + 1
 
 
@@ -217,18 +215,18 @@ class _Tables:
     order; ``swap`` has one row per intermediate state, with one mask bit
     per swapping node in ascending order.  Each interned state keeps the
     code terms of its slot phases, so a table entry is filled by adding up
-    the terms its mask selects.  ``policy(code)`` gives each intermediate
-    state's action once, when the state is interned; only boundary states
-    are looked up by code, since each intermediate state is reached from
-    one generation entry alone.  A chain of more than :data:`MAX_NODES`
+    the terms its mask selects.  ``policy(code, swappable)`` gives each
+    intermediate state's action once, when the state is interned; only
+    boundary states are looked up by code, since each intermediate state is
+    reached from one generation entry alone.  A chain of more than :data:`MAX_NODES`
     nodes is refused before any table is allocated.
     """
 
-    def __init__(self, params: ChainParams, policy: Callable[[int], frozenset[int]]):
+    def __init__(self, params: ChainParams, policy: Callable[[int, frozenset[int]], frozenset[int]]):
         if params.n > MAX_NODES:
             raise ValueError(
-                f"the simulator's outcome masks hold {_BIT_VALUES.size} bits, one per free neighbour pair, "
-                f"so a simulated chain has at most n={MAX_NODES} nodes, not n={params.n}"
+                f"n={params.n} is too wide to simulate: the outcome masks hold {_BIT_VALUES.size} bits, "
+                f"one per neighbour pair, which fit at most n={MAX_NODES} nodes (table memory gives out far sooner)"
             )
         self.params = params
         self.policy = policy
@@ -272,13 +270,13 @@ class _Tables:
         aged, layout, fresh, ages = self.aged[b]
         added = sum([term for k, term in enumerate(fresh) if mask >> k & 1])
         code = aged + added
+        plan = self.coder.plan(layout + added, code, True)
         try:
-            action = self.policy(code)
+            action = self.policy(code, plan.swappable)
         except KeyError:
             raise TrajectoryError(
                 f"trajectory reached a state outside the policy domain: {self.coder.state(code, True)}"
             ) from None
-        plan = self.coder.plan(layout + added, code, True)
         r = len(self.intermediate)
         self.intermediate.append(self.coder.swap_terms(plan, ages, action))
         self.swap.add_row(len(action))
@@ -300,56 +298,6 @@ class _Tables:
         return self.swap.lookup(mid, swap_bits, self._resolve)
 
 
-def _run_chunks(
-    tables: _Tables,
-    sizes: list[int],
-    draws: list[Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]],
-    max_slots: int,
-) -> np.ndarray:
-    """Delivery times of the trials of several chunks from the empty state, stepped together.
-
-    Chunk ``c`` has ``sizes[c]`` trials, which come after those of the
-    chunks before it in the result.  ``draws[c](slot, live)`` returns the
-    generation and swap bits of chunk ``c``'s trials at its positions
-    ``live`` for that slot, one row per live trial.  Each chunk draws just
-    as it would stepped alone; its bits are joined with the other chunks'
-    so that every slot looks its trials up in the tables at once.
-    """
-    bounds = np.cumsum(sizes)
-    starts = (bounds - sizes).tolist()
-    times = np.zeros(bounds[-1], dtype=np.int64)
-    live = np.arange(bounds[-1])
-    states = np.zeros(bounds[-1], dtype=np.int64)
-    for slot in range(1, max_slots + 1):
-        if len(draws) == 1:
-            gen_bits, swap_bits = draws[0](slot, live)
-        else:
-            # ``live`` stays sorted, so each chunk's live trials are one run of it.
-            ends = np.searchsorted(live, bounds).tolist()
-            parts = [
-                draw(slot, live[begin:end] - start)
-                for draw, start, begin, end in zip(draws, starts, [0] + ends, ends)
-                if end > begin
-            ]
-            gen_bits, swap_bits = (np.concatenate(bits) for bits in zip(*parts))
-        states = tables.step(states, gen_bits, swap_bits)
-        done = tables.absorbing[states]
-        if np.count_nonzero(done):
-            times[live[done]] = slot
-            running = ~done
-            live = live[running]
-            states = states[running]
-            if not live.size:
-                return times
-    # Chunks stepped one after another would stop at the first with a trial left.
-    c = int(np.searchsorted(bounds, live[0], side="right"))
-    left = int(np.searchsorted(live, bounds[c])) - int(np.searchsorted(live, starts[c]))
-    raise TrajectoryError(
-        f"no delivery within {max_slots} slots ({left} of {sizes[c]} trials still running); "
-        "policy or parameters look pathological"
-    )
-
-
 def _run_chunk(
     tables: _Tables,
     size: int,
@@ -361,7 +309,24 @@ def _run_chunk(
     ``draw(slot, live)`` returns the generation and swap bits of the trials
     at positions ``live`` for that slot, one row per live trial.
     """
-    return _run_chunks(tables, [size], [draw], max_slots)
+    times = np.zeros(size, dtype=np.int64)
+    live = np.arange(size)
+    states = np.zeros(size, dtype=np.int64)
+    for slot in range(1, max_slots + 1):
+        gen_bits, swap_bits = draw(slot, live)
+        states = tables.step(states, gen_bits, swap_bits)
+        done = tables.absorbing[states]
+        if np.count_nonzero(done):
+            times[live[done]] = slot
+            running = ~done
+            live = live[running]
+            states = states[running]
+            if not live.size:
+                return times
+    raise TrajectoryError(
+        f"no delivery within {max_slots} slots ({live.size} of {size} trials still running); "
+        "policy or parameters look pathological"
+    )
 
 
 def _chunk_rng(master_seed: int, chunk: int) -> np.random.Generator:
@@ -393,31 +358,31 @@ def _bernoulli_draws(
 
 def _delivery_times(
     params: ChainParams,
-    policy: Callable[[int], frozenset[int]],
+    policy: Callable[[int, frozenset[int]], frozenset[int]],
     config: SimConfig,
 ) -> np.ndarray:
     """Delivery time of every trial, in trial order."""
     tables = _Tables(params, policy)
-    sizes = [min(CHUNK, config.trials - start) for start in range(0, config.trials, CHUNK)]
-    times = []
-    for first in range(0, len(sizes), GROUP):
-        group = range(first, min(first + GROUP, len(sizes)))
-        draws = [_bernoulli_draws(params, _chunk_rng(config.master_seed, c).bit_generator.random_raw) for c in group]
-        times.append(_run_chunks(tables, sizes[first : group.stop], draws, config.max_slots))
-    return np.concatenate(times)
+    times = np.empty(config.trials, dtype=np.int64)
+    for chunk, start in enumerate(range(0, config.trials, CHUNK)):
+        draw = _bernoulli_draws(params, _chunk_rng(config.master_seed, chunk).bit_generator.random_raw)
+        size = min(CHUNK, config.trials - start)
+        times[start : start + size] = _run_chunk(tables, size, draw, config.max_slots)
+    return times
 
 
 def estimate(
     params: ChainParams,
-    policy: Callable[[int], frozenset[int]],
+    policy: Callable[[int, frozenset[int]], frozenset[int]],
     config: SimConfig,
 ) -> SimResult:
     """Sample mean, standard error and histogram of the delivery time.
 
-    ``policy(code)`` gives the action of each intermediate state a
-    trajectory visits, from the state's
-    :class:`~repeaterchain.chain.CodeLayout` code; it is called once per
-    state, when the state is first reached.  Such functions are what
+    ``policy(code, swappable)`` gives the action of each intermediate state
+    a trajectory visits, from the state's
+    :class:`~repeaterchain.chain.CodeLayout` code and the set of its nodes
+    able to swap; it is called once per state, when the state is first
+    reached.  Such functions are what
     :meth:`~repeaterchain.solver.Policy.state_map` and
     :func:`~repeaterchain.solver.baseline_rule` return.  A state for which
     it raises :class:`KeyError`, or running ``config.max_slots`` slots

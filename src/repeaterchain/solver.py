@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .chain import ChainState, CodeLayout, StateCodes, _is_integer, _subsets, mirror_action
+from .chain import ChainState, StateCodes, _is_integer, _subsets, mirror_action, valid_swap_nodes
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
@@ -92,32 +92,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-class _CodeActions(dict):
-    """Actions by intermediate-state code: its ``__getitem__`` is a policy as the simulator takes one.
-
-    The simulator looks up the :class:`~repeaterchain.chain.CodeLayout`
-    code of each intermediate state it reaches.  A code the dict does not
-    hold gets ``rule``'s action for the state's swappable nodes (found from
-    its layout by ``coder``), or raises :class:`KeyError` without a rule.
-    Callers that hold a :class:`~repeaterchain.chain.ChainState` may look
-    it up too, by its code.
-    """
-
-    __slots__ = ("coder", "rule")
-
-    def __init__(self, coder: CodeLayout, actions=(), rule: Callable[[frozenset[int]], frozenset[int]] | None = None):
-        super().__init__(actions)
-        self.coder = coder
-        self.rule = rule
-
-    def __missing__(self, key) -> frozenset[int]:
-        if isinstance(key, ChainState):
-            return self[self.coder.code(key)]
-        if self.rule is None:
-            raise KeyError(key)
-        return self.rule(self.coder.swappable(key))
-
-
 @dataclass(frozen=True, eq=False)
 class Policy:
     """Deterministic policy: the choice-table row each intermediate state takes.
@@ -176,18 +150,24 @@ class Policy:
         actions += [mirror_action(action, space.params.n) for action in actions]
         return digits, list(map(actions.__getitem__, (taken[owner] + len(ids) * image).tolist()))
 
-    def state_map(self, space: StateSpace) -> Callable[[int], frozenset[int]]:
-        """The action of any unfolded intermediate state by its code, as the simulator takes a policy.
+    def state_map(self, space: StateSpace) -> Callable[..., frozenset[int]]:
+        """The action of any unfolded intermediate state, as the simulator takes a policy.
 
-        Returns the ``__getitem__`` of one dict from the code of every
-        unfolded intermediate state to its action (:meth:`unfolded`), so a
-        visited state costs one lookup.  A :class:`~repeaterchain.chain.ChainState`
-        is looked up by its code.  A state the space does not list raises
-        :class:`KeyError`.
+        Returns ``action(code, swappable)``, which looks the state with this
+        code up in one dict from the code of every unfolded intermediate
+        state to its action (:meth:`unfolded`), so a visited state costs one
+        lookup; the state's swappable nodes are not needed.  Called with a
+        :class:`~repeaterchain.chain.ChainState` alone, it looks the state up
+        by its code.  A state the space does not list raises :class:`KeyError`.
         """
         coder = StateCodes(space.params.n, space.params.t_cut)
         digits, actions = self.unfolded(space)
-        return _CodeActions(coder, zip(coder.codes(digits).tolist(), actions)).__getitem__
+        table = dict(zip(coder.codes(digits).tolist(), actions))
+
+        def action(state: int | ChainState, swappable: frozenset[int] | None = None) -> frozenset[int]:
+            return table[coder.code(state) if isinstance(state, ChainState) else state]
+
+        return action
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +201,8 @@ class PolicyStats:
     decidable_states: int
 
 
-def _interior(n: int, withheld: Iterable[int]) -> frozenset[int]:
-    """The withheld nodes of a baseline, checked to be interior nodes of an ``n``-node chain."""
-    withheld = frozenset(withheld)
-    if not withheld <= set(range(2, n)):
-        raise ValueError(f"withheld nodes must be interior nodes of a {n}-node chain")
-    return withheld
-
-
-def baseline_rule(n: int, t_cut: int, withheld: Iterable[int] = ()) -> Callable[[int], frozenset[int]]:
-    """A baseline's action in any intermediate state of an ``(n, t_cut)`` chain, by the state's code.
+def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[..., frozenset[int]]:
+    """A baseline's action in any intermediate state of an ``n``-node chain.
 
     Swap-asap swaps at every node that holds two links.  With ``withheld``
     interior nodes, those nodes do not swap in full states, where every pair
@@ -240,17 +212,21 @@ def baseline_rule(n: int, t_cut: int, withheld: Iterable[int] = ()) -> Callable[
     can swap: node ``k``'s incoming link must start at node ``k - 1``, since
     every node left of that already has its outgoing link in use.
 
-    The nodes that can swap depend on the state's link layout alone, so
-    they come from the layout's plan (:meth:`~repeaterchain.chain.CodeLayout.swappable`).
-    Like :meth:`Policy.state_map`, the rule takes a
-    :class:`~repeaterchain.chain.ChainState` too.
+    The rule is a policy as the simulator takes one, ``action(code,
+    swappable)``: the action follows from the state's swappable nodes alone,
+    which the simulator has from the state's layout plan, so the code is not
+    read.  Called with a :class:`~repeaterchain.chain.ChainState` alone, it
+    finds the nodes with :func:`~repeaterchain.chain.valid_swap_nodes`.
     """
-    withheld = _interior(n, withheld)
+    withheld = frozenset(withheld)
+    if not withheld <= set(range(2, n)):
+        raise ValueError(f"withheld nodes must be interior nodes of a {n}-node chain")
 
-    def action(nodes: frozenset[int]) -> frozenset[int]:
+    def action(state: int | ChainState, swappable: frozenset[int] | None = None) -> frozenset[int]:
+        nodes = frozenset(valid_swap_nodes(state)) if isinstance(state, ChainState) else swappable
         return nodes - withheld if len(nodes) == n - 2 else nodes
 
-    return _CodeActions(CodeLayout(n, t_cut), rule=action).__getitem__
+    return action
 
 
 def swap_asap_policy(space: StateSpace) -> Policy:
@@ -271,8 +247,8 @@ def modified_full_state_policy(space: StateSpace, withheld) -> Policy:
     node set must be its own mirror image there; otherwise this raises
     :class:`ValueError`.
     """
-    n = space.params.n
-    withheld = _interior(n, withheld)
+    n, withheld = space.params.n, frozenset(withheld)
+    baseline_rule(n, withheld)  # raises unless every node is interior
     if space.folded and mirror_action(withheld, n) != withheld:
         raise ValueError(
             f"withheld nodes {sorted(withheld)} are not mirror-symmetric, "

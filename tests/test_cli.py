@@ -496,7 +496,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-        assert f"at most n={MAX_NODES} nodes, not n={n}" in err
+        assert err.startswith(f"error: n={n} is too wide") and f"at most n={MAX_NODES} nodes" in err
 
     def test_deterministic_histogram(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repeaterchain import chain, sim
-from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes
+from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import (
     CHUNK,
@@ -65,14 +65,16 @@ class TestRunTrial:
         # Policies take codes: the empty intermediate state's is 0.
         only_empty = {0: frozenset()}
         with pytest.raises(TrajectoryError, match="outside the policy domain"):
-            estimate(params, only_empty.__getitem__, SimConfig(trials=10, master_seed=1, max_slots=100))
+            estimate(
+                params, lambda code, swappable: only_empty[code], SimConfig(trials=10, master_seed=1, max_slots=100)
+            )
 
     def test_chain_past_int64_codes_simulates(self):
         # The tables' codes are Python ints, so a chain the walk refuses still simulates.
         with pytest.raises(ValueError, match="64 bits"):
             StateCodes(13, 7)
         params = ChainParams(n=13, p=0.9, p_s=0.9, t_cut=7)
-        result = estimate(params, baseline_rule(13, 7), SimConfig(trials=50, master_seed=1))
+        result = estimate(params, baseline_rule(13), SimConfig(trials=50, master_seed=1))
         assert sum(result.histogram.values()) == 50
 
     def test_slot_cap_raises(self):
@@ -80,33 +82,7 @@ class TestRunTrial:
         coder = CodeLayout(3, 1)
         never = {coder.code(r): frozenset() for r in space.intermediate_states}
         with pytest.raises(TrajectoryError, match="no delivery within 50 slots"):
-            estimate(params, never.__getitem__, SimConfig(trials=10, master_seed=1, max_slots=50))
-
-    def test_slot_cap_names_the_first_chunk_with_trials_left(self):
-        params, space = setup(3, 1, 0.5, 0.5)
-        coder = CodeLayout(3, 1)
-        never = {coder.code(r): frozenset() for r in space.intermediate_states}
-        message = rf"no delivery within 20 slots \({CHUNK} of {CHUNK} trials still running\)"
-        with pytest.raises(TrajectoryError, match=message):
-            estimate(params, never.__getitem__, SimConfig(trials=CHUNK + 10, master_seed=1, max_slots=20))
-
-    def test_chunks_stepped_together_match_chunks_stepped_alone(self, monkeypatch):
-        params, space = setup(4, 2, 0.6, 0.5)
-        pmap = swap_asap_policy(space).state_map(space)
-        sizes = [CHUNK] * 4 + [37]
-        alone = [
-            _run_chunk(
-                _Tables(params, pmap),
-                size,
-                sim._bernoulli_draws(params, _chunk_rng(17, chunk).bit_generator.random_raw),
-                1000,
-            )
-            for chunk, size in enumerate(sizes)
-        ]
-        # Groups of two chunks, the last group a short chunk alone.
-        monkeypatch.setattr(sim, "GROUP", 2)
-        together = _delivery_times(params, pmap, SimConfig(trials=sum(sizes), master_seed=17, max_slots=1000))
-        assert (together == np.concatenate(alone)).all()
+            estimate(params, lambda code, swappable: never[code], SimConfig(trials=10, master_seed=1, max_slots=50))
 
     def test_chunk_times_do_not_depend_on_trial_count(self):
         params, space = setup(4, 2, 0.6, 0.5)
@@ -173,9 +149,9 @@ class TestEstimate:
             checked.append(state)
             real_check(state, t_cut)
 
-        def policy(code):
+        def policy(code, swappable):
             asked.append(code)
-            return lookup(code)
+            return lookup(code, swappable)
 
         monkeypatch.setattr(CodeLayout, "read", spy_read)
         monkeypatch.setattr(chain, "check_state", spy_check)
@@ -192,7 +168,8 @@ class TestEstimate:
         assert set(intermediate) <= set(space.intermediate_states)
         assert len(boundary) > 1
         # The layouts checked are those of the states reached.
-        assert set(checked) == {ChainState(3, tuple(link._replace(age=0) for link in s.links)) for s in boundary + intermediate}
+        layouts = {ChainState(3, tuple(link._replace(age=0) for link in s.links)) for s in boundary + intermediate}
+        assert set(checked) == layouts
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -303,14 +280,14 @@ WIDE_PINS = [
 def test_baseline_delivery_times_past_five_nodes_are_pinned(point, withheld, trials, seed, expected):
     n, t_cut, p, p_s = point
     params = ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut)
-    times = _delivery_times(params, baseline_rule(n, t_cut, withheld), SimConfig(trials=trials, master_seed=seed))
+    times = _delivery_times(params, baseline_rule(n, withheld), SimConfig(trials=trials, master_seed=seed))
     assert _digest(times) == expected
 
 
 def test_states_of_one_layout_share_a_slot_plan():
     """Plans belong to one set of tables: they are built as its states need them and shared by layout."""
     params = ChainParams(n=5, p=0.3, p_s=0.5, t_cut=4)
-    tables = _Tables(params, baseline_rule(5, 4))
+    tables = _Tables(params, baseline_rule(5))
     plans = tables.coder._plans
     # Fresh tables hold the empty state's plan alone, whatever ran before.
     assert list(plans) == [0] and not plans[0].swaps
@@ -328,11 +305,36 @@ def test_states_of_one_layout_share_a_slot_plan():
     assert 0 < sum(len(plan.swaps) for plan in plans.values()) < len(tables.intermediate) / 4
 
 
+def test_a_baseline_takes_its_nodes_from_the_tables_plans(monkeypatch):
+    """A baseline reads no intermediate code: its nodes are the swappable set of the plan the tables hold."""
+    params = ChainParams(n=5, p=0.3, p_s=0.5, t_cut=4)
+    reads, asked = [], []
+    real_read, rule = CodeLayout.read, baseline_rule(5, {3})
+
+    def spy_read(coder, code, intermediate=False):
+        reads.append(intermediate)
+        return real_read(coder, code, intermediate)
+
+    def policy(code, swappable):
+        asked.append((code, swappable))
+        return rule(code, swappable)
+
+    monkeypatch.setattr(CodeLayout, "read", spy_read)
+    tables = _Tables(params, policy)
+    _run_chunk(tables, 500, sim._bernoulli_draws(params, _chunk_rng(5, 0).bit_generator.random_raw), 1000)
+    assert reads and not any(reads)
+    for code, swappable in asked:
+        state = tables.coder.state(code, True)
+        assert swappable == valid_swap_nodes(state)
+        assert rule(code, swappable) == rule(state)
+    assert len(asked) == len(tables.intermediate) > 100
+
+
 @pytest.mark.parametrize("n,t_cut", [(4, 2), (5, 3), (6, 2)])
 def test_intermediate_states_follow_from_their_parent(n, t_cut):
     """The layout and ages the tables derive for an intermediate state are those its code's digits hold."""
     params = ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut)
-    tables = _Tables(params, baseline_rule(n, t_cut))
+    tables = _Tables(params, baseline_rule(n))
     coder = CodeLayout(n, t_cut)
     children = 0
     for s in enumerate_states(params).boundary_states:
@@ -410,22 +412,5 @@ def test_too_wide_a_chain_is_refused_before_any_table_is_allocated(monkeypatch):
     monkeypatch.setattr(sim._Table, "__init__", allocate)
     assert sim.MAX_NODES == sim._BIT_VALUES.size + 1
     params = ChainParams(n=sim.MAX_NODES + 1, p=0.9, p_s=0.5, t_cut=2)
-    with pytest.raises(ValueError, match=f"at most n={sim.MAX_NODES} nodes, not n={sim.MAX_NODES + 1}"):
-        _Tables(params, baseline_rule(params.n, 2))
-
-
-def test_each_chunk_draws_for_its_own_live_positions():
-    """Stepped together, every chunk's draw is asked for the positions it would be asked for alone."""
-    params, space = setup(4, 2, 0.6, 0.5)
-    pmap = swap_asap_policy(space).state_map(space)
-    rng = np.random.default_rng(3)
-    sizes = [50, 30, 20]
-    bits = [(rng.random((400, size, 3)) < 0.6, rng.random((400, size, 2)) < 0.5) for size in sizes]
-
-    def recorded(gen, swap):
-        return lambda slot, live: (gen[slot - 1, live], swap[slot - 1, live])
-
-    alone = [_run_chunk(_Tables(params, pmap), size, recorded(*b), 400) for size, b in zip(sizes, bits)]
-    together = sim._run_chunks(_Tables(params, pmap), sizes, [recorded(*b) for b in bits], 400)
-    assert together.tolist() == np.concatenate(alone).tolist()
-    assert len(set(together.tolist())) > 5
+    with pytest.raises(ValueError, match=rf"^n={sim.MAX_NODES + 1} is too wide .* at most n={sim.MAX_NODES} nodes "):
+        _Tables(params, baseline_rule(params.n))

@@ -143,13 +143,13 @@ class TestPolicies:
 class TestBaselineRule:
     def test_swap_asap_takes_the_last_action_of_every_state(self):
         space, _ = build(5, 3, p=0.5, p_s=0.5)
-        rule = baseline_rule(5, 3)
+        rule = baseline_rule(5)
         for r, actions in zip(space.intermediate_states, space.actions):
             assert rule(r) == actions[-1]
 
     def test_withholding_acts_only_where_every_interior_node_can_swap(self):
         space, _ = build(5, 3, p=0.5, p_s=0.5)
-        asap, modified = baseline_rule(5, 3), baseline_rule(5, 3, {3})
+        asap, modified = baseline_rule(5), baseline_rule(5, {3})
         full_states = 0
         for r, actions in zip(space.intermediate_states, space.actions):
             if actions[-1] == {2, 3, 4}:
@@ -161,7 +161,7 @@ class TestBaselineRule:
 
     def test_swap_asap_and_policy_iteration_decode_no_state(self, monkeypatch):
         space, model = build(5, 3, p=0.9, p_s=0.5)
-        expected = Policy.from_actions(space, map(baseline_rule(5, 3), space.intermediate_states))
+        expected = Policy.from_actions(space, map(baseline_rule(5), space.intermediate_states))
         space, model = build(5, 3, p=0.9, p_s=0.5)
 
         def decode(*args):
@@ -178,7 +178,7 @@ class TestBaselineRule:
     @pytest.mark.parametrize("withheld", [{1}, {5}])
     def test_end_nodes_cannot_be_withheld(self, withheld):
         with pytest.raises(ValueError):
-            baseline_rule(5, 3, withheld)
+            baseline_rule(5, withheld)
 
 
 def neighbour_pair_facts(states, n):
@@ -214,7 +214,7 @@ class TestRowCountBaseline:
         # Withholding every interior node empties the action of exactly the
         # full states, so the rules agree everywhere if they agree here.
         withheld = frozenset(interior)
-        rule = baseline_rule(n, t_cut, withheld)
+        rule = baseline_rule(n, withheld)
         assert [rule(s) for s in states] == [nodes - withheld if full else nodes for nodes, full in facts]
         assert sum(full for _, full in facts) > 0
 
