@@ -14,16 +14,9 @@ from .chain import (
     ChainState,
     Link,
     age_links,
-    apply_cutoff,
-    apply_generation,
-    canonical,
     decode_state,
-    empty_state,
-    encode_state,
     generation_pairs,
     is_absorbing,
-    mirror,
-    resolve_swaps,
     valid_swap_nodes,
 )
 from .mdp import TransitionModel
@@ -76,28 +69,21 @@ __all__ = [
     "ValueTable",
     "action_space",
     "age_links",
-    "apply_cutoff",
-    "apply_generation",
-    "canonical",
     "chain_swap_fidelity",
     "count_lower_bound",
     "decay_fidelity",
     "decode_state",
     "distinct_labeled_states",
-    "empty_state",
-    "encode_state",
     "enumerate_states",
     "estimate",
     "evaluate_policy",
     "generation_pairs",
     "is_absorbing",
     "max_cutoff",
-    "mirror",
     "modified_full_state_policy",
     "policy_iteration",
     "policy_stats",
     "relative_advantage",
-    "resolve_swaps",
     "swap_asap_policy",
     "swap_fidelity",
     "valid_swap_nodes",

@@ -10,11 +10,14 @@ One time slot consists of four phases:
 
 1. every link ages by one slot (:func:`age_links`);
 2. every pair of neighbours with free facing qubits attempts entanglement
-   generation (:func:`generation_pairs` / :func:`apply_generation`);
-3. a chosen set of nodes performs entanglement swaps
-   (:func:`resolve_swaps`);
+   generation (:func:`generation_pairs`), each success adding a link of
+   age 0;
+3. a chosen set of nodes performs entanglement swaps: the links through
+   swapping nodes form runs (:func:`swap_runs`), and a run whose swaps all
+   succeed becomes one link between its outer endpoints with the oldest
+   input age, while a run with a failed swap is lost;
 4. links that reached the cutoff age are discarded, except end-to-end
-   links (:func:`apply_cutoff`).
+   links.
 
 States are immutable values; every operation returns a new state.
 :class:`CodeLayout` gives the states of one ``(n, t_cut)`` integer codes,
@@ -32,7 +35,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, repeat
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,19 +49,11 @@ __all__ = [
     "StateCodes",
     "action_space",
     "age_links",
-    "apply_cutoff",
-    "apply_generation",
-    "canonical",
     "check_state",
     "decode_state",
-    "empty_state",
-    "encode_state",
     "generation_pairs",
     "is_absorbing",
-    "mirror",
     "mirror_action",
-    "resolve_swaps",
-    "state_from_links",
     "swap_runs",
     "valid_swap_nodes",
 ]
@@ -152,18 +147,6 @@ def _sorted_state(n: int, links: tuple[Link, ...], intermediate: bool = False) -
     return state
 
 
-def state_from_links(n: int, links: Iterable[tuple[int, int, int]], intermediate: bool = False) -> ChainState:
-    """Build a state from any iterable of ``(left, right, age)`` triples."""
-    return ChainState(n=n, links=tuple(Link(*l) for l in links), intermediate=intermediate)
-
-
-def empty_state(n: int) -> ChainState:
-    """Slot-boundary state with no links; the canonical start of the process."""
-    if n < 3:
-        raise ValueError(f"a repeater chain needs at least 3 nodes, got {n!r}")
-    return ChainState(n=n, links=())
-
-
 def is_absorbing(state: ChainState) -> bool:
     """True iff the state contains an end-to-end link.
 
@@ -202,23 +185,6 @@ def generation_pairs(state: ChainState) -> set[tuple[int, int]]:
         for i in range(1, state.n)
         if i not in lefts and (i + 1) not in rights
     }
-
-
-def apply_generation(state: ChainState, successes: Iterable[tuple[int, int]]) -> ChainState:
-    """Add one fresh (age 0) link per successful pair; result is intermediate.
-
-    ``successes`` must be a subset of :func:`generation_pairs`.
-    """
-    allowed = generation_pairs(state)
-    new = []
-    for pair in successes:
-        pair = (int(pair[0]), int(pair[1]))
-        if pair not in allowed:
-            raise ValueError(f"pair {pair} cannot generate in this state")
-        new.append(Link(pair[0], pair[1], 0))
-    if len(set(new)) != len(new):
-        raise ValueError("duplicate generation pair")
-    return _sorted_state(state.n, tuple(sorted(state.links + tuple(new))), True)
 
 
 def valid_swap_nodes(state: ChainState) -> set[int]:
@@ -289,37 +255,6 @@ def swap_runs(state: ChainState, nodes: Iterable[int]) -> list[tuple[tuple[Link,
             cur = nxt.right
         runs.append((tuple(run_links), tuple(run_nodes)))
     return runs
-
-
-def resolve_swaps(state: ChainState, action: Iterable[int], pattern: Mapping[int, bool]) -> ChainState:
-    """Apply one slot's swap measurements (phase 3).
-
-    All swaps in ``action`` are measured simultaneously; ``pattern`` gives
-    the per-node outcome.  Each run survives only if every swap inside it
-    succeeds, in which case it collapses to a single link between the run's
-    outer endpoints carrying the oldest input age.  A single failure
-    destroys the entire run: every measured qubit is consumed, so any link
-    merged onto a failed node is lost with it.  Links outside the action
-    are untouched.
-    """
-    runs = swap_runs(state, action)
-    consumed = {l for links, _ in runs for l in links}
-    survivors = [l for l in state.links if l not in consumed]
-    for links, nodes in runs:
-        if all(pattern[k] for k in nodes):
-            survivors.append(Link(links[0].left, links[-1].right, max(l.age for l in links)))
-    return _sorted_state(state.n, tuple(sorted(survivors)), True)
-
-
-def apply_cutoff(state: ChainState, t_cut: int) -> ChainState:
-    """Discard links that reached the cutoff age (phase 4); end-to-end links stay.
-
-    The result is a slot-boundary state.
-    """
-    n = state.n
-    # Dropping links keeps the sorted order of the rest.
-    links = tuple([l for l in state.links if l.age < t_cut or (l.left == 1 and l.right == n)])
-    return _sorted_state(n, links)
 
 
 #: Run structures already worked out, by chain size and successor key.
@@ -631,8 +566,7 @@ class CodeLayout:
         the action leaves alone and the cutoff keeps, and per run of the
         action (:func:`swap_runs`, left to right) its mask over the action's
         nodes in ascending order and the term of its merged link, 0 if the
-        cutoff discards it.  As in :func:`resolve_swaps` and
-        :func:`apply_cutoff`, a run's merged link spans its outer endpoints
+        cutoff discards it.  A run's merged link spans its outer endpoints
         with the oldest input age, and the cutoff discards every link of age
         ``t_cut`` but an end-to-end one.  The slot-boundary state after a
         swap outcome mask is the first code plus the terms of the runs whose
@@ -694,9 +628,9 @@ class StateCodes(CodeLayout):
 
     The methods work on batches, as int64 code arrays or as ``(states,
     n - 1)`` digit arrays: :meth:`generation`, :meth:`canonical` and
-    :meth:`swap_outcomes` are the phases of the enumeration walk,
-    :meth:`ages` turns digits into :func:`encode_state` rows, and
-    :meth:`states` decodes codes into :class:`ChainState` values.
+    :meth:`swap_outcomes` are the phases of the enumeration walk, and
+    :meth:`ages` turns digits into age vectors (:func:`decode_state`'s
+    input).  No method decodes a code into a :class:`ChainState`.
     """
 
     def __init__(self, n: int, t_cut: int):
@@ -751,7 +685,11 @@ class StateCodes(CodeLayout):
         return np.asarray(codes) % self._radix[0] >= self.terminal_code
 
     def ages(self, digits: np.ndarray) -> np.ndarray:
-        """:func:`encode_state` of every row of a digit array, as a ``(rows, n (n - 1) / 2)`` array."""
+        """The age vector of every row of a digit array, as a ``(rows, n (n - 1) / 2)`` array.
+
+        A row holds one entry per node pair (1, 2), (1, 3), ..., (n - 1, n),
+        the age of its link or -1 for none, as :func:`decode_state` reads it.
+        """
         span, n = self.t_cut + 1, self.n
         rows, lefts = np.nonzero(digits)
         held = digits[rows, lefts].astype(np.int64) - 1
@@ -759,10 +697,6 @@ class StateCodes(CodeLayout):
         # Pairs (l, l + 1) .. (l, n) follow each other, after the n - 1, n - 2, ... pairs of the ends left of l.
         out[rows, lefts * n - lefts * (lefts + 1) // 2 + held // span] = held % span
         return out
-
-    def states(self, codes, intermediate: bool = False) -> tuple[ChainState, ...]:
-        """The states with these codes, all slot-boundary or all intermediate."""
-        return tuple(self.state(code, intermediate) for code in np.asarray(codes, dtype=np.int64).tolist())
 
     # -- mirroring -----------------------------------------------------------------
 
@@ -779,8 +713,10 @@ class StateCodes(CodeLayout):
         return out.reshape(digits.shape)
 
     def canonical(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Digits of each state's representative (``chain.canonical``), and which states are self-mirrored.
+        """Digits of each state's representative, and which states are self-mirrored.
 
+        The representative of a state and its mirror image is the one whose
+        sorted link tuple is smaller, so lower-left links are preferred.
         ``links <= mirror(links)`` compares sorted link tuples; digits are
         in left-endpoint order, so that is a row-wise comparison of the two
         digit rows with an absent link sorting last.  A state and its mirror
@@ -952,26 +888,9 @@ class StateCodes(CodeLayout):
             tables[name] = np.concatenate((tables[name], values))
 
 
-def mirror(state: ChainState) -> ChainState:
-    """Relabel the nodes in reverse order: link (i, j) becomes (n-j+1, n-i+1)."""
-    n = state.n
-    links = tuple(Link(n - l.right + 1, n - l.left + 1, l.age) for l in state.links)
-    return ChainState(n=n, links=links, intermediate=state.intermediate)
-
-
 def mirror_action(action: Iterable[int], n: int) -> frozenset[int]:
     """Mirror a swap action: node k becomes n-k+1."""
     return frozenset(n - k + 1 for k in action)
-
-
-def canonical(state: ChainState) -> ChainState:
-    """The representative of ``{state, mirror(state)}`` under a fixed order.
-
-    States are compared by their sorted link tuples, so lower-left links are
-    preferred.  Idempotent, and identical for a state and its mirror.
-    """
-    m = mirror(state)
-    return state if state.links <= m.links else m
 
 
 @lru_cache(maxsize=None)
@@ -979,21 +898,12 @@ def _pair_positions(n: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(combinations(range(1, n + 1), 2))}
 
 
-def encode_state(state: ChainState) -> tuple[int, ...]:
-    """Age-vector encoding: one entry per node pair (1,2), (1,3), ..., (n-1,n).
-
-    Entries hold the link age, or -1 for absent links.  Bijective with the
-    link-set representation; used for debugging, golden tests and file I/O.
-    """
-    pos = _pair_positions(state.n)
-    vec = [-1] * len(pos)
-    for l in state.links:
-        vec[pos[(l.left, l.right)]] = l.age
-    return tuple(vec)
-
-
 def decode_state(vector: Iterable[int], n: int, intermediate: bool = False) -> ChainState:
-    """Inverse of :func:`encode_state`."""
+    """The state with an age vector: one entry per node pair (1,2), (1,3), ..., (n-1,n).
+
+    Entries hold the link age, or -1 for absent links, as in
+    :meth:`StateCodes.ages` rows and the files the CLI writes.
+    """
     vec = list(vector)
     pairs = _pair_positions(n)
     if len(vec) != len(pairs):

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from .chain import ChainState, StateCodes, _is_integer, _subsets, mirror_action, valid_swap_nodes
+from .chain import StateCodes, _is_integer, _subsets, mirror_action
 from .mdp import TransitionModel
 from .statespace import StateSpace
 
@@ -150,22 +150,21 @@ class Policy:
         actions += [mirror_action(action, space.params.n) for action in actions]
         return digits, list(map(actions.__getitem__, (taken[owner] + len(ids) * image).tolist()))
 
-    def state_map(self, space: StateSpace) -> Callable[..., frozenset[int]]:
+    def state_map(self, space: StateSpace) -> Callable[[int, frozenset[int]], frozenset[int]]:
         """The action of any unfolded intermediate state, as the simulator takes a policy.
 
         Returns ``action(code, swappable)``, which looks the state with this
         code up in one dict from the code of every unfolded intermediate
         state to its action (:meth:`unfolded`), so a visited state costs one
-        lookup; the state's swappable nodes are not needed.  Called with a
-        :class:`~repeaterchain.chain.ChainState` alone, it looks the state up
-        by its code.  A state the space does not list raises :class:`KeyError`.
+        lookup; the state's swappable nodes are not needed.  A code the space
+        does not list raises :class:`KeyError`.
         """
         coder = StateCodes(space.params.n, space.params.t_cut)
         digits, actions = self.unfolded(space)
         table = dict(zip(coder.codes(digits).tolist(), actions))
 
-        def action(state: int | ChainState, swappable: frozenset[int] | None = None) -> frozenset[int]:
-            return table[coder.code(state) if isinstance(state, ChainState) else state]
+        def action(code: int, swappable: frozenset[int]) -> frozenset[int]:
+            return table[code]
 
         return action
 
@@ -201,7 +200,7 @@ class PolicyStats:
     decidable_states: int
 
 
-def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[..., frozenset[int]]:
+def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[int, frozenset[int]], frozenset[int]]:
     """A baseline's action in any intermediate state of an ``n``-node chain.
 
     Swap-asap swaps at every node that holds two links.  With ``withheld``
@@ -215,16 +214,14 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[..., frozens
     The rule is a policy as the simulator takes one, ``action(code,
     swappable)``: the action follows from the state's swappable nodes alone,
     which the simulator has from the state's layout plan, so the code is not
-    read.  Called with a :class:`~repeaterchain.chain.ChainState` alone, it
-    finds the nodes with :func:`~repeaterchain.chain.valid_swap_nodes`.
+    read.
     """
     withheld = frozenset(withheld)
     if not withheld <= set(range(2, n)):
         raise ValueError(f"withheld nodes must be interior nodes of a {n}-node chain")
 
-    def action(state: int | ChainState, swappable: frozenset[int] | None = None) -> frozenset[int]:
-        nodes = frozenset(valid_swap_nodes(state)) if isinstance(state, ChainState) else swappable
-        return nodes - withheld if len(nodes) == n - 2 else nodes
+    def action(code: int, swappable: frozenset[int]) -> frozenset[int]:
+        return swappable - withheld if len(swappable) == n - 2 else swappable
 
     return action
 

@@ -15,7 +15,7 @@ outcome reaches), so the dynamics are walked exactly once per (n, t_cut).
 
 Relabeling the nodes right to left maps the dynamics onto themselves, so a
 state and its mirror image have the same delivery time.  In fold mode the
-walk lists one representative per mirror pair (``chain.canonical``) and
+walk lists one representative per mirror pair (``StateCodes.canonical``) and
 sends every transition to the representative of its target, which nearly
 halves the states without changing any delivery time.
 """
@@ -23,18 +23,11 @@ halves the states without changing any delivery time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
-from .chain import (
-    ChainParams,
-    ChainState,
-    StateCodes,
-    _unique,
-    action_space,
-)
+from .chain import ChainParams, StateCodes, _unique, action_space
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -59,10 +52,9 @@ class StateSpace:
     """Indexed reachable states of a chain, plus per-state action lists.
 
     States are stored as their :class:`~repeaterchain.chain.StateCodes`
-    codes, ``boundary_codes`` and ``intermediate_codes``;
-    ``boundary_states`` and ``intermediate_states`` decode them on first
-    use.  ``boundary_states[0]`` is the empty state and
-    ``boundary_states[terminal_index]`` the collapsed absorbing state, the
+    codes, ``boundary_codes`` and ``intermediate_codes``, and no state is
+    decoded.  ``boundary_codes[0]`` is 0, the empty state, and
+    ``boundary_codes[terminal_index]`` the collapsed absorbing state, the
     single end-to-end link at age 0, whose code is
     ``StateCodes.terminal_code``.  ``absorbing_codes`` keeps the sorted
     codes of the absorbing states as they were actually produced, before
@@ -86,11 +78,9 @@ class StateSpace:
 
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2), and
-    :meth:`unfolded` lists those states.  ``boundary_index`` and
-    ``intermediate_index`` map states to indices; they and the decoded
-    states are built on first use, and no command path asks for them.  The
-    copies that ``TransitionModel.respecialized`` makes share the read-only
-    arrays.  Spaces compare and hash by identity.
+    :meth:`unfolded` lists those states.  The copies that
+    ``TransitionModel.respecialized`` makes share the read-only arrays.
+    Spaces compare and hash by identity.
     """
 
     params: ChainParams
@@ -129,14 +119,6 @@ class StateSpace:
         """Intermediate states in which at least one swap can be performed."""
         return int(np.count_nonzero(np.diff(self.row_offsets) > 1))
 
-    @cached_property
-    def boundary_states(self) -> tuple[ChainState, ...]:
-        return StateCodes(self.params.n, self.params.t_cut).states(self.boundary_codes)
-
-    @cached_property
-    def intermediate_states(self) -> tuple[ChainState, ...]:
-        return StateCodes(self.params.n, self.params.t_cut).states(self.intermediate_codes, True)
-
     def unfolded(self, intermediate: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Digits of every unfolded boundary (or intermediate) state, each mirror image right after its representative.
 
@@ -151,14 +133,6 @@ class StateSpace:
         digits = coder.digits(codes[owner])
         digits[image] = coder.mirror(digits[image])
         return digits, owner, image
-
-    @cached_property
-    def boundary_index(self) -> dict[ChainState, int]:
-        return {s: i for i, s in enumerate(self.boundary_states)}
-
-    @cached_property
-    def intermediate_index(self) -> dict[ChainState, int]:
-        return {s: i for i, s in enumerate(self.intermediate_states)}
 
 
 #: Boundary states a walk expands together: bounds the walk's working arrays.

@@ -4,6 +4,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from chain_oracle import (
+    apply_cutoff,
+    apply_generation,
+    boundary_states,
+    canonical,
+    decode_codes,
+    empty_state,
+    encode_state,
+    intermediate_states,
+    mirror,
+    resolve_swaps,
+    state_from_links,
+)
 from repeaterchain.chain import (
     ChainParams,
     ChainState,
@@ -14,19 +27,11 @@ from repeaterchain.chain import (
     _unique,
     action_space,
     age_links,
-    apply_cutoff,
-    apply_generation,
-    canonical,
     check_state,
     decode_state,
-    empty_state,
-    encode_state,
     generation_pairs,
     is_absorbing,
-    mirror,
     mirror_action,
-    resolve_swaps,
-    state_from_links,
     swap_runs,
     valid_swap_nodes,
 )
@@ -80,8 +85,8 @@ class TestBasics:
             return any(l.left == 1 and l.right == state.n for l in state.links)
 
         space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
-        states = [*space.boundary_states, *space.intermediate_states]
-        states += StateCodes(n, t_cut).states(space.absorbing_codes)
+        states = [*boundary_states(space), *intermediate_states(space)]
+        states += decode_codes(n, t_cut, space.absorbing_codes)
         hand_built = [
             mk(n, [(1, n - 1, 0), (n - 1, n, 0)]),
             mk(n, [(1, 2, 0), (2, n, 1)], intermediate=True),
@@ -244,35 +249,36 @@ def subsets(items):
 
 @pytest.mark.parametrize("n,t_cut", [(5, 3), (6, 2)])
 def test_phase_primitives_build_states_the_public_constructor_would(n, t_cut):
-    """The slot phases skip the constructor's re-sort; their results must not tell."""
+    """The package's state builders skip the constructor's re-sort; their states must not tell.
+
+    ``CodeLayout.state``, ``decode_state`` and ``age_links`` build states
+    without it.  The oracle builds every state of the space, and every
+    aged one, with the public constructor, which sorts its links.
+    """
     space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+    layout = CodeLayout(n, t_cut)
     checked = 0
 
-    def check(state, intermediate):
+    def check(state, slow):
         nonlocal checked
         links = state.links
         assert all(type(l) is Link for l in links)
         assert links == tuple(sorted(links))
-        slow = state_from_links(n, links, intermediate)
         assert state == slow and hash(state) == hash(slow)
         checked += 1
 
-    for s in space.boundary_states:
-        if is_absorbing(s):
-            continue
-        aged = age_links(s)
-        check(aged, False)
-        for chosen in subsets(generation_pairs(aged)):
-            check(apply_generation(aged, chosen), True)
-    for r in space.intermediate_states:
-        check(apply_cutoff(r, t_cut), False)
-        for action in action_space(r):
-            for succeeded in subsets(action):
-                pattern = {k: k in succeeded for k in action}
-                swapped = resolve_swaps(r, action, pattern)
-                check(swapped, True)
-                check(apply_cutoff(swapped, t_cut), False)
-    assert checked > 10_000
+    absorbing = decode_codes(n, t_cut, space.absorbing_codes)
+    for codes, states in (
+        (space.boundary_codes, boundary_states(space)),
+        (space.intermediate_codes, intermediate_states(space)),
+        (space.absorbing_codes, absorbing),
+    ):
+        for code, s in zip(codes.tolist(), states):
+            check(layout.state(code, s.intermediate), s)
+            check(decode_state(encode_state(s), n, s.intermediate), s)
+            if not s.intermediate and not is_absorbing(s):
+                check(age_links(s), state_from_links(n, [(l, r, age + 1) for l, r, age in s.links]))
+    assert checked > 3_000
 
 
 @pytest.mark.parametrize("n,t_cut", [(n, t) for n in range(3, 7) for t in (1, 2, 3)])
@@ -280,7 +286,7 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
     """Every outcome mask's sum of code terms is the code of the state the primitives build."""
     space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
     coder = StateCodes(n, t_cut)
-    for s in space.boundary_states:
+    for s in boundary_states(space):
         if is_absorbing(s):
             continue
         ageing, terms = coder.generation_terms(coder.read(coder.code(s))[0])
@@ -292,7 +298,7 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
             chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
             got = aged_code + sum(term for k, term in enumerate(terms) if mask >> k & 1)
             assert got == coder.code(apply_generation(aged, chosen))
-    for r in space.intermediate_states:
+    for r in intermediate_states(space):
         for action in action_space(r):
             nodes = sorted(action)
             kept, runs = coder.swap_terms(*coder.read(coder.code(r), True), action)
@@ -423,7 +429,7 @@ def coded_outcomes(r, action, t_cut, batch=False):
     start = sum(outcomes[:row])
     sizes = coder.shapes[row_shape[row]]
     own = codes[start : start + outcomes[row]]
-    return sizes, list(enumerate(coder.states(own)))
+    return sizes, list(enumerate(decode_codes(r.n, t_cut, own)))
 
 
 def run_grouped_distribution(sizes, outcomes, ps):
@@ -602,8 +608,8 @@ class TestEncoding:
         space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
         coder = StateCodes(n, t_cut)
         for codes, states in (
-            (space.boundary_codes, space.boundary_states),
-            (space.intermediate_codes, space.intermediate_states),
+            (space.boundary_codes, boundary_states(space)),
+            (space.intermediate_codes, intermediate_states(space)),
         ):
             digits = coder.digits(codes)
             assert coder.ages(digits).tolist() == [list(encode_state(s)) for s in states]

@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from chain_oracle import boundary_states, encode_state, intermediate_states, mirror
 from repeaterchain import cli, solver
-from repeaterchain.chain import ChainParams, StateCodes, encode_state, mirror
+from repeaterchain.chain import ChainParams, CodeLayout
 from repeaterchain.cli import load_policy_json, main
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import MAX_NODES, SimConfig, estimate
@@ -169,12 +170,12 @@ class TestSolve:
         actions = expand_policy(space, solved.space, policy).actions(space)
 
         rows = list(csv.reader(open(tmp_path / "bunch" / "values.csv")))[1:]
-        want = [[json.dumps(encode_state(s)), f"{v:.17g}"] for s, v in zip(space.boundary_states, values)]
+        want = [[json.dumps(encode_state(s)), f"{v:.17g}"] for s, v in zip(boundary_states(space), values)]
         assert len(rows) == space.num_boundary
         assert sorted(rows) == sorted(want)
         entries = json.load(open(tmp_path / "bunch" / "policy.json"))["policy"]
         got = [(tuple(e["state"]), tuple(e["action"])) for e in entries]
-        want = [(encode_state(r), tuple(sorted(a))) for r, a in zip(space.intermediate_states, actions)]
+        want = [(encode_state(r), tuple(sorted(a))) for r, a in zip(intermediate_states(space), actions)]
         assert len(got) == space.num_intermediate
         assert sorted(got) == sorted(want)
 
@@ -645,7 +646,7 @@ def swap_asap_doc(space):
         "n": space.params.n,
         "t_cut": space.params.t_cut,
         "policy": [
-            {"state": list(encode_state(r)), "action": sorted(a)} for r, a in zip(space.intermediate_states, actions)
+            {"state": list(encode_state(r)), "action": sorted(a)} for r, a in zip(intermediate_states(space), actions)
         ],
     }
 
@@ -802,7 +803,7 @@ class TestExports:
         want = io.StringIO()
         writer = csv.writer(want)
         writer.writerow(["state", "expected_delivery_time"])
-        for state, value in zip(space.boundary_states, table.values):
+        for state, value in zip(boundary_states(space), table.values):
             images = [state] + ([mirror(state)] if fold and mirror(state) != state else [])
             writer.writerows([json.dumps(encode_state(image)), f"{value:.17g}"] for image in images)
         assert (tmp_path / "values.csv").read_bytes() == want.getvalue().encode()
@@ -821,16 +822,26 @@ class TestExports:
 
 
 class TestNoDecoding:
-    """No command path decodes a state space: exports, policy files and the simulator work on codes."""
+    """No command path decodes a state space: exports, policy files and the simulator work on codes.
+
+    The simulator builds the links of each layout it meets at age 0, to
+    plan its slot phases; no other state is decoded.
+    """
 
     @pytest.fixture
     def no_decoding(self, monkeypatch):
-        def refuse(self, codes, intermediate=False):
-            raise AssertionError("a command path decoded a state space")
+        real_state = CodeLayout.state
 
-        monkeypatch.setattr(StateCodes, "states", refuse)
+        def refuse(self, code, intermediate=False):
+            state = real_state(self, code, intermediate)
+            if any(link.age for link in state.links):
+                raise AssertionError("a command path decoded a state space")
+            return state
+
+        monkeypatch.setattr(CodeLayout, "state", refuse)
         with pytest.raises(AssertionError):
-            enumerate_states(ChainParams(n=3, p=0.5, p_s=0.5, t_cut=1)).boundary_states
+            # Link (1, 2) at age 1.
+            CodeLayout(3, 1).state(2)
 
     @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
     def test_solve_and_simulate(self, tmp_path, no_decoding, flag):
@@ -884,7 +895,7 @@ class TestStates:
         def decode(*args):
             raise AssertionError("a state was decoded")
 
-        monkeypatch.setattr(StateCodes, "states", decode)
+        monkeypatch.setattr(CodeLayout, "state", decode)
         assert run(["states", "--n", 5, "--tcut", 2, "--out", tmp_path / "got.json"]) == 0
         assert json.load(open(tmp_path / "got.json")) == want
 
@@ -947,7 +958,7 @@ class TestStats:
         def decode(*args):
             raise AssertionError("a state was decoded")
 
-        monkeypatch.setattr(StateCodes, "states", decode)
+        monkeypatch.setattr(CodeLayout, "state", decode)
         args = [command, "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]
         args += [] if command == "compare" else ["--out", tmp_path / f"{command}.csv"]
         assert run(args) == 0

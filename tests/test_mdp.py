@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from repeaterchain.chain import (
-    ChainParams,
-    mirror,
-    mirror_action,
-    state_from_links,
-    valid_swap_nodes,
-)
+from chain_oracle import boundary_states, index, intermediate_states, mirror, state_from_links
+from repeaterchain.chain import ChainParams, mirror_action, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy
 from repeaterchain.statespace import enumerate_states
@@ -20,11 +15,11 @@ def build(n, t_cut, p=0.5, p_s=0.5):
 
 
 def boundary_idx(space, links):
-    return space.boundary_index[state_from_links(space.params.n, links)]
+    return index(boundary_states(space))[state_from_links(space.params.n, links)]
 
 
 def inter_idx(space, links):
-    return space.intermediate_index[
+    return index(intermediate_states(space))[
         state_from_links(space.params.n, links, intermediate=True)
     ]
 
@@ -57,7 +52,7 @@ class TestPhaseA:
         p = 0.3
         space, model = build(3, 1, p=p)
         dist = phase_a(model, 0)
-        by_state = {space.intermediate_states[r]: q for r, q in dist.items()}
+        by_state = {intermediate_states(space)[r]: q for r, q in dist.items()}
         mk = lambda links: state_from_links(3, links, intermediate=True)
         assert by_state[mk([])] == pytest.approx((1 - p) ** 2)
         assert by_state[mk([(1, 2, 0)])] == pytest.approx(p * (1 - p))
@@ -68,7 +63,7 @@ class TestPhaseA:
         p = 0.4
         space, model = build(3, 1, p=p)
         dist = phase_a(model, boundary_idx(space, [(1, 2, 0)]))
-        by_state = {space.intermediate_states[r]: q for r, q in dist.items()}
+        by_state = {intermediate_states(space)[r]: q for r, q in dist.items()}
         aged_only = state_from_links(3, [(1, 2, 1)], intermediate=True)
         aged_plus = state_from_links(3, [(1, 2, 1), (2, 3, 0)], intermediate=True)
         assert by_state[aged_only] == pytest.approx(1 - p)
@@ -80,7 +75,7 @@ class TestPhaseA:
         assert len(dist) == 1
         ((r_idx, prob),) = dist.items()
         assert prob == pytest.approx(1.0)
-        r = space.intermediate_states[r_idx]
+        r = intermediate_states(space)[r_idx]
         assert {(l.left, l.right) for l in r.links} == {(1, 2), (2, 3), (3, 4)}
 
 
@@ -128,8 +123,8 @@ class TestComposed:
         s3 = boundary_idx(space, [(1, 2, 0), (2, 3, 0)])
         term = space.terminal_index
 
-        swap_actions = [frozenset(valid_swap_nodes(r)) for r in space.intermediate_states]
-        wait_actions = [frozenset() for _ in space.intermediate_states]
+        swap_actions = [frozenset(valid_swap_nodes(r)) for r in intermediate_states(space)]
+        wait_actions = [frozenset() for _ in intermediate_states(space)]
 
         dist = composed_row(space, model, swap_actions, s0)
         assert dist[s0] == pytest.approx((1 - p) ** 2 + p * p * (1 - ps))
@@ -160,7 +155,7 @@ class TestComposed:
 
     def test_deterministic_chain_reaches_terminal_in_one_slot(self):
         space, model = build(3, 1, p=1.0, p_s=1.0)
-        swap_actions = [frozenset(valid_swap_nodes(r)) for r in space.intermediate_states]
+        swap_actions = [frozenset(valid_swap_nodes(r)) for r in intermediate_states(space)]
         dist = composed_row(space, model, swap_actions, 0)
         assert dist == {space.terminal_index: pytest.approx(1.0)}
 
@@ -186,26 +181,28 @@ class TestMirrorEquivariance:
     @pytest.mark.parametrize("n,t_cut", [(3, 2), (4, 2)])
     def test_phase_a(self, n, t_cut):
         space, model = build(n, t_cut, p=0.37)
-        for s_idx, s in enumerate(space.boundary_states):
+        b_index, i_index = index(boundary_states(space)), index(intermediate_states(space))
+        for s_idx, s in enumerate(boundary_states(space)):
             if s_idx == space.terminal_index:
                 continue
             dist = phase_a(model, s_idx)
-            mirrored_s = space.boundary_index[mirror(s)]
+            mirrored_s = b_index[mirror(s)]
             mirrored = phase_a(model, mirrored_s)
             for r_idx, prob in dist.items():
-                m_idx = space.intermediate_index[mirror(space.intermediate_states[r_idx])]
+                m_idx = i_index[mirror(intermediate_states(space)[r_idx])]
                 assert mirrored[m_idx] == pytest.approx(prob, abs=1e-14)
 
     @pytest.mark.parametrize("n,t_cut", [(3, 2), (4, 2)])
     def test_phase_b(self, n, t_cut):
         space, model = build(n, t_cut, p_s=0.41)
-        for r_idx, r in enumerate(space.intermediate_states):
-            m_r = space.intermediate_index[mirror(r)]
+        b_index, i_index = index(boundary_states(space)), index(intermediate_states(space))
+        for r_idx, r in enumerate(intermediate_states(space)):
+            m_r = i_index[mirror(r)]
             for action in space.actions[r_idx]:
                 dist = phase_b(model, r_idx, action)
                 mirrored = phase_b(model, m_r, mirror_action(action, n))
                 for s_idx, prob in dist.items():
-                    m_s = space.boundary_index[mirror(space.boundary_states[s_idx])]
+                    m_s = b_index[mirror(boundary_states(space)[s_idx])]
                     assert mirrored[m_s] == pytest.approx(prob, abs=1e-14)
 
 
@@ -217,8 +214,8 @@ class TestBunch:
         bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         assert space.num_boundary - 1 == 4
         assert bmodel.space.num_boundary - 1 == 3
-        assert bmodel.space.boundary_states[0].links == ()
-        assert bmodel.space.boundary_states[bmodel.space.terminal_index] == state_from_links(3, [(1, 3, 0)])
+        assert boundary_states(bmodel.space)[0].links == ()
+        assert boundary_states(bmodel.space)[bmodel.space.terminal_index] == state_from_links(3, [(1, 3, 0)])
 
     def test_rows_still_sum_to_one(self):
         space, model = build(4, 2, p=0.6, p_s=0.7)
@@ -237,17 +234,18 @@ class TestBunch:
         split = reference_partition(space)
         bmodel = TransitionModel.build(enumerate_states(space.params, fold=True))
         bspace = bmodel.space
+        b_index, i_index = index(boundary_states(bspace)), index(intermediate_states(bspace))
         for s_idx in split.boundary.sym:
             if s_idx == space.terminal_index:
                 continue
             full = phase_a(model, s_idx)
-            folded = phase_a(bmodel, bspace.boundary_index[space.boundary_states[s_idx]])
+            folded = phase_a(bmodel, b_index[boundary_states(space)[s_idx]])
             for r_idx, prob in full.items():
-                r = space.intermediate_states[r_idx]
+                r = intermediate_states(space)[r_idx]
                 if r_idx in split.intermediate.sym:
-                    assert folded[bspace.intermediate_index[r]] == pytest.approx(prob)
+                    assert folded[i_index[r]] == pytest.approx(prob)
                 elif r_idx in split.intermediate.half_one:
-                    assert folded[bspace.intermediate_index[r]] == pytest.approx(2 * prob)
+                    assert folded[i_index[r]] == pytest.approx(2 * prob)
 
 
 

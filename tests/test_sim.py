@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from chain_oracle import act, boundary_states, intermediate_states
 from repeaterchain import chain, sim
 from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
@@ -80,7 +81,7 @@ class TestRunTrial:
     def test_slot_cap_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
         coder = CodeLayout(3, 1)
-        never = {coder.code(r): frozenset() for r in space.intermediate_states}
+        never = {coder.code(r): frozenset() for r in intermediate_states(space)}
         with pytest.raises(TrajectoryError, match="no delivery within 50 slots"):
             estimate(params, lambda code, swappable: never[code], SimConfig(trials=10, master_seed=1, max_slots=50))
 
@@ -165,7 +166,7 @@ class TestEstimate:
             assert len(states) == len(set(states))
         for state in boundary + intermediate:
             real_check(state, 2)
-        assert set(intermediate) <= set(space.intermediate_states)
+        assert set(intermediate) <= set(intermediate_states(space))
         assert len(boundary) > 1
         # The layouts checked are those of the states reached.
         layouts = {ChainState(3, tuple(link._replace(age=0) for link in s.links)) for s in boundary + intermediate}
@@ -326,7 +327,7 @@ def test_a_baseline_takes_its_nodes_from_the_tables_plans(monkeypatch):
     for code, swappable in asked:
         state = tables.coder.state(code, True)
         assert swappable == valid_swap_nodes(state)
-        assert rule(code, swappable) == rule(state)
+        assert rule(code, swappable) == act(rule, state, params.t_cut)
     assert len(asked) == len(tables.intermediate) > 100
 
 
@@ -337,7 +338,7 @@ def test_intermediate_states_follow_from_their_parent(n, t_cut):
     tables = _Tables(params, baseline_rule(n))
     coder = CodeLayout(n, t_cut)
     children = 0
-    for s in enumerate_states(params).boundary_states:
+    for s in boundary_states(enumerate_states(params)):
         derived = tables.aged[tables._boundary_id(coder.code(s))]
         if derived is None:
             continue

@@ -3,28 +3,25 @@
 ``sim.estimate`` steps every live trial of a chunk together through lazily
 filled (state index, outcome mask) tables.  It interns states by code and
 fills each entry by code arithmetic, adding up the terms that
-``CodeLayout.generation_terms`` and ``CodeLayout.swap_terms`` work out once
-per state; every interned state is still decoded and checked once.  The
+``CodeLayout.generation_terms`` and ``CodeLayout.swap_terms`` take from the
+plan of the state's link layout, worked out once per layout (a swap plan
+once per layout and action).  No state is decoded: a slot-boundary state's
+ages are read from its code's digits, and an intermediate state's code is
+never read, since its layout and ages follow from its parent's.  The
 reference below is the earlier per-trial loop, kept here only as a test
-oracle: one trajectory at a time, running the ``chain`` primitives with
-per-state results memoized on ``ChainState`` keys and an end-to-end scan
-over every link to detect delivery.  Instead of drawing
-from a generator it reads supplied Bernoulli bits, so both simulators can
-be fed the same generation and swap outcomes.
+oracle: one trajectory at a time, running the phase functions of
+``chain_oracle`` with per-state results memoized on ``ChainState`` keys
+and an end-to-end scan over every link to detect delivery.  It asks the
+policy for an action as the simulator does (``chain_oracle.act``).
+Instead of drawing from a generator it reads supplied Bernoulli bits, so
+both simulators can be fed the same generation and swap outcomes.
 """
 
 import numpy as np
 import pytest
 
-from repeaterchain.chain import (
-    ChainParams,
-    age_links,
-    apply_cutoff,
-    apply_generation,
-    empty_state,
-    generation_pairs,
-    resolve_swaps,
-)
+from chain_oracle import act, apply_cutoff, apply_generation, empty_state, resolve_swaps
+from repeaterchain.chain import ChainParams, age_links, generation_pairs
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import TrajectoryError, _run_chunk, _Tables
 from repeaterchain.solver import modified_full_state_policy, policy_iteration, swap_asap_policy
@@ -130,7 +127,7 @@ def test_identical_bits_give_identical_delivery_times(point, kind):
     gen_bits = rng.random((max_slots, trials, n - 1)) < p
     swap_bits = rng.random((max_slots, trials, n - 2)) < p_s
 
-    stepper = ReferenceStepper(params, policy_map)
+    stepper = ReferenceStepper(params, lambda r: act(policy_map, r, t_cut))
     expected = [
         reference_run_trial(stepper, gen_bits[:, i], swap_bits[:, i]) for i in range(trials)
     ]

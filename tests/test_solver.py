@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse.linalg
 
 from repeaterchain import solver
-from repeaterchain.chain import ChainParams, StateCodes, mirror, mirror_action, state_from_links, valid_swap_nodes
+from chain_oracle import act, boundary_states, index, intermediate_states, mirror, state_from_links
+from repeaterchain.chain import ChainParams, CodeLayout, mirror_action, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     ConvergenceError,
@@ -77,23 +78,23 @@ class TestPolicies:
     def test_swap_asap_contents(self):
         space, _ = build(5, 1, p=0.5, p_s=0.5)
         policy = swap_asap_policy(space)
-        for r, action in zip(space.intermediate_states, policy.actions(space)):
+        for r, action in zip(intermediate_states(space), policy.actions(space)):
             assert action == frozenset(valid_swap_nodes(r))
         full = state_from_links(
             5, [(1, 2, 0), (2, 3, 0), (3, 4, 0), (4, 5, 0)], intermediate=True
         )
-        assert policy.state_map(space)(full) == {2, 3, 4}
+        assert act(policy.state_map(space), full, 1) == {2, 3, 4}
 
     def test_modified_policy_withholds_in_full_states_only(self):
         space, _ = build(5, 2, p=0.5, p_s=0.5)
         policy = modified_full_state_policy(space, {3})
         asap = swap_asap_policy(space)
-        for r, act, base in zip(space.intermediate_states, policy.actions(space), asap.actions(space)):
+        for r, action, base in zip(intermediate_states(space), policy.actions(space), asap.actions(space)):
             pairs = {(l.left, l.right) for l in r.links}
             if pairs == {(1, 2), (2, 3), (3, 4), (4, 5)}:
-                assert act == {2, 4}
+                assert action == {2, 4}
             else:
-                assert act == base
+                assert action == base
 
     def test_modified_policy_with_empty_withheld_is_swap_asap(self):
         space, _ = build(4, 1, p=0.5, p_s=0.5)
@@ -144,30 +145,30 @@ class TestBaselineRule:
     def test_swap_asap_takes_the_last_action_of_every_state(self):
         space, _ = build(5, 3, p=0.5, p_s=0.5)
         rule = baseline_rule(5)
-        for r, actions in zip(space.intermediate_states, space.actions):
-            assert rule(r) == actions[-1]
+        for r, actions in zip(intermediate_states(space), space.actions):
+            assert act(rule, r, 3) == actions[-1]
 
     def test_withholding_acts_only_where_every_interior_node_can_swap(self):
         space, _ = build(5, 3, p=0.5, p_s=0.5)
         asap, modified = baseline_rule(5), baseline_rule(5, {3})
         full_states = 0
-        for r, actions in zip(space.intermediate_states, space.actions):
+        for r, actions in zip(intermediate_states(space), space.actions):
             if actions[-1] == {2, 3, 4}:
                 full_states += 1
-                assert modified(r) == {2, 4}
+                assert act(modified, r, 3) == {2, 4}
             else:
-                assert modified(r) == asap(r)
+                assert act(modified, r, 3) == act(asap, r, 3)
         assert full_states > 0
 
     def test_swap_asap_and_policy_iteration_decode_no_state(self, monkeypatch):
         space, model = build(5, 3, p=0.9, p_s=0.5)
-        expected = Policy.from_actions(space, map(baseline_rule(5), space.intermediate_states))
+        expected = Policy.from_actions(space, [act(baseline_rule(5), r, 3) for r in intermediate_states(space)])
         space, model = build(5, 3, p=0.9, p_s=0.5)
 
         def decode(*args):
             raise AssertionError("a state was decoded")
 
-        monkeypatch.setattr(StateCodes, "states", decode)
+        monkeypatch.setattr(CodeLayout, "state", decode)
         assert modified_full_state_policy(space, ()) == swap_asap_policy(space) == expected
         evaluate_policy(model, swap_asap_policy(space))
         for solve in (policy_iteration, value_iteration):
@@ -202,7 +203,7 @@ class TestRowCountBaseline:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_modified_policy_and_rule_match_the_neighbour_pair_definition(self, n, t_cut, fold):
         space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut), fold=fold)
-        states = space.intermediate_states
+        states = intermediate_states(space)
         facts = neighbour_pair_facts(states, n)
         interior = range(2, n)
         subsets = [frozenset(c) for r in range(n - 1) for c in combinations(interior, r)]
@@ -215,7 +216,7 @@ class TestRowCountBaseline:
         # full states, so the rules agree everywhere if they agree here.
         withheld = frozenset(interior)
         rule = baseline_rule(n, withheld)
-        assert [rule(s) for s in states] == [nodes - withheld if full else nodes for nodes, full in facts]
+        assert [act(rule, s, t_cut) for s in states] == [nodes - withheld if full else nodes for nodes, full in facts]
         assert sum(full for _, full in facts) > 0
 
 
@@ -498,7 +499,8 @@ class TestMirrorSymmetryOfValues:
     def test_values_equal_on_mirror_pairs(self):
         space, model = build(5, 2, p=0.6, p_s=0.5)
         table, _ = policy_iteration(model)
-        b_map = np.array([space.boundary_index[mirror(s)] for s in space.boundary_states])
+        b_index = index(boundary_states(space))
+        b_map = np.array([b_index[mirror(s)] for s in boundary_states(space)])
         assert np.max(np.abs(table.values - table.values[b_map])) <= 1e-9
 
     def test_bunched_solve_matches_full(self):
@@ -520,8 +522,9 @@ class TestMirrorSymmetryOfValues:
         policy = expand_policy(space, bmodel.space, bpolicy)
         n = space.params.n
         actions = policy.actions(space)
-        for r_idx, r in enumerate(space.intermediate_states):
-            m_idx = space.intermediate_index[mirror(r)]
+        i_index = index(intermediate_states(space))
+        for r_idx, r in enumerate(intermediate_states(space)):
+            m_idx = i_index[mirror(r)]
             mirrored = frozenset(n - k + 1 for k in actions[r_idx])
             assert actions[m_idx] == mirrored
 
@@ -533,8 +536,8 @@ class TestMirrorSymmetryOfValues:
         mapping = bpolicy.state_map(bmodel.space)
         expanded = expand_policy(space, bmodel.space, bpolicy)
         unfolded = expanded.state_map(space)
-        for r, action in zip(space.intermediate_states, expanded.actions(space)):
-            assert mapping(r) == unfolded(r) == action
+        for r, action in zip(intermediate_states(space), expanded.actions(space)):
+            assert act(mapping, r, t_cut) == act(unfolded, r, t_cut) == action
 
     @pytest.mark.parametrize("fold", [False, True], ids=["unfolded", "folded"])
     def test_state_map_is_a_lookup(self, fold):
@@ -542,15 +545,15 @@ class TestMirrorSymmetryOfValues:
         mapping = swap_asap_policy(space).state_map(space)
         # Two links into node 3: no state holds them, though their code is a valid number.
         with pytest.raises(KeyError):
-            mapping(state_from_links(4, [(1, 3, 0), (2, 3, 0)], intermediate=True))
-        assert mapping(state_from_links(4, [(2, 3, 0), (3, 4, 1)], intermediate=True)) == {3}
+            act(mapping, state_from_links(4, [(1, 3, 0), (2, 3, 0)], intermediate=True), 1)
+        assert act(mapping, state_from_links(4, [(2, 3, 0), (3, 4, 1)], intermediate=True), 1) == {3}
 
 
 def reference_policy_stats(space, policy):
     """The per-state loop ``policy_stats`` replaced: each state's action against its eligible nodes."""
     total = swap_all = no_swap = 0
     weights = space.intermediate_weights.tolist()
-    for r, action, weight in zip(space.intermediate_states, policy.actions(space), weights):
+    for r, action, weight in zip(intermediate_states(space), policy.actions(space), weights):
         nodes = valid_swap_nodes(r)
         if not nodes:
             continue

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from repeaterchain import statespace
-from repeaterchain.chain import (
-    ChainParams,
-    StateCodes,
+from chain_oracle import (
+    boundary_states,
     canonical,
+    decode_codes,
     encode_state,
+    index,
+    intermediate_states,
     mirror,
     state_from_links,
-    valid_swap_nodes,
 )
+from repeaterchain import statespace
+from repeaterchain.chain import ChainParams, StateCodes, valid_swap_nodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.statespace import (
     StateCapExceeded,
@@ -34,8 +36,8 @@ class TestEnumerate:
         space = space_for(3, 1)
         assert space.num_boundary == 5
         assert space.num_intermediate == 9
-        assert space.boundary_states[0].links == ()
-        assert space.terminal_index == space.boundary_index[state_from_links(3, [(1, 3, 0)])]
+        assert boundary_states(space)[0].links == ()
+        assert space.terminal_index == index(boundary_states(space))[state_from_links(3, [(1, 3, 0)])]
 
     def test_three_node_boundary_states_are_fresh(self):
         space = space_for(3, 1)
@@ -46,12 +48,12 @@ class TestEnumerate:
             state_from_links(3, [(1, 2, 0), (2, 3, 0)]),
             state_from_links(3, [(1, 3, 0)]),
         }
-        assert set(space.boundary_states) == expected
+        assert set(boundary_states(space)) == expected
 
     def test_intermediates_have_unique_boundary_parent(self):
         space = space_for(4, 2)
         seen = set()
-        for r in space.intermediate_states:
+        for r in intermediate_states(space):
             assert r not in seen
             seen.add(r)
             assert r.intermediate
@@ -97,7 +99,7 @@ class TestEnumerate:
 
     def test_state_indices_index_the_listed_states(self):
         space = space_for(4, 2)
-        assert space.boundary_index == {s: i for i, s in enumerate(space.boundary_states)}
+        assert index(boundary_states(space)) == {s: i for i, s in enumerate(boundary_states(space))}
 
     @pytest.mark.parametrize("fold", [False, True])
     def test_arrays_are_read_only(self, fold):
@@ -127,7 +129,7 @@ class TestActionSpace:
     def test_empty_state_has_only_wait(self):
         space = space_for(3, 1)
         empty_i = state_from_links(3, [], intermediate=True)
-        assert space.actions[space.intermediate_index[empty_i]] == (frozenset(),)
+        assert space.actions[index(intermediate_states(space))[empty_i]] == (frozenset(),)
 
     def test_two_link_state_has_two_actions(self):
         r = state_from_links(3, [(1, 2, 1), (2, 3, 0)], intermediate=True)
@@ -150,16 +152,17 @@ class TestPartition:
 
     def test_empty_state_is_symmetric(self):
         space = space_for(3, 1, fold=True)
-        assert space.boundary_states[0].links == ()
+        assert boundary_states(space)[0].links == ()
         assert space.boundary_weights[0] == 1
         assert space.boundary_weights[space.terminal_index] == 1
 
     def test_one_link_states_split_into_halves(self):
         space = space_for(3, 1, fold=True)
         left = state_from_links(3, [(1, 2, 0)])
-        assert left in space.boundary_index
-        assert state_from_links(3, [(2, 3, 0)]) not in space.boundary_index
-        assert space.boundary_weights[space.boundary_index[left]] == 2
+        b_index = index(boundary_states(space))
+        assert left in b_index
+        assert state_from_links(3, [(2, 3, 0)]) not in b_index
+        assert space.boundary_weights[b_index[left]] == 2
 
     def test_partition_covers_disjointly_with_equal_halves(self):
         # Every unfolded state's canonical form is listed exactly once, with
@@ -167,28 +170,29 @@ class TestPartition:
         for n, t_cut in [(3, 2), (4, 2), (5, 2)]:
             space = space_for(n, t_cut)
             folded = space_for(n, t_cut, fold=True)
-            for states, index, weights, count in [
-                (space.boundary_states, folded.boundary_index, folded.boundary_weights,
+            for states, listed, weights, count in [
+                (boundary_states(space), index(boundary_states(folded)), folded.boundary_weights,
                  folded.num_boundary),
-                (space.intermediate_states, folded.intermediate_index,
+                (intermediate_states(space), index(intermediate_states(folded)),
                  folded.intermediate_weights, folded.num_intermediate),
             ]:
-                assert len(index) == count
-                assert {canonical(s) for s in states} == set(index)
+                assert len(listed) == count
+                assert {canonical(s) for s in states} == set(listed)
                 for s in states:
                     weight = 1 if mirror(s) == s else 2
-                    assert weights[index[canonical(s)]] == weight
+                    assert weights[listed[canonical(s)]] == weight
                 assert int(weights.sum()) == len(states)
 
     def test_mirror_of_listed_state_is_listed(self):
         for n, t_cut in [(4, 2), (5, 2)]:
             space = space_for(n, t_cut)
-            b_map = [space.boundary_index[mirror(s)] for s in space.boundary_states]
-            i_map = [space.intermediate_index[mirror(r)] for r in space.intermediate_states]
+            b_index, i_index = index(boundary_states(space)), index(intermediate_states(space))
+            b_map = [b_index[mirror(s)] for s in boundary_states(space)]
+            i_map = [i_index[mirror(r)] for r in intermediate_states(space)]
             assert sorted(b_map) == list(range(space.num_boundary))
             assert sorted(i_map) == list(range(space.num_intermediate))
-            for i, s in enumerate(space.boundary_states):
-                assert space.boundary_states[b_map[i]] == mirror(s)
+            for i, s in enumerate(boundary_states(space)):
+                assert boundary_states(space)[b_map[i]] == mirror(s)
 
     def test_no_generation_path_from_nonsym_to_sym(self):
         # An unmatched link keeps its age mismatch through ageing, so
@@ -227,13 +231,13 @@ class TestCounts:
     def test_labelings_count_the_age_vectors(self, n, t_cut):
         # Oracle: the union of decoded age vectors, the terminal left out.
         space = space_for(n, t_cut)
-        absorbing = StateCodes(n, t_cut).states(space.absorbing_codes)
+        absorbing = decode_codes(n, t_cut, space.absorbing_codes)
         vectors = {
             encode_state(s)
-            for i, s in enumerate(space.boundary_states)
+            for i, s in enumerate(boundary_states(space))
             if i != space.terminal_index
         }
-        vectors.update(map(encode_state, [*space.intermediate_states, *absorbing]))
+        vectors.update(map(encode_state, [*intermediate_states(space), *absorbing]))
         assert distinct_labeled_states(space) == len(vectors)
 
     def test_enumerated_labelings_dominate_bound(self):
@@ -245,7 +249,7 @@ class TestCounts:
         # Four two-link intermediates (ages 00, 10, 01, 11) can swap at node 2.
         space = space_for(3, 1)
         decidable = [
-            r for r in space.intermediate_states if valid_swap_nodes(r)
+            r for r in intermediate_states(space) if valid_swap_nodes(r)
         ]
         assert space.num_decidable == len(decidable) == 4
 
@@ -273,8 +277,8 @@ class TestLevelWalk:
                     assert got is None
                 else:
                     assert got.dtype == want.dtype and np.array_equal(got, want), name
-            assert space.boundary_states == default.boundary_states
-            assert space.intermediate_states == default.intermediate_states
+            assert boundary_states(space) == boundary_states(default)
+            assert intermediate_states(space) == intermediate_states(default)
             assert space.actions == default.actions
             assert space.run_shapes == default.run_shapes
             assert space.terminal_index == default.terminal_index
@@ -285,13 +289,13 @@ class TestLevelWalk:
         space = space_for(n, t_cut)
         coder = StateCodes(n, t_cut)
         for states, codes in [
-            (space.boundary_states, space.boundary_codes),
-            (space.intermediate_states, space.intermediate_codes),
+            (boundary_states(space), space.boundary_codes),
+            (intermediate_states(space), space.intermediate_codes),
         ]:
             intermediate = states[0].intermediate
             digits = code_digits(states, t_cut)
             assert np.array_equal(coder.codes(digits), codes)
-            assert coder.states(codes, intermediate) == states
+            assert tuple(coder.state(code, intermediate) for code in codes.tolist()) == states
             mirrored = [mirror(s) for s in states]
             assert np.array_equal(coder.mirror(coder.digits(codes)), code_digits(mirrored, t_cut))
             rep, symmetric = coder.canonical(coder.digits(codes))
@@ -321,5 +325,5 @@ class TestLevelWalk:
         assert coder.terminal_code in space.absorbing_codes.tolist()
         assert np.all(coder.is_absorbing(space.absorbing_codes))
         assert space.boundary_codes[space.terminal_index] == coder.terminal_code
-        assert space.boundary_states[space.terminal_index] == state_from_links(n, [(1, n, 0)])
+        assert boundary_states(space)[space.terminal_index] == state_from_links(n, [(1, n, 0)])
         assert np.count_nonzero(coder.is_absorbing(space.boundary_codes)) == 1

@@ -29,22 +29,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from chain_oracle import (
+    apply_cutoff,
+    apply_generation,
+    boundary_states,
+    canonical,
+    decode_codes,
+    empty_state,
+    encode_state,
+    index,
+    intermediate_states,
+    mirror,
+    state_from_links,
+)
 from repeaterchain.chain import (
     ChainParams,
     ChainState,
     Link,
-    StateCodes,
     age_links,
-    apply_cutoff,
-    apply_generation,
-    canonical,
-    empty_state,
-    encode_state,
     generation_pairs,
     is_absorbing,
-    mirror,
     mirror_action,
-    state_from_links,
     swap_runs,
 )
 from repeaterchain.mdp import TransitionModel
@@ -193,7 +198,7 @@ def arc_view(space) -> ArcView:
             tables.append((sizes, tuple(enumerate(targets[outs[j] : outs[j + 1]]))))
         b_arcs.append(tuple(tables))
     return ArcView(
-        space.boundary_states, space.intermediate_states, space.actions, a_arcs, tuple(b_arcs)
+        boundary_states(space), intermediate_states(space), space.actions, a_arcs, tuple(b_arcs)
     )
 
 
@@ -239,18 +244,19 @@ def test_one_walk_matches_two_pass_reference(n, t_cut):
     ref_a, ref_b = reference_arcs(params)
 
     space = enumerate_states(params)
-    assert space.boundary_states == tuple(boundary)
-    assert space.intermediate_states == tuple(intermediates)
+    assert boundary_states(space) == tuple(boundary)
+    assert intermediate_states(space) == tuple(intermediates)
     assert space.actions == tuple(actions)
     assert space.terminal_index == term
-    assert sorted(map(encode_state, StateCodes(n, t_cut).states(space.absorbing_codes))) == sorted(raw)
+    assert sorted(map(encode_state, decode_codes(n, t_cut, space.absorbing_codes))) == sorted(raw)
     view = arc_view(space)
     assert view.a_arcs == ref_a
     assert view.b_arcs == ref_b
-    for i, s in enumerate(space.boundary_states):
-        assert space.boundary_index[s] == i
-    for i, r in enumerate(space.intermediate_states):
-        assert space.intermediate_index[r] == i
+    b_index, i_index = index(boundary_states(space)), index(intermediate_states(space))
+    for i, s in enumerate(boundary_states(space)):
+        assert b_index[s] == i
+    for i, r in enumerate(intermediate_states(space)):
+        assert i_index[r] == i
 
 
 # (p, p_s) points at which structures are materialized; p = 1 and p_s = 1
@@ -354,8 +360,8 @@ def reference_split(states, index) -> MirrorSplit:
 def reference_partition(space) -> SymmetryPartition:
     """Mirror partitions of an unfolded space's boundary and intermediate lists."""
     return SymmetryPartition(
-        boundary=reference_split(space.boundary_states, space.boundary_index),
-        intermediate=reference_split(space.intermediate_states, space.intermediate_index),
+        boundary=reference_split(boundary_states(space), index(boundary_states(space))),
+        intermediate=reference_split(intermediate_states(space), index(intermediate_states(space))),
     )
 
 
@@ -404,10 +410,10 @@ def reference_fold(space) -> FoldReference:
         return kept, rep, weights
 
     b_kept, b_rep, b_weights = reduce_states(
-        space.boundary_states, space.boundary_index, split.boundary
+        boundary_states(space), index(boundary_states(space)), split.boundary
     )
     i_kept, i_rep, i_weights = reduce_states(
-        space.intermediate_states, space.intermediate_index, split.intermediate
+        intermediate_states(space), index(intermediate_states(space)), split.intermediate
     )
 
     a_arcs = []
@@ -426,8 +432,8 @@ def reference_fold(space) -> FoldReference:
         b_arcs.append(tuple(tables))
 
     return FoldReference(
-        boundary_states=tuple(space.boundary_states[i] for i in b_kept),
-        intermediate_states=tuple(space.intermediate_states[i] for i in i_kept),
+        boundary_states=tuple(boundary_states(space)[i] for i in b_kept),
+        intermediate_states=tuple(intermediate_states(space)[i] for i in i_kept),
         actions=tuple(space.actions[i] for i in i_kept),
         a_arcs=tuple(a_arcs),
         b_arcs=tuple(b_arcs),
@@ -443,20 +449,22 @@ def expand_policy(space, bunched_space, policy) -> Policy:
     mirrored action of their representative.
     """
     bunched_actions = policy.actions(bunched_space)
+    bunched_index = index(intermediate_states(bunched_space))
     actions = []
-    for r in space.intermediate_states:
-        rep = r if r in bunched_space.intermediate_index else mirror(r)
-        act = bunched_actions[bunched_space.intermediate_index[rep]]
+    for r in intermediate_states(space):
+        rep = r if r in bunched_index else mirror(r)
+        act = bunched_actions[bunched_index[rep]]
         actions.append(act if rep == r else mirror_action(act, space.params.n))
     return Policy.from_actions(space, actions)
 
 
 def expand_values(space, bunched_space, table) -> ValueTable:
     """Extend values solved on mirror representatives to the unfolded ``space``."""
+    bunched_index = index(boundary_states(bunched_space))
     values = np.empty(space.num_boundary)
-    for s_idx, s in enumerate(space.boundary_states):
-        rep = s if s in bunched_space.boundary_index else mirror(s)
-        values[s_idx] = table.values[bunched_space.boundary_index[rep]]
+    for s_idx, s in enumerate(boundary_states(space)):
+        rep = s if s in bunched_index else mirror(s)
+        values[s_idx] = table.values[bunched_index[rep]]
     return ValueTable(values=values, iterations=table.iterations, residual=table.residual)
 
 
@@ -489,17 +497,18 @@ def test_folded_walk_matches_post_hoc_fold(n, t_cut):
     space = enumerate_states(params, fold=True)
 
     assert space.folded
-    assert space.boundary_states[0] == ref.boundary_states[0] == empty_state(n)
-    assert space.boundary_states[space.terminal_index] == state_from_links(n, [(1, n, 0)])
+    assert boundary_states(space)[0] == ref.boundary_states[0] == empty_state(n)
+    assert boundary_states(space)[space.terminal_index] == state_from_links(n, [(1, n, 0)])
     assert space.num_boundary == ref.num_boundary
     assert space.num_intermediate == ref.num_intermediate
-    assert set(space.boundary_states) == set(ref.boundary_states)
-    assert set(space.intermediate_states) == set(ref.intermediate_states)
-    for i, s in enumerate(space.boundary_states):
-        assert space.boundary_index[s] == i
+    assert set(boundary_states(space)) == set(ref.boundary_states)
+    assert set(intermediate_states(space)) == set(ref.intermediate_states)
+    b_index, i_index = index(boundary_states(space)), index(intermediate_states(space))
+    for i, s in enumerate(boundary_states(space)):
+        assert b_index[s] == i
         assert space.boundary_weights[i] == ref.boundary_weights[ref.boundary_index[s]]
-    for i, r in enumerate(space.intermediate_states):
-        assert space.intermediate_index[r] == i
+    for i, r in enumerate(intermediate_states(space)):
+        assert i_index[r] == i
         j = ref.intermediate_index[r]
         assert space.actions[i] == ref.actions[j]
         assert space.intermediate_weights[i] == ref.intermediate_weights[j]
