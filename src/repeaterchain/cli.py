@@ -480,11 +480,13 @@ def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> 
     """CSV rows of the (n, p, p_s, t_cut) grid points of one (n, t_cut), errors recorded in-row.
 
     The model is built at the first point with valid parameters, whose
-    ``wall_time_s`` includes the build, and reused by the rest.  A failed
-    build puts its error in its own row and in every later row of the group.
+    ``wall_time_s`` includes the build, and reused by the rest.  Each point
+    respecializes the last solved point's model, so it keeps the matrix
+    that its p or its p_s leaves unchanged.  A failed build puts its error in
+    its own row and in every later row of the group.
     """
     specs = opt.get("baseline")
-    structure = build_error = None
+    model = build_error = None
     rows = []
     for n, p, p_s, t_cut in points:
         row = {"n": n, "p": p, "p_s": p_s, "t_cut": t_cut}
@@ -493,14 +495,14 @@ def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> 
             config = _solver_config(opt)
             withheld = [_withheld_nodes(spec, n) for spec in specs]
             t0 = time.perf_counter()
-            if structure is None and build_error is None:
+            if model is None and build_error is None:
                 try:
-                    structure = _model(params, opt, withheld)
+                    model = _model(params, opt, withheld)
                 except Exception as exc:
                     build_error = exc
             if build_error is not None:
                 raise build_error
-            model, table, _ = _solve(structure, p, p_s, opt.get("method"), config)
+            model, table, _ = _solve(model, p, p_s, opt.get("method"), config)
             space, t_opt = model.space, table.t0
             # Unfolded counts: a folded state stands for its whole mirror pair.
             row["boundary_states"] = int(space.boundary_weights.sum())
@@ -634,10 +636,11 @@ def cmd_stats(opt: _Options) -> int:
     grid = [ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut) for n, p, p_s, t_cut in points]
     rows: list[dict | None] = [None] * len(grid)
     for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
-        structure = _model(grid[group[0]], opt)
+        model = _model(grid[group[0]], opt)
         for i in group:
             params = grid[i]
-            model, _, policy = _solve(structure, params.p, params.p_s, opt.get("method"), config)
+            # Each point keeps the matrix its p or p_s shares with the last one.
+            model, _, policy = _solve(model, params.p, params.p_s, opt.get("method"), config)
             stats = policy_stats(model.space, policy)
             rows[i] = {
                 "n": params.n,

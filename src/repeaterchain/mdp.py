@@ -83,12 +83,23 @@ class TransitionModel:
         """Same dynamics with different success probabilities.
 
         The states and arcs depend only on (n, t_cut), so the copy's space
-        shares their read-only arrays with this one, but no cached property
-        such as decoded states; only the numeric matrices are rebuilt.  Used
-        by parameter sweeps.
+        shares their read-only arrays with this one.  P_A depends on ``p``
+        alone and the choice table on ``p_s`` alone: the copy shares this
+        model's built P_A when ``p`` is unchanged and its built choice table
+        when ``p_s`` is unchanged, and builds any other when first asked.
+        Shared matrices are the same objects, so neither model may modify
+        them.  ``evaluated`` depends on both and starts empty.  Parameter
+        sweeps respecialize each point from the one before, so a sweep over
+        ``p`` at one ``p_s`` builds the choice table once.
         """
-        space = self.space
-        return TransitionModel(replace(space, params=replace(space.params, p=p, p_s=p_s)))
+        old = self.space.params
+        model = TransitionModel(replace(self.space, params=replace(old, p=p, p_s=p_s)))
+        new = model.space.params
+        if new.p == old.p:
+            model._mat_a = self._mat_a
+        if new.p_s == old.p_s:
+            model._choices = self._choices
+        return model
 
     def phase_a_matrix(self) -> sp.csr_matrix:
         """P_A as a (boundary x intermediate) CSR matrix; terminal row is zero."""

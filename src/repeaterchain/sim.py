@@ -160,9 +160,11 @@ class _Table:
 
     The slots of all rows sit in one flat array; a row's slots start at
     ``offset[row]``, and a negative value marks a slot not yet filled.
+    ``n`` is the chain's node count, named when the slots cannot be allocated.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
+        self.n = n
         self.offset = np.zeros(64, dtype=np.int64)
         self.mask = np.zeros(64, dtype=np.int64)
         self.slots = np.full(256, -1, dtype=np.int64)
@@ -170,14 +172,26 @@ class _Table:
         self.size = 0
 
     def add_row(self, bits: int) -> None:
-        row = self.num_rows
+        """Append a row of ``2**bits`` empty slots.
+
+        Raises :class:`ValueError` when the slot array cannot grow to hold
+        it: numpy raises :class:`MemoryError` when the allocation fails, and
+        :class:`ValueError` for an array too big to address.
+        """
+        row, size = self.num_rows, self.size + (1 << bits)
+        try:
+            self.slots = _grown(self.slots, size, -1)
+        except (MemoryError, ValueError):
+            raise ValueError(
+                f"n={self.n} is too wide to simulate: its dense transition tables ask for "
+                f"{size:,} slots of 8 bytes, more than can be allocated"
+            ) from None
         self.offset = _grown(self.offset, row + 1, 0)
         self.mask = _grown(self.mask, row + 1, 0)
         self.offset[row] = self.size
         self.mask[row] = (1 << bits) - 1
         self.num_rows += 1
-        self.size += 1 << bits
-        self.slots = _grown(self.slots, self.size, -1)
+        self.size = size
 
     def lookup(self, rows: np.ndarray, bits: np.ndarray, fill: Callable[[int, int], int]) -> np.ndarray:
         """Targets of ``rows`` under the masks of ``bits``; columns past a row's width are ignored.
@@ -219,7 +233,8 @@ class _Tables:
     intermediate state's action once, when the state is interned; only
     boundary states are looked up by code, since each intermediate state is
     reached from one generation entry alone.  A chain of more than :data:`MAX_NODES`
-    nodes is refused before any table is allocated.
+    nodes is refused before any table is allocated, and one whose tables
+    outgrow memory when a row is added raises :class:`ValueError`.
     """
 
     def __init__(self, params: ChainParams, policy: Callable[[int, frozenset[int]], frozenset[int]]):
@@ -239,8 +254,8 @@ class _Tables:
         self.aged: list[tuple[int, int, tuple[int, ...], list[int]] | None] = []
         self.intermediate: list[tuple[int, tuple[tuple[int, int], ...]]] = []
         self.absorbing = np.zeros(64, dtype=bool)
-        self.generation = _Table()
-        self.swap = _Table()
+        self.generation = _Table(params.n)
+        self.swap = _Table(params.n)
         self._boundary_id(0)
 
     def _boundary_id(self, code: int) -> int:

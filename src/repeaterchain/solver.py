@@ -365,22 +365,32 @@ def _factor_identity_minus(rows: np.ndarray, cols: np.ndarray, probs: np.ndarray
 def evaluate_policy(model: TransitionModel, policy: Policy) -> ValueTable:
     """Expected delivery time of a fixed policy from every slot-boundary state.
 
-    Composes the policy's transition matrix ``P_A @ C[policy.rows]`` and
-    solves the linear fixed-point equations exactly up to roundoff: one
-    sparse LU for the states the policy keeps returning to, and
-    back-substitution for every other state.  Solved once per model and
-    policy: the read-only values are kept in ``model.evaluated``, so policy
-    iteration's first round, value iteration's repeated checks and a later
-    swap-asap baseline share one solve.  Raises :class:`ConvergenceError`
-    for policies that never deliver from some state.
+    Composes the policy's transition matrix as ``picks @ C``: ``picks`` is
+    P_A with each entry moved to the column of its intermediate state's
+    chosen row of the choice table ``C``, and shares P_A's data and row
+    pointers.  scipy sums the same entries in the same order as for
+    ``P_A @ C[policy.rows]``, so the matrix is that product bit for bit,
+    with no copy of the chosen rows.  Then solves the linear fixed-point
+    equations exactly up to roundoff: one sparse LU for the states the
+    policy keeps returning to, and back-substitution for every other state.
+    Solved once per model and policy: the read-only values are kept in
+    ``model.evaluated``, so policy iteration's first round, value
+    iteration's repeated checks and a later swap-asap baseline share one
+    solve.  Raises :class:`ConvergenceError` for policies that never
+    deliver from some state.
     """
     if len(policy.rows) != model.space.num_intermediate:
         raise ValueError("policy does not cover every intermediate state")
     key = policy.rows.tobytes()
     values = model.evaluated.get(key)
     if values is None:
-        matrix = model.phase_a_matrix() @ model.choice_table()[policy.rows]
-        values = _block_triangular_solve(matrix.tocsr(), model.space.terminal_index)
+        import scipy.sparse as sp
+
+        mat_a, choices = model.phase_a_matrix(), model.choice_table()
+        picks = sp.csr_matrix(
+            (mat_a.data, policy.rows[mat_a.indices], mat_a.indptr), shape=(mat_a.shape[0], choices.shape[0])
+        )
+        values = _block_triangular_solve(picks @ choices, model.space.terminal_index)
         values.flags.writeable = False
         model.evaluated[key] = values
     return ValueTable(values=values, iterations=1)

@@ -79,7 +79,9 @@ class StateSpace:
     A ``folded`` space lists one state per mirror pair.  The ``*_weights``
     count the unfolded states each listed state stands for (1 or 2), and
     :meth:`unfolded` lists those states.  The copies that
-    ``TransitionModel.respecialized`` makes share the read-only arrays.
+    ``TransitionModel.respecialized`` makes differ only in ``params`` and
+    share the read-only arrays; their models also share any matrix whose
+    probability, ``p`` for P_A or ``p_s`` for the choice table, is unchanged.
     Spaces compare and hash by identity.
     """
 

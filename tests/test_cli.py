@@ -20,6 +20,7 @@ from repeaterchain.solver import (
     value_iteration,
 )
 from repeaterchain.statespace import enumerate_states
+from test_sim import refuse_slot_growth
 from test_walk_reference import expand_policy, expand_values
 
 
@@ -488,6 +489,64 @@ class TestSweep:
         assert len(enumerations) == 8
 
 
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """"A" for every P_A build and "C" for every choice-table build, in call order."""
+    from repeaterchain import mdp
+
+    builds = []
+    original = mdp._csr
+
+    def counted(data, indices, offsets, width):
+        matrix = original(data, indices, offsets, width)
+        builds.append("C" if matrix.shape[0] > matrix.shape[1] else "A")
+        return matrix
+
+    monkeypatch.setattr(mdp, "_csr", counted)
+    return builds
+
+
+def one_point_runs(tmp_path, command, args, grid):
+    """The CSV rows of ``command`` run once per (n, p, p_s, t_cut) point of ``grid``."""
+    rows = []
+    for n, p, p_s, t_cut in grid:
+        out = tmp_path / f"{command}_{n}_{p}_{p_s}_{t_cut}.csv"
+        assert run([command, "--n", n, "--p", p, "--ps", p_s, "--tcut", t_cut, *args, "--out", out]) == 0
+        rows += sweep_rows(out)
+    return rows
+
+
+class TestMatrixReuse:
+    """Grid points respecialize the previous point's model and keep the matrices they share."""
+
+    ARGS = ["--n", 5, "--p", "0.3,0.6,0.9", "--tcut", 3, "--method", "vi", "--bunch"]
+
+    def test_sweep_over_p_builds_the_choice_table_once(self, tmp_path, matrix_builds):
+        assert run(["sweep", *self.ARGS, "--ps", 0.5, "--out", tmp_path / "grid.csv"]) == 0
+        assert matrix_builds == ["A", "C", "A", "A"]
+
+    def test_alternating_p_s_rebuilds_the_choice_table_and_keeps_p_a(self, tmp_path, matrix_builds):
+        assert run(["sweep", *self.ARGS, "--ps", "0.5,1.0", "--out", tmp_path / "grid.csv"]) == 0
+        assert matrix_builds == ["A", "C", "C"] * 3
+
+    @pytest.mark.parametrize(
+        "command,args",
+        [
+            ("sweep", ["--method", "vi", "--bunch", "--baseline", "swap-asap", "--baseline", "modified:3"]),
+            ("sweep", ["--method", "pi", "--no-bunch"]),
+            ("stats", ["--method", "pi", "--bunch"]),
+            ("stats", ["--method", "vi", "--no-bunch"]),
+        ],
+    )
+    @pytest.mark.parametrize("ps_list", [(0.5,), (0.5, 1.0)])  # keeps C; keeps P_A while p repeats
+    def test_rows_equal_one_fresh_model_per_point(self, tmp_path, command, args, ps_list):
+        grid = [(5, p, p_s, t_cut) for p in (0.3, 0.6, 1.0) for p_s in ps_list for t_cut in (2, 3)]
+        out = tmp_path / "grid.csv"
+        ps = ",".join(map(str, ps_list))
+        assert run([command, "--n", 5, "--p", "0.3,0.6,1.0", "--ps", ps, "--tcut", "2,3", *args, "--out", out]) == 0
+        assert sweep_rows(out) == one_point_runs(tmp_path, command, args, grid)
+
+
 class TestSimulate:
     @pytest.mark.parametrize("n", [64, 66])
     def test_chain_too_wide_for_the_tables_is_one_error_line(self, tmp_path, capsys, n):
@@ -498,6 +557,22 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"error: n={n} is too wide") and f"at most n={MAX_NODES} nodes" in err
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate"), ValueError("array is too big")])
+    def test_tables_that_outgrow_memory_are_one_error_line(self, tmp_path, capsys, monkeypatch, error):
+        refuse_slot_growth(monkeypatch, error)
+        code = run(
+            ["simulate", "--n", 10, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--policy", "swap-asap",
+             "--trials", 10, "--out", tmp_path]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+        # The empty state's first generation row, 2**9 slots, outgrows the initial 256.
+        assert err == (
+            "error: n=10 is too wide to simulate: its dense transition tables ask for 512 slots "
+            "of 8 bytes, more than can be allocated\n"
+        )
 
     def test_deterministic_histogram(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -276,3 +276,23 @@ class TestRespecialized:
                 folded.respecialized(p, p_s),
                 TransitionModel.build(enumerate_states(direct_space.params, fold=True)),
             )
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_chained_copies_match_direct_builds(self, fold):
+        # Each copy is made from the one before, so it keeps whichever
+        # matrix the previous point's probabilities share with it.
+        model = TransitionModel.build(enumerate_states(ChainParams(n=5, p=0.5, p_s=0.5, t_cut=2), fold=fold))
+        for p, p_s in [*self.POINTS, (0.3, 1.0), (0.3, 0.8), (1.0, 0.8)]:
+            model = model.respecialized(p, p_s)
+            params = ChainParams(n=5, p=p, p_s=p_s, t_cut=2)
+            self.assert_same_matrices(model, TransitionModel.build(enumerate_states(params, fold=fold)))
+
+    def test_keeps_exactly_the_matrices_whose_probability_is_unchanged(self):
+        _, model = build(4, 2, p=0.5, p_s=0.8)
+        mat_a, choices = model.phase_a_matrix(), model.choice_table()
+        model.evaluated[b"key"] = np.zeros(1)
+        for p, p_s in [(0.5, 0.8), (0.5, 0.6), (0.7, 0.8), (0.7, 0.6)]:
+            copy = model.respecialized(p, p_s)
+            assert (copy.phase_a_matrix() is mat_a) == (p == 0.5)
+            assert (copy.choice_table() is choices) == (p_s == 0.8)
+            assert copy.evaluated == {} and copy.evaluated is not model.evaluated

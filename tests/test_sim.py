@@ -406,6 +406,32 @@ def test_raw_word_limit_decides_its_edge_words(q):
     assert decided == [_float_success(w, q) for w in words.tolist()]
 
 
+def refuse_slot_growth(monkeypatch, error):
+    """Make every growth of a table's slot array fail with ``error``, as an allocation too large would."""
+    grown = sim._grown
+
+    def refuse(array, size, fill):
+        if fill == -1 and size > array.size:
+            raise error
+        return grown(array, size, fill)
+
+    monkeypatch.setattr(sim, "_grown", refuse)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 2.00 GiB"), ValueError("array is too big; `arr.size * arr.dtype.itemsize` ...")],
+)
+def test_slots_that_cannot_be_allocated_name_the_chain_and_the_slots(monkeypatch, error):
+    table = sim._Table(24)
+    table.add_row(3)  # fits the initial slot array
+    refuse_slot_growth(monkeypatch, error)
+    with pytest.raises(ValueError, match=r"^n=24 is too wide to simulate: .* 1,048,584 slots ") as raised:
+        table.add_row(20)
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
+    assert (table.num_rows, table.size) == (1, 8)
+
+
 def test_too_wide_a_chain_is_refused_before_any_table_is_allocated(monkeypatch):
     def allocate(self):
         raise AssertionError("a table was allocated")

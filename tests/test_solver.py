@@ -74,6 +74,75 @@ class TestEvaluate:
             evaluate_policy(model, Policy([0]))
 
 
+def composed_matrix(monkeypatch, model, policy):
+    """The transition matrix ``evaluate_policy`` builds for ``policy``, caught before its solve."""
+    caught = []
+    solve = solver._block_triangular_solve
+
+    def spy(matrix, terminal):
+        caught.append(matrix.copy())  # the solve overwrites its matrix
+        return solve(matrix, terminal)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_block_triangular_solve", spy)
+        model.evaluated.clear()
+        evaluate_policy(model, policy)
+    (matrix,) = caught
+    return matrix
+
+
+def symmetric_withheld(n):
+    """An interior node set that is its own mirror image."""
+    nodes = frozenset({2, n - 1})
+    assert mirror_action(nodes, n) == nodes
+    return nodes
+
+
+class TestComposition:
+    """``evaluate_policy`` composes ``P_A @ C[policy.rows]`` without gathering rows of C."""
+
+    STRUCTURES = [(5, 3, False), (6, 2, False), (5, 3, True), (7, 2, True)]
+    POINTS = [(0.3, 0.5), (0.9, 1.0), (1.0, 0.5)]
+
+    @pytest.mark.parametrize("n,t_cut,fold", STRUCTURES)
+    def test_matrix_is_the_row_gather_product_byte_for_byte(self, monkeypatch, n, t_cut, fold):
+        structure = build(n, t_cut, p=0.5, p_s=0.5, fold=fold)[1]
+        for p, p_s in self.POINTS:
+            model = structure.respecialized(p, p_s)
+            space, mat_a, choices = model.space, model.phase_a_matrix(), model.choice_table()
+            if p == 1.0:  # every generation succeeds: ``_csr`` drops the zero entries of P_A
+                assert mat_a.nnz < space.num_intermediate
+            policies = [
+                swap_asap_policy(space),
+                modified_full_state_policy(space, symmetric_withheld(n)),
+                policy_iteration(model)[1],
+            ]
+            for policy in policies:
+                want = mat_a @ choices[policy.rows]  # the slower oracle
+                got = composed_matrix(monkeypatch, model, policy)
+                assert got.shape == want.shape
+                for field in ("indptr", "indices", "data"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_solvers_never_index_the_choice_table_by_rows(self, monkeypatch, fold):
+        space, model = build(4, 2, p=0.6, p_s=0.5, fold=fold)
+        choices = model.choice_table()
+
+        def refuse(self, key):
+            raise AssertionError("a sparse matrix was indexed")
+
+        monkeypatch.setattr(type(choices), "__getitem__", refuse)
+        with pytest.raises(AssertionError, match="indexed"):
+            choices[swap_asap_policy(space).rows]
+        evaluate_policy(model, swap_asap_policy(space))
+        policy_iteration(model)
+        model.evaluated.clear()
+        value_iteration(model)
+
+
 class TestPolicies:
     def test_swap_asap_contents(self):
         space, _ = build(5, 1, p=0.5, p_s=0.5)
