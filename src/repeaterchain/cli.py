@@ -257,12 +257,34 @@ def _write_rows(out: str | Path | None, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _structure_groups(keys: list[tuple[int, int]]) -> list[list[int]]:
-    """Grid-point indices grouped by (n, t_cut), groups in order of first appearance."""
+def _grid_rows(opt: _Options, group_rows, workers: int = 1) -> list[dict]:
+    """The grid's rows in grid order, ``group_rows(opt, points)`` making those of each (n, t_cut).
+
+    Structures come in order of first appearance, each listing its points
+    p_s-major (p_s values in order of first appearance, ties in grid order)
+    so that consecutive points share the choice table, and are spread over
+    ``min(workers, structures)`` processes, none when that is 1.
+    """
+    points, ps = _grid(opt), opt.get("ps")
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    # The grid holds every (n, t_cut) at every p_s, so sorting keeps the structures' order.
+    for i in sorted(range(len(points)), key=lambda i: ps.index(points[i][2])):
+        groups.setdefault((points[i][0], points[i][3]), []).append(i)
+    tasks = [[points[i] for i in group] for group in groups.values()]
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # the other commands skip its import
+        # scipy is loaded before the workers fork, so they share it: importing it in each worker took
+        # 0.37 s more CPU and no less wall time (n = 5, two structures, two workers on a 2-CPU Intel Xeon).
+        import scipy.sparse.csgraph  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(partial(group_rows, opt), tasks))
+    else:
+        results = [group_rows(opt, task) for task in tasks]
+    placed = dict(zip((i for group in groups.values() for i in group), (row for rows in results for row in rows)))
+    return [placed[i] for i in range(len(points))]
 
 
 def _withheld_nodes(spec: str, n: int | None = None) -> frozenset[int]:
@@ -479,11 +501,11 @@ def cmd_compare(opt: _Options) -> int:
 def _sweep_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> list[dict]:
     """CSV rows of the (n, p, p_s, t_cut) grid points of one (n, t_cut), errors recorded in-row.
 
-    The model is built at the first point with valid parameters, whose
-    ``wall_time_s`` includes the build, and reused by the rest.  Each point
-    respecializes the last solved point's model, so it keeps the matrix
-    that its p or its p_s leaves unchanged.  A failed build puts its error in
-    its own row and in every later row of the group.
+    The model is built at the first solved point, the first with valid
+    parameters, whose ``wall_time_s`` includes the build, and reused by the
+    rest.  Each point respecializes the last solved point's model, so it
+    keeps the matrix that its p or its p_s leaves unchanged.  A failed build
+    puts its error in its own row and in every later row of the group.
     """
     specs = opt.get("baseline")
     model = build_error = None
@@ -526,29 +548,10 @@ def cmd_sweep(opt: _Options) -> int:
     workers = opt.get("workers")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    points = _grid(opt)
+    _grid(opt)  # a missing or empty grid list is reported before a bad baseline
     for spec in opt.get("baseline"):
         _withheld_nodes(spec)
-    groups = _structure_groups([(n, t_cut) for n, _, _, t_cut in points])
-    tasks = [[points[i] for i in group] for group in groups]
-    sweep_group = partial(_sweep_group, opt)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # the other commands skip its import
-
-        # scipy is loaded once here, before the workers fork, so they share it:
-        # importing it in each worker took 0.37 s more CPU and no less wall
-        # time (n = 5, two structures, two workers on a 2-CPU Intel Xeon).
-        import scipy.sparse.csgraph  # noqa: F401
-        import scipy.sparse.linalg  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(sweep_group, tasks))
-    else:
-        results = [sweep_group(task) for task in tasks]
-    rows: list[dict | None] = [None] * len(points)
-    for group, group_rows in zip(groups, results):
-        for i, row in zip(group, group_rows):
-            rows[i] = row
+    rows = _grid_rows(opt, _sweep_group, workers)
     _write_rows(opt.get("out"), rows)
     failures = sum(1 for row in rows if row["error"])
     if failures:
@@ -630,28 +633,25 @@ def cmd_states(opt: _Options) -> int:
     return 0 if labelings >= bound else 1
 
 
+def _stats_group(opt: _Options, points: list[tuple[int, float, float, int]]) -> list[dict]:
+    """Action-statistics rows of one (n, t_cut)'s points, each on the last one's model; errors end the command."""
+    config, rows = _solver_config(opt), []
+    model = _model(ChainParams(*points[0]), opt)
+    for n, p, p_s, t_cut in points:
+        model, _, policy = _solve(model, p, p_s, opt.get("method"), config)
+        stats = policy_stats(model.space, policy)
+        row = {"n": n, "p": p, "p_s": p_s, "t_cut": t_cut, "decidable_states": stats.decidable_states}
+        row["pct_swap_all"] = _fmt(100.0 * stats.swap_all_fraction)
+        row["pct_no_swap"] = _fmt(100.0 * stats.no_swap_fraction)
+        rows.append(row)
+    return rows
+
+
 def cmd_stats(opt: _Options) -> int:
-    points = _grid(opt)
-    config = _solver_config(opt)
-    grid = [ChainParams(n=n, p=p, p_s=p_s, t_cut=t_cut) for n, p, p_s, t_cut in points]
-    rows: list[dict | None] = [None] * len(grid)
-    for group in _structure_groups([(params.n, params.t_cut) for params in grid]):
-        model = _model(grid[group[0]], opt)
-        for i in group:
-            params = grid[i]
-            # Each point keeps the matrix its p or p_s shares with the last one.
-            model, _, policy = _solve(model, params.p, params.p_s, opt.get("method"), config)
-            stats = policy_stats(model.space, policy)
-            rows[i] = {
-                "n": params.n,
-                "p": params.p,
-                "p_s": params.p_s,
-                "t_cut": params.t_cut,
-                "decidable_states": stats.decidable_states,
-                "pct_swap_all": _fmt(100.0 * stats.swap_all_fraction),
-                "pct_no_swap": _fmt(100.0 * stats.no_swap_fraction),
-            }
-    _write_rows(opt.get("out"), rows)
+    points, _ = _grid(opt), _solver_config(opt)
+    for point in points:  # every point is checked before any is solved
+        ChainParams(*point)
+    _write_rows(opt.get("out"), _grid_rows(opt, _stats_group))
     return 0
 
 

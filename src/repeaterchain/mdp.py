@@ -89,8 +89,9 @@ class TransitionModel:
         when ``p_s`` is unchanged, and builds any other when first asked.
         Shared matrices are the same objects, so neither model may modify
         them.  ``evaluated`` depends on both and starts empty.  Parameter
-        sweeps respecialize each point from the one before, so a sweep over
-        ``p`` at one ``p_s`` builds the choice table once.
+        sweeps respecialize each point from the one before, taking a
+        structure's points p_s-major, so they build the choice table once
+        per ``p_s`` of a structure's grid.
         """
         old = self.space.params
         model = TransitionModel(replace(self.space, params=replace(old, p=p, p_s=p_s)))

@@ -376,9 +376,19 @@ def _delivery_times(
     policy: Callable[[int, frozenset[int]], frozenset[int]],
     config: SimConfig,
 ) -> np.ndarray:
-    """Delivery time of every trial, in trial order."""
+    """Delivery time of every trial, in trial order.
+
+    Raises :class:`ValueError` when the trials' times cannot be allocated,
+    as :meth:`_Table.add_row` does for table slots.
+    """
     tables = _Tables(params, policy)
-    times = np.empty(config.trials, dtype=np.int64)
+    try:
+        times = np.empty(config.trials, dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"trials={config.trials} is too many to simulate: their delivery times ask for "
+            f"{config.trials:,} slots of 8 bytes, more than can be allocated"
+        ) from None
     for chunk, start in enumerate(range(0, config.trials, CHUNK)):
         draw = _bernoulli_draws(params, _chunk_rng(config.master_seed, chunk).bit_generator.random_raw)
         size = min(CHUNK, config.trials - start)
@@ -402,7 +412,8 @@ def estimate(
     :func:`~repeaterchain.solver.baseline_rule` return.  A state for which
     it raises :class:`KeyError`, or running ``config.max_slots`` slots
     without delivery, raises :class:`TrajectoryError`; a chain of more than
-    :data:`MAX_NODES` nodes raises :class:`ValueError`.
+    :data:`MAX_NODES` nodes, or tables or trial times that cannot be
+    allocated, raise :class:`ValueError`.
     """
     times = _delivery_times(params, policy, config)
     counts = np.bincount(times)

@@ -20,7 +20,7 @@ from repeaterchain.solver import (
     value_iteration,
 )
 from repeaterchain.statespace import enumerate_states
-from test_sim import refuse_slot_growth
+from test_sim import refuse_slot_growth, refuse_trial_times
 from test_walk_reference import expand_policy, expand_values
 
 
@@ -59,6 +59,30 @@ def fresh_solve(params, method, use_bunch):
     solve = policy_iteration if method == "pi" else value_iteration
     table, policy = solve(solved)
     return space, model, solved, table, policy
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """``max_workers`` of every process pool the CLI builds; the pools map in this process."""
+    import concurrent.futures
+
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return built
 
 
 def sweep_rows(path):
@@ -462,6 +486,15 @@ class TestSweep:
             (n, p, t) for n in "34" for p in ("0.4", "0.6") for t in "12"
         ]
 
+    @pytest.mark.parametrize("n_list, built", [("5", []), ("4,5", [2])])
+    def test_at_most_one_process_per_structure(self, tmp_path, pools, n_list, built):
+        args = ["sweep", "--n", n_list, "--p", "0.3,0.9", "--ps", "0.5,1.0", "--tcut", 2]
+        assert run([*args, "--workers", 8, "--out", tmp_path / "many.csv"]) == 0
+        assert pools == built
+        assert run([*args, "--workers", 1, "--out", tmp_path / "one.csv"]) == 0
+        assert pools == built
+        assert sweep_rows(tmp_path / "many.csv") == sweep_rows(tmp_path / "one.csv")
+
     @pytest.mark.parametrize("method", ["pi", "vi"])
     @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
     def test_rows_match_per_point_solves(self, tmp_path, enumerations, method, flag):
@@ -525,9 +558,15 @@ class TestMatrixReuse:
         assert run(["sweep", *self.ARGS, "--ps", 0.5, "--out", tmp_path / "grid.csv"]) == 0
         assert matrix_builds == ["A", "C", "A", "A"]
 
-    def test_alternating_p_s_rebuilds_the_choice_table_and_keeps_p_a(self, tmp_path, matrix_builds):
+    def test_sweep_solves_p_s_major_and_builds_the_choice_table_once_per_p_s(self, tmp_path, matrix_builds):
         assert run(["sweep", *self.ARGS, "--ps", "0.5,1.0", "--out", tmp_path / "grid.csv"]) == 0
-        assert matrix_builds == ["A", "C", "C"] * 3
+        assert matrix_builds == ["A", "C", "A", "A", "A", "C", "A", "A"]
+
+    def test_stats_solves_p_s_major_and_builds_the_choice_table_once_per_p_s(self, tmp_path, matrix_builds):
+        args = ["--n", 5, "--p", "0.3,0.6,0.9", "--ps", "0.5,1.0", "--tcut", 3, "--bunch"]
+        assert run(["stats", *args, "--out", tmp_path / "stats.csv"]) == 0
+        # Policy iteration asks for the choice table first.
+        assert matrix_builds == ["C", "A", "A", "A", "C", "A", "A", "A"]
 
     @pytest.mark.parametrize(
         "command,args",
@@ -571,6 +610,19 @@ class TestSimulate:
         # The empty state's first generation row, 2**9 slots, outgrows the initial 256.
         assert err == (
             "error: n=10 is too wide to simulate: its dense transition tables ask for 512 slots "
+            "of 8 bytes, more than can be allocated\n"
+        )
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate"), ValueError("array is too big")])
+    def test_trial_times_that_outgrow_memory_are_one_error_line(self, tmp_path, capsys, monkeypatch, error):
+        refuse_trial_times(monkeypatch, 4321, error)
+        code = run(
+            ["simulate", "--n", 4, "--p", 0.5, "--ps", 0.5, "--tcut", 2, "--policy", "swap-asap",
+             "--trials", 4321, "--out", tmp_path]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: trials=4321 is too many to simulate: their delivery times ask for 4,321 slots "
             "of 8 bytes, more than can be allocated\n"
         )
 

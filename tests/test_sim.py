@@ -265,18 +265,23 @@ def test_delivery_times_are_pinned(policy, point, trials, seed, expected):
 
 
 # Baselines past five nodes: actions of several runs, a withheld-middle
-# baseline, and a chain whose codes pass int64, which the walk refuses.
-# sha256 of the delivery times, recorded while each state still worked out
-# its own slot terms, before the tables shared them through slot plans.
+# baseline, a chain whose codes pass int64, which the walk refuses, and a
+# 16-node chain whose dense table rows are large (mean delivery time
+# 2920.4 slots).  sha256 of the delivery times, the first three recorded
+# while each state still worked out its own slot terms, before the tables
+# shared them through slot plans, the last while every table row was dense.
 WIDE_PINS = [
     ((9, 2, 0.9, 0.5), (), 2000, 9, "b34da78a5370d78f0ca9cb11a6af1588158f3be586f8e26d415fb3216552c07b"),
     ((9, 2, 0.9, 0.5), (5,), 2000, 9, "4209dd044b5d7b3c1ae0f3b8ca3110b96b3b50105dcb21b58229db5b76028b5e"),
     ((13, 7, 0.9, 0.9), (), 50, 1, "bf0f12435db08fa36c9fb4e9c41f4b00893f803c5bc104c5be38189a0905370d"),
+    ((16, 3, 0.9, 0.5), (), 5, 7, "17241b98d9f50753a8fdbb0fd7374c973e6c2e22b63b09783908c37b7f0ba7c3"),
 ]
 
 
 @pytest.mark.parametrize(
-    "point,withheld,trials,seed,expected", WIDE_PINS, ids=["swap-asap-9-2", "modified-5-9-2", "swap-asap-13-7"]
+    "point,withheld,trials,seed,expected",
+    WIDE_PINS,
+    ids=["swap-asap-9-2", "modified-5-9-2", "swap-asap-13-7", "swap-asap-16-3"],
 )
 def test_baseline_delivery_times_past_five_nodes_are_pinned(point, withheld, trials, seed, expected):
     n, t_cut, p, p_s = point
@@ -430,6 +435,30 @@ def test_slots_that_cannot_be_allocated_name_the_chain_and_the_slots(monkeypatch
         table.add_row(20)
     assert raised.value.__cause__ is None and raised.value.__suppress_context__
     assert (table.num_rows, table.size) == (1, 8)
+
+
+def refuse_trial_times(monkeypatch, trials, error):
+    """Make the allocation of ``trials`` delivery times fail with ``error``, as a count too large would."""
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if shape == trials:
+            raise error
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(sim.np, "empty", refuse)
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 7.28 TiB"), ValueError("array is too big; `arr.size * arr.dtype.itemsize` ...")],
+)
+def test_trial_times_that_cannot_be_allocated_name_the_trial_count(monkeypatch, error):
+    refuse_trial_times(monkeypatch, 4321, error)
+    params = ChainParams(n=4, p=0.5, p_s=0.5, t_cut=2)
+    with pytest.raises(ValueError, match=r"^trials=4321 is too many to simulate: .* 4,321 slots of 8 bytes") as raised:
+        _delivery_times(params, baseline_rule(4), SimConfig(trials=4321, master_seed=1))
+    assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
 
 def test_too_wide_a_chain_is_refused_before_any_table_is_allocated(monkeypatch):
