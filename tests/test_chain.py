@@ -309,6 +309,43 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
                 assert got == coder.code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut))
 
 
+@pytest.mark.parametrize("n, t_cut, expected_checks", [(5, 3, 11_340), (6, 2, 39_232)])
+def test_plan_terms_add_up_on_every_state_action_and_mask_of_the_walk(n, t_cut, expected_checks):
+    """The layout plans' terms against the oracle's phases, exhaustively on an unfolded space.
+
+    Every intermediate state under every action the walk lists for it and
+    every node-success mask, and every non-terminal slot-boundary state
+    under every generation mask.
+    """
+    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
+    layout = CodeLayout(n, t_cut)
+    checks = 0
+    for r, code, actions in zip(intermediate_states(space), space.intermediate_codes.tolist(), space.actions):
+        assert actions == action_space(r)
+        plan, ages = layout.read(code, True)
+        for action in actions:
+            kept, runs = layout.swap_terms(plan, ages, action)
+            nodes = sorted(action)
+            for mask in range(1 << len(nodes)):
+                pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
+                got = kept + sum(term for run, term in runs if mask & run == run)
+                assert got == layout.code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut))
+                checks += 1
+    for s, code in zip(boundary_states(space), space.boundary_codes.tolist()):
+        if code == layout.terminal_code:
+            continue
+        ageing, fresh = layout.generation_terms(layout.read(code)[0])
+        aged = age_links(s)
+        pairs = sorted(generation_pairs(aged))
+        assert len(fresh) == len(pairs)
+        for mask in range(1 << len(pairs)):
+            chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+            got = code + ageing + sum(term for k, term in enumerate(fresh) if mask >> k & 1)
+            assert got == layout.code(apply_generation(aged, chosen))
+            checks += 1
+    assert checks == expected_checks
+
+
 class TestFourSlotTrace:
     def test_reproduces_link_dynamics_figure(self):
         # Four slots of a six-node chain with cutoff 3: only (2,3) succeeds,

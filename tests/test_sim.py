@@ -70,6 +70,22 @@ class TestRunTrial:
                 params, lambda code, swappable: only_empty[code], SimConfig(trials=10, master_seed=1, max_slots=100)
             )
 
+    def test_an_action_at_a_node_that_cannot_swap_raises(self):
+        params = ChainParams(4, 0.9, 0.5, 2)
+        with pytest.raises(ValueError, match=r"^node 2 does not hold two links; cannot swap$"):
+            estimate(params, lambda code, swappable: frozenset({2}), SimConfig(50, 1))
+        # Of several such nodes, the error names the smallest.
+        taken = []
+
+        def policy(code, swappable):
+            unable = frozenset({2, 3, 4}) - swappable
+            taken.append(unable if len(unable) > 1 else frozenset())
+            return taken[-1]
+
+        with pytest.raises(ValueError, match="does not hold two links; cannot swap") as raised:
+            estimate(ChainParams(5, 0.5, 0.5, 2), policy, SimConfig(50, 1))
+        assert str(raised.value) == f"node {min(taken[-1])} does not hold two links; cannot swap"
+
     def test_chain_past_int64_codes_simulates(self):
         # The tables' codes are Python ints, so a chain the walk refuses still simulates.
         with pytest.raises(ValueError, match="64 bits"):
