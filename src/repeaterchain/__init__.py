@@ -9,16 +9,7 @@ Monte Carlo simulator, and translates fidelity requirements into cutoff
 budgets through Werner-state algebra.
 """
 
-from .chain import (
-    ChainParams,
-    ChainState,
-    Link,
-    age_links,
-    decode_state,
-    generation_pairs,
-    is_absorbing,
-    valid_swap_nodes,
-)
+from .chain import ChainParams, ChainState, Link, decode_state
 from .mdp import TransitionModel
 from .sim import SimConfig, SimResult, estimate
 from .solver import (
@@ -36,7 +27,6 @@ from .solver import (
 )
 from .statespace import (
     StateSpace,
-    action_space,
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,
@@ -67,8 +57,6 @@ __all__ = [
     "StateSpace",
     "TransitionModel",
     "ValueTable",
-    "action_space",
-    "age_links",
     "chain_swap_fidelity",
     "count_lower_bound",
     "decay_fidelity",
@@ -77,8 +65,6 @@ __all__ = [
     "enumerate_states",
     "estimate",
     "evaluate_policy",
-    "generation_pairs",
-    "is_absorbing",
     "max_cutoff",
     "modified_full_state_policy",
     "policy_iteration",
@@ -86,7 +72,6 @@ __all__ = [
     "relative_advantage",
     "swap_asap_policy",
     "swap_fidelity",
-    "valid_swap_nodes",
     "value_iteration",
     "worst_case_fidelity",
 ]

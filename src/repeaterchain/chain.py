@@ -8,20 +8,22 @@ nodes have one qubit per side, end nodes a single qubit.
 
 One time slot consists of four phases:
 
-1. every link ages by one slot (:func:`age_links`);
+1. every link ages by one slot;
 2. every pair of neighbours with free facing qubits attempts entanglement
-   generation (:func:`generation_pairs`), each success adding a link of
-   age 0;
-3. a chosen set of nodes performs entanglement swaps: the links through
-   swapping nodes form runs (:func:`swap_runs`), and a run whose swaps all
-   succeed becomes one link between its outer endpoints with the oldest
-   input age, while a run with a failed swap is lost;
+   generation, each success adding a link of age 0;
+3. a chosen set of nodes, each holding two links, performs entanglement
+   swaps: the links through swapping nodes form runs, and a run whose
+   swaps all succeed becomes one link between its outer endpoints with the
+   oldest input age, while a run with a failed swap is lost;
 4. links that reached the cutoff age are discarded, except end-to-end
    links.
 
-States are immutable values; every operation returns a new state.
+:class:`ChainState` values are what errors name, files hold
+(:func:`decode_state`) and :func:`check_state` checks.
 :class:`CodeLayout` gives the states of one ``(n, t_cut)`` integer codes,
-under which every phase is adding and dropping links' terms.
+under which every phase is adding and dropping links' terms.  A link
+layout's free neighbour pairs, nodes able to swap and swap runs
+(:func:`_runs`) follow from its digits (:func:`_link_ends`), once.
 :class:`StateCodes` runs the phases as digit arithmetic on whole batches
 of codes, so the enumeration walk builds no states, and the simulator
 adds up one state's terms per outcome (:meth:`CodeLayout.generation_terms`,
@@ -47,15 +49,9 @@ __all__ = [
     "LayoutPlan",
     "Link",
     "StateCodes",
-    "action_space",
-    "age_links",
     "check_state",
     "decode_state",
-    "generation_pairs",
-    "is_absorbing",
     "mirror_action",
-    "swap_runs",
-    "valid_swap_nodes",
 ]
 
 
@@ -147,113 +143,41 @@ def _sorted_state(n: int, links: tuple[Link, ...], intermediate: bool = False) -
     return state
 
 
-def is_absorbing(state: ChainState) -> bool:
-    """True iff the state contains an end-to-end link.
-
-    Links are sorted and left endpoints are unique, so an end-to-end link
-    can only be the first one.
-    """
-    links = state.links
-    return bool(links) and links[0].left == 1 and links[0].right == state.n
-
-
-def age_links(state: ChainState) -> ChainState:
-    """Increment every link age by one slot (phase 1).
-
-    Only slot-boundary, non-absorbing states age: the process stops in
-    absorbing states and ageing happens exactly once per slot.
-    """
-    if state.intermediate:
-        raise ValueError("ageing applies to slot-boundary states only")
-    if is_absorbing(state):
-        raise ValueError("absorbing states do not evolve further")
-    # Ageing keeps the endpoints, hence the sorted order.
-    return _sorted_state(state.n, tuple([Link(l.left, l.right, l.age + 1) for l in state.links]))
-
-
-def generation_pairs(state: ChainState) -> set[tuple[int, int]]:
-    """Neighbour pairs ``(i, i+1)`` whose facing qubits are both free.
-
-    Node ``i``'s right-facing qubit is busy iff some link has ``left == i``;
-    node ``i+1``'s left-facing qubit is busy iff some link has
-    ``right == i+1``.
-    """
-    lefts = {l.left for l in state.links}
-    rights = {l.right for l in state.links}
-    return {
-        (i, i + 1)
-        for i in range(1, state.n)
-        if i not in lefts and (i + 1) not in rights
-    }
-
-
-def valid_swap_nodes(state: ChainState) -> set[int]:
-    """Interior nodes currently holding one link per side, i.e. able to swap."""
-    lefts = {l.left for l in state.links}
-    rights = {l.right for l in state.links}
-    return {k for k in range(2, state.n) if k in lefts and k in rights}
-
-
-def action_space(state: ChainState) -> tuple[frozenset[int], ...]:
-    """All swap actions available in a state: every subset of the eligible nodes.
-
-    Ordered by (size, node tuple), so the empty action comes first and the
-    ordering doubles as the deterministic tie-break order for solvers.
-    """
-    return _subsets(tuple(sorted(valid_swap_nodes(state))))
-
-
 @lru_cache(maxsize=None)
 def _subsets(nodes: tuple[int, ...]) -> tuple[frozenset[int], ...]:
-    # Shared by every state with the same eligible nodes, so an enumerated
-    # space holds one copy of each action list.
-    actions = []
-    for r in range(len(nodes) + 1):
-        for combo in combinations(nodes, r):
-            actions.append(frozenset(combo))
-    return tuple(actions)
+    """Every swap action on ``nodes``, by (size, node tuple): the empty one first, as solvers break ties.
+
+    Shared by every state with the same eligible nodes, so an enumerated
+    space holds one copy of each action list.
+    """
+    return tuple(frozenset(combo) for r in range(len(nodes) + 1) for combo in combinations(nodes, r))
 
 
-def _links_by_endpoint(state: ChainState) -> tuple[dict[int, Link], dict[int, Link]]:
-    out_of: dict[int, Link] = {}
-    into: dict[int, Link] = {}
-    for l in state.links:
-        out_of[l.left] = l
-        into[l.right] = l
-    return out_of, into
+def _link_ends(n: int, t_cut: int, code: int) -> dict[int, int]:
+    """The right end of each link of a state, by its left end, left to right, from its code."""
+    span = t_cut + 1
+    right = {}
+    for l in range(1, n):
+        code, digit = divmod(code, 1 + (n - l) * span)
+        if digit:
+            right[l] = l + 1 + (digit - 1) // span
+    return right
 
 
-def swap_runs(state: ChainState, nodes: Iterable[int]) -> list[tuple[tuple[Link, ...], tuple[int, ...]]]:
-    """Group the links touched by a swap action into maximal runs.
+def _runs(right: dict[int, int], nodes: Iterable[int]) -> list[tuple[int, ...]]:
+    """The runs of the swap action ``nodes``, left to right, each as its nodes left to right.
 
-    A run is a maximal sequence of links chained through swapping nodes; a
-    run with ``k`` swapping nodes contains ``k + 1`` links.  Returns
-    ``(links, nodes)`` pairs ordered left to right.  Raises if any node does
-    not hold exactly two links.
+    ``right`` maps every node of the action to the node at the right end of
+    the link it starts.  A run chains swapping nodes along these links: it
+    starts at a node no link of another action node leads to.
     """
     nodes = set(nodes)
-    out_of, into = _links_by_endpoint(state)
-    for k in nodes:
-        if k not in out_of or k not in into:
-            raise ValueError(f"node {k} does not hold two links; cannot swap")
     runs = []
-    seen: set[int] = set()
-    for k in sorted(nodes):
-        if k in seen:
-            continue
-        start = k
-        while into[start].left in nodes:
-            start = into[start].left
-        run_links = [into[start]]
-        run_nodes = []
-        cur = start
-        while cur in nodes:
-            run_nodes.append(cur)
-            seen.add(cur)
-            nxt = out_of[cur]
-            run_links.append(nxt)
-            cur = nxt.right
-        runs.append((tuple(run_links), tuple(run_nodes)))
+    for k in sorted(nodes - {right[k] for k in nodes}):
+        run = [k]
+        while right[run[-1]] in nodes:
+            run.append(right[run[-1]])
+        runs.append(tuple(run))
     return runs
 
 
@@ -262,34 +186,30 @@ _RUN_STRUCTURES: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
 
 def _run_structure(
-    n: int, successors: tuple[int, ...], pairs: tuple[tuple[int, int], ...]
+    n: int, successors: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
     """Run structure of every swap action of a link layout, in eligible-node indices.
 
-    The nodes able to swap (:func:`valid_swap_nodes`) are indexed left to
-    right; ``successors`` gives, per such node, the index of the node at
-    the right end of the link it starts, or -1 if that node cannot swap.  A
-    run chains swapping nodes along these links, so the runs of every
-    action depend on ``successors`` alone.  The first time a key is seen,
-    :func:`swap_runs` works them out on ``pairs``, the link endpoints of a
-    layout with this key.
+    The nodes able to swap are indexed left to right; ``successors`` gives,
+    per such node, the index of the node at the right end of the link it
+    starts, or -1 if that node cannot swap.  So the runs of every action
+    (:func:`_runs`) depend on ``successors`` alone.
 
-    Returns each action's per-run swap counts, actions in
-    :func:`action_space` order and runs left to right; the distinct runs of
-    all actions as paths of node indices, padded with ``n - 2`` (no node
-    has that index); and per action its runs' numbers among them, padded
-    with -1 to the ``(n - 1) // 2`` runs an action can have at most.  The
-    arrays are read-only: every layout with this key shares them.
+    Returns each action's per-run swap counts, actions in :func:`_subsets`
+    order and runs left to right; the distinct runs of all actions as paths
+    of node indices, padded with ``n - 2`` (no node has that index); and per
+    action its runs' numbers among them, padded with -1 to the
+    ``(n - 1) // 2`` runs an action can have at most.  The arrays are
+    read-only: every layout with this key shares them.
     """
     key = (n, successors)
     if key not in _RUN_STRUCTURES:
-        probe = _sorted_state(n, tuple(Link(l, r, 0) for l, r in pairs))
-        index = {k: i for i, k in enumerate(sorted(valid_swap_nodes(probe)))}
-        actions = action_space(probe)
+        right = dict(enumerate(successors))
+        actions = _subsets(tuple(right))
         sizes, paths = [], {}
         action_runs = np.full((len(actions), (n - 1) // 2), -1, dtype=np.int64)
         for a, action in enumerate(actions):
-            runs = [tuple(index[k] for k in nodes) for _, nodes in swap_runs(probe, action)]
+            runs = _runs(right, action)
             sizes.append(tuple(len(run) for run in runs))
             action_runs[a, : len(runs)] = [paths.setdefault(run, len(paths)) for run in runs]
         path_table = np.full((len(paths), n - 2), n - 2, dtype=np.int64)
@@ -309,26 +229,21 @@ def _swap_template(
 ]:
     """Age-free run structure of every swap action of one link layout.
 
-    ``layout`` is the :class:`StateCodes` code of the links at age 0.
-    Returns the actions of :func:`action_space`, in its order, and what
+    ``layout`` is the :class:`StateCodes` code of the links at age 0, read
+    by :func:`_link_ends`.  Returns the layout's actions, every subset of
+    its nodes able to swap in :func:`_subsets` order, and what
     :func:`_run_structure` gives for the layout: each action's per-run swap
     counts, the distinct runs as paths of node indices, and each action's
     runs.  Last come the nodes the indices stand for, each padded with
     ``n`` to ``n - 1`` entries: the swapping nodes, the left end of the
     link into each and the right end of the link out of each.
     """
-    span = t_cut + 1
-    right = {}
-    for l in range(1, n):
-        layout, digit = divmod(layout, 1 + (n - l) * span)
-        if digit:
-            right[l] = l + 1 + (digit - 1) // span
-    pairs = tuple(right.items())
-    left = {r: l for l, r in pairs}
+    right = _link_ends(n, t_cut, layout)
+    left = {r: l for l, r in right.items()}
     eligible = [k for k in right if k in left]
     index = {k: i for i, k in enumerate(eligible)}
     successors = tuple(index.get(right[k], -1) for k in eligible)
-    sizes, paths, action_runs = _run_structure(n, successors, pairs)
+    sizes, paths, action_runs = _run_structure(n, successors)
     pad = (n,) * (n - 1 - len(eligible))
     into, out = [left[k] for k in eligible], [right[k] for k in eligible]
     nodes = tuple(tuple(column) + pad for column in (eligible, into, out))
@@ -388,15 +303,18 @@ class LayoutPlan:
     A layout is a state's links' (left, right) endpoints with ages
     ignored, named by its code at age 0.  Building the plan checks the
     layout's structure (:func:`check_state`), so a state of the layout
-    need only have its ages checked.  ``swappable`` is
-    :func:`valid_swap_nodes`.  ``generation`` is the generation plan of a
-    non-absorbing layout, built the first time a slot-boundary state of
-    the layout needs it (:meth:`CodeLayout.generation_terms`), and
+    need only have its ages checked.  ``right`` maps each link's left end
+    to its right end (:func:`_link_ends`); the layout is ``absorbing`` if
+    it holds the end-to-end link, and ``swappable`` holds the nodes that
+    start one link and end another.  ``generation`` is the generation plan
+    of a non-absorbing layout, built the first time a slot-boundary state
+    of the layout needs it (:meth:`CodeLayout.generation_terms`), and
     ``swaps`` holds the swap plan of each action met so far
     (:meth:`CodeLayout.swap_terms`).
     """
 
     layout: int
+    right: dict[int, int]
     absorbing: bool
     swappable: frozenset[int]
     generation: tuple[int, tuple[int, ...]] | None = None
@@ -426,11 +344,11 @@ class CodeLayout:
     ``swappable`` nodes are what a baseline policy needs.  A swap plan, per
     (layout, action), holds per kept link and per run the digit positions
     of its links, its term at age 0, its place value and the age the cutoff
-    discards it at, and per run its node mask; it is built from
-    :func:`swap_runs` on the layout's links at age 0.  So the states of one
-    layout add up ``term + age * place value`` only, and no state is built
-    but a plan's age-0 one and one named in an error.  :class:`StateCodes`
-    works on batches of int64 codes.
+    discards it at, and per run its node mask; its runs come from the
+    plan's link ends (:func:`_runs`).  So the states of one layout add up
+    ``term + age * place value`` only, and no state is built but the one
+    whose structure a new plan checks and one named in an error.
+    :class:`StateCodes` works on batches of int64 codes.
     """
 
     def __init__(self, n: int, t_cut: int):
@@ -531,29 +449,32 @@ class CodeLayout:
         """
         plan = self._plans.get(layout)
         if plan is None:
-            probe = self.state(layout)
             try:
-                check_state(probe)
+                check_state(self.state(layout))
             except InvalidStateError:
                 raise self._invalid(layout if code is None else code, intermediate) from None
-            plan = self._plans[layout] = LayoutPlan(layout, is_absorbing(probe), frozenset(valid_swap_nodes(probe)))
+            right = _link_ends(self.n, self.t_cut, layout)
+            swappable = frozenset(right).intersection(right.values())
+            plan = self._plans[layout] = LayoutPlan(layout, right, right.get(1) == self.n, swappable)
         return plan
 
     def generation_terms(self, plan: LayoutPlan) -> tuple[int, tuple[int, ...]]:
         """Phases 1 and 2 of the slot-boundary states of a non-absorbing layout, as code terms.
 
-        Returns what ageing (:func:`age_links`) adds to a state's code and,
-        per free neighbour pair (:func:`generation_pairs`) in sorted order,
-        the term of its fresh link.  The intermediate state after the pairs
-        of a success mask is the aged code plus the terms of the mask's
-        pairs; its layout is the layout's code plus the same terms, as fresh
-        links are of age 0.  Neither depends on the ages, so they are worked
-        out once per layout.
+        Returns what ageing adds to a state's code, one place value per held
+        link, and, per neighbour pair ``(i, i + 1)`` left to right whose
+        facing qubits are both free (no link leaves ``i`` or ends at
+        ``i + 1``), the term of its fresh link.  The intermediate state
+        after the pairs of a success mask is the aged code plus the terms of
+        the mask's pairs; its layout is the layout's code plus the same
+        terms, as fresh links are of age 0.  Neither depends on the ages, so
+        they are worked out once per layout.
         """
         if plan.generation is None:
-            aged = age_links(self.state(plan.layout))
-            fresh = tuple(self._link_terms[l, r, 0] for l, r in sorted(generation_pairs(aged)))
-            plan.generation = self.code(aged) - plan.layout, fresh
+            right, weights = plan.right, self._weights
+            ends = set(right.values())
+            fresh = tuple(weights[i - 1] for i in range(1, self.n) if i not in right and i + 1 not in ends)
+            plan.generation = sum([weights[l - 1] for l in right]), fresh
         return plan.generation
 
     def swap_terms(
@@ -564,7 +485,7 @@ class CodeLayout:
         The state holds the links of ``plan``'s layout, the one out of node
         ``l`` at age ``ages[l - 1]``.  Returns the code of the links that
         the action leaves alone and the cutoff keeps, and per run of the
-        action (:func:`swap_runs`, left to right) its mask over the action's
+        action (:func:`_runs`, left to right) its mask over the action's
         nodes in ascending order and the term of its merged link, 0 if the
         cutoff discards it.  A run's merged link spans its outer endpoints
         with the oldest input age, and the cutoff discards every link of age
@@ -572,12 +493,13 @@ class CodeLayout:
         swap outcome mask is the first code plus the terms of the runs whose
         nodes all succeeded.  The runs depend on the layout and the action
         alone: they come from the (layout, action) swap plan, and only the
-        ages are read here.
+        ages are read here.  An action at a node that does not hold two
+        links raises :class:`ValueError` naming the least such node.
         """
         nodes = frozenset(nodes)
         swap = plan.swaps.get(nodes)
         if swap is None:
-            swap = plan.swaps[nodes] = self._swap_plan(plan.layout, nodes)
+            swap = plan.swaps[nodes] = self._swap_plan(plan, nodes)
         kept, runs = swap
         code, terms = 0, []
         for i, base, weight, limit in kept:
@@ -599,24 +521,29 @@ class CodeLayout:
                 return error
         return InvalidStateError(f"{code} is no code of a valid n={self.n}, t_cut={self.t_cut} state")
 
-    def _swap_plan(self, layout: int, nodes: frozenset[int]) -> tuple[tuple, tuple]:
-        """What :meth:`swap_terms` adds up for the states of ``layout`` under the action ``nodes``."""
-        probe = self.state(layout, True)
+    def _swap_plan(self, plan: LayoutPlan, nodes: frozenset[int]) -> tuple[tuple, tuple]:
+        """What :meth:`swap_terms` adds up for the states of ``plan``'s layout under the action ``nodes``."""
+        unable = nodes - plan.swappable
+        if unable:
+            raise ValueError(f"node {min(unable)} does not hold two links; cannot swap")
+        right = plan.right
+        left = {r: l for l, r in right.items()}
         bit = {k: 1 << b for b, k in enumerate(sorted(nodes))}
-        runs = swap_runs(probe, bit)
-        consumed = {link.left for links, _ in runs for link in links}
 
-        def place(left: int, right: int) -> tuple[int, int, float]:
+        def place(l: int, r: int) -> tuple[int, int, float]:
             # The cutoff spares an end-to-end link whatever its age.
-            limit = _NEVER if (left, right) == (1, self.n) else self.t_cut
-            return self._link_terms[left, right, 0], self._weights[left - 1], limit
+            limit = _NEVER if (l, r) == (1, self.n) else self.t_cut
+            return self._link_terms[l, r, 0], self._weights[l - 1], limit
 
-        # A link's age is read at its digit position, its left end less one.
-        kept = tuple((l - 1, *place(l, r)) for l, r, _ in probe.links if l not in consumed)
-        merged = []
-        for links, run_nodes in runs:
-            positions = tuple([link.left - 1 for link in links])
-            merged.append((sum([bit[k] for k in run_nodes]), positions, *place(links[0].left, links[-1].right)))
+        # A link's age is read at its digit position, its left end less one;
+        # a run's links leave the node left of its first node and each of its nodes.
+        merged, consumed = [], set()
+        for run in _runs(right, nodes):
+            starts = (left[run[0]], *run)
+            consumed.update(starts)
+            mask = sum([bit[k] for k in run])
+            merged.append((mask, tuple([l - 1 for l in starts]), *place(starts[0], right[run[-1]])))
+        kept = tuple((l - 1, *place(l, r)) for l, r in right.items() if l not in consumed)
         return kept, tuple(merged)
 
 
@@ -737,8 +664,8 @@ class StateCodes(CodeLayout):
     def generation(self, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Phases 1 and 2 of a batch of slot-boundary states: every aged child.
 
-        A state with ``k`` free neighbour pairs (:func:`generation_pairs`)
-        has ``2**k`` children; child ``mask`` holds a fresh link on the
+        A state with ``k`` free neighbour pairs (as
+        :meth:`CodeLayout.generation_terms` finds them) has ``2**k`` children; child ``mask`` holds a fresh link on the
         ``b``-th free pair from the left where bit ``b`` is set.  Absorbing
         states have none.  Returns each child's parent (its row in
         ``digits``), its digits, its successful attempts and its parent's
@@ -763,8 +690,8 @@ class StateCodes(CodeLayout):
     def swap_outcomes(self, digits: np.ndarray) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
         """Phases 3 and 4 of a batch of intermediate states, for every swap action.
 
-        Returns, per state, its :func:`action_space` and its number of
-        actions; the index in :attr:`shapes` of each action's per-run swap
+        Returns, per state, its actions (every subset of its nodes able to
+        swap, in :func:`_subsets` order) and its number of actions; the index in :attr:`shapes` of each action's per-run swap
         counts, state after state; and the end-of-slot codes, state after
         state, action after action, one per survival mask (bit ``b`` set:
         run ``b`` survived), so an action with ``k`` runs has ``2**k``.  A

@@ -229,8 +229,8 @@ def baseline_rule(n: int, withheld: Iterable[int] = ()) -> Callable[[int, frozen
 def swap_asap_policy(space: StateSpace) -> Policy:
     """Swap at every node that holds two links, in every state.
 
-    That is each state's last choice row: :func:`~repeaterchain.chain.action_space`
-    ends with the full eligible set, so no state is decoded.
+    That is each state's last choice row: a state's actions run from the
+    empty set to the full eligible set, so no state is decoded.
     """
     return Policy(space.row_offsets[1:] - 1)
 

@@ -27,13 +27,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .chain import ChainParams, StateCodes, _unique, action_space
+from .chain import ChainParams, StateCodes, _unique
 
 __all__ = [
     "DEFAULT_STATE_CAP",
     "StateCapExceeded",
     "StateSpace",
-    "action_space",
     "count_lower_bound",
     "distinct_labeled_states",
     "enumerate_states",

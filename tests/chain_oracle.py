@@ -2,22 +2,26 @@
 
 The package runs the slot dynamics as code arithmetic only: the walk on
 batches of :class:`~repeaterchain.chain.StateCodes` codes, the simulator
-on :class:`~repeaterchain.chain.CodeLayout` plans.  The phase functions
-below run the same dynamics one state at a time, and the tests check the
-code arithmetic against them.  They share with the package only its
-object-level helpers (``generation_pairs``, ``swap_runs``,
-``valid_swap_nodes``, ``CodeLayout.code``).  Every state they return
-comes from the public ``ChainState`` constructor, which sorts its links,
-so no shortcut of the package is used to build them.
+on :class:`~repeaterchain.chain.CodeLayout` plans, both derived from a
+link layout's digits.  The phase functions below run the same dynamics
+one state at a time, on the states' links, and the tests check the code
+arithmetic against them.  They share with the package only its state
+values (``ChainState``, ``Link``) and ``CodeLayout.code``, which
+:func:`act` uses to call a policy.  Every state they return comes from
+the public ``ChainState`` constructor, which sorts its links, so no
+shortcut of the package is used to build them.
 
 One time slot consists of four phases:
 
-1. every link ages by one slot (``chain.age_links``);
+1. every link ages by one slot (:func:`age_links`);
 2. every pair of neighbours with free facing qubits attempts entanglement
-   generation (``chain.generation_pairs`` / :func:`apply_generation`);
-3. a chosen set of nodes performs entanglement swaps (:func:`resolve_swaps`);
+   generation (:func:`generation_pairs` / :func:`apply_generation`);
+3. a chosen set of nodes, each holding two links (:func:`valid_swap_nodes`,
+   :func:`action_space`), performs entanglement swaps: the links through
+   swapping nodes form runs (:func:`swap_runs`, :func:`resolve_swaps`);
 4. links that reached the cutoff age are discarded, except end-to-end
-   links (:func:`apply_cutoff`).
+   links (:func:`apply_cutoff`).  The process stops in an absorbing state,
+   one that holds an end-to-end link (:func:`is_absorbing`).
 
 :func:`boundary_states` and :func:`intermediate_states` decode a space's
 codes into states, and :func:`index` maps states to their positions.
@@ -34,7 +38,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repeaterchain.chain import ChainState, CodeLayout, Link, generation_pairs, swap_runs, valid_swap_nodes
+from repeaterchain.chain import ChainState, CodeLayout, Link
 
 
 def state_from_links(n: int, links: Iterable[tuple[int, int, int]], intermediate: bool = False) -> ChainState:
@@ -49,10 +53,109 @@ def empty_state(n: int) -> ChainState:
     return ChainState(n=n, links=())
 
 
+def is_absorbing(state: ChainState) -> bool:
+    """True iff the state contains an end-to-end link.
+
+    Links are sorted and left endpoints are unique, so an end-to-end link
+    can only be the first one.
+    """
+    links = state.links
+    return bool(links) and links[0].left == 1 and links[0].right == state.n
+
+
+def age_links(state: ChainState) -> ChainState:
+    """Increment every link age by one slot (phase 1).
+
+    Only slot-boundary, non-absorbing states age: the process stops in
+    absorbing states and ageing happens exactly once per slot.
+    """
+    if state.intermediate:
+        raise ValueError("ageing applies to slot-boundary states only")
+    if is_absorbing(state):
+        raise ValueError("absorbing states do not evolve further")
+    return ChainState(n=state.n, links=tuple(Link(l.left, l.right, l.age + 1) for l in state.links))
+
+
+def generation_pairs(state: ChainState) -> set[tuple[int, int]]:
+    """Neighbour pairs ``(i, i+1)`` whose facing qubits are both free.
+
+    Node ``i``'s right-facing qubit is busy iff some link has ``left == i``;
+    node ``i+1``'s left-facing qubit is busy iff some link has
+    ``right == i+1``.
+    """
+    lefts = {l.left for l in state.links}
+    rights = {l.right for l in state.links}
+    return {
+        (i, i + 1)
+        for i in range(1, state.n)
+        if i not in lefts and (i + 1) not in rights
+    }
+
+
+def valid_swap_nodes(state: ChainState) -> set[int]:
+    """Interior nodes currently holding one link per side, i.e. able to swap."""
+    lefts = {l.left for l in state.links}
+    rights = {l.right for l in state.links}
+    return {k for k in range(2, state.n) if k in lefts and k in rights}
+
+
+def action_space(state: ChainState) -> tuple[frozenset[int], ...]:
+    """All swap actions available in a state: every subset of the eligible nodes.
+
+    Ordered by (size, node tuple), so the empty action comes first and the
+    ordering doubles as the deterministic tie-break order for solvers.
+    """
+    nodes = sorted(valid_swap_nodes(state))
+    return tuple(frozenset(combo) for r in range(len(nodes) + 1) for combo in combinations(nodes, r))
+
+
+def _links_by_endpoint(state: ChainState) -> tuple[dict[int, Link], dict[int, Link]]:
+    out_of: dict[int, Link] = {}
+    into: dict[int, Link] = {}
+    for l in state.links:
+        out_of[l.left] = l
+        into[l.right] = l
+    return out_of, into
+
+
+def swap_runs(state: ChainState, nodes: Iterable[int]) -> list[tuple[tuple[Link, ...], tuple[int, ...]]]:
+    """Group the links touched by a swap action into maximal runs.
+
+    A run is a maximal sequence of links chained through swapping nodes; a
+    run with ``k`` swapping nodes contains ``k + 1`` links.  Returns
+    ``(links, nodes)`` pairs ordered left to right.  Raises if any node does
+    not hold exactly two links.
+    """
+    nodes = set(nodes)
+    out_of, into = _links_by_endpoint(state)
+    for k in nodes:
+        if k not in out_of or k not in into:
+            raise ValueError(f"node {k} does not hold two links; cannot swap")
+    runs = []
+    seen: set[int] = set()
+    for k in sorted(nodes):
+        if k in seen:
+            continue
+        start = k
+        while into[start].left in nodes:
+            start = into[start].left
+        run_links = [into[start]]
+        run_nodes = []
+        cur = start
+        while cur in nodes:
+            run_nodes.append(cur)
+            seen.add(cur)
+            nxt = out_of[cur]
+            run_links.append(nxt)
+            cur = nxt.right
+        runs.append((tuple(run_links), tuple(run_nodes)))
+    return runs
+
+
 def apply_generation(state: ChainState, successes: Iterable[tuple[int, int]]) -> ChainState:
     """Add one fresh (age 0) link per successful pair; result is intermediate.
 
-    ``successes`` must be a subset of ``chain.generation_pairs``.
+    ``successes`` must be a subset of :func:`generation_pairs`.
     """
     allowed = generation_pairs(state)
     new = []

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from chain_oracle import (
+    action_space,
+    age_links,
     apply_cutoff,
     apply_generation,
     boundary_states,
@@ -12,10 +14,14 @@ from chain_oracle import (
     decode_codes,
     empty_state,
     encode_state,
+    generation_pairs,
     intermediate_states,
+    is_absorbing,
     mirror,
     resolve_swaps,
     state_from_links,
+    swap_runs,
+    valid_swap_nodes,
 )
 from repeaterchain.chain import (
     ChainParams,
@@ -25,15 +31,9 @@ from repeaterchain.chain import (
     Link,
     StateCodes,
     _unique,
-    action_space,
-    age_links,
     check_state,
     decode_state,
-    generation_pairs,
-    is_absorbing,
     mirror_action,
-    swap_runs,
-    valid_swap_nodes,
 )
 from repeaterchain.statespace import enumerate_states
 from test_walk_reference import reference_swap_outcomes
@@ -251,9 +251,9 @@ def subsets(items):
 def test_phase_primitives_build_states_the_public_constructor_would(n, t_cut):
     """The package's state builders skip the constructor's re-sort; their states must not tell.
 
-    ``CodeLayout.state``, ``decode_state`` and ``age_links`` build states
-    without it.  The oracle builds every state of the space, and every
-    aged one, with the public constructor, which sorts its links.
+    ``CodeLayout.state`` and ``decode_state`` build states without it.
+    The oracle builds every state of the space, and every aged one
+    (``age_links``), with the public constructor, which sorts its links.
     """
     space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
     layout = CodeLayout(n, t_cut)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from chain_oracle import boundary_states, index, intermediate_states, mirror, state_from_links
-from repeaterchain.chain import ChainParams, mirror_action, valid_swap_nodes
+from chain_oracle import boundary_states, index, intermediate_states, mirror, state_from_links, valid_swap_nodes
+from repeaterchain.chain import ChainParams, mirror_action
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy
 from repeaterchain.statespace import enumerate_states

@@ -3,9 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from chain_oracle import act, boundary_states, intermediate_states
+from chain_oracle import act, boundary_states, intermediate_states, valid_swap_nodes
 from repeaterchain import chain, sim
-from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes, valid_swap_nodes
+from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import (
     CHUNK,

@@ -20,8 +20,8 @@ both simulators can be fed the same generation and swap outcomes.
 import numpy as np
 import pytest
 
-from chain_oracle import act, apply_cutoff, apply_generation, empty_state, resolve_swaps
-from repeaterchain.chain import ChainParams, age_links, generation_pairs
+from chain_oracle import act, age_links, apply_cutoff, apply_generation, empty_state, generation_pairs, resolve_swaps
+from repeaterchain.chain import ChainParams
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.sim import TrajectoryError, _run_chunk, _Tables
 from repeaterchain.solver import modified_full_state_policy, policy_iteration, swap_asap_policy

@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse.linalg
 
 from repeaterchain import solver
-from chain_oracle import act, boundary_states, index, intermediate_states, mirror, state_from_links
-from repeaterchain.chain import ChainParams, CodeLayout, mirror_action, valid_swap_nodes
+from chain_oracle import act, boundary_states, index, intermediate_states, mirror, state_from_links, valid_swap_nodes
+from repeaterchain.chain import ChainParams, CodeLayout, mirror_action
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import (
     ConvergenceError,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chain_oracle import (
+    action_space,
     boundary_states,
     canonical,
     decode_codes,
@@ -10,13 +11,13 @@ from chain_oracle import (
     intermediate_states,
     mirror,
     state_from_links,
+    valid_swap_nodes,
 )
 from repeaterchain import statespace
-from repeaterchain.chain import ChainParams, StateCodes, valid_swap_nodes
+from repeaterchain.chain import ChainParams, StateCodes
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.statespace import (
     StateCapExceeded,
-    action_space,
     count_lower_bound,
     distinct_labeled_states,
     enumerate_states,

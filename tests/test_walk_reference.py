@@ -30,6 +30,8 @@ import pytest
 import scipy.sparse as sp
 
 from chain_oracle import (
+    action_space,
+    age_links,
     apply_cutoff,
     apply_generation,
     boundary_states,
@@ -37,28 +39,18 @@ from chain_oracle import (
     decode_codes,
     empty_state,
     encode_state,
+    generation_pairs,
     index,
     intermediate_states,
+    is_absorbing,
     mirror,
     state_from_links,
-)
-from repeaterchain.chain import (
-    ChainParams,
-    ChainState,
-    Link,
-    age_links,
-    generation_pairs,
-    is_absorbing,
-    mirror_action,
     swap_runs,
 )
+from repeaterchain.chain import ChainParams, ChainState, Link, mirror_action
 from repeaterchain.mdp import TransitionModel
 from repeaterchain.solver import Policy, ValueTable
-from repeaterchain.statespace import (
-    StateCapExceeded,
-    action_space,
-    enumerate_states,
-)
+from repeaterchain.statespace import StateCapExceeded, enumerate_states
 
 
 def reference_swap_outcomes(state, action, t_cut):
