@@ -23,7 +23,8 @@ One time slot consists of four phases:
 :class:`CodeLayout` gives the states of one ``(n, t_cut)`` integer codes,
 under which every phase is adding and dropping links' terms.  A link
 layout's free neighbour pairs, nodes able to swap and swap runs
-(:func:`_runs`) follow from its digits (:func:`_link_ends`), once.
+(:func:`_runs`) follow from its digits (:func:`_link_ends`), once, and what
+a run consumes and makes, for walk and simulator alike, from :func:`_run_link`.
 :class:`StateCodes` runs the phases as digit arithmetic on whole batches
 of codes, so the enumeration walk builds no states, and the simulator
 adds up one state's terms per outcome (:meth:`CodeLayout.generation_terms`,
@@ -181,73 +182,70 @@ def _runs(right: dict[int, int], nodes: Iterable[int]) -> list[tuple[int, ...]]:
     return runs
 
 
-#: Run structures already worked out, by chain size and successor key.
-_RUN_STRUCTURES: dict[tuple[int, tuple[int, ...]], tuple] = {}
+def _run_link(
+    right: dict[int, int], left: dict[int, int], run: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """What a run of swapping nodes consumes and makes.
 
-
-def _run_structure(
-    n: int, successors: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray]:
-    """Run structure of every swap action of a link layout, in eligible-node indices.
-
-    The nodes able to swap are indexed left to right; ``successors`` gives,
-    per such node, the index of the node at the right end of the link it
-    starts, or -1 if that node cannot swap.  So the runs of every action
-    (:func:`_runs`) depend on ``successors`` alone.
-
-    Returns each action's per-run swap counts, actions in :func:`_subsets`
-    order and runs left to right; the distinct runs of all actions as paths
-    of node indices, padded with ``n - 2`` (no node has that index); and per
-    action its runs' numbers among them, padded with -1 to the
-    ``(n - 1) // 2`` runs an action can have at most.  The arrays are
-    read-only: every layout with this key shares them.
+    ``right`` and ``left`` map each link's left end to its right end and
+    back.  Returns the digit positions (left end less one) of the links the
+    run consumes, the link into its first node and then the link out of
+    each of its nodes, and the ends of the link it makes if all succeed.
     """
-    key = (n, successors)
-    if key not in _RUN_STRUCTURES:
-        right = dict(enumerate(successors))
-        actions = _subsets(tuple(right))
-        sizes, paths = [], {}
-        action_runs = np.full((len(actions), (n - 1) // 2), -1, dtype=np.int64)
-        for a, action in enumerate(actions):
-            runs = _runs(right, action)
-            sizes.append(tuple(len(run) for run in runs))
-            action_runs[a, : len(runs)] = [paths.setdefault(run, len(paths)) for run in runs]
-        path_table = np.full((len(paths), n - 2), n - 2, dtype=np.int64)
-        for r, run in enumerate(paths):
-            path_table[r, : len(run)] = run
-        for table in (path_table, action_runs):
-            table.flags.writeable = False
-        _RUN_STRUCTURES[key] = tuple(sizes), path_table, action_runs
-    return _RUN_STRUCTURES[key]
+    starts = (left[run[0]], *run)
+    return tuple([l - 1 for l in starts]), (starts[0], right[run[-1]])
+
+
+@lru_cache(maxsize=None)
+def _action_runs(
+    n: int, chained: tuple[tuple[int, int], ...]
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The runs of every swap action of a link layout, from its nodes able to swap.
+
+    ``chained`` pairs each such node, left to right, with the right end of
+    its outgoing link, or 0 if that end cannot swap: layouts that agree on
+    it share their runs (:func:`_runs`).  Returns the actions, in
+    :func:`_subsets` order; their per-run swap counts; per action its runs'
+    numbers among the distinct runs, padded with -1 to ``(n - 1) // 2``
+    columns, read-only; and the distinct runs as node tuples.
+    """
+    right = dict(chained)
+    actions = _subsets(tuple(right))
+    sizes, runs = [], {}
+    action_runs = np.full((len(actions), (n - 1) // 2), -1, dtype=np.int64)
+    for a, action in enumerate(actions):
+        found = _runs(right, action)
+        sizes.append(tuple(map(len, found)))
+        action_runs[a, : len(found)] = [runs.setdefault(run, len(runs)) for run in found]
+    action_runs.flags.writeable = False
+    return actions, tuple(sizes), action_runs, tuple(runs)
 
 
 @lru_cache(maxsize=None)
 def _swap_template(
     n: int, t_cut: int, layout: int
-) -> tuple[
-    tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]
-]:
+) -> tuple[tuple[frozenset[int], ...], tuple[tuple[int, ...], ...], np.ndarray, np.ndarray, np.ndarray]:
     """Age-free run structure of every swap action of one link layout.
 
-    ``layout`` is the :class:`StateCodes` code of the links at age 0, read
-    by :func:`_link_ends`.  Returns the layout's actions, every subset of
-    its nodes able to swap in :func:`_subsets` order, and what
-    :func:`_run_structure` gives for the layout: each action's per-run swap
-    counts, the distinct runs as paths of node indices, and each action's
-    runs.  Last come the nodes the indices stand for, each padded with
-    ``n`` to ``n - 1`` entries: the swapping nodes, the left end of the
-    link into each and the right end of the link out of each.
+    ``layout`` is the :class:`StateCodes` code of the links at age 0.
+    Returns the actions, their per-run swap counts and runs
+    (:func:`_action_runs`), then per distinct run what it consumes and makes
+    (:func:`_run_link`): its input links' digit positions, padded with
+    ``n - 1``, and its merged link's ends, both as read-only arrays.
     """
     right = _link_ends(n, t_cut, layout)
     left = {r: l for l, r in right.items()}
-    eligible = [k for k in right if k in left]
-    index = {k: i for i, k in enumerate(eligible)}
-    successors = tuple(index.get(right[k], -1) for k in eligible)
-    sizes, paths, action_runs = _run_structure(n, successors)
-    pad = (n,) * (n - 1 - len(eligible))
-    into, out = [left[k] for k in eligible], [right[k] for k in eligible]
-    nodes = tuple(tuple(column) + pad for column in (eligible, into, out))
-    return _subsets(tuple(eligible)), sizes, paths, action_runs, nodes
+    chained = tuple([(k, r if r in right else 0) for k, r in right.items() if k in left])
+    actions, sizes, action_runs, runs = _action_runs(n, chained)
+    sources, ends, pad = [], [], (n - 1,) * (n - 1)
+    for run in runs:
+        positions, link = _run_link(right, left, run)
+        sources += positions + pad[len(positions) :]
+        ends += link
+    sources = np.array(sources, dtype=np.int64).reshape(-1, n - 1)
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    sources.flags.writeable = ends.flags.writeable = False
+    return actions, sizes, action_runs, sources, ends
 
 
 def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +308,7 @@ class LayoutPlan:
     of a non-absorbing layout, built the first time a slot-boundary state
     of the layout needs it (:meth:`CodeLayout.generation_terms`), and
     ``swaps`` holds the swap plan of each action met so far
-    (:meth:`CodeLayout.swap_terms`).
+    (:meth:`CodeLayout.swap_terms`), its runs' links from :func:`_run_link`.
     """
 
     layout: int
@@ -344,10 +342,11 @@ class CodeLayout:
     ``swappable`` nodes are what a baseline policy needs.  A swap plan, per
     (layout, action), holds per kept link and per run the digit positions
     of its links, its term at age 0, its place value and the age the cutoff
-    discards it at, and per run its node mask; its runs come from the
-    plan's link ends (:func:`_runs`).  So the states of one layout add up
-    ``term + age * place value`` only, and no state is built but the one
-    whose structure a new plan checks and one named in an error.
+    discards it at, and per run its node mask; its runs and their links
+    come from the plan's link ends (:func:`_runs`, :func:`_run_link`), as
+    the walk's do.  So the states of one layout add up ``term + age * place
+    value`` only, and no state is built but the one whose structure a new
+    plan checks and one named in an error.
     :class:`StateCodes` works on batches of int64 codes.
     """
 
@@ -491,10 +490,10 @@ class CodeLayout:
         with the oldest input age, and the cutoff discards every link of age
         ``t_cut`` but an end-to-end one.  The slot-boundary state after a
         swap outcome mask is the first code plus the terms of the runs whose
-        nodes all succeeded.  The runs depend on the layout and the action
-        alone: they come from the (layout, action) swap plan, and only the
-        ages are read here.  An action at a node that does not hold two
-        links raises :class:`ValueError` naming the least such node.
+        nodes all succeeded.  The runs and their links depend on the layout
+        and the action alone: they come from its swap plan (:func:`_run_link`),
+        and only the ages are read here.  An action at a node that does not
+        hold two links raises :class:`ValueError` naming the least such node.
         """
         nodes = frozenset(nodes)
         swap = plan.swaps.get(nodes)
@@ -535,15 +534,12 @@ class CodeLayout:
             limit = _NEVER if (l, r) == (1, self.n) else self.t_cut
             return self._link_terms[l, r, 0], self._weights[l - 1], limit
 
-        # A link's age is read at its digit position, its left end less one;
-        # a run's links leave the node left of its first node and each of its nodes.
         merged, consumed = [], set()
         for run in _runs(right, nodes):
-            starts = (left[run[0]], *run)
-            consumed.update(starts)
-            mask = sum([bit[k] for k in run])
-            merged.append((mask, tuple([l - 1 for l in starts]), *place(starts[0], right[run[-1]])))
-        kept = tuple((l - 1, *place(l, r)) for l, r in right.items() if l not in consumed)
+            positions, ends = _run_link(right, left, run)
+            consumed.update(positions)
+            merged.append((sum([bit[k] for k in run]), positions, *place(*ends)))
+        kept = tuple((l - 1, *place(l, r)) for l, r in right.items() if l - 1 not in consumed)
         return kept, tuple(merged)
 
 
@@ -700,8 +696,8 @@ class StateCodes(CodeLayout):
         ``t_cut`` except an end-to-end link.  So an outcome's code is the
         code of the links the cutoff keeps, less the runs' input links, plus
         each surviving run's link.  The run structure of each link layout
-        comes from :func:`_swap_template`; the layouts new to a batch are
-        appended to this coder's tables together.
+        comes from :func:`_swap_template`, its links from :func:`_run_link`;
+        the layouts new to a batch are appended to this coder's tables together.
         """
         t_cut = self.t_cut
         d = digits.astype(np.int64)
@@ -777,32 +773,21 @@ class StateCodes(CodeLayout):
     def _add_plans(self, layouts: list[int]) -> None:
         """Append the swap tables of link layouts new to this coder (codes at age 0), in order."""
         n, span = self.n, self.t_cut + 1
-        templates = [_swap_template(n, self.t_cut, layout) for layout in layouts]
-        actions, sizes, paths, action_runs, nodes = zip(*templates)
+        actions, sizes, action_runs, sources, ends = zip(*[_swap_template(n, self.t_cut, l) for l in layouts])
         self._actions += actions
         shape_of = self._shape_index
         shapes = [shape for action_sizes in sizes for shape in action_sizes]
         num_actions = np.array([len(a) for a in actions], dtype=np.int64)
-        num_runs = np.array([len(p) for p in paths], dtype=np.int64)
-        # Every run's nodes: the padding index n - 2 gives node n, whose
-        # digit position n - 1 is the padding one.
-        paths = np.concatenate(paths)
-        owner = np.repeat(np.arange(len(layouts)), num_runs)
-        nodes = np.array(nodes, dtype=np.int64)
-        last = paths[np.arange(len(paths)), (paths < n - 2).sum(axis=1) - 1]
-        run_left, run_right = nodes[owner, 1, paths[:, 0]], nodes[owner, 2, last]
-        # Per run: its input links' digit positions (the link into its first
-        # node, then the link out of each node), and its merged link's digit
-        # at age 0, place value and whether the cutoff spares it.
-        sources = np.empty((len(paths), n - 1), dtype=np.int64)
-        sources[:, 0] = run_left - 1
-        sources[:, 1:] = nodes[owner[:, None], 0, paths] - 1
+        num_runs = np.array([len(s) for s in sources], dtype=np.int64)
+        # Per run, from its merged link's ends: the link's digit at age 0,
+        # its place value and whether the cutoff spares it.
+        run_left, run_right = np.concatenate(ends).T
         tables = self._tables
         new = {
             "row_shape": np.array([shape_of.setdefault(s, len(shape_of)) for s in shapes], dtype=np.int16),
             "row_runs": np.concatenate(action_runs),
             "row_run_count": np.array([len(shape) for shape in shapes], dtype=np.int64),
-            "run_sources": sources,
+            "run_sources": np.concatenate(sources),
             "run_digit": 1 + (run_right - run_left - 1) * span,
             "run_weight": self._weight[run_left - 1],
             "run_end_to_end": (run_left == 1) & (run_right == n),

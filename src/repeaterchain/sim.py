@@ -19,8 +19,9 @@ arithmetic: when a state is interned, ``CodeLayout.generation_terms`` or
 entry is the sum of the terms its mask selects.  Those terms come from
 the plan of the state's link layout, which the tables' ``CodeLayout``
 builds once per layout (and a swap plan once per layout and action), so
-the states of one layout share their run structure; the plans last as
-long as the tables, one :func:`estimate` call.  An intermediate state has
+the states of one layout share their run structure, whose links come
+from the walk's own ``chain._run_link``; the plans last as long as the
+tables, one :func:`estimate` call.  An intermediate state has
 exactly one (boundary state, generation mask) parent: its age-0 links are
 the fresh ones.  So it is interned when that one generation entry is
 filled, and needs no index of its own.

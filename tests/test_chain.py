@@ -1,3 +1,5 @@
+import ast
+import pathlib
 from functools import lru_cache
 from itertools import combinations
 
@@ -281,11 +283,29 @@ def test_phase_primitives_build_states_the_public_constructor_would(n, t_cut):
     assert checked > 3_000
 
 
-@pytest.mark.parametrize("n,t_cut", [(n, t) for n in range(3, 7) for t in (1, 2, 3)])
+#: Checks of the code-terms test per (n, t_cut): every generation mask of every
+#: non-terminal slot-boundary state, and every node-success mask of every
+#: intermediate state under every action of the walk.
+CODE_TERM_CHECKS = {
+    (3, 1): 26, (3, 2): 50, (3, 3): 82,
+    (4, 1): 154, (4, 2): 436, (4, 3): 934,
+    (5, 1): 972, (5, 2): 4_040, (5, 3): 11_340,
+    (6, 1): 6_420, (6, 2): 39_232, (6, 3): 144_410,
+}
+
+
+@pytest.mark.parametrize("n,t_cut", CODE_TERM_CHECKS)
 def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
-    """Every outcome mask's sum of code terms is the code of the state the primitives build."""
+    """Every outcome mask's sum of code terms is the code of the state the primitives build.
+
+    Exhaustive on an unfolded space: every non-terminal slot-boundary state
+    under every generation mask, and every intermediate state under every
+    action the walk lists for it, which must be the oracle's, and every
+    node-success mask.
+    """
     space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
     coder = StateCodes(n, t_cut)
+    checks = 0
     for s in boundary_states(space):
         if is_absorbing(s):
             continue
@@ -298,8 +318,10 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
             chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
             got = aged_code + sum(term for k, term in enumerate(terms) if mask >> k & 1)
             assert got == coder.code(apply_generation(aged, chosen))
-    for r in intermediate_states(space):
-        for action in action_space(r):
+            checks += 1
+    for r, actions in zip(intermediate_states(space), space.actions):
+        assert actions == action_space(r)
+        for action in actions:
             nodes = sorted(action)
             kept, runs = coder.swap_terms(*coder.read(coder.code(r), True), action)
             assert len(runs) == len(swap_runs(r, action))
@@ -307,43 +329,8 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
                 pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
                 got = kept + sum(term for run, term in runs if mask & run == run)
                 assert got == coder.code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut))
-
-
-@pytest.mark.parametrize("n, t_cut, expected_checks", [(5, 3, 11_340), (6, 2, 39_232)])
-def test_plan_terms_add_up_on_every_state_action_and_mask_of_the_walk(n, t_cut, expected_checks):
-    """The layout plans' terms against the oracle's phases, exhaustively on an unfolded space.
-
-    Every intermediate state under every action the walk lists for it and
-    every node-success mask, and every non-terminal slot-boundary state
-    under every generation mask.
-    """
-    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
-    layout = CodeLayout(n, t_cut)
-    checks = 0
-    for r, code, actions in zip(intermediate_states(space), space.intermediate_codes.tolist(), space.actions):
-        assert actions == action_space(r)
-        plan, ages = layout.read(code, True)
-        for action in actions:
-            kept, runs = layout.swap_terms(plan, ages, action)
-            nodes = sorted(action)
-            for mask in range(1 << len(nodes)):
-                pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
-                got = kept + sum(term for run, term in runs if mask & run == run)
-                assert got == layout.code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut))
                 checks += 1
-    for s, code in zip(boundary_states(space), space.boundary_codes.tolist()):
-        if code == layout.terminal_code:
-            continue
-        ageing, fresh = layout.generation_terms(layout.read(code)[0])
-        aged = age_links(s)
-        pairs = sorted(generation_pairs(aged))
-        assert len(fresh) == len(pairs)
-        for mask in range(1 << len(pairs)):
-            chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
-            got = code + ageing + sum(term for k, term in enumerate(fresh) if mask >> k & 1)
-            assert got == layout.code(apply_generation(aged, chosen))
-            checks += 1
-    assert checks == expected_checks
+    assert checks == CODE_TERM_CHECKS[n, t_cut]
 
 
 class TestFourSlotTrace:
@@ -593,8 +580,9 @@ def probed_template(n, pairs):
 
 @pytest.mark.parametrize("n, t_cut", [(6, 3), (7, 2), (8, 1)])
 def test_swap_tables_match_swap_runs_on_every_layout(n, t_cut):
-    # Layouts share run structures by the successor links of their swapping
-    # nodes; every layout the walk meets must still get its own runs.
+    # Layouts share their actions' runs when their nodes able to swap agree
+    # and so do the swapping ends of those nodes' outgoing links; every
+    # layout the walk meets must still get its own runs' links.
     span = t_cut + 1
     space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
     coder = StateCodes(n, t_cut)
@@ -830,3 +818,54 @@ def test_read_refuses_a_number_that_is_no_code(code):
     # n = 3, t_cut = 1: digit radices 5 and 3, so codes run 0 .. 14.
     with pytest.raises(InvalidStateError, match=f"{code} is no code of a valid n=3, t_cut=1 state"):
         CodeLayout(3, 1).read(code)
+
+
+def test_the_package_holds_one_copy_of_the_slot_semantics():
+    """The oracle's phase functions live in ``tests/chain_oracle.py`` alone.
+
+    No module under ``src/`` defines or exports them again, or imports from
+    ``tests/``, and the oracle takes nothing from ``repeaterchain.chain`` but
+    the state values and the state codes, so the tests check the package's
+    code arithmetic against code it does not share.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    moved = {"state_from_links", "empty_state", "apply_generation", "resolve_swaps",
+             "apply_cutoff", "mirror", "canonical", "encode_state",
+             "age_links", "generation_pairs", "valid_swap_nodes", "action_space",
+             "swap_runs", "is_absorbing"}
+    test_modules = {"tests"} | {path.stem for path in (root / "tests").glob("*.py")}
+    faults = []
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        path = path.relative_to(root)
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+                if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                    names |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        faults += [f"{path}: defines or exports {name}" for name in sorted(names & moved)]
+        for node in ast.walk(tree):
+            roots = []
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [(node.module or "").split(".")[0]]
+            faults += [f"{path}:{node.lineno}: imports {root} from tests/" for root in roots if root in test_modules]
+    oracle = root / "tests" / "chain_oracle.py"
+    shared = {"ChainState", "Link", "CodeLayout"}
+    for node in ast.walk(ast.parse(oracle.read_text(), filename=str(oracle))):
+        taken = []
+        if isinstance(node, ast.Import):
+            taken = [a.name for a in node.names if a.name.startswith("repeaterchain.chain")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "repeaterchain.chain":
+            taken = [a.name for a in node.names if a.name not in shared]
+        elif isinstance(node, ast.ImportFrom) and node.module == "repeaterchain":
+            taken = [a.name for a in node.names if a.name == "chain"]
+        faults += [f"tests/chain_oracle.py:{node.lineno}: imports {name} from repeaterchain.chain" for name in taken]
+    assert not faults, "\n".join(faults)

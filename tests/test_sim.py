@@ -352,6 +352,23 @@ def test_a_baseline_takes_its_nodes_from_the_tables_plans(monkeypatch):
     assert len(asked) == len(tables.intermediate) > 100
 
 
+def test_the_simulator_never_lists_every_action_of_a_layout(monkeypatch):
+    """The simulator plans the actions its trials take, one at a time, never all of a layout's, as the walk does."""
+    params = ChainParams(n=6, p=0.9, p_s=0.5, t_cut=2)
+    space = enumerate_states(params, fold=True)
+    _, optimal = policy_iteration(TransitionModel.build(space))
+    policies = [baseline_rule(6), optimal.state_map(space)]
+    config = SimConfig(trials=2_000, master_seed=4)
+    expected = [estimate(params, policy, config) for policy in policies]
+
+    def refuse(*args):
+        raise AssertionError("the simulator listed every action of a link layout")
+
+    monkeypatch.setattr(chain, "_action_runs", refuse)
+    monkeypatch.setattr(chain, "_swap_template", refuse)
+    assert [estimate(params, policy, config) for policy in policies] == expected
+
+
 @pytest.mark.parametrize("n,t_cut", [(4, 2), (5, 3), (6, 2)])
 def test_intermediate_states_follow_from_their_parent(n, t_cut):
     """The layout and ages the tables derive for an intermediate state are those its code's digits hold."""
