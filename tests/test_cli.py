@@ -168,6 +168,26 @@ class TestSolve:
         assert 0 < gaps["pi"] <= 1e-10
         assert values["vi"] == pytest.approx(values["pi"], rel=1e-12)
 
+    def test_bunched_value_iteration_certifies_its_t(self, tmp_path, capsys):
+        outs = {}
+        for method in ("vi", "pi"):
+            assert run(["solve", "--n", 5, "--p", 0.3, "--ps", 0.5, "--tcut", 2, "--bunch",
+                        "--method", method, "--epsilon", 1e-7, "--out", tmp_path / method]) == 0
+            outs[method] = capsys.readouterr().out
+        gap = float(re.search(r"gap: (\S+)", outs["vi"]).group(1))
+        t_vi, t_pi = (float(re.search(r"T_opt\(empty state\) = (\S+)", outs[m]).group(1)) for m in ("vi", "pi"))
+        assert gap <= 1e-7
+        assert t_vi == pytest.approx(t_pi, rel=1e-12, abs=0)
+
+    def test_value_iteration_prints_the_t_of_policy_iteration_at_low_p(self, tmp_path, capsys):
+        # Delivery takes about 4e5 slots here.
+        lines = []
+        for method in ("pi", "vi"):
+            assert run(["solve", "--n", 6, "--p", 0.05, "--ps", 0.5, "--tcut", 2, "--no-bunch",
+                        "--method", method, "--out", tmp_path]) == 0
+            lines.append([l for l in capsys.readouterr().out.splitlines() if l.startswith("T_opt(empty state)")])
+        assert len(lines[0]) == 1 and lines[1] == lines[0]
+
     def test_bunch_flag_matches_full_solve(self, tmp_path, capsys):
         results = {}
         for flag in ("--bunch", "--no-bunch"):
@@ -319,6 +339,18 @@ class TestCompare:
             column = tables[0][0].index("wall_time_s")
             outs = [[row[:column] + row[column + 1:] for row in table] for table in tables]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n, t_cut, baseline", [(6, 3, "swap-asap"), (7, 2, "modified:4")])
+    def test_folded_and_unfolded_times_agree(self, capsys, n, t_cut, baseline):
+        # The withheld-middle baseline finds full states by their action count, folded or not.
+        times = []
+        for flag in ("--bunch", "--no-bunch"):
+            assert run(["compare", "--n", n, "--p", 0.9, "--ps", 0.5, "--tcut", t_cut, "--baseline", baseline, flag]) == 0
+            times.append(dict(re.findall(r"^(T\S*) = (\S+)", capsys.readouterr().out, re.M)))
+        folded, unfolded = times
+        assert folded.keys() == unfolded.keys() == {"T_opt", f"T[{baseline}]"}
+        for key, value in unfolded.items():
+            assert float(folded[key]) == pytest.approx(float(value), rel=1e-12, abs=0), key
 
     def test_failed_unfolded_walk_fails_before_any_solve(self, enumerations, capsys):
         # The folded (5,3) space would fit the cap; the unfolded one, which
@@ -689,6 +721,33 @@ class TestSimulate:
         histogram = (tmp_path / "optimal" / "histogram.csv").read_text()
         assert (tmp_path / "file" / "histogram.csv").read_text() == histogram
 
+    # A seed's printed mean and standard error, for each way the command
+    # builds a policy.  "file" simulates the policy file of a folded solve,
+    # whose mirror images act as in the folded solve itself.
+    @pytest.mark.parametrize(
+        "n, t_cut, p, policy, flag, trials, seed, mean",
+        [
+            (4, 2, 0.9, "file", "--no-bunch", 2000, 1, "4.8860000000000001 +- 0.093791793085669886"),
+            (4, 2, 0.9, "optimal", "--bunch", 2000, 1, "4.8860000000000001 +- 0.093791793085669886"),
+            (5, 4, 0.3, "swap-asap", "--no-bunch", 2500, 11, "55.318800000000003 +- 1.0461116414850664"),
+            (5, 2, 0.9, "optimal", "--no-bunch", 10000, 7, "8.2826000000000004 +- 0.070670171581192098"),
+            (5, 2, 0.9, "modified:3", "--no-bunch", 10000, 7, "8.3328000000000007 +- 0.070643495569986017"),
+            (6, 3, 0.9, "optimal", "--bunch", 3000, 3, "12.558999999999999 +- 0.19055197225207135"),
+            (6, 3, 0.9, "file", "--bunch", 3000, 3, "12.558999999999999 +- 0.19055197225207135"),
+        ],
+        ids=["file-4-2", "optimal-folded-4-2", "swap-asap-5-4", "optimal-5-2", "modified-3-5-2",
+             "optimal-folded-6-3", "file-6-3"],
+    )
+    def test_printed_mean_is_pinned(self, tmp_path, capsys, n, t_cut, p, policy, flag, trials, seed, mean):
+        point = ["--n", n, "--p", p, "--ps", 0.5, "--tcut", t_cut]
+        if policy == "file":
+            assert run(["solve", *point, "--bunch", "--out", tmp_path / "solved"]) == 0
+            policy = tmp_path / "solved" / "policy.json"
+        capsys.readouterr()
+        assert run(["simulate", *point, flag, "--policy", policy, "--trials", trials, "--seed", seed,
+                    "--out", tmp_path / "sim"]) == 0
+        assert f"mean delivery time: {mean} (stderr)" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_uint64_is_an_error(self, tmp_path, capsys, enumerations, seed):
         code = run(
@@ -872,16 +931,16 @@ class TestPolicyFile:
             self.load(tmp_path, space, doc)
 
     @pytest.mark.parametrize(
-        "spoil",
+        "spoil, message",
         [
-            lambda doc: replace_first_age(doc, 0, False),
-            lambda doc: doc.update(n=3.0),
-            lambda doc: doc.update(t_cut=True),
-            lambda doc: replace_first_age(doc, -1, -7),
+            (lambda doc: replace_first_age(doc, 0, False), "error: policy entry "),
+            (lambda doc: doc.update(n=3.0), "error: policy file is for n=3.0,"),
+            (lambda doc: doc.update(t_cut=True), "error: policy file is for n=3, t_cut=true;"),
+            (lambda doc: replace_first_age(doc, -1, -7), "error: policy entry "),
         ],
         ids=["boolean-age", "float-n", "boolean-t_cut", "age-below-minus-one"],
     )
-    def test_simulate_refuses_what_is_no_json_integer_or_age(self, tmp_path, capsys, doc, spoil):
+    def test_simulate_refuses_what_is_no_json_integer_or_age(self, tmp_path, capsys, doc, spoil, message):
         path = tmp_path / "policy.json"
         path.write_text(json.dumps(doc))
         assert run(["simulate", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
@@ -893,7 +952,7 @@ class TestPolicyFile:
                     "--policy", path, "--trials", 10, "--out", tmp_path / "sim"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: policy ")
+        assert err.startswith(message)
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -1011,6 +1070,13 @@ class TestStates:
         assert doc["swap_outcomes"] == len(space.outcome_targets) == 302
         assert "choice rows:          191\n" in stdout
         assert "swap outcomes:        302\n" in stdout
+
+    def test_seven_node_counts_are_pinned(self, capsys):
+        assert run(["states", "--n", 7, "--tcut", 2]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for count in ("boundary states: +2475", "intermediate states: +9665", "decidable states: +9049",
+                      "choice rows: +79484", "swap outcomes: +197637", "distinct labelings: +10630"):
+            assert sum(bool(re.fullmatch(count, line)) for line in lines) == 1, count
 
     def test_decodes_no_state(self, tmp_path, monkeypatch):
         # Labelings are counted on codes and action counts read off row offsets.
@@ -1208,6 +1274,11 @@ class TestConfigFile:
 
         cfg.write_text(json.dumps({**point, "max_iter": 10_000, "trials": 10}))
         assert run(["solve", "--config", cfg, "--method", "vi", "--out", tmp_path / "c"]) == 0
+
+        # Every solver option, by its key.
+        cfg.write_text(json.dumps({"n": 4, "p": 0.9, "ps": 0.5, "tcut": 2, "method": "vi", "epsilon": 1e-9,
+                                   "max_iter": 100_000, "bunch": True, "state_cap": 100_000}))
+        assert run(["solve", "--config", cfg, "--out", tmp_path / "d"]) == 0
 
     def test_out_key_is_ignored_by_subcommands_that_write_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -1,17 +1,21 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
 
 import repeaterchain
+from repeaterchain import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SUBMODULES = sorted(
     f"repeaterchain.{info.name}" for info in pkgutil.iter_modules(repeaterchain.__path__)
 )
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("module_name", ["repeaterchain", *SUBMODULES])
@@ -43,9 +47,20 @@ def test_demo_imports_resolve(demo):
 
 
 def test_readme_library_quickstart_runs(capsys):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Quickstart (library)", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     t_opt, t_swap = map(float, capsys.readouterr().out.split())
     assert f"{t_opt:.4f} {t_swap:.4f}" == "8.3166 9.3469"
+
+
+def test_console_script_is_cli_main():
+    # Read as text: tomllib is not in Python 3.10.
+    text = (ROOT / "pyproject.toml").read_text()
+    section = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    scripts = dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]*)"\s*$', section, re.M))
+    assert scripts.get("repeaterchain") == "repeaterchain.cli:main"
+    module, attr = scripts["repeaterchain"].split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main and callable(entry)
