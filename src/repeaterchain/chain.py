@@ -256,14 +256,14 @@ def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``np.unique`` of a 1-d int64 array with ``return_index``, ``return_inverse`` and ``return_counts``.
+    """``np.unique``'s keys, first indices, inverse and counts of a 1-d int64 array, in order of first occurrence.
 
-    The same four arrays, without the stable sort ``np.unique`` needs for
-    first indices.  When every value is nonnegative and leaves the low bits
-    free for a position, as the codes of every chain small enough to walk
-    do, one plain sort of (value, position) words lists equal values in
-    position order.  Otherwise any sort puts equal values next to each
-    other, and a value's first index is the least position in its group.
+    That order numbers what a walk meets.  When every value is nonnegative
+    and leaves the low bits free for a position, as the codes of every chain
+    small enough to walk do, one plain sort of (value, position) words lists
+    equal values in position order.  Otherwise any sort puts equal values
+    next to each other, and a value's first index is the least position in
+    its group.  Only the distinct values are then put in first-index order.
     """
     size = len(values)
     bits = size.bit_length()
@@ -285,9 +285,22 @@ def _unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
         first = np.minimum.reduceat(order, starts) if size else starts
     bounds = np.append(starts, size)
     counts = bounds[1:] - bounds[:-1]
+    seen = np.argsort(first)
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
     inverse = np.empty(size, dtype=np.intp)
-    inverse[order] = np.repeat(np.arange(len(starts)), counts)
-    return ordered[starts], first, inverse, counts
+    inverse[order] = np.repeat(rank, counts)
+    first = first[seen]
+    return values[first], first, inverse, counts[seen]
+
+
+def _intern(index_of: dict[int, int], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index in ``index_of`` of each distinct key, the keys it lacks added next in order; and their positions."""
+    index = np.fromiter(map(index_of.get, keys.tolist(), repeat(-1)), dtype=np.int64, count=len(keys))
+    new = np.flatnonzero(index < 0)
+    index[new] = np.arange(len(index_of), len(index_of) + len(new))
+    index_of.update(zip(keys[new].tolist(), index[new].tolist()))
+    return index, new
 
 
 #: An age limit that no link reaches.
@@ -707,16 +720,10 @@ class StateCodes(CodeLayout):
         np.remainder(d - 1, t_cut + 1, out=age)  # t_cut where there is no link
         # Each state's link layout: its digits with every age set to 0.
         layout = np.where(d > 0, d - age, 0)
-        keys, first, inverse, _ = _unique(layout @ self._weight)
-        plan_of = self._plan_of
-        plan = np.fromiter(map(plan_of.get, keys.tolist(), repeat(-1)), dtype=np.int64, count=len(keys))
-        new = np.flatnonzero(plan < 0)
+        keys, _, inverse, _ = _unique(layout @ self._weight)
+        plan, new = _intern(self._plan_of, keys)
         if len(new):
-            new = new[np.argsort(first[new])]
-            plan[new] = np.arange(len(plan_of), len(plan_of) + len(new))
-            layouts = keys[new].tolist()
-            plan_of.update(zip(layouts, plan[new].tolist()))
-            self._add_plans(layouts)
+            self._add_plans(keys[new].tolist())
         plans = plan[inverse]
         tab = self._tables
 

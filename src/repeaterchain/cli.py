@@ -408,8 +408,9 @@ def _policy_entries(path, params: ChainParams) -> list:
 
 def _file_policy(entries: list, space) -> Policy:
     """The policy on ``space`` of :func:`_policy_entries`' entries."""
-    coder, actions = StateCodes(space.params.n, space.params.t_cut), [None] * space.num_intermediate
+    coder, rows = StateCodes(space.params.n, space.params.t_cut), [None] * space.num_intermediate
     index = {code: r for r, code in enumerate(space.intermediate_codes.tolist())}
+    offsets = space.row_offsets.tolist()
     for entry in entries:
         if not _is_policy_entry(entry):
             raise ValueError(
@@ -421,16 +422,16 @@ def _file_policy(entries: list, space) -> Policy:
             idx = index[coder.code(state)]
         except (KeyError, InvalidStateError):
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}") from None
-        if actions[idx] is not None:
+        if rows[idx] is not None:
             raise ValueError(f"policy file lists state {entry['state']} twice")
-        action = frozenset(entry["action"])
-        if action not in space.actions[idx]:
-            raise ValueError(f"action {entry['action']} is not available in state {entry['state']}")
-        actions[idx] = action
-    missing = actions.count(None)
+        try:
+            rows[idx] = offsets[idx] + space.actions[idx].index(frozenset(entry["action"]))
+        except ValueError:
+            raise ValueError(f"action {entry['action']} is not available in state {entry['state']}") from None
+    missing = rows.count(None)
     if missing:
         raise ValueError(f"policy file misses {missing} enumerated intermediate states")
-    return Policy.from_actions(space, actions)
+    return Policy(rows)
 
 
 # -- subcommands --------------------------------------------------------------------

@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .chain import ChainParams, StateCodes, _unique
+from .chain import ChainParams, StateCodes, _intern, _unique
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -145,54 +145,42 @@ class _Boundary:
 
     A state's key is its code, canonical in a folded walk; every absorbing
     state has the key ``coder.terminal_code``, the collapsed absorbing
-    state, which is its own mirror image.  ``index_of`` maps every listed
-    key, and every code looked up before, to its index, so each distinct
-    code has its key worked out once.
+    state, which is its own mirror image.  ``index_of`` maps each listed key
+    to its index, so it holds as many keys as there are listed states.
+    ``seen`` maps each outcome code looked up before to its index, so each
+    distinct code has its key worked out once.
     """
 
     def __init__(self, coder: StateCodes, fold: bool):
         self.coder = coder
         self.fold = fold
         self.index_of: dict[int, int] = {0: 0}
+        self.seen: dict[int, int] = {}
         self.codes = [np.zeros(1, dtype=np.int64)]
         self.weights = [np.ones(1, dtype=np.int8)]
-        self.count = 1
 
     def targets(self, outcomes: np.ndarray) -> np.ndarray:
         """Boundary index of every outcome code, listing new states in order of first occurrence."""
-        index_of = self.index_of
-        codes, first, inverse, _ = _unique(outcomes)
-        index = np.fromiter(map(index_of.get, codes.tolist(), repeat(-1)), dtype=np.int32, count=len(codes))
-        unseen = np.flatnonzero(index < 0)
-        if len(unseen):
-            index[unseen] = self._look_up(codes[unseen], first[unseen])
-            index_of.update(zip(codes[unseen].tolist(), index[unseen].tolist()))
-        return index[inverse]
-
-    def _look_up(self, codes: np.ndarray, first: np.ndarray) -> np.ndarray:
-        """Boundary index of distinct codes first occurring at ``first``, listing new states."""
-        coder, index_of = self.coder, self.index_of
-        keys = np.where(coder.is_absorbing(codes), coder.terminal_code, codes)
-        symmetric = np.ones(len(keys), dtype=bool)
-        if self.fold:
-            canon, symmetric = coder.canonical(coder.digits(keys))
-            keys = coder.codes(canon)
-        index = np.fromiter(map(index_of.get, keys.tolist(), repeat(-1)), dtype=np.int32, count=len(keys))
-        new = np.flatnonzero(index < 0)
-        if len(new):
+        coder, seen = self.coder, self.seen
+        codes, _, inverse, _ = _unique(outcomes)
+        index = np.fromiter(map(seen.get, codes.tolist(), repeat(-1)), dtype=np.int32, count=len(codes))
+        unseen = index < 0
+        if unseen.any():
             # Codes can share a key: every absorbing code, and in a folded
-            # walk a state and its mirror image.  A key is listed where it
-            # first occurs.
-            new = new[np.argsort(first[new])]
-            _, once, _, _ = _unique(keys[new])
-            listed = new[np.sort(once)]
-            listed_keys = keys[listed]
-            index_of.update(zip(listed_keys.tolist(), range(self.count, self.count + len(listed))))
-            index[new] = [index_of[key] for key in keys[new].tolist()]
-            self.codes.append(listed_keys)
-            self.weights.append(np.where(symmetric[listed], 1, 2).astype(np.int8))
-            self.count += len(listed)
-        return index
+            # walk a state and its mirror image.
+            fresh = codes[unseen]
+            keys = np.where(coder.is_absorbing(fresh), coder.terminal_code, fresh)
+            symmetric = np.ones(len(keys), dtype=bool)
+            if self.fold:
+                canon, symmetric = coder.canonical(coder.digits(keys))
+                keys = coder.codes(canon)
+            keys, first, key_of, _ = _unique(keys)
+            listed, new = _intern(self.index_of, keys)
+            self.codes.append(keys[new])
+            self.weights.append(np.where(symmetric[first[new]], 1, 2).astype(np.int8))
+            index[unseen] = listed[key_of]
+            seen.update(zip(fresh.tolist(), index[unseen].tolist()))
+        return index[inverse]
 
 
 def enumerate_states(
@@ -204,9 +192,13 @@ def enumerate_states(
     time.  The boundary states of a level are expanded a chunk of parents
     at a time, with every generation child, choice row and swap outcome
     computed by numpy on :class:`~repeaterchain.chain.StateCodes` codes.
-    A chunk's outcome codes are looked up once per distinct code, and new
-    states get indices in order of first occurrence, so states are listed
-    exactly as a state-by-state breadth-first walk lists them.  No
+    :func:`~repeaterchain.chain._unique` lists a chunk's distinct outcome
+    codes in order of first occurrence, each is looked up once, and
+    :func:`~repeaterchain.chain._intern` numbers the new states' keys in
+    that order, so states are listed exactly as a state-by-state
+    breadth-first walk lists them.  The boundary keys and the coder's
+    layout plans, each numbered by one ``_intern`` call, are the only
+    numbering a chunk carries to the next.  No
     :class:`~repeaterchain.chain.ChainState` is built.
 
     With ``fold``, every generation child and swap target is replaced by its
@@ -243,14 +235,12 @@ def enumerate_states(
             if fold:
                 # Every intermediate state has one parent, so only siblings
                 # can share a representative.
-                _, first, _, mult = _unique(codes)
-                order = np.argsort(first)
-                first = first[order]
+                codes, first, _, mult = _unique(codes)
                 owner, children, successes, attempts = (
                     owner[first], children[first], successes[first], attempts[first]
                 )
-                codes, weights = codes[first], weights[first]
-                parts["mult"].append(mult[order].astype(np.int8))
+                weights = weights[first]
+                parts["mult"].append(mult.astype(np.int8))
             actions, rows, row_shape, outcomes = coder.swap_outcomes(children)
             parts["children"].append(np.bincount(owner, minlength=len(parents)))
             parts["codes"].append(codes)
@@ -262,7 +252,7 @@ def enumerate_states(
             parts["row_shape"].append(row_shape)
             parts["targets"].append(boundary.targets(outcomes))
             num_intermediate += len(codes)
-            if boundary.count + num_intermediate > state_cap:
+            if len(boundary.index_of) + num_intermediate > state_cap:
                 raise StateCapExceeded(f"state cap {state_cap} exceeded at n={n}, t_cut={t_cut}")
         level = np.concatenate(boundary.codes[level_start:] or [np.zeros(0, dtype=np.int64)])
 
@@ -275,12 +265,15 @@ def enumerate_states(
     # The terminal state is always reached, and as itself: from the empty
     # state every link can be generated fresh and every swap can succeed.
     # So its code is among the looked-up codes, with every absorbing code.
-    looked_up = np.fromiter(boundary.index_of, dtype=np.int64, count=len(boundary.index_of))
+    looked_up = np.fromiter(boundary.seen, dtype=np.int64, count=len(boundary.seen))
+    terminal_index = boundary.index_of[coder.terminal_code]
+    boundary_codes, boundary_weights = np.concatenate(boundary.codes), np.concatenate(boundary.weights)
+    del boundary  # its lookup dicts need not outlive the walk while the parts are joined
     return StateSpace(
         params=params,
-        boundary_codes=np.concatenate(boundary.codes),
+        boundary_codes=boundary_codes,
         intermediate_codes=joined("codes", np.int64),
-        terminal_index=boundary.index_of[coder.terminal_code],
+        terminal_index=terminal_index,
         actions=tuple(parts["actions"]),
         absorbing_codes=np.sort(looked_up[coder.is_absorbing(looked_up)]),
         child_offsets=offsets("children"),
@@ -291,7 +284,7 @@ def enumerate_states(
         run_shapes=coder.shapes,
         row_shape=joined("row_shape", np.int16),
         outcome_targets=joined("targets", np.int32),
-        boundary_weights=np.concatenate(boundary.weights),
+        boundary_weights=boundary_weights,
         intermediate_weights=joined("weights", np.int8),
         folded=fold,
     )

@@ -32,6 +32,7 @@ from repeaterchain.chain import (
     InvalidStateError,
     Link,
     StateCodes,
+    _intern,
     _unique,
     check_state,
     decode_state,
@@ -528,7 +529,7 @@ class TestSwapOutcomes:
 
 
 class TestUnique:
-    """``chain._unique`` against ``np.unique``: keys, first indices, inverse and counts."""
+    """``chain._unique`` against ``np.unique``'s keys, first indices, inverse and counts, in first-occurrence order."""
 
     @pytest.mark.parametrize(
         "values",
@@ -558,9 +559,22 @@ class TestUnique:
     @staticmethod
     def assert_matches(values):
         got = _unique(values.copy())
-        want = np.unique(values, return_index=True, return_inverse=True, return_counts=True)
+        keys, first, inverse, counts = np.unique(values, return_index=True, return_inverse=True, return_counts=True)
+        seen = np.argsort(first)
+        rank = np.empty_like(seen)
+        rank[seen] = np.arange(len(seen))
+        want = keys[seen], first[seen], rank[inverse.reshape(-1)].astype(inverse.dtype), counts[seen]
         for g, w, name in zip(got, want, ("keys", "first", "inverse", "counts")):
-            assert g.dtype == w.dtype and np.array_equal(g, w.reshape(-1)), name
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_intern_numbers_new_keys_next_in_the_order_given():
+    index_of = {10: 0, 4: 1}
+    index, new = _intern(index_of, np.array([7, 4, 2, 10, 9], dtype=np.int64))
+    assert index.tolist() == [2, 1, 3, 0, 4] and new.tolist() == [0, 2, 4]
+    assert index_of == {10: 0, 4: 1, 7: 2, 2: 3, 9: 4}
+    index, new = _intern(index_of, np.zeros(0, dtype=np.int64))
+    assert len(index) == len(new) == 0 and len(index_of) == 5
 
 
 def probed_template(n, pairs):

@@ -1,7 +1,11 @@
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +48,16 @@ def test_demo_imports_resolve(demo):
                 f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)
             ]
     assert not missing, f"{demo.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    # Run from a copy, so a demo that writes next to itself writes under tmp_path.
+    copy = tmp_path / demo.name
+    shutil.copy(demo, copy)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, str(copy)], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_readme_library_quickstart_runs(capsys):

@@ -318,11 +318,30 @@ class TestLevelWalk:
 
     @pytest.mark.parametrize("fold", [False, True])
     @pytest.mark.parametrize("n, t_cut", [(n, t) for n in range(3, 8) for t in (1, 2)])
-    def test_terminal_code_keys_the_collapsed_absorbing_state(self, n, t_cut, fold):
+    def test_terminal_code_keys_the_collapsed_absorbing_state(self, monkeypatch, n, t_cut, fold):
         # The walk keys every absorbing outcome by the terminal code, and reads
         # the terminal index and the absorbing codes off its lookup memo.
+        # Its key dict holds the listed keys alone, numbered as listed; the
+        # memo maps every outcome code to its key's index.
+        made = []
+
+        class Recorded(statespace._Boundary):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(statespace, "_Boundary", Recorded)
         space = space_for(n, t_cut, fold=fold)
         coder = StateCodes(n, t_cut)
+        (boundary,) = made
+        assert list(boundary.index_of) == space.boundary_codes.tolist()
+        assert list(boundary.index_of.values()) == list(range(space.num_boundary))
+        seen = np.fromiter(boundary.seen, dtype=np.int64)
+        keys = np.where(coder.is_absorbing(seen), coder.terminal_code, seen)
+        if fold:
+            keys = coder.codes(coder.canonical(coder.digits(keys))[0])
+        assert [boundary.index_of[k] for k in keys.tolist()] == list(boundary.seen.values())
+        assert set(space.outcome_targets.tolist()) <= set(boundary.seen.values())
         assert coder.terminal_code in space.absorbing_codes.tolist()
         assert np.all(coder.is_absorbing(space.absorbing_codes))
         assert space.boundary_codes[space.terminal_index] == coder.terminal_code
