@@ -9,7 +9,7 @@ Monte Carlo simulator, and translates fidelity requirements into cutoff
 budgets through Werner-state algebra.
 """
 
-from .chain import ChainParams, ChainState, Link, decode_state
+from .chain import ChainParams, ChainState, Link
 from .mdp import TransitionModel
 from .sim import SimConfig, SimResult, estimate
 from .solver import (
@@ -60,7 +60,6 @@ __all__ = [
     "chain_swap_fidelity",
     "count_lower_bound",
     "decay_fidelity",
-    "decode_state",
     "distinct_labeled_states",
     "enumerate_states",
     "estimate",

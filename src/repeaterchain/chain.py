@@ -18,13 +18,14 @@ One time slot consists of four phases:
 4. links that reached the cutoff age are discarded, except end-to-end
    links.
 
-:class:`ChainState` values are what errors name, files hold
-(:func:`decode_state`) and :func:`check_state` checks.
-:class:`CodeLayout` gives the states of one ``(n, t_cut)`` integer codes,
-under which every phase is adding and dropping links' terms.  A link
-layout's free neighbour pairs, nodes able to swap and swap runs
-(:func:`_runs`) follow from its digits (:func:`_link_ends`), once, and what
-a run consumes and makes, for walk and simulator alike, from :func:`_run_link`.
+:class:`ChainState` values are what errors name and :func:`check_state`
+checks.  :class:`CodeLayout` gives the states of one ``(n, t_cut)``
+integer codes, under which every phase is adding and dropping links'
+terms, and reads the age rows files hold as codes
+(:meth:`CodeLayout.code_of_ages`).  A link layout's free neighbour pairs,
+nodes able to swap and swap runs (:func:`_runs`) follow from its digits
+(:func:`_link_ends`), once, and what a run consumes and makes, for walk
+and simulator alike, from :func:`_run_link`.
 :class:`StateCodes` runs the phases as digit arithmetic on whole batches
 of codes, so the enumeration walk builds no states, and the simulator
 adds up one state's terms per outcome (:meth:`CodeLayout.generation_terms`,
@@ -51,7 +52,6 @@ __all__ = [
     "Link",
     "StateCodes",
     "check_state",
-    "decode_state",
     "mirror_action",
 ]
 
@@ -124,24 +124,6 @@ class ChainState:
     def __post_init__(self) -> None:
         links = tuple(sorted(Link(*l) for l in self.links))
         object.__setattr__(self, "links", links)
-
-
-_set_n = ChainState.n.__set__
-_set_links = ChainState.links.__set__
-_set_intermediate = ChainState.intermediate.__set__
-
-
-def _sorted_state(n: int, links: tuple[Link, ...], intermediate: bool = False) -> ChainState:
-    """State from a link tuple that is already sorted, skipping the re-sort.
-
-    Valid states have unique left endpoints, so their sorted order is fixed
-    by the endpoints alone; callers that keep endpoint order use this.
-    """
-    state = object.__new__(ChainState)
-    _set_n(state, n)
-    _set_links(state, links)
-    _set_intermediate(state, intermediate)
-    return state
 
 
 @lru_cache(maxsize=None)
@@ -346,21 +328,21 @@ class CodeLayout:
     position moves.
 
     Codes here are Python ints, so chains of any size have them.
-    :meth:`code` and :meth:`state` convert one state.  :meth:`read` checks
-    the state a code stands for and gives its ages and its layout's plan
-    (:class:`LayoutPlan`, :meth:`plan`), built the first time a state of
-    the layout needs it and kept on this instance.  From a plan,
-    :meth:`generation_terms` and :meth:`swap_terms` give the slot phases of
-    the layout's states as terms that outcome masks add up, and its
-    ``swappable`` nodes are what a baseline policy needs.  A swap plan, per
-    (layout, action), holds per kept link and per run the digit positions
-    of its links, its term at age 0, its place value and the age the cutoff
-    discards it at, and per run its node mask; its runs and their links
-    come from the plan's link ends (:func:`_runs`, :func:`_run_link`), as
-    the walk's do.  So the states of one layout add up ``term + age * place
-    value`` only, and no state is built but the one whose structure a new
-    plan checks and one named in an error.
-    :class:`StateCodes` works on batches of int64 codes.
+    :meth:`code_of_ages` reads an age row as a code, and :meth:`state`
+    decodes a code.  :meth:`read` checks the state a code stands for and
+    gives its ages and its layout's plan (:class:`LayoutPlan`,
+    :meth:`plan`), built the first time a state of the layout needs it and
+    kept on this instance.  From a plan, :meth:`generation_terms` and
+    :meth:`swap_terms` give the slot phases of the layout's states as terms
+    that outcome masks add up, and its ``swappable`` nodes are what a
+    baseline policy needs.  A swap plan, per (layout, action), holds per
+    kept link and per run the digit positions of its links, its term at
+    age 0, its place value and the age the cutoff discards it at, and per
+    run its node mask; its runs and their links come from the plan's link
+    ends (:func:`_runs`, :func:`_run_link`), as the walk's do.  So the
+    states of one layout add up ``term + age * place value`` only, and no
+    state is built but the one whose structure a new plan checks and one
+    named in an error.  :class:`StateCodes` works on batches of int64 codes.
     """
 
     def __init__(self, n: int, t_cut: int):
@@ -379,51 +361,50 @@ class CodeLayout:
         # Plans by layout code; they last as long as this instance.
         self._plans: dict[int, LayoutPlan] = {}
 
-    @cached_property
-    def _links(self) -> list[list[Link | None]]:
-        """Per digit position, the link of every digit value (``None`` for 0)."""
-        span = self.t_cut + 1
-        return [
-            [None] + [Link(l, l + 1 + (d - 1) // span, (d - 1) % span) for d in range(1, radix)]
-            for l, radix in enumerate(self._radices, start=1)
-        ]
-
-    @cached_property
-    def _link_terms(self) -> dict[Link, int]:
-        """The term of every link a state of the chain can hold."""
-        return {link: self._term(link) for table in self._links for link in table[1:]}
-
     def _term(self, link: Link) -> int:
         """What ``link`` adds to the code of any state that holds it."""
         l, r, a = link
         return (1 + (r - l - 1) * (self.t_cut + 1) + a) * self._weights[l - 1]
 
-    def code(self, state: ChainState) -> int:
-        """The code of one state.
+    @cached_property
+    def _age_terms(self) -> tuple[list[dict[int, int]], int, int]:
+        """Per node pair, each age's term in :meth:`code_of_ages`; the shift down to the code; the overflow mask.
 
-        Raises :class:`InvalidStateError` for a link set that no state of
-        the chain holds and whose digits could add up to another state's
-        code: two links out of one node, or a link out of range or with an
-        age outside ``0 .. t_cut``.
+        A held link's term is its code term, shifted past one field per left end, plus 1 in its
+        left end's field.  A field counts to ``n - 1`` without carrying; the mask is its bits past the lowest.
         """
-        links, terms = state.links, self._link_terms
+        width = (self.n - 1).bit_length()
+        shift = (self.n - 1) * width
+        tables = [
+            {-1: 0, **{a: self._term(Link(l, r, a)) << shift | 1 << (l - 1) * width for a in range(self.t_cut + 1)}}
+            for l, r in combinations(range(1, self.n + 1), 2)
+        ]
+        return tables, shift, (1 << shift) - 1 - sum([1 << l * width for l in range(self.n - 1)])
+
+    def code_of_ages(self, row) -> int | None:
+        """The code of an age row, or ``None`` if no state of the chain holds it.
+
+        A row gives the age of the link on each node pair (1, 2), (1, 3), ..., (n - 1, n), or -1 for
+        none (:meth:`StateCodes.ages`); one of another length raises :class:`ValueError`.  An age outside
+        -1 .. ``t_cut`` or two links out of one node give ``None``: their digits could alias another state's.
+        """
+        tables, shift, overflow = self._age_terms
+        if len(row) != len(tables):
+            raise ValueError(f"expected {len(tables)} entries for n={self.n}, got {len(row)}")
         try:
-            code = sum([terms[link] for link in links])
+            total = sum(map(dict.__getitem__, tables, row))
         except KeyError:
-            code = None
-        if code is None or len({l for l, _, _ in links}) < len(links):
-            raise InvalidStateError(f"no n={self.n}, t_cut={self.t_cut} state holds the links {links}")
-        return code
+            return None
+        return None if total & overflow else total >> shift
 
     def state(self, code: int, intermediate: bool = False) -> ChainState:
         """The state with this code."""
-        links = []
-        for table, radix in zip(self._links, self._radices):
+        span, links = self.t_cut + 1, []
+        for l, radix in enumerate(self._radices, start=1):
             code, digit = divmod(code, radix)
             if digit:
-                links.append(table[digit])
-        # Digits run in left-endpoint order, so the links come out sorted.
-        return _sorted_state(self.n, tuple(links), intermediate)
+                links.append(Link(l, l + 1 + (digit - 1) // span, (digit - 1) % span))
+        return ChainState(self.n, tuple(links), intermediate)
 
     def read(self, code: int, intermediate: bool = False) -> tuple[LayoutPlan, list[int]]:
         """The plan of a state's layout and the age of its link out of each node (-1 for none).
@@ -545,7 +526,7 @@ class CodeLayout:
         def place(l: int, r: int) -> tuple[int, int, float]:
             # The cutoff spares an end-to-end link whatever its age.
             limit = _NEVER if (l, r) == (1, self.n) else self.t_cut
-            return self._link_terms[l, r, 0], self._weights[l - 1], limit
+            return self._term(Link(l, r, 0)), self._weights[l - 1], limit
 
         merged, consumed = [], set()
         for run in _runs(right, nodes):
@@ -565,8 +546,8 @@ class StateCodes(CodeLayout):
     The methods work on batches, as int64 code arrays or as ``(states,
     n - 1)`` digit arrays: :meth:`generation`, :meth:`canonical` and
     :meth:`swap_outcomes` are the phases of the enumeration walk, and
-    :meth:`ages` turns digits into age vectors (:func:`decode_state`'s
-    input).  No method decodes a code into a :class:`ChainState`.
+    :meth:`ages` turns digits into the age rows that
+    :meth:`CodeLayout.code_of_ages` reads back.
     """
 
     def __init__(self, n: int, t_cut: int):
@@ -624,7 +605,7 @@ class StateCodes(CodeLayout):
         """The age vector of every row of a digit array, as a ``(rows, n (n - 1) / 2)`` array.
 
         A row holds one entry per node pair (1, 2), (1, 3), ..., (n - 1, n),
-        the age of its link or -1 for none, as :func:`decode_state` reads it.
+        the age of its link or -1 for none, as :meth:`CodeLayout.code_of_ages` reads it.
         """
         span, n = self.t_cut + 1, self.n
         rows, lefts = np.nonzero(digits)
@@ -812,26 +793,6 @@ def mirror_action(action: Iterable[int], n: int) -> frozenset[int]:
     return frozenset(n - k + 1 for k in action)
 
 
-@lru_cache(maxsize=None)
-def _pair_positions(n: int) -> dict[tuple[int, int], int]:
-    return {pair: k for k, pair in enumerate(combinations(range(1, n + 1), 2))}
-
-
-def decode_state(vector: Iterable[int], n: int, intermediate: bool = False) -> ChainState:
-    """The state with an age vector: one entry per node pair (1,2), (1,3), ..., (n-1,n).
-
-    Entries hold the link age, or -1 for absent links, as in
-    :meth:`StateCodes.ages` rows and the files the CLI writes.
-    """
-    vec = list(vector)
-    pairs = _pair_positions(n)
-    if len(vec) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} entries for n={n}, got {len(vec)}")
-    # The pairs come in sorted order, so the links do too.
-    links = tuple(Link(i, j, age) for (i, j), age in zip(pairs, vec) if age >= 0)
-    return _sorted_state(n, links, intermediate)
-
-
 def check_state(state: ChainState, t_cut: int | None = None) -> None:
     """Validate structural invariants, raising :class:`InvalidStateError`.
 
@@ -872,11 +833,6 @@ def check_state(state: ChainState, t_cut: int | None = None) -> None:
         lo, hi = (a, b) if a.left <= b.left else (b, a)
         if lo.left < hi.left < lo.right < hi.right:
             raise InvalidStateError(f"links {a} and {b} partially overlap")
-    if t_cut is not None:
-        for l in state.links:
-            if l.left == 1 and l.right == n:
-                continue
-            if l.age > limit:
-                raise InvalidStateError(
-                    f"link {l} exceeds age bound {limit} for this slot phase"
-                )
+    for l in state.links:
+        if l.age > limit and (l.left, l.right) != (1, n):
+            raise InvalidStateError(f"link {l} exceeds age bound {limit} for this slot phase")

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, InvalidStateError, StateCodes, decode_state, mirror_action
+from .chain import ChainParams, StateCodes, mirror_action
 from .mdp import TransitionModel
 from .sim import SimConfig, TrajectoryError, estimate
 from .solver import (
@@ -371,10 +371,9 @@ def _is_policy_entry(entry) -> bool:
     return (
         isinstance(entry, dict)
         and all(
-            isinstance(entry.get(key), list) and all(type(v) is int for v in entry[key])
-            for key in ("state", "action")
+            isinstance(entry.get(key), list) and {int}.issuperset(map(type, entry[key])) for key in ("state", "action")
         )
-        and all(age >= -1 for age in entry["state"])
+        and min(entry["state"], default=-1) >= -1
     )
 
 
@@ -407,7 +406,7 @@ def _policy_entries(path, params: ChainParams) -> list:
 
 
 def _file_policy(entries: list, space) -> Policy:
-    """The policy on ``space`` of :func:`_policy_entries`' entries."""
+    """The policy on ``space`` of :func:`_policy_entries`' entries, each state found by its code."""
     coder, rows = StateCodes(space.params.n, space.params.t_cut), [None] * space.num_intermediate
     index = {code: r for r, code in enumerate(space.intermediate_codes.tolist())}
     offsets = space.row_offsets.tolist()
@@ -417,10 +416,9 @@ def _file_policy(entries: list, space) -> Policy:
                 "policy entry needs a 'state' and an 'action' list of integers, "
                 f"link ages -1 (no link) or from 0 up: {entry!r}"
             )
-        state = decode_state(entry["state"], space.params.n, intermediate=True)
         try:
-            idx = index[coder.code(state)]
-        except (KeyError, InvalidStateError):
+            idx = index[coder.code_of_ages(entry["state"])]
+        except KeyError:
             raise ValueError(f"policy file lists a state not in the enumerated space: {entry['state']}") from None
         if rows[idx] is not None:
             raise ValueError(f"policy file lists state {entry['state']} twice")

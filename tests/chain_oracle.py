@@ -6,10 +6,10 @@ on :class:`~repeaterchain.chain.CodeLayout` plans, both derived from a
 link layout's digits.  The phase functions below run the same dynamics
 one state at a time, on the states' links, and the tests check the code
 arithmetic against them.  They share with the package only its state
-values (``ChainState``, ``Link``) and ``CodeLayout.code``, which
-:func:`act` uses to call a policy.  Every state they return comes from
-the public ``ChainState`` constructor, which sorts its links, so no
-shortcut of the package is used to build them.
+values (``ChainState``, ``Link``): codes are worked out here from the
+code's definition (:func:`encode_code`, :func:`decode_codes`).  Every
+state they return comes from the public ``ChainState`` constructor, which
+sorts its links.
 
 One time slot consists of four phases:
 
@@ -38,7 +38,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repeaterchain.chain import ChainState, CodeLayout, Link
+from repeaterchain.chain import ChainState, Link
 
 
 def state_from_links(n: int, links: Iterable[tuple[int, int, int]], intermediate: bool = False) -> ChainState:
@@ -224,14 +224,36 @@ def _pair_positions(n: int) -> dict[tuple[int, int], int]:
 def encode_state(state: ChainState) -> tuple[int, ...]:
     """Age-vector encoding: one entry per node pair (1,2), (1,3), ..., (n-1,n).
 
-    Entries hold the link age, or -1 for absent links; ``chain.decode_state``
-    is the inverse.
+    Entries hold the link age, or -1 for absent links, as in
+    ``chain.StateCodes.ages`` rows, which ``CodeLayout.code_of_ages`` reads back.
     """
     pos = _pair_positions(state.n)
     vec = [-1] * len(pos)
     for l in state.links:
         vec[pos[(l.left, l.right)]] = l.age
     return tuple(vec)
+
+
+def _radices(n: int, t_cut: int) -> list[int]:
+    """Per node ``l = 1 .. n - 1``, the radix of the digit of the link that leaves it."""
+    return [1 + (n - l) * (t_cut + 1) for l in range(1, n)]
+
+
+def encode_code(state: ChainState, t_cut: int) -> int:
+    """The code of a state of a chain with cutoff ``t_cut``: the inverse of :func:`decode_codes`.
+
+    Raises ``ValueError`` for a link set that no code holds: two links out
+    of one node, or a link out of range or with an age outside ``0 .. t_cut``.
+    """
+    n, span = state.n, t_cut + 1
+    if len({l.left for l in state.links}) < len(state.links) or not all(
+        1 <= l < r <= n and 0 <= a <= t_cut for l, r, a in state.links
+    ):
+        raise ValueError(f"no n={n}, t_cut={t_cut} code holds the links {state.links}")
+    weights = [1]
+    for radix in _radices(n, t_cut)[:-1]:
+        weights.append(weights[-1] * radix)
+    return sum((1 + (r - l - 1) * span + a) * weights[l - 1] for l, r, a in state.links)
 
 
 def decode_codes(n: int, t_cut: int, codes, intermediate: bool = False) -> tuple[ChainState, ...]:
@@ -242,7 +264,7 @@ def decode_codes(n: int, t_cut: int, codes, intermediate: bool = False) -> tuple
     (the code of ``chain.CodeLayout``).
     """
     span = t_cut + 1
-    radices = [1 + (n - l) * span for l in range(1, n)]
+    radices = _radices(n, t_cut)
     # Per digit position, the link of every digit value (None for 0).
     digit_links = [
         (radix, [None] + [Link(l, l + 1 + (d - 1) // span, (d - 1) % span) for d in range(1, radix)])
@@ -291,15 +313,10 @@ def index(states: Iterable[ChainState]) -> dict[ChainState, int]:
     return {s: i for i, s in enumerate(states)}
 
 
-@lru_cache(maxsize=None)
-def _layout(n: int, t_cut: int) -> CodeLayout:
-    return CodeLayout(n, t_cut)
-
-
 def act(policy: Callable[[int, frozenset[int]], frozenset[int]], state: ChainState, t_cut: int) -> frozenset[int]:
     """The action ``policy`` takes in an intermediate state of a chain with cutoff ``t_cut``.
 
     The policy is called as the simulator calls it, ``policy(code,
     swappable)``, with the state's code and its nodes able to swap.
     """
-    return policy(_layout(state.n, t_cut).code(state), frozenset(valid_swap_nodes(state)))
+    return policy(encode_code(state, t_cut), frozenset(valid_swap_nodes(state)))

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain_oracle import (
     action_space,
@@ -15,6 +17,7 @@ from chain_oracle import (
     canonical,
     decode_codes,
     empty_state,
+    encode_code,
     encode_state,
     generation_pairs,
     intermediate_states,
@@ -35,7 +38,6 @@ from repeaterchain.chain import (
     _intern,
     _unique,
     check_state,
-    decode_state,
     mirror_action,
 )
 from repeaterchain.statespace import enumerate_states
@@ -250,40 +252,6 @@ def subsets(items):
     return [combo for size in range(len(items) + 1) for combo in combinations(items, size)]
 
 
-@pytest.mark.parametrize("n,t_cut", [(5, 3), (6, 2)])
-def test_phase_primitives_build_states_the_public_constructor_would(n, t_cut):
-    """The package's state builders skip the constructor's re-sort; their states must not tell.
-
-    ``CodeLayout.state`` and ``decode_state`` build states without it.
-    The oracle builds every state of the space, and every aged one
-    (``age_links``), with the public constructor, which sorts its links.
-    """
-    space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
-    layout = CodeLayout(n, t_cut)
-    checked = 0
-
-    def check(state, slow):
-        nonlocal checked
-        links = state.links
-        assert all(type(l) is Link for l in links)
-        assert links == tuple(sorted(links))
-        assert state == slow and hash(state) == hash(slow)
-        checked += 1
-
-    absorbing = decode_codes(n, t_cut, space.absorbing_codes)
-    for codes, states in (
-        (space.boundary_codes, boundary_states(space)),
-        (space.intermediate_codes, intermediate_states(space)),
-        (space.absorbing_codes, absorbing),
-    ):
-        for code, s in zip(codes.tolist(), states):
-            check(layout.state(code, s.intermediate), s)
-            check(decode_state(encode_state(s), n, s.intermediate), s)
-            if not s.intermediate and not is_absorbing(s):
-                check(age_links(s), state_from_links(n, [(l, r, age + 1) for l, r, age in s.links]))
-    assert checked > 3_000
-
-
 #: Checks of the code-terms test per (n, t_cut): every generation mask of every
 #: non-terminal slot-boundary state, and every node-success mask of every
 #: intermediate state under every action of the walk.
@@ -310,26 +278,26 @@ def test_code_terms_add_up_to_the_codes_of_the_phase_primitives(n, t_cut):
     for s in boundary_states(space):
         if is_absorbing(s):
             continue
-        ageing, terms = coder.generation_terms(coder.read(coder.code(s))[0])
-        aged_code = coder.code(s) + ageing
+        ageing, terms = coder.generation_terms(coder.read(encode_code(s, t_cut))[0])
+        aged_code = encode_code(s, t_cut) + ageing
         aged = age_links(s)
         pairs = sorted(generation_pairs(aged))
         assert len(terms) == len(pairs)
         for mask in range(1 << len(pairs)):
             chosen = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
             got = aged_code + sum(term for k, term in enumerate(terms) if mask >> k & 1)
-            assert got == coder.code(apply_generation(aged, chosen))
+            assert got == encode_code(apply_generation(aged, chosen), t_cut)
             checks += 1
     for r, actions in zip(intermediate_states(space), space.actions):
         assert actions == action_space(r)
         for action in actions:
             nodes = sorted(action)
-            kept, runs = coder.swap_terms(*coder.read(coder.code(r), True), action)
+            kept, runs = coder.swap_terms(*coder.read(encode_code(r, t_cut), True), action)
             assert len(runs) == len(swap_runs(r, action))
             for mask in range(1 << len(nodes)):
                 pattern = {k: bool(mask >> b & 1) for b, k in enumerate(nodes)}
                 got = kept + sum(term for run, term in runs if mask & run == run)
-                assert got == coder.code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut))
+                assert got == encode_code(apply_cutoff(resolve_swaps(r, action, pattern), t_cut), t_cut)
                 checks += 1
     assert checks == CODE_TERM_CHECKS[n, t_cut]
 
@@ -629,32 +597,42 @@ class TestEncoding:
         assert encode_state(mk(4, [(1, 4, 2)])) == (-1, -1, 2, -1, -1, -1)
 
     def test_round_trip(self):
+        # A state's age row reads back as its code, which decodes to the state.
+        layout = CodeLayout(5, 3)
         for seed in range(6):
             boundary, inter = random_walk(seed, n=5, t_cut=3)
-            for s in boundary:
-                assert decode_state(encode_state(s), 5) == s
-            for r in inter:
-                assert decode_state(encode_state(r), 5, intermediate=True) == r
+            for s in boundary + inter:
+                code = layout.code_of_ages(encode_state(s))
+                assert code == encode_code(s, 3)
+                assert layout.state(code, s.intermediate) == s
 
-    def test_decode_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            decode_state([0, -1], 3)
+    def test_code_of_ages_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 3 entries for n=3, got 2"):
+            CodeLayout(3, 1).code_of_ages([0, -1])
 
-    @pytest.mark.parametrize("n, t_cut", [(3, 1), (4, 3), (5, 2), (6, 1)])
+    @pytest.mark.parametrize("n, t_cut", [(3, 1), (4, 3), (5, 2), (5, 3), (6, 1), (6, 2)])
     def test_codes_encode_like_the_object_path(self, n, t_cut):
-        # ``ages`` is encode_state of digit rows and ``code`` the walk's code
-        # of one state, on every listed state and its mirror image.
+        # On every listed state, absorbing ones included, and its mirror
+        # image: ``ages`` is encode_state of digit rows, and code_of_ages reads
+        # each row back as its code, the oracle's.  ``state`` decodes a code
+        # into the state the public constructor builds.
         space = enumerate_states(ChainParams(n=n, p=0.5, p_s=0.5, t_cut=t_cut))
         coder = StateCodes(n, t_cut)
         for codes, states in (
             (space.boundary_codes, boundary_states(space)),
             (space.intermediate_codes, intermediate_states(space)),
+            (space.absorbing_codes, decode_codes(n, t_cut, space.absorbing_codes)),
         ):
             digits = coder.digits(codes)
-            assert coder.ages(digits).tolist() == [list(encode_state(s)) for s in states]
-            assert coder.ages(coder.mirror(digits)).tolist() == [list(encode_state(mirror(s))) for s in states]
-            assert [coder.code(s) for s in states] == codes.tolist()
-            assert [coder.state(c, s.intermediate) for c, s in zip(codes.tolist(), states)] == list(states)
+            for rows, images in ((digits, states), (coder.mirror(digits), [mirror(s) for s in states])):
+                ages = coder.ages(rows).tolist()
+                assert ages == [list(encode_state(s)) for s in images]
+                want = coder.codes(rows).tolist()
+                assert [coder.code_of_ages(row) for row in ages] == want == [encode_code(s, t_cut) for s in images]
+            for code, s in zip(codes.tolist(), states):
+                state = coder.state(code, s.intermediate)
+                assert all(type(l) is Link for l in state.links) and state.links == tuple(sorted(state.links))
+                assert state == s and hash(state) == hash(s)
 
     @pytest.mark.parametrize(
         "links",
@@ -662,13 +640,40 @@ class TestEncoding:
             [(2, 3, 0), (2, 4, 0)],  # two links out of node 2: digits 1 + 3 = (2, 4) at age 1
             [(2, 4, 2)],  # past t_cut: carries into (3, 4) at age 0
             [(1, 4, 2)],  # an end-to-end link past t_cut
-            [(1, 2, -1)],
-            [(3, 5, 0)],  # past node n
         ],
     )
-    def test_code_refuses_a_link_set_no_state_holds(self, links):
-        with pytest.raises(InvalidStateError, match="no n=4, t_cut=1 state holds"):
-            StateCodes(4, 1).code(mk(4, links, intermediate=True))
+    def test_code_of_ages_refuses_a_row_no_state_holds(self, links):
+        assert StateCodes(4, 1).code_of_ages(encode_state(mk(4, links, intermediate=True))) is None
+
+
+@st.composite
+def age_rows(draw):
+    """``(n, t_cut, row)``: an age row of a 3- to 9-node chain, ages -1 .. ``t_cut + 1``.
+
+    Every pair may hold a link, every pair does, or each left end starts at
+    most one link, so rows with and without a code are both drawn often.
+    """
+    n, t_cut = draw(st.integers(3, 9)), draw(st.integers(1, 3))
+    pairs = list(combinations(range(1, n + 1), 2))
+    kind = draw(st.sampled_from(["any", "full", "one per left end"]))
+    if kind == "one per left end":
+        right = {l: draw(st.integers(l, n)) for l in range(1, n)}  # l itself: no link
+        return n, t_cut, [draw(st.integers(0, t_cut + 1)) if right[l] == r else -1 for l, r in pairs]
+    ages = st.integers(0 if kind == "full" else -1, t_cut + 1)
+    return n, t_cut, draw(st.lists(ages, min_size=len(pairs), max_size=len(pairs)))
+
+
+@given(age_rows())
+@settings(max_examples=500, deadline=None)
+def test_code_of_ages_reads_every_row_a_code_holds_as_the_oracle_encodes_it(drawn):
+    n, t_cut, row = drawn
+    held = [(l, r, age) for (l, r), age in zip(combinations(range(1, n + 1), 2), row) if age >= 0]
+    lefts = [l for l, _, _ in held]
+    code = CodeLayout(n, t_cut).code_of_ages(row)
+    if max(row) > t_cut or len(set(lefts)) < len(lefts):
+        assert code is None
+    else:
+        assert code == encode_code(mk(n, held), t_cut)
 
 
 class TestValidation:
@@ -805,7 +810,7 @@ def test_code_checks_agree_with_check_state():
 
     def read(state, t_cut):
         coder = coders[t_cut]
-        plan, ages = coder.read(coder.code(state), state.intermediate)
+        plan, ages = coder.read(encode_code(state, t_cut), state.intermediate)
         assert ages == [next((age for l, _, age in state.links if l == left), -1) for left in range(1, n)]
         assert plan.swappable == valid_swap_nodes(state)
         assert plan.absorbing == is_absorbing(state)
@@ -839,14 +844,14 @@ def test_the_package_holds_one_copy_of_the_slot_semantics():
 
     No module under ``src/`` defines or exports them again, or imports from
     ``tests/``, and the oracle takes nothing from ``repeaterchain.chain`` but
-    the state values and the state codes, so the tests check the package's
-    code arithmetic against code it does not share.
+    the state values, so the tests check the package's code arithmetic
+    against code it does not share.
     """
     root = pathlib.Path(__file__).resolve().parent.parent
     moved = {"state_from_links", "empty_state", "apply_generation", "resolve_swaps",
              "apply_cutoff", "mirror", "canonical", "encode_state",
              "age_links", "generation_pairs", "valid_swap_nodes", "action_space",
-             "swap_runs", "is_absorbing"}
+             "swap_runs", "is_absorbing", "decode_state"}
     test_modules = {"tests"} | {path.stem for path in (root / "tests").glob("*.py")}
     faults = []
     for path in sorted((root / "src").rglob("*.py")):
@@ -872,7 +877,7 @@ def test_the_package_holds_one_copy_of_the_slot_semantics():
                 roots = [(node.module or "").split(".")[0]]
             faults += [f"{path}:{node.lineno}: imports {root} from tests/" for root in roots if root in test_modules]
     oracle = root / "tests" / "chain_oracle.py"
-    shared = {"ChainState", "Link", "CodeLayout"}
+    shared = {"ChainState", "Link"}
     for node in ast.walk(ast.parse(oracle.read_text(), filename=str(oracle))):
         taken = []
         if isinstance(node, ast.Import):

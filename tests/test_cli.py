@@ -925,6 +925,17 @@ class TestPolicyFile:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.load(tmp_path, space, doc)
 
+    def test_simulate_names_an_age_no_code_holds(self, tmp_path, capsys, doc):
+        # An age far past every code's digits is a state outside the space, not a traceback.
+        doc["policy"][0]["state"] = [2**70, -1, -1]
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(doc))
+        code = run(["simulate", "--n", 3, "--p", 0.5, "--ps", 0.5, "--tcut", 1,
+                    "--policy", path, "--trials", 10, "--out", tmp_path / "sim"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: policy file lists a state not in the enumerated space: {[2**70, -1, -1]}\n"
+
     def test_state_of_the_wrong_length(self, tmp_path, space, doc):
         doc["policy"][0]["state"] = doc["policy"][0]["state"][:2]
         with pytest.raises(ValueError, match="expected 3 entries for n=3, got 2"):

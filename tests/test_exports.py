@@ -69,6 +69,33 @@ def test_readme_library_quickstart_runs(capsys):
     assert f"{t_opt:.4f} {t_swap:.4f}" == "8.3166 9.3469"
 
 
+def test_readme_names_only_code_that_exists():
+    # A backticked dotted name whose head is a package module or a class the
+    # package exports must resolve; instances (`policy.unfolded(space)`),
+    # files and other libraries' names are not checked.
+    modules = {name.rpartition(".")[2]: importlib.import_module(name) for name in SUBMODULES}
+    classes = {
+        name: obj
+        for module in (repeaterchain, *modules.values())
+        for name in getattr(module, "__all__", ())
+        if isinstance(obj := getattr(module, name), type)
+    }
+    heads = {"repeaterchain": repeaterchain, **modules, **classes}
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`", (ROOT / "README.md").read_text())
+    checked, missing = 0, []
+    for dotted in spans:
+        head, *parts = dotted.split(".")
+        if head not in heads:
+            continue
+        obj = heads[head]
+        for part in parts:
+            obj = getattr(obj, part, None)
+        checked += 1
+        if obj is None:
+            missing.append(dotted)
+    assert checked >= 10 and not missing, f"README.md names missing code: {missing}"
+
+
 def test_console_script_is_cli_main():
     # Read as text: tomllib is not in Python 3.10.
     text = (ROOT / "pyproject.toml").read_text()

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from chain_oracle import act, boundary_states, intermediate_states, valid_swap_nodes
+from chain_oracle import act, boundary_states, encode_code, intermediate_states, valid_swap_nodes
 from repeaterchain import chain, sim
 from repeaterchain.chain import ChainParams, ChainState, CodeLayout, StateCodes
 from repeaterchain.mdp import TransitionModel
@@ -96,8 +96,7 @@ class TestRunTrial:
 
     def test_slot_cap_raises(self):
         params, space = setup(3, 1, 0.5, 0.5)
-        coder = CodeLayout(3, 1)
-        never = {coder.code(r): frozenset() for r in intermediate_states(space)}
+        never = {encode_code(r, 1): frozenset() for r in intermediate_states(space)}
         with pytest.raises(TrajectoryError, match="no delivery within 50 slots"):
             estimate(params, lambda code, swappable: never[code], SimConfig(trials=10, master_seed=1, max_slots=50))
 
@@ -377,7 +376,7 @@ def test_intermediate_states_follow_from_their_parent(n, t_cut):
     coder = CodeLayout(n, t_cut)
     children = 0
     for s in boundary_states(enumerate_states(params)):
-        derived = tables.aged[tables._boundary_id(coder.code(s))]
+        derived = tables.aged[tables._boundary_id(encode_code(s, t_cut))]
         if derived is None:
             continue
         aged, layout, fresh, ages = derived
