@@ -23,9 +23,9 @@ checks.  :class:`CodeLayout` gives the states of one ``(n, t_cut)``
 integer codes, under which every phase is adding and dropping links'
 terms, and reads the age rows files hold as codes
 (:meth:`CodeLayout.code_of_ages`).  A link layout's free neighbour pairs,
-nodes able to swap and swap runs (:func:`_runs`) follow from its digits
-(:func:`_link_ends`), once, and what a run consumes and makes, for walk
-and simulator alike, from :func:`_run_link`.
+nodes able to swap and swap runs (:func:`_runs`) follow from its links,
+once; one code's links, for states, plans and walk alike, come from
+:func:`_links`, and what a run consumes and makes from :func:`_run_link`.
 :class:`StateCodes` runs the phases as digit arithmetic on whole batches
 of codes, so the enumeration walk builds no states, and the simulator
 adds up one state's terms per outcome (:meth:`CodeLayout.generation_terms`,
@@ -136,15 +136,14 @@ def _subsets(nodes: tuple[int, ...]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(combo) for r in range(len(nodes) + 1) for combo in combinations(nodes, r))
 
 
-def _link_ends(n: int, t_cut: int, code: int) -> dict[int, int]:
-    """The right end of each link of a state, by its left end, left to right, from its code."""
-    span = t_cut + 1
-    right = {}
+def _links(n: int, t_cut: int, code: int) -> tuple[list[Link], int]:
+    """The links of the state with this code (:class:`CodeLayout`), left to right, and what its digits leave over."""
+    span, links = t_cut + 1, []
     for l in range(1, n):
         code, digit = divmod(code, 1 + (n - l) * span)
         if digit:
-            right[l] = l + 1 + (digit - 1) // span
-    return right
+            links.append(Link(l, l + 1 + (digit - 1) // span, (digit - 1) % span))
+    return links, code
 
 
 def _runs(right: dict[int, int], nodes: Iterable[int]) -> list[tuple[int, ...]]:
@@ -215,7 +214,7 @@ def _swap_template(
     (:func:`_run_link`): its input links' digit positions, padded with
     ``n - 1``, and its merged link's ends, both as read-only arrays.
     """
-    right = _link_ends(n, t_cut, layout)
+    right = {l: r for l, r, _ in _links(n, t_cut, layout)[0]}
     left = {r: l for l, r in right.items()}
     chained = tuple([(k, r if r in right else 0) for k, r in right.items() if k in left])
     actions, sizes, action_runs, runs = _action_runs(n, chained)
@@ -297,7 +296,7 @@ class LayoutPlan:
     ignored, named by its code at age 0.  Building the plan checks the
     layout's structure (:func:`check_state`), so a state of the layout
     need only have its ages checked.  ``right`` maps each link's left end
-    to its right end (:func:`_link_ends`); the layout is ``absorbing`` if
+    to its right end (:func:`_links`); the layout is ``absorbing`` if
     it holds the end-to-end link, and ``swappable`` holds the nodes that
     start one link and end another.  ``generation`` is the generation plan
     of a non-absorbing layout, built the first time a slot-boundary state
@@ -355,9 +354,6 @@ class CodeLayout:
             self._weights.append(self._weights[-1] * r)
         #: Code of the collapsed absorbing state: one end-to-end link of age 0.
         self.terminal_code = 1 + (n - 2) * span
-        # Per digit position, the least digit of a link whose age the bound
-        # spares: only an end-to-end link, which leaves node 1, has one.
-        self._spared = [self.terminal_code] + self._radices[1:]
         # Plans by layout code; they last as long as this instance.
         self._plans: dict[int, LayoutPlan] = {}
 
@@ -399,12 +395,7 @@ class CodeLayout:
 
     def state(self, code: int, intermediate: bool = False) -> ChainState:
         """The state with this code."""
-        span, links = self.t_cut + 1, []
-        for l, radix in enumerate(self._radices, start=1):
-            code, digit = divmod(code, radix)
-            if digit:
-                links.append(Link(l, l + 1 + (digit - 1) // span, (digit - 1) % span))
-        return ChainState(self.n, tuple(links), intermediate)
+        return ChainState(self.n, tuple(_links(self.n, self.t_cut, code)[0]), intermediate)
 
     def read(self, code: int, intermediate: bool = False) -> tuple[LayoutPlan, list[int]]:
         """The plan of a state's layout and the age of its link out of each node (-1 for none).
@@ -416,20 +407,14 @@ class CodeLayout:
         fails either is decoded and named in the :class:`InvalidStateError`
         raised.
         """
-        span = self.t_cut + 1
-        limit = self.t_cut if intermediate else self.t_cut - 1
-        ages, layout, rest, fault = [], 0, code, False
-        for radix, weight, spared in zip(self._radices, self._weights, self._spared):
-            rest, digit = divmod(rest, radix)
-            if digit:
-                age = (digit - 1) % span
-                layout += (digit - age) * weight
-                fault |= age > limit and digit < spared
-                ages.append(age)
-            else:
-                ages.append(-1)
-        if fault or rest:
+        n, limit = self.n, self.t_cut if intermediate else self.t_cut - 1
+        links, rest = _links(n, self.t_cut, code)
+        if rest or any([a > limit and (l, r) != (1, n) for l, r, a in links]):
             raise self._invalid(code, intermediate)
+        ages, layout = [-1] * (n - 1), code
+        for l, _, a in links:
+            ages[l - 1] = a
+            layout -= a * self._weights[l - 1]
         return self.plan(layout, code, intermediate), ages
 
     def plan(self, layout: int, code: int | None = None, intermediate: bool = False) -> LayoutPlan:
@@ -442,11 +427,12 @@ class CodeLayout:
         """
         plan = self._plans.get(layout)
         if plan is None:
+            state = self.state(layout)
             try:
-                check_state(self.state(layout))
+                check_state(state)
             except InvalidStateError:
                 raise self._invalid(layout if code is None else code, intermediate) from None
-            right = _link_ends(self.n, self.t_cut, layout)
+            right = {l: r for l, r, _ in state.links}
             swappable = frozenset(right).intersection(right.values())
             plan = self._plans[layout] = LayoutPlan(layout, right, right.get(1) == self.n, swappable)
         return plan

@@ -257,6 +257,15 @@ def _write_rows(out: str | Path | None, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
+def _load_scipy() -> None:
+    """Import the scipy modules that a solve uses, so that no solve's timer holds their import.
+
+    Commands that build no matrix never call this, and so import no scipy.
+    """
+    import scipy.sparse.csgraph  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+
 def _grid_rows(opt: _Options, group_rows, workers: int = 1) -> list[dict]:
     """The grid's rows in grid order, ``group_rows(opt, points)`` making those of each (n, t_cut).
 
@@ -265,6 +274,9 @@ def _grid_rows(opt: _Options, group_rows, workers: int = 1) -> list[dict]:
     so that consecutive points share the choice table, and are spread over
     ``min(workers, structures)`` processes, none when that is 1.
     """
+    # Loaded before the workers fork, scipy is shared: importing it in each worker took 0.37 s
+    # more CPU and no less wall time (n = 5, two structures, two workers on a 2-CPU Intel Xeon).
+    _load_scipy()
     points, ps = _grid(opt), opt.get("ps")
     groups: dict[tuple[int, int], list[int]] = {}
     # The grid holds every (n, t_cut) at every p_s, so sorting keeps the structures' order.
@@ -274,10 +286,6 @@ def _grid_rows(opt: _Options, group_rows, workers: int = 1) -> list[dict]:
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # the other commands skip its import
-        # scipy is loaded before the workers fork, so they share it: importing it in each worker took
-        # 0.37 s more CPU and no less wall time (n = 5, two structures, two workers on a 2-CPU Intel Xeon).
-        import scipy.sparse.csgraph  # noqa: F401
-        import scipy.sparse.linalg  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(partial(group_rows, opt), tasks))
@@ -462,6 +470,7 @@ def cmd_cutoff(opt: _Options) -> int:
 def cmd_solve(opt: _Options) -> int:
     params = _chain_params(opt)
     config = _solver_config(opt)
+    _load_scipy()
     t0 = time.perf_counter()
     model, table, policy = _solve(_model(params, opt), params.p, params.p_s, opt.get("method"), config)
     space = model.space

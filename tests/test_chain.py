@@ -888,3 +888,27 @@ def test_the_package_holds_one_copy_of_the_slot_semantics():
             taken = [a.name for a in node.names if a.name == "chain"]
         faults += [f"tests/chain_oracle.py:{node.lineno}: imports {name} from repeaterchain.chain" for name in taken]
     assert not faults, "\n".join(faults)
+
+
+def test_one_function_of_the_package_reads_a_code_digit_by_digit():
+    """Builtin ``divmod`` is called in ``chain._links`` alone, the one scalar reader of a state code.
+
+    A second scalar decoder would be a second copy of the digit layout.
+    ``StateCodes.digits``, the batch reader, calls ``np.divmod``, which is
+    no call of the builtin.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    callers = set()
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        # Each call's innermost enclosing function: ast.walk meets outer scopes first.
+        scope = {}
+        for outer in [tree, *(f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))]:
+            name = getattr(outer, "name", "<module>")
+            scope.update({node: name for node in ast.walk(outer) if isinstance(node, ast.Call)})
+        callers |= {
+            f"{path.relative_to(root)}:{name}"
+            for node, name in scope.items()
+            if isinstance(node.func, ast.Name) and node.func.id == "divmod"
+        }
+    assert callers == {"src/repeaterchain/chain.py:_links"}
