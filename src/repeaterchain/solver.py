@@ -13,6 +13,10 @@ Every solver takes a :class:`~repeaterchain.mdp.TransitionModel` alone:
 its space lists the states and choice rows, and its space's parameters
 give the ``(p, p_s)`` the model is built at.
 
+Policy iteration starts from swap-asap, and value iteration sweeps from
+swap-asap's exact values; both keep that evaluation in the model, so a
+swap-asap baseline afterwards costs no solve.
+
 Both solvers break ties the same way, so solver output is reproducible.
 Two actions tie when their values differ by at most :data:`TIE_GAP`
 relative; among tied actions the one with fewer swaps wins, then the
@@ -60,8 +64,10 @@ MAX_POLICY_ITERATIONS = 1_000
 #: Relative gap within which two actions' values count as tied.
 TIE_GAP = 1e-12
 
-#: Value iteration checks its greedy policy every this many sweeps.
-CHECK_EVERY = 16
+#: Value iteration checks its greedy policy every this many sweeps.  Sweeps
+#: start from swap-asap's exact values, from which the greedy policy of the
+#: benchmark's (5, t_cut) points settles within 8 sweeps.
+CHECK_EVERY = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -375,9 +381,9 @@ def evaluate_policy(model: TransitionModel, policy: Policy) -> ValueTable:
     policy keeps returning to, and back-substitution for every other state.
     Solved once per model and policy: the read-only values are kept in
     ``model.evaluated``, so policy iteration's first round, value
-    iteration's repeated checks and a later swap-asap baseline share one
-    solve.  Raises :class:`ConvergenceError` for policies that never
-    deliver from some state.
+    iteration's start and repeated checks, and a later swap-asap baseline
+    share one solve.  Raises :class:`ConvergenceError` for policies that
+    never deliver from some state.
     """
     if len(policy.rows) != model.space.num_intermediate:
         raise ValueError("policy does not cover every intermediate state")
@@ -431,31 +437,35 @@ def value_iteration(
 ) -> tuple[ValueTable, Policy]:
     """Optimal delivery times by sweeps of the minimizing update, stopped by a certificate.
 
-    Sweeps start from all-zero values.  Every :data:`CHECK_EVERY` sweeps
-    the greedy policy of the sweep values is evaluated exactly, to ``U`` (a
-    policy checked before is not solved again), and ``g = max(U - T U)`` is
-    its Bellman gap.  With one slot of cost per step, ``U - P_pi U <= 1 + g``
-    for every proper policy ``pi``, so ``U / (1 + g) <= T* <= U`` in every
-    state.  Stops once ``g <= config.epsilon`` and returns the greedy policy
-    of ``U``, tie broken like :func:`policy_iteration`'s, with its own exact
-    values ``V``, ``residual = g`` and ``iterations`` the sweep count: that
-    policy is at least as good as the checked one, so ``V <= U`` and
-    ``V / (1 + g) <= T* <= V``.  Otherwise
-    the sweeps go on from ``U``: ``T U <= U``, so from then on they fall
-    monotonically towards ``T*`` and each checked policy's ``U`` is at most
-    the one before (modified policy iteration; Puterman, *Markov Decision
-    Processes*, 1994, section 6.5).  Greedy policies that never deliver are
-    skipped, and the sweeps go on from their own values.  Raises
-    :class:`ConvergenceError` when the sweep cap comes first, or when a
-    checked policy passes policy iteration's stopping test with a gap above
-    ``epsilon``: that policy is optimal under the tie rule, so its gap is
-    within :data:`TIE_GAP` of ``T`` and later sweeps would only repeat it.
+    Sweeps start from the exact values ``U0`` of swap-asap, a proper
+    policy, so ``T U0 <= U0`` and every sweep is an upper bound that falls
+    monotonically towards ``T*``; the evaluation is kept in the model, so a
+    later swap-asap baseline costs no solve.  Every :data:`CHECK_EVERY`
+    sweeps the greedy policy of the sweep values is evaluated exactly, to
+    ``U`` (a policy checked before is not solved again), and
+    ``g = max(U - T U)`` is its Bellman gap.  With one slot of cost per
+    step, ``U - P_pi U <= 1 + g`` for every proper policy ``pi``, so
+    ``U / (1 + g) <= T* <= U`` in every state.  Stops once
+    ``g <= config.epsilon`` and returns the greedy policy of ``U``, tie
+    broken like :func:`policy_iteration`'s, with its own exact values
+    ``V``, ``residual = g`` and ``iterations`` the sweep count: that policy
+    is at least as good as the checked one, so ``V <= U`` and
+    ``V / (1 + g) <= T* <= V``.  Otherwise the sweeps go on from ``U``:
+    ``T U <= U``, so they keep falling monotonically towards ``T*`` and
+    each checked policy's ``U`` is at most the one before (modified policy
+    iteration; Puterman, *Markov Decision Processes*, 1994, section 6.5).
+    Greedy policies that never deliver are skipped, and the sweeps go on
+    from their own values.  Raises :class:`ConvergenceError` when the sweep
+    cap comes first, or when a checked policy passes policy iteration's
+    stopping test with a gap above ``epsilon``: that policy is optimal
+    under the tie rule, so its gap is within :data:`TIE_GAP` of ``T`` and
+    later sweeps would only repeat it.
     """
     config = config or SolverConfig()
     space = model.space
     mat_a, choices = model.phase_a_matrix(), model.choice_table()
     starts, terminal = space.row_offsets[:-1], space.terminal_index
-    q = np.zeros(choices.shape[0])
+    q = choices @ evaluate_policy(model, swap_asap_policy(space)).values
     gaps = []
     for sweep in range(1, config.max_iterations + 1):
         values = 1.0 + mat_a @ np.minimum.reduceat(q, starts)

@@ -51,6 +51,20 @@ def enumerations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The values of every block-triangular solve, in call order."""
+    calls = []
+    original = solver._block_triangular_solve
+
+    def counted(*args):
+        calls.append(original(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "_block_triangular_solve", counted)
+    return calls
+
+
 def fresh_solve(params, method, use_bunch):
     """The per-point path: enumerate (folded too when bunching), build, solve."""
     space = enumerate_states(params)
@@ -276,17 +290,9 @@ class TestCompare:
         assert float(mod_line.split("=")[1].split()[0]) == pytest.approx(8.34, abs=0.01)
 
     @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
-    def test_swap_asap_is_solved_once(self, monkeypatch, capsys, flag):
+    def test_swap_asap_is_solved_once(self, solves, capsys, flag):
         # Policy iteration starts from swap-asap, and its model keeps those
         # values, so T[swap-asap] costs no solve of its own.
-        solves = []
-        original = solver._block_triangular_solve
-
-        def counted(*args):
-            solves.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(solver, "_block_triangular_solve", counted)
         assert run(["compare", "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, flag]) == 0
         out, count = capsys.readouterr().out, len(solves)
         params = ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2)
@@ -296,6 +302,21 @@ class TestCompare:
         fresh = TransitionModel.build(space)
         t_asap = evaluate_policy(fresh, swap_asap_policy(fresh.space)).t0
         assert f"T[swap-asap] = {t_asap:.17g} " in out
+
+    @pytest.mark.parametrize("flag", ["--bunch", "--no-bunch"])
+    def test_value_iteration_shares_swap_asaps_solve_with_the_baseline(self, solves, capsys, flag):
+        # Value iteration starts from swap-asap's exact values, and its model
+        # keeps them, so the baseline adds no solve and swap-asap is solved once.
+        assert run(["compare", "--n", 5, "--p", 0.9, "--ps", 0.5, "--tcut", 2, "--method", "vi", flag]) == 0
+        out, solved = capsys.readouterr().out, solves[:]
+        solves.clear()
+        space = enumerate_states(ChainParams(n=5, p=0.9, p_s=0.5, t_cut=2), fold=flag == "--bunch")
+        model = TransitionModel.build(space)
+        value_iteration(model)
+        assert len(solved) == len(solves)
+        asap = evaluate_policy(model, swap_asap_policy(space)).values
+        assert sum(values.tobytes() == asap.tobytes() for values in solved) == 1
+        assert f"T[swap-asap] = {asap[0]:.17g} " in out
 
     BUNCH_ARGS = ["compare", "--n", 4, "--p", 0.7, "--ps", 0.5, "--tcut", 2]
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import repeaterchain
-from repeaterchain import cli
+from repeaterchain import cli, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,6 +94,13 @@ def test_readme_names_only_code_that_exists():
         if obj is None:
             missing.append(dotted)
     assert checked >= 10 and not missing, f"README.md names missing code: {missing}"
+
+
+def test_readme_states_value_iterations_check_interval():
+    # The README's line breaks fall anywhere in the sentence.
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.findall(r"every (\d+) sweeps it evaluates its greedy policy exactly", text)
+    assert stated == [str(solver.CHECK_EVERY)]
 
 
 def test_console_script_is_cli_main():

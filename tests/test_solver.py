@@ -361,8 +361,9 @@ class TestOptimalSolvers:
         assert str(info.value) == message
 
     def test_sweep_cap_before_a_certificate_reports_the_smallest_gap(self):
-        # The first check's greedy policy is still suboptimal here.
-        _, model = build(5, 2, p=0.3, p_s=0.5)
+        # Swap-asap's values start the sweeps, and the first check's greedy
+        # policy is still suboptimal here.
+        _, model = build(6, 3, p=0.9, p_s=0.5, fold=True)
         cap = solver.CHECK_EVERY
         with pytest.raises(ConvergenceError) as info:
             value_iteration(model, SolverConfig(max_iterations=cap))
@@ -534,10 +535,29 @@ class TestCertifiedValueIteration:
         # bound, so every later checked policy evaluates to values no higher.
         _, model = build(5, 2, p=0.3, p_s=0.5)
         value_iteration(model)
-        checked = list(model.evaluated.values())  # in check order
+        checked = list(model.evaluated.values())  # swap-asap's start, then each check
         assert len(checked) >= 2
         for before, after in zip(checked, checked[1:]):
             assert np.all(after <= before * (1 + 1e-12))
+
+    def test_swap_asap_start_is_the_stored_evaluation(self, monkeypatch):
+        # The sweeps start from swap-asap's exact values, kept in the model,
+        # so a swap-asap baseline after value iteration costs no solve.
+        space, model = build(5, 2, p=0.9, p_s=0.5, fold=True)
+        solves = []
+        solve = solver._block_triangular_solve
+
+        def counted(matrix, terminal):
+            solves.append(terminal)
+            return solve(matrix, terminal)
+
+        monkeypatch.setattr(solver, "_block_triangular_solve", counted)
+        value_iteration(model)
+        count = len(solves)
+        asap = evaluate_policy(model, swap_asap_policy(space)).values
+        assert count >= 1 and len(solves) == count
+        fresh = TransitionModel.build(space)
+        assert asap.tobytes() == evaluate_policy(fresh, swap_asap_policy(space)).values.tobytes()
 
     def test_low_success_probability_converges_within_a_few_checks(self):
         # Delivery takes about 4e5 slots here: sweeps from zero alone would
