@@ -24,7 +24,10 @@ from the walk's own ``chain._run_link``; the plans last as long as the
 tables, one :func:`estimate` call.  An intermediate state has
 exactly one (boundary state, generation mask) parent: its age-0 links are
 the fresh ones.  So it is interned when that one generation entry is
-filled, and needs no index of its own.
+filled, and needs no index of its own.  A row holds ``2**k`` slots for
+its state's ``k`` generation pairs or swapping nodes, so table memory
+grows exponentially with the chain; codes are Python ints, so chains
+past the enumeration walk's int64 codes still simulate.
 
 States stay codes throughout.  The policy maps an intermediate state's
 code, and its nodes able to swap (from its layout's plan), to its

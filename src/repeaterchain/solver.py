@@ -320,9 +320,10 @@ def _block_triangular_solve(matrix: sp.csr_matrix, terminal: int) -> np.ndarray:
     # costs more to compute than the factorization: for the optimal policy
     # at (9,2) folded, 105k L+U entries in 12 ms against 97k in 66 ms
     # (2-CPU Intel Xeon).
-    single, block = np.flatnonzero(~in_block), np.flatnonzero(in_block)[::-1]
+    block = np.flatnonzero(in_block)[::-1]
+    # 1 - P_ii off the block, 1 on it, where the LU gives the values.
     loops = inner & ~in_block[row]
-    scale = 1.0 - np.bincount(row[loops], weights=data[loops], minlength=size)[single]
+    scale = 1.0 - np.bincount(row[loops], weights=data[loops], minlength=size)
     inside = inner & in_block[row]
     local = np.empty(size, dtype=np.int64)
     local[block] = np.arange(len(block))
@@ -334,10 +335,8 @@ def _block_triangular_solve(matrix: sp.csr_matrix, terminal: int) -> np.ndarray:
     b[terminal] = 0.0
     x = np.zeros(size)
     for _ in range(count + 1):
-        y = b + matrix @ x
-        new = np.empty(size)
-        new[single] = y[single] / scale
-        new[block] = lu.solve(y[block])
+        new = (b + matrix @ x) / scale
+        new[block] = lu.solve(new[block])
         if not np.all(np.isfinite(new)):
             raise ConvergenceError("non-finite delivery times: policy appears improper")
         if np.array_equal(new, x):
@@ -439,8 +438,9 @@ def value_iteration(
 
     Sweeps start from the exact values ``U0`` of swap-asap, a proper
     policy, so ``T U0 <= U0`` and every sweep is an upper bound that falls
-    monotonically towards ``T*``; the evaluation is kept in the model, so a
-    later swap-asap baseline costs no solve.  Every :data:`CHECK_EVERY`
+    monotonically towards ``T*``; from zero, sweep ``k`` is at most ``k``,
+    so the sweeps would need at least ``T*`` of them.  The evaluation is kept in the model, so
+    a later swap-asap baseline costs no solve.  Every :data:`CHECK_EVERY`
     sweeps the greedy policy of the sweep values is evaluated exactly, to
     ``U`` (a policy checked before is not solved again), and
     ``g = max(U - T U)`` is its Bellman gap.  With one slot of cost per

@@ -17,7 +17,10 @@ Relabeling the nodes right to left maps the dynamics onto themselves, so a
 state and its mirror image have the same delivery time.  In fold mode the
 walk lists one representative per mirror pair (``StateCodes.canonical``) and
 sends every transition to the representative of its target, which nearly
-halves the states without changing any delivery time.
+halves the states and changes no delivery time beyond roundoff: the folded
+walk lists states in another order, so values can differ from the
+unfolded ones in the last digits and, where actions nearly tie, so can
+policy iteration's round count.
 """
 
 from __future__ import annotations
@@ -189,7 +192,10 @@ def enumerate_states(
     """Breadth-first closure of the slot dynamics starting from the empty state.
 
     Records the transitions as it discovers states, one BFS level at a
-    time.  The boundary states of a level are expanded a chunk of parents
+    time.  There are ``t_cut + 1`` levels: no link of a slot-boundary state
+    is older than ``t_cut - 1``, and a state whose oldest link is ``a``
+    slots old is reached from the empty state in ``a + 1`` slots, by
+    generating and swapping only the links that end up in it.  The boundary states of a level are expanded a chunk of parents
     at a time, with every generation child, choice row and swap outcome
     computed by numpy on :class:`~repeaterchain.chain.StateCodes` codes.
     :func:`~repeaterchain.chain._unique` lists a chunk's distinct outcome

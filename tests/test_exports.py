@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import repeaterchain
-from repeaterchain import cli, solver
+from repeaterchain import cli, sim, solver
+from repeaterchain.chain import StateCodes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,6 +102,17 @@ def test_readme_states_value_iterations_check_interval():
     text = " ".join((ROOT / "README.md").read_text().split())
     stated = re.findall(r"every (\d+) sweeps it evaluates its greedy policy exactly", text)
     assert stated == [str(solver.CHECK_EVERY)]
+
+
+def test_readme_states_the_limits_of_the_code():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    assert re.findall(r"chains of more than (\d+) nodes are refused", text) == [str(sim.MAX_NODES)]
+    assert re.findall(r"chunks of (\d+) trials", text) == [str(sim.CHUNK)]
+    assert [float(gap) for gap in re.findall(r"differ by at most (\S+) relative tie", text)] == [solver.TIE_GAP]
+    ((t_cut, n),) = re.findall(r"At t_cut = (\d+), int64 codes hold every chain up to n = (\d+)", text)
+    StateCodes(int(n), int(t_cut))
+    with pytest.raises(ValueError):
+        StateCodes(int(n) + 1, int(t_cut))
 
 
 def test_console_script_is_cli_main():

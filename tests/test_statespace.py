@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from chain_oracle import (
     action_space,
@@ -303,6 +305,22 @@ class TestLevelWalk:
             chosen = [s.links <= m.links for s, m in zip(states, mirrored)]
             assert np.array_equal(rep, code_digits([s if c else m for s, c, m in zip(states, chosen, mirrored)], t_cut))
             assert symmetric.tolist() == [s == m for s, m in zip(states, mirrored)]
+
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("n, t_cut", [(n, t) for n in range(3, 7) for t in range(1, 5) if (n, t) != (6, 4)])
+    def test_walk_is_t_cut_plus_one_levels_deep(self, n, t_cut, fold):
+        # Boundary to boundary: a parent's children (P_A), each child's every
+        # choice row, each row's outcomes (C).  The farthest state from the
+        # empty one is t_cut slots away, so the walk has t_cut + 1 levels.
+        space = space_for(n, t_cut, fold=fold)
+        parent = np.repeat(np.arange(space.num_boundary), np.diff(space.child_offsets))
+        owner = np.repeat(parent, np.diff(space.row_offsets))
+        outcomes = np.array([1 << len(shape) for shape in space.run_shapes])[space.row_shape]
+        source = np.repeat(owner, outcomes)
+        size = space.num_boundary
+        arcs = csr_matrix((np.ones(len(source)), (source, space.outcome_targets)), shape=(size, size))
+        distance = shortest_path(arcs, unweighted=True, indices=0)
+        assert np.isfinite(distance).all() and distance.max() == t_cut
 
     def test_codes_that_overflow_int64_are_refused_before_walking(self, monkeypatch):
         StateCodes(12, 7)
